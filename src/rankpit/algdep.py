@@ -389,11 +389,17 @@ def sample_good_translation(qs: list[Polynomial], basis,
     if sampler is None:
         sampler = TranslationSampler.for_tuple(t, k, d)
     _, ls = _goodness_certificates(qs, basis, non_basis, annihilators, term_cap)
+    return _sample_translation(list(ls.values()), dom, nvars, sampler)
+
+
+def _sample_translation(certificates: list[Polynomial], dom, nvars: int,
+                        sampler: TranslationSampler) -> tuple:
+    """The first uniform draw from grid^N where every certificate is nonzero."""
     grid = dom.scalars(sampler.grid_size)
     rng = random.Random(derive_seed(sampler.seed, "translation"))
     for _ in range(sampler.max_retries):
         a = tuple(grid[rng.randrange(len(grid))] for _ in range(nvars))
-        if all(not dom.is_zero(li.evaluate(a)) for li in ls.values()):
+        if all(not dom.is_zero(li.evaluate(a)) for li in certificates):
             return a
     raise NoGoodTranslation(sampler.max_retries)
 
@@ -603,16 +609,7 @@ def rewrite_circuit(c: Circuit, seed: int = 0, *, rank_mode: str = "symbolic",
     if all_ls:
         sampler = TranslationSampler.for_tuple(total_nonbasis, k_max, d_max, seed=seed,
                                                max_retries=max_retries)
-        grid = dom.scalars(sampler.grid_size)
-        rng = random.Random(derive_seed(seed, "translation"))
-        a = None
-        for _ in range(sampler.max_retries):
-            cand = tuple(grid[rng.randrange(len(grid))] for _ in range(nvars))
-            if all(not dom.is_zero(li.evaluate(cand)) for li in all_ls):
-                a = cand
-                break
-        if a is None:
-            raise NoGoodTranslation(sampler.max_retries)
+        a = _sample_translation(all_ls, dom, nvars, sampler)
     else:
         a = tuple(dom.zero for _ in range(nvars))
 
@@ -663,7 +660,7 @@ def _rewrite_gate(g: Gate, cert: RankCertificate, witness: DependenceWitness,
             continue
         zs = [dom.coerce(u + 1) for u in range(d_z + 1)]
         # sum_u mu_u z_u^j = 1 for j <= d_i, 0 for d_i < j <= d_z
-        rows = [[_scalar_pow(dom, z, j) for z in zs] for j in range(d_z + 1)]
+        rows = [[dom.pow(z, j) for z in zs] for j in range(d_z + 1)]
         rhs = [dom.one if j <= d_i else dom.zero for j in range(d_z + 1)]
         mu = linalg.solve_dense(rows, rhs, dom)
         terms = []
@@ -697,10 +694,3 @@ def _rewrite_gate(g: Gate, cert: RankCertificate, witness: DependenceWitness,
         root = base + g.outer.root
     outer = OuterExpr(len(comp_polys), nodes, root)
     return Gate(outer, comp_polys, rank_bound=g.rank_bound)
-
-
-def _scalar_pow(dom, z, j: int):
-    acc = dom.one
-    for _ in range(j):
-        acc = dom.mul(acc, z)
-    return acc

@@ -327,7 +327,7 @@ def homogeneous_component_circuit(c: Circuit, ell: int) -> Circuit:
         raise InsufficientField(
             f"need {npts} distinct scalars for interpolation: {exc}") from None
     # lam solves sum_u lam_u * z_u^j = [j == ell] for 0 <= j <= delta
-    rows = [[_pow_scalar(dom, z, j) for z in zs] for j in range(npts)]
+    rows = [[dom.pow(z, j) for z in zs] for j in range(npts)]
     rhs = [dom.one if j == ell else dom.zero for j in range(npts)]
     lam = solve_dense(rows, rhs, dom)
     if lam is None:
@@ -351,13 +351,6 @@ def homogeneous_component_circuit(c: Circuit, ell: int) -> Circuit:
             outer = OuterExpr(t, nodes, len(nodes) - 1)
             new_gates.append(Gate(outer, scaled, rank_bound=g.rank_bound))
     return Circuit(dom, c.nvars, c.declared, new_gates)
-
-
-def _pow_scalar(dom, z, j: int):
-    acc = dom.one
-    for _ in range(j):
-        acc = dom.mul(acc, z)
-    return acc
 
 
 def _shift_node(node, base: int, input_map: list[int]):

@@ -56,7 +56,8 @@ def _add_common(p: _Parser):
                    help="64-bit seed (default: $RANKPIT_SEED or 0)")
     p.add_argument("--json", action="store_true", help="emit the JSON report")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker pool size (default: available parallelism)")
+                   help="accepted for compatibility; has no effect (every scan "
+                        "is sequential)")
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock timings (breaks byte determinism)")
     p.add_argument("--cap-expansion", type=int, default=DEFAULT_TERM_CAP,
@@ -70,8 +71,8 @@ def _add_common(p: _Parser):
 
 
 def _resolved_config(args) -> dict:
-    # the worker-pool size is deliberately not part of the report: results
-    # are independent of it, and reports must be byte-identical across pools
+    # --workers is not part of the report: it has no effect, and reports
+    # must be byte-identical whatever value it is given
     return {
         "seed": args.seed,
         "output": "json" if args.json else "text",
@@ -248,10 +249,9 @@ def _cmd_nw(args) -> tuple[int, str]:
 
 def _cmd_pit(args) -> tuple[int, str]:
     c = ckt.parse_file(args.circuit)
-    workers = args.workers if args.workers else (os.cpu_count() or 1)
     report = pit.pit_test(c, mode=args.mode, seed=args.seed,
                           point_cap=args.max_points, rounds=args.rounds,
-                          workers=workers, certify_rank=args.certify_rank,
+                          certify_rank=args.certify_rank,
                           expansion_term_cap=(args.cap_expansion
                                               if args.mode == "both" else None))
     result = {

@@ -74,6 +74,9 @@ class Rationals:
     def neg(self, a):
         return -a
 
+    def pow(self, a, e: int):
+        return a ** e
+
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -145,6 +148,9 @@ class PrimeField:
     def neg(self, a):
         return -a % self.p
 
+    def pow(self, a, e: int):
+        return pow(a, e, self.p)
+
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -157,7 +163,15 @@ class PrimeField:
         return str(a % self.p)
 
     def parse(self, s: str) -> int:
-        return int(s) % self.p
+        """An integer or a fraction a/b; b must be invertible mod p."""
+        try:
+            return int(s) % self.p
+        except ValueError:
+            pass  # int() is >10x faster than Fraction() on the common case
+        try:
+            return self.coerce(Fraction(s))
+        except ZeroDivisionError:
+            raise InvalidParams(f"{s!r} is not defined in F_{self.p}") from None
 
     def scalars(self, count: int) -> list[int]:
         """The `count` smallest canonical representatives 0, 1, ..., count-1."""

@@ -5,8 +5,11 @@ a monomial of small support: ell grows only logarithmically in the top
 fan-in and formal degree (and quasi-linearly in d and k).  Every point set
 that exhausts the low-support grid therefore hits the circuit, which gives a
 deterministic blackbox test: enumerate all points with at most ell nonzero
-coordinates taking values in {1..delta} and evaluate.  The randomized
-evaluation oracle provides the classical probabilistic counterpart.
+coordinates taking values in {1..delta} and evaluate.  The scan is one
+sequential pass that generates the points in enumeration order and stops at
+the first nonzero evaluation, so its witness is always the first one in that
+order.  The randomized evaluation oracle provides the classical
+probabilistic counterpart.
 
 The support bound is evaluated in outward-rounded interval arithmetic so
 the integer ceiling can never be rounded down.
@@ -16,7 +19,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -30,7 +32,6 @@ from .errors import FieldTooSmall, InvalidParams, SetTooLarge
 from .util import derive_seed
 
 DEFAULT_POINT_CAP = 2_000_000
-_EVAL_CHUNK = 512  # fixed chunk size keeps reports independent of pool size
 
 
 @dataclass(frozen=True)
@@ -93,13 +94,30 @@ def hitting_set_size(nvars: int, delta: int, ell: int) -> int:
     return sum(math.comb(nvars, j) * delta ** j for j in range(ell + 1))
 
 
-def _iter_points(nvars: int, delta: int, ell: int, nonzero_values, zero):
+def _grid(nvars: int, delta: int, ell: int, domain, point_cap: int):
+    """Validated (ell clamped to nvars, clamped?, |H|, W) for the low-support grid."""
+    if ell < 0 or delta < 0 or nvars < 0:
+        raise InvalidParams("hitting set parameters must be nonnegative")
+    clamped = ell > nvars
+    ell = min(ell, nvars)
+    if isinstance(domain, PrimeField) and domain.p < delta + 1:
+        raise FieldTooSmall(
+            f"need {delta + 1} distinct scalars, field has {domain.p}")
+    size = hitting_set_size(nvars, delta, ell)
+    if size > point_cap:
+        raise SetTooLarge(size, point_cap)
+    return ell, clamped, size, tuple(domain.coerce(i) for i in range(delta + 1))
+
+
+def _iter_points(nvars: int, ell: int, values):
+    """W-valued points with at most ell nonzero coordinates, in enumeration order."""
+    zero, nonzero_values = values[0], values[1:]
     yield tuple(zero for _ in range(nvars))
     for j in range(1, ell + 1):
         for support in combinations(range(nvars), j):
-            for values in _cartesian(nonzero_values, repeat=j):
+            for nonzero in _cartesian(nonzero_values, repeat=j):
                 point = [zero] * nvars
-                for v, val in zip(support, values):
+                for v, val in zip(support, nonzero):
                     point[v] = val
                 yield tuple(point)
 
@@ -115,21 +133,19 @@ def hitting_set(nvars: int, delta: int, ell: int, domain, *,
     (delta+1)-grid.  Enumeration order is deterministic: support size, then
     support position, then values.
     """
-    if ell < 0 or delta < 0 or nvars < 0:
-        raise InvalidParams("hitting set parameters must be nonnegative")
-    clamped = ell > nvars
-    ell = min(ell, nvars)
-    if isinstance(domain, PrimeField) and domain.p < delta + 1:
-        raise FieldTooSmall(
-            f"need {delta + 1} distinct scalars, field has {domain.p}")
-    size = hitting_set_size(nvars, delta, ell)
-    if size > point_cap:
-        raise SetTooLarge(size, point_cap)
-    values = tuple(domain.coerce(i) for i in range(delta + 1))
-    points = tuple(_iter_points(nvars, delta, ell, values[1:], values[0]))
-    assert len(points) == size
+    ell, clamped, size, values = _grid(nvars, delta, ell, domain, point_cap)
+    points = tuple(_iter_points(nvars, ell, values))
+    if len(points) != size:
+        raise AssertionError("hitting set size disagrees with |H| (internal bug)")
     return HittingSet(points=points, ell=ell, values=values, nvars=nvars,
                       delta=delta, clamped=clamped)
+
+
+def _verified(c: Circuit, point):
+    """The witness, after re-evaluating the circuit at it exactly."""
+    if c.domain.is_zero(evaluate_circuit(c, point)):
+        raise AssertionError("witness evaluates to zero (internal bug)")
+    return point
 
 
 @dataclass(frozen=True)
@@ -163,8 +179,7 @@ def schwartz_zippel_test(c: Circuit, rounds: int = 20, seed: int = 0, *,
     for _ in range(max(1, rounds)):
         point = tuple(dom.coerce(rng.randrange(sample_size)) for _ in range(c.nvars))
         if not dom.is_zero(evaluate_circuit(c, point)):
-            assert not dom.is_zero(evaluate_circuit(c, point))
-            return SZVerdict(nonzero=True, witness=point, rounds=rounds,
+            return SZVerdict(nonzero=True, witness=_verified(c, point), rounds=rounds,
                              sample_size=sample_size,
                              error_bound=Fraction(0))
     return SZVerdict(nonzero=False, witness=None, rounds=rounds,
@@ -198,7 +213,8 @@ def pit_test(c: Circuit, mode: str = "hitting-set", *, seed: int = 0,
     for homogeneous-component slicing, so no component circuits are built);
     a zero verdict is certified for circuits within their declared bounds.
     oracle mode runs the randomized test alone; both mode cross-checks the
-    two and, when a term cap allows, full expansion as well.
+    two and, when a term cap allows, full expansion as well.  The scan is
+    sequential; `workers` is accepted for compatibility and has no effect.
     """
     if mode not in ("hitting-set", "oracle", "both"):
         raise InvalidParams(f"unknown mode {mode!r}")
@@ -227,12 +243,11 @@ def pit_test(c: Circuit, mode: str = "hitting-set", *, seed: int = 0,
                          hitting_set_size=None, mode=mode, oracle=oracle,
                          rank_certified=rank_certified)
 
-    hs = hitting_set(c.nvars, c.declared.delta, sb.ell, c.domain,
-                     point_cap=point_cap)
-    witness = _first_nonzero_point(c, hs.points, workers)
+    ell_used, clamped, size, values = _grid(c.nvars, c.declared.delta, sb.ell,
+                                            c.domain, point_cap)
+    witness = next((_verified(c, pt) for pt in _iter_points(c.nvars, ell_used, values)
+                    if not c.domain.is_zero(evaluate_circuit(c, pt))), None)
     verdict = "nonzero" if witness is not None else "zero"
-    if witness is not None:
-        assert not c.domain.is_zero(evaluate_circuit(c, witness))
 
     oracle = None
     expansion_nonzero = None
@@ -247,31 +262,8 @@ def pit_test(c: Circuit, mode: str = "hitting-set", *, seed: int = 0,
             expansion_nonzero = not expand(c, term_cap=expansion_term_cap).is_zero()
             consistent = consistent and (expansion_nonzero == (verdict == "nonzero"))
     return PitReport(verdict=verdict, witness=witness, ell=sb.ell,
-                     ell_used=hs.ell, clamped=hs.clamped,
-                     hitting_set_size=len(hs.points), mode=mode, oracle=oracle,
+                     ell_used=ell_used, clamped=clamped,
+                     hitting_set_size=size, mode=mode, oracle=oracle,
                      expansion_nonzero=expansion_nonzero, consistent=consistent,
                      rank_certified=rank_certified)
 
-
-def _first_nonzero_point(c: Circuit, points, workers: int):
-    """First witness in enumeration order, independent of the pool size."""
-    dom = c.domain
-
-    def scan_chunk(chunk):
-        for pt in chunk:
-            if not dom.is_zero(evaluate_circuit(c, pt)):
-                return pt
-        return None
-
-    chunks = [points[i:i + _EVAL_CHUNK] for i in range(0, len(points), _EVAL_CHUNK)]
-    if workers <= 1:
-        for chunk in chunks:
-            hit = scan_chunk(chunk)
-            if hit is not None:
-                return hit
-        return None
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for hit in pool.map(scan_chunk, chunks):
-            if hit is not None:
-                return hit
-    return None

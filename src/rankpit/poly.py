@@ -52,10 +52,6 @@ def mono_is_multilinear(a: Mono) -> bool:
     return all(e <= 1 for _, e in a)
 
 
-def mono_pow(a: Mono, k: int) -> Mono:
-    return tuple((v, e * k) for v, e in a) if k else ()
-
-
 class MonomialOrder:
     """A total multiplicative monomial order with 1 minimal.
 
@@ -329,11 +325,7 @@ class Polynomial:
         z = dom.coerce(z)
         out: dict = {}
         for m, c in self.terms.items():
-            d = mono_degree(m)
-            zc = dom.one
-            for _ in range(d):
-                zc = dom.mul(zc, z)
-            c2 = dom.mul(c, zc)
+            c2 = dom.mul(c, dom.pow(z, mono_degree(m)))
             if not dom.is_zero(c2):
                 out[m] = c2
         return Polynomial(dom, self.nvars, out, _normalized=True)

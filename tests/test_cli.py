@@ -238,3 +238,18 @@ def test_rewrite_report_embeds_circuit_without_out(tmp_path):
     assert res["out"] is None
     assert res["circuit"]["nvars"] == 2
     assert len(res["circuit"]["gates"]) == 1
+
+
+def test_fraction_coefficient_over_prime_field(tmp_path):
+    polys = {"field": {"type": "prime", "p": "7"}, "nvars": 1,
+             "polys": [[{"coeff": "1/3", "mono": {"1": 1}}]]}
+    path = tmp_path / "f7.json"
+    path.write_text(json.dumps(polys))
+    code, out = cli.run(["rank", "--poly-file", str(path), "--json"])
+    assert code == 0
+    assert json.loads(out)["result"]["rank"] == 1
+    polys["polys"][0][0]["coeff"] = "1/7"
+    path.write_text(json.dumps(polys))
+    code, out = cli.run(["rank", "--poly-file", str(path), "--json"])
+    assert code == 2
+    assert json.loads(out)["error"] == "InvalidParams"

@@ -263,3 +263,27 @@ def test_pit_certified_rank_on_random_corpus_slice():
         c = random_class_circuit(60_000 + seed)
         rep = pit_test(c, certify_rank=True)
         assert rep.rank_certified
+
+
+def test_streamed_scan_matches_materialized_hitting_set():
+    # the witness is the first point of hitting_set(...).points that
+    # evaluates nonzero, and a zero verdict means no point does
+    import sys
+    from pathlib import Path
+    sys.path.insert(0, str(Path(__file__).parent))
+    from _corpus import random_class_circuit
+    from rankpit.circuit import evaluate_circuit
+    verdicts = set()
+    for seed in range(36):
+        c = random_class_circuit(70_000 + seed, gamma_outer=seed % 2 == 1,
+                                 zero=seed % 4 == 0)
+        rep = pit_test(c)
+        hs = hitting_set(c.nvars, c.declared.delta, rep.ell, c.domain)
+        first = next((pt for pt in hs.points
+                      if not c.domain.is_zero(evaluate_circuit(c, pt))), None)
+        assert rep.witness == first
+        assert rep.verdict == ("zero" if first is None else "nonzero")
+        assert rep.hitting_set_size == len(hs.points)
+        assert (rep.ell_used, rep.clamped) == (hs.ell, hs.clamped)
+        verdicts.add(rep.verdict)
+    assert verdicts == {"zero", "nonzero"}

@@ -7,7 +7,7 @@ import pytest
 
 from rankpit.domains import PrimeField, Rationals
 from rankpit.errors import (ArityMismatch, DimensionMismatch, ExpansionTooLarge,
-                            InexactDivision, ZeroPolynomial)
+                            InexactDivision, InvalidParams, ZeroPolynomial)
 from rankpit.poly import (GRLEX, LEX, MonomialOrder, Polynomial, compose,
                           divide_exact, mono_mul)
 
@@ -313,3 +313,14 @@ def test_translate_matches_composition_oracle():
             subs = [Polynomial.variable(dom, 3, j) +
                     Polynomial.constant(dom, 3, a[j]) for j in range(3)]
             assert p.translate(a) == compose(p, subs)
+
+
+def test_prime_field_parse_fractions():
+    f7 = PrimeField(7)
+    assert f7.parse("1/3") == 5
+    assert f7.parse("-2/3") == 4
+    assert f7.parse("12") == 5
+    with pytest.raises(InvalidParams):
+        f7.parse("1/7")
+    p = Polynomial.terms_from_json(f7, 1, [{"coeff": "1/3", "mono": {"1": 1}}])
+    assert p == x(0, 1, f7).scale(5)
