@@ -23,6 +23,7 @@ from .errors import (BoundViolation, CircuitSyntaxError, DimensionMismatch,
                      InvalidParams)
 from .linalg import solve_dense
 from .poly import DEFAULT_TERM_CAP, Polynomial, compose
+from .util import read_text
 
 
 class OuterExpr:
@@ -436,5 +437,4 @@ def parse(text: str) -> Circuit:
 
 
 def parse_file(path: str) -> Circuit:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+    return parse(read_text(path))

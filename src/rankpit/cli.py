@@ -16,12 +16,14 @@ import io
 import json
 import os
 import sys
+import traceback
 from fractions import Fraction
 
 from . import algdep, circuit as ckt, measure, nw, pit
 from .domains import PrimeField, Rationals, domain_from_json
-from .errors import RankpitError
+from .errors import CircuitSyntaxError, RankpitError
 from .poly import DEFAULT_TERM_CAP, Polynomial
+from .util import read_text
 
 USAGE_EXIT = 64
 ERROR_EXIT = 2
@@ -101,12 +103,31 @@ def _emit(args, command: str, result: dict) -> str:
 
 
 def _load_polys(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    domain = domain_from_json(obj["field"])
-    nvars = int(obj["nvars"])
-    polys = [Polynomial.terms_from_json(domain, nvars, terms)
-             for terms in obj["polys"]]
+    """Read a polynomial-tuple file; malformed content raises
+    CircuitSyntaxError with its JSON path, as circuit.parse does."""
+    try:
+        obj = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise CircuitSyntaxError(exc.msg, line=exc.lineno, column=exc.colno) from None
+    if not isinstance(obj, dict):
+        raise CircuitSyntaxError("top level must be an object", path="$")
+    for key in ("field", "nvars", "polys"):
+        if key not in obj:
+            raise CircuitSyntaxError(f"missing key {key!r}", path="$")
+    if not isinstance(obj["polys"], list):
+        raise CircuitSyntaxError("polys must be a list", path="$.polys")
+
+    def located(json_path, fn, *args):
+        try:
+            return fn(*args)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CircuitSyntaxError(f"{type(exc).__name__}: {exc}",
+                                     path=json_path) from None
+
+    domain = located("$.field", domain_from_json, obj["field"])
+    nvars = located("$.nvars", int, obj["nvars"])
+    polys = [located(f"$.polys[{i}]", Polynomial.terms_from_json, domain, nvars, terms)
+             for i, terms in enumerate(obj["polys"])]
     return domain, nvars, polys
 
 
@@ -391,8 +412,14 @@ def run(argv) -> tuple[int, str]:
     try:
         return args.fn(args)
     except RankpitError as exc:
-        payload = {"error": type(exc).__name__, "detail": str(exc)}
-        return ERROR_EXIT, json.dumps(payload, sort_keys=True) + "\n"
+        # the documented attributes (sizes, caps, gate, JSON path, ...) ride along
+        attrs = {k: v for k, v in vars(exc).items() if not k.startswith("_")}
+        payload = {**attrs, "error": type(exc).__name__, "detail": str(exc)}
+    except Exception as exc:  # a bug, never a verdict: exit 1 means "nonzero"
+        payload = {"error": "InternalError",
+                   "detail": f"{type(exc).__name__}: {exc}",
+                   "traceback": "".join(traceback.format_exception(exc))}
+    return ERROR_EXIT, json.dumps(_fmt(payload), sort_keys=True, default=str) + "\n"
 
 
 def main(argv=None) -> int:

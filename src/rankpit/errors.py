@@ -58,6 +58,15 @@ class CircuitSyntaxError(RankpitError):
         self.path = path
 
 
+class UnreadableInput(RankpitError):
+    """An input file could not be opened or decoded as UTF-8 text."""
+
+    def __init__(self, file: str, reason: str):
+        super().__init__(f"cannot read {file}: {reason}")
+        self.file = file
+        self.reason = reason
+
+
 class BoundViolation(RankpitError):
     """A declared circuit bound does not hold."""
 

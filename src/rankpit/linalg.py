@@ -4,16 +4,37 @@ Streaming sparse rank for the measure matrices, dense reduced echelon form
 for nullspaces and linear solves, and a vectorized numpy path for prime
 fields small enough that products fit in int64.  Everything is exact;
 nothing here ever touches floating point.
+
+Over Q, a tall matrix (more than twice as many rows as columns) is reduced
+on a row basis instead of on every row:
+
+1. each row is scaled to integers and the matrix is reduced mod the prime
+   `_ROW_PRIME`; the numpy elimination of its transpose picks a set S of
+   rows independent mod that prime, hence independent over Q;
+2. the Fraction elimination runs on the rows in S alone;
+3. one kernel vector per free column of rref(A[S]) is checked against every
+   row of A in exact integer arithmetic.  The row space of A[S] is the
+   annihilator of that kernel, so a passing check proves that A and A[S]
+   have the same row space and therefore the same reduced echelon form;
+4. if the check fails (the prime lost rank), the Fraction elimination runs
+   on the whole matrix.  It is also the path for every other shape.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .domains import PrimeField
+from .domains import PrimeField, Rationals
 
 # numpy int64 holds products of two residues only when p^2 < 2^63
 _NUMPY_P_LIMIT = 1 << 31
+
+# a Q matrix with more than this many rows per column is reduced on a row
+# basis chosen mod _ROW_PRIME (see the module docstring)
+_TALL_RATIO = 2
+_ROW_PRIME = (1 << 31) - 1
 
 
 def _use_numpy(domain) -> bool:
@@ -51,6 +72,15 @@ def rank_stream(rows, domain) -> int:
 
 def rref_dense(rows: list[list], domain) -> tuple[list[list], list[int]]:
     """Reduced row echelon form of a dense matrix; returns (rref, pivot_cols)."""
+    if (rows and isinstance(domain, Rationals)
+            and len(rows) > _TALL_RATIO * len(rows[0])):
+        found = _rref_on_row_basis(rows, domain)
+        if found is not None:
+            return found
+    return _rref_exact(rows, domain)
+
+
+def _rref_exact(rows: list[list], domain) -> tuple[list[list], list[int]]:
     a = [list(r) for r in rows]
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
@@ -76,6 +106,37 @@ def rref_dense(rows: list[list], domain) -> tuple[list[list], list[int]]:
         if r == nrows:
             break
     return a, pivots
+
+
+def _integer_row(row: list) -> list[int]:
+    """The row times the lcm of its denominators: same span, integer entries."""
+    scale = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row]
+
+
+def _rref_on_row_basis(rows: list[list], domain):
+    """rref of a Q matrix from the rows that carry its rank mod _ROW_PRIME,
+    proven equal to the full rref by an exact kernel check; None if the
+    check fails."""
+    nrows, ncols = len(rows), len(rows[0])
+    int_rows = [_integer_row(row) for row in rows]
+    mod_t = np.array([[x % _ROW_PRIME for x in row] for row in int_rows],
+                     dtype=np.int64).T
+    _, chosen = _rref_modp(mod_t, _ROW_PRIME)
+    rref, pivots = _rref_exact([rows[i] for i in chosen], domain)
+    pivot_set = set(pivots)
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        # the kernel vector with a 1 at `free`, scaled to integers
+        entries = [(pc, -rref[i][free]) for i, pc in enumerate(pivots)
+                   if rref[i][free] != 0]
+        scale = math.lcm(*(x.denominator for _, x in entries))
+        w = [(free, scale)] + [(pc, x.numerator * (scale // x.denominator))
+                               for pc, x in entries]
+        if any(sum(row[j] * wj for j, wj in w) for row in int_rows):
+            return None
+    return rref + [[domain.zero] * ncols for _ in range(nrows - len(rref))], pivots
 
 
 def _rref_modp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:

@@ -12,9 +12,7 @@ names x1, x2, ... with X_1 highest in the ordering precedence.
 from __future__ import annotations
 
 import math
-from itertools import product as _cartesian
 
-from .domains import PrimeField, Rationals
 from .errors import (ArityMismatch, DimensionMismatch, DomainMismatch,
                      ExpansionTooLarge, InexactDivision, InvalidParams,
                      ZeroPolynomial)

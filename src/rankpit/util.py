@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 
+from .errors import UnreadableInput
+
 
 def derive_seed(seed: int, *parts) -> int:
     """Stable 63-bit sub-seed derived from a master seed and context labels.
@@ -13,3 +15,14 @@ def derive_seed(seed: int, *parts) -> int:
     """
     h = hashlib.sha256(repr((int(seed),) + tuple(parts)).encode()).digest()
     return int.from_bytes(h[:8], "big") >> 1
+
+
+def read_text(path: str) -> str:
+    """The UTF-8 contents of a file; UnreadableInput if it cannot be read."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise UnreadableInput(path, exc.strerror or str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise UnreadableInput(path, f"not UTF-8 text ({exc.reason})") from None

@@ -253,3 +253,66 @@ def test_fraction_coefficient_over_prime_field(tmp_path):
     code, out = cli.run(["rank", "--poly-file", str(path), "--json"])
     assert code == 2
     assert json.loads(out)["error"] == "InvalidParams"
+
+
+def test_unreadable_and_malformed_inputs_exit_2(tmp_path):
+    # exit 1 is the "nonzero" verdict, so no bad input may ever produce it
+    no_polys = tmp_path / "no_polys.json"
+    no_polys.write_text(json.dumps({"field": {"type": "rational"}, "nvars": 1}))
+    not_json = tmp_path / "not_json.json"
+    not_json.write_text("field: rational\n")
+    missing = str(tmp_path / "nonexistent.json")
+    probes = [
+        (["pit", "--circuit", missing], "UnreadableInput"),
+        (["rank", "--poly-file", str(no_polys)], "CircuitSyntaxError"),
+        (["rank", "--poly-file", str(not_json)], "CircuitSyntaxError"),
+        (["rank", "--poly-file", missing], "UnreadableInput"),
+    ]
+    for argv, error in probes:
+        assert cli.main(argv + ["--json"]) == 2
+        code, out = cli.run(argv + ["--json"])
+        payload = json.loads(out)
+        assert (code, payload["error"]) == (2, error)
+    assert payload["file"] == missing
+
+
+def test_malformed_poly_file_reports_json_path(tmp_path):
+    path = tmp_path / "bad_term.json"
+    path.write_text(json.dumps({"field": {"type": "rational"}, "nvars": 1,
+                                "polys": [[{"coeff": "1"}], [{"mono": {}}]]}))
+    code, out = cli.run(["annihilate", "--poly-file", str(path), "--json"])
+    assert code == 2
+    assert json.loads(out)["path"] == "$.polys[1]"
+
+
+def test_internal_error_is_exit_2_not_a_verdict(zero_circuit_file, monkeypatch):
+    def broken(*args, **kwargs):
+        raise KeyError("bug")
+    monkeypatch.setattr(cli.pit, "pit_test", broken)
+    code, out = cli.run(["pit", "--circuit", zero_circuit_file, "--json"])
+    assert code == 2
+    payload = json.loads(out)
+    assert (payload["error"], payload["detail"]) == ("InternalError", "KeyError: 'bug'")
+    assert "in broken" in payload["traceback"]
+
+
+def test_error_payload_carries_attributes(zero_circuit_file, tmp_path):
+    code, out = cli.run(["pit", "--circuit", zero_circuit_file, "--json",
+                         "--max-points", "2"])
+    payload = json.loads(out)
+    assert (code, payload["error"]) == (2, "SetTooLarge")
+    assert (payload["size"], payload["cap"]) == (9, 2)
+    indep = tmp_path / "indep.json"
+    indep.write_text(json.dumps({"field": {"type": "rational"}, "nvars": 2, "polys": [
+        [{"coeff": "1", "mono": {"1": 1}}], [{"coeff": "1", "mono": {"2": 1}}]]}))
+    code, out = cli.run(["annihilate", "--poly-file", str(indep), "--json",
+                         "--cap-annihilator", "4"])
+    assert json.loads(out)["cap"] == 4
+    bad = dict(ZERO_CIRCUIT, declared={"d": 1, "k": 2, "delta": 2})
+    path = tmp_path / "bad_bound.json"
+    path.write_text(json.dumps(bad))
+    code, out = cli.run(["pit", "--circuit", str(path), "--json"])
+    payload = json.loads(out)
+    assert (code, payload["error"]) == (2, "BoundViolation")
+    # gate 1's inner x1^2 - x2^2 breaks d = 1
+    assert [payload[k] for k in ("gate", "bound", "declared", "actual")] == [1, "d", 1, 2]
