@@ -16,12 +16,13 @@ import io
 import json
 import os
 import sys
+import time
 import traceback
 from fractions import Fraction
 
 from . import algdep, circuit as ckt, measure, nw, pit
 from .domains import PrimeField, Rationals, domain_from_json
-from .errors import CircuitSyntaxError, RankpitError
+from .errors import CircuitSyntaxError, InvalidParams, RankpitError
 from .poly import DEFAULT_TERM_CAP, Polynomial
 from .util import read_text
 
@@ -213,7 +214,11 @@ def _cmd_rewrite(args) -> tuple[int, str]:
 
 def _cmd_measure(args) -> tuple[int, str]:
     _, nvars, polys = _load_polys(args.poly_file)
+    if not 0 <= args.index < len(polys):
+        raise InvalidParams(
+            f"--index {args.index} is out of range for {len(polys)} polynomial(s)")
     p = polys[args.index]
+    spec = measure.MeasureSpec.multilinear(nvars, args.r, args.m)  # checks r, m
     if args.sweep:
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -226,7 +231,6 @@ def _cmd_measure(args) -> tuple[int, str]:
                 writer.writerow([r, m, rep.dimension, rep.rows, rep.cols,
                                  f"{rep.timing_ms:.3f}"])
         return 0, buf.getvalue()
-    spec = measure.MeasureSpec.multilinear(nvars, args.r, args.m)
     rep = measure.psp_dimension(p, spec, matrix_cap=args.cap_matrix,
                                 record_timing=args.timings)
     result = {
@@ -270,11 +274,13 @@ def _cmd_nw(args) -> tuple[int, str]:
 
 def _cmd_pit(args) -> tuple[int, str]:
     c = ckt.parse_file(args.circuit)
+    start = time.perf_counter()
     report = pit.pit_test(c, mode=args.mode, seed=args.seed,
                           point_cap=args.max_points, rounds=args.rounds,
                           certify_rank=args.certify_rank,
                           expansion_term_cap=(args.cap_expansion
                                               if args.mode == "both" else None))
+    elapsed_ms = (time.perf_counter() - start) * 1000
     result = {
         "verdict": report.verdict,
         "witness": None if report.witness is None else _point(report.witness, c.domain),
@@ -294,7 +300,7 @@ def _cmd_pit(args) -> tuple[int, str]:
         },
         "expansion_nonzero": report.expansion_nonzero,
         "consistent": report.consistent,
-        "timings": None,
+        "timings": elapsed_ms if args.timings else None,
         "seed": args.seed,
     }
     code = 1 if report.verdict == "nonzero" else 0

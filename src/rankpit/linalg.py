@@ -5,8 +5,13 @@ for nullspaces and linear solves, and a vectorized numpy path for prime
 fields small enough that products fit in int64.  Everything is exact;
 nothing here ever touches floating point.
 
-Over Q, a tall matrix (more than twice as many rows as columns) is reduced
-on a row basis instead of on every row:
+The streaming rank runs on plain Python ints in one loop for both domains:
+residues reduced mod p inline over F_p, and fraction-free elimination on
+primitive integer rows over Q (Bareiss-style: cross-multiply to cancel the
+pivot, then divide out the content), so it builds no Fraction.
+
+Over Q, a dense tall matrix (more than twice as many rows as columns) is
+reduced on a row basis instead of on every row:
 
 1. each row is scaled to integers and the matrix is reduced mod the prime
    `_ROW_PRIME`; the numpy elimination of its transpose picks a set S of
@@ -45,29 +50,59 @@ def rank_stream(rows, domain) -> int:
     """Rank of a stream of sparse rows (dict col -> coeff), exact elimination.
 
     Keeps a basis of reduced rows keyed by their smallest column index, so
-    memory is bounded by the rank, not by the number of rows.
+    memory is bounded by the rank, not by the number of rows.  The loop does
+    plain int arithmetic, with no domain method calls:
+
+    - over F_p, entries are residues; a basis row is scaled so that its
+      pivot is 1, and each update is reduced mod p inline;
+    - over Q, each row is scaled to a primitive integer row (times the lcm
+      of its denominators, divided by the gcd of its entries) and reduced
+      fraction-free by v <- b[pivot]*v - v[pivot]*b with its content divided
+      out after each step.  Basis rows are primitive integer rows, so no
+      Fraction is built and the result is exact by construction.
     """
-    basis: dict[int, dict] = {}
-    rank = 0
+    p = domain.p if isinstance(domain, PrimeField) else 0
+    basis: dict[int, dict[int, int]] = {}
     for raw in rows:
-        v = {j: c for j, c in raw.items() if not domain.is_zero(c)}
+        v = {j: c % p for j, c in raw.items() if c % p} if p else _primitive(raw)
         while v:
             pivot = min(v)
             b = basis.get(pivot)
             if b is None:
-                inv = domain.inv(v[pivot])
-                basis[pivot] = {j: domain.mul(c, inv) for j, c in v.items()}
-                rank += 1
+                if p:
+                    inv = pow(v[pivot], -1, p)
+                    v = {j: c * inv % p for j, c in v.items()}
+                basis[pivot] = v
                 break
-            factor = v[pivot]
+            f = v[pivot]
+            if not p:  # scale v so that the pivot cancels: a*v[pivot] = f*b[pivot]
+                g = math.gcd(f, b[pivot])
+                f, a = f // g, b[pivot] // g
+                if a != 1:
+                    v = {j: a * c for j, c in v.items()}
             for j, bj in b.items():
-                s = domain.sub(v.get(j, domain.zero), domain.mul(factor, bj))
-                if domain.is_zero(s):
-                    v.pop(j, None)
-                else:
+                # bj and f are nonzero, so s == 0 only where v already has j
+                s = v.get(j, 0) - f * bj
+                if p:
+                    s %= p
+                if s:
                     v[j] = s
+                else:
+                    del v[j]
+            if not p and v:
+                g = math.gcd(*v.values())
+                if g != 1:
+                    v = {j: c // g for j, c in v.items()}
         # v exhausted without a new pivot: row was dependent
-    return rank
+    return len(basis)
+
+
+def _primitive(raw: dict) -> dict[int, int]:
+    """The nonzero entries of a rational row as a primitive integer row."""
+    cols = [j for j, c in raw.items() if c]
+    ints = _integer_row([raw[j] for j in cols])
+    g = math.gcd(*ints)
+    return {j: c // g for j, c in zip(cols, ints)}
 
 
 def rref_dense(rows: list[list], domain) -> tuple[list[list], list[int]]:

@@ -49,6 +49,8 @@ class MeasureSpec:
     @classmethod
     def multilinear(cls, nvars: int, r: int, shift_degree: int) -> "MeasureSpec":
         """All multilinear derivative monomials of degree exactly r."""
+        if r < 0:
+            raise InvalidParams("derivative degree must be >= 0")
         if r == 0:
             monos: list[Mono] = [()]
         else:

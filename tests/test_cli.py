@@ -316,3 +316,32 @@ def test_error_payload_carries_attributes(zero_circuit_file, tmp_path):
     assert (code, payload["error"]) == (2, "BoundViolation")
     # gate 1's inner x1^2 - x2^2 breaks d = 1
     assert [payload[k] for k in ("gate", "bound", "declared", "actual")] == [1, "d", 1, 2]
+
+
+@pytest.mark.parametrize("extra", [
+    ["--r", "-1", "--m", "1"],                  # combinations() raised ValueError
+    ["--index", "5", "--r", "1", "--m", "1"],   # IndexError
+    ["--index", "-1", "--r", "1", "--m", "1"],  # silently measured the last poly
+    ["--r", "-1", "--m", "1", "--sweep"],       # printed only the CSV header
+    ["--r", "1", "--m", "-1", "--sweep"],
+], ids=["negative-r", "index-past-end", "negative-index", "sweep-negative-r",
+        "sweep-negative-m"])
+def test_measure_rejects_out_of_range_arguments(tmp_path, extra):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(dict(E1_POLYS, polys=E1_POLYS["polys"][:1])))
+    code, out = cli.run(["measure", "--poly-file", str(path), "--json"] + extra)
+    assert (code, json.loads(out)["error"]) == (2, "InvalidParams")
+
+
+def test_pit_timings_only_under_the_flag(zero_circuit_file):
+    argv = ["pit", "--circuit", zero_circuit_file, "--json"]
+    plain = [cli.run(argv)[1] for _ in range(2)]
+    assert plain[0] == plain[1]
+    assert json.loads(plain[0])["result"]["timings"] is None
+    code, out = cli.run(argv + ["--timings"])
+    report = json.loads(out)
+    assert code == 0
+    assert float(report["result"]["timings"]) >= 0
+    report["result"]["timings"] = None
+    report["config"]["timings"] = False
+    assert json.dumps(report, indent=2, sort_keys=True) + "\n" == plain[0]

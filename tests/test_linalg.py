@@ -1,12 +1,14 @@
-"""Dense linear algebra over Q: the row-basis path against plain elimination."""
+"""Exact linear algebra: the dense row-basis path over Q against plain
+elimination, and the streaming rank against the dense rank."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankpit import linalg
-from rankpit.domains import Rationals
+from rankpit.domains import PrimeField, Rationals
 
 Q = Rationals()
 q = linalg._ROW_PRIME
@@ -96,3 +98,55 @@ def test_short_and_empty_matrices_unchanged(plain):
     assert linalg.rref_dense(rows, Q) == plain(linalg.rref_dense, rows, Q)
     assert linalg.rref_dense([], Q) == ([], [])
     assert linalg.rref_dense([[], [], []], Q) == ([[], [], []], [])
+
+
+@st.composite
+def _sparse_rows(draw, entry, reduce):
+    """(ncols, sparse rows) with explicit zero entries, empty rows and rows
+    planted as combinations of earlier rows (`reduce` maps a combination
+    back into the domain)."""
+    ncols = draw(st.integers(1, 7))
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["entries", "empty", "combination"]))
+        if kind == "empty":
+            rows.append({})
+        elif kind == "combination" and rows:
+            picks = draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
+                                            st.integers(-3, 3)), min_size=1, max_size=3))
+            cols = set().union(*(rows[i] for i, _ in picks))
+            rows.append({j: reduce(sum(c * rows[i].get(j, 0) for i, c in picks))
+                         for j in sorted(cols)})
+        else:
+            cols = draw(st.lists(st.integers(0, ncols - 1), unique=True))
+            rows.append({j: draw(entry) for j in cols})
+    return ncols, rows
+
+
+def _dense_rank(rows, ncols, domain):
+    return linalg.rank_dense([[row.get(j, domain.zero) for j in range(ncols)]
+                              for row in rows], domain)
+
+
+_RATIONAL = st.builds(Fraction, st.one_of(st.integers(-6, 6), st.integers(-10**15, 10**15)),
+                      st.sampled_from([1, 1, 1, 2, 3, 4, 9, 10**9 + 7]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_sparse_rows(_RATIONAL, Fraction))
+def test_rank_stream_matches_dense_rank_over_q(matrix):
+    ncols, rows = matrix
+    assert linalg.rank_stream(iter(rows), Q) == _dense_rank(rows, ncols, Q)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 1_000_003, (1 << 61) - 1])
+def test_rank_stream_matches_dense_rank_over_prime_fields(p):
+    dom = PrimeField(p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_sparse_rows(st.integers(0, p - 1), lambda x: x % p))
+    def check(matrix):
+        ncols, rows = matrix
+        assert linalg.rank_stream(iter(rows), dom) == _dense_rank(rows, ncols, dom)
+
+    check()

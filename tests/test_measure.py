@@ -166,3 +166,28 @@ def test_exact_matches_modular_certificate():
         with_pass = psp_dimension(p, spec, modular_prepass=True)
         without = psp_dimension(p, spec, modular_prepass=False)
         assert with_pass.dimension == without.dimension
+
+
+@pytest.mark.parametrize("case,expected", [
+    ((3, 5, 2, 1, 2), (1275, 1575, 1350, "exact-elimination")),
+    ((2, 7, 2, 1, 2), (168, 1274, 364, "exact-elimination")),
+    ((2, 5, 2, 1, 2), (80, 450, 120, "exact-elimination")),
+    ((4, 5, 2, 1, 1), (397, 400, 1625, "exact-elimination")),
+    ((3, 5, 2, 2, 2), (455, 6825, 455, "modular-full-rank-certificate")),
+    ((2, 7, 2, 2, 2), (91, 4459, 91, "modular-full-rank-certificate")),
+])
+def test_pinned_nw_measure_values(case, expected):
+    """(n, q, e, r, m) -> (dimension, rows, cols, rank_method) of NW(n,q,e)."""
+    from rankpit.nw import NWParams, nw_polynomial
+    n, q, e, r, m = case
+    dimension, rows, cols, method = expected
+
+    def measured(dom, **kwargs):
+        poly = nw_polynomial(NWParams(n, q, e), dom)
+        rep = psp_dimension(poly, MeasureSpec.multilinear(poly.nvars, r, m), **kwargs)
+        return rep.dimension, rep.rows, rep.cols, rep.rank_method
+
+    assert measured(Q) == expected
+    assert measured(Q, modular_prepass=False) == (dimension, rows, cols,
+                                                  "exact-elimination")
+    assert measured(FP) == (dimension, rows, cols, "exact-elimination")
