@@ -25,6 +25,10 @@ from .linalg import solve_dense
 from .poly import DEFAULT_TERM_CAP, Polynomial, compose
 from .util import read_text
 
+# what reading a malformed JSON value as a number, a list or an object raises
+_MALFORMED = (AttributeError, KeyError, TypeError, ValueError,
+              ZeroDivisionError, OverflowError)
+
 
 class OuterExpr:
     """Expression DAG over t formal inputs: +, *, constants, polynomial calls.
@@ -161,35 +165,44 @@ class OuterExpr:
         return {"dag": {"arity": self.arity, "nodes": nodes_json, "root": self.root}}
 
     @classmethod
-    def from_json(cls, obj: dict, domain, path: str) -> "OuterExpr":
-        dag = obj.get("dag")
+    def from_json(cls, obj, domain, path: str) -> "OuterExpr":
+        dag = obj.get("dag") if isinstance(obj, dict) else None
         if not isinstance(dag, dict):
             raise CircuitSyntaxError("outer must be \"product\" or {\"dag\": ...}", path=path)
         try:
             arity = int(dag["arity"])
             nodes_json = dag["nodes"]
             root = int(dag["root"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except _MALFORMED as exc:
             raise CircuitSyntaxError(f"bad dag object: {exc}", path=path) from None
+        if not isinstance(nodes_json, list):
+            raise CircuitSyntaxError("dag nodes must be a list", path=path)
         nodes = []
         for i, nj in enumerate(nodes_json):
-            op = nj.get("op")
-            if op == "input":
-                nodes.append(("input", int(nj["index"]) - 1))
-            elif op == "const":
-                nodes.append(("const", domain.parse(nj["value"])))
-            elif op in ("add", "mul"):
-                nodes.append((op, tuple(int(a) for a in nj["args"])))
-            elif op == "call":
-                args = tuple(int(a) for a in nj["args"])
-                poly = Polynomial.terms_from_json(domain, len(args), nj["poly"])
-                nodes.append(("call", poly, args))
-            else:
-                raise CircuitSyntaxError(f"unknown dag op {op!r}", path=f"{path}.nodes[{i}]")
+            try:
+                nodes.append(_node_from_json(nj, domain))
+            except (InvalidParams, *_MALFORMED) as exc:
+                raise CircuitSyntaxError(f"bad dag node: {exc}",
+                                         path=f"{path}.nodes[{i}]") from None
         try:
             return cls(arity, nodes, root)
         except InvalidParams as exc:
             raise CircuitSyntaxError(str(exc), path=path) from None
+
+
+def _node_from_json(nj: dict, domain) -> tuple:
+    """One DAG node tuple; malformed JSON raises InvalidParams or a _MALFORMED error."""
+    op = nj.get("op")
+    if op == "input":
+        return ("input", int(nj["index"]) - 1)
+    if op == "const":
+        return ("const", domain.parse(nj["value"]))
+    if op in ("add", "mul"):
+        return (op, tuple(int(a) for a in nj["args"]))
+    if op == "call":
+        args = tuple(int(a) for a in nj["args"])
+        return ("call", Polynomial.terms_from_json(domain, len(args), nj["poly"]), args)
+    raise InvalidParams(f"unknown dag op {op!r}")
 
 
 class Gate:
@@ -403,7 +416,7 @@ def parse(text: str) -> Circuit:
             raise CircuitSyntaxError(f"missing key {key!r}", path="$")
     try:
         domain = domain_from_json(obj["field"])
-    except InvalidParams as exc:
+    except (InvalidParams, *_MALFORMED) as exc:
         raise CircuitSyntaxError(str(exc), path="$.field") from None
     nvars = obj["nvars"]
     if not isinstance(nvars, int) or nvars < 0:
@@ -411,18 +424,22 @@ def parse(text: str) -> Circuit:
     dec = obj["declared"]
     try:
         declared = DeclaredBounds(d=int(dec["d"]), k=int(dec["k"]), delta=int(dec["delta"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise CircuitSyntaxError(f"bad declared bounds: {exc}", path="$.declared") from None
+    if not isinstance(obj["gates"], list):
+        raise CircuitSyntaxError("gates must be a list", path="$.gates")
     gates = []
     for gi, gobj in enumerate(obj["gates"]):
         path = f"$.gates[{gi}]"
         if not isinstance(gobj, dict) or "outer" not in gobj or "inner" not in gobj:
             raise CircuitSyntaxError("gate needs \"outer\" and \"inner\"", path=path)
+        if not isinstance(gobj["inner"], list):
+            raise CircuitSyntaxError("inner must be a list", path=f"{path}.inner")
         inner = []
         for pi, terms in enumerate(gobj["inner"]):
             try:
                 inner.append(Polynomial.terms_from_json(domain, nvars, terms))
-            except (InvalidParams, KeyError, ValueError) as exc:
+            except (InvalidParams, *_MALFORMED) as exc:
                 raise CircuitSyntaxError(str(exc), path=f"{path}.inner[{pi}]") from None
         if gobj["outer"] == "product":
             outer = "product"

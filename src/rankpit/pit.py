@@ -11,27 +11,45 @@ the first nonzero evaluation, so its witness is always the first one in that
 order.  The randomized evaluation oracle provides the classical
 probabilistic counterpart.
 
+The scan has two paths with the same order and the same witness.  Over Q and
+over primes p >= 2^31 it evaluates one point at a time through
+`evaluate_circuit`.  Over F_p with p < 2^31 it evaluates the origin that way
+(most nonzero circuits stop there) and the rest of the grid in chunks of at
+most `_CHUNK` points held as int64 columns.  The grid values 0..delta are the
+field elements themselves (p > delta), every coefficient is reduced below p,
+and every product and sum is reduced mod p at once, so no operand exceeds
+2^31 and no product 2^62: the int64 arithmetic is exact.  The witness, the
+lowest nonzero row of the first chunk that has one, is re-evaluated through
+the scalar path before it is returned.
+
 The support bound is evaluated in outward-rounded interval arithmetic so
 the integer ceiling can never be rounded down.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from itertools import product as _cartesian
 
 import mpmath
+import numpy as np
 
-from .circuit import Circuit, evaluate_circuit
+from .circuit import Circuit, OuterExpr, evaluate_circuit
 from .domains import PrimeField
 from .errors import FieldTooSmall, InvalidParams, SetTooLarge
 from .util import derive_seed
 
 DEFAULT_POINT_CAP = 2_000_000
+
+# the array scan holds at most this many points at a time
+_CHUNK = 4096
+# residues below 2^31 keep every product of two below 2^62, exact in int64
+_ARRAY_PRIME_LIMIT = 1 << 31
 
 
 @dataclass(frozen=True)
@@ -44,6 +62,7 @@ class SupportBound:
     variant: str  # "homogeneous" | "general"
 
 
+@functools.lru_cache(maxsize=1024)
 def support_bound(d: int, k: int, top_fanin: int, delta: int,
                   variant: str = "general") -> SupportBound:
     """ceil(2e^3 d (ln(T (delta+1)^v) + (d+1) k ln(2 (d+1) k) + 1)), v in {1,2}.
@@ -52,6 +71,8 @@ def support_bound(d: int, k: int, top_fanin: int, delta: int,
     homogeneous circuit; the general variant (v = 2) absorbs the
     (delta+1)-fold top fan-in blow-up of slicing an arbitrary circuit into
     homogeneous components, so no component circuits are ever materialized.
+    Results are memoized (the interval arithmetic costs far more than a
+    verdict at the origin); `SupportBound` is frozen, so sharing it is safe.
     """
     if min(d, k, top_fanin, delta) < 1:
         raise InvalidParams("support bound inputs must all be >= 1")
@@ -122,6 +143,24 @@ def _iter_points(nvars: int, ell: int, values):
                 yield tuple(point)
 
 
+def _point_chunks(nvars: int, ell: int, delta: int):
+    """The points of `_iter_points(nvars, ell, range(delta + 1))`, in the same
+    order, as int64 arrays of at most `_CHUNK` rows; the origin comes alone."""
+    yield np.zeros((1, nvars), dtype=np.int64)
+    for j in range(1, ell + 1 if delta else 1):
+        block = delta ** j  # value tuples per support, last coordinate fastest
+        place = delta ** np.arange(j - 1, -1, -1, dtype=np.int64)
+        supports = combinations(range(nvars), j)
+        while batch := list(islice(supports, max(1, _CHUNK // block))):
+            sup = np.array(batch, dtype=np.int64)
+            for start in range(0, block, _CHUNK):
+                vals = np.arange(start, min(block, start + _CHUNK))[:, None] // place % delta + 1
+                pts = np.zeros((len(sup) * len(vals), nvars), dtype=np.int64)
+                rows = np.arange(len(pts))[:, None]
+                pts[rows, np.repeat(sup, len(vals), axis=0)] = np.tile(vals, (len(sup), 1))
+                yield pts
+
+
 def hitting_set(nvars: int, delta: int, ell: int, domain, *,
                 point_cap: int = DEFAULT_POINT_CAP) -> HittingSet:
     """All points with at most ell nonzero coordinates valued in {1..delta}.
@@ -146,6 +185,108 @@ def _verified(c: Circuit, point):
     if c.domain.is_zero(evaluate_circuit(c, point)):
         raise AssertionError("witness evaluates to zero (internal bug)")
     return point
+
+
+class _Columns:
+    """F_p arithmetic on int64 columns of residues: the domain of the DAG fold."""
+
+    zero, one = 0, 1
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+
+class _ColumnPoly:
+    """A polynomial over F_p as plain (coeff, mono) terms, evaluated on columns."""
+
+    def __init__(self, poly, p: int):
+        self.nvars = poly.nvars  # OuterExpr checks call arity against it
+        self.terms = [(c, mono) for mono, c in poly.terms.items()]
+        self.p = p
+
+    def evaluate(self, cols, powers=None):
+        """Columnwise value mod p; `powers` caches cols[v]^e for these cols."""
+        powers = {} if powers is None else powers
+        p = self.p
+        acc = 0
+        for c, mono in self.terms:
+            term = c
+            for v, e in mono:
+                x = powers.get((v, e))
+                if x is None:
+                    x = cols[v]
+                    for _ in range(e - 1):
+                        x = x * cols[v] % p
+                    powers[(v, e)] = x
+                term = term * x % p
+            acc = (acc + term) % p
+        return acc
+
+
+def _column_node(node, dom: PrimeField):
+    if node[0] == "call":
+        return ("call", _ColumnPoly(node[1], dom.p), node[2])
+    if node[0] == "const":
+        # a DAG built in code may hold any int: reduce it below p like the rest
+        return ("const", dom.coerce(node[1]))
+    return node
+
+
+def _compile(c: Circuit):
+    """Per gate, the inner polynomials and the outer on columns: "product", or
+    the gate's DAG with its constants reduced and its call nodes on columns."""
+    gates = []
+    for g in c.gates:
+        outer = g.outer
+        if not g.is_product:
+            outer = OuterExpr(outer.arity, [_column_node(node, c.domain)
+                                            for node in outer.nodes], outer.root)
+        gates.append(([_ColumnPoly(q, c.domain.p) for q in g.inner], outer))
+    return gates
+
+
+def _evaluate_chunk(gates, cols, arith: _Columns):
+    """The circuit's value at each point whose coordinates are the columns `cols`."""
+    powers: dict = {}
+    total = arith.zero
+    for inner, outer in gates:
+        vals = [q.evaluate(cols, powers) for q in inner]
+        if outer == "product":
+            value = functools.reduce(arith.mul, vals, arith.one)
+        else:
+            value = outer.evaluate(vals, arith)
+        total = arith.add(total, value)
+    return total
+
+
+def _scan(c: Circuit, ell: int, values):
+    """The first witness in enumeration order and its index, or (None, None)."""
+    dom = c.domain
+    if not (isinstance(dom, PrimeField) and dom.p < _ARRAY_PRIME_LIMIT):
+        return next(((_verified(c, pt), i)
+                     for i, pt in enumerate(_iter_points(c.nvars, ell, values))
+                     if not dom.is_zero(evaluate_circuit(c, pt))), (None, None))
+    chunks = _point_chunks(c.nvars, ell, len(values) - 1)
+    next(chunks)  # the origin: through the scalar path, where most witnesses are
+    origin = (values[0],) * c.nvars
+    if not dom.is_zero(evaluate_circuit(c, origin)):
+        return _verified(c, origin), 0
+    gates, arith = _compile(c), _Columns(dom.p)
+    index = 1
+    for chunk in chunks:
+        cols = np.ascontiguousarray(chunk.T)
+        nonzero = np.flatnonzero(_evaluate_chunk(gates, cols, arith))
+        if nonzero.size:
+            row = chunk[nonzero[0]]
+            return _verified(c, tuple(values[x] for x in row)), index + int(nonzero[0])
+        index += len(chunk)
+    return None, None
 
 
 @dataclass(frozen=True)
@@ -200,6 +341,7 @@ class PitReport:
     expansion_nonzero: bool | None = None
     consistent: bool | None = None
     rank_certified: bool = False
+    witness_index: int | None = None  # witness's position in enumeration order
 
 
 def pit_test(c: Circuit, mode: str = "hitting-set", *, seed: int = 0,
@@ -245,8 +387,7 @@ def pit_test(c: Circuit, mode: str = "hitting-set", *, seed: int = 0,
 
     ell_used, clamped, size, values = _grid(c.nvars, c.declared.delta, sb.ell,
                                             c.domain, point_cap)
-    witness = next((_verified(c, pt) for pt in _iter_points(c.nvars, ell_used, values)
-                    if not c.domain.is_zero(evaluate_circuit(c, pt))), None)
+    witness, witness_index = _scan(c, ell_used, values)
     verdict = "nonzero" if witness is not None else "zero"
 
     oracle = None
@@ -265,5 +406,5 @@ def pit_test(c: Circuit, mode: str = "hitting-set", *, seed: int = 0,
                      ell_used=ell_used, clamped=clamped,
                      hitting_set_size=size, mode=mode, oracle=oracle,
                      expansion_nonzero=expansion_nonzero, consistent=consistent,
-                     rank_certified=rank_certified)
+                     rank_certified=rank_certified, witness_index=witness_index)
 

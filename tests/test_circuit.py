@@ -5,6 +5,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankpit import algdep
 from rankpit.circuit import (Circuit, DeclaredBounds, Gate, OuterExpr,
@@ -12,7 +13,7 @@ from rankpit.circuit import (Circuit, DeclaredBounds, Gate, OuterExpr,
                              homogeneous_component_circuit, parse, serialize)
 from rankpit.domains import PrimeField, Rationals
 from rankpit.errors import (BoundViolation, CircuitSyntaxError,
-                            DimensionMismatch, InsufficientField)
+                            DimensionMismatch, InsufficientField, RankpitError)
 from rankpit.poly import Polynomial
 
 Q = Rationals()
@@ -74,6 +75,91 @@ def test_syntax_error_carries_location():
 def test_missing_key_reported():
     with pytest.raises(CircuitSyntaxError):
         parse(json.dumps({"field": {"type": "rational"}, "nvars": 2, "gates": []}))
+
+
+def _dag_circuit_json() -> dict:
+    """A valid circuit whose gate 0 has a DAG outer with every node kind."""
+    f = Polynomial.from_text(Q, 2, "z1^2 - 2*z2", var_prefix="z")
+    outer = OuterExpr(2, [("input", 0), ("input", 1),
+                          ("const", Q.coerce(3)), ("mul", (0, 2)),
+                          ("add", (3, 1)), ("call", f, (0, 4))], 5)
+    gates = [Gate(outer, [x(0) + x(1), x(0) * x(1)], rank_bound=2),
+             Gate("product", [x(0), x(1) - const(1)])]
+    return json.loads(serialize(Circuit(Q, 2, DeclaredBounds(d=2, k=2, delta=8),
+                                        gates)))
+
+
+@pytest.mark.parametrize("node,path", [
+    ({"op": "input"}, "$.gates[0].outer.nodes[0]"),
+    ("x", "$.gates[0].outer.nodes[0]"),
+    (None, "$.gates[0].outer"),  # "nodes": null
+    ({"op": "add", "args": ["a"]}, "$.gates[0].outer.nodes[0]"),
+    ({"op": "add", "args": 3}, "$.gates[0].outer.nodes[0]"),
+    ({"op": "const"}, "$.gates[0].outer.nodes[0]"),
+    ({"op": "call", "args": [0]}, "$.gates[0].outer.nodes[0]"),
+    ({"op": "input", "index": "one"}, "$.gates[0].outer.nodes[0]"),
+], ids=["input-no-index", "node-not-object", "nodes-null", "args-not-ints",
+        "args-not-list", "const-no-value", "call-no-poly", "index-not-int"])
+def test_malformed_dag_node_is_a_syntax_error(node, path):
+    obj = _dag_circuit_json()
+    dag = obj["gates"][0]["outer"]["dag"]
+    if node is None:
+        dag["nodes"] = None
+    else:
+        dag["nodes"][0] = node
+    with pytest.raises(CircuitSyntaxError) as info:
+        parse(json.dumps(obj))
+    assert info.value.path == path
+
+
+_KEYS = st.sampled_from(["field", "nvars", "declared", "gates", "outer", "inner",
+                         "dag", "arity", "nodes", "root", "op", "index", "value",
+                         "args", "poly", "coeff", "mono", "type", "p", "d", "k",
+                         "delta", "1", "2"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats()
+    | st.sampled_from(["product", "input", "const", "add", "mul", "call",
+                       "prime", "rational", "7", "1/0", "x"]) | st.text(max_size=3),
+    lambda kids: (st.lists(kids, max_size=3)
+                  | st.dictionaries(_KEYS | st.text(max_size=2), kids, max_size=4)),
+    max_leaves=8)
+
+
+def _slots(obj, path=()):
+    """The path of every value inside a JSON object, the object itself first."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield from _slots(value, path + (key,))
+
+
+@st.composite
+def _damaged_circuits(draw):
+    """A valid DAG circuit with one to three values replaced or deleted."""
+    obj = _dag_circuit_json()
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_slots(obj))))
+        if not path:
+            obj = draw(_JSON)
+            continue
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(_JSON)
+    return obj
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_JSON, _damaged_circuits()))
+def test_parse_of_arbitrary_json_raises_only_rankpit_errors(obj):
+    try:
+        parse(json.dumps(obj))
+    except RankpitError:
+        pass
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,16 @@
 """Identity testing: support bounds, hitting sets, oracle, driver."""
 
+import json
 import random
 from math import comb
 
+import numpy as np
 import pytest
 
-from rankpit.circuit import Circuit, DeclaredBounds, Gate, expand
+from rankpit import pit
+from rankpit.algdep import rewrite_circuit
+from rankpit.circuit import (Circuit, DeclaredBounds, Gate, OuterExpr,
+                             evaluate_circuit, expand, parse, serialize)
 from rankpit.domains import PrimeField, Rationals
 from rankpit.errors import FieldTooSmall, InvalidParams, SetTooLarge
 from rankpit.pit import (hitting_set, hitting_set_size, pit_test,
@@ -287,3 +292,158 @@ def test_streamed_scan_matches_materialized_hitting_set():
         assert (rep.ell_used, rep.clamped) == (hs.ell, hs.clamped)
         verdicts.add(rep.verdict)
     assert verdicts == {"zero", "nonzero"}
+
+
+# ----------------------------------------------------------------------
+# the int64 array scan over F_p, p < 2^31, against the scalar loop
+
+P31 = PrimeField(2 ** 31 - 1)  # the largest prime the array scan accepts
+
+
+def _corpus():
+    import sys
+    from pathlib import Path
+    sys.path.insert(0, str(Path(__file__).parent))
+    import _corpus
+    return _corpus
+
+
+def _over(c, domain):
+    """c re-read over another field; rational coefficients become residues."""
+    obj = json.loads(serialize(c))
+    obj["field"] = domain.to_json()
+    return parse(json.dumps(obj))
+
+
+def _with_negated_twins(c):
+    """c plus a negated copy of every gate: identically zero."""
+    twins = []
+    for g in c.gates:
+        if g.is_product:
+            twins.append(Gate("product", [g.inner[0].scale(-1)] + g.inner[1:]))
+        else:
+            base = len(g.outer.nodes)
+            nodes = list(g.outer.nodes) + [("const", c.domain.coerce(-1)),
+                                           ("mul", (g.outer.root, base))]
+            twins.append(Gate(OuterExpr(g.outer.arity, nodes, base + 1), g.inner))
+    return Circuit(c.domain, c.nvars, c.declared, c.gates + twins)
+
+
+def _rewritten(seed, domain):
+    """A rewritten circuit (its DAG outers have call nodes) over `domain`."""
+    rewritten, _ = rewrite_circuit(_corpus().rewrite_fixture(seed), seed=seed)
+    return _over(rewritten, domain)
+
+
+def _scalar_reference(c, ell):
+    """(witness, index) of the first nonzero point of the materialized set."""
+    hs = hitting_set(c.nvars, c.declared.delta, ell, c.domain)
+    return next(((pt, i) for i, pt in enumerate(hs.points)
+                 if not c.domain.is_zero(evaluate_circuit(c, pt))), (None, None))
+
+
+@pytest.fixture
+def chunk_calls(monkeypatch):
+    calls = []
+    real = pit._evaluate_chunk
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(pit, "_evaluate_chunk", spy)
+    return calls
+
+
+def _check_against_reference(circuits):
+    """pit_test agrees with the scalar reference on verdict, witness and index."""
+    seen = set()
+    for c in circuits:
+        rep = pit_test(c)
+        witness, index = _scalar_reference(c, rep.ell)
+        assert (rep.witness, rep.witness_index) == (witness, index)
+        assert rep.verdict == ("zero" if witness is None else "nonzero")
+        seen.add("zero" if index is None else "origin" if index == 0 else "later")
+    return seen
+
+
+@pytest.mark.parametrize("nvars,ell,delta,chunk", [
+    (0, 0, 3, 4096), (4, 0, 3, 4096), (4, 3, 0, 4096), (5, 2, 3, 4096),
+    (6, 4, 1, 5), (3, 3, 2, 5), (2, 2, 4, 7)])
+def test_point_chunks_concatenate_to_enumeration_order(monkeypatch, nvars, ell,
+                                                       delta, chunk):
+    # the last three cases split a support's delta^j value block across chunks
+    monkeypatch.setattr(pit, "_CHUNK", chunk)
+    chunks = list(pit._point_chunks(nvars, ell, delta))
+    assert chunks[0].shape == (1, nvars)
+    assert all(ch.dtype == np.int64 and 0 < len(ch) <= chunk for ch in chunks)
+    rows = [tuple(int(v) for v in row) for ch in chunks for row in ch]
+    assert rows == list(pit._iter_points(nvars, ell, tuple(range(delta + 1))))
+
+
+def test_array_scan_matches_scalar_loop_on_corpus(chunk_calls):
+    corpus = _corpus()
+    circuits = [corpus.random_class_circuit(80_000 + s, gamma_outer=s % 2 == 1,
+                                            zero=s % 3 == 0) for s in range(24)]
+    circuits += [_rewritten(s, FP) for s in range(4)]
+    circuits += [_with_negated_twins(_rewritten(s, FP)) for s in range(2)]
+    assert any(op[0] == "call" for c in circuits[-6:] for g in c.gates
+               if not g.is_product for op in g.outer.nodes)
+    assert _check_against_reference(circuits) == {"zero", "origin", "later"}
+    assert chunk_calls
+
+
+def test_array_scan_exact_at_the_largest_accepted_prime(chunk_calls):
+    # residues up to p - 1 = 2^31 - 2: every product must stay exact in int64
+    p = P31.p
+    corpus = _corpus()
+    v = [Polynomial.variable(P31, 3, i) for i in range(3)]
+    big = Polynomial(P31, 3, {((0, 2),): p - 1, ((1, 1), (2, 1)): p - 2, (): p - 3})
+    near_p = Circuit(P31, 3, DeclaredBounds(d=2, k=3, delta=6), [
+        Gate("product", [big, v[0].scale(p - 1) + v[1], big]),
+        Gate("product", [big.scale(p - 5), big, v[2]])])
+    # a DAG built in code may hold a constant far above p
+    raw_const = Circuit(P31, 3, DeclaredBounds(d=1, k=1, delta=1), [
+        Gate(OuterExpr(1, [("input", 0), ("const", 2 ** 70 + 3), ("mul", (0, 1))], 2),
+             [v[1]])])
+    circuits = [near_p, _with_negated_twins(near_p), raw_const,
+                _with_negated_twins(raw_const)]
+    circuits += [corpus.random_class_circuit(81_000 + s, domain=P31,
+                                             gamma_outer=s % 2 == 1, zero=s % 3 == 0)
+                 for s in range(12)]
+    circuits += [_rewritten(s, P31) for s in range(3)]
+    circuits.append(_with_negated_twins(_rewritten(1, P31)))
+    assert _check_against_reference(circuits) == {"zero", "origin", "later"}
+    assert chunk_calls
+
+
+@pytest.mark.parametrize("domain", [PrimeField(2147483659), Q],
+                         ids=["first-prime-above-2^31", "Q"])
+def test_scalar_scan_beyond_the_array_range(chunk_calls, domain):
+    corpus = _corpus()
+    circuits = [corpus.random_class_circuit(82_000 + s, domain=domain,
+                                            gamma_outer=s % 2 == 1, zero=s % 3 == 0)
+                for s in range(9)]
+    circuits.append(Circuit(domain, 2, DeclaredBounds(d=1, k=2, delta=2), [
+        Gate("product", [Polynomial.variable(domain, 2, 0),
+                         Polynomial.variable(domain, 2, 1)])]))
+    assert "later" in _check_against_reference(circuits)
+    assert chunk_calls == []
+
+
+def test_witness_index_locates_the_witness_in_the_hitting_set():
+    rep = pit_test(nonzero_fixture())
+    hs = hitting_set(2, 2, rep.ell, Q)
+    assert hs.points.index(rep.witness) == rep.witness_index == 5
+    assert pit_test(zero_fixture()).witness_index is None
+    assert pit_test(nonzero_fixture(), mode="oracle").witness_index is None
+
+
+def test_support_bound_memoized_and_still_validates():
+    first = support_bound(2, 2, 3, 5, "general")
+    assert support_bound(2, 2, 3, 5, "general") is first
+    assert support_bound(1, 1, 1, 1, "general").ell == 208
+    for _ in range(3):
+        with pytest.raises(InvalidParams):
+            support_bound(0, 1, 1, 1)
+        with pytest.raises(InvalidParams):
+            support_bound(1, 1, 1, 1, "bogus")
