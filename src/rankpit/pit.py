@@ -144,9 +144,8 @@ def _iter_points(nvars: int, ell: int, values):
 
 
 def _point_chunks(nvars: int, ell: int, delta: int):
-    """The points of `_iter_points(nvars, ell, range(delta + 1))`, in the same
-    order, as int64 arrays of at most `_CHUNK` rows; the origin comes alone."""
-    yield np.zeros((1, nvars), dtype=np.int64)
+    """The points of `_iter_points(nvars, ell, range(delta + 1))` after the
+    origin, in the same order, as int64 arrays of at most `_CHUNK` rows."""
     for j in range(1, ell + 1 if delta else 1):
         block = delta ** j  # value tuples per support, last coordinate fastest
         place = delta ** np.arange(j - 1, -1, -1, dtype=np.int64)
@@ -187,28 +186,13 @@ def _verified(c: Circuit, point):
     return point
 
 
-class _Columns:
-    """F_p arithmetic on int64 columns of residues: the domain of the DAG fold."""
-
-    zero, one = 0, 1
-
-    def __init__(self, p: int):
-        self.p = p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-
 class _ColumnPoly:
     """A polynomial over F_p as plain (coeff, mono) terms, evaluated on columns."""
 
-    def __init__(self, poly, p: int):
+    def __init__(self, poly):
         self.nvars = poly.nvars  # OuterExpr checks call arity against it
         self.terms = [(c, mono) for mono, c in poly.terms.items()]
-        self.p = p
+        self.p = poly.domain.p
 
     def evaluate(self, cols, powers=None):
         """Columnwise value mod p; `powers` caches cols[v]^e for these cols."""
@@ -231,7 +215,7 @@ class _ColumnPoly:
 
 def _column_node(node, dom: PrimeField):
     if node[0] == "call":
-        return ("call", _ColumnPoly(node[1], dom.p), node[2])
+        return ("call", _ColumnPoly(node[1]), node[2])
     if node[0] == "const":
         # a DAG built in code may hold any int: reduce it below p like the rest
         return ("const", dom.coerce(node[1]))
@@ -247,21 +231,22 @@ def _compile(c: Circuit):
         if not g.is_product:
             outer = OuterExpr(outer.arity, [_column_node(node, c.domain)
                                             for node in outer.nodes], outer.root)
-        gates.append(([_ColumnPoly(q, c.domain.p) for q in g.inner], outer))
+        gates.append(([_ColumnPoly(q) for q in g.inner], outer))
     return gates
 
 
-def _evaluate_chunk(gates, cols, arith: _Columns):
-    """The circuit's value at each point whose coordinates are the columns `cols`."""
+def _evaluate_chunk(gates, cols, dom: PrimeField):
+    """The circuit's value at each point whose coordinates are the columns `cols`;
+    `dom`'s add and mul reduce int64 columns mod p as they do ints."""
     powers: dict = {}
-    total = arith.zero
+    total = dom.zero
     for inner, outer in gates:
         vals = [q.evaluate(cols, powers) for q in inner]
         if outer == "product":
-            value = functools.reduce(arith.mul, vals, arith.one)
+            value = functools.reduce(dom.mul, vals, dom.one)
         else:
-            value = outer.evaluate(vals, arith)
-        total = arith.add(total, value)
+            value = outer.evaluate(vals, dom)
+        total = dom.add(total, value)
     return total
 
 
@@ -272,16 +257,15 @@ def _scan(c: Circuit, ell: int, values):
         return next(((_verified(c, pt), i)
                      for i, pt in enumerate(_iter_points(c.nvars, ell, values))
                      if not dom.is_zero(evaluate_circuit(c, pt))), (None, None))
-    chunks = _point_chunks(c.nvars, ell, len(values) - 1)
-    next(chunks)  # the origin: through the scalar path, where most witnesses are
+    # the origin goes through the scalar path: most witnesses are there
     origin = (values[0],) * c.nvars
     if not dom.is_zero(evaluate_circuit(c, origin)):
         return _verified(c, origin), 0
-    gates, arith = _compile(c), _Columns(dom.p)
+    gates = _compile(c)
     index = 1
-    for chunk in chunks:
+    for chunk in _point_chunks(c.nvars, ell, len(values) - 1):
         cols = np.ascontiguousarray(chunk.T)
-        nonzero = np.flatnonzero(_evaluate_chunk(gates, cols, arith))
+        nonzero = np.flatnonzero(_evaluate_chunk(gates, cols, dom))
         if nonzero.size:
             row = chunk[nonzero[0]]
             return _verified(c, tuple(values[x] for x in row)), index + int(nonzero[0])

@@ -374,9 +374,8 @@ def test_point_chunks_concatenate_to_enumeration_order(monkeypatch, nvars, ell,
     # the last three cases split a support's delta^j value block across chunks
     monkeypatch.setattr(pit, "_CHUNK", chunk)
     chunks = list(pit._point_chunks(nvars, ell, delta))
-    assert chunks[0].shape == (1, nvars)
     assert all(ch.dtype == np.int64 and 0 < len(ch) <= chunk for ch in chunks)
-    rows = [tuple(int(v) for v in row) for ch in chunks for row in ch]
+    rows = [(0,) * nvars] + [tuple(int(v) for v in row) for ch in chunks for row in ch]
     assert rows == list(pit._iter_points(nvars, ell, tuple(range(delta + 1))))
 
 
