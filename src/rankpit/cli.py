@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -121,7 +122,7 @@ def _load_polys(path: str):
     def located(json_path, fn, *args):
         try:
             return fn(*args)
-        except (KeyError, TypeError, ValueError) as exc:
+        except ckt._MALFORMED as exc:
             raise CircuitSyntaxError(f"{type(exc).__name__}: {exc}",
                                      path=json_path) from None
 
@@ -332,6 +333,7 @@ def _cmd_bench(args) -> tuple[int, str]:
 
 # ----------------------------------------------------------------------
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser() -> _Parser:
     parser = _Parser(prog="rankpit",
                      description="Exact rank certificates, dependence witnesses, "

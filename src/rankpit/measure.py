@@ -10,14 +10,12 @@ exact big-integer formulas.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .domains import PrimeField, Rationals, is_prime
 from .errors import HypothesisViolated, InvalidParams, MatrixTooLarge
 from .linalg import rank_stream
 from .poly import Mono, Polynomial, mono_degree, mono_is_multilinear
@@ -73,15 +71,11 @@ class MeasureReport:
 
 def psp_dimension(p: Polynomial, spec: MeasureSpec, *,
                   matrix_cap: int = DEFAULT_MATRIX_CAP,
-                  modular_prepass: bool = True,
                   record_timing: bool = False) -> MeasureReport:
     """Exact dimension of the projected shifted partial-derivative span.
 
     Rows are generated lazily, grouped by shift subset, and eliminated
-    exactly over the polynomial's own domain.  Over the rationals a modular
-    pre-pass (rank mod a random 62-bit prime, a sound lower bound) certifies
-    full-rank matrices without exact elimination; otherwise the exact pass
-    runs as well.
+    exactly over the polynomial's own domain.
     """
     n = p.nvars
     m = spec.shift_degree
@@ -89,7 +83,6 @@ def psp_dimension(p: Polynomial, spec: MeasureSpec, *,
     if cells > matrix_cap:
         raise MatrixTooLarge(cells, matrix_cap)
     start = time.perf_counter() if record_timing else None
-    dom = p.domain
 
     derivs = []
     for gamma in spec.monomials:
@@ -101,42 +94,24 @@ def psp_dimension(p: Polynomial, spec: MeasureSpec, *,
 
     counter = {"rows": 0, "cols": set()}
 
-    def rows(transform=None):
+    def rows():
         for ml in derivs:
             for subset in combinations(range(n), m):
                 smask = 0
                 for v in subset:
                     smask |= 1 << v
-                row = {}
-                for mask, coeff in ml:
-                    if mask & smask:
-                        continue
-                    row[mask | smask] = transform(coeff) if transform else coeff
+                row = {mask | smask: coeff for mask, coeff in ml if not mask & smask}
                 if row:
                     counter["rows"] += 1
                     counter["cols"].update(row)
                     yield row
 
-    rank_method = "exact-elimination"
-    if isinstance(dom, Rationals) and modular_prepass:
-        prime, to_modp = _modular_map(p)
-        modp = PrimeField(prime)
-        mod_rank = rank_stream(rows(transform=to_modp), modp)
-        nrows, ncols = counter["rows"], len(counter["cols"])
-        if mod_rank == min(nrows, ncols):
-            dimension = mod_rank
-            rank_method = "modular-full-rank-certificate"
-        else:
-            counter["rows"], counter["cols"] = 0, set()
-            dimension = rank_stream(rows(), dom)
-            nrows, ncols = counter["rows"], len(counter["cols"])
-    else:
-        dimension = rank_stream(rows(), dom)
-        nrows, ncols = counter["rows"], len(counter["cols"])
+    dimension = rank_stream(rows(), p.domain)
 
     elapsed = (time.perf_counter() - start) * 1000 if record_timing else None
-    return MeasureReport(dimension=dimension, rows=nrows, cols=ncols,
-                         rank_method=rank_method, timing_ms=elapsed,
+    return MeasureReport(dimension=dimension, rows=counter["rows"],
+                         cols=len(counter["cols"]),
+                         rank_method="exact-elimination", timing_ms=elapsed,
                          shift_degree=m, derivative_degree=spec.degree,
                          derivative_count=len(spec.monomials))
 
@@ -146,21 +121,6 @@ def _mask(mono: Mono) -> int:
     for v, _ in mono:
         out |= 1 << v
     return out
-
-
-def _modular_map(p: Polynomial):
-    """A 62-bit prime avoiding every denominator in p, plus the reduction map."""
-    rng = random.Random(0xC0FFEE ^ p.num_terms())
-    dens = {c.denominator for c in p.terms.values()}
-    while True:
-        cand = rng.getrandbits(62) | (1 << 61) | 1
-        if is_prime(cand) and all(d % cand for d in dens):
-            break
-
-    def to_modp(frac: Fraction) -> int:
-        return frac.numerator * pow(frac.denominator, -1, cand) % cand
-
-    return cand, to_modp
 
 
 def composition_upper_bound(n: int, t: int, r: int, m: int, s: int) -> int:

@@ -278,11 +278,18 @@ def test_unreadable_and_malformed_inputs_exit_2(tmp_path):
 
 def test_malformed_poly_file_reports_json_path(tmp_path):
     path = tmp_path / "bad_term.json"
-    path.write_text(json.dumps({"field": {"type": "rational"}, "nvars": 1,
-                                "polys": [[{"coeff": "1"}], [{"mono": {}}]]}))
-    code, out = cli.run(["annihilate", "--poly-file", str(path), "--json"])
-    assert code == 2
-    assert json.loads(out)["path"] == "$.polys[1]"
+    for polys, where in [
+        ([[{"coeff": "1"}], [{"mono": {}}]], "$.polys[1]"),  # KeyError
+        ([[{"coeff": "1", "mono": [1]}]], "$.polys[0]"),  # AttributeError
+        ([[{"coeff": "1/0"}]], "$.polys[0]"),  # ZeroDivisionError over Q
+    ]:
+        path.write_text(json.dumps({"field": {"type": "rational"}, "nvars": 1,
+                                    "polys": polys}))
+        for command in ("annihilate", "rank"):
+            code, out = cli.run([command, "--poly-file", str(path), "--json"])
+            payload = json.loads(out)
+            assert (code, payload["error"], payload["path"]) == (
+                2, "CircuitSyntaxError", where)
 
 
 def test_internal_error_is_exit_2_not_a_verdict(zero_circuit_file, monkeypatch):

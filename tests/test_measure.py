@@ -156,38 +156,23 @@ def test_dimension_bounded_by_row_count():
         assert rep.dimension <= min(rep.rows, rep.cols) or rep.rows == 0
 
 
-def test_exact_matches_modular_certificate():
-    # same instance with and without the modular pre-pass
-    rng = random.Random(127)
-    from test_poly import random_poly
-    for _ in range(15):
-        p = random_poly(rng, Q, 6, 3)
-        spec = MeasureSpec.multilinear(6, 1, 1)
-        with_pass = psp_dimension(p, spec, modular_prepass=True)
-        without = psp_dimension(p, spec, modular_prepass=False)
-        assert with_pass.dimension == without.dimension
-
-
 @pytest.mark.parametrize("case,expected", [
     ((3, 5, 2, 1, 2), (1275, 1575, 1350, "exact-elimination")),
     ((2, 7, 2, 1, 2), (168, 1274, 364, "exact-elimination")),
     ((2, 5, 2, 1, 2), (80, 450, 120, "exact-elimination")),
     ((4, 5, 2, 1, 1), (397, 400, 1625, "exact-elimination")),
-    ((3, 5, 2, 2, 2), (455, 6825, 455, "modular-full-rank-certificate")),
-    ((2, 7, 2, 2, 2), (91, 4459, 91, "modular-full-rank-certificate")),
+    ((3, 5, 2, 2, 2), (455, 6825, 455, "exact-elimination")),
+    ((2, 7, 2, 2, 2), (91, 4459, 91, "exact-elimination")),
 ])
 def test_pinned_nw_measure_values(case, expected):
     """(n, q, e, r, m) -> (dimension, rows, cols, rank_method) of NW(n,q,e)."""
     from rankpit.nw import NWParams, nw_polynomial
     n, q, e, r, m = case
-    dimension, rows, cols, method = expected
 
-    def measured(dom, **kwargs):
+    def measured(dom):
         poly = nw_polynomial(NWParams(n, q, e), dom)
-        rep = psp_dimension(poly, MeasureSpec.multilinear(poly.nvars, r, m), **kwargs)
+        rep = psp_dimension(poly, MeasureSpec.multilinear(poly.nvars, r, m))
         return rep.dimension, rep.rows, rep.cols, rep.rank_method
 
     assert measured(Q) == expected
-    assert measured(Q, modular_prepass=False) == (dimension, rows, cols,
-                                                  "exact-elimination")
-    assert measured(FP) == (dimension, rows, cols, "exact-elimination")
+    assert measured(FP) == expected
