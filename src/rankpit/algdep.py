@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .errors import (BoundViolation, CharacteristicTooSmall, DerivativeVanishes,
                      InvalidParams, NoAnnihilatorWithinCap, NoGoodTranslation,
                      NonConvergence, NoSolutionWithinCap, SymbolicTooLarge)
 from .linalg import _use_numpy
-from .poly import (DEFAULT_TERM_CAP, GRLEX, Polynomial, compose, divide_exact,
+from .poly import (DEFAULT_TERM_CAP, Polynomial, compose, divide_exact,
                    mono_from_dict)
 from .util import derive_seed
 
@@ -209,15 +210,9 @@ def algebraic_rank(qs: list[Polynomial], mode: str = "randomized", *,
 # ----------------------------------------------------------------------
 # annihilators
 
-def _dense_monos_upto(t: int, degree: int) -> list[tuple]:
-    """Dense exponent tuples of t variables, ascending by total degree then lex."""
-    out: list[tuple] = []
-    for d in range(degree + 1):
-        out.extend(_dense_monos_exact(t, d))
-    return out
-
-
 def _dense_monos_exact(t: int, d: int) -> list[tuple]:
+    """Dense exponent tuples of t variables and total degree d, ascending in
+    GRLEX order of the monomials they name."""
     if t == 0:
         return [()] if d == 0 else []
     out = []
@@ -254,34 +249,51 @@ class _CompositionTable:
         return result
 
 
-def _canonical_kernel_poly(polys: list[Polynomial]) -> Polynomial:
-    """Echelonize kernel polynomials by leading monomial; return the monic
-    element whose leading monomial is order-minimal (unique in the space)."""
-    dom = polys[0].domain
-    by_lead: dict = {}
-    for poly in polys:
-        cur = poly
-        while not cur.is_zero():
-            lm = cur.leading_monomial(GRLEX)
-            if lm in by_lead:
-                cur = cur - by_lead[lm].scale(cur.terms[lm])
-            else:
-                by_lead[lm] = cur.scale(dom.inv(cur.terms[lm]))
-                break
-    best = min(by_lead, key=GRLEX.key)
-    return by_lead[best]
+def _first_kernel_vector_modp(blocks, p: int) -> dict | None:
+    """Per degree block, the first nullspace_modp vector of every column so
+    far: the first free column of the reduced echelon form, which is the
+    first dependent column, with its combination."""
+    row_index: dict = {}
+    trip_r, trip_c, trip_v = [], [], []
+    ncols = 0
+    for deg, block in enumerate(blocks):
+        for terms in block:
+            for mono, coeff in terms.items():
+                trip_r.append(row_index.setdefault(mono, len(row_index)))
+                trip_c.append(ncols)
+                trip_v.append(coeff)
+            ncols += 1
+        if not deg:  # the constant column alone is independent
+            continue
+        arr = np.zeros((len(row_index), ncols), dtype=np.int64)
+        arr[trip_r, trip_c] = trip_v
+        kernel = linalg.nullspace_modp(arr, p)
+        if kernel:
+            return {i: c for i, c in enumerate(kernel[0]) if c}
+    return None
 
 
 def find_annihilator(qs: list[Polynomial], cap: int | None = None, *,
                      term_cap: int | None = DEFAULT_TERM_CAP) -> Annihilator:
     """Minimal-total-degree annihilator R with R(q_1, ..., q_t) = 0 exactly.
 
-    Searches degree D = 1, 2, ... by exact nullspace of the linear map taking
-    coefficient vectors of t-variate polynomials to the expanded composition.
+    The columns q^alpha = prod_j q_j^alpha_j are taken in ascending GRLEX
+    order of z^alpha, one degree block at a time (each block built in full
+    before it is tested).  The first column that depends on the earlier
+    ones, q^alpha = sum c_beta q^beta, gives R = z^alpha - sum c_beta z^beta:
+    an annihilator with a smaller leading monomial would make an earlier
+    column dependent, and two monic ones with leading monomial z^alpha would
+    differ by one, so R is the monic minimal-degree annihilator with
+    order-minimal leading monomial (the dependency test of FGLM).  Over Q
+    and F_p with p >= 2^31 the columns stream through
+    `linalg.first_dependency`.  Over F_p with p < 2^31 each degree block
+    takes one numpy `nullspace_modp` of every column so far, whose first
+    kernel vector is the same R.  Dict rows fill in on these dense mod-p
+    matrices: streamed, the certify_fp seed-1 searches took 1.83 s against
+    numpy's 1.37 s.
+
     The default cap is t*d^(t-1), the annihilator degree bound (k+1)*d^k for
     degree-d inputs of rank k instantiated at the dependent regime k = t-1.
-    Among minimal-degree annihilators, returns the one with order-minimal
-    leading monomial, scaled monic.
     """
     t = len(qs)
     if t == 0:
@@ -293,53 +305,27 @@ def find_annihilator(qs: list[Polynomial], cap: int | None = None, *,
     if cap < 1:
         raise InvalidParams("annihilator cap must be >= 1")
     table = _CompositionTable(qs, term_cap=term_cap)
-    columns: list[tuple] = []
-    use_np = _use_numpy(dom)
-    row_index: dict = {}
-    trip_r: list[int] = []
-    trip_c: list[int] = []
-    trip_v: list = []
+    alphas: list[tuple] = []
 
-    def add_column(alpha: tuple):
-        ci = len(columns)
-        columns.append(alpha)
-        for mono, coeff in table.get(alpha).terms.items():
-            ri = row_index.setdefault(mono, len(row_index))
-            trip_r.append(ri)
-            trip_c.append(ci)
-            trip_v.append(int(coeff) if use_np else coeff)
+    def blocks():
+        for deg in range(cap + 1):
+            block = _dense_monos_exact(t, deg)
+            cols = [table.get(alpha).terms for alpha in block]
+            alphas.extend(block)
+            yield cols
 
-    for alpha in _dense_monos_upto(t, 0):
-        add_column(alpha)
-    for deg in range(1, cap + 1):
-        for alpha in _dense_monos_exact(t, deg):
-            add_column(alpha)
-        nrows, ncols = len(row_index), len(columns)
-        if use_np:
-            arr = np.zeros((nrows, ncols), dtype=np.int64)
-            arr[trip_r, trip_c] = trip_v
-            kernel = linalg.nullspace_modp(arr, dom.p)
-        else:
-            rows = [[dom.zero] * ncols for _ in range(nrows)]
-            for r, c, v in zip(trip_r, trip_c, trip_v):
-                rows[r][c] = v
-            kernel = linalg.nullspace_dense(rows, ncols, dom)
-        if not kernel:
-            continue
-        cands = []
-        for vec in kernel:
-            terms = {}
-            for ci, coeff in enumerate(vec):
-                coeff = dom.coerce(coeff)
-                if not dom.is_zero(coeff):
-                    terms[_dense_to_mono(columns[ci])] = coeff
-            cands.append(Polynomial(dom, t, terms, _normalized=True))
-        r_poly = _canonical_kernel_poly(cands)
-        check = compose(r_poly, qs, term_cap=term_cap)
-        if not check.is_zero():
-            raise AssertionError("kernel element does not annihilate (internal bug)")
-        return Annihilator(R=r_poly, degree=r_poly.degree())
-    raise NoAnnihilatorWithinCap(cap)
+    if _use_numpy(dom):
+        lam = _first_kernel_vector_modp(blocks(), dom.p)
+    else:
+        lam = linalg.first_dependency(chain.from_iterable(blocks()),
+                                      dom.characteristic)
+    if lam is None:
+        raise NoAnnihilatorWithinCap(cap)
+    r_poly = Polynomial(dom, t, {_dense_to_mono(alphas[i]): c for i, c in lam.items()},
+                        _normalized=True)
+    if not compose(r_poly, qs, term_cap=term_cap).is_zero():
+        raise AssertionError("kernel element does not annihilate (internal bug)")
+    return Annihilator(R=r_poly, degree=r_poly.degree())
 
 
 # ----------------------------------------------------------------------
@@ -440,7 +426,7 @@ def reconstruct_dependence(qs: list[Polynomial], basis, a,
         table = _CompositionTable(b_polys, degree_cap=d_i, term_cap=term_cap)
         solution = None
         for dd in range(1, cap_i + 1):
-            alphas = _dense_monos_upto(k, dd)
+            alphas = [a for e in range(dd + 1) for a in _dense_monos_exact(k, e)]
             row_index: dict = {}
             cols = []
             for alpha in alphas:

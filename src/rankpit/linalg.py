@@ -1,11 +1,12 @@
 """Exact linear algebra over a coefficient domain.
 
-Streaming sparse rank for the measure matrices, and the reduced echelon
-form behind dense ranks, nullspaces and linear solves.  Everything is
-exact; nothing here ever touches floating point.
+Streaming sparse rank for the measure matrices, the first dependent column
+of a stream for the annihilator search, and the reduced echelon form behind
+dense ranks, nullspaces and linear solves.  Everything is exact; nothing
+here ever touches floating point.
 
-One elimination loop, `_echelon`, serves Q and every prime field.  It runs
-on plain Python ints with no domain method calls:
+One elimination loop, `_reduce` over `_eliminate`, serves Q and every prime
+field.  It runs on plain Python ints with no domain method calls:
 
 - over F_p, entries are residues; a basis row is scaled so that its pivot is
   1, and each update is reduced mod p inline;
@@ -49,18 +50,57 @@ def _echelon(rows, p: int) -> dict[int, dict[int, int]]:
     """
     basis: dict[int, dict[int, int]] = {}
     for raw in rows:
-        v = {j: c % p for j, c in raw.items() if c % p} if p else _primitive(raw)
-        while v:
-            pivot = min(v)
-            b = basis.get(pivot)
-            if b is None:
-                if p:
-                    inv = pow(v[pivot], -1, p)
-                    v = {j: c * inv % p for j, c in v.items()}
-                basis[pivot] = v
-                break
-            v = _eliminate(v, b, pivot, p)
+        v = _reduce(_integer_row(raw, p), basis, p)
+        if v:
+            basis[min(v)] = v
     return basis
+
+
+def first_dependency(columns, p: int) -> dict | None:
+    """The first column of a stream that depends on the columns before it.
+
+    Columns are sparse dicts (row key -> coeff) over Q (p = 0) or F_p, each
+    reduced in one row that also carries its combination: row keys get
+    negative ids and column i the slot i >= 0, so one `_eliminate` covers
+    both, and a row whose smallest key is a slot has no row entry left.
+    Returns {i: lam_i} ascending, with lam_j = 1 for the first dependent
+    column j and sum lam_i * column_i = 0, or None if there is none.
+    """
+    row_id: dict = {}
+    basis: dict[int, dict[int, int]] = {}
+    for j, col in enumerate(columns):
+        raw = {~row_id.setdefault(r, len(row_id)): c for r, c in col.items()}
+        raw[j] = 1
+        v = _reduce(_integer_row(raw, p), basis, p)
+        pivot = min(v)  # v keeps its slot j: no basis row has that slot
+        if pivot < 0:
+            basis[pivot] = v
+            continue
+        f = v[j]
+        if p:
+            inv = pow(f, -1, p)
+            return {i: c * inv % p for i, c in sorted(v.items())}
+        return {i: Fraction(c, f) for i, c in sorted(v.items())}
+    return None
+
+
+def _integer_row(raw: dict, p: int) -> dict[int, int]:
+    return {j: c % p for j, c in raw.items() if c % p} if p else _primitive(raw)
+
+
+def _reduce(v: dict, basis: dict, p: int) -> dict:
+    """v reduced until its smallest column is not a pivot of the basis, and
+    then scaled monic over F_p; empty if v was in the span of the basis."""
+    while v:
+        pivot = min(v)
+        b = basis.get(pivot)
+        if b is None:
+            if p:
+                inv = pow(v[pivot], -1, p)
+                v = {j: c * inv % p for j, c in v.items()}
+            return v
+        v = _eliminate(v, b, pivot, p)
+    return v
 
 
 def _eliminate(v: dict, b: dict, col: int, p: int) -> dict:
@@ -173,19 +213,6 @@ def nullspace_modp(arr: np.ndarray, p: int) -> list[list[int]]:
     """Kernel basis of an int64 matrix mod p (reduced-echelon form basis)."""
     rref, pivots = _rref_modp(arr, p)
     return _kernel(rref, pivots, arr.shape[1], 0, 1, lambda x: -int(x) % p)
-
-
-def nullspace_dense(rows: list[list], ncols: int, domain) -> list[list]:
-    """Basis of {x : A x = 0} for A given by dense rows with ncols columns.
-
-    One basis vector per free column, with a 1 in the free position: the
-    standard reduced-echelon kernel basis, deterministic for fixed input.
-    """
-    if not rows:
-        one, zero = domain.one, domain.zero
-        return [[one if i == j else zero for i in range(ncols)] for j in range(ncols)]
-    rref, pivots = _rref(rows, domain)
-    return _kernel(rref, pivots, ncols, domain.zero, domain.one, domain.neg)
 
 
 def _kernel(rref, pivots, ncols, zero, one, neg) -> list[list]:

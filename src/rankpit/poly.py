@@ -12,6 +12,7 @@ names x1, x2, ... with X_1 highest in the ordering precedence.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .errors import (ArityMismatch, DimensionMismatch, DomainMismatch,
                      ExpansionTooLarge, InexactDivision, InvalidParams,
@@ -48,6 +49,15 @@ def mono_support(a: Mono) -> tuple:
 
 def mono_is_multilinear(a: Mono) -> bool:
     return all(e <= 1 for _, e in a)
+
+
+def _int_terms(terms: dict, p: int) -> tuple[list, int]:
+    """(mono, int) pairs and a denominator: the residues over F_p (p > 0) with
+    denominator 1, or over Q the numerators over the lcm of the denominators."""
+    if p:
+        return list(terms.items()), 1
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return [(m, c.numerator * (den // c.denominator)) for m, c in terms.items()], den
 
 
 class MonomialOrder:
@@ -208,23 +218,36 @@ class Polynomial:
         """Product, optionally truncated to total degree <= degree_cap.
 
         Raises ExpansionTooLarge if the result would exceed term_cap terms.
+        The loop runs on plain ints: residues reduced mod p after each add,
+        or over Q each operand's numerators over the lcm of its denominators,
+        with one Fraction per output term.  A sum over a common denominator
+        is zero iff the Fraction sum is, so terms and their order are exact.
         """
         self._check_compat(other)
         dom = self.domain
+        p = dom.characteristic
+        a, den_a = _int_terms(self.terms, p)
+        b, den_b = _int_terms(other.terms, p)
+        rhs = [(mb, mono_degree(mb), cb) for mb, cb in b]
         out: dict = {}
-        for ma, ca in self.terms.items():
+        for ma, ca in a:
             da = mono_degree(ma)
-            for mb, cb in other.terms.items():
-                if degree_cap is not None and da + mono_degree(mb) > degree_cap:
+            for mb, db, cb in rhs:
+                if degree_cap is not None and da + db > degree_cap:
                     continue
                 m = mono_mul(ma, mb)
-                s = dom.add(out.get(m, dom.zero), dom.mul(ca, cb))
-                if dom.is_zero(s):
-                    out.pop(m, None)
-                else:
+                s = out.get(m, 0) + ca * cb
+                if p:
+                    s %= p
+                if s:
                     out[m] = s
+                else:
+                    out.pop(m, None)
             if term_cap is not None and len(out) > term_cap:
                 raise ExpansionTooLarge(len(out), term_cap)
+        if not p:
+            den = den_a * den_b
+            out = {m: Fraction(s, den) for m, s in out.items()}
         return Polynomial(dom, self.nvars, out, _normalized=True)
 
     def __mul__(self, other):
@@ -374,9 +397,7 @@ class Polynomial:
         for mono, c in self.terms.items():
             term = c
             for v, e in mono:
-                x = pt[v]
-                for _ in range(e):
-                    term = dom.mul(term, x)
+                term = dom.mul(term, dom.pow(pt[v], e))
                 if dom.is_zero(term):
                     break
             total = dom.add(total, term)

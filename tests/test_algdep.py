@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from rankpit import algdep
+from rankpit import algdep, linalg
 from rankpit.algdep import (TranslationSampler, algebraic_rank, find_annihilator,
                             jacobian, newton_reconstruct, reconstruct_dependence,
                             rewrite_circuit, sample_good_translation)
@@ -13,7 +13,7 @@ from rankpit.domains import PrimeField, Rationals
 from rankpit.errors import (BoundViolation, CharacteristicTooSmall,
                             DerivativeVanishes, NoAnnihilatorWithinCap,
                             NoGoodTranslation)
-from rankpit.poly import Polynomial, compose
+from rankpit.poly import GRLEX, Polynomial, compose
 
 Q = Rationals()
 FP = PrimeField(1_000_003)
@@ -143,6 +143,101 @@ def test_rank_t_iff_no_annihilator_at_cap():
         except NoAnnihilatorWithinCap:
             has_ann = False
         assert has_ann == (rank < t)
+
+
+def test_dense_monos_ascend_in_graded_lex():
+    """Both annihilator paths take the columns z^alpha in this order."""
+    for t in range(1, 5):
+        alphas = [a for d in range(6) for a in algdep._dense_monos_exact(t, d)]
+        keys = [GRLEX.key(algdep._dense_to_mono(a)) for a in alphas]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
+def _canonical_kernel_poly(polys):
+    """Echelonize kernel polynomials by leading monomial; the monic element
+    whose leading monomial is order-minimal (unique in the space)."""
+    dom = polys[0].domain
+    by_lead = {}
+    for poly in polys:
+        cur = poly
+        while not cur.is_zero():
+            lm = cur.leading_monomial(GRLEX)
+            if lm in by_lead:
+                cur = cur - by_lead[lm].scale(cur.terms[lm])
+            else:
+                by_lead[lm] = cur.scale(dom.inv(cur.terms[lm]))
+                break
+    return by_lead[min(by_lead, key=GRLEX.key)]
+
+
+def _reference_annihilator(qs, cap):
+    """The earlier search: at each degree D, the kernel of the dense matrix
+    of every column q^alpha with |alpha| <= D, canonicalized."""
+    t, dom = len(qs), qs[0].domain
+    table = algdep._CompositionTable(qs)
+    columns = algdep._dense_monos_exact(t, 0)
+    for deg in range(1, cap + 1):
+        columns = columns + algdep._dense_monos_exact(t, deg)
+        entries = [table.get(alpha).terms for alpha in columns]
+        row_index = {}
+        for terms in entries:
+            for mono in terms:
+                row_index.setdefault(mono, len(row_index))
+        rows = [[dom.zero] * len(columns) for _ in row_index]
+        for ci, terms in enumerate(entries):
+            for mono, c in terms.items():
+                rows[row_index[mono]][ci] = c
+        rref, pivots = linalg.rref_dense(rows, dom)
+        kernel = []
+        for free in [c for c in range(len(columns)) if c not in pivots]:
+            vec = {free: dom.one}
+            for i, pc in enumerate(pivots):
+                vec[pc] = dom.neg(rref[i][free])
+            kernel.append(Polynomial(dom, t, {
+                algdep._dense_to_mono(columns[ci]): vec[ci]
+                for ci in sorted(vec) if not dom.is_zero(vec[ci])}, _normalized=True))
+        if kernel:
+            return _canonical_kernel_poly(kernel)
+    raise NoAnnihilatorWithinCap(cap)
+
+
+@pytest.mark.parametrize("dom", [Q, FP, PrimeField((1 << 61) - 1)], ids=str)
+def test_annihilator_matches_reference_search(dom):
+    rng = random.Random(79)
+    from test_poly import random_poly
+
+    def nonconstant(nvars, deg):
+        while True:
+            q = random_poly(rng, dom, nvars, deg)
+            if q.degree() >= 1:
+                return q
+
+    found = missing = 0
+    for trial in range(120):
+        nvars = rng.choice([2, 3])
+        qs = [nonconstant(nvars, rng.choice([1, 2])) for _ in range(rng.choice([1, 2, 2]))]
+        kind = trial % 4
+        if kind == 1:  # a planted dependent member
+            qs.append(compose(nonconstant(len(qs), 2), qs))
+        elif kind == 2:  # a zero or constant member
+            qs.insert(rng.randrange(len(qs) + 1),
+                      Polynomial.constant(dom, nvars, rng.choice([0, 1, 5])))
+        elif kind == 3 and nvars == 2:  # three members in two variables
+            qs.append(nonconstant(nvars, 1))
+        d = max(1, max(q.degree() for q in qs))
+        cap = min(len(qs) * d ** (len(qs) - 1), 4)
+        try:
+            expected = _reference_annihilator(qs, cap)
+        except NoAnnihilatorWithinCap:
+            with pytest.raises(NoAnnihilatorWithinCap):
+                find_annihilator(qs, cap=cap)
+            missing += 1
+            continue
+        got = find_annihilator(qs, cap=cap).R
+        assert got == expected
+        assert list(got.terms.items()) == list(expected.terms.items())
+        found += 1
+    assert found >= 40 and missing >= 10
 
 
 # ----------------------------------------------------------------------

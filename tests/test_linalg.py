@@ -70,15 +70,14 @@ def _assert_matches_reference(rows, domain):
     assert got == (ref, pivots)
     assert [[type(x) for x in r] for r in got[0]] == [[type(x) for x in r] for r in ref]
     assert linalg.rank_dense(rows, domain) == len(pivots)
-    kernel = []
-    for free in [c for c in range(ncols) if c not in pivots]:
-        v = [domain.zero] * ncols
-        v[free] = domain.one
-        for i, pc in enumerate(pivots):
-            v[pc] = domain.neg(ref[i][free])
-        kernel.append(v)
-    assert linalg.nullspace_dense(rows, ncols, domain) == kernel
     if linalg._use_numpy(domain):  # the array entry of the annihilator search
+        kernel = []
+        for free in [c for c in range(ncols) if c not in pivots]:
+            v = [domain.zero] * ncols
+            v[free] = domain.one
+            for i, pc in enumerate(pivots):
+                v[pc] = domain.neg(ref[i][free])
+            kernel.append(v)
         assert linalg.nullspace_modp(np.array(rows, dtype=np.int64), domain.p) == kernel
     # consistent: x = e0 + 2 e_last solves it
     rhs = [domain.add(row[0], domain.mul(domain.coerce(2), row[-1])) for row in rows]
@@ -148,8 +147,6 @@ def test_short_and_empty_matrices_unchanged():
         assert linalg.rank_dense([], dom) == 0
         assert linalg.rank_dense([[], [], []], dom) == 0
         assert linalg.solve_dense([], [], dom) is None
-        assert (linalg.nullspace_dense([], 2, dom)
-                == [[dom.one, dom.zero], [dom.zero, dom.one]])
 
 
 @st.composite

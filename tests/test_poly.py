@@ -4,12 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rankpit.domains import PrimeField, Rationals
 from rankpit.errors import (ArityMismatch, DimensionMismatch, ExpansionTooLarge,
                             InexactDivision, InvalidParams, ZeroPolynomial)
 from rankpit.poly import (GRLEX, LEX, MonomialOrder, Polynomial, compose,
-                          divide_exact, mono_mul)
+                          divide_exact, mono_degree, mono_from_dict, mono_mul)
 
 Q = Rationals()
 F11 = PrimeField(11)
@@ -183,6 +184,74 @@ def test_evaluate_examples():
     assert p.evaluate([0, 0]) == 5
     pm = x(0, dom=F11) * x(1, dom=F11) - const(1, dom=F11)
     assert pm.evaluate([3, 4]) == 0
+
+
+def test_evaluate_huge_exponent_is_a_modular_power():
+    p = (1 << 61) - 1
+    big = Polynomial(PrimeField(p), 1, {((0, 10**9),): 1})
+    for a in (0, 1, 2, 12345, p - 1):
+        assert big.evaluate([a]) == pow(a, 10**9, p)
+
+
+# ----------------------------------------------------------------------
+# multiplication against the domain-call loop
+
+def _reference_mul(a, b, term_cap=None, degree_cap=None) -> dict:
+    """The product loop on domain calls that Polynomial.mul replaced."""
+    dom = a.domain
+    out = {}
+    for ma, ca in a.terms.items():
+        da = mono_degree(ma)
+        for mb, cb in b.terms.items():
+            if degree_cap is not None and da + mono_degree(mb) > degree_cap:
+                continue
+            m = mono_mul(ma, mb)
+            s = dom.add(out.get(m, dom.zero), dom.mul(ca, cb))
+            if dom.is_zero(s):
+                out.pop(m, None)
+            else:
+                out[m] = s
+        if term_cap is not None and len(out) > term_cap:
+            raise ExpansionTooLarge(len(out), term_cap)
+    return out
+
+
+_MONO = st.tuples(*[st.integers(0, 2)] * 3).map(lambda e: mono_from_dict(dict(enumerate(e))))
+_COEFF = st.builds(Fraction, st.integers(-5, 5), st.sampled_from([1, 2, 3, 6]))
+
+
+@st.composite
+def _poly_pair(draw):
+    """Two polynomials in 3 variables over one field; small coefficient and
+    exponent ranges make products collide and cancel."""
+    dom = draw(st.sampled_from([Q, FP, PrimeField((1 << 61) - 1)]))
+    return tuple(Polynomial(dom, 3, draw(st.dictionaries(_MONO, _COEFF, max_size=6)))
+                 for _ in range(2))
+
+
+# x*y cancels mod p (1 + (p - 1) = p) on the second row and comes back on
+# the third: a reduction deferred past the add would keep it in place
+_CANCEL_AND_RETURN = (Polynomial.from_text(FP, 3, "x1 + x2 + 1"),
+                      Polynomial.from_text(FP, 3, "x2 - x1 + x1*x2"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_poly_pair(), st.sampled_from([None, 0, 1, 2, 3, 5]),
+       st.sampled_from([None, 1, 3, 6]))
+@example(_CANCEL_AND_RETURN, None, None)
+@example(_CANCEL_AND_RETURN, None, 4)
+def test_mul_matches_reference_loop(pair, degree_cap, term_cap):
+    a, b = pair
+    try:
+        expected = _reference_mul(a, b, term_cap, degree_cap)
+    except ExpansionTooLarge as err:
+        with pytest.raises(ExpansionTooLarge) as info:
+            a.mul(b, term_cap=term_cap, degree_cap=degree_cap)
+        assert (info.value.terms, info.value.cap) == (err.terms, err.cap)
+        return
+    got = a.mul(b, term_cap=term_cap, degree_cap=degree_cap).terms
+    assert list(got.items()) == list(expected.items())
+    assert [type(c) for c in got.values()] == [type(c) for c in expected.values()]
 
 
 # ----------------------------------------------------------------------
