@@ -29,7 +29,7 @@ rand = algebraic_rank(triple, mode="randomized", seed=0)
 print("\nsymbolic rank:", sym.rank, "basis:", [b + 1 for b in sym.basis_indices])
 print("randomized rank:", rand.rank, "(error bound", rand.error_bound, ")")
 
-# 2. the minimal annihilator, found by exact nullspace search
+# 2. the minimal annihilator: the first dependent column in graded order
 ann = find_annihilator(triple)
 print("\nannihilator R =", ann.R.to_text(var_prefix="z"), "of degree", ann.degree)
 print("R(q1, q2, q3) =", compose(ann.R, triple).to_text())

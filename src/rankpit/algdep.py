@@ -1,13 +1,13 @@
 """Algebraic rank, annihilating polynomials, and functional dependence.
 
 The constructive core: certify the algebraic rank of a polynomial tuple via
-the Jacobian criterion, exhibit a minimal-degree annihilator by exact
-nullspace search, and reconstruct every dependent polynomial as a truncated
-polynomial function of a transcendence basis after a good translation.  A
-power-series Newton lift of the annihilator root serves as an independent
-cross-check of the linear-solve reconstruction, and the whole machinery
-drives the circuit rewrite that replaces a gate's inputs by the homogeneous
-components of its basis.
+the Jacobian criterion, exhibit a minimal-degree annihilator as the first
+dependent column in graded order, and reconstruct every dependent
+polynomial as a truncated polynomial function of a transcendence basis
+after a good translation.  A power-series Newton lift of the annihilator
+root serves as an independent cross-check of the linear-solve
+reconstruction, and the whole machinery drives the circuit rewrite that
+replaces a gate's inputs by the homogeneous components of its basis.
 """
 
 from __future__ import annotations
@@ -15,9 +15,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-
-import numpy as np
 
 from . import linalg
 from .circuit import Circuit, DeclaredBounds, Gate, OuterExpr, _shift_node
@@ -25,7 +22,6 @@ from .domains import PrimeField
 from .errors import (BoundViolation, CharacteristicTooSmall, DerivativeVanishes,
                      InvalidParams, NoAnnihilatorWithinCap, NoGoodTranslation,
                      NonConvergence, NoSolutionWithinCap, SymbolicTooLarge)
-from .linalg import _use_numpy
 from .poly import (DEFAULT_TERM_CAP, Polynomial, compose, divide_exact,
                    mono_from_dict)
 from .util import derive_seed
@@ -249,48 +245,19 @@ class _CompositionTable:
         return result
 
 
-def _first_kernel_vector_modp(blocks, p: int) -> dict | None:
-    """Per degree block, the first nullspace_modp vector of every column so
-    far: the first free column of the reduced echelon form, which is the
-    first dependent column, with its combination."""
-    row_index: dict = {}
-    trip_r, trip_c, trip_v = [], [], []
-    ncols = 0
-    for deg, block in enumerate(blocks):
-        for terms in block:
-            for mono, coeff in terms.items():
-                trip_r.append(row_index.setdefault(mono, len(row_index)))
-                trip_c.append(ncols)
-                trip_v.append(coeff)
-            ncols += 1
-        if not deg:  # the constant column alone is independent
-            continue
-        arr = np.zeros((len(row_index), ncols), dtype=np.int64)
-        arr[trip_r, trip_c] = trip_v
-        kernel = linalg.nullspace_modp(arr, p)
-        if kernel:
-            return {i: c for i, c in enumerate(kernel[0]) if c}
-    return None
-
-
 def find_annihilator(qs: list[Polynomial], cap: int | None = None, *,
                      term_cap: int | None = DEFAULT_TERM_CAP) -> Annihilator:
     """Minimal-total-degree annihilator R with R(q_1, ..., q_t) = 0 exactly.
 
     The columns q^alpha = prod_j q_j^alpha_j are taken in ascending GRLEX
-    order of z^alpha, one degree block at a time (each block built in full
-    before it is tested).  The first column that depends on the earlier
-    ones, q^alpha = sum c_beta q^beta, gives R = z^alpha - sum c_beta z^beta:
-    an annihilator with a smaller leading monomial would make an earlier
-    column dependent, and two monic ones with leading monomial z^alpha would
-    differ by one, so R is the monic minimal-degree annihilator with
-    order-minimal leading monomial (the dependency test of FGLM).  Over Q
-    and F_p with p >= 2^31 the columns stream through
-    `linalg.first_dependency`.  Over F_p with p < 2^31 each degree block
-    takes one numpy `nullspace_modp` of every column so far, whose first
-    kernel vector is the same R.  Dict rows fill in on these dense mod-p
-    matrices: streamed, the certify_fp seed-1 searches took 1.83 s against
-    numpy's 1.37 s.
+    order of z^alpha and stream through `linalg.first_dependency`; each
+    degree block is built in full before its first column is tested.  The
+    first column that depends on the earlier ones, q^alpha = sum c_beta
+    q^beta, gives R = z^alpha - sum c_beta z^beta: an annihilator with a
+    smaller leading monomial would make an earlier column dependent, and two
+    monic ones with leading monomial z^alpha would differ by one, so R is
+    the monic minimal-degree annihilator with order-minimal leading monomial
+    (the dependency test of FGLM).
 
     The default cap is t*d^(t-1), the annihilator degree bound (k+1)*d^k for
     degree-d inputs of rank k instantiated at the dependent regime k = t-1.
@@ -307,18 +274,13 @@ def find_annihilator(qs: list[Polynomial], cap: int | None = None, *,
     table = _CompositionTable(qs, term_cap=term_cap)
     alphas: list[tuple] = []
 
-    def blocks():
+    def columns():
         for deg in range(cap + 1):
             block = _dense_monos_exact(t, deg)
-            cols = [table.get(alpha).terms for alpha in block]
             alphas.extend(block)
-            yield cols
+            yield from [table.get(alpha).terms for alpha in block]
 
-    if _use_numpy(dom):
-        lam = _first_kernel_vector_modp(blocks(), dom.p)
-    else:
-        lam = linalg.first_dependency(chain.from_iterable(blocks()),
-                                      dom.characteristic)
+    lam = linalg.first_dependency(columns(), dom.characteristic)
     if lam is None:
         raise NoAnnihilatorWithinCap(cap)
     r_poly = Polynomial(dom, t, {_dense_to_mono(alphas[i]): c for i, c in lam.items()},

@@ -403,6 +403,13 @@ def _gate_to_json(g: Gate, domain) -> dict:
     return out
 
 
+def parse_nvars(value) -> int:
+    """The "nvars" entry of a circuit or poly file: a nonnegative int."""
+    if not isinstance(value, int) or value < 0:
+        raise CircuitSyntaxError("nvars must be a nonnegative integer", path="$.nvars")
+    return value
+
+
 def parse(text: str) -> Circuit:
     """Parse a circuit file; validates the declared d and delta bounds."""
     try:
@@ -418,9 +425,7 @@ def parse(text: str) -> Circuit:
         domain = domain_from_json(obj["field"])
     except (InvalidParams, *_MALFORMED) as exc:
         raise CircuitSyntaxError(str(exc), path="$.field") from None
-    nvars = obj["nvars"]
-    if not isinstance(nvars, int) or nvars < 0:
-        raise CircuitSyntaxError("nvars must be a nonnegative integer", path="$.nvars")
+    nvars = parse_nvars(obj["nvars"])
     dec = obj["declared"]
     try:
         declared = DeclaredBounds(d=int(dec["d"]), k=int(dec["k"]), delta=int(dec["delta"]))

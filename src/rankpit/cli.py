@@ -106,7 +106,8 @@ def _emit(args, command: str, result: dict) -> str:
 
 def _load_polys(path: str):
     """Read a polynomial-tuple file; malformed content raises
-    CircuitSyntaxError with its JSON path, as circuit.parse does."""
+    CircuitSyntaxError with its JSON path, as circuit.parse does, and an
+    empty tuple raises InvalidParams."""
     try:
         obj = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
@@ -127,9 +128,11 @@ def _load_polys(path: str):
                                      path=json_path) from None
 
     domain = located("$.field", domain_from_json, obj["field"])
-    nvars = located("$.nvars", int, obj["nvars"])
+    nvars = ckt.parse_nvars(obj["nvars"])
     polys = [located(f"$.polys[{i}]", Polynomial.terms_from_json, domain, nvars, terms)
              for i, terms in enumerate(obj["polys"])]
+    if not polys:
+        raise InvalidParams("the poly file holds an empty tuple")
     return domain, nvars, polys
 
 
@@ -277,7 +280,7 @@ def _cmd_pit(args) -> tuple[int, str]:
     c = ckt.parse_file(args.circuit)
     start = time.perf_counter()
     report = pit.pit_test(c, mode=args.mode, seed=args.seed,
-                          point_cap=args.max_points, rounds=args.rounds,
+                          point_cap=args.cap_points, rounds=args.rounds,
                           certify_rank=args.certify_rank,
                           expansion_term_cap=(args.cap_expansion
                                               if args.mode == "both" else None))
@@ -388,7 +391,6 @@ def build_parser() -> _Parser:
     p.add_argument("--circuit", required=True)
     p.add_argument("--mode", choices=["hitting-set", "oracle", "both"],
                    default="hitting-set")
-    p.add_argument("--max-points", type=int, default=pit.DEFAULT_POINT_CAP)
     p.add_argument("--rounds", type=int, default=20)
     p.add_argument("--certify-rank", action="store_true")
     _add_common(p)

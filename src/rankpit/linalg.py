@@ -15,11 +15,6 @@ field.  It runs on plain Python ints with no domain method calls:
   (Bareiss-style): v <- b[pivot]*v - v[pivot]*b cancels the pivot, and the
   content of v is divided out after each step.  No Fraction is built until
   `rref_dense` divides each finished row by its pivot.
-
-Dense matrices over F_p with p < 2^31 take a vectorized numpy elimination in
-int64 instead (`_rref_modp`): there the product of two residues fits in 63
-bits, and on the dense matrices of the mod-p annihilator search a numpy row
-operation is faster than the same update on dict rows.
 """
 
 from __future__ import annotations
@@ -27,16 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .domains import PrimeField
-
-# numpy int64 holds products of two residues only when p^2 < 2^63
-_NUMPY_P_LIMIT = 1 << 31
-
-
-def _use_numpy(domain) -> bool:
-    return isinstance(domain, PrimeField) and domain.p < _NUMPY_P_LIMIT
 
 
 def _echelon(rows, p: int) -> dict[int, dict[int, int]]:
@@ -169,63 +155,22 @@ def rref_dense(rows: list[list], domain) -> tuple[list[list], list[int]]:
     return rref, pivots
 
 
-def _rref_modp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    a = np.ascontiguousarray(a % p, dtype=np.int64)
-    nrows, ncols = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        col = a[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = a[r] * inv % p
-        col_all = a[:, c].copy()
-        col_all[r] = 0
-        mask = col_all != 0
-        if mask.any():
-            a[mask] = (a[mask] - col_all[mask, None] * a[r][None, :]) % p
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return a, pivots
-
-
-def _rref(rows: list[list], domain) -> tuple[list[list], list[int]]:
-    """rref_dense, or the numpy elimination over F_p with p < 2^31."""
-    if _use_numpy(domain):
-        arr = np.array([[int(x) for x in row] for row in rows], dtype=np.int64)
-        rref, pivots = _rref_modp(arr, domain.p)
-        return rref.tolist(), pivots
-    return rref_dense(rows, domain)
-
-
 def rank_dense(rows: list[list], domain) -> int:
-    return len(_rref(rows, domain)[1]) if rows else 0
+    return len(rref_dense(rows, domain)[1]) if rows else 0
 
 
-def nullspace_modp(arr: np.ndarray, p: int) -> list[list[int]]:
-    """Kernel basis of an int64 matrix mod p (reduced-echelon form basis)."""
-    rref, pivots = _rref_modp(arr, p)
-    return _kernel(rref, pivots, arr.shape[1], 0, 1, lambda x: -int(x) % p)
-
-
-def _kernel(rref, pivots, ncols, zero, one, neg) -> list[list]:
-    """One kernel vector per free column of a reduced echelon form."""
-    pivot_set = set(pivots)
+# no caller in rankpit; kept because perfbench/tracing.py resolves this name
+def nullspace_modp(arr, p: int) -> list[list[int]]:
+    """Kernel basis of an integer matrix mod p (reduced-echelon form basis)."""
+    rows = [[int(x) % p for x in row] for row in arr]
+    ncols = len(rows[0]) if rows else 0
+    rref, pivots = rref_dense(rows, PrimeField(p))
     basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [zero] * ncols
-        v[free] = one
-        for row_idx, pc in enumerate(pivots):
-            v[pc] = neg(rref[row_idx][free])
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        v = [0] * ncols
+        v[free] = 1
+        for row, pc in zip(rref, pivots):
+            v[pc] = -row[free] % p
         basis.append(v)
     return basis
 
@@ -235,7 +180,8 @@ def solve_dense(rows: list[list], rhs: list, domain) -> list | None:
     if not rows:
         return None
     ncols = len(rows[0])
-    rref, pivots = _rref([list(row) + [b] for row, b in zip(rows, rhs)], domain)
+    rref, pivots = rref_dense([list(row) + [b] for row, b in zip(rows, rhs)],
+                              domain)
     if pivots and pivots[-1] == ncols:
         return None
     x = [domain.zero] * ncols

@@ -116,11 +116,19 @@ def test_computation_error_exit_2(tmp_path):
 
 def test_cap_honored_with_structured_error(zero_circuit_file):
     code, out = cli.run(["pit", "--circuit", zero_circuit_file, "--json",
-                         "--max-points", "2"])
+                         "--cap-points", "2"])
     assert code == 2
     payload = json.loads(out)
     assert payload["error"] == "SetTooLarge"
     assert "9" in payload["detail"]  # exact would-be size
+
+
+def test_cap_points_is_the_enforced_cap():
+    # the cap the report echoes is the one the scan obeys
+    code, out = cli.run(["pit", "--circuit", str(DATA / "e1_circuit.json"),
+                         "--json", "--cap-points", "1"])
+    payload = json.loads(out)
+    assert (code, payload["error"], payload["cap"]) == (2, "SetTooLarge", 1)
 
 
 def test_env_seed_fallback(e1_file, monkeypatch):
@@ -276,6 +284,25 @@ def test_unreadable_and_malformed_inputs_exit_2(tmp_path):
     assert payload["file"] == missing
 
 
+@pytest.mark.parametrize("command", [["rank"], ["annihilate"], ["depend"],
+                                     ["measure", "--r", "1", "--m", "1"]],
+                         ids=["rank", "annihilate", "depend", "measure"])
+@pytest.mark.parametrize("nvars, polys, error", [
+    (-1, [], "CircuitSyntaxError"),
+    (2.7, E1_POLYS["polys"], "CircuitSyntaxError"),
+    (2, [], "InvalidParams"),
+], ids=["negative-nvars", "fractional-nvars", "empty-tuple"])
+def test_bad_nvars_and_empty_tuple_exit_2(tmp_path, command, nvars, polys, error):
+    path = tmp_path / "polys.json"
+    path.write_text(json.dumps({"field": {"type": "rational"}, "nvars": nvars,
+                                "polys": polys}))
+    code, out = cli.run(command + ["--poly-file", str(path), "--json"])
+    payload = json.loads(out)
+    assert (code, payload["error"]) == (2, error)
+    if error == "CircuitSyntaxError":
+        assert payload["path"] == "$.nvars"
+
+
 def test_malformed_poly_file_reports_json_path(tmp_path):
     path = tmp_path / "bad_term.json"
     for polys, where in [
@@ -305,7 +332,7 @@ def test_internal_error_is_exit_2_not_a_verdict(zero_circuit_file, monkeypatch):
 
 def test_error_payload_carries_attributes(zero_circuit_file, tmp_path):
     code, out = cli.run(["pit", "--circuit", zero_circuit_file, "--json",
-                         "--max-points", "2"])
+                         "--cap-points", "2"])
     payload = json.loads(out)
     assert (code, payload["error"]) == (2, "SetTooLarge")
     assert (payload["size"], payload["cap"]) == (9, 2)
