@@ -4,10 +4,12 @@ The constructive core: certify the algebraic rank of a polynomial tuple via
 the Jacobian criterion, exhibit a minimal-degree annihilator as the first
 dependent column in graded order, and reconstruct every dependent
 polynomial as a truncated polynomial function of a transcendence basis
-after a good translation.  A power-series Newton lift of the annihilator
-root serves as an independent cross-check of the linear-solve
-reconstruction, and the whole machinery drives the circuit rewrite that
-replaces a gate's inputs by the homogeneous components of its basis.
+after a good translation, as the first dependency on it in that graded
+stream; both searches ask the one span query `linalg.dependent_columns`.
+A power-series Newton lift of the annihilator root serves as an
+independent cross-check of the reconstruction, and the whole machinery
+drives the circuit rewrite that replaces a gate's inputs by the homogeneous
+components of its basis.
 """
 
 from __future__ import annotations
@@ -189,14 +191,9 @@ def algebraic_rank(qs: list[Polynomial], mode: str = "randomized", *,
         if rk > best_rank:
             best_rank = rk
             best_matrix = numeric
-    basis = []
-    chosen: list[list] = []
-    for i in range(t):
-        if len(basis) == best_rank:
-            break
-        if linalg.rank_dense(chosen + [best_matrix[i]], dom) > len(basis):
-            basis.append(i)
-            chosen.append(best_matrix[i])
+    dependent = {j for j, _ in linalg.dependent_columns(
+        (dict(enumerate(row)) for row in best_matrix), dom.characteristic)}
+    basis = [i for i in range(t) if i not in dependent]
     bound = (Fraction(t * d, size)) ** max(1, trials)
     return RankCertificate(best_rank, tuple(basis), "jacobian-randomized",
                            evaluation_points=tuple(points), security=security,
@@ -245,13 +242,22 @@ class _CompositionTable:
         return result
 
 
+def _graded_columns(table: _CompositionTable, t: int, cap: int, alphas: list):
+    """The columns q^alpha, |alpha| <= cap, ascending in GRLEX order of
+    z^alpha; each degree block is built in full, and its alphas appended to
+    `alphas`, before its first column is yielded."""
+    for deg in range(cap + 1):
+        block = _dense_monos_exact(t, deg)
+        alphas.extend(block)
+        yield from [table.get(alpha).terms for alpha in block]
+
+
 def find_annihilator(qs: list[Polynomial], cap: int | None = None, *,
                      term_cap: int | None = DEFAULT_TERM_CAP) -> Annihilator:
     """Minimal-total-degree annihilator R with R(q_1, ..., q_t) = 0 exactly.
 
     The columns q^alpha = prod_j q_j^alpha_j are taken in ascending GRLEX
-    order of z^alpha and stream through `linalg.first_dependency`; each
-    degree block is built in full before its first column is tested.  The
+    order of z^alpha and stream through `linalg.dependent_columns`.  The
     first column that depends on the earlier ones, q^alpha = sum c_beta
     q^beta, gives R = z^alpha - sum c_beta z^beta: an annihilator with a
     smaller leading monomial would make an earlier column dependent, and two
@@ -271,16 +277,9 @@ def find_annihilator(qs: list[Polynomial], cap: int | None = None, *,
         cap = t * d ** (t - 1)
     if cap < 1:
         raise InvalidParams("annihilator cap must be >= 1")
-    table = _CompositionTable(qs, term_cap=term_cap)
     alphas: list[tuple] = []
-
-    def columns():
-        for deg in range(cap + 1):
-            block = _dense_monos_exact(t, deg)
-            alphas.extend(block)
-            yield from [table.get(alpha).terms for alpha in block]
-
-    lam = linalg.first_dependency(columns(), dom.characteristic)
+    columns = _graded_columns(_CompositionTable(qs, term_cap=term_cap), t, cap, alphas)
+    _, lam = next(linalg.dependent_columns(columns, dom.characteristic), (None, None))
     if lam is None:
         raise NoAnnihilatorWithinCap(cap)
     r_poly = Polynomial(dom, t, {_dense_to_mono(alphas[i]): c for i, c in lam.items()},
@@ -293,27 +292,29 @@ def find_annihilator(qs: list[Polynomial], cap: int | None = None, *,
 # ----------------------------------------------------------------------
 # good translations
 
-def _goodness_certificates(qs, basis, non_basis,
-                           annihilators: dict | None,
-                           term_cap) -> tuple[dict, dict]:
-    """Annihilator A_i of (basis, q_i) and L_i = (dA_i/dY)(basis..., q_i)."""
+def _sub_annihilator(qs, basis, i: int, term_cap) -> Annihilator:
+    """Annihilator of (basis..., q_i) within the degree bound (k+1)*d^k."""
+    sub = [qs[b] for b in basis] + [qs[i]]
+    d_sub = max(1, max(q.degree() for q in sub))
+    return find_annihilator(sub, cap=len(sub) * d_sub ** len(basis),
+                            term_cap=term_cap)
+
+
+def _goodness_certificates(qs, basis, non_basis, annihilators: dict | None,
+                           term_cap) -> list[Polynomial]:
+    """L_i = (dA_i/dY)(basis..., q_i) for the annihilator A_i of (basis, q_i)."""
     k = len(basis)
-    anns: dict = dict(annihilators or {})
-    ls: dict = {}
     basis_polys = [qs[b] for b in basis]
+    ls = []
     for i in non_basis:
-        if i not in anns:
-            sub = basis_polys + [qs[i]]
-            d_sub = max(1, max(q.degree() for q in sub))
-            anns[i] = find_annihilator(sub, cap=(k + 1) * d_sub ** k,
-                                       term_cap=term_cap)
-        dA = anns[i].R.partial_derivative(((k, 1),))
+        ann = (annihilators or {}).get(i) or _sub_annihilator(qs, basis, i, term_cap)
+        dA = ann.R.partial_derivative(((k, 1),))
         li = compose(dA, basis_polys + [qs[i]], term_cap=term_cap)
         if li.is_zero():
             raise AssertionError(
                 "derivative certificate vanished identically: annihilator not minimal")
-        ls[i] = li
-    return anns, ls
+        ls.append(li)
+    return ls
 
 
 def sample_good_translation(qs: list[Polynomial], basis,
@@ -336,8 +337,8 @@ def sample_good_translation(qs: list[Polynomial], basis,
     d = max(1, max(q.degree() for q in qs))
     if sampler is None:
         sampler = TranslationSampler.for_tuple(t, k, d)
-    _, ls = _goodness_certificates(qs, basis, non_basis, annihilators, term_cap)
-    return _sample_translation(list(ls.values()), dom, nvars, sampler)
+    ls = _goodness_certificates(qs, basis, non_basis, annihilators, term_cap)
+    return _sample_translation(ls, dom, nvars, sampler)
 
 
 def _sample_translation(certificates: list[Polynomial], dom, nvars: int,
@@ -353,18 +354,20 @@ def _sample_translation(certificates: list[Polynomial], dom, nvars: int,
 
 
 # ----------------------------------------------------------------------
-# dependence reconstruction by exact linear solving
+# dependence reconstruction: the first dependency on the target
 
-def reconstruct_dependence(qs: list[Polynomial], basis, a,
-                           caps: dict | None = None, *,
+def reconstruct_dependence(qs: list[Polynomial], basis, a, *,
                            term_cap: int | None = DEFAULT_TERM_CAP) -> DependenceWitness:
     """Witness polynomials F_i with q_i(X+a) = h^{<=d_i}[F_i(basis(X+a))], exact.
 
-    For each non-basis index the coefficients of F_i are unknowns of an exact
-    linear system equating X-coefficients up to degree d_i; the degree of F_i
-    is raised from 1 until a solution appears or the cap d_i*(k+1)*d^k runs
-    out (which signals a bad translation: resample and retry).  Every witness
-    is re-verified by full composition before it is returned.
+    For each non-basis index the target q_i(X+a) streams through
+    `linalg.span_coefficients` ahead of the truncated compositions
+    h^{<=d_i}[basis(X+a)^alpha] in ascending GRLEX order of z^alpha: the
+    first dependency that involves the target writes it in the independent
+    columns before it, and that combination is F_i.  If none appears by
+    degree d_i*(k+1)*d^k, NoSolutionWithinCap signals a bad translation
+    (resample and retry).  Every witness is re-verified by full composition
+    before it is returned.
     """
     basis = tuple(basis)
     t = len(qs)
@@ -383,40 +386,15 @@ def reconstruct_dependence(qs: list[Polynomial], basis, a,
             # rank-0 tuple: every polynomial is a constant
             f_map[i] = Polynomial.constant(dom, 0, target.coefficient(()))
             continue
-        cap_i = (caps or {}).get(i, d_i * (k + 1) * d ** k)
-        cap_i = max(1, cap_i)
+        cap_i = max(1, d_i * (k + 1) * d ** k)
         table = _CompositionTable(b_polys, degree_cap=d_i, term_cap=term_cap)
-        solution = None
-        for dd in range(1, cap_i + 1):
-            alphas = [a for e in range(dd + 1) for a in _dense_monos_exact(k, e)]
-            row_index: dict = {}
-            cols = []
-            for alpha in alphas:
-                cols.append(table.get(alpha))
-                for mono in cols[-1].terms:
-                    row_index.setdefault(mono, len(row_index))
-            for mono in target.terms:
-                row_index.setdefault(mono, len(row_index))
-            nrows = len(row_index)
-            rows = [[dom.zero] * len(alphas) for _ in range(nrows)]
-            for ci, poly in enumerate(cols):
-                for mono, coeff in poly.terms.items():
-                    rows[row_index[mono]][ci] = coeff
-            rhs = [dom.zero] * nrows
-            for mono, coeff in target.terms.items():
-                rhs[row_index[mono]] = coeff
-            x = linalg.solve_dense(rows, rhs, dom)
-            if x is None:
-                continue
-            terms = {}
-            for alpha, coeff in zip(alphas, x):
-                coeff = dom.coerce(coeff)
-                if not dom.is_zero(coeff):
-                    terms[_dense_to_mono(alpha)] = coeff
-            solution = Polynomial(dom, k, terms, _normalized=True)
-            break
-        if solution is None:
+        alphas: list[tuple] = []
+        x = linalg.span_coefficients(
+            target.terms, _graded_columns(table, k, cap_i, alphas), dom)
+        if x is None:
             raise NoSolutionWithinCap(i, cap_i)
+        solution = Polynomial(dom, k, {_dense_to_mono(alphas[j]): c for j, c in x.items()},
+                              _normalized=True)
         composed = compose(solution, b_polys, term_cap=term_cap)
         if composed.homogeneous_le(d_i) != target:
             raise AssertionError("witness failed exact verification (internal bug)")
@@ -468,9 +446,7 @@ def newton_reconstruct(qs: list[Polynomial], basis, a, i: int,
     nvars = qs[0].nvars
     basis_polys = [qs[b] for b in basis]
     if annihilator is None:
-        sub = basis_polys + [qs[i]]
-        d_sub = max(1, max(q.degree() for q in sub))
-        annihilator = find_annihilator(sub, cap=(k + 1) * d_sub ** k, term_cap=term_cap)
+        annihilator = _sub_annihilator(qs, basis, i, term_cap)
     d_i = qs[i].degree()
     target = qs[i].translate(a)
     b_translated = [q.translate(a) for q in basis_polys]
@@ -550,8 +526,8 @@ def rewrite_circuit(c: Circuit, seed: int = 0, *, rank_mode: str = "symbolic",
     for g, cert in zip(c.gates, certs):
         nb = [i for i in range(len(g.inner)) if i not in cert.basis_indices]
         total_nonbasis += len(nb)
-        _, ls = _goodness_certificates(g.inner, cert.basis_indices, nb, None, term_cap)
-        all_ls.extend(ls.values())
+        all_ls += _goodness_certificates(g.inner, cert.basis_indices, nb, None,
+                                         term_cap)
     k_max = max((cert.rank for cert in certs), default=0)
     d_max = max((q.degree() for g in c.gates for q in g.inner), default=1)
     if all_ls:

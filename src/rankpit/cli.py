@@ -140,7 +140,11 @@ def _field_from_flag(spec: str | None):
     if spec is None or spec == "rational":
         return Rationals()
     if spec.startswith("prime:"):
-        return PrimeField(int(spec.split(":", 1)[1]))
+        try:
+            modulus = int(spec.split(":", 1)[1])
+        except ValueError:
+            raise InvalidParams(f"bad --field value {spec!r} (prime:P)") from None
+        return PrimeField(modulus)
     raise RankpitError(f"bad --field value {spec!r} (rational or prime:P)")
 
 
@@ -259,7 +263,11 @@ def _cmd_nw(args) -> tuple[int, str]:
             params = nw.HardPolyParams(base, gamma=args.gamma, p=Fraction(1, 2))
             poly = nw.hard_polynomial(params, domain, term_cap=args.cap_expansion)
         return 0, poly.to_text() + "\n"
-    params = nw.HardPolyParams(base, gamma=args.gamma or 1, p=Fraction(args.p))
+    try:
+        alive = Fraction(args.p)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidParams(f"bad --p value {args.p!r} (a rational in (0, 1])") from None
+    params = nw.HardPolyParams(base, gamma=args.gamma or 1, p=alive)
     stats = nw.survival_experiment(params, trials=args.trials, seed=args.seed)
     result = {
         "n": args.n, "q": args.q, "e": args.e,

@@ -1,9 +1,11 @@
 """Exact linear algebra over a coefficient domain.
 
-Streaming sparse rank for the measure matrices, the first dependent column
-of a stream for the annihilator search, and the reduced echelon form behind
-dense ranks, nullspaces and linear solves.  Everything is exact; nothing
-here ever touches floating point.
+`rank_stream` keeps only the echelon basis of a stream of sparse rows.
+`dependent_columns` also carries each column's combination and yields every
+column that depends on the ones before it: the one span query behind
+annihilators, dependence witnesses, the randomized rank basis and
+`span_coefficients`/`solve_dense`.  `rref_dense` gives dense ranks and
+nullspaces.  Everything is exact; nothing here touches floating point.
 
 One elimination loop, `_reduce` over `_eliminate`, serves Q and every prime
 field.  It runs on plain Python ints with no domain method calls:
@@ -14,13 +16,14 @@ field.  It runs on plain Python ints with no domain method calls:
   denominators, divided by the gcd of its entries) and reduced fraction-free
   (Bareiss-style): v <- b[pivot]*v - v[pivot]*b cancels the pivot, and the
   content of v is divided out after each step.  No Fraction is built until
-  `rref_dense` divides each finished row by its pivot.
+  a combination or a finished `rref_dense` row is divided by its pivot.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 
 from .domains import PrimeField
 
@@ -42,15 +45,17 @@ def _echelon(rows, p: int) -> dict[int, dict[int, int]]:
     return basis
 
 
-def first_dependency(columns, p: int) -> dict | None:
-    """The first column of a stream that depends on the columns before it.
+def dependent_columns(columns, p: int):
+    """Every column of a stream that depends on the columns before it.
 
     Columns are sparse dicts (row key -> coeff) over Q (p = 0) or F_p, each
     reduced in one row that also carries its combination: row keys get
     negative ids and column i the slot i >= 0, so one `_eliminate` covers
     both, and a row whose smallest key is a slot has no row entry left.
-    Returns {i: lam_i} ascending, with lam_j = 1 for the first dependent
-    column j and sum lam_i * column_i = 0, or None if there is none.
+    Independent columns join the basis and dependent ones do not: for each
+    dependent column j this yields (j, lam), lam = {i: lam_i} ascending over
+    j and the independent columns before it, with lam_j = 1 and
+    sum lam_i * column_i = 0.
     """
     row_id: dict = {}
     basis: dict[int, dict[int, int]] = {}
@@ -65,8 +70,20 @@ def first_dependency(columns, p: int) -> dict | None:
         f = v[j]
         if p:
             inv = pow(f, -1, p)
-            return {i: c * inv % p for i, c in sorted(v.items())}
-        return {i: Fraction(c, f) for i, c in sorted(v.items())}
+            yield j, {i: c * inv % p for i, c in sorted(v.items())}
+        else:
+            yield j, {i: Fraction(c, f) for i, c in sorted(v.items())}
+
+
+def span_coefficients(target: dict, columns, domain) -> dict | None:
+    """{j: x_j} with target = sum x_j * column_j, or None if the columns do
+    not span it.  The target streams as slot 0 ahead of the columns, so the
+    first dependency that involves it writes it, in the one possible way, in
+    the independent columns up to there."""
+    for _, lam in dependent_columns(chain([target], columns), domain.characteristic):
+        if 0 in lam:
+            scale = domain.neg(domain.inv(lam[0]))
+            return {j - 1: domain.mul(c, scale) for j, c in lam.items() if j}
     return None
 
 
@@ -176,15 +193,10 @@ def nullspace_modp(arr, p: int) -> list[list[int]]:
 
 
 def solve_dense(rows: list[list], rhs: list, domain) -> list | None:
-    """One exact solution of A x = b (free variables set to 0), or None."""
+    """One exact solution of A x = b (free variables set to 0), or None: the
+    span coefficients of b in the columns of A, which use only pivot columns."""
     if not rows:
         return None
-    ncols = len(rows[0])
-    rref, pivots = rref_dense([list(row) + [b] for row, b in zip(rows, rhs)],
-                              domain)
-    if pivots and pivots[-1] == ncols:
-        return None
-    x = [domain.zero] * ncols
-    for row_idx, pc in enumerate(pivots):
-        x[pc] = rref[row_idx][ncols]
-    return x
+    x = span_coefficients(dict(enumerate(rhs)),
+                          (dict(enumerate(col)) for col in zip(*rows)), domain)
+    return None if x is None else [x.get(j, domain.zero) for j in range(len(rows[0]))]

@@ -200,6 +200,8 @@ def extract_nw_projection(g_restricted: Polynomial, params: HardPolyParams,
 
 def survival_experiment(params: HardPolyParams, trials: int, seed: int) -> dict:
     """Seeded slot-death statistics against the (1-p)^gamma per-slot rate."""
+    if trials < 1:
+        raise InvalidParams("survival experiment needs trials >= 1")
     base = params.base
     slots = base.n * base.q
     dead_total = 0

@@ -12,7 +12,7 @@ from rankpit.circuit import Circuit, DeclaredBounds, Gate, OuterExpr, expand
 from rankpit.domains import PrimeField, Rationals
 from rankpit.errors import (BoundViolation, CharacteristicTooSmall,
                             DerivativeVanishes, NoAnnihilatorWithinCap,
-                            NoGoodTranslation)
+                            NoGoodTranslation, NoSolutionWithinCap)
 from rankpit.poly import GRLEX, Polynomial, compose
 
 Q = Rationals()
@@ -146,7 +146,8 @@ def test_rank_t_iff_no_annihilator_at_cap():
 
 
 def test_dense_monos_ascend_in_graded_lex():
-    """Both annihilator paths take the columns z^alpha in this order."""
+    """The annihilator and witness searches take the columns z^alpha in
+    this order."""
     for t in range(1, 5):
         alphas = [a for d in range(6) for a in algdep._dense_monos_exact(t, d)]
         keys = [GRLEX.key(algdep._dense_to_mono(a)) for a in alphas]
@@ -414,3 +415,122 @@ def test_rewrite_all_constant_gate():
     c = Circuit(Q, 2, DeclaredBounds(d=1, k=1, delta=1), [g])
     rewritten, a = rewrite_circuit(c, seed=5)
     assert expand(rewritten) == Polynomial.constant(Q, 2, 21)
+
+
+# ----------------------------------------------------------------------
+# the one span query against the earlier dense paths
+
+def _reference_reconstruct(qs, basis, a):
+    """The earlier reconstruction: for dd = 1, 2, ..., one dense augmented
+    elimination over every column h^{<=d_i}[basis(X+a)^alpha], |alpha| <= dd,
+    until the target is in their span; free variables set to 0."""
+    k, dom = len(basis), qs[0].domain
+    b_polys = [qs[b].translate(a) for b in basis]
+    d = max(1, max(q.degree() for q in qs))
+    witnesses = {}
+    for i in [i for i in range(len(qs)) if i not in basis]:
+        d_i = qs[i].degree()
+        target = qs[i].translate(a).terms
+        cap_i = max(1, d_i * (k + 1) * d ** k)
+        table = algdep._CompositionTable(b_polys, degree_cap=d_i)
+        for dd in range(1, cap_i + 1):
+            alphas = [al for e in range(dd + 1) for al in algdep._dense_monos_exact(k, e)]
+            entries = [table.get(al).terms for al in alphas] + [target]
+            row_index = {}
+            for terms in entries:
+                for mono in terms:
+                    row_index.setdefault(mono, len(row_index))
+            rows = [[dom.zero] * len(entries) for _ in row_index]
+            for ci, terms in enumerate(entries):
+                for mono, c in terms.items():
+                    rows[row_index[mono]][ci] = c
+            rref, pivots = linalg.rref_dense(rows, dom)
+            if pivots[-1] == len(alphas):  # the target is not in the span
+                continue
+            witnesses[i] = Polynomial(dom, k, {
+                algdep._dense_to_mono(alphas[pc]): rref[r][-1]
+                for r, pc in enumerate(pivots) if not dom.is_zero(rref[r][-1])},
+                _normalized=True)
+            break
+        else:
+            raise NoSolutionWithinCap(i, cap_i)
+    return witnesses
+
+
+@pytest.mark.parametrize("dom", [Q, FP, PrimeField((1 << 61) - 1)], ids=str)
+def test_witness_matches_reference_reconstruction(dom):
+    rng = random.Random(83)
+    from test_poly import random_poly
+
+    def nonconstant(nvars, deg):
+        while True:
+            q = random_poly(rng, dom, nvars, deg)
+            if q.degree() >= 1:
+                return q
+
+    for trial in range(40):
+        nvars = rng.choice([2, 3])
+        base = [nonconstant(nvars, rng.choice([1, 2])) for _ in range(rng.choice([1, 2]))]
+        # planted dependents, truncated back to degree d_i after the
+        # translation, and a zero or constant member, in shuffled positions
+        members = base + [compose(nonconstant(len(base), 2), base),
+                          Polynomial.constant(dom, nvars, rng.choice([0, 1, 5]))]
+        if trial % 2:
+            members.append(compose(nonconstant(len(base), 1), base))
+        order = list(range(len(members)))
+        rng.shuffle(order)
+        qs = [members[o] for o in order]
+        basis = tuple(sorted(order.index(b) for b in range(len(base))))
+        a = tuple(dom.coerce(rng.randrange(-3, 4)) for _ in range(nvars))
+        expected = _reference_reconstruct(qs, basis, a)
+        got = reconstruct_dependence(qs, basis, a)
+        assert set(got.F) == set(expected)
+        for i, f_i in expected.items():
+            assert list(got.F[i].terms.items()) == list(f_i.terms.items())
+
+
+def test_bad_translation_has_no_witness_within_cap():
+    # (x^2, x^3) at a = 0: x^3 = z^(3/2) is no polynomial in z = x^2, so no
+    # degree up to the cap d_i*(k+1)*d^k = 3*2*3 = 18 solves it
+    qs = [x(0, 1).pow(2), x(0, 1).pow(3)]
+    for reconstruct in (_reference_reconstruct, reconstruct_dependence):
+        with pytest.raises(NoSolutionWithinCap) as info:
+            reconstruct(qs, (0,), (0,))
+        assert (info.value.index, info.value.cap) == (1, 18)
+
+
+def _greedy_basis(matrix, dom, rank):
+    """The earlier greedy scan: keep row i when it raises the dense rank."""
+    basis, chosen = [], []
+    for i, row in enumerate(matrix):
+        if len(basis) == rank:
+            break
+        if linalg.rank_dense(chosen + [row], dom) > len(basis):
+            basis.append(i)
+            chosen.append(row)
+    return tuple(basis)
+
+
+@pytest.mark.parametrize("dom", [Q, FP], ids=str)
+def test_randomized_basis_matches_greedy_scan(dom, monkeypatch):
+    rng = random.Random(89)
+    from test_poly import random_poly
+    calls = []
+    rank_dense = linalg.rank_dense
+    monkeypatch.setattr(linalg, "rank_dense",
+                        lambda *args: calls.append(1) or rank_dense(*args))
+    for trial in range(30):
+        nvars = rng.choice([2, 3])
+        qs = [random_poly(rng, dom, nvars, rng.choice([1, 2])) for _ in range(2)]
+        qs.insert(rng.randrange(3), compose(random_poly(rng, dom, 2, 2), qs))
+        qs.insert(rng.randrange(4), Polynomial.constant(dom, nvars, rng.choice([0, 3])))
+        qs.append(random_poly(rng, dom, nvars, 2))
+        calls.clear()
+        cert = algebraic_rank(qs, seed=trial, trials=3)
+        assert len(calls) == 3
+        jac = jacobian(qs)
+        numeric = [[[e.evaluate(pt) for e in row] for row in jac]
+                   for pt in cert.evaluation_points]
+        ranks = [rank_dense(m, dom) for m in numeric]
+        best = numeric[ranks.index(max(ranks))]
+        assert cert.basis_indices == _greedy_basis(best, dom, cert.rank)

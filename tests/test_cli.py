@@ -379,3 +379,18 @@ def test_pit_timings_only_under_the_flag(zero_circuit_file):
     report["result"]["timings"] = None
     report["config"]["timings"] = False
     assert json.dumps(report, indent=2, sort_keys=True) + "\n" == plain[0]
+
+
+NW_ARGS = ["--n", "2", "--q", "2", "--e", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["nw", *NW_ARGS, "--field", "prime:x"],
+    ["bench", "separation", *NW_ARGS, "--r", "1", "--m", "1", "--field", "prime:x"],
+    ["nw", *NW_ARGS, "--p", "abc"],
+    ["nw", *NW_ARGS, "--p", "1/2", "--trials", "0"],
+], ids=["nw-field-modulus", "bench-field-modulus", "nw-p-not-rational",
+        "nw-zero-trials"])
+def test_bad_nw_and_bench_inputs_exit_2(argv):
+    code, out = cli.run(argv + ["--json"])
+    assert (code, json.loads(out)["error"]) == (2, "InvalidParams")

@@ -198,3 +198,29 @@ def test_rank_stream_matches_dense_rank_over_prime_fields(p):
         assert linalg.rank_stream(iter(rows), dom) == _reference_rank(rows, ncols, dom)
 
     check()
+
+
+@pytest.mark.parametrize("dom", FIELDS + [PrimeField(2), PrimeField(7)], ids=str)
+def test_dependent_columns_are_the_non_pivot_columns(dom):
+    p = dom.characteristic
+    entries = st.integers(0, p - 1) if p else _RATIONAL
+
+    @settings(max_examples=60, deadline=None)
+    @given(_sparse_rows(entries, (lambda x: x % p) if p else Fraction))
+    def check(matrix):
+        # the strategy's rows serve as the columns of the stream
+        nkeys, columns = matrix
+        dense = [[dom.coerce(col.get(r, 0)) for col in columns] for r in range(nkeys)]
+        pivots = _reference_rref(dense, dom)[1]
+        found = list(linalg.dependent_columns(iter(columns), p))
+        assert [j for j, _ in found] == [j for j in range(len(columns))
+                                         if j not in pivots]
+        for j, lam in found:
+            assert lam[j] == 1 and list(lam) == sorted(lam)
+            assert set(lam) <= {i for i in pivots if i < j} | {j}
+            for r in range(nkeys):
+                combination = sum(dom.mul(c, dom.coerce(columns[i].get(r, 0)))
+                                  for i, c in lam.items())
+                assert dom.is_zero(dom.coerce(combination))
+
+    check()

@@ -41,3 +41,39 @@ def test_no_unused_imports():
                 found += [f"{path.name}:{node.lineno} {name}"
                           for name in _bound_names(node) if name not in used]
     assert found == []
+
+
+def _private_definitions(stmt):
+    """Private names a top-level statement defines (dunders excluded)."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        names = []
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def _read_names(stmt):
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_no_unreferenced_private_names():
+    # a private top-level function, class or constant that nothing else in
+    # the package reads (its own body does not count) is dead code
+    defined, read = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for stmt in tree.body:
+            own = _private_definitions(stmt)
+            defined.update((name, f"{path.name}:{stmt.lineno}") for name in own)
+            read.update(name for name in _read_names(stmt) if name not in own)
+    assert sorted(where + " " + name for name, where in defined.items()
+                  if name not in read) == []
