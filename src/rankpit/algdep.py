@@ -6,6 +6,12 @@ dependent column in graded order, and reconstruct every dependent
 polynomial as a truncated polynomial function of a transcendence basis
 after a good translation, as the first dependency on it in that graded
 stream; both searches ask the one span query `linalg.dependent_columns`.
+An independent tuple is answered before any column is built: a Jacobian
+of rank t at one point of a prime field makes a t x t minor a nonzero
+polynomial, and a minimal annihilator A of a dependent tuple would give the
+nonzero left-kernel vector ((dA/dy_i)(q))_i (if every dA/dy_i vanished, A
+would be a p-th power over the perfect field), so the certificate is exact
+in every characteristic.
 A power-series Newton lift of the annihilator root serves as an
 independent cross-check of the reconstruction, and the whole machinery
 drives the circuit rewrite that replaces a gate's inputs by the homogeneous
@@ -31,6 +37,7 @@ from .util import derive_seed
 _BAREISS_VAR_LIMIT = 24
 _BAREISS_ROW_LIMIT = 12
 _BAREISS_TERM_LIMIT = 200_000
+_CERTIFICATE_PRIME = (1 << 61) - 1
 
 
 @dataclass(frozen=True)
@@ -267,16 +274,71 @@ def find_annihilator(qs: list[Polynomial], cap: int | None = None, *,
 
     The default cap is t*d^(t-1), the annihilator degree bound (k+1)*d^k for
     degree-d inputs of rank k instantiated at the dependent regime k = t-1.
+
+    Before any column is built, the Jacobian is evaluated at one seeded point
+    of a prime field (`_full_rank_at_a_point`).  Rank t there proves that
+    no annihilator exists at any degree, so NoAnnihilatorWithinCap is raised
+    at once; a smaller rank proves nothing and the search runs.  The proof
+    holds in every characteristic.  Rank t at a point makes a t x t minor of
+    the Jacobian a nonzero polynomial.  If the tuple had a minimal-degree
+    annihilator A, the chain rule would make ((dA/dy_i)(q))_i a left-kernel
+    vector of the Jacobian, and that vector is nonzero: if every dA/dy_i were
+    the zero polynomial, A would be B^p over the perfect field, and B a
+    smaller annihilator; a nonzero dA/dy_i has smaller degree than A, so it
+    does not vanish at q.
     """
     t = len(qs)
     if t == 0:
         raise InvalidParams("empty tuple has no annihilator")
-    dom = qs[0].domain
     d = max(1, max(q.degree() for q in qs))
     if cap is None:
         cap = t * d ** (t - 1)
     if cap < 1:
         raise InvalidParams("annihilator cap must be >= 1")
+    for q in qs:
+        qs[0]._check_compat(q)
+    if _full_rank_at_a_point(qs):
+        raise NoAnnihilatorWithinCap(cap)
+    return _search_annihilator(qs, cap, term_cap)
+
+
+def _full_rank_at_a_point(qs: list[Polynomial]) -> bool:
+    """True if the Jacobian of qs has rank t = len(qs) at one point drawn
+    by `derive_seed` from F_p, for a tuple over F_p, or from F_(2^61-1) over
+    Q, where a coefficient n/d maps to n*d^-1 (False, proving nothing, if
+    2^61-1 divides a denominator).  Over Q, reduction mod 2^61-1 is a ring
+    map on such coefficients, so a minor that is nonzero mod 2^61-1 is
+    nonzero over Q.  A tuple with t > nvars is never full rank.
+    """
+    t, nvars = len(qs), qs[0].nvars
+    if t > nvars:
+        return False
+    dom = qs[0].domain
+    field = dom if dom.characteristic else PrimeField(_CERTIFICATE_PRIME)
+    p = field.p
+    rng = random.Random(derive_seed(0, "annihilator-certificate"))
+    point = [rng.randrange(p) for _ in range(nvars)]
+    rows = []
+    for q in qs:
+        row = [0] * nvars
+        for mono, c in q.terms.items():
+            try:
+                c = field.coerce(c)
+            except ZeroDivisionError:
+                return False
+            for v, e in mono:
+                term = c * e * pow(point[v], e - 1, p)
+                for w, f in mono:
+                    if w != v:
+                        term = term * pow(point[w], f, p) % p
+                row[v] = (row[v] + term) % p
+        rows.append(row)
+    return linalg.rank_dense(rows, field) == t
+
+
+def _search_annihilator(qs: list[Polynomial], cap: int, term_cap) -> Annihilator:
+    """The graded column search of `find_annihilator`, without its checks."""
+    t, dom = len(qs), qs[0].domain
     alphas: list[tuple] = []
     columns = _graded_columns(_CompositionTable(qs, term_cap=term_cap), t, cap, alphas)
     _, lam = next(linalg.dependent_columns(columns, dom.characteristic), (None, None))
@@ -293,11 +355,13 @@ def find_annihilator(qs: list[Polynomial], cap: int | None = None, *,
 # good translations
 
 def _sub_annihilator(qs, basis, i: int, term_cap) -> Annihilator:
-    """Annihilator of (basis..., q_i) within the degree bound (k+1)*d^k."""
+    """Annihilator of (basis..., q_i) within the degree bound (k+1)*d^k.
+
+    The sub-tuple is dependent whenever basis is a transcendence basis, so
+    the Jacobian certificate of `find_annihilator` is skipped."""
     sub = [qs[b] for b in basis] + [qs[i]]
     d_sub = max(1, max(q.degree() for q in sub))
-    return find_annihilator(sub, cap=len(sub) * d_sub ** len(basis),
-                            term_cap=term_cap)
+    return _search_annihilator(sub, len(sub) * d_sub ** len(basis), term_cap)
 
 
 def _goodness_certificates(qs, basis, non_basis, annihilators: dict | None,

@@ -145,7 +145,7 @@ def _field_from_flag(spec: str | None):
         except ValueError:
             raise InvalidParams(f"bad --field value {spec!r} (prime:P)") from None
         return PrimeField(modulus)
-    raise RankpitError(f"bad --field value {spec!r} (rational or prime:P)")
+    raise InvalidParams(f"bad --field value {spec!r} (rational or prime:P)")
 
 
 # ----------------------------------------------------------------------
@@ -321,7 +321,7 @@ def _cmd_pit(args) -> tuple[int, str]:
 
 def _cmd_bench(args) -> tuple[int, str]:
     if args.experiment != "separation":
-        raise RankpitError(f"unknown bench experiment {args.experiment!r}")
+        raise InvalidParams(f"unknown bench experiment {args.experiment!r}")
     domain = _field_from_flag(args.field)
     base = nw.NWParams(args.n, args.q, args.e)
     poly = nw.nw_polynomial(base, domain)
@@ -428,6 +428,10 @@ def run(argv) -> tuple[int, str]:
     if args.seed is None:
         args.seed = int(os.environ.get("RANKPIT_SEED", "0"))
     try:
+        for flag in ("cap_expansion", "cap_matrix", "cap_points"):
+            if getattr(args, flag) < 0:
+                raise InvalidParams(f"--{flag.replace('_', '-')} must be >= 0, "
+                                    f"got {getattr(args, flag)}")
         return args.fn(args)
     except RankpitError as exc:
         # the documented attributes (sizes, caps, gate, JSON path, ...) ride along

@@ -300,8 +300,10 @@ def schwartz_zippel_test(c: Circuit, rounds: int = 20, seed: int = 0, *,
     if sample_size < 2 * delta:
         raise FieldTooSmall(
             f"oracle needs at least {2 * delta} scalars, have {sample_size}")
+    if rounds < 1:
+        raise InvalidParams(f"oracle needs at least 1 round, got {rounds}")
     rng = random.Random(derive_seed(seed, "sz"))
-    for _ in range(max(1, rounds)):
+    for _ in range(rounds):
         point = tuple(dom.coerce(rng.randrange(sample_size)) for _ in range(c.nvars))
         if not dom.is_zero(evaluate_circuit(c, point)):
             return SZVerdict(nonzero=True, witness=_verified(c, point), rounds=rounds,
@@ -309,7 +311,7 @@ def schwartz_zippel_test(c: Circuit, rounds: int = 20, seed: int = 0, *,
                              error_bound=Fraction(0))
     return SZVerdict(nonzero=False, witness=None, rounds=rounds,
                      sample_size=sample_size,
-                     error_bound=Fraction(delta, sample_size) ** max(1, rounds))
+                     error_bound=Fraction(delta, sample_size) ** rounds)
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,22 @@
 """Rank certificates, annihilators, translations, reconstruction, rewrite."""
 
+import json
 import random
+from fractions import Fraction
 
 import pytest
 
-from rankpit import algdep, linalg
+from rankpit import algdep, cli, linalg
 from rankpit.algdep import (TranslationSampler, algebraic_rank, find_annihilator,
                             jacobian, newton_reconstruct, reconstruct_dependence,
                             rewrite_circuit, sample_good_translation)
 from rankpit.circuit import Circuit, DeclaredBounds, Gate, OuterExpr, expand
 from rankpit.domains import PrimeField, Rationals
 from rankpit.errors import (BoundViolation, CharacteristicTooSmall,
-                            DerivativeVanishes, NoAnnihilatorWithinCap,
+                            DerivativeVanishes, DimensionMismatch, DomainMismatch,
+                            ExpansionTooLarge, NoAnnihilatorWithinCap,
                             NoGoodTranslation, NoSolutionWithinCap)
-from rankpit.poly import GRLEX, Polynomial, compose
+from rankpit.poly import DEFAULT_TERM_CAP, GRLEX, Polynomial, compose
 
 Q = Rationals()
 FP = PrimeField(1_000_003)
@@ -239,6 +242,102 @@ def test_annihilator_matches_reference_search(dom):
         assert list(got.terms.items()) == list(expected.terms.items())
         found += 1
     assert found >= 40 and missing >= 10
+
+
+# ----------------------------------------------------------------------
+# the Jacobian certificate of find_annihilator
+
+M61 = (1 << 61) - 1
+
+
+@pytest.mark.parametrize("dom", [Q, FP, PrimeField(M61), PrimeField(2), PrimeField(3),
+                                 PrimeField(5)], ids=str)
+def test_certificate_answers_as_the_search(dom):
+    """find_annihilator, certificate first, gives the bare search's answer:
+    the same R in the same term order, or the same cap."""
+    rng = random.Random(83)
+    from test_poly import random_poly
+    certified = found = 0
+    for trial in range(120):
+        nvars = rng.choice([1, 2, 3])
+        t = rng.choice([1, 2, 2, 3, 4])  # t > nvars for some trials
+        qs = [random_poly(rng, dom, nvars, rng.choice([1, 2])) for _ in range(t)]
+        if trial % 4 == 0:  # a zero or constant member
+            qs[rng.randrange(t)] = Polynomial.constant(dom, nvars, rng.choice([0, 1, 5]))
+        d = max(1, max(q.degree() for q in qs))
+        cap = min(t * d ** (t - 1), 4)
+        try:
+            expected = algdep._search_annihilator(qs, cap, DEFAULT_TERM_CAP).R
+        except NoAnnihilatorWithinCap:
+            with pytest.raises(NoAnnihilatorWithinCap) as info:
+                find_annihilator(qs, cap=cap)
+            assert info.value.cap == cap
+            certified += algdep._full_rank_at_a_point(qs)
+            continue
+        assert not algdep._full_rank_at_a_point(qs)
+        got = find_annihilator(qs, cap=cap).R
+        assert list(got.terms.items()) == list(expected.terms.items())
+        found += 1
+    assert certified >= 5 and found >= 60
+
+
+def test_frobenius_tuples_fall_through_to_the_search():
+    """Over F_p the Jacobian of (x^p, y) and of (x, x^p) is singular at every
+    point; the first tuple is independent, the second is not."""
+    f5 = PrimeField(5)
+    a, b = x(0, dom=f5), x(1, dom=f5)
+    for qs in ([a.pow(5), b], [a, a.pow(5)]):
+        assert not algdep._full_rank_at_a_point(qs)
+    with pytest.raises(NoAnnihilatorWithinCap) as info:
+        find_annihilator([a.pow(5), b])
+    assert info.value.cap == 10
+    ann = find_annihilator([a, a.pow(5)])
+    assert ann.R == Polynomial.from_text(f5, 2, "z1^5 - z2", var_prefix="z")
+
+
+def test_certified_tuple_builds_no_column():
+    """p1, p2, p3 in 3 variables are independent: the search would meet
+    term cap 5 at p1^2, the certificate answers first."""
+    qs = [sum((x(i, 3).pow(e) for i in range(3)), Polynomial.zero(Q, 3))
+          for e in (1, 2, 3)]
+    with pytest.raises(ExpansionTooLarge):
+        algdep._search_annihilator(qs, 27, 5)
+    with pytest.raises(NoAnnihilatorWithinCap) as info:
+        find_annihilator(qs, term_cap=5)
+    assert info.value.cap == 27
+
+
+def test_certificate_skipped_when_2_61_minus_1_divides_a_denominator():
+    """(x+y)/(2^61-1) has no image in F_(2^61-1), so the search runs (and
+    meets term cap 2 at its square)."""
+    s, d = x(0) + x(1), x(0) - x(1)
+    with pytest.raises(NoAnnihilatorWithinCap):
+        find_annihilator([s, d], term_cap=2)
+    scaled = s.scale(Fraction(1, M61))
+    assert not algdep._full_rank_at_a_point([scaled, d])
+    with pytest.raises(ExpansionTooLarge):
+        find_annihilator([scaled, d], term_cap=2)
+
+
+def test_mismatched_tuples_are_refused_before_the_certificate():
+    with pytest.raises(DomainMismatch):
+        find_annihilator([x(0), x(1, dom=FP)])
+    with pytest.raises(DimensionMismatch):
+        find_annihilator([x(0), x(1, nvars=3)])
+
+
+def test_huge_exponent_is_certified_at_once(tmp_path):
+    """{x1^(10^9), x2/3 + x1}: the search would build columns up to degree
+    2*10^9; the certificate needs one power mod 2^61-1."""
+    obj = {"field": {"type": "rational"}, "nvars": 2, "polys": [
+        [{"coeff": "1", "mono": {"1": 10**9}}],
+        [{"coeff": "1/3", "mono": {"2": 1}}, {"coeff": "1", "mono": {"1": 1}}],
+    ]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    code, out = cli.run(["annihilate", "--poly-file", str(path), "--json"])
+    error = json.loads(out)
+    assert (code, error["error"], error["cap"]) == (2, "NoAnnihilatorWithinCap", 2 * 10**9)
 
 
 # ----------------------------------------------------------------------

@@ -216,18 +216,33 @@ def test_annihilator_cap_honored(tmp_path):
     assert json.loads(out)["error"] == "NoAnnihilatorWithinCap"
 
 
-def test_expansion_cap_honored(tmp_path):
-    obj = {"field": {"type": "rational"}, "nvars": 6, "polys": [
-        [{"coeff": "1", "mono": {str(i + 1): 1}} for i in range(6)],
-        [{"coeff": "1", "mono": {str(i + 1): 2}} for i in range(6)],
-        [{"coeff": "1", "mono": {str(i + 1): 3}} for i in range(6)],
+def _power_sums_file(tmp_path, nvars, count):
+    obj = {"field": {"type": "rational"}, "nvars": nvars, "polys": [
+        [{"coeff": "1", "mono": {str(i + 1): e}} for i in range(nvars)]
+        for e in range(1, count + 1)
     ]}
-    path = tmp_path / "wide.json"
+    path = tmp_path / "power_sums.json"
     path.write_text(json.dumps(obj))
-    code, out = cli.run(["annihilate", "--poly-file", str(path), "--json",
-                         "--cap-expansion", "20"])
+    return str(path)
+
+
+def test_expansion_cap_honored(tmp_path):
+    """p1..p4 in 3 variables are dependent (t > nvars), so the search runs
+    and meets the term cap."""
+    code, out = cli.run(["annihilate", "--poly-file", _power_sums_file(tmp_path, 3, 4),
+                         "--json", "--cap-expansion", "20"])
     assert code == 2
     assert json.loads(out)["error"] == "ExpansionTooLarge"
+
+
+def test_independent_tuple_is_certified_before_the_term_cap(tmp_path):
+    """p1, p2, p3 in 6 variables are independent: one Jacobian evaluation
+    answers before any column meets the term cap."""
+    code, out = cli.run(["annihilate", "--poly-file", _power_sums_file(tmp_path, 6, 3),
+                         "--json", "--cap-expansion", "20"])
+    assert code == 2
+    error = json.loads(out)
+    assert (error["error"], error["cap"]) == ("NoAnnihilatorWithinCap", 27)
 
 
 def test_nw_prime_field_flag():
@@ -394,3 +409,30 @@ NW_ARGS = ["--n", "2", "--q", "2", "--e", "1"]
 def test_bad_nw_and_bench_inputs_exit_2(argv):
     code, out = cli.run(argv + ["--json"])
     assert (code, json.loads(out)["error"]) == (2, "InvalidParams")
+
+
+@pytest.mark.parametrize("mode", ["oracle", "both"])
+@pytest.mark.parametrize("rounds", ["0", "-1"])
+def test_pit_rejects_fewer_than_one_round(zero_circuit_file, mode, rounds):
+    """The oracle ran one round for these and reported `rounds: 0` or -1."""
+    code, out = cli.run(["pit", "--circuit", zero_circuit_file, "--json",
+                         "--mode", mode, "--rounds", rounds])
+    assert (code, json.loads(out)["error"]) == (2, "InvalidParams")
+
+
+@pytest.mark.parametrize("argv", [
+    ["nw", *NW_ARGS, "--field", "bogus"],
+    ["bench", "separation", *NW_ARGS, "--r", "1", "--m", "1", "--field", "bogus"],
+    ["annihilate", "--poly-file", "E1", "--cap-expansion", "-1"],
+    ["measure", "--poly-file", "E1", "--r", "1", "--m", "1", "--cap-matrix", "-1"],
+    ["pit", "--circuit", "ZERO", "--cap-points", "-1"],
+], ids=["nw-field", "bench-field", "negative-cap-expansion",
+        "negative-cap-matrix", "negative-cap-points"])
+def test_bad_flag_values_are_invalid_params(e1_file, zero_circuit_file, argv):
+    argv = [{"E1": e1_file, "ZERO": zero_circuit_file}.get(a, a) for a in argv]
+    code, out = cli.run(argv + ["--json"])
+    error = json.loads(out)
+    assert (code, error["error"]) == (2, "InvalidParams")
+    flag = next((a for a in argv if a.startswith("--cap-")), None)
+    if flag:
+        assert flag in error["detail"]
