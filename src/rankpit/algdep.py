@@ -20,6 +20,7 @@ components of its basis.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,10 +29,11 @@ from . import linalg
 from .circuit import Circuit, DeclaredBounds, Gate, OuterExpr, _shift_node
 from .domains import PrimeField
 from .errors import (BoundViolation, CharacteristicTooSmall, DerivativeVanishes,
-                     InvalidParams, NoAnnihilatorWithinCap, NoGoodTranslation,
-                     NonConvergence, NoSolutionWithinCap, SymbolicTooLarge)
-from .poly import (DEFAULT_TERM_CAP, Polynomial, compose, divide_exact,
-                   mono_from_dict)
+                     ExpansionTooLarge, InvalidParams, NoAnnihilatorWithinCap,
+                     NoGoodTranslation, NonConvergence, NoSolutionWithinCap,
+                     SymbolicTooLarge)
+from .poly import (DEFAULT_TERM_CAP, Polynomial, _int_terms, compose, divide_exact,
+                   mono_degree, mono_from_dict)
 from .util import derive_seed
 
 _BAREISS_VAR_LIMIT = 24
@@ -227,36 +229,82 @@ def _dense_to_mono(alpha: tuple):
 
 
 class _CompositionTable:
-    """Memoized products prod_j q_j^alpha_j, optionally degree-truncated."""
+    """Memoized products q^alpha = prod_j q_j^alpha_j, |alpha| <= cap, packed,
+    optionally truncated to total degree <= degree_cap.
 
-    def __init__(self, qs: list[Polynomial], degree_cap: int | None = None,
+    x^e packs as the int sum_v e_v*2^(w*v) + deg(x^e)*2^(w*nvars), so a
+    monomial product is a sum of keys and truncation one comparison.  Every
+    product formed has degree <= B = cap*d (order <= cap-1 times a q_j of
+    degree <= d), or degree_cap + d when truncated; 2^w > B, so no field
+    carries.  Over Q, q_j enters as N_j = D_j*q_j (`_int_terms`), the entry
+    is N^alpha = D^alpha*q^alpha, and scaling column alpha by D^alpha != 0
+    keeps every linear dependence (`combination` maps one back).  Terms come
+    in `Polynomial.mul`'s order and cancel where its Fractions do, so term
+    order and the term_cap count are those of the unpacked products.
+    """
+
+    def __init__(self, qs: list[Polynomial], cap: int, degree_cap: int | None = None,
                  term_cap: int | None = DEFAULT_TERM_CAP):
-        self.qs = qs
-        self.degree_cap = degree_cap
-        self.term_cap = term_cap
-        dom, nv = qs[0].domain, qs[0].nvars
-        self.memo = {(0,) * len(qs): Polynomial.constant(dom, nv, dom.one)}
+        self.domain, self.p = qs[0].domain, qs[0].domain.characteristic
+        d = max(q.degree() for q in qs)
+        bound = cap * d if degree_cap is None else degree_cap + d
+        self.width = bound.bit_length()
+        self.shift = self.width * qs[0].nvars
+        self.limit = ((bound if degree_cap is None else degree_cap) + 1) << self.shift
+        self.cap, self.term_cap, self.alphas = cap, term_cap, []
+        int_terms = [_int_terms(q.terms, self.p) for q in qs]
+        self.factors = [[(self.pack(m), c) for m, c in terms] for terms, _ in int_terms]
+        self.dens = [den for _, den in int_terms]
+        self.memo = {(0,) * len(qs): {0: 1}}
 
-    def get(self, alpha: tuple) -> Polynomial:
+    def pack(self, mono) -> int:
+        return sum(e << self.width * v for v, e in mono) + (mono_degree(mono) << self.shift)
+
+    def den(self, alpha: tuple) -> int:  # D^alpha, 1 over F_p
+        return math.prod(map(pow, self.dens, alpha))
+
+    def get(self, alpha: tuple) -> dict:
         memo = self.memo
         if alpha in memo:
             return memo[alpha]
         j = max(i for i, e in enumerate(alpha) if e)
         prev = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]
-        result = self.get(prev).mul(self.qs[j], term_cap=self.term_cap,
-                                    degree_cap=self.degree_cap)
-        memo[alpha] = result
-        return result
+        p, limit, term_cap, factor = self.p, self.limit, self.term_cap, self.factors[j]
+        out: dict = {}
+        for ma, ca in self.get(prev).items():
+            for mb, cb in factor:
+                m = ma + mb
+                if m >= limit:
+                    continue
+                s = out.get(m, 0) + ca * cb
+                if p:
+                    s %= p
+                if s:
+                    out[m] = s
+                else:
+                    out.pop(m, None)
+            if term_cap is not None and len(out) > term_cap:
+                raise ExpansionTooLarge(len(out), term_cap)
+        memo[alpha] = out
+        return out
 
+    def columns(self):
+        """The columns q^alpha, |alpha| <= cap, ascending in GRLEX order of
+        z^alpha; a degree block is built, and its alphas listed, before it is yielded."""
+        for deg in range(self.cap + 1):
+            block = _dense_monos_exact(len(self.factors), deg)
+            self.alphas.extend(block)
+            yield from [self.get(alpha) for alpha in block]
 
-def _graded_columns(table: _CompositionTable, t: int, cap: int, alphas: list):
-    """The columns q^alpha, |alpha| <= cap, ascending in GRLEX order of
-    z^alpha; each degree block is built in full, and its alphas appended to
-    `alphas`, before its first column is yielded."""
-    for deg in range(cap + 1):
-        block = _dense_monos_exact(t, deg)
-        alphas.extend(block)
-        yield from [table.get(alpha).terms for alpha in block]
+    def combination(self, x: dict, den: int) -> Polynomial:
+        """sum_i x_i * D^alpha_i / den * z^alpha_i: the combination x of the
+        streamed packed columns, over den, as a polynomial in the q_j."""
+        alphas = self.alphas
+        if not self.p:
+            x = {i: c * self.den(alphas[i]) / den for i, c in x.items()}
+        return Polynomial(self.domain, len(self.factors),
+                          {_dense_to_mono(alphas[i]): c for i, c in x.items()},
+                          _normalized=True)
 
 
 def find_annihilator(qs: list[Polynomial], cap: int | None = None, *,
@@ -338,14 +386,11 @@ def _full_rank_at_a_point(qs: list[Polynomial]) -> bool:
 
 def _search_annihilator(qs: list[Polynomial], cap: int, term_cap) -> Annihilator:
     """The graded column search of `find_annihilator`, without its checks."""
-    t, dom = len(qs), qs[0].domain
-    alphas: list[tuple] = []
-    columns = _graded_columns(_CompositionTable(qs, term_cap=term_cap), t, cap, alphas)
-    _, lam = next(linalg.dependent_columns(columns, dom.characteristic), (None, None))
+    table = _CompositionTable(qs, cap, term_cap=term_cap)
+    j, lam = next(linalg.dependent_columns(table.columns(), table.p), (None, None))
     if lam is None:
         raise NoAnnihilatorWithinCap(cap)
-    r_poly = Polynomial(dom, t, {_dense_to_mono(alphas[i]): c for i, c in lam.items()},
-                        _normalized=True)
+    r_poly = table.combination(lam, table.den(table.alphas[j]))
     if not compose(r_poly, qs, term_cap=term_cap).is_zero():
         raise AssertionError("kernel element does not annihilate (internal bug)")
     return Annihilator(R=r_poly, degree=r_poly.degree())
@@ -451,14 +496,13 @@ def reconstruct_dependence(qs: list[Polynomial], basis, a, *,
             f_map[i] = Polynomial.constant(dom, 0, target.coefficient(()))
             continue
         cap_i = max(1, d_i * (k + 1) * d ** k)
-        table = _CompositionTable(b_polys, degree_cap=d_i, term_cap=term_cap)
-        alphas: list[tuple] = []
-        x = linalg.span_coefficients(
-            target.terms, _graded_columns(table, k, cap_i, alphas), dom)
+        table = _CompositionTable(b_polys, cap_i, degree_cap=d_i, term_cap=term_cap)
+        terms, den = _int_terms(target.terms, table.p)
+        x = linalg.span_coefficients({table.pack(m): c for m, c in terms},
+                                     table.columns(), dom)
         if x is None:
             raise NoSolutionWithinCap(i, cap_i)
-        solution = Polynomial(dom, k, {_dense_to_mono(alphas[j]): c for j, c in x.items()},
-                              _normalized=True)
+        solution = table.combination(x, den)
         composed = compose(solution, b_polys, term_cap=term_cap)
         if composed.homogeneous_le(d_i) != target:
             raise AssertionError("witness failed exact verification (internal bug)")

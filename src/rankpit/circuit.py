@@ -405,7 +405,7 @@ def _gate_to_json(g: Gate, domain) -> dict:
 
 def parse_nvars(value) -> int:
     """The "nvars" entry of a circuit or poly file: a nonnegative int."""
-    if not isinstance(value, int) or value < 0:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise CircuitSyntaxError("nvars must be a nonnegative integer", path="$.nvars")
     return value
 

@@ -33,10 +33,14 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
         return b
     if not b:
         return a
-    d = dict(a)
-    for v, e in b:
-        d[v] = d.get(v, 0) + e
-    return tuple(sorted(d.items()))
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):  # merge by variable; a shared one adds
+        (va, ea), (vb, eb) = a[i], b[j]
+        out.append((va, ea + eb) if va == vb else a[i] if va < vb else b[j])
+        i += va <= vb
+        j += vb <= va
+    return (*out, *a[i:], *b[j:])
 
 
 def mono_degree(a: Mono) -> int:
@@ -487,7 +491,9 @@ class Polynomial:
             mono_d = {}
             for v_str, e in item.get("mono", {}).items():
                 v = int(v_str) - 1
-                if not (0 <= v < nvars) or not isinstance(e, int) or e <= 0:
+                if isinstance(e, bool) or not isinstance(e, int):
+                    raise TypeError(f"exponent of x{v_str} is not an integer: {e!r}")
+                if not (0 <= v < nvars) or e <= 0:
                     raise InvalidParams(f"bad monomial entry {v_str}:{e}")
                 mono_d[v] = e
             m = mono_from_dict(mono_d)

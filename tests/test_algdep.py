@@ -16,7 +16,7 @@ from rankpit.errors import (BoundViolation, CharacteristicTooSmall,
                             DerivativeVanishes, DimensionMismatch, DomainMismatch,
                             ExpansionTooLarge, NoAnnihilatorWithinCap,
                             NoGoodTranslation, NoSolutionWithinCap)
-from rankpit.poly import DEFAULT_TERM_CAP, GRLEX, Polynomial, compose
+from rankpit.poly import DEFAULT_TERM_CAP, GRLEX, Polynomial, compose, mono_from_dict
 
 Q = Rationals()
 FP = PrimeField(1_000_003)
@@ -174,15 +174,25 @@ def _canonical_kernel_poly(polys):
     return by_lead[min(by_lead, key=GRLEX.key)]
 
 
+def _power_product(qs, alpha, degree_cap=None, term_cap=None):
+    """q^alpha = prod_j q_j^alpha_j by public `Polynomial.mul` products,
+    truncated after each one when degree_cap is given."""
+    dom, nvars = qs[0].domain, qs[0].nvars
+    out = Polynomial.constant(dom, nvars, dom.one)
+    for q, e in zip(qs, alpha):
+        for _ in range(e):
+            out = out.mul(q, degree_cap=degree_cap, term_cap=term_cap)
+    return out
+
+
 def _reference_annihilator(qs, cap):
     """The earlier search: at each degree D, the kernel of the dense matrix
     of every column q^alpha with |alpha| <= D, canonicalized."""
     t, dom = len(qs), qs[0].domain
-    table = algdep._CompositionTable(qs)
     columns = algdep._dense_monos_exact(t, 0)
     for deg in range(1, cap + 1):
         columns = columns + algdep._dense_monos_exact(t, deg)
-        entries = [table.get(alpha).terms for alpha in columns]
+        entries = [_power_product(qs, alpha).terms for alpha in columns]
         row_index = {}
         for terms in entries:
             for mono in terms:
@@ -242,6 +252,150 @@ def test_annihilator_matches_reference_search(dom):
         assert list(got.terms.items()) == list(expected.terms.items())
         found += 1
     assert found >= 40 and missing >= 10
+
+
+# ----------------------------------------------------------------------
+# the packed composition table against public products
+
+def _unpacked(table, nvars, alpha) -> dict:
+    """The entry for alpha as the terms of q^alpha: each key decoded field
+    by field (its degree field must agree), each coefficient over D^alpha."""
+    w, mask = table.width, (1 << table.width) - 1
+    out = {}
+    for key, c in table.get(alpha).items():
+        mono = tuple((v, key >> w * v & mask) for v in range(nvars) if key >> w * v & mask)
+        assert key >> table.shift == sum(e for _, e in mono)
+        out[mono] = c if table.p else Fraction(c, table.den(alpha))
+    return out
+
+
+def _assert_entries_are_products(table, qs, degree_cap):
+    list(table.columns())
+    for alpha in table.alphas:
+        expected = _power_product(qs, alpha, degree_cap).terms
+        assert list(_unpacked(table, qs[0].nvars, alpha).items()) == list(expected.items())
+
+
+def _fractional_poly(rng, dom, nvars, max_exp=2):
+    """Random terms; over Q the coefficients have denominators among 1, 2,
+    3, 5, 7 and either sign, over F_p they are the numerators."""
+    terms = {}
+    for _ in range(rng.randrange(1, 5)):
+        mono = mono_from_dict({rng.randrange(nvars): rng.randrange(1, max_exp + 1)
+                               for _ in range(rng.randrange(3))})
+        c = Fraction(rng.randrange(-9, 10), rng.choice([1, 2, 3, 5, 7]))
+        terms[mono] = c if dom == Q else c.numerator
+    return Polynomial(dom, nvars, terms)
+
+
+@pytest.mark.parametrize("dom", [Q, FP, PrimeField(2), PrimeField((1 << 61) - 1)], ids=str)
+def test_packed_entries_are_the_public_products(dom):
+    """Over Q the members have several distinct denominators and negative
+    coefficients; every tuple also holds a zero and a constant member."""
+    rng = random.Random(97)
+    for trial in range(12):
+        nvars = rng.choice([1, 2, 3])
+        qs = [_fractional_poly(rng, dom, nvars) for _ in range(rng.choice([1, 2]))]
+        qs.insert(rng.randrange(len(qs) + 1), Polynomial.zero(dom, nvars))
+        qs.insert(rng.randrange(len(qs) + 1),
+                  Polynomial.constant(dom, nvars, Fraction(5, 3) if dom == Q else 5))
+        for degree_cap in (None, 0, 1, 3):
+            table = algdep._CompositionTable(qs, 3, degree_cap=degree_cap)
+            _assert_entries_are_products(table, qs, degree_cap)
+
+
+@pytest.mark.parametrize("dom", [Q, FP], ids=str)
+def test_packed_table_round_trips_at_its_width_bound(dom):
+    """x1^2 at |alpha| = cap = 4 is x1^8, whose exponent equals the bound
+    B = cap*d = 8 that sets the width (4 bits; 3 would carry).  The
+    truncated table forms products of degree up to degree_cap + 5 from a
+    member of degree 5 above degree_cap = 3."""
+    x1, x2 = x(0, dom=dom), x(1, dom=dom)
+    qs = [x1.pow(2).scale(Fraction(1, 3) if dom == Q else 3), x2]
+    table = algdep._CompositionTable(qs, 4)
+    _assert_entries_are_products(table, qs, None)
+    assert list(_unpacked(table, 2, (4, 0))) == [((0, 8),)]
+    qs = [x1.pow(5) + x1 * x2 + x2, x1 + x2.scale(2)]
+    _assert_entries_are_products(algdep._CompositionTable(qs, 6, degree_cap=3), qs, 3)
+
+
+@pytest.mark.parametrize("dom", [Q, FP], ids=str)
+@pytest.mark.parametrize("term_cap", [1, 4, 9, 20])
+def test_packed_table_meets_the_term_cap_as_mul_does(dom, term_cap):
+    """The first entry to pass term_cap raises ExpansionTooLarge with the
+    count that the same chain of public products raises with."""
+    a, b, c = (x(i, 3, dom) for i in range(3))
+    qs = [a.scale(Fraction(1, 2) if dom == Q else 2) + b + c,
+          a * a + b * b.scale(Fraction(-2, 3) if dom == Q else 5) + c * c]
+    table = algdep._CompositionTable(qs, 5, term_cap=term_cap)
+    for alpha in [al for deg in range(6) for al in algdep._dense_monos_exact(2, deg)]:
+        try:
+            _power_product(qs, alpha, term_cap=term_cap)
+        except ExpansionTooLarge as err:
+            with pytest.raises(ExpansionTooLarge) as info:
+                table.get(alpha)
+            assert (info.value.terms, info.value.cap) == (err.terms, err.cap)
+            return
+        table.get(alpha)
+    pytest.fail("no entry passed the term cap")
+
+
+def test_searches_map_packed_columns_back_over_q():
+    """Members with distinct denominators, so that each packed column is
+    D^alpha != 1 times q^alpha: both searches give the reference answers."""
+    rng = random.Random(101)
+
+    def nonconstant(nvars):
+        while True:
+            q = _fractional_poly(rng, Q, nvars, max_exp=1)
+            if q.degree() >= 1 and any(c.denominator > 1 for c in q.terms.values()):
+                return q
+
+    found = 0
+    for trial in range(12):
+        nvars = rng.choice([2, 3])
+        base = [nonconstant(nvars) for _ in range(rng.choice([1, 2]))]
+        outer = _fractional_poly(rng, Q, len(base))
+        qs = base + [compose(outer + Polynomial.variable(Q, len(base), 0).pow(2), base)]
+        cap = min(len(qs) * max(q.degree() for q in qs) ** (len(qs) - 1), 4)
+        try:
+            expected = _reference_annihilator(qs, cap)
+        except NoAnnihilatorWithinCap:
+            expected = None
+        if expected is not None:
+            got = find_annihilator(qs, cap=cap).R
+            assert list(got.terms.items()) == list(expected.terms.items())
+            found += 1
+        a = tuple(Fraction(rng.randrange(-3, 4)) for _ in range(nvars))
+        basis = tuple(range(len(base)))
+        witness = _reference_reconstruct(qs, basis, a)
+        got = reconstruct_dependence(qs, basis, a).F
+        assert list(got[len(base)].terms.items()) == list(witness[len(base)].terms.items())
+    assert found >= 6
+
+
+@pytest.mark.parametrize("dom", [Q, FP], ids=str)
+def test_a_corrupted_column_is_caught_by_the_exact_checks(dom, monkeypatch):
+    """Doubling one streamed column (a wrong D^alpha, say) makes each search
+    raise at its exact check; neither returns a wrong polynomial."""
+    qs = [x(0, dom=dom), x(0, dom=dom).pow(2)]
+    assert find_annihilator(qs).R == Polynomial.from_text(dom, 2, "z1^2 - z2",
+                                                           var_prefix="z")
+    assert reconstruct_dependence(qs, (0,), (0, 0)).F[1].degree() == 2
+    columns = algdep._CompositionTable.columns
+    corrupt_at = []
+
+    def corrupted(table):
+        for n, col in enumerate(columns(table)):
+            yield {m: 2 * c for m, c in col.items()} if n in corrupt_at else col
+
+    monkeypatch.setattr(algdep._CompositionTable, "columns", corrupted)
+    corrupt_at[:] = [1]  # the column q_2 of the search 1, q_2, q_1, ...
+    with pytest.raises(AssertionError, match="does not annihilate"):
+        find_annihilator(qs)
+    corrupt_at[:] = [2]  # the column x^2 of the witness search 1, x, x^2
+    with pytest.raises(AssertionError, match="failed exact verification"):
+        reconstruct_dependence(qs, (0,), (0, 0))
 
 
 # ----------------------------------------------------------------------
@@ -531,10 +685,9 @@ def _reference_reconstruct(qs, basis, a):
         d_i = qs[i].degree()
         target = qs[i].translate(a).terms
         cap_i = max(1, d_i * (k + 1) * d ** k)
-        table = algdep._CompositionTable(b_polys, degree_cap=d_i)
         for dd in range(1, cap_i + 1):
             alphas = [al for e in range(dd + 1) for al in algdep._dense_monos_exact(k, e)]
-            entries = [table.get(al).terms for al in alphas] + [target]
+            entries = [_power_product(b_polys, al, d_i).terms for al in alphas] + [target]
             row_index = {}
             for terms in entries:
                 for mono in terms:

@@ -318,6 +318,23 @@ def test_bad_nvars_and_empty_tuple_exit_2(tmp_path, command, nvars, polys, error
         assert payload["path"] == "$.nvars"
 
 
+@pytest.mark.parametrize("edit, where", [
+    (lambda obj: obj["polys"][0][0]["mono"].update({"1": True}), "$.polys[0]"),
+    (lambda obj: obj.update(nvars=True), "$.nvars"),
+], ids=["boolean-exponent", "boolean-nvars"])
+def test_json_booleans_are_not_integers(tmp_path, edit, where):
+    """Read as the integer 1, either `true` made a valid tuple (x1, x1^2) with
+    the annihilator z1^2 - z2; a JSON boolean is no integer."""
+    obj = {"field": {"type": "rational"}, "nvars": 1,
+           "polys": [[{"coeff": "1", "mono": {"1": 1}}], [{"coeff": "1", "mono": {"1": 2}}]]}
+    edit(obj)
+    path = tmp_path / "polys.json"
+    path.write_text(json.dumps(obj))
+    code, out = cli.run(["annihilate", "--poly-file", str(path), "--json"])
+    payload = json.loads(out)
+    assert (code, payload["error"], payload["path"]) == (2, "CircuitSyntaxError", where)
+
+
 def test_malformed_poly_file_reports_json_path(tmp_path):
     path = tmp_path / "bad_term.json"
     for polys, where in [

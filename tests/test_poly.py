@@ -254,6 +254,26 @@ def test_mul_matches_reference_loop(pair, degree_cap, term_cap):
     assert [type(c) for c in got.values()] == [type(c) for c in expected.values()]
 
 
+def _reference_mono_mul(a, b):
+    """The dict-and-sort product that the merge in mono_mul replaced."""
+    d = dict(a)
+    for v, e in b:
+        d[v] = d.get(v, 0) + e
+    return tuple(sorted(d.items()))
+
+
+_SPARSE_MONO = st.dictionaries(st.integers(0, 7), st.integers(1, 4), max_size=5).map(
+    mono_from_dict)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SPARSE_MONO, _SPARSE_MONO)
+def test_mono_mul_merge_matches_dict_and_sort(a, b):
+    got = mono_mul(a, b)
+    assert type(got) is tuple
+    assert got == _reference_mono_mul(a, b) == mono_mul(b, a)
+
+
 # ----------------------------------------------------------------------
 # composition
 
