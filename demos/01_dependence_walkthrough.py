@@ -23,10 +23,12 @@ print("tuple:")
 for i, q in enumerate(triple):
     print(f"  q{i + 1} =", q.to_text())
 
-# 1. rank certificate (both routes agree)
+# 1. rank certificate (both routes agree): the certified rank is proved by a
+#    Jacobian point (>=) and a checked annihilator per non-basis q_i (<=)
 sym = algebraic_rank(triple, mode="symbolic")
 rand = algebraic_rank(triple, mode="randomized", seed=0)
-print("\nsymbolic rank:", sym.rank, "basis:", [b + 1 for b in sym.basis_indices])
+print("\ncertified rank:", sym.rank, "basis:", [b + 1 for b in sym.basis_indices],
+      f"({sym.method})")
 print("randomized rank:", rand.rank, "(error bound", rand.error_bound, ")")
 
 # 2. the minimal annihilator: the first dependent column in graded order

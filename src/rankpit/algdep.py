@@ -1,17 +1,20 @@
 """Algebraic rank, annihilating polynomials, and functional dependence.
 
-The constructive core: certify the algebraic rank of a polynomial tuple via
-the Jacobian criterion, exhibit a minimal-degree annihilator as the first
-dependent column in graded order, and reconstruct every dependent
-polynomial as a truncated polynomial function of a transcendence basis
-after a good translation, as the first dependency on it in that graded
-stream; both searches ask the one span query `linalg.dependent_columns`.
-An independent tuple is answered before any column is built: a Jacobian
-of rank t at one point of a prime field makes a t x t minor a nonzero
-polynomial, and a minimal annihilator A of a dependent tuple would give the
-nonzero left-kernel vector ((dA/dy_i)(q))_i (if every dA/dy_i vanished, A
-would be a p-th power over the perfect field), so the certificate is exact
-in every characteristic.
+The constructive core: certify the algebraic rank of a polynomial tuple,
+exhibit a minimal-degree annihilator as the first dependent column in
+graded order, and reconstruct every dependent polynomial as a truncated
+polynomial function of a transcendence basis after a good translation, as
+the first dependency on it in that graded stream; both searches ask the one
+span query `linalg.dependent_columns`.
+Both bounds of the exact rank are checked.  A Jacobian of rank r at one
+point of a prime field makes an r x r minor a nonzero polynomial.  If those
+r polynomials had a minimal annihilator A, the chain rule would make
+((dA/dy_i)(q))_i a nonzero left-kernel vector of their Jacobian (if every
+dA/dy_i vanished, A would be a p-th power over the perfect field; a nonzero
+one has smaller degree than A, so it does not vanish at q).  So rank >= r
+in every characteristic, and an annihilator of the r plus any other q_i,
+checked by composing it to zero, gives rank <= r.  The same point answers
+an independent tuple before any annihilator column is built.
 A power-series Newton lift of the annihilator root serves as an
 independent cross-check of the reconstruction, and the whole machinery
 drives the circuit rewrite that replaces a gate's inputs by the homogeneous
@@ -31,22 +34,20 @@ from .domains import PrimeField
 from .errors import (BoundViolation, CharacteristicTooSmall, DerivativeVanishes,
                      ExpansionTooLarge, InvalidParams, NoAnnihilatorWithinCap,
                      NoGoodTranslation, NonConvergence, NoSolutionWithinCap,
-                     SymbolicTooLarge)
-from .poly import (DEFAULT_TERM_CAP, Polynomial, _int_terms, compose, divide_exact,
-                   mono_degree, mono_from_dict)
+                     RankNotCertified)
+from .poly import (DEFAULT_TERM_CAP, Polynomial, _int_terms, compose, mono_degree,
+                   mono_from_dict)
 from .util import derive_seed
 
-_BAREISS_VAR_LIMIT = 24
-_BAREISS_ROW_LIMIT = 12
-_BAREISS_TERM_LIMIT = 200_000
 _CERTIFICATE_PRIME = (1 << 61) - 1
+_CERTIFY_ATTEMPTS = 3
 
 
 @dataclass(frozen=True)
 class RankCertificate:
     rank: int
     basis_indices: tuple
-    method: str                      # "jacobian-randomized" | "jacobian-symbolic"
+    method: str                      # "jacobian-randomized" | "jacobian-certified"
     evaluation_points: tuple = ()
     security: int | None = None
     error_bound: Fraction | None = None
@@ -105,50 +106,6 @@ def _check_jacobian_characteristic(qs):
             f"rank criterion needs char 0 or p > {prod}, have p = {dom.characteristic}")
 
 
-def _bareiss_rank(matrix: list[list[Polynomial]]) -> int:
-    """Fraction-free elimination rank of a polynomial matrix over its domain."""
-    if not matrix or not matrix[0]:
-        return 0
-    nrows, ncols = len(matrix), len(matrix[0])
-    if nrows > _BAREISS_ROW_LIMIT or ncols > _BAREISS_VAR_LIMIT:
-        raise SymbolicTooLarge(f"{nrows}x{ncols} symbolic matrix is beyond desk scale")
-    a = [list(row) for row in matrix]
-    dom = a[0][0].domain
-    nv = a[0][0].nvars
-    one = Polynomial.constant(dom, nv, dom.one)
-    prev = one
-    used_cols: set[int] = set()
-    r = 0
-    while r < nrows:
-        pivot = None
-        for j in range(ncols):
-            if j in used_cols:
-                continue
-            for i in range(r, nrows):
-                if not a[i][j].is_zero():
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        pi, pj = pivot
-        a[r], a[pi] = a[pi], a[r]
-        used_cols.add(pj)
-        for i in range(r + 1, nrows):
-            for j in range(ncols):
-                if j == pj:
-                    continue
-                num = a[r][pj].mul(a[i][j]) - a[i][pj].mul(a[r][j])
-                a[i][j] = divide_exact(num, prev)
-                if a[i][j].num_terms() > _BAREISS_TERM_LIMIT:
-                    raise SymbolicTooLarge("entry blow-up during elimination")
-            a[i][pj] = Polynomial.zero(dom, nv)
-        prev = a[r][pj]
-        r += 1
-    return r
-
-
 def algebraic_rank(qs: list[Polynomial], mode: str = "randomized", *,
                    seed: int = 0, security: int = 30,
                    trials: int = 3) -> RankCertificate:
@@ -157,30 +114,21 @@ def algebraic_rank(qs: list[Polynomial], mode: str = "randomized", *,
     Randomized mode evaluates the Jacobian at `trials` points drawn from a
     scalar set of size >= 2*t*d*2^security and reports the maximum rank seen:
     one-sided, never above the true rank, below it with probability at most
-    (t*d/|S|)^trials.  Symbolic mode is exact fraction-free elimination over
-    the function field (desk instances only).  The basis is the greedy
-    matroid scan: keep q_i whenever it raises the rank.
+    (t*d/|S|)^trials.  The basis is the greedy matroid scan at the best
+    point: keep q_i whenever it raises the rank.  Symbolic mode is exact in
+    every characteristic: the greedy basis at one Jacobian point is proved
+    independent, and every other q_i is proved algebraic over it by a
+    checked annihilator (`_certified_rank`); it never returns a guess.
     """
-    t = len(qs)
-    if t == 0:
-        return RankCertificate(0, (), f"jacobian-{mode}")
-    jac = jacobian(qs)
-    dom = qs[0].domain
-
     if mode == "symbolic":
-        rank = _bareiss_rank(jac)
-        basis: list[int] = []
-        for i in range(t):
-            if len(basis) == rank:
-                break
-            cand = [jac[b] for b in basis] + [jac[i]]
-            if _bareiss_rank(cand) > len(basis):
-                basis.append(i)
-        return RankCertificate(rank, tuple(basis), "jacobian-symbolic")
-
+        return _certified_rank(qs, seed, DEFAULT_TERM_CAP)[0]
     if mode != "randomized":
         raise InvalidParams(f"unknown rank mode {mode!r}")
-
+    t = len(qs)
+    if t == 0:
+        return RankCertificate(0, (), "jacobian-randomized")
+    jac = jacobian(qs)
+    dom = qs[0].domain
     d = max(1, max(q.degree() for q in qs))
     target = 2 * t * d * (1 << security)
     if isinstance(dom, PrimeField):
@@ -200,13 +148,41 @@ def algebraic_rank(qs: list[Polynomial], mode: str = "randomized", *,
         if rk > best_rank:
             best_rank = rk
             best_matrix = numeric
-    dependent = {j for j, _ in linalg.dependent_columns(
-        (dict(enumerate(row)) for row in best_matrix), dom.characteristic)}
-    basis = [i for i in range(t) if i not in dependent]
+    basis = _independent_rows(best_matrix, dom.characteristic)
     bound = (Fraction(t * d, size)) ** max(1, trials)
     return RankCertificate(best_rank, tuple(basis), "jacobian-randomized",
                            evaluation_points=tuple(points), security=security,
                            error_bound=bound)
+
+
+def _independent_rows(rows, p: int) -> list[int]:
+    """The greedy row basis: the rows that no earlier rows span."""
+    dependent = {j for j, _ in linalg.dependent_columns(
+        (dict(enumerate(row)) for row in rows), p)}
+    return [i for i in range(len(rows)) if i not in dependent]
+
+
+def _certified_rank(qs: list[Polynomial], seed: int,
+                    term_cap) -> tuple[RankCertificate, dict]:
+    """The exact rank of qs, with the annihilator of (basis, q_i) for every
+    non-basis i, proved as the module docstring says.  An unlucky point, or
+    a tuple such as (x^p, y) whose Jacobian is singular everywhere, leaves a
+    search without an annihilator within its cap: the next point is tried,
+    and RankNotCertified is raised after _CERTIFY_ATTEMPTS points."""
+    if not qs:
+        return RankCertificate(0, (), "jacobian-certified"), {}
+    for q in qs:
+        qs[0]._check_compat(q)
+    for attempt in range(_CERTIFY_ATTEMPTS):
+        basis = _point_basis(qs, derive_seed(seed, "certified-rank", attempt))
+        try:
+            annihilators = {i: _sub_annihilator(qs, basis, i, term_cap)
+                            for i in range(len(qs)) if i not in basis}
+        except NoAnnihilatorWithinCap:
+            continue
+        return (RankCertificate(len(basis), tuple(basis), "jacobian-certified"),
+                annihilators)
+    raise RankNotCertified(_CERTIFY_ATTEMPTS)
 
 
 # ----------------------------------------------------------------------
@@ -324,16 +300,10 @@ def find_annihilator(qs: list[Polynomial], cap: int | None = None, *,
     degree-d inputs of rank k instantiated at the dependent regime k = t-1.
 
     Before any column is built, the Jacobian is evaluated at one seeded point
-    of a prime field (`_full_rank_at_a_point`).  Rank t there proves that
-    no annihilator exists at any degree, so NoAnnihilatorWithinCap is raised
-    at once; a smaller rank proves nothing and the search runs.  The proof
-    holds in every characteristic.  Rank t at a point makes a t x t minor of
-    the Jacobian a nonzero polynomial.  If the tuple had a minimal-degree
-    annihilator A, the chain rule would make ((dA/dy_i)(q))_i a left-kernel
-    vector of the Jacobian, and that vector is nonzero: if every dA/dy_i were
-    the zero polynomial, A would be B^p over the perfect field, and B a
-    smaller annihilator; a nonzero dA/dy_i has smaller degree than A, so it
-    does not vanish at q.
+    of a prime field (`_full_rank_at_a_point`).  Rank t there proves, in
+    every characteristic, that no annihilator exists at any degree (see the
+    module docstring), so NoAnnihilatorWithinCap is raised at once; a
+    smaller rank proves nothing and the search runs.
     """
     t = len(qs)
     if t == 0:
@@ -351,29 +321,34 @@ def find_annihilator(qs: list[Polynomial], cap: int | None = None, *,
 
 
 def _full_rank_at_a_point(qs: list[Polynomial]) -> bool:
-    """True if the Jacobian of qs has rank t = len(qs) at one point drawn
-    by `derive_seed` from F_p, for a tuple over F_p, or from F_(2^61-1) over
-    Q, where a coefficient n/d maps to n*d^-1 (False, proving nothing, if
-    2^61-1 divides a denominator).  Over Q, reduction mod 2^61-1 is a ring
-    map on such coefficients, so a minor that is nonzero mod 2^61-1 is
-    nonzero over Q.  A tuple with t > nvars is never full rank.
+    """True if the Jacobian of qs has rank t = len(qs) at one fixed point
+    (`_jacobian_at_a_point`); never for t > nvars."""
+    return len(_point_basis(qs, derive_seed(0, "annihilator-certificate"))) == len(qs)
+
+
+def _point_basis(qs: list[Polynomial], seed: int) -> list[int]:
+    """The greedy basis of the Jacobian rows of qs at one seeded point."""
+    p = qs[0].domain.characteristic or _CERTIFICATE_PRIME
+    return _independent_rows(_jacobian_at_a_point(qs, seed), p)
+
+
+def _jacobian_at_a_point(qs: list[Polynomial], seed: int) -> list[list[int]]:
+    """Rows of the Jacobian of qs at one point drawn by `seed` from F_p, for
+    a tuple over F_p, or from F_(2^61-1) over Q, as residues mod that prime.
+
+    Over Q, row i is the Jacobian of the integer polynomial D_i*q_i
+    (`_int_terms`): scaling a row by D_i != 0 keeps every rank, and
+    reduction mod 2^61-1 is a ring map on integer coefficients, so a minor
+    that is nonzero mod 2^61-1 is nonzero over Q.
     """
-    t, nvars = len(qs), qs[0].nvars
-    if t > nvars:
-        return False
-    dom = qs[0].domain
-    field = dom if dom.characteristic else PrimeField(_CERTIFICATE_PRIME)
-    p = field.p
-    rng = random.Random(derive_seed(0, "annihilator-certificate"))
+    nvars, char = qs[0].nvars, qs[0].domain.characteristic
+    p = char or _CERTIFICATE_PRIME
+    rng = random.Random(seed)
     point = [rng.randrange(p) for _ in range(nvars)]
     rows = []
     for q in qs:
         row = [0] * nvars
-        for mono, c in q.terms.items():
-            try:
-                c = field.coerce(c)
-            except ZeroDivisionError:
-                return False
+        for mono, c in _int_terms(q.terms, char)[0]:
             for v, e in mono:
                 term = c * e * pow(point[v], e - 1, p)
                 for w, f in mono:
@@ -381,7 +356,7 @@ def _full_rank_at_a_point(qs: list[Polynomial]) -> bool:
                         term = term * pow(point[w], f, p) % p
                 row[v] = (row[v] + term) % p
         rows.append(row)
-    return linalg.rank_dense(rows, field) == t
+    return rows
 
 
 def _search_annihilator(qs: list[Polynomial], cap: int, term_cap) -> Annihilator:
@@ -607,8 +582,7 @@ def newton_reconstruct(qs: list[Polynomial], basis, a, i: int,
 # ----------------------------------------------------------------------
 # circuit rewrite: inner lists become homogeneous components of a basis
 
-def rewrite_circuit(c: Circuit, seed: int = 0, *, rank_mode: str = "symbolic",
-                    max_retries: int = 10,
+def rewrite_circuit(c: Circuit, seed: int = 0, *, max_retries: int = 10,
                     term_cap: int | None = DEFAULT_TERM_CAP) -> tuple[Circuit, tuple]:
     """Rewrite every gate over the homogeneous components of its basis.
 
@@ -621,20 +595,15 @@ def rewrite_circuit(c: Circuit, seed: int = 0, *, rank_mode: str = "symbolic",
     if dom.characteristic != 0:
         raise CharacteristicTooSmall("the rewrite requires a characteristic-zero domain")
     nvars = c.nvars
-    certs = []
+    # one shared grid: union bound over every goodness certificate
+    certs, all_ls, total_nonbasis = [], [], 0
     for gi, g in enumerate(c.gates):
-        cert = algebraic_rank(g.inner, mode=rank_mode, seed=derive_seed(seed, "rank", gi))
+        cert, anns = _certified_rank(g.inner, derive_seed(seed, "rank", gi), term_cap)
         if cert.rank > c.declared.k:
             raise BoundViolation(gi, "k", c.declared.k, cert.rank)
         certs.append(cert)
-
-    # one shared grid: union bound over every goodness certificate
-    all_ls = []
-    total_nonbasis = 0
-    for g, cert in zip(c.gates, certs):
-        nb = [i for i in range(len(g.inner)) if i not in cert.basis_indices]
-        total_nonbasis += len(nb)
-        all_ls += _goodness_certificates(g.inner, cert.basis_indices, nb, None,
+        total_nonbasis += len(anns)
+        all_ls += _goodness_certificates(g.inner, cert.basis_indices, list(anns), anns,
                                          term_cap)
     k_max = max((cert.rank for cert in certs), default=0)
     d_max = max((q.degree() for g in c.gates for q in g.inner), default=1)

@@ -30,6 +30,13 @@ _MALFORMED = (AttributeError, KeyError, TypeError, ValueError,
               ZeroDivisionError, OverflowError)
 
 
+def _json_int(value) -> int:
+    """value if it is a JSON integer: true, 2.9 and "2" raise TypeError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 class OuterExpr:
     """Expression DAG over t formal inputs: +, *, constants, polynomial calls.
 
@@ -170,9 +177,9 @@ class OuterExpr:
         if not isinstance(dag, dict):
             raise CircuitSyntaxError("outer must be \"product\" or {\"dag\": ...}", path=path)
         try:
-            arity = int(dag["arity"])
+            arity = _json_int(dag["arity"])
             nodes_json = dag["nodes"]
-            root = int(dag["root"])
+            root = _json_int(dag["root"])
         except _MALFORMED as exc:
             raise CircuitSyntaxError(f"bad dag object: {exc}", path=path) from None
         if not isinstance(nodes_json, list):
@@ -194,13 +201,13 @@ def _node_from_json(nj: dict, domain) -> tuple:
     """One DAG node tuple; malformed JSON raises InvalidParams or a _MALFORMED error."""
     op = nj.get("op")
     if op == "input":
-        return ("input", int(nj["index"]) - 1)
+        return ("input", _json_int(nj["index"]) - 1)
     if op == "const":
         return ("const", domain.parse(nj["value"]))
     if op in ("add", "mul"):
-        return (op, tuple(int(a) for a in nj["args"]))
+        return (op, tuple(map(_json_int, nj["args"])))
     if op == "call":
-        args = tuple(int(a) for a in nj["args"])
+        args = tuple(map(_json_int, nj["args"]))
         return ("call", Polynomial.terms_from_json(domain, len(args), nj["poly"]), args)
     raise InvalidParams(f"unknown dag op {op!r}")
 
@@ -428,7 +435,7 @@ def parse(text: str) -> Circuit:
     nvars = parse_nvars(obj["nvars"])
     dec = obj["declared"]
     try:
-        declared = DeclaredBounds(d=int(dec["d"]), k=int(dec["k"]), delta=int(dec["delta"]))
+        declared = DeclaredBounds(*(_json_int(dec[key]) for key in ("d", "k", "delta")))
     except _MALFORMED as exc:
         raise CircuitSyntaxError(f"bad declared bounds: {exc}", path="$.declared") from None
     if not isinstance(obj["gates"], list):
@@ -450,10 +457,10 @@ def parse(text: str) -> Circuit:
             outer = "product"
         else:
             outer = OuterExpr.from_json(gobj["outer"], domain, path=f"{path}.outer")
-        rank_bound = gobj.get("k")
         try:
+            rank_bound = None if gobj.get("k") is None else _json_int(gobj["k"])
             gates.append(Gate(outer, inner, rank_bound=rank_bound))
-        except InvalidParams as exc:
+        except (InvalidParams, TypeError) as exc:
             raise CircuitSyntaxError(str(exc), path=path) from None
     return Circuit(domain, nvars, declared, gates)
 

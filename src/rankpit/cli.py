@@ -180,11 +180,12 @@ def _cmd_annihilate(args) -> tuple[int, str]:
 
 def _cmd_depend(args) -> tuple[int, str]:
     domain, _, polys = _load_polys(args.poly_file)
-    cert = algdep.algebraic_rank(polys, mode="symbolic")
+    # the rank's annihilators are the goodness certificates' annihilators
+    cert, annihilators = algdep._certified_rank(polys, 0, args.cap_expansion)
     sampler = algdep.TranslationSampler.for_tuple(
         len(polys), cert.rank, max(1, max(q.degree() for q in polys)),
         seed=args.seed, max_retries=args.max_retries)
-    a = algdep.sample_good_translation(polys, cert.basis_indices, sampler,
+    a = algdep.sample_good_translation(polys, cert.basis_indices, sampler, annihilators,
                                        term_cap=args.cap_expansion)
     witness = algdep.reconstruct_dependence(polys, cert.basis_indices, a,
                                             term_cap=args.cap_expansion)

@@ -89,6 +89,8 @@ class Rationals:
         return str(a)
 
     def parse(self, s: str) -> Fraction:
+        if not isinstance(s, str):  # Fraction(0.1) would read a binary float
+            raise TypeError(f"coefficient {s!r} is not a string")
         return Fraction(s)
 
     def scalars(self, count: int) -> list[Fraction]:
@@ -164,6 +166,8 @@ class PrimeField:
 
     def parse(self, s: str) -> int:
         """An integer or a fraction a/b; b must be invertible mod p."""
+        if not isinstance(s, str):  # int(0.1) would read 0
+            raise TypeError(f"coefficient {s!r} is not a string")
         try:
             return int(s) % self.p
         except ValueError:
@@ -192,5 +196,7 @@ def domain_from_json(obj) -> Rationals | PrimeField:
     if obj["type"] == "rational":
         return Rationals()
     if obj["type"] == "prime":
+        if isinstance(obj["p"], (bool, float)):  # int(7.5) would read 7
+            raise TypeError(f"p = {obj['p']!r} is not an integer")
         return PrimeField(int(obj["p"]))
     raise InvalidParams(f"unknown field type {obj['type']!r}")

@@ -91,8 +91,12 @@ class CharacteristicTooSmall(RankpitError):
     """The Jacobian rank criterion needs char 0 or p above the degree product."""
 
 
-class SymbolicTooLarge(RankpitError):
-    """Symbolic elimination refused an instance beyond desk scale."""
+class RankNotCertified(RankpitError):
+    """No Jacobian point's rank was confirmed by checked annihilators."""
+
+    def __init__(self, attempts: int):
+        super().__init__(f"rank not certified at {attempts} Jacobian points")
+        self.attempts = attempts
 
 
 class NoAnnihilatorWithinCap(RankpitError):

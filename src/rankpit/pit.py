@@ -351,7 +351,7 @@ def pit_test(c: Circuit, mode: str = "hitting-set", *, seed: int = 0,
         from .algdep import algebraic_rank
         from .errors import BoundViolation
         for gi, g in enumerate(c.gates):
-            cert = algebraic_rank(g.inner, mode="randomized",
+            cert = algebraic_rank(g.inner, mode="symbolic",
                                   seed=derive_seed(seed, "certify", gi))
             if cert.rank > c.declared.k:
                 raise BoundViolation(gi, "k", c.declared.k, cert.rank)

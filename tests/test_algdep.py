@@ -15,7 +15,8 @@ from rankpit.domains import PrimeField, Rationals
 from rankpit.errors import (BoundViolation, CharacteristicTooSmall,
                             DerivativeVanishes, DimensionMismatch, DomainMismatch,
                             ExpansionTooLarge, NoAnnihilatorWithinCap,
-                            NoGoodTranslation, NoSolutionWithinCap)
+                            NoGoodTranslation, NoSolutionWithinCap,
+                            RankNotCertified)
 from rankpit.poly import DEFAULT_TERM_CAP, GRLEX, Polynomial, compose, mono_from_dict
 
 Q = Rationals()
@@ -65,6 +66,49 @@ def test_rank_examples_symbolic():
     linears = [x(0, 3) + x(1, 3), x(1, 3) + x(2, 3), x(0, 3) - x(2, 3) * 2]
     cert = algebraic_rank(linears, mode="symbolic")
     assert cert.rank == 3
+
+
+def test_symbolic_rank_of_many_linear_forms():
+    """13 independent linear forms in 25 variables: one Jacobian point
+    certifies rank 13, with no annihilator to search for."""
+    rng = random.Random(97)
+    forms = [sum((x(v, 25).scale(Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)))
+                  for v in range(25)), Polynomial.zero(Q, 25)) + x(i, 25)
+             for i in range(13)]
+    cert = algebraic_rank(forms, mode="symbolic")
+    assert (cert.rank, cert.basis_indices) == (13, tuple(range(13)))
+    assert cert.method == "jacobian-certified"
+
+
+def test_symbolic_rank_in_small_characteristic():
+    """Over F_5 the Jacobian of (x^3, x^2) is read at a point and the
+    annihilator z2^3 - z1^2 bounds the rank; (x^5, y) has rank 2 but a
+    Jacobian of rank 1 everywhere, so no point is certified."""
+    f5 = PrimeField(5)
+    a, b = x(0, dom=f5), x(1, dom=f5)
+    cert = algebraic_rank([a.pow(3), a.pow(2)], mode="symbolic")
+    assert (cert.rank, cert.basis_indices) == (1, (0,))
+    with pytest.raises(RankNotCertified) as info:
+        algebraic_rank([a.pow(5), b], mode="symbolic")
+    assert info.value.attempts == 3
+
+
+def test_rewrite_and_depend_reuse_the_rank_annihilators(monkeypatch, tmp_path):
+    """Each sub-annihilator is searched once: by the rank certificate, not
+    again by the goodness certificates."""
+    calls = []
+    search = algdep._sub_annihilator
+    monkeypatch.setattr(algdep, "_sub_annihilator",
+                        lambda *args: calls.append(args[2]) or search(*args))
+    c = Circuit(Q, 2, DeclaredBounds(d=2, k=2, delta=5), [Gate("product", e1_triple())])
+    rewritten, a = rewrite_circuit(c, seed=11)
+    assert expand(rewritten) == expand(c).translate(a)
+    assert calls == [2]
+    path = tmp_path / "e1.json"
+    path.write_text(json.dumps({"field": {"type": "rational"}, "nvars": 2,
+                                "polys": [q.terms_to_json() for q in e1_triple()]}))
+    code, _ = cli.run(["depend", "--poly-file", str(path), "--json"])
+    assert (code, calls) == (0, [2, 2])
 
 
 def test_randomized_rank_never_exceeds_symbolic():
@@ -461,15 +505,16 @@ def test_certified_tuple_builds_no_column():
     assert info.value.cap == 27
 
 
-def test_certificate_skipped_when_2_61_minus_1_divides_a_denominator():
-    """(x+y)/(2^61-1) has no image in F_(2^61-1), so the search runs (and
-    meets term cap 2 at its square)."""
+def test_certificate_fires_when_2_61_minus_1_divides_a_denominator():
+    """(x+y)/(2^61-1) enters the Jacobian as its integer multiple x+y, so
+    the certificate answers before the search would meet term cap 2 at the
+    square."""
     s, d = x(0) + x(1), x(0) - x(1)
-    with pytest.raises(NoAnnihilatorWithinCap):
-        find_annihilator([s, d], term_cap=2)
     scaled = s.scale(Fraction(1, M61))
-    assert not algdep._full_rank_at_a_point([scaled, d])
     with pytest.raises(ExpansionTooLarge):
+        algdep._search_annihilator([scaled, d], 2, 2)
+    assert algdep._full_rank_at_a_point([scaled, d])
+    with pytest.raises(NoAnnihilatorWithinCap):
         find_annihilator([scaled, d], term_cap=2)
 
 

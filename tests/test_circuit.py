@@ -15,6 +15,7 @@ from rankpit.domains import PrimeField, Rationals
 from rankpit.errors import (BoundViolation, CircuitSyntaxError,
                             DimensionMismatch, InsufficientField, RankpitError)
 from rankpit.poly import Polynomial
+from test_fuzz import mistype
 
 Q = Rationals()
 DATA = Path(__file__).parent / "data"
@@ -112,6 +113,45 @@ def test_malformed_dag_node_is_a_syntax_error(node, path):
     assert info.value.path == path
 
 
+@pytest.mark.parametrize("where,value,path", [
+    (("declared", "k"), True, "$.declared"),
+    (("declared", "d"), 2.9, "$.declared"),
+    (("declared", "delta"), "5", "$.declared"),
+    (("gates", 0, "k"), True, "$.gates[0]"),
+    (("gates", 0, "k"), 2.0, "$.gates[0]"),
+    (("field",), {"type": "prime", "p": 7.5}, "$.field"),
+], ids=["declared-k-bool", "declared-d-float", "declared-delta-string",
+        "gate-k-bool", "gate-k-float", "field-p-float"])
+def test_non_integer_bounds_in_e1_are_syntax_errors(where, value, path):
+    """int() would read true as 1 and 2.9 as 2, and give a verdict."""
+    obj = json.loads((DATA / "e1_circuit.json").read_text())
+    parent = obj
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    with pytest.raises(CircuitSyntaxError) as info:
+        parse(json.dumps(obj))
+    assert info.value.path == path
+
+
+@pytest.mark.parametrize("where,value,path", [
+    (("arity",), 2.0, "$.gates[0].outer"),
+    (("root",), True, "$.gates[0].outer"),
+    (("nodes", 0, "index"), 1.0, "$.gates[0].outer.nodes[0]"),
+    (("nodes", 3, "args"), [0, 2.0], "$.gates[0].outer.nodes[3]"),
+    (("nodes", 5, "args"), [False, 4], "$.gates[0].outer.nodes[5]"),
+], ids=["arity-float", "root-bool", "index-float", "args-float", "call-args-bool"])
+def test_non_integer_dag_fields_are_syntax_errors(where, value, path):
+    obj = _dag_circuit_json()
+    parent = obj["gates"][0]["outer"]["dag"]
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    with pytest.raises(CircuitSyntaxError) as info:
+        parse(json.dumps(obj))
+    assert info.value.path == path
+
+
 _KEYS = st.sampled_from(["field", "nvars", "declared", "gates", "outer", "inner",
                          "dag", "arity", "nodes", "root", "op", "index", "value",
                          "args", "poly", "coeff", "mono", "type", "p", "d", "k",
@@ -153,13 +193,27 @@ def _damaged_circuits(draw):
     return obj
 
 
+@st.composite
+def _mistyped_circuits(draw):
+    """A valid DAG circuit with a JSON number where an integer or a
+    coefficient string belongs (`test_fuzz.mistype`)."""
+    return mistype(draw, _dag_circuit_json())
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(_JSON, _damaged_circuits()))
+@given(st.one_of(_JSON, _damaged_circuits(), _mistyped_circuits()))
 def test_parse_of_arbitrary_json_raises_only_rankpit_errors(obj):
     try:
         parse(json.dumps(obj))
     except RankpitError:
         pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mistyped_circuits())
+def test_parse_refuses_json_numbers_where_integers_or_coefficients_belong(obj):
+    with pytest.raises(CircuitSyntaxError):
+        parse(json.dumps(obj))
 
 
 # ----------------------------------------------------------------------

@@ -63,7 +63,19 @@ def test_rank_on_e1(e1_file):
 def test_rank_symbolic_agrees(e1_file):
     code, out = cli.run(["rank", "--poly-file", e1_file, "--mode", "symbolic",
                          "--json"])
-    assert json.loads(out)["result"]["rank"] == 2
+    res = json.loads(out)["result"]
+    assert (res["rank"], res["basis"]) == (2, [1, 2])
+    assert res["method"] == "jacobian-certified"
+
+
+def test_rank_symbolic_refuses_an_uncertified_tuple(tmp_path):
+    """(x^5, y) over F_5: rank 2, but its Jacobian has rank 1 at every point."""
+    path = tmp_path / "frobenius.json"
+    path.write_text(json.dumps({"field": {"type": "prime", "p": 5}, "nvars": 2, "polys": [
+        [{"coeff": "1", "mono": {"1": 5}}], [{"coeff": "1", "mono": {"2": 1}}]]}))
+    code, out = cli.run(["rank", "--poly-file", str(path), "--mode", "symbolic", "--json"])
+    payload = json.loads(out)
+    assert (code, payload["error"], payload["attempts"]) == (2, "RankNotCertified", 3)
 
 
 def test_annihilate_e1(e1_file):
@@ -297,6 +309,30 @@ def test_unreadable_and_malformed_inputs_exit_2(tmp_path):
         payload = json.loads(out)
         assert (code, payload["error"]) == (2, error)
     assert payload["file"] == missing
+
+
+@pytest.mark.parametrize("coeff", [0.1, True], ids=["float", "bool"])
+def test_json_number_coefficients_exit_2(tmp_path, coeff):
+    """Over F_7, int(0.1) would read 0 and True would read 1: a coefficient
+    must be a string, in a poly file and in a DAG constant."""
+    polys = {"field": {"type": "prime", "p": 7}, "nvars": 1,
+             "polys": [[{"coeff": coeff, "mono": {"1": 1}}]]}
+    path = tmp_path / "polys.json"
+    path.write_text(json.dumps(polys))
+    code, out = cli.run(["rank", "--poly-file", str(path), "--json"])
+    payload = json.loads(out)
+    assert (code, payload["error"], payload["path"]) == (2, "CircuitSyntaxError", "$.polys[0]")
+    circuit = {"field": {"type": "prime", "p": 7}, "nvars": 1,
+               "declared": {"d": 1, "k": 1, "delta": 1},
+               "gates": [{"outer": {"dag": {"arity": 1, "root": 2, "nodes": [
+                   {"op": "input", "index": 1}, {"op": "const", "value": coeff},
+                   {"op": "mul", "args": [0, 1]}]}},
+                          "inner": [[{"coeff": "1", "mono": {"1": 1}}]]}]}
+    path.write_text(json.dumps(circuit))
+    code, out = cli.run(["pit", "--circuit", str(path), "--json"])
+    payload = json.loads(out)
+    assert (code, payload["error"]) == (2, "CircuitSyntaxError")
+    assert payload["path"] == "$.gates[0].outer.nodes[1]"
 
 
 @pytest.mark.parametrize("command", [["rank"], ["annihilate"], ["depend"],

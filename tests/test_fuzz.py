@@ -4,13 +4,17 @@ The parsers may raise a structured error, or one of the built-in errors in
 `circuit._MALFORMED`, which every reader of outside input (circuit.parse,
 the CLI's poly-file loader) turns into a CircuitSyntaxError with its JSON
 path.  The CLI itself returns only its documented exit codes, and a bad
-input never shows up as an InternalError.
+input never shows up as an InternalError.  A JSON number where an integer
+or a coefficient string belongs is refused, never rounded.
 """
 
+import functools
 import json
+import operator
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from rankpit import cli
@@ -82,6 +86,55 @@ _E1 = {"field": {"type": "rational"}, "nvars": 2, "polys": [
     [{"coeff": "1", "mono": {"1": 1}}, {"coeff": "1", "mono": {"2": 1}}],
     [{"coeff": "1/2", "mono": {"1": 1, "2": 1}}],
     [{"coeff": "1", "mono": {"1": 2}}, {"coeff": "-1", "mono": {"2": 2}}]]}
+
+
+def mistype(draw, obj):
+    """obj with one integer, or one coefficient string (a "coeff" or a DAG
+    "value"), replaced by a bool or a float, or a coefficient by an int:
+    values that int() or Fraction() would read as numbers."""
+    slots = []
+
+    def walk(node, path):
+        items = (node.items() if isinstance(node, dict)
+                 else enumerate(node) if isinstance(node, list) else ())
+        for key, value in items:
+            if isinstance(value, int) or key in ("coeff", "value"):
+                slots.append(path + (key,))
+            walk(value, path + (key,))
+
+    walk(obj, ())
+    path = draw(st.sampled_from(slots))
+    parent = functools.reduce(operator.getitem, path[:-1], obj)
+    numbers = st.booleans() | st.floats()
+    if isinstance(parent[path[-1]], str):
+        numbers |= st.integers()
+    parent[path[-1]] = draw(numbers)
+    return obj
+
+
+@settings(max_examples=200, deadline=None)
+@given(DOMAINS, st.booleans() | st.floats() | st.integers(), st.booleans() | st.floats())
+def test_json_numbers_are_not_coefficients_or_exponents(domain, coeff, exponent):
+    for term in ({"coeff": coeff}, {"coeff": "1", "mono": {"1": exponent}}):
+        with pytest.raises(TypeError):
+            Polynomial.terms_from_json(domain, 2, [term])
+
+
+@st.composite
+def _mistyped_poly_file(draw):
+    field = draw(st.sampled_from([{"type": "rational"}, {"type": "prime", "p": 7},
+                                  {"type": "prime", "p": "7"}]))
+    return json.dumps(mistype(draw, dict(json.loads(json.dumps(_E1)), field=field)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mistyped_poly_file())
+def test_cli_refuses_json_numbers_where_integers_or_coefficients_belong(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "polys.json"
+        path.write_text(text)
+        code, out = cli.run(["rank", "--poly-file", str(path), "--json"])
+    assert (code, json.loads(out)["error"]) == (2, "CircuitSyntaxError"), text
 
 
 @st.composite

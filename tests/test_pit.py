@@ -183,6 +183,17 @@ def test_pit_certify_rank_flag():
         pit_test(tight, certify_rank=True)
 
 
+def test_pit_certify_rank_in_small_characteristic():
+    """The certified rank has no characteristic gate: over F_7 the gate
+    (x^2, x^4), whose degree product is 8, has rank 1 = k."""
+    f7 = PrimeField(7)
+    y = Polynomial.variable(f7, 1, 0)
+    c = Circuit(f7, 1, DeclaredBounds(d=4, k=1, delta=6),
+                [Gate("product", [y.pow(2), y.pow(4)])])
+    rep = pit_test(c, certify_rank=True)
+    assert rep.rank_certified and rep.verdict == "nonzero"
+
+
 def test_trailing_support_within_bound_small_corpus():
     rng = random.Random(163)
     from test_poly import random_poly
