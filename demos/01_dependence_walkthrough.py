@@ -24,7 +24,8 @@ for i, q in enumerate(triple):
     print(f"  q{i + 1} =", q.to_text())
 
 # 1. rank certificate (both routes agree): the certified rank is proved by a
-#    Jacobian point (>=) and a checked annihilator per non-basis q_i (<=)
+#    Jacobian point (>=) and, here, by 2 variables (<=); a rank below the
+#    number of variables needs a checked annihilator per non-basis q_i
 sym = algebraic_rank(triple, mode="symbolic")
 rand = algebraic_rank(triple, mode="randomized", seed=0)
 print("\ncertified rank:", sym.rank, "basis:", [b + 1 for b in sym.basis_indices],

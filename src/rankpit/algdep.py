@@ -13,7 +13,8 @@ r polynomials had a minimal annihilator A, the chain rule would make
 dA/dy_i vanished, A would be a p-th power over the perfect field; a nonzero
 one has smaller degree than A, so it does not vanish at q).  So rank >= r
 in every characteristic, and an annihilator of the r plus any other q_i,
-checked by composing it to zero, gives rank <= r.  The same point answers
+checked by composing it to zero, gives rank <= r, as does r equal to the
+number of variables that occur.  The same point answers
 an independent tuple before any annihilator column is built.
 A power-series Newton lift of the annihilator root serves as an
 independent cross-check of the reconstruction, and the whole machinery
@@ -116,9 +117,9 @@ def algebraic_rank(qs: list[Polynomial], mode: str = "randomized", *,
     one-sided, never above the true rank, below it with probability at most
     (t*d/|S|)^trials.  The basis is the greedy matroid scan at the best
     point: keep q_i whenever it raises the rank.  Symbolic mode is exact in
-    every characteristic: the greedy basis at one Jacobian point is proved
-    independent, and every other q_i is proved algebraic over it by a
-    checked annihilator (`_certified_rank`); it never returns a guess.
+    every characteristic and never guesses: the greedy basis at a Jacobian
+    point is proved independent, and maximal by checked annihilators or by
+    its size, the number of variables that occur (`_certified_rank`).
     """
     if mode == "symbolic":
         return _certified_rank(qs, seed, DEFAULT_TERM_CAP)[0]
@@ -164,24 +165,26 @@ def _independent_rows(rows, p: int) -> list[int]:
 
 def _certified_rank(qs: list[Polynomial], seed: int,
                     term_cap) -> tuple[RankCertificate, dict]:
-    """The exact rank of qs, with the annihilator of (basis, q_i) for every
-    non-basis i, proved as the module docstring says.  An unlucky point, or
-    a tuple such as (x^p, y) whose Jacobian is singular everywhere, leaves a
-    search without an annihilator within its cap: the next point is tried,
-    and RankNotCertified is raised after _CERTIFY_ATTEMPTS points."""
+    """The exact rank of qs, proved as the module docstring says, and the
+    annihilators of (basis, q_i) that prove it: none if the basis is as large
+    as the number of variables that occur.  An unlucky point, refuted by an
+    independent (basis, q_i), or a tuple such as (x^p, y), singular
+    everywhere, moves on to the next point, up to _CERTIFY_ATTEMPTS."""
     if not qs:
         return RankCertificate(0, (), "jacobian-certified"), {}
     for q in qs:
         qs[0]._check_compat(q)
+    occurring = len({v for q in qs for mono in q.terms for v, _ in mono})
     for attempt in range(_CERTIFY_ATTEMPTS):
-        basis = _point_basis(qs, derive_seed(seed, "certified-rank", attempt))
+        point_seed = derive_seed(seed, "certified-rank", attempt)
+        basis = _point_basis(qs, point_seed)
         try:
-            annihilators = {i: _sub_annihilator(qs, basis, i, term_cap)
-                            for i in range(len(qs)) if i not in basis}
+            annihilators = {} if len(basis) == occurring else {
+                i: _sub_annihilator(qs, basis, i, term_cap, derive_seed(point_seed, i))
+                for i in range(len(qs)) if i not in basis}
         except NoAnnihilatorWithinCap:
             continue
-        return (RankCertificate(len(basis), tuple(basis), "jacobian-certified"),
-                annihilators)
+        return RankCertificate(len(basis), tuple(basis), "jacobian-certified"), annihilators
     raise RankNotCertified(_CERTIFY_ATTEMPTS)
 
 
@@ -320,10 +323,10 @@ def find_annihilator(qs: list[Polynomial], cap: int | None = None, *,
     return _search_annihilator(qs, cap, term_cap)
 
 
-def _full_rank_at_a_point(qs: list[Polynomial]) -> bool:
-    """True if the Jacobian of qs has rank t = len(qs) at one fixed point
-    (`_jacobian_at_a_point`); never for t > nvars."""
-    return len(_point_basis(qs, derive_seed(0, "annihilator-certificate"))) == len(qs)
+def _full_rank_at_a_point(qs, seed: int = derive_seed(0, "annihilator-certificate")):
+    """True if the Jacobian of qs has rank t = len(qs) at the point drawn by
+    `seed` (`_jacobian_at_a_point`); never for t > nvars."""
+    return len(_point_basis(qs, seed)) == len(qs)
 
 
 def _point_basis(qs: list[Polynomial], seed: int) -> list[int]:
@@ -374,23 +377,27 @@ def _search_annihilator(qs: list[Polynomial], cap: int, term_cap) -> Annihilator
 # ----------------------------------------------------------------------
 # good translations
 
-def _sub_annihilator(qs, basis, i: int, term_cap) -> Annihilator:
+def _sub_annihilator(qs, basis, i: int, term_cap, seed: int | None = None) -> Annihilator:
     """Annihilator of (basis..., q_i) within the degree bound (k+1)*d^k.
 
-    The sub-tuple is dependent whenever basis is a transcendence basis, so
-    the Jacobian certificate of `find_annihilator` is skipped."""
+    The sub-tuple is dependent whenever basis is a transcendence basis.  Given
+    a seed, its Jacobian at the point drawn by the seed is read first, and
+    full rank there raises NoAnnihilatorWithinCap before any search."""
     sub = [qs[b] for b in basis] + [qs[i]]
-    d_sub = max(1, max(q.degree() for q in sub))
-    return _search_annihilator(sub, len(sub) * d_sub ** len(basis), term_cap)
+    cap = len(sub) * max(1, max(q.degree() for q in sub)) ** len(basis)
+    if seed is not None and _full_rank_at_a_point(sub, seed):
+        raise NoAnnihilatorWithinCap(cap)
+    return _search_annihilator(sub, cap, term_cap)
 
 
-def _goodness_certificates(qs, basis, non_basis, annihilators: dict | None,
+def _goodness_certificates(qs, basis, annihilators: dict | None,
                            term_cap) -> list[Polynomial]:
-    """L_i = (dA_i/dY)(basis..., q_i) for the annihilator A_i of (basis, q_i)."""
+    """L_i = (dA_i/dY)(basis..., q_i) for the annihilator A_i of (basis, q_i),
+    for every non-basis i."""
     k = len(basis)
     basis_polys = [qs[b] for b in basis]
     ls = []
-    for i in non_basis:
+    for i in (i for i in range(len(qs)) if i not in basis):
         ann = (annihilators or {}).get(i) or _sub_annihilator(qs, basis, i, term_cap)
         dA = ann.R.partial_derivative(((k, 1),))
         li = compose(dA, basis_polys + [qs[i]], term_cap=term_cap)
@@ -411,17 +418,13 @@ def sample_good_translation(qs: list[Polynomial], basis,
     sampler carries; each retry is one uniform draw from grid^N.
     """
     basis = tuple(basis)
-    t = len(qs)
-    non_basis = [i for i in range(t) if i not in basis]
     dom = qs[0].domain
     nvars = qs[0].nvars
-    if not non_basis:
+    if len(basis) == len(qs):
         return tuple(dom.zero for _ in range(nvars))
-    k = len(basis)
-    d = max(1, max(q.degree() for q in qs))
-    if sampler is None:
-        sampler = TranslationSampler.for_tuple(t, k, d)
-    ls = _goodness_certificates(qs, basis, non_basis, annihilators, term_cap)
+    sampler = sampler or TranslationSampler.for_tuple(
+        len(qs), len(basis), max(1, max(q.degree() for q in qs)))
+    ls = _goodness_certificates(qs, basis, annihilators, term_cap)
     return _sample_translation(ls, dom, nvars, sampler)
 
 
@@ -602,9 +605,8 @@ def rewrite_circuit(c: Circuit, seed: int = 0, *, max_retries: int = 10,
         if cert.rank > c.declared.k:
             raise BoundViolation(gi, "k", c.declared.k, cert.rank)
         certs.append(cert)
-        total_nonbasis += len(anns)
-        all_ls += _goodness_certificates(g.inner, cert.basis_indices, list(anns), anns,
-                                         term_cap)
+        total_nonbasis += len(g.inner) - cert.rank
+        all_ls += _goodness_certificates(g.inner, cert.basis_indices, anns, term_cap)
     k_max = max((cert.rank for cert in certs), default=0)
     d_max = max((q.degree() for g in c.gates for q in g.inner), default=1)
     if all_ls:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .domains import domain_from_json
+from .domains import domain_from_json, json_int
 from .errors import (BoundViolation, CircuitSyntaxError, DimensionMismatch,
                      DomainMismatch, ExpansionTooLarge, InsufficientField,
                      InvalidParams)
@@ -28,13 +28,6 @@ from .util import read_text
 # what reading a malformed JSON value as a number, a list or an object raises
 _MALFORMED = (AttributeError, KeyError, TypeError, ValueError,
               ZeroDivisionError, OverflowError)
-
-
-def _json_int(value) -> int:
-    """value if it is a JSON integer: true, 2.9 and "2" raise TypeError."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{value!r} is not an integer")
-    return value
 
 
 class OuterExpr:
@@ -177,9 +170,9 @@ class OuterExpr:
         if not isinstance(dag, dict):
             raise CircuitSyntaxError("outer must be \"product\" or {\"dag\": ...}", path=path)
         try:
-            arity = _json_int(dag["arity"])
+            arity = json_int(dag["arity"])
             nodes_json = dag["nodes"]
-            root = _json_int(dag["root"])
+            root = json_int(dag["root"])
         except _MALFORMED as exc:
             raise CircuitSyntaxError(f"bad dag object: {exc}", path=path) from None
         if not isinstance(nodes_json, list):
@@ -201,13 +194,13 @@ def _node_from_json(nj: dict, domain) -> tuple:
     """One DAG node tuple; malformed JSON raises InvalidParams or a _MALFORMED error."""
     op = nj.get("op")
     if op == "input":
-        return ("input", _json_int(nj["index"]) - 1)
+        return ("input", json_int(nj["index"]) - 1)
     if op == "const":
         return ("const", domain.parse(nj["value"]))
     if op in ("add", "mul"):
-        return (op, tuple(map(_json_int, nj["args"])))
+        return (op, tuple(map(json_int, nj["args"])))
     if op == "call":
-        args = tuple(map(_json_int, nj["args"]))
+        args = tuple(map(json_int, nj["args"]))
         return ("call", Polynomial.terms_from_json(domain, len(args), nj["poly"]), args)
     raise InvalidParams(f"unknown dag op {op!r}")
 
@@ -412,9 +405,12 @@ def _gate_to_json(g: Gate, domain) -> dict:
 
 def parse_nvars(value) -> int:
     """The "nvars" entry of a circuit or poly file: a nonnegative int."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise CircuitSyntaxError("nvars must be a nonnegative integer", path="$.nvars")
-    return value
+    try:
+        if json_int(value) >= 0:
+            return value
+    except TypeError:
+        pass
+    raise CircuitSyntaxError("nvars must be a nonnegative integer", path="$.nvars")
 
 
 def parse(text: str) -> Circuit:
@@ -435,7 +431,7 @@ def parse(text: str) -> Circuit:
     nvars = parse_nvars(obj["nvars"])
     dec = obj["declared"]
     try:
-        declared = DeclaredBounds(*(_json_int(dec[key]) for key in ("d", "k", "delta")))
+        declared = DeclaredBounds(*(json_int(dec[key]) for key in ("d", "k", "delta")))
     except _MALFORMED as exc:
         raise CircuitSyntaxError(f"bad declared bounds: {exc}", path="$.declared") from None
     if not isinstance(obj["gates"], list):
@@ -458,7 +454,7 @@ def parse(text: str) -> Circuit:
         else:
             outer = OuterExpr.from_json(gobj["outer"], domain, path=f"{path}.outer")
         try:
-            rank_bound = None if gobj.get("k") is None else _json_int(gobj["k"])
+            rank_bound = None if gobj.get("k") is None else json_int(gobj["k"])
             gates.append(Gate(outer, inner, rank_bound=rank_bound))
         except (InvalidParams, TypeError) as exc:
             raise CircuitSyntaxError(str(exc), path=path) from None

@@ -17,6 +17,13 @@ from .errors import FieldTooSmall, InvalidParams
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+def json_int(value) -> int:
+    """value if it is a JSON integer: true, 2.9 and "2" raise TypeError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test (valid far beyond 64 bits)."""
     if n < 2:
@@ -196,7 +203,6 @@ def domain_from_json(obj) -> Rationals | PrimeField:
     if obj["type"] == "rational":
         return Rationals()
     if obj["type"] == "prime":
-        if isinstance(obj["p"], (bool, float)):  # int(7.5) would read 7
-            raise TypeError(f"p = {obj['p']!r} is not an integer")
-        return PrimeField(int(obj["p"]))
+        p = obj["p"]  # to_json writes p as a decimal string
+        return PrimeField(int(p) if isinstance(p, str) else json_int(p))
     raise InvalidParams(f"unknown field type {obj['type']!r}")

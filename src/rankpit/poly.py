@@ -517,7 +517,9 @@ def compose(outer: Polynomial, inners: list, term_cap: int | None = DEFAULT_TERM
     """Exact substitution of `inners` into `outer`, fully expanded.
 
     outer lives in t variables; inners are t polynomials over one shared
-    domain.  Raises ArityMismatch / DomainMismatch / ExpansionTooLarge.
+    domain.  Horner's rule in each variable makes every product one by a
+    single inner polynomial, never of two large partial products.
+    Raises ArityMismatch / DomainMismatch / ExpansionTooLarge.
     """
     if outer.nvars != len(inners):
         raise ArityMismatch(f"outer has {outer.nvars} variables, got {len(inners)} inners")
@@ -534,27 +536,27 @@ def compose(outer: Polynomial, inners: list, term_cap: int | None = DEFAULT_TERM
     if outer.domain != dom:
         raise DomainMismatch("outer and inner polynomials on different domains")
 
-    powers: list[dict[int, Polynomial]] = [dict() for _ in inners]
+    def horner(terms: dict, v: int) -> Polynomial:
+        # sum of c * inners^mono over terms in the variables <= v, as a
+        # polynomial in z_v with coefficients in the earlier variables
+        if v < 0:
+            return Polynomial.constant(dom, nvars, terms.get((), dom.zero))
+        by_exp: dict[int, dict] = {}
+        for mono, c in terms.items():
+            e = mono[-1][1] if mono and mono[-1][0] == v else 0
+            by_exp.setdefault(e, {})[mono[:-1] if e else mono] = c
+        acc = horner(by_exp[max(by_exp)], v - 1)
+        for e in range(max(by_exp) - 1, -1, -1):
+            acc = acc.mul(inners[v], term_cap=term_cap, degree_cap=degree_cap)
+            if e in by_exp:
+                acc = acc + horner(by_exp[e], v - 1)
+                if term_cap is not None and acc.num_terms() > term_cap:
+                    raise ExpansionTooLarge(acc.num_terms(), term_cap)
+        return acc
 
-    def power(j: int, e: int) -> Polynomial:
-        memo = powers[j]
-        if e not in memo:
-            if e == 0:
-                memo[e] = Polynomial.constant(dom, nvars, dom.one)
-            else:
-                memo[e] = power(j, e - 1).mul(inners[j], term_cap=term_cap,
-                                              degree_cap=degree_cap)
-        return memo[e]
-
-    total = Polynomial.zero(dom, nvars)
-    for mono, c in outer.terms.items():
-        piece = Polynomial.constant(dom, nvars, c)
-        for v, e in mono:
-            piece = piece.mul(power(v, e), term_cap=term_cap, degree_cap=degree_cap)
-        total = total + piece
-        if term_cap is not None and total.num_terms() > term_cap:
-            raise ExpansionTooLarge(total.num_terms(), term_cap)
-    return total
+    if outer.is_zero():
+        return Polynomial.zero(dom, nvars)
+    return horner(outer.terms, len(inners) - 1)
 
 
 def divide_exact(p: Polynomial, d: Polynomial, order: MonomialOrder = GRLEX) -> Polynomial:

@@ -1,5 +1,6 @@
 """Rank certificates, annihilators, translations, reconstruction, rewrite."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -93,22 +94,59 @@ def test_symbolic_rank_in_small_characteristic():
     assert info.value.attempts == 3
 
 
+def test_symbolic_rank_as_large_as_the_variables_needs_no_annihilator(monkeypatch):
+    """4 generic cubics in 3 variables: rank 3 at one point is the number of
+    variables, so no annihilator (minimal degree 27) is searched."""
+    calls = []
+    monkeypatch.setattr(algdep, "_search_annihilator", lambda *args: calls.append(args))
+    rng = random.Random(5)
+    monos = [mono_from_dict(dict(enumerate(e)))
+             for e in itertools.product(range(4), repeat=3) if sum(e) <= 3]
+    cubics = [Polynomial(Q, 3, {m: rng.randrange(1, 9) for m in monos}) for _ in range(4)]
+    cert = algebraic_rank(cubics, mode="symbolic")
+    assert (cert.rank, cert.basis_indices, calls) == (3, (0, 1, 2), [])
+
+
+def test_symbolic_rank_refutes_an_unlucky_point(monkeypatch):
+    """Over F_11, (x^2, (y+z)^4, x^2 + (y+z)^4) at seed 2: the first point
+    has x = 0 or y+z = 0, so its basis is (1,).  The independent pair
+    ((y+z)^4, x^2) is refuted at a fresh point without a search, and the
+    next point certifies rank 2 with one search, for q_3."""
+    f11 = PrimeField(11)
+    a, b, c = (x(v, 3, f11) for v in range(3))
+    s = (b + c).pow(4)
+    qs = [a.pow(2), s, a.pow(2) + s]
+    assert algdep._point_basis(qs, algdep.derive_seed(2, "certified-rank", 0)) == [1]
+    sizes = []
+    search = algdep._search_annihilator
+    monkeypatch.setattr(algdep, "_search_annihilator",
+                        lambda sub, *args: sizes.append(len(sub)) or search(sub, *args))
+    cert = algebraic_rank(qs, mode="symbolic", seed=2)
+    assert (cert.rank, cert.basis_indices, sizes) == (2, (0, 1), [3])
+
+
 def test_rewrite_and_depend_reuse_the_rank_annihilators(monkeypatch, tmp_path):
-    """Each sub-annihilator is searched once: by the rank certificate, not
-    again by the goodness certificates."""
+    """Each sub-annihilator is searched once: by the rank certificate, which
+    hands it on, or, when the basis is as large as the number of variables
+    (E1: rank 2 in 2 variables), by the goodness certificates alone."""
     calls = []
     search = algdep._sub_annihilator
     monkeypatch.setattr(algdep, "_sub_annihilator",
                         lambda *args: calls.append(args[2]) or search(*args))
-    c = Circuit(Q, 2, DeclaredBounds(d=2, k=2, delta=5), [Gate("product", e1_triple())])
-    rewritten, a = rewrite_circuit(c, seed=11)
-    assert expand(rewritten) == expand(c).translate(a)
-    assert calls == [2]
-    path = tmp_path / "e1.json"
-    path.write_text(json.dumps({"field": {"type": "rational"}, "nvars": 2,
-                                "polys": [q.terms_to_json() for q in e1_triple()]}))
-    code, _ = cli.run(["depend", "--poly-file", str(path), "--json"])
-    assert (code, calls) == (0, [2, 2])
+    a, b, c = (x(v, 3) for v in range(3))
+    for inner in (e1_triple(), [a + b, (a + b) * (a + b) + c, c]):
+        calls.clear()
+        nvars = inner[0].nvars
+        circuit = Circuit(Q, nvars, DeclaredBounds(d=2, k=2, delta=5),
+                          [Gate("product", inner)])
+        rewritten, shift = rewrite_circuit(circuit, seed=11)
+        assert expand(rewritten) == expand(circuit).translate(shift)
+        assert calls == [2]
+        path = tmp_path / "tuple.json"
+        path.write_text(json.dumps({"field": {"type": "rational"}, "nvars": nvars,
+                                    "polys": [q.terms_to_json() for q in inner]}))
+        code, _ = cli.run(["depend", "--poly-file", str(path), "--json"])
+        assert (code, calls) == (0, [2, 2])
 
 
 def test_randomized_rank_never_exceeds_symbolic():

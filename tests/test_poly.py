@@ -311,6 +311,24 @@ def test_compose_evaluate_homomorphism():
             assert lhs == rhs
 
 
+def test_compose_by_horner_matches_power_products():
+    """compose equals the sum of c * prod q_j^e_j built term by term, and
+    with a degree cap its truncation."""
+    rng = random.Random(43)
+    for dom in (Q, F11):
+        for _ in range(25):
+            f = random_poly(rng, dom, 3, 4)
+            qs = [random_poly(rng, dom, 2, 2) for _ in range(3)]
+            direct = Polynomial.zero(dom, 2)
+            for mono, c in f.terms.items():
+                piece = Polynomial.constant(dom, 2, c)
+                for v, e in mono:
+                    piece = piece * qs[v].pow(e)
+                direct = direct + piece
+            assert compose(f, qs) == direct
+            assert compose(f, qs, degree_cap=3) == direct.homogeneous_le(3)
+
+
 # ----------------------------------------------------------------------
 # ring axioms, exactness
 
