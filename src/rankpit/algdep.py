@@ -15,7 +15,8 @@ one has smaller degree than A, so it does not vanish at q).  So rank >= r
 in every characteristic, and an annihilator of the r plus any other q_i,
 checked by composing it to zero, gives rank <= r, as does r equal to the
 number of variables that occur.  The same point answers
-an independent tuple before any annihilator column is built.
+an independent tuple before any annihilator column is built.  Every
+Jacobian point, certified or randomized, is read by `_jacobian_rows`.
 A power-series Newton lift of the annihilator root serves as an
 independent cross-check of the reconstruction, and the whole machinery
 drives the circuit rewrite that replaces a gate's inputs by the homogeneous
@@ -74,6 +75,10 @@ class TranslationSampler:
     seed: int = 0
     max_retries: int = 10
 
+    def __post_init__(self):
+        if self.max_retries < 1:
+            raise InvalidParams(f"max_retries must be >= 1, got {self.max_retries}")
+
     @classmethod
     def for_tuple(cls, t: int, k: int, d: int, seed: int = 0,
                   max_retries: int = 10) -> "TranslationSampler":
@@ -115,8 +120,9 @@ def algebraic_rank(qs: list[Polynomial], mode: str = "randomized", *,
     Randomized mode evaluates the Jacobian at `trials` points drawn from a
     scalar set of size >= 2*t*d*2^security and reports the maximum rank seen:
     one-sided, never above the true rank, below it with probability at most
-    (t*d/|S|)^trials.  The basis is the greedy matroid scan at the best
-    point: keep q_i whenever it raises the rank.  Symbolic mode is exact in
+    (t*d/|S|)^trials.  `_jacobian_rows` reads each point exactly (mod no
+    prime over Q), and the basis is the greedy matroid scan at the first
+    point of maximum rank: keep q_i whenever it raises the rank.  Symbolic mode is exact in
     every characteristic and never guesses: the greedy basis at a Jacobian
     point is proved independent, and maximal by checked annihilators or by
     its size, the number of variables that occur (`_certified_rank`).
@@ -128,30 +134,22 @@ def algebraic_rank(qs: list[Polynomial], mode: str = "randomized", *,
     t = len(qs)
     if t == 0:
         return RankCertificate(0, (), "jacobian-randomized")
-    jac = jacobian(qs)
+    _check_jacobian_characteristic(qs)
     dom = qs[0].domain
     d = max(1, max(q.degree() for q in qs))
     target = 2 * t * d * (1 << security)
-    if isinstance(dom, PrimeField):
-        size = min(dom.p, target)
-    else:
-        size = target
+    size = min(dom.p, target) if isinstance(dom, PrimeField) else target
     rng = random.Random(derive_seed(seed, "algrank"))
-    nvars = qs[0].nvars
-    best_rank = -1
-    best_matrix = None
-    points = []
+    char = dom.characteristic
+    basis, points = [], []
     for _ in range(max(1, trials)):
-        point = tuple(dom.coerce(rng.randrange(size)) for _ in range(nvars))
+        point = tuple(dom.coerce(rng.randrange(size)) for _ in range(qs[0].nvars))
         points.append(point)
-        numeric = [[entry.evaluate(point) for entry in row] for row in jac]
-        rk = linalg.rank_dense(numeric, dom)
-        if rk > best_rank:
-            best_rank = rk
-            best_matrix = numeric
-    basis = _independent_rows(best_matrix, dom.characteristic)
+        found = _independent_rows(_jacobian_rows(qs, [int(x) for x in point], char), char)
+        if len(found) > len(basis):
+            basis = found
     bound = (Fraction(t * d, size)) ** max(1, trials)
-    return RankCertificate(best_rank, tuple(basis), "jacobian-randomized",
+    return RankCertificate(len(basis), tuple(basis), "jacobian-randomized",
                            evaluation_points=tuple(points), security=security,
                            error_bound=bound)
 
@@ -325,40 +323,37 @@ def find_annihilator(qs: list[Polynomial], cap: int | None = None, *,
 
 def _full_rank_at_a_point(qs, seed: int = derive_seed(0, "annihilator-certificate")):
     """True if the Jacobian of qs has rank t = len(qs) at the point drawn by
-    `seed` (`_jacobian_at_a_point`); never for t > nvars."""
+    `seed` (`_point_basis`); never for t > nvars."""
     return len(_point_basis(qs, seed)) == len(qs)
 
 
 def _point_basis(qs: list[Polynomial], seed: int) -> list[int]:
-    """The greedy basis of the Jacobian rows of qs at one seeded point."""
+    """The greedy basis of `_jacobian_rows` mod p at a point drawn by `seed`
+    from F_p, p = char, or over Q from F_(2^61-1): reduction mod p is a ring
+    map on the integer rows, so a minor nonzero mod p is nonzero over Q."""
     p = qs[0].domain.characteristic or _CERTIFICATE_PRIME
-    return _independent_rows(_jacobian_at_a_point(qs, seed), p)
-
-
-def _jacobian_at_a_point(qs: list[Polynomial], seed: int) -> list[list[int]]:
-    """Rows of the Jacobian of qs at one point drawn by `seed` from F_p, for
-    a tuple over F_p, or from F_(2^61-1) over Q, as residues mod that prime.
-
-    Over Q, row i is the Jacobian of the integer polynomial D_i*q_i
-    (`_int_terms`): scaling a row by D_i != 0 keeps every rank, and
-    reduction mod 2^61-1 is a ring map on integer coefficients, so a minor
-    that is nonzero mod 2^61-1 is nonzero over Q.
-    """
-    nvars, char = qs[0].nvars, qs[0].domain.characteristic
-    p = char or _CERTIFICATE_PRIME
     rng = random.Random(seed)
-    point = [rng.randrange(p) for _ in range(nvars)]
+    point = [rng.randrange(p) for _ in range(qs[0].nvars)]
+    return _independent_rows(_jacobian_rows(qs, point, p), p)
+
+
+def _jacobian_rows(qs: list[Polynomial], point: list[int], p: int) -> list[list[int]]:
+    """Rows of the Jacobian at an integer point, as residues mod p, or as
+    exact integers for p = 0.  Over Q, row i is the Jacobian of the integer
+    polynomial D_i*q_i (`_int_terms`); scaling a row by D_i != 0 keeps
+    every rank and the greedy row basis."""
+    mod = p or None
     rows = []
     for q in qs:
-        row = [0] * nvars
-        for mono, c in _int_terms(q.terms, char)[0]:
+        row = [0] * len(point)
+        for mono, c in _int_terms(q.terms, q.domain.characteristic)[0]:
             for v, e in mono:
-                term = c * e * pow(point[v], e - 1, p)
+                term = c * e * pow(point[v], e - 1, mod)
                 for w, f in mono:
                     if w != v:
-                        term = term * pow(point[w], f, p) % p
-                row[v] = (row[v] + term) % p
-        rows.append(row)
+                        term *= pow(point[w], f, mod)
+                row[v] += term
+        rows.append([x % p for x in row] if p else row)
     return rows
 
 

@@ -4,8 +4,10 @@
 `dependent_columns` also carries each column's combination and yields every
 column that depends on the ones before it: the one span query behind
 annihilators, dependence witnesses, the randomized rank basis and
-`span_coefficients`/`solve_dense`.  `rref_dense` gives dense ranks and
-nullspaces.  Everything is exact; nothing here touches floating point.
+`span_coefficients`/`solve_dense`.  No package code calls `rref_dense`,
+`rank_dense` or `nullspace_modp` any more: they are kept for the benchmark
+tracer and the tests (ROADMAP item 1).  Everything is exact; nothing here
+touches floating point.
 
 One elimination loop, `_reduce` over `_eliminate`, serves Q and every prime
 field.  It runs on plain Python ints with no domain method calls:
@@ -145,6 +147,7 @@ def rank_stream(rows, domain) -> int:
     return len(_echelon(rows, domain.characteristic))
 
 
+# rref_dense, rank_dense: no caller in rankpit; kept for the tracer and the tests
 def rref_dense(rows: list[list], domain) -> tuple[list[list], list[int]]:
     """Reduced row echelon form of a dense matrix; returns (rref, pivot_cols).
 

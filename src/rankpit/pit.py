@@ -332,7 +332,7 @@ class PitReport:
 
 def pit_test(c: Circuit, mode: str = "hitting-set", *, seed: int = 0,
              point_cap: int = DEFAULT_POINT_CAP, rounds: int = 20,
-             workers: int = 1, certify_rank: bool = False,
+             certify_rank: bool = False,
              expansion_term_cap: int | None = None) -> PitReport:
     """Deterministic blackbox identity test for the declared circuit class.
 
@@ -342,7 +342,7 @@ def pit_test(c: Circuit, mode: str = "hitting-set", *, seed: int = 0,
     a zero verdict is certified for circuits within their declared bounds.
     oracle mode runs the randomized test alone; both mode cross-checks the
     two and, when a term cap allows, full expansion as well.  The scan is
-    sequential; `workers` is accepted for compatibility and has no effect.
+    sequential.
     """
     if mode not in ("hitting-set", "oracle", "both"):
         raise InvalidParams(f"unknown mode {mode!r}")

@@ -309,40 +309,14 @@ class Polynomial:
         return tuple(self.homogeneous_component(i) for i in range(d, -1, -1))
 
     def translate(self, point) -> "Polynomial":
-        """P(X + a), computed exactly one variable at a time."""
+        """P(X + a): the composition with X_j + a_j, uncapped."""
         if len(point) != self.nvars:
             raise DimensionMismatch(f"point has {len(point)} coords, nvars={self.nvars}")
-        dom = self.domain
-        result = self
-        for j, aj in enumerate(point):
-            aj = dom.coerce(aj)
-            if dom.is_zero(aj):
-                continue
-            out: dict = {}
-            for mono, c in result.terms.items():
-                md = dict(mono)
-                e = md.pop(j, 0)
-                if e == 0:
-                    s = dom.add(out.get(mono, dom.zero), c)
-                    if dom.is_zero(s):
-                        out.pop(mono, None)
-                    else:
-                        out[mono] = s
-                    continue
-                rest = tuple(sorted(md.items()))
-                # (X_j + a_j)^e expanded binomially, exact in the domain
-                apow = dom.one
-                for i in range(e, -1, -1):
-                    coeff = dom.mul(c, dom.mul(dom.coerce(math.comb(e, i)), apow))
-                    m = mono_mul(rest, ((j, i),) if i else ())
-                    s = dom.add(out.get(m, dom.zero), coeff)
-                    if dom.is_zero(s):
-                        out.pop(m, None)
-                    else:
-                        out[m] = s
-                    apow = dom.mul(apow, aj)
-            result = Polynomial(dom, self.nvars, out, _normalized=True)
-        return result
+        if not self.nvars:
+            return self
+        dom, n = self.domain, self.nvars
+        return compose(self, [Polynomial(dom, n, {((j, 1),): dom.one, (): aj})
+                              for j, aj in enumerate(point)], term_cap=None)
 
     def dilate(self, z) -> "Polynomial":
         """P(z*X): each degree-j term picks up a factor z^j."""

@@ -15,9 +15,9 @@ from rankpit.circuit import Circuit, DeclaredBounds, Gate, OuterExpr, expand
 from rankpit.domains import PrimeField, Rationals
 from rankpit.errors import (BoundViolation, CharacteristicTooSmall,
                             DerivativeVanishes, DimensionMismatch, DomainMismatch,
-                            ExpansionTooLarge, NoAnnihilatorWithinCap,
-                            NoGoodTranslation, NoSolutionWithinCap,
-                            RankNotCertified)
+                            ExpansionTooLarge, InvalidParams,
+                            NoAnnihilatorWithinCap, NoGoodTranslation,
+                            NoSolutionWithinCap, RankNotCertified)
 from rankpit.poly import DEFAULT_TERM_CAP, GRLEX, Polynomial, compose, mono_from_dict
 
 Q = Rationals()
@@ -92,6 +92,20 @@ def test_symbolic_rank_in_small_characteristic():
     with pytest.raises(RankNotCertified) as info:
         algebraic_rank([a.pow(5), b], mode="symbolic")
     assert info.value.attempts == 3
+
+
+def test_randomized_rank_refuses_small_characteristic():
+    """(x^5, y) over F_5: the Jacobian criterion needs p > 5."""
+    f5 = PrimeField(5)
+    with pytest.raises(CharacteristicTooSmall):
+        algebraic_rank([x(0, dom=f5).pow(5), x(1, dom=f5)])
+
+
+def test_randomized_rank_over_q_is_exact():
+    """(x, P*y) with P = 2^61-1 has Jacobian diag(1, P): rank 2 over Q, but
+    rank 1 mod P, the prime that certifies points over Q."""
+    cert = algebraic_rank([x(0), x(1).scale(algdep._CERTIFICATE_PRIME)], trials=1)
+    assert (cert.rank, cert.basis_indices) == (2, (0, 1))
 
 
 def test_symbolic_rank_as_large_as_the_variables_needs_no_annihilator(monkeypatch):
@@ -602,6 +616,14 @@ def test_translation_adversarial_avoids_origin():
     assert a[0] != 0
 
 
+@pytest.mark.parametrize("retries", [0, -3])
+def test_translation_sampler_refuses_fewer_than_one_retry(retries):
+    with pytest.raises(InvalidParams):
+        TranslationSampler(grid_size=4, max_retries=retries)
+    with pytest.raises(InvalidParams):
+        TranslationSampler.for_tuple(3, 2, 2, max_retries=retries)
+
+
 def test_translation_exhausts_retries():
     f101 = PrimeField(101)
     y = Polynomial.variable(f101, 1, 0)
@@ -847,25 +869,22 @@ def _greedy_basis(matrix, dom, rank):
 
 
 @pytest.mark.parametrize("dom", [Q, FP], ids=str)
-def test_randomized_basis_matches_greedy_scan(dom, monkeypatch):
+def test_randomized_basis_matches_greedy_scan(dom):
+    """The rank and basis agree with the symbolic Jacobian evaluated at each
+    point and eliminated densely, an independent reference."""
     rng = random.Random(89)
     from test_poly import random_poly
-    calls = []
-    rank_dense = linalg.rank_dense
-    monkeypatch.setattr(linalg, "rank_dense",
-                        lambda *args: calls.append(1) or rank_dense(*args))
     for trial in range(30):
         nvars = rng.choice([2, 3])
         qs = [random_poly(rng, dom, nvars, rng.choice([1, 2])) for _ in range(2)]
         qs.insert(rng.randrange(3), compose(random_poly(rng, dom, 2, 2), qs))
         qs.insert(rng.randrange(4), Polynomial.constant(dom, nvars, rng.choice([0, 3])))
         qs.append(random_poly(rng, dom, nvars, 2))
-        calls.clear()
         cert = algebraic_rank(qs, seed=trial, trials=3)
-        assert len(calls) == 3
         jac = jacobian(qs)
         numeric = [[[e.evaluate(pt) for e in row] for row in jac]
                    for pt in cert.evaluation_points]
-        ranks = [rank_dense(m, dom) for m in numeric]
+        ranks = [linalg.rank_dense(m, dom) for m in numeric]
+        assert cert.rank == max(ranks)
         best = numeric[ranks.index(max(ranks))]
         assert cert.basis_indices == _greedy_basis(best, dom, cert.rank)

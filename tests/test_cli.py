@@ -60,6 +60,28 @@ def test_rank_on_e1(e1_file):
     assert rep["config"]["seed"] == 1
 
 
+@pytest.mark.parametrize("field, points, error_bound", [
+    ({"type": "rational"},
+     [["3141346437", "578251824"], ["8749836508", "12803971485"],
+      ["12603438525", "3877795129"]], "1/9903520314283042199192993792"),
+    ({"type": "prime", "p": "101"},
+     [["93", "30"], ["17", "18"], ["4", "71"]], "216/1030301"),
+], ids=["Q", "F101"])
+def test_randomized_rank_report_is_pinned(tmp_path, field, points, error_bound):
+    """The whole randomized `rank --json` report of the E1 triple, bytes
+    included: points, error bound and basis."""
+    path = tmp_path / "e1.json"
+    path.write_text(json.dumps(dict(E1_POLYS, field=field)))
+    code, out = cli.run(["rank", "--poly-file", str(path), "--json", "--seed", "1"])
+    expected = {"command": "rank", "config": {
+        "caps": {"annihilator_degree": None, "expansion_terms": 10000000,
+                 "hitting_set_points": 2000000, "matrix_cells": 10000000},
+        "output": "json", "seed": 1, "timings": False}, "result": {
+        "basis": [1, 2], "error_bound": error_bound, "evaluation_points": points,
+        "method": "jacobian-randomized", "rank": 2, "security_bits": 30, "seed": 1}}
+    assert (code, out) == (0, json.dumps(expected, indent=2, sort_keys=True) + "\n")
+
+
 def test_rank_symbolic_agrees(e1_file):
     code, out = cli.run(["rank", "--poly-file", e1_file, "--mode", "symbolic",
                          "--json"])
@@ -92,6 +114,19 @@ def test_depend_e1(e1_file):
     res = json.loads(out)["result"]
     assert res["basis"] == [1, 2]
     assert "3" in res["witnesses"]
+
+
+def test_depend_on_constants_in_no_variables(tmp_path):
+    """A 0-variable tuple has rank 0: every witness is its constant."""
+    path = tmp_path / "constants.json"
+    path.write_text(json.dumps({"field": {"type": "rational"}, "nvars": 0, "polys": [
+        [{"coeff": "3", "mono": {}}], [{"coeff": "-1/2", "mono": {}}], []]}))
+    code, out = cli.run(["depend", "--poly-file", str(path), "--json"])
+    res = json.loads(out)["result"]
+    assert (code, res["a"], res["basis"]) == (0, [], [])
+    assert res["witnesses"] == {"1": {"F": "3", "truncation_degree": 0},
+                                "2": {"F": "-1/2", "truncation_degree": 0},
+                                "3": {"F": "0", "truncation_degree": 0}}
 
 
 def test_pit_zero_exit_code(zero_circuit_file):
@@ -470,6 +505,15 @@ def test_pit_rejects_fewer_than_one_round(zero_circuit_file, mode, rounds):
     """The oracle ran one round for these and reported `rounds: 0` or -1."""
     code, out = cli.run(["pit", "--circuit", zero_circuit_file, "--json",
                          "--mode", mode, "--rounds", rounds])
+    assert (code, json.loads(out)["error"]) == (2, "InvalidParams")
+
+
+@pytest.mark.parametrize("retries", ["0", "-3"])
+def test_depend_rejects_fewer_than_one_retry(e1_file, retries):
+    """These exited with NoGoodTranslation, blaming the input for a
+    parameter error."""
+    code, out = cli.run(["depend", "--poly-file", e1_file, "--json",
+                         "--max-retries", retries])
     assert (code, json.loads(out)["error"]) == (2, "InvalidParams")
 
 

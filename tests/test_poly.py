@@ -1,5 +1,6 @@
 """Polynomial substrate: operation examples and algebraic properties."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -410,16 +411,57 @@ def test_from_text_rejects_garbage():
         Polynomial.from_text(Q, 2, "spam*x1")
 
 
-def test_translate_matches_composition_oracle():
-    # independent route: substitute x_j -> x_j + a_j via compose
+def _reference_translate(p, point):
+    """The binomial loop on domain calls, one variable at a time, that
+    Polynomial.translate replaced."""
+    dom = p.domain
+    result = p
+    for j, aj in enumerate(point):
+        aj = dom.coerce(aj)
+        if dom.is_zero(aj):
+            continue
+        out: dict = {}
+        for mono, c in result.terms.items():
+            md = dict(mono)
+            e = md.pop(j, 0)
+            if e == 0:
+                s = dom.add(out.get(mono, dom.zero), c)
+                if dom.is_zero(s):
+                    out.pop(mono, None)
+                else:
+                    out[mono] = s
+                continue
+            rest = tuple(sorted(md.items()))
+            # (X_j + a_j)^e expanded binomially, exact in the domain
+            apow = dom.one
+            for i in range(e, -1, -1):
+                coeff = dom.mul(c, dom.mul(dom.coerce(math.comb(e, i)), apow))
+                m = mono_mul(rest, ((j, i),) if i else ())
+                s = dom.add(out.get(m, dom.zero), coeff)
+                if dom.is_zero(s):
+                    out.pop(m, None)
+                else:
+                    out[m] = s
+                apow = dom.mul(apow, aj)
+        result = Polynomial(dom, p.nvars, out, _normalized=True)
+    return result
+
+
+@pytest.mark.parametrize("dom", [Q, F11, FP], ids=str)
+def test_translate_matches_reference_loop(dom):
     rng = random.Random(47)
-    for dom in (Q, FP):
-        for _ in range(20):
-            p = random_poly(rng, dom, 3, 3)
-            a = [dom.coerce(rng.randrange(-2, 5)) for _ in range(3)]
-            subs = [Polynomial.variable(dom, 3, j) +
-                    Polynomial.constant(dom, 3, a[j]) for j in range(3)]
-            assert p.translate(a) == compose(p, subs)
+    shifts = [0, 0, 1, -2, 5, Fraction(1, 2), Fraction(-5, 3)]
+    for _ in range(40):
+        nvars = rng.randrange(1, 4)
+        p = random_poly(rng, dom, nvars, 4).scale(rng.choice([1, Fraction(3, 4)]))
+        a = [rng.choice(shifts) for _ in range(nvars)]
+        assert p.translate(a) == _reference_translate(p, a)
+
+
+def test_translate_in_no_variables():
+    for c in (3, 0):
+        p = Polynomial.constant(Q, 0, c)
+        assert p.translate(()) == p == _reference_translate(p, ())
 
 
 def test_prime_field_parse_fractions():

@@ -77,3 +77,21 @@ def test_no_unreferenced_private_names():
             read.update(name for name in _read_names(stmt) if name not in own)
     assert sorted(where + " " + name for name, where in defined.items()
                   if name not in read) == []
+
+
+def test_only_pit_imports_numpy():
+    # every elimination runs on plain ints; numpy serves only the
+    # vectorized hitting-set scan
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n.split(".")[0] == "numpy" for n in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert [f for f in found if not f.startswith("pit.py:")] == []
