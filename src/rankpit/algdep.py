@@ -170,8 +170,6 @@ def _certified_rank(qs: list[Polynomial], seed: int,
     everywhere, moves on to the next point, up to _CERTIFY_ATTEMPTS."""
     if not qs:
         return RankCertificate(0, (), "jacobian-certified"), {}
-    for q in qs:
-        qs[0]._check_compat(q)
     occurring = len({v for q in qs for mono in q.terms for v, _ in mono})
     for attempt in range(_CERTIFY_ATTEMPTS):
         point_seed = derive_seed(seed, "certified-rank", attempt)
@@ -314,8 +312,6 @@ def find_annihilator(qs: list[Polynomial], cap: int | None = None, *,
         cap = t * d ** (t - 1)
     if cap < 1:
         raise InvalidParams("annihilator cap must be >= 1")
-    for q in qs:
-        qs[0]._check_compat(q)
     if _full_rank_at_a_point(qs):
         raise NoAnnihilatorWithinCap(cap)
     return _search_annihilator(qs, cap, term_cap)
@@ -341,7 +337,9 @@ def _jacobian_rows(qs: list[Polynomial], point: list[int], p: int) -> list[list[
     """Rows of the Jacobian at an integer point, as residues mod p, or as
     exact integers for p = 0.  Over Q, row i is the Jacobian of the integer
     polynomial D_i*q_i (`_int_terms`); scaling a row by D_i != 0 keeps
-    every rank and the greedy row basis."""
+    every rank and the greedy row basis.  Refuses mismatched tuples."""
+    for q in qs:
+        qs[0]._check_compat(q)
     mod = p or None
     rows = []
     for q in qs:
@@ -640,21 +638,20 @@ def _rewrite_gate(g: Gate, cert: RankCertificate, witness: DependenceWitness,
 
     nodes: list = [("input", idx) for idx in range(len(comp_polys))]
 
-    def const_node(value) -> int:
-        nodes.append(("const", dom.coerce(value)))
+    def push(node) -> int:
+        nodes.append(node)
         return len(nodes) - 1
 
     arg_ids: list[int] = [0] * t
     for pos, b in enumerate(basis):
         ids = tuple(comp_ids[(pos, j)] for j in range(b_translated[pos].degree() + 1))
-        nodes.append(("add", ids))
-        arg_ids[b] = len(nodes) - 1
+        arg_ids[b] = push(("add", ids))
     for i, f_i in witness.F.items():
         d_i = witness.truncation_degrees[i]
         d_f = f_i.degree()
         d_z = d_f * max((bp.degree() for bp in b_translated), default=0)
         if d_z == 0 or f_i.nvars == 0:
-            arg_ids[i] = const_node(f_i.coefficient(()))
+            arg_ids[i] = push(("const", dom.coerce(f_i.coefficient(()))))
             continue
         zs = [dom.coerce(u + 1) for u in range(d_z + 1)]
         # sum_u mu_u z_u^j = 1 for j <= d_i, 0 for d_i < j <= d_z
@@ -668,23 +665,17 @@ def _rewrite_gate(g: Gate, cert: RankCertificate, witness: DependenceWitness,
                 addends = []
                 zp = dom.one
                 for j in range(b_translated[pos].degree() + 1):
-                    cn = const_node(zp)
-                    nodes.append(("mul", (cn, comp_ids[(pos, j)])))
-                    addends.append(len(nodes) - 1)
+                    cn = push(("const", dom.coerce(zp)))
+                    addends.append(push(("mul", (cn, comp_ids[(pos, j)]))))
                     zp = dom.mul(zp, z)
-                nodes.append(("add", tuple(addends)))
-                scaled_args.append(len(nodes) - 1)
-            nodes.append(("call", f_i, tuple(scaled_args)))
-            call_id = len(nodes) - 1
-            cn = const_node(mu[u])
-            nodes.append(("mul", (cn, call_id)))
-            terms.append(len(nodes) - 1)
-        nodes.append(("add", tuple(terms)))
-        arg_ids[i] = len(nodes) - 1
+                scaled_args.append(push(("add", tuple(addends))))
+            call_id = push(("call", f_i, tuple(scaled_args)))
+            cn = push(("const", dom.coerce(mu[u])))
+            terms.append(push(("mul", (cn, call_id))))
+        arg_ids[i] = push(("add", tuple(terms)))
 
     if g.is_product:
-        nodes.append(("mul", tuple(arg_ids)))
-        root = len(nodes) - 1
+        root = push(("mul", tuple(arg_ids)))
     else:
         base = len(nodes)
         for node in g.outer.nodes:

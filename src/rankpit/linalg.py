@@ -147,7 +147,6 @@ def rank_stream(rows, domain) -> int:
     return len(_echelon(rows, domain.characteristic))
 
 
-# rref_dense, rank_dense: no caller in rankpit; kept for the tracer and the tests
 def rref_dense(rows: list[list], domain) -> tuple[list[list], list[int]]:
     """Reduced row echelon form of a dense matrix; returns (rref, pivot_cols).
 

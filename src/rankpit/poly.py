@@ -179,23 +179,17 @@ class Polynomial:
     # ring arithmetic
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check_compat(other)
-        dom = self.domain
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = dom.add(out.get(m, dom.zero), c)
-            if dom.is_zero(s):
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return Polynomial(dom, self.nvars, out, _normalized=True)
+        return self._combine(other, self.domain.add)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
+        return self._combine(other, self.domain.sub)
+
+    def _combine(self, other: "Polynomial", op) -> "Polynomial":
         self._check_compat(other)
         dom = self.domain
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = dom.sub(out.get(m, dom.zero), c)
+            s = op(out.get(m, dom.zero), c)
             if dom.is_zero(s):
                 out.pop(m, None)
             else:
@@ -510,27 +504,46 @@ def compose(outer: Polynomial, inners: list, term_cap: int | None = DEFAULT_TERM
     if outer.domain != dom:
         raise DomainMismatch("outer and inner polynomials on different domains")
 
-    def horner(terms: dict, v: int) -> Polynomial:
-        # sum of c * inners^mono over terms in the variables <= v, as a
-        # polynomial in z_v with coefficients in the earlier variables
-        if v < 0:
-            return Polynomial.constant(dom, nvars, terms.get((), dom.zero))
-        by_exp: dict[int, dict] = {}
-        for mono, c in terms.items():
-            e = mono[-1][1] if mono and mono[-1][0] == v else 0
-            by_exp.setdefault(e, {})[mono[:-1] if e else mono] = c
-        acc = horner(by_exp[max(by_exp)], v - 1)
-        for e in range(max(by_exp) - 1, -1, -1):
-            acc = acc.mul(inners[v], term_cap=term_cap, degree_cap=degree_cap)
-            if e in by_exp:
-                acc = acc + horner(by_exp[e], v - 1)
-                if term_cap is not None and acc.num_terms() > term_cap:
-                    raise ExpansionTooLarge(acc.num_terms(), term_cap)
-        return acc
+    def horner(terms: dict) -> Polynomial:
+        # c * inners^mono summed over terms, by Horner's rule in the largest
+        # variable v that occurs.  The part free of v is the loop's next turn,
+        # not a recursion, so the depth is bounded by one monomial's support.
+        parts = []
+        while terms is not None:
+            v = max((mono[-1][0] for mono in terms if mono), default=-1)
+            if v < 0:
+                parts.append(Polynomial.constant(dom, nvars, terms.get((), dom.zero)))
+                break
+            by_exp: dict[int, dict] = {}
+            for mono, c in terms.items():
+                e = mono[-1][1] if mono and mono[-1][0] == v else 0
+                by_exp.setdefault(e, {})[mono[:-1] if e else mono] = c
+            acc = horner(by_exp[max(by_exp)])
+            for e in range(max(by_exp) - 1, -1, -1):
+                acc = acc.mul(inners[v], term_cap=term_cap, degree_cap=degree_cap)
+                if e and e in by_exp:
+                    acc = acc + horner(by_exp[e])
+                    if term_cap is not None and acc.num_terms() > term_cap:
+                        raise ExpansionTooLarge(acc.num_terms(), term_cap)
+            parts.append(acc)
+            terms = by_exp.get(0)
+        # parts[0] + (parts[1] + (...)) in one dict, built backwards so that
+        # each sum costs the size of its part and the terms keep their order
+        if len(parts) == 1:
+            return parts[0]
+        total = dict(reversed(parts.pop().terms.items()))
+        for part in reversed(parts):
+            for m, c in reversed(part.terms.items()):
+                s = dom.add(c, total.pop(m)) if m in total else c
+                if not dom.is_zero(s):
+                    total[m] = s
+            if term_cap is not None and len(total) > term_cap:
+                raise ExpansionTooLarge(len(total), term_cap)
+        return Polynomial(dom, nvars, dict(reversed(total.items())), _normalized=True)
 
     if outer.is_zero():
         return Polynomial.zero(dom, nvars)
-    return horner(outer.terms, len(inners) - 1)
+    return horner(outer.terms)
 
 
 def divide_exact(p: Polynomial, d: Polynomial, order: MonomialOrder = GRLEX) -> Polynomial:

@@ -101,6 +101,15 @@ def test_randomized_rank_refuses_small_characteristic():
         algebraic_rank([x(0, dom=f5).pow(5), x(1, dom=f5)])
 
 
+@pytest.mark.parametrize("mode", ["randomized", "symbolic"])
+def test_rank_refuses_mismatched_tuples(mode):
+    for qs in ([x(0), x(2, nvars=3)], [x(0, nvars=3), x(1)]):
+        with pytest.raises(DimensionMismatch):
+            algebraic_rank(qs, mode=mode)
+    with pytest.raises(DomainMismatch):
+        algebraic_rank([x(0), x(1, dom=FP)], mode=mode)
+
+
 def test_randomized_rank_over_q_is_exact():
     """(x, P*y) with P = 2^61-1 has Jacobian diag(1, P): rank 2 over Q, but
     rank 1 mod P, the prime that certifies points over Q."""

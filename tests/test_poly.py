@@ -458,6 +458,28 @@ def test_translate_matches_reference_loop(dom):
         assert p.translate(a) == _reference_translate(p, a)
 
 
+def test_translate_in_many_variables():
+    """Composition runs in a loop over the variables, not one stack frame
+    each, so a polynomial in 2000 variables translates as the loop does."""
+    n = 2000
+    p = Polynomial(Q, n, {((j, 1),): j + 1 for j in range(n)}
+                   | {(): 1, ((0, 1), (n - 1, 2)): Fraction(3, 4)})
+    a = [Fraction(j, 7) if j % 97 == 0 else 0 for j in range(n - 1)] + [-2]
+    assert p.translate(a) == _reference_translate(p, a)
+    assert Polynomial.constant(Q, n, 3).translate([1] * n) == Polynomial.constant(Q, n, 3)
+
+
+def test_compose_term_cap_counts_the_summed_parts():
+    """z_1 + ... + z_30 at distinct variables: only the sum of the parts
+    reaches 30 terms."""
+    outer = Polynomial(FP, 30, {((j, 1),): 1 for j in range(30)})
+    inners = [x(j, nvars=30, dom=FP) for j in range(30)]
+    assert compose(outer, inners, term_cap=30).num_terms() == 30
+    with pytest.raises(ExpansionTooLarge) as info:
+        compose(outer, inners, term_cap=29)
+    assert (info.value.terms, info.value.cap) == (30, 29)
+
+
 def test_translate_in_no_variables():
     for c in (3, 0):
         p = Polynomial.constant(Q, 0, c)
