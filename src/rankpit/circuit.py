@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 
 from .domains import domain_from_json, json_int
 from .errors import (BoundViolation, CircuitSyntaxError, DimensionMismatch,
-                     DomainMismatch, ExpansionTooLarge, InsufficientField,
-                     InvalidParams)
+                     DomainMismatch, ExpansionTooLarge, InvalidParams)
 from .linalg import solve_dense
 from .poly import DEFAULT_TERM_CAP, Polynomial, compose
 from .util import read_text
@@ -73,80 +72,52 @@ class OuterExpr:
         if not 0 <= self.root < len(self.nodes):
             raise InvalidParams(f"root {self.root} out of range")
 
-    def evaluate(self, args: list, domain):
-        """Fold the DAG over scalar inputs."""
-        if len(args) != self.arity:
-            raise DimensionMismatch(f"expected {self.arity} inputs, got {len(args)}")
+    def _fold(self, inputs: list, const, call, add, zero, mul, one):
+        """The root's value when input i holds inputs[i]: a const node maps
+        through const(c), a call node through call(poly, values), and add and
+        mul nodes reduce their arguments from zero and one."""
+        if len(inputs) != self.arity:
+            raise DimensionMismatch(f"expected {self.arity} inputs, got {len(inputs)}")
         vals: list = [None] * len(self.nodes)
         for idx, node in enumerate(self.nodes):
             op = node[0]
             if op == "input":
-                vals[idx] = args[node[1]]
+                vals[idx] = inputs[node[1]]
             elif op == "const":
-                vals[idx] = node[1]
-            elif op == "add":
-                acc = domain.zero
+                vals[idx] = const(node[1])
+            elif op == "call":
+                vals[idx] = call(node[1], [vals[j] for j in node[2]])
+            else:
+                acc, combine = (zero, add) if op == "add" else (one, mul)
                 for j in node[1]:
-                    acc = domain.add(acc, vals[j])
+                    acc = combine(acc, vals[j])
                 vals[idx] = acc
-            elif op == "mul":
-                acc = domain.one
-                for j in node[1]:
-                    acc = domain.mul(acc, vals[j])
-                vals[idx] = acc
-            else:  # call
-                poly, arg_ids = node[1], node[2]
-                vals[idx] = poly.evaluate([vals[j] for j in arg_ids])
         return vals[self.root]
+
+    def evaluate(self, args: list, domain):
+        """Fold the DAG over scalar inputs."""
+        return self._fold(args, lambda c: c, lambda poly, vals: poly.evaluate(vals),
+                          domain.add, domain.zero, domain.mul, domain.one)
 
     def expand(self, inners: list[Polynomial], term_cap: int | None) -> Polynomial:
         """Fold the DAG over polynomial inputs (the expansion oracle)."""
-        if len(inners) != self.arity:
+        if len(inners) != self.arity:  # before inners[0] is read
             raise DimensionMismatch(f"expected {self.arity} inputs, got {len(inners)}")
-        dom = inners[0].domain
-        nvars = inners[0].nvars
-        vals: list = [None] * len(self.nodes)
-        for idx, node in enumerate(self.nodes):
-            op = node[0]
-            if op == "input":
-                vals[idx] = inners[node[1]]
-            elif op == "const":
-                vals[idx] = Polynomial.constant(dom, nvars, node[1])
-            elif op == "add":
-                acc = Polynomial.zero(dom, nvars)
-                for j in node[1]:
-                    acc = acc + vals[j]
-                vals[idx] = acc
-            elif op == "mul":
-                acc = Polynomial.constant(dom, nvars, dom.one)
-                for j in node[1]:
-                    acc = acc.mul(vals[j], term_cap=term_cap)
-                vals[idx] = acc
-            else:
-                poly, arg_ids = node[1], node[2]
-                vals[idx] = compose(poly, [vals[j] for j in arg_ids], term_cap=term_cap)
-        return vals[self.root]
+        dom, nvars = inners[0].domain, inners[0].nvars
+        return self._fold(
+            inners, lambda c: Polynomial.constant(dom, nvars, c),
+            lambda poly, args: compose(poly, args, term_cap=term_cap),
+            Polynomial.__add__, Polynomial.zero(dom, nvars),
+            lambda a, b: a.mul(b, term_cap=term_cap),
+            Polynomial.constant(dom, nvars, dom.one))
 
     def formal_degree(self, weights: list[int]) -> int:
         """Degree of the DAG when input i carries degree weights[i]."""
-        deg: list[int] = [0] * len(self.nodes)
-        for idx, node in enumerate(self.nodes):
-            op = node[0]
-            if op == "input":
-                deg[idx] = weights[node[1]]
-            elif op == "const":
-                deg[idx] = 0
-            elif op == "add":
-                deg[idx] = max(deg[j] for j in node[1])
-            elif op == "mul":
-                deg[idx] = sum(deg[j] for j in node[1])
-            else:
-                poly, arg_ids = node[1], node[2]
-                best = 0
-                for mono in poly.terms:
-                    best = max(best, sum(e * deg[arg_ids[v]] for v, e in mono))
-                deg[idx] = best
-        return deg[self.root]
+        return self._fold(
+            weights, lambda c: 0,
+            lambda poly, degs: max((sum(e * degs[v] for v, e in mono)
+                                    for mono in poly.terms), default=0),
+            max, 0, int.__add__, 0)
 
     def to_json(self, domain) -> dict:
         nodes_json = []
@@ -335,11 +306,8 @@ def homogeneous_component_circuit(c: Circuit, ell: int) -> Circuit:
     dom = c.domain
     delta = c.declared.delta
     npts = delta + 1
-    try:
-        zs = dom.scalars(npts) if dom.characteristic else [dom.coerce(i + 1) for i in range(npts)]
-    except Exception as exc:
-        raise InsufficientField(
-            f"need {npts} distinct scalars for interpolation: {exc}") from None
+    # over F_p, dom.scalars raises FieldTooSmall when p < npts
+    zs = dom.scalars(npts) if dom.characteristic else [dom.coerce(i + 1) for i in range(npts)]
     # lam solves sum_u lam_u * z_u^j = [j == ell] for 0 <= j <= delta
     rows = [[dom.pow(z, j) for z in zs] for j in range(npts)]
     rhs = [dom.one if j == ell else dom.zero for j in range(npts)]

@@ -79,10 +79,6 @@ class BoundViolation(RankpitError):
         self.actual = actual
 
 
-class InsufficientField(RankpitError):
-    """The field has too few distinct scalars for an interpolation step."""
-
-
 class FieldTooSmall(RankpitError):
     """The field cannot supply the scalar set an operation requires."""
 

@@ -11,16 +11,16 @@ the first nonzero evaluation, so its witness is always the first one in that
 order.  The randomized evaluation oracle provides the classical
 probabilistic counterpart.
 
-The scan has two paths with the same order and the same witness.  Over Q and
-over primes p >= 2^31 it evaluates one point at a time through
-`evaluate_circuit`.  Over F_p with p < 2^31 it evaluates the origin that way
-(most nonzero circuits stop there) and the rest of the grid in chunks of at
-most `_CHUNK` points held as int64 columns.  The grid values 0..delta are the
-field elements themselves (p > delta), every coefficient is reduced below p,
-and every product and sum is reduced mod p at once, so no operand exceeds
-2^31 and no product 2^62: the int64 arithmetic is exact.  The witness, the
-lowest nonzero row of the first chunk that has one, is re-evaluated through
-the scalar path before it is returned.
+The scan evaluates the origin through `evaluate_circuit` (most nonzero
+circuits stop there) and the rest of the grid in chunks of at most `_CHUNK`
+points, one column per variable.  Over F_p with p < 2^31 the columns are
+int64: the grid values 0..delta are the field elements themselves
+(p > delta), every coefficient is reduced below p, and every product and sum
+is reduced mod p at once, so no operand exceeds 2^31 and no product 2^62:
+the int64 arithmetic is exact.  Over Q and over larger primes the columns are
+object arrays of the domain's own values (`Fraction`s, exact ints).  The
+witness, the lowest nonzero row of the first chunk that has one, is
+re-evaluated through `evaluate_circuit` before it is returned.
 
 The support bound is evaluated in outward-rounded interval arithmetic so
 the integer ceiling can never be rounded down.
@@ -34,7 +34,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
-from itertools import product as _cartesian
 
 import mpmath
 import numpy as np
@@ -46,9 +45,10 @@ from .util import derive_seed
 
 DEFAULT_POINT_CAP = 2_000_000
 
-# the array scan holds at most this many points at a time
+# the scan holds at most this many points at a time
 _CHUNK = 4096
-# residues below 2^31 keep every product of two below 2^62, exact in int64
+# residues below 2^31 keep every product of two below 2^62, exact in int64;
+# larger primes and Q scan object columns
 _ARRAY_PRIME_LIMIT = 1 << 31
 
 
@@ -130,22 +130,11 @@ def _grid(nvars: int, delta: int, ell: int, domain, point_cap: int):
     return ell, clamped, size, tuple(domain.coerce(i) for i in range(delta + 1))
 
 
-def _iter_points(nvars: int, ell: int, values):
-    """W-valued points with at most ell nonzero coordinates, in enumeration order."""
-    zero, nonzero_values = values[0], values[1:]
-    yield tuple(zero for _ in range(nvars))
-    for j in range(1, ell + 1):
-        for support in combinations(range(nvars), j):
-            for nonzero in _cartesian(nonzero_values, repeat=j):
-                point = [zero] * nvars
-                for v, val in zip(support, nonzero):
-                    point[v] = val
-                yield tuple(point)
-
-
 def _point_chunks(nvars: int, ell: int, delta: int):
-    """The points of `_iter_points(nvars, ell, range(delta + 1))` after the
-    origin, in the same order, as int64 arrays of at most `_CHUNK` rows."""
+    """The points with 1..ell nonzero coordinates valued in {1..delta}, as
+    int64 arrays of at most `_CHUNK` rows of indices into W, in enumeration
+    order: support size, then support position, then values, last coordinate
+    fastest.  The origin, which comes first, is not among them."""
     for j in range(1, ell + 1 if delta else 1):
         block = delta ** j  # value tuples per support, last coordinate fastest
         place = delta ** np.arange(j - 1, -1, -1, dtype=np.int64)
@@ -172,7 +161,10 @@ def hitting_set(nvars: int, delta: int, ell: int, domain, *,
     support position, then values.
     """
     ell, clamped, size, values = _grid(nvars, delta, ell, domain, point_cap)
-    points = tuple(_iter_points(nvars, ell, values))
+    grid = np.array(values, dtype=object)
+    points = ((values[0],) * nvars,) + tuple(
+        tuple(row) for chunk in _point_chunks(nvars, ell, delta)
+        for row in grid[chunk].tolist())
     if len(points) != size:
         raise AssertionError("hitting set size disagrees with |H| (internal bug)")
     return HittingSet(points=points, ell=ell, values=values, nvars=nvars,
@@ -187,15 +179,15 @@ def _verified(c: Circuit, point):
 
 
 class _ColumnPoly:
-    """A polynomial over F_p as plain (coeff, mono) terms, evaluated on columns."""
+    """A polynomial as plain (coeff, mono) terms, evaluated on columns."""
 
     def __init__(self, poly):
         self.nvars = poly.nvars  # OuterExpr checks call arity against it
         self.terms = [(c, mono) for mono, c in poly.terms.items()]
-        self.p = poly.domain.p
+        self.p = poly.domain.characteristic
 
     def evaluate(self, cols, powers=None):
-        """Columnwise value mod p; `powers` caches cols[v]^e for these cols."""
+        """Columnwise value, mod p over F_p; `powers` caches cols[v]^e for these cols."""
         powers = {} if powers is None else powers
         p = self.p
         acc = 0
@@ -206,14 +198,14 @@ class _ColumnPoly:
                 if x is None:
                     x = cols[v]
                     for _ in range(e - 1):
-                        x = x * cols[v] % p
+                        x = x * cols[v] % p if p else x * cols[v]
                     powers[(v, e)] = x
-                term = term * x % p
-            acc = (acc + term) % p
+                term = term * x % p if p else term * x
+            acc = (acc + term) % p if p else acc + term
         return acc
 
 
-def _column_node(node, dom: PrimeField):
+def _column_node(node, dom):
     if node[0] == "call":
         return ("call", _ColumnPoly(node[1]), node[2])
     if node[0] == "const":
@@ -235,9 +227,9 @@ def _compile(c: Circuit):
     return gates
 
 
-def _evaluate_chunk(gates, cols, dom: PrimeField):
-    """The circuit's value at each point whose coordinates are the columns `cols`;
-    `dom`'s add and mul reduce int64 columns mod p as they do ints."""
+def _evaluate_chunk(gates, cols, dom):
+    """The circuit's value at each point whose coordinates are the columns `cols`
+    (int64 or object arrays); `dom`'s add and mul act on them elementwise."""
     powers: dict = {}
     total = dom.zero
     for inner, outer in gates:
@@ -253,18 +245,17 @@ def _evaluate_chunk(gates, cols, dom: PrimeField):
 def _scan(c: Circuit, ell: int, values):
     """The first witness in enumeration order and its index, or (None, None)."""
     dom = c.domain
-    if not (isinstance(dom, PrimeField) and dom.p < _ARRAY_PRIME_LIMIT):
-        return next(((_verified(c, pt), i)
-                     for i, pt in enumerate(_iter_points(c.nvars, ell, values))
-                     if not dom.is_zero(evaluate_circuit(c, pt))), (None, None))
-    # the origin goes through the scalar path: most witnesses are there
+    # the origin goes through evaluate_circuit: most witnesses are there
     origin = (values[0],) * c.nvars
     if not dom.is_zero(evaluate_circuit(c, origin)):
         return _verified(c, origin), 0
     gates = _compile(c)
+    # over F_p with p < 2^31 the indices 0..delta into W are the field elements
+    int64 = 0 < dom.characteristic < _ARRAY_PRIME_LIMIT
+    grid = np.array(values, dtype=object)
     index = 1
     for chunk in _point_chunks(c.nvars, ell, len(values) - 1):
-        cols = np.ascontiguousarray(chunk.T)
+        cols = np.ascontiguousarray(chunk.T) if int64 else grid[chunk.T]
         nonzero = np.flatnonzero(_evaluate_chunk(gates, cols, dom))
         if nonzero.size:
             row = chunk[nonzero[0]]

@@ -13,7 +13,7 @@ from rankpit.circuit import (Circuit, DeclaredBounds, Gate, OuterExpr,
                              homogeneous_component_circuit, parse, serialize)
 from rankpit.domains import PrimeField, Rationals
 from rankpit.errors import (BoundViolation, CircuitSyntaxError,
-                            DimensionMismatch, InsufficientField, RankpitError)
+                            DimensionMismatch, FieldTooSmall, RankpitError)
 from rankpit.poly import Polynomial
 from test_fuzz import mistype
 
@@ -271,6 +271,39 @@ def test_formal_degree_of_dag():
     assert g.formal_degree() == 2 * 1 + 2  # z1^2*z2 with weights (1, 2)
 
 
+def every_node_dag(dom):
+    """A DAG over 2 inputs with every node kind: a constant above any p, a
+    one-argument add, a mul, a call, a nested call and a call of zero."""
+    f = Polynomial.from_text(dom, 2, "z1^2 + 3*z1*z2 - 1", var_prefix="z")
+    g = Polynomial.from_text(dom, 2, "z1*z2^2 - z2", var_prefix="z")
+    return OuterExpr(2, [
+        ("input", 0), ("input", 1), ("const", 2 ** 70 + 3), ("add", (2,)),
+        ("mul", (0, 3, 1)), ("call", f, (0, 4)), ("call", g, (5, 1)),
+        ("call", Polynomial.zero(dom, 2), (5, 0)), ("add", (6, 7, 3))], 8)
+
+
+@pytest.mark.parametrize("dom", [Q, PrimeField(1_000_003)], ids=["Q", "Fp"])
+def test_dag_fold_evaluate_expand_and_degree_agree(dom):
+    rng = random.Random(17)
+    outer = every_node_dag(dom)
+    v = [Polynomial.variable(dom, 3, i) for i in range(3)]
+    inners = [v[0] + v[1].scale(2), v[1] * v[2] - v[0]]
+    expanded = outer.expand(inners, None)
+    # the one-argument add reduces the constant from zero
+    one_arg_add = OuterExpr(2, outer.nodes[:4], 3)
+    assert one_arg_add.evaluate([dom.one, dom.one], dom) == dom.coerce(2 ** 70 + 3)
+    assert one_arg_add.expand(inners, None) == Polynomial.constant(dom, 3, 2 ** 70 + 3)
+    for _ in range(20):
+        pt = [dom.coerce(rng.randrange(-50, 50)) for _ in range(3)]
+        assert outer.evaluate([q.evaluate(pt) for q in inners], dom) == expanded.evaluate(pt)
+    assert outer.formal_degree([q.degree() for q in inners]) >= expanded.degree() > 0
+    for bad in ([], [inners[0]], inners + inners[:1]):
+        with pytest.raises(DimensionMismatch):
+            outer.expand(bad, None)
+        with pytest.raises(DimensionMismatch):
+            outer.evaluate([dom.one] * len(bad), dom)
+
+
 # ----------------------------------------------------------------------
 # the degree-slice transform
 
@@ -323,7 +356,7 @@ def test_slice_insufficient_field():
     y = Polynomial.variable(f3, 1, 0)
     g = Gate("product", [y, y, y, y])
     c = Circuit(f3, 1, DeclaredBounds(d=1, k=1, delta=4), [g])
-    with pytest.raises(InsufficientField):
+    with pytest.raises(FieldTooSmall):
         homogeneous_component_circuit(c, 2)
 
 

@@ -2,6 +2,8 @@
 
 import json
 import random
+from fractions import Fraction
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
@@ -69,6 +71,42 @@ def test_support_bound_validates_inputs():
 
 # ----------------------------------------------------------------------
 # hitting sets
+
+def _reference_points(nvars, ell, values):
+    """W-valued points with at most ell nonzero coordinates, in enumeration
+    order, built one tuple at a time."""
+    zero, nonzero_values = values[0], values[1:]
+    yield tuple(zero for _ in range(nvars))
+    for j in range(1, ell + 1):
+        for support in combinations(range(nvars), j):
+            for nonzero in product(nonzero_values, repeat=j):
+                point = [zero] * nvars
+                for v, val in zip(support, nonzero):
+                    point[v] = val
+                yield tuple(point)
+
+
+def _fraction_text(value):
+    """json.dumps default that accepts a Fraction and nothing else (not np.int64)."""
+    if type(value) is Fraction:
+        return str(value)
+    raise TypeError(f"{type(value).__name__} is not a JSON coordinate")
+
+
+@pytest.mark.parametrize("domain", [Q, PrimeField(7), PrimeField(2147483659)],
+                         ids=["Q", "F7", "first-prime-above-2^31"])
+@pytest.mark.parametrize("nvars,delta,ell", [
+    (0, 3, 0), (0, 3, 2), (4, 0, 2), (5, 2, 0), (5, 3, 2), (4, 2, 3), (3, 2, 50)])
+def test_hitting_set_points_match_reference_enumeration(domain, nvars, delta, ell):
+    # (0, 3, 2) and (3, 2, 50) clamp ell to nvars; delta = 0 leaves the origin
+    hs = hitting_set(nvars, delta, ell, domain)
+    assert hs.clamped == (ell > nvars)
+    assert hs.points == tuple(_reference_points(nvars, min(ell, nvars), hs.values))
+    kind = Fraction if domain == Q else int
+    assert all(type(v) is kind for pt in hs.points for v in pt)
+    assert json.loads(json.dumps(hs.points, default=_fraction_text))[0] == (
+        [0 if kind is int else "0"] * nvars)
+
 
 def test_hitting_set_pinned_count():
     hs = hitting_set(6, 4, 2, Q)
@@ -304,9 +342,9 @@ def test_streamed_scan_matches_materialized_hitting_set():
 
 
 # ----------------------------------------------------------------------
-# the int64 array scan over F_p, p < 2^31, against the scalar loop
+# the chunked scan against the point-by-point reference
 
-P31 = PrimeField(2 ** 31 - 1)  # the largest prime the array scan accepts
+P31 = PrimeField(2 ** 31 - 1)  # the largest prime the int64 columns accept
 
 
 def _corpus():
@@ -345,9 +383,11 @@ def _rewritten(seed, domain):
 
 
 def _scalar_reference(c, ell):
-    """(witness, index) of the first nonzero point of the materialized set."""
-    hs = hitting_set(c.nvars, c.declared.delta, ell, c.domain)
-    return next(((pt, i) for i, pt in enumerate(hs.points)
+    """(witness, index) of the first point in enumeration order that
+    `evaluate_circuit` finds nonzero, one point at a time."""
+    values = tuple(c.domain.coerce(i) for i in range(c.declared.delta + 1))
+    points = _reference_points(c.nvars, min(ell, c.nvars), values)
+    return next(((pt, i) for i, pt in enumerate(points)
                  if not c.domain.is_zero(evaluate_circuit(c, pt))), (None, None))
 
 
@@ -385,7 +425,7 @@ def test_point_chunks_concatenate_to_enumeration_order(monkeypatch, nvars, ell,
     chunks = list(pit._point_chunks(nvars, ell, delta))
     assert all(ch.dtype == np.int64 and 0 < len(ch) <= chunk for ch in chunks)
     rows = [(0,) * nvars] + [tuple(int(v) for v in row) for ch in chunks for row in ch]
-    assert rows == list(pit._iter_points(nvars, ell, tuple(range(delta + 1))))
+    assert rows == list(_reference_points(nvars, ell, tuple(range(delta + 1))))
 
 
 def test_array_scan_matches_scalar_loop_on_corpus(chunk_calls):
@@ -426,7 +466,7 @@ def test_array_scan_exact_at_the_largest_accepted_prime(chunk_calls):
 
 @pytest.mark.parametrize("domain", [PrimeField(2147483659), Q],
                          ids=["first-prime-above-2^31", "Q"])
-def test_scalar_scan_beyond_the_array_range(chunk_calls, domain):
+def test_object_scan_beyond_the_int64_range(chunk_calls, domain):
     corpus = _corpus()
     circuits = [corpus.random_class_circuit(82_000 + s, domain=domain,
                                             gamma_outer=s % 2 == 1, zero=s % 3 == 0)
@@ -435,7 +475,8 @@ def test_scalar_scan_beyond_the_array_range(chunk_calls, domain):
         Gate("product", [Polynomial.variable(domain, 2, 0),
                          Polynomial.variable(domain, 2, 1)])]))
     assert "later" in _check_against_reference(circuits)
-    assert chunk_calls == []
+    assert chunk_calls
+    assert all(cols.dtype == object for _, cols, _ in chunk_calls)
 
 
 def test_witness_index_locates_the_witness_in_the_hitting_set():

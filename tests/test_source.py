@@ -95,3 +95,29 @@ def test_only_pit_imports_numpy():
             if any(n.split(".")[0] == "numpy" for n in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert [f for f in found if not f.startswith("pit.py:")] == []
+
+
+def _catches_everything(handler):
+    """A bare `except:` or one that names Exception or BaseException."""
+    if handler.type is None:
+        return True
+    names = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(isinstance(n, ast.Name) and n.id in ("Exception", "BaseException")
+               for n in names)
+
+
+def test_no_broad_except():
+    # a catch-all would relabel a bug as some structured error; only cli.run,
+    # which reports any bug as InternalError, may catch everything
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        boundary = set()
+        if path.name == "cli.py":
+            run = next(node for node in tree.body
+                       if isinstance(node, ast.FunctionDef) and node.name == "run")
+            boundary = set(ast.walk(run))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.ExceptHandler) and _catches_everything(node)
+                  and node not in boundary]
+    assert found == []
