@@ -34,9 +34,9 @@ from . import linalg
 from .circuit import Circuit, DeclaredBounds, Gate, OuterExpr, _shift_node
 from .domains import PrimeField
 from .errors import (BoundViolation, CharacteristicTooSmall, DerivativeVanishes,
-                     ExpansionTooLarge, InvalidParams, NoAnnihilatorWithinCap,
-                     NoGoodTranslation, NonConvergence, NoSolutionWithinCap,
-                     RankNotCertified)
+                     ExpansionTooLarge, FieldTooSmall, InvalidParams,
+                     NoAnnihilatorWithinCap, NoGoodTranslation, NonConvergence,
+                     NoSolutionWithinCap, RankNotCertified)
 from .poly import (DEFAULT_TERM_CAP, Polynomial, _int_terms, compose, mono_degree,
                    mono_from_dict)
 from .util import derive_seed
@@ -423,11 +423,14 @@ def sample_good_translation(qs: list[Polynomial], basis,
 
 def _sample_translation(certificates: list[Polynomial], dom, nvars: int,
                         sampler: TranslationSampler) -> tuple:
-    """The first uniform draw from grid^N where every certificate is nonzero."""
-    grid = dom.scalars(sampler.grid_size)
+    """The first uniform draw from grid^N where every certificate is nonzero;
+    the grid is the first `grid_size` scalars 0, 1, 2, ... of `dom`."""
+    size, p = sampler.grid_size, dom.characteristic
+    if 0 < p < size:
+        raise FieldTooSmall(f"need {size} distinct scalars, field has {p}")
     rng = random.Random(derive_seed(sampler.seed, "translation"))
     for _ in range(sampler.max_retries):
-        a = tuple(grid[rng.randrange(len(grid))] for _ in range(nvars))
+        a = tuple(dom.coerce(rng.randrange(size)) for _ in range(nvars))
         if all(not dom.is_zero(li.evaluate(a)) for li in certificates):
             return a
     raise NoGoodTranslation(sampler.max_retries)

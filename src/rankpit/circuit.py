@@ -204,8 +204,15 @@ class Gate:
         return self.outer == "product"
 
     def evaluate(self, point):
+        dom, nvars = self.inner[0].domain, self.inner[0].nvars
+        if len(point) != nvars:
+            raise DimensionMismatch(f"point has {len(point)} coords, nvars={nvars}")
+        return self._value([dom.coerce(x) for x in point])
+
+    def _value(self, pt):
+        """The gate's value at canonical coordinates `pt` (see Polynomial._value)."""
         dom = self.inner[0].domain
-        vals = [q.evaluate(point) for q in self.inner]
+        vals = [q._value(pt) for q in self.inner]
         if self.is_product:
             acc = dom.one
             for v in vals:
@@ -279,7 +286,7 @@ def evaluate_circuit(c: Circuit, point):
     pt = [dom.coerce(x) for x in point]
     total = dom.zero
     for g in c.gates:
-        total = dom.add(total, g.evaluate(pt))
+        total = dom.add(total, g._value(pt))
     return total
 
 

@@ -138,6 +138,8 @@ class PrimeField:
         return 1
 
     def coerce(self, x) -> int:
+        if type(x) is int:  # the common case, ahead of the slower ABC check
+            return x % self.p
         if isinstance(x, Fraction):
             den = x.denominator % self.p
             if den == 0:

@@ -15,15 +15,20 @@ The scan evaluates the origin through `evaluate_circuit` (most nonzero
 circuits stop there) and the rest of the grid in chunks of at most `_CHUNK`
 points, one column per variable.  Over F_p with p < 2^31 the columns are
 int64: the grid values 0..delta are the field elements themselves
-(p > delta), every coefficient is reduced below p, and every product and sum
-is reduced mod p at once, so no operand exceeds 2^31 and no product 2^62:
-the int64 arithmetic is exact.  Over Q and over larger primes the columns are
-object arrays of the domain's own values (`Fraction`s, exact ints).  The
-witness, the lowest nonzero row of the first chunk that has one, is
-re-evaluated through `evaluate_circuit` before it is returned.
+(p > delta), every coefficient is reduced below p, and every product and
+gate-level sum is reduced mod p at once, so no operand exceeds 2^31 and no
+product 2^62.  An inner polynomial's column sum is reduced once, at its end,
+or after every `_SUM_TERMS` = 2^32 terms: 2^32 + 1 residues of at most
+2^31 - 2 (the terms and the carried sum) add up to less than 2^63.  The
+int64 arithmetic is therefore exact.  Over Q and over larger primes the
+columns are object arrays of the domain's own values (`Fraction`s, exact
+ints).  The witness, the lowest nonzero row of the first chunk that has
+one, is re-evaluated through `evaluate_circuit` before it is returned.
 
-The support bound is evaluated in outward-rounded interval arithmetic so
-the integer ceiling can never be rounded down.
+The support bound is computed in floats and accepted only when its value is
+far from every integer; near an integer, or beyond the float range, it
+falls back to outward-rounded interval arithmetic, so the integer ceiling
+can never be rounded down.
 """
 
 from __future__ import annotations
@@ -50,6 +55,8 @@ _CHUNK = 4096
 # residues below 2^31 keep every product of two below 2^62, exact in int64;
 # larger primes and Q scan object columns
 _ARRAY_PRIME_LIMIT = 1 << 31
+# terms an int64 column sum may add before it is reduced (module docstring)
+_SUM_TERMS = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -62,7 +69,11 @@ class SupportBound:
     variant: str  # "homogeneous" | "general"
 
 
-@functools.lru_cache(maxsize=1024)
+# libm's exp and log are correct to about 1e-15 relative, so a float x more
+# than this relative distance from every integer has the exact value's ceiling
+_FLOAT_MARGIN = 1e-9
+
+
 def support_bound(d: int, k: int, top_fanin: int, delta: int,
                   variant: str = "general") -> SupportBound:
     """ceil(2e^3 d (ln(T (delta+1)^v) + (d+1) k ln(2 (d+1) k) + 1)), v in {1,2}.
@@ -71,8 +82,14 @@ def support_bound(d: int, k: int, top_fanin: int, delta: int,
     homogeneous circuit; the general variant (v = 2) absorbs the
     (delta+1)-fold top fan-in blow-up of slicing an arbitrary circuit into
     homogeneous components, so no component circuits are ever materialized.
-    Results are memoized (the interval arithmetic costs far more than a
-    verdict at the origin); `SupportBound` is frozen, so sharing it is safe.
+
+    The value x is computed in floats: a product and sum of positive terms
+    (every logarithm is at least ln 2), so its relative error is a few
+    units of 1e-16 and x lies within 1e-14 x of the exact value.  When x
+    is more than `_FLOAT_MARGIN` x away from every integer, the exact value
+    lies strictly between the same two integers and ceil(x) is exact.
+    Otherwise (a value near an integer, or one too large for a float) the
+    ceiling comes from outward-rounded interval arithmetic.
     """
     if min(d, k, top_fanin, delta) < 1:
         raise InvalidParams("support bound inputs must all be >= 1")
@@ -82,6 +99,24 @@ def support_bound(d: int, k: int, top_fanin: int, delta: int,
         v = 2
     else:
         raise InvalidParams(f"unknown variant {variant!r}")
+    try:
+        x = 2 * math.exp(3) * d * (
+            math.log(top_fanin * (delta + 1) ** v)
+            + (d + 1) * k * math.log(2 * (d + 1) * k)
+            + 1)
+    except OverflowError:
+        x = math.inf
+    if math.isfinite(x) and abs(x - round(x)) > _FLOAT_MARGIN * x:
+        ell = math.ceil(x)
+    else:
+        ell = _interval_ell(d, k, top_fanin, delta, v)
+    return SupportBound(ell=ell, d=d, k=k, top_fanin=top_fanin, delta=delta,
+                        variant=variant)
+
+
+def _interval_ell(d: int, k: int, top_fanin: int, delta: int, v: int) -> int:
+    """The support bound's ceiling from 120-bit outward-rounded intervals,
+    which can never round it down."""
     iv = mpmath.iv
     old_prec = iv.prec
     iv.prec = 120
@@ -92,11 +127,9 @@ def support_bound(d: int, k: int, top_fanin: int, delta: int,
             + 1)
         # the interval's upper endpoint is a dyadic rational: ceil it exactly
         num, den = mpmath.libmp.to_rational(mpmath.mpf(expr.b)._mpf_)
-        ell = math.ceil(Fraction(int(num), int(den)))
+        return math.ceil(Fraction(int(num), int(den)))
     finally:
         iv.prec = old_prec
-    return SupportBound(ell=ell, d=d, k=k, top_fanin=top_fanin, delta=delta,
-                        variant=variant)
 
 
 @dataclass(frozen=True)
@@ -191,7 +224,7 @@ class _ColumnPoly:
         powers = {} if powers is None else powers
         p = self.p
         acc = 0
-        for c, mono in self.terms:
+        for n, (c, mono) in enumerate(self.terms, 1):
             term = c
             for v, e in mono:
                 x = powers.get((v, e))
@@ -201,8 +234,10 @@ class _ColumnPoly:
                         x = x * cols[v] % p if p else x * cols[v]
                     powers[(v, e)] = x
                 term = term * x % p if p else term * x
-            acc = (acc + term) % p if p else acc + term
-        return acc
+            acc = acc + term
+            if p and n % _SUM_TERMS == 0:
+                acc = acc % p
+        return acc % p if p else acc
 
 
 def _column_node(node, dom):

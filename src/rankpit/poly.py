@@ -364,15 +364,33 @@ class Polynomial:
         if len(point) != self.nvars:
             raise DimensionMismatch(f"point has {len(point)} coords, nvars={self.nvars}")
         dom = self.domain
-        pt = [dom.coerce(x) for x in point]
-        total = dom.zero
+        return self._value([dom.coerce(x) for x in point])
+
+    def _value(self, pt):
+        """The value at `pt`, whose coordinates are canonical domain elements
+        (residues in [0, p) or `Fraction`s).  A term stops at its first zero
+        coordinate; over F_p the sum is reduced once, at the end."""
+        p = self.domain.characteristic
+        if p:
+            total = 0
+            for mono, c in self.terms.items():
+                for v, e in mono:
+                    x = pt[v]
+                    if not x:
+                        break
+                    c = c * pow(x, e, p) % p
+                else:
+                    total += c
+            return total % p
+        total = Fraction(0)
         for mono, c in self.terms.items():
-            term = c
             for v, e in mono:
-                term = dom.mul(term, dom.pow(pt[v], e))
-                if dom.is_zero(term):
+                x = pt[v]
+                if not x:
                     break
-            total = dom.add(total, term)
+                c = c * x ** e
+            else:
+                total += c
         return total
 
     def set_vars_zero(self, dead) -> "Polynomial":

@@ -15,7 +15,7 @@ from rankpit.circuit import Circuit, DeclaredBounds, Gate, OuterExpr, expand
 from rankpit.domains import PrimeField, Rationals
 from rankpit.errors import (BoundViolation, CharacteristicTooSmall,
                             DerivativeVanishes, DimensionMismatch, DomainMismatch,
-                            ExpansionTooLarge, InvalidParams,
+                            ExpansionTooLarge, FieldTooSmall, InvalidParams,
                             NoAnnihilatorWithinCap, NoGoodTranslation,
                             NoSolutionWithinCap, RankNotCertified)
 from rankpit.poly import DEFAULT_TERM_CAP, GRLEX, Polynomial, compose, mono_from_dict
@@ -640,6 +640,30 @@ def test_translation_exhausts_retries():
     # grid {0}: the only candidate translation is the bad origin
     with pytest.raises(NoGoodTranslation):
         sample_good_translation(qs, (0,), TranslationSampler(grid_size=1, seed=0))
+
+
+def test_translation_grid_larger_than_the_field():
+    f5 = PrimeField(5)
+    qs = [Polynomial.variable(f5, 1, 0)] * 2
+    with pytest.raises(FieldTooSmall):
+        sample_good_translation(qs, (0,), TranslationSampler(grid_size=6, seed=0))
+    a = sample_good_translation(qs, (0,), TranslationSampler(grid_size=5, seed=0))
+    assert len(a) == 1 and type(a[0]) is int and 0 <= a[0] < 5
+
+
+def test_translation_draws_the_grid_scalars_of_the_domain():
+    # each retry draws uniform indices into dom.scalars(grid_size)
+    for dom in (Q, PrimeField(1_000_003)):
+        certificates = [Polynomial.variable(dom, 3, i) for i in range(2)]
+        sampler = TranslationSampler(grid_size=3, seed=1)
+        a = algdep._sample_translation(certificates, dom, 3, sampler)
+        rng = random.Random(algdep.derive_seed(1, "translation"))
+        grid = dom.scalars(3)
+        draws = []
+        while not draws or any(dom.is_zero(v) for v in draws[-1][:2]):
+            draws.append(tuple(grid[rng.randrange(3)] for _ in range(3)))
+        assert len(draws) > 1
+        assert a == draws[-1] and [type(v) for v in a] == [type(dom.one)] * 3
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
 import numpy as np
@@ -487,12 +488,73 @@ def test_witness_index_locates_the_witness_in_the_hitting_set():
     assert pit_test(nonzero_fixture(), mode="oracle").witness_index is None
 
 
-def test_support_bound_memoized_and_still_validates():
+def test_support_bound_repeated_calls_agree_and_validate():
     first = support_bound(2, 2, 3, 5, "general")
-    assert support_bound(2, 2, 3, 5, "general") is first
+    assert support_bound(2, 2, 3, 5, "general") == first
     assert support_bound(1, 1, 1, 1, "general").ell == 208
     for _ in range(3):
         with pytest.raises(InvalidParams):
             support_bound(0, 1, 1, 1)
         with pytest.raises(InvalidParams):
             support_bound(1, 1, 1, 1, "bogus")
+
+
+@pytest.fixture
+def interval_calls(monkeypatch):
+    calls = []
+    real = pit._interval_ell
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(pit, "_interval_ell", spy)
+    return calls
+
+
+def test_float_support_bound_equals_the_interval_ceiling():
+    for d, k, t, delta in product(range(1, 7), repeat=4):
+        for variant, v in (("homogeneous", 1), ("general", 2)):
+            assert (support_bound(d, k, t, delta, variant).ell
+                    == pit._interval_ell(d, k, t, delta, v)), (d, k, t, delta, variant)
+
+
+def test_support_bound_near_an_integer_falls_back_to_intervals(interval_calls):
+    assert support_bound(1, 1, 1, 1, "general").ell == 208
+    assert interval_calls == []
+    # x = 89243.0000076...: within the float margin of an integer
+    assert support_bound(7, 8, 7, 6, "general").ell == 89244
+    assert interval_calls == [(7, 8, 7, 6, 2)]
+
+
+def test_support_bound_beyond_the_float_range(interval_calls):
+    d = 10**400
+    ell = support_bound(d, 1, 1, 1, "general").ell
+    assert interval_calls == [(d, 1, 1, 1, 2)]
+    assert ell == pit._interval_ell(d, 1, 1, 1, 2) and len(str(ell)) > 800
+
+
+# ----------------------------------------------------------------------
+# the column sum, reduced once at its end
+
+def _dense_poly(domain, nvars, degree, coeff):
+    """Every monomial of degree 1..degree, each with coefficient coeff."""
+    return Polynomial(domain, nvars, {
+        tuple(sorted(Counter(vs).items())): coeff for deg in range(1, degree + 1)
+        for vs in combinations_with_replacement(range(nvars), deg)})
+
+
+@pytest.mark.parametrize("sum_terms", [1 << 32, 3, 1], ids=["once", "every-3", "every-1"])
+def test_deferred_column_sum_at_the_largest_accepted_prime(monkeypatch, chunk_calls,
+                                                           sum_terms):
+    # residues up to p - 1 in every term: the column sums are the largest
+    # the int64 scan can meet; a smaller _SUM_TERMS reduces along the way
+    monkeypatch.setattr(pit, "_SUM_TERMS", sum_terms)
+    p = P31.p
+    q = _dense_poly(P31, 4, 3, p - 1)
+    r = _dense_poly(P31, 4, 2, p - 1) + Polynomial.variable(P31, 4, 3).scale(p - 2)
+    assert len(q.terms) == 34
+    nonzero = Circuit(P31, 4, DeclaredBounds(d=3, k=2, delta=5),
+                      [Gate("product", [q, r])])
+    assert _check_against_reference([nonzero, _with_negated_twins(nonzero)]) == {
+        "zero", "later"}
+    assert chunk_calls

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from rankpit.circuit import Circuit, DeclaredBounds, Gate, OuterExpr, evaluate_circuit
 from rankpit.domains import PrimeField, Rationals
 from rankpit.errors import (ArityMismatch, DimensionMismatch, ExpansionTooLarge,
                             InexactDivision, InvalidParams, ZeroPolynomial)
@@ -192,6 +193,139 @@ def test_evaluate_huge_exponent_is_a_modular_power():
     big = Polynomial(PrimeField(p), 1, {((0, 10**9),): 1})
     for a in (0, 1, 2, 12345, p - 1):
         assert big.evaluate([a]) == pow(a, 10**9, p)
+
+
+# ----------------------------------------------------------------------
+# evaluation against the domain-call loop
+
+def _reference_evaluate(poly, point):
+    """The value at `point` by the domain's own coerce, mul, pow and add."""
+    dom = poly.domain
+    pt = [dom.coerce(x) for x in point]
+    total = dom.zero
+    for mono, c in poly.terms.items():
+        term = c
+        for v, e in mono:
+            term = dom.mul(term, dom.pow(pt[v], e))
+            if dom.is_zero(term):
+                break
+        total = dom.add(total, term)
+    return total
+
+
+def _reference_circuit(c, point):
+    """evaluate_circuit by the reference loop: products and DAG folds over the
+    domain, call nodes through `_reference_evaluate`."""
+    dom = c.domain
+    total = dom.zero
+    for g in c.gates:
+        vals = [_reference_evaluate(q, point) for q in g.inner]
+        if g.is_product:
+            value = dom.one
+            for v in vals:
+                value = dom.mul(value, v)
+        else:
+            value = g.outer._fold(vals, lambda k: k, _reference_evaluate, dom.add,
+                                  dom.zero, dom.mul, dom.one)
+        total = dom.add(total, value)
+    return total
+
+
+EVAL_DOMAINS = [Q, PrimeField(7), FP, PrimeField(2**64 - 59)]
+EVAL_IDS = ["Q", "F7", "F1000003", "2^64-59"]
+
+
+def _eval_poly(rng, dom, nvars, max_deg=4, max_terms=6):
+    """A random polynomial whose coefficients include p - 1, negatives and
+    (over Q) proper fractions; nvars = 0 gives a constant."""
+    p = dom.characteristic
+    coeffs = [1, 2, -1, -3, (p or 1 << 70) - 1, Fraction(5, 2) if not p else 2**40 + 1]
+    terms = {}
+    for _ in range(rng.randrange(max_terms + 1)):
+        mono = {}
+        for _ in range(rng.randrange(max_deg + 1) if nvars else 0):
+            v = rng.randrange(nvars)
+            mono[v] = mono.get(v, 0) + 1
+        terms[tuple(sorted(mono.items()))] = rng.choice(coeffs)
+    return Polynomial(dom, nvars, terms)
+
+
+def _eval_point(rng, dom, nvars):
+    """Coordinates of every kind `coerce` accepts: Fraction (denominator
+    prime to p), negative, bool, zero and integers at or above p."""
+    p = dom.characteristic
+    kinds = [0, 1, -1, -12345, True, False, Fraction(3, 4), Fraction(-7, 2),
+             rng.randrange(1, 1 << 70)]
+    if p:
+        kinds += [p, p + 1, 2 * p - 1, -p - 2]
+    return [rng.choice(kinds) for _ in range(nvars)]
+
+
+@pytest.mark.parametrize("dom", EVAL_DOMAINS, ids=EVAL_IDS)
+def test_evaluate_matches_the_domain_call_loop(dom):
+    rng = random.Random(dom.characteristic)
+    polys = [Polynomial.zero(dom, 3), Polynomial.zero(dom, 0),
+             Polynomial.constant(dom, 0, 5), _eval_poly(rng, dom, 0)]
+    polys += [_eval_poly(rng, dom, rng.randrange(1, 5)) for _ in range(60)]
+    for poly in polys:
+        for _ in range(8):
+            point = _eval_point(rng, dom, poly.nvars)
+            got, want = poly.evaluate(point), _reference_evaluate(poly, point)
+            assert type(got) is type(want) and got == want, (poly.to_text(), point)
+
+
+@pytest.mark.parametrize("dom", EVAL_DOMAINS, ids=EVAL_IDS)
+def test_evaluate_circuit_matches_the_domain_call_loop(dom):
+    rng = random.Random(dom.characteristic + 1)
+    for nvars in (0, 1, 2, 4):
+        for _ in range(6):
+            inner = [_eval_poly(rng, dom, nvars, max_deg=2) for _ in range(3)]
+            call = _eval_poly(rng, dom, 2, max_deg=2)
+            dag = OuterExpr(3, [("input", 0), ("input", 1), ("input", 2),
+                                ("const", dom.coerce(rng.choice([-2, 3, 2**70]))),
+                                ("mul", (0, 3)), ("call", call, (1, 2)),
+                                ("add", (4, 5, 2))], 6)
+            gates = [Gate("product", inner), Gate(dag, inner),
+                     Gate("product", [Polynomial.zero(dom, nvars)])]
+            c = Circuit(dom, nvars, DeclaredBounds(d=10, k=3, delta=100), gates)
+            for _ in range(5):
+                point = _eval_point(rng, dom, nvars)
+                got, want = evaluate_circuit(c, point), _reference_circuit(c, point)
+                assert type(got) is type(want) and got == want
+                for g in gates:
+                    assert g.evaluate(point) == _reference_circuit(
+                        Circuit(dom, nvars, c.declared, [g]), point)
+
+
+@pytest.mark.parametrize("dom", [Q, FP], ids=["Q", "Fp"])
+def test_wrong_point_length_raises_from_gate_and_circuit(dom):
+    g = Gate("product", [x(0, dom=dom), x(1, dom=dom)])
+    c = Circuit(dom, 2, DeclaredBounds(d=1, k=2, delta=2), [g])
+    for point in ([1], [1, 2, 3], []):
+        with pytest.raises(DimensionMismatch):
+            g.evaluate(point)
+        with pytest.raises(DimensionMismatch):
+            evaluate_circuit(c, point)
+
+
+def test_evaluate_circuit_coerces_each_coordinate_once(monkeypatch):
+    nvars = 5
+    rng = random.Random(3)
+    gates = [Gate("product", [_eval_poly(rng, FP, nvars, max_deg=2) for _ in range(3)])
+             for _ in range(4)]
+    c = Circuit(FP, nvars, DeclaredBounds(d=10, k=3, delta=100), gates)
+    calls = []
+    real = PrimeField.coerce
+
+    def counting(self, value):
+        calls.append(value)
+        return real(self, value)
+    monkeypatch.setattr(PrimeField, "coerce", counting)
+    point = [3, -1, True, FP.p + 2, Fraction(1, 2)]
+    value = evaluate_circuit(c, point)
+    assert len(calls) == nvars
+    monkeypatch.undo()
+    assert value == _reference_circuit(c, point)
 
 
 # ----------------------------------------------------------------------
