@@ -426,9 +426,13 @@ def run(argv) -> tuple[int, str]:
     """Parse and dispatch; returns (exit code, stdout payload)."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is None:
-        args.seed = int(os.environ.get("RANKPIT_SEED", "0"))
     try:
+        if args.seed is None:
+            try:
+                args.seed = int(os.environ.get("RANKPIT_SEED", "0"))
+            except ValueError:
+                raise InvalidParams("bad RANKPIT_SEED value "
+                                    f"{os.environ['RANKPIT_SEED']!r} (an integer)") from None
         for flag in ("cap_expansion", "cap_matrix", "cap_points"):
             if getattr(args, flag) < 0:
                 raise InvalidParams(f"--{flag.replace('_', '-')} must be >= 0, "

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _cartesian
 
-import mpmath
-
 from .domains import Rationals, is_prime
 from .errors import ExpansionTooLarge, InvalidParams, SlotDied
 from .poly import DEFAULT_TERM_CAP, Polynomial
@@ -262,6 +260,7 @@ def instantiate_parameters(n: int) -> NWInstantiation:
     """
     if n < 2:
         raise InvalidParams("need n >= 2")
+    import mpmath
     iv = mpmath.iv
     old_prec = iv.prec
     iv.prec = 120

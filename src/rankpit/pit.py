@@ -40,9 +40,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
 
-import mpmath
-import numpy as np
-
 from .circuit import Circuit, OuterExpr, evaluate_circuit
 from .domains import PrimeField
 from .errors import FieldTooSmall, InvalidParams, SetTooLarge
@@ -117,6 +114,7 @@ def support_bound(d: int, k: int, top_fanin: int, delta: int,
 def _interval_ell(d: int, k: int, top_fanin: int, delta: int, v: int) -> int:
     """The support bound's ceiling from 120-bit outward-rounded intervals,
     which can never round it down."""
+    import mpmath
     iv = mpmath.iv
     old_prec = iv.prec
     iv.prec = 120
@@ -168,6 +166,7 @@ def _point_chunks(nvars: int, ell: int, delta: int):
     int64 arrays of at most `_CHUNK` rows of indices into W, in enumeration
     order: support size, then support position, then values, last coordinate
     fastest.  The origin, which comes first, is not among them."""
+    import numpy as np
     for j in range(1, ell + 1 if delta else 1):
         block = delta ** j  # value tuples per support, last coordinate fastest
         place = delta ** np.arange(j - 1, -1, -1, dtype=np.int64)
@@ -193,6 +192,7 @@ def hitting_set(nvars: int, delta: int, ell: int, domain, *,
     (delta+1)-grid.  Enumeration order is deterministic: support size, then
     support position, then values.
     """
+    import numpy as np
     ell, clamped, size, values = _grid(nvars, delta, ell, domain, point_cap)
     grid = np.array(values, dtype=object)
     points = ((values[0],) * nvars,) + tuple(
@@ -284,6 +284,7 @@ def _scan(c: Circuit, ell: int, values):
     origin = (values[0],) * c.nvars
     if not dom.is_zero(evaluate_circuit(c, origin)):
         return _verified(c, origin), 0
+    import numpy as np
     gates = _compile(c)
     # over F_p with p < 2^31 the indices 0..delta into W are the field elements
     int64 = 0 < dom.characteristic < _ARRAY_PRIME_LIMIT

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -182,6 +184,58 @@ def test_env_seed_fallback(e1_file, monkeypatch):
     monkeypatch.setenv("RANKPIT_SEED", "99")
     code, out = cli.run(["rank", "--poly-file", e1_file, "--json"])
     assert json.loads(out)["config"]["seed"] == 99
+
+
+def test_bad_env_seed_is_invalid_params(e1_file, monkeypatch, capsys):
+    # exit 1 is the verdict "nonzero", so a bad seed must not reach it
+    monkeypatch.setenv("RANKPIT_SEED", "abc")
+    assert cli.main(["rank", "--poly-file", e1_file, "--json"]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "InvalidParams"
+    assert "RANKPIT_SEED" in payload["detail"] and "'abc'" in payload["detail"]
+
+
+_IMPORT_PROBE = """
+import json, sys
+import rankpit, rankpit.cli
+from rankpit import cli, nw
+
+def loaded():
+    return sorted(m for m in ("numpy", "mpmath") if m in sys.modules)
+
+polys, origin_circuit, scan_circuit = sys.argv[1:]
+seen = {"import": loaded()}
+codes = [cli.run(argv)[0] for argv in (
+    ["rank", "--poly-file", polys, "--json"],
+    ["rank", "--poly-file", polys, "--mode", "symbolic", "--json"],
+    ["annihilate", "--poly-file", polys, "--json"],
+    ["measure", "--poly-file", polys, "--index", "2", "--r", "1", "--m", "1", "--json"],
+    ["pit", "--circuit", origin_circuit, "--json"])]
+seen["light"] = loaded()
+codes.append(cli.run(["pit", "--circuit", scan_circuit, "--json"])[0])
+seen["scan"] = loaded()
+nw.instantiate_parameters(16)
+seen["interval"] = loaded()
+print(json.dumps({"codes": codes, "seen": seen}))
+"""
+
+
+def test_numpy_and_mpmath_load_only_where_used(e1_file, tmp_path):
+    # start-up cost: numpy loads only for a scan past the origin, mpmath
+    # only for interval arithmetic; neither import may vanish altogether
+    one = [{"outer": "product", "inner": [[{"coeff": "1", "mono": {}}]]}]
+    origin = tmp_path / "origin.json"
+    origin.write_text(json.dumps({**ZERO_CIRCUIT, "gates": one}))
+    scan = tmp_path / "scan.json"  # (x1+x2)(x1-x2): zero at the origin only
+    scan.write_text(json.dumps({**ZERO_CIRCUIT, "gates": ZERO_CIRCUIT["gates"][:1]}))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, e1_file,
+                           str(origin), str(scan)],
+                          env=env, capture_output=True, text=True, check=True)
+    out = json.loads(done.stdout)
+    assert out["codes"] == [0, 0, 0, 0, 1, 1]
+    assert out["seen"] == {"import": [], "light": [], "scan": ["numpy"],
+                           "interval": ["mpmath", "numpy"]}
 
 
 def test_json_reports_deterministic_across_workers(zero_circuit_file):

@@ -79,22 +79,32 @@ def test_no_unreferenced_private_names():
                   if name not in read) == []
 
 
+def _imported_modules(node):
+    """Top-level package names an import statement loads."""
+    if isinstance(node, ast.Import):
+        return {alias.name.split(".")[0] for alias in node.names}
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return {node.module.split(".")[0]}
+    return set()
+
+
 def test_only_pit_imports_numpy():
-    # every elimination runs on plain ints; numpy serves only the
-    # vectorized hitting-set scan
+    # every elimination runs on plain ints: numpy serves only the vectorized
+    # hitting-set scan, and mpmath only the interval bounds in pit and nw.
+    # Both are imported inside the functions that use them, so a process
+    # that needs neither never pays for loading them
+    allowed = {"numpy": {"pit.py"}, "mpmath": {"pit.py", "nw.py"}}
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        in_functions = {inner for node in ast.walk(tree)
+                        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        for inner in ast.walk(node)}
         for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            if any(n.split(".")[0] == "numpy" for n in names):
-                found.append(f"{path.name}:{node.lineno}")
-    assert [f for f in found if not f.startswith("pit.py:")] == []
+            for name in _imported_modules(node) & allowed.keys():
+                if node not in in_functions or path.name not in allowed[name]:
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
 
 
 def _catches_everything(handler):
