@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .circuit import Circuit, DeclaredBounds, Gate, OuterExpr, _shift_node
+from .circuit import Circuit, DeclaredBounds, Gate, OuterExpr, _graft
 from .domains import PrimeField
 from .errors import (BoundViolation, CharacteristicTooSmall, DerivativeVanishes,
                      ExpansionTooLarge, FieldTooSmall, InvalidParams,
@@ -677,12 +677,6 @@ def _rewrite_gate(g: Gate, cert: RankCertificate, witness: DependenceWitness,
             terms.append(push(("mul", (cn, call_id))))
         arg_ids[i] = push(("add", tuple(terms)))
 
-    if g.is_product:
-        root = push(("mul", tuple(arg_ids)))
-    else:
-        base = len(nodes)
-        for node in g.outer.nodes:
-            nodes.append(_shift_node(node, base, input_map=arg_ids))
-        root = base + g.outer.root
+    root = _graft(nodes, g.outer, arg_ids)
     outer = OuterExpr(len(comp_polys), nodes, root)
     return Gate(outer, comp_polys, rank_bound=g.rank_bound)

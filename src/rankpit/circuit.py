@@ -1,8 +1,9 @@
 """Rank-bounded sum-of-gates circuits.
 
-A circuit is a top sum of gates; each gate applies an outer function (a plain
-product, or an expression DAG over its inputs) to a list of sparse inner
-polynomials given by monomial expansion.  The file format, blackbox
+A circuit is a top sum of gates; each gate applies an outer expression DAG
+to a list of sparse inner polynomials given by monomial expansion.  A plain
+product Q_1...Q_t is the DAG with one "mul" node over its inputs; "product"
+is only its spelling in the file format.  The file format, blackbox
 evaluation, full expansion, and the degree-slice transform live here.
 
 Outer expression DAGs are never expanded into polynomials: gates are
@@ -14,6 +15,7 @@ witnesses without any blow-up.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -41,13 +43,17 @@ class OuterExpr:
         ("call", poly, (ids...))  poly applied to earlier nodes
     """
 
-    __slots__ = ("arity", "nodes", "root")
+    __slots__ = ("arity", "nodes", "root", "_steps", "_root")
 
     def __init__(self, arity: int, nodes: list, root: int):
         self.arity = arity
         self.nodes = tuple(nodes)
         self.root = root
         self._validate()
+        # the fold's program: ids 0..arity-1 are the inputs, the steps follow
+        steps = [("input", i) for i in range(arity)]
+        self._root = _graft(steps, self, range(arity))
+        self._steps = tuple(steps[arity:])
 
     def _validate(self):
         for idx, node in enumerate(self.nodes):
@@ -72,32 +78,37 @@ class OuterExpr:
         if not 0 <= self.root < len(self.nodes):
             raise InvalidParams(f"root {self.root} out of range")
 
-    def _fold(self, inputs: list, const, call, add, zero, mul, one):
+    def _fold(self, inputs: list, const, call, add, mul):
         """The root's value when input i holds inputs[i]: a const node maps
         through const(c), a call node through call(poly, values), and add and
-        mul nodes reduce their arguments from zero and one."""
+        mul nodes combine their arguments from left to right."""
         if len(inputs) != self.arity:
             raise DimensionMismatch(f"expected {self.arity} inputs, got {len(inputs)}")
-        vals: list = [None] * len(self.nodes)
-        for idx, node in enumerate(self.nodes):
-            op = node[0]
-            if op == "input":
-                vals[idx] = inputs[node[1]]
-            elif op == "const":
-                vals[idx] = const(node[1])
+        vals = list(inputs)
+        # add and mul each have their own call site: one shared site that
+        # alternates between them ran slower on the benchmark's origin path
+        for node in self._steps:
+            op, args = node[0], node[-1]
+            if op == "mul":
+                acc = vals[args[0]]
+                for j in args[1:]:
+                    acc = mul(acc, vals[j])
+            elif op == "add":
+                acc = vals[args[0]]
+                for j in args[1:]:
+                    acc = add(acc, vals[j])
             elif op == "call":
-                vals[idx] = call(node[1], [vals[j] for j in node[2]])
+                acc = call(node[1], [vals[j] for j in args])
             else:
-                acc, combine = (zero, add) if op == "add" else (one, mul)
-                for j in node[1]:
-                    acc = combine(acc, vals[j])
-                vals[idx] = acc
-        return vals[self.root]
+                acc = const(node[1])
+            vals.append(acc)
+        return vals[self._root]
 
     def evaluate(self, args: list, domain):
-        """Fold the DAG over scalar inputs."""
-        return self._fold(args, lambda c: c, lambda poly, vals: poly.evaluate(vals),
-                          domain.add, domain.zero, domain.mul, domain.one)
+        """Fold the DAG over scalar inputs; a DAG built in code may hold any
+        int as a constant, so constants are coerced into the domain."""
+        return self._fold(args, domain.coerce, lambda poly, vals: poly.evaluate(vals),
+                          domain.add, domain.mul)
 
     def expand(self, inners: list[Polynomial], term_cap: int | None) -> Polynomial:
         """Fold the DAG over polynomial inputs (the expansion oracle)."""
@@ -107,9 +118,7 @@ class OuterExpr:
         return self._fold(
             inners, lambda c: Polynomial.constant(dom, nvars, c),
             lambda poly, args: compose(poly, args, term_cap=term_cap),
-            Polynomial.__add__, Polynomial.zero(dom, nvars),
-            lambda a, b: a.mul(b, term_cap=term_cap),
-            Polynomial.constant(dom, nvars, dom.one))
+            Polynomial.__add__, lambda a, b: a.mul(b, term_cap=term_cap))
 
     def formal_degree(self, weights: list[int]) -> int:
         """Degree of the DAG when input i carries degree weights[i]."""
@@ -117,7 +126,7 @@ class OuterExpr:
             weights, lambda c: 0,
             lambda poly, degs: max((sum(e * degs[v] for v, e in mono)
                                     for mono in poly.terms), default=0),
-            max, 0, int.__add__, 0)
+            max, int.__add__)
 
     def to_json(self, domain) -> dict:
         nodes_json = []
@@ -161,6 +170,30 @@ class OuterExpr:
             raise CircuitSyntaxError(str(exc), path=path) from None
 
 
+def _graft(nodes: list, outer: OuterExpr, input_ids) -> int:
+    """Append `outer`'s non-input nodes to `nodes`, reading its input i from
+    node input_ids[i]; returns the id of `outer`'s root within `nodes`."""
+    ids: list[int] = []
+    for node in outer.nodes:
+        op = node[0]
+        if op == "input":
+            ids.append(input_ids[node[1]])
+            continue
+        if op in ("add", "mul"):
+            node = (op, tuple(ids[j] for j in node[1]))
+        elif op == "call":
+            node = ("call", node[1], tuple(ids[j] for j in node[2]))
+        ids.append(len(nodes))
+        nodes.append(node)
+    return ids[outer.root]
+
+
+@functools.cache
+def _product_dag(t: int) -> OuterExpr:
+    """The one-"mul" DAG over t inputs; immutable, so product gates share it."""
+    return OuterExpr(t, [("input", i) for i in range(t)] + [("mul", tuple(range(t)))], t)
+
+
 def _node_from_json(nj: dict, domain) -> tuple:
     """One DAG node tuple; malformed JSON raises InvalidParams or a _MALFORMED error."""
     op = nj.get("op")
@@ -177,9 +210,13 @@ def _node_from_json(nj: dict, domain) -> tuple:
 
 
 class Gate:
-    """One summand: an outer (product or DAG) over a nonempty inner list."""
+    """One summand: an outer DAG over a nonempty inner list.
 
-    __slots__ = ("outer", "inner", "rank_bound")
+    `Gate("product", inner)` builds the one-"mul" DAG over the inner list and
+    records `is_product`, so that serialize writes it back as "product".
+    """
+
+    __slots__ = ("outer", "inner", "rank_bound", "is_product")
 
     def __init__(self, outer, inner: list[Polynomial], rank_bound: int | None = None):
         if not inner:
@@ -190,18 +227,17 @@ class Gate:
                 raise DomainMismatch("inner polynomials on different domains")
             if q.nvars != nv:
                 raise DimensionMismatch("inner polynomials on different variable counts")
-        if outer != "product" and not isinstance(outer, OuterExpr):
+        self.is_product = outer == "product"
+        if self.is_product:
+            outer = _product_dag(len(inner))
+        elif not isinstance(outer, OuterExpr):
             raise InvalidParams("outer must be \"product\" or an OuterExpr")
-        if isinstance(outer, OuterExpr) and outer.arity != len(inner):
+        if outer.arity != len(inner):
             raise InvalidParams(
                 f"outer arity {outer.arity} != {len(inner)} inner polynomials")
         self.outer = outer
         self.inner = list(inner)
         self.rank_bound = rank_bound
-
-    @property
-    def is_product(self) -> bool:
-        return self.outer == "product"
 
     def evaluate(self, point):
         dom, nvars = self.inner[0].domain, self.inner[0].nvars
@@ -211,29 +247,14 @@ class Gate:
 
     def _value(self, pt):
         """The gate's value at canonical coordinates `pt` (see Polynomial._value)."""
-        dom = self.inner[0].domain
-        vals = [q._value(pt) for q in self.inner]
-        if self.is_product:
-            acc = dom.one
-            for v in vals:
-                acc = dom.mul(acc, v)
-            return acc
-        return self.outer.evaluate(vals, dom)
+        return self.outer.evaluate([q._value(pt) for q in self.inner],
+                                   self.inner[0].domain)
 
     def expand(self, term_cap: int | None) -> Polynomial:
-        if self.is_product:
-            acc = Polynomial.constant(self.inner[0].domain, self.inner[0].nvars,
-                                      self.inner[0].domain.one)
-            for q in self.inner:
-                acc = acc.mul(q, term_cap=term_cap)
-            return acc
         return self.outer.expand(self.inner, term_cap)
 
     def formal_degree(self) -> int:
-        weights = [q.degree() for q in self.inner]
-        if self.is_product:
-            return sum(weights)
-        return self.outer.formal_degree(weights)
+        return self.outer.formal_degree([q.degree() for q in self.inner])
 
 
 @dataclass(frozen=True)
@@ -327,32 +348,12 @@ def homogeneous_component_circuit(c: Circuit, ell: int) -> Circuit:
             scaled = [q.dilate(z) for q in g.inner]
             t = len(scaled)
             nodes: list = [("input", i) for i in range(t)]
-            if g.is_product:
-                nodes.append(("mul", tuple(range(t))))
-            else:
-                base = len(nodes)
-                for node in g.outer.nodes:
-                    nodes.append(_shift_node(node, base, input_map=list(range(t))))
-                nodes.append(("add", (base + g.outer.root,)))  # alias for clarity
-            body_root = len(nodes) - 1
+            body_root = _graft(nodes, g.outer, range(t))
             nodes.append(("const", dom.coerce(lam_u)))
             nodes.append(("mul", (body_root, len(nodes) - 1)))
             outer = OuterExpr(t, nodes, len(nodes) - 1)
             new_gates.append(Gate(outer, scaled, rank_bound=g.rank_bound))
     return Circuit(dom, c.nvars, c.declared, new_gates)
-
-
-def _shift_node(node, base: int, input_map: list[int]):
-    """Re-root a DAG node at offset `base`, mapping inputs to existing node ids."""
-    op = node[0]
-    if op == "input":
-        # grafted DAGs read their inputs from pre-built nodes
-        return ("add", (input_map[node[1]],))
-    if op == "const":
-        return node
-    if op in ("add", "mul"):
-        return (op, tuple(j + base for j in node[1]))
-    return ("call", node[1], tuple(j + base for j in node[2]))
 
 
 # ----------------------------------------------------------------------
@@ -424,10 +425,9 @@ def parse(text: str) -> Circuit:
                 inner.append(Polynomial.terms_from_json(domain, nvars, terms))
             except (InvalidParams, *_MALFORMED) as exc:
                 raise CircuitSyntaxError(str(exc), path=f"{path}.inner[{pi}]") from None
-        if gobj["outer"] == "product":
-            outer = "product"
-        else:
-            outer = OuterExpr.from_json(gobj["outer"], domain, path=f"{path}.outer")
+        outer = gobj["outer"]
+        if outer != "product":
+            outer = OuterExpr.from_json(outer, domain, path=f"{path}.outer")
         try:
             rank_bound = None if gobj.get("k") is None else json_int(gobj["k"])
             gates.append(Gate(outer, inner, rank_bound=rank_bound))

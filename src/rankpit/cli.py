@@ -25,7 +25,7 @@ from . import algdep, circuit as ckt, measure, nw, pit
 from .domains import PrimeField, Rationals, domain_from_json
 from .errors import CircuitSyntaxError, InvalidParams, RankpitError
 from .poly import DEFAULT_TERM_CAP, Polynomial
-from .util import read_text
+from .util import read_text, write_text
 
 USAGE_EXIT = 64
 ERROR_EXIT = 2
@@ -104,6 +104,13 @@ def _emit(args, command: str, result: dict) -> str:
     return buf.getvalue()
 
 
+def _timed(fn, *args, **kwargs):
+    """fn's result and its wall-clock time in milliseconds."""
+    start = time.perf_counter()
+    result = fn(*args, **kwargs)
+    return result, (time.perf_counter() - start) * 1000
+
+
 def _load_polys(path: str):
     """Read a polynomial-tuple file; malformed content raises
     CircuitSyntaxError with its JSON path, as circuit.parse does, and an
@@ -123,7 +130,7 @@ def _load_polys(path: str):
     def located(json_path, fn, *args):
         try:
             return fn(*args)
-        except ckt._MALFORMED as exc:
+        except (InvalidParams, *ckt._MALFORMED) as exc:
             raise CircuitSyntaxError(f"{type(exc).__name__}: {exc}",
                                      path=json_path) from None
 
@@ -207,8 +214,7 @@ def _cmd_rewrite(args) -> tuple[int, str]:
                                           term_cap=args.cap_expansion)
     text = ckt.serialize(rewritten)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_text(args.out, text)
     result = {
         "a": _point(a, c.domain),
         "gates": [{"inner_count": len(g.inner)} for g in rewritten.gates],
@@ -235,18 +241,17 @@ def _cmd_measure(args) -> tuple[int, str]:
         for r in range(args.r + 1):
             for m in range(args.m + 1):
                 spec = measure.MeasureSpec.multilinear(nvars, r, m)
-                rep = measure.psp_dimension(p, spec, matrix_cap=args.cap_matrix,
-                                            record_timing=True)
+                rep, elapsed_ms = _timed(measure.psp_dimension, p, spec,
+                                         matrix_cap=args.cap_matrix)
                 writer.writerow([r, m, rep.dimension, rep.rows, rep.cols,
-                                 f"{rep.timing_ms:.3f}"])
+                                 f"{elapsed_ms:.3f}"])
         return 0, buf.getvalue()
-    rep = measure.psp_dimension(p, spec, matrix_cap=args.cap_matrix,
-                                record_timing=args.timings)
+    rep, elapsed_ms = _timed(measure.psp_dimension, p, spec, matrix_cap=args.cap_matrix)
     result = {
         "dimension": rep.dimension,
         "matrix_shape": {"rows": rep.rows, "cols": rep.cols},
         "rank_method": rep.rank_method,
-        "timing_ms": rep.timing_ms if args.timings else None,
+        "timing_ms": elapsed_ms if args.timings else None,
         "r": args.r,
         "m": args.m,
         "derivative_count": rep.derivative_count,
@@ -287,13 +292,11 @@ def _cmd_nw(args) -> tuple[int, str]:
 
 def _cmd_pit(args) -> tuple[int, str]:
     c = ckt.parse_file(args.circuit)
-    start = time.perf_counter()
-    report = pit.pit_test(c, mode=args.mode, seed=args.seed,
-                          point_cap=args.cap_points, rounds=args.rounds,
-                          certify_rank=args.certify_rank,
-                          expansion_term_cap=(args.cap_expansion
-                                              if args.mode == "both" else None))
-    elapsed_ms = (time.perf_counter() - start) * 1000
+    report, elapsed_ms = _timed(pit.pit_test, c, mode=args.mode, seed=args.seed,
+                                point_cap=args.cap_points, rounds=args.rounds,
+                                certify_rank=args.certify_rank,
+                                expansion_term_cap=(args.cap_expansion
+                                                    if args.mode == "both" else None))
     result = {
         "verdict": report.verdict,
         "witness": None if report.witness is None else _point(report.witness, c.domain),

@@ -67,6 +67,15 @@ class UnreadableInput(RankpitError):
         self.reason = reason
 
 
+class UnwritableOutput(RankpitError):
+    """An output file could not be written."""
+
+    def __init__(self, file: str, reason: str):
+        super().__init__(f"cannot write {file}: {reason}")
+        self.file = file
+        self.reason = reason
+
+
 class BoundViolation(RankpitError):
     """A declared circuit bound does not hold."""
 

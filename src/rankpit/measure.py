@@ -10,7 +10,6 @@ exact big-integer formulas.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -63,15 +62,13 @@ class MeasureReport:
     rows: int
     cols: int
     rank_method: str
-    timing_ms: float | None = None
     shift_degree: int = 0
     derivative_degree: int = 0
     derivative_count: int = 0
 
 
 def psp_dimension(p: Polynomial, spec: MeasureSpec, *,
-                  matrix_cap: int = DEFAULT_MATRIX_CAP,
-                  record_timing: bool = False) -> MeasureReport:
+                  matrix_cap: int = DEFAULT_MATRIX_CAP) -> MeasureReport:
     """Exact dimension of the projected shifted partial-derivative span.
 
     Rows are generated lazily, grouped by shift subset, and eliminated
@@ -82,7 +79,6 @@ def psp_dimension(p: Polynomial, spec: MeasureSpec, *,
     cells = n * comb(n, m) * len(spec.monomials)
     if cells > matrix_cap:
         raise MatrixTooLarge(cells, matrix_cap)
-    start = time.perf_counter() if record_timing else None
 
     derivs = []
     for gamma in spec.monomials:
@@ -107,11 +103,9 @@ def psp_dimension(p: Polynomial, spec: MeasureSpec, *,
                     yield row
 
     dimension = rank_stream(rows(), p.domain)
-
-    elapsed = (time.perf_counter() - start) * 1000 if record_timing else None
     return MeasureReport(dimension=dimension, rows=counter["rows"],
                          cols=len(counter["cols"]),
-                         rank_method="exact-elimination", timing_ms=elapsed,
+                         rank_method="exact-elimination",
                          shift_degree=m, derivative_degree=spec.degree,
                          derivative_count=len(spec.monomials))
 

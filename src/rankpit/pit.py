@@ -33,7 +33,6 @@ can never be rounded down.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass
@@ -240,26 +239,13 @@ class _ColumnPoly:
         return acc % p if p else acc
 
 
-def _column_node(node, dom):
-    if node[0] == "call":
-        return ("call", _ColumnPoly(node[1]), node[2])
-    if node[0] == "const":
-        # a DAG built in code may hold any int: reduce it below p like the rest
-        return ("const", dom.coerce(node[1]))
-    return node
-
-
 def _compile(c: Circuit):
-    """Per gate, the inner polynomials and the outer on columns: "product", or
-    the gate's DAG with its constants reduced and its call nodes on columns."""
-    gates = []
-    for g in c.gates:
-        outer = g.outer
-        if not g.is_product:
-            outer = OuterExpr(outer.arity, [_column_node(node, c.domain)
-                                            for node in outer.nodes], outer.root)
-        gates.append(([_ColumnPoly(q) for q in g.inner], outer))
-    return gates
+    """Per gate, the inner polynomials and the outer DAG's call nodes on columns."""
+    return [([_ColumnPoly(q) for q in g.inner],
+             OuterExpr(g.outer.arity, [("call", _ColumnPoly(node[1]), node[2])
+                                       if node[0] == "call" else node
+                                       for node in g.outer.nodes], g.outer.root))
+            for g in c.gates]
 
 
 def _evaluate_chunk(gates, cols, dom):
@@ -269,11 +255,7 @@ def _evaluate_chunk(gates, cols, dom):
     total = dom.zero
     for inner, outer in gates:
         vals = [q.evaluate(cols, powers) for q in inner]
-        if outer == "product":
-            value = functools.reduce(dom.mul, vals, dom.one)
-        else:
-            value = outer.evaluate(vals, dom)
-        total = dom.add(total, value)
+        total = dom.add(total, outer.evaluate(vals, dom))
     return total
 
 

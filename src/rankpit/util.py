@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 
-from .errors import UnreadableInput
+from .errors import UnreadableInput, UnwritableOutput
 
 
 def derive_seed(seed: int, *parts) -> int:
@@ -26,3 +26,12 @@ def read_text(path: str) -> str:
         raise UnreadableInput(path, exc.strerror or str(exc)) from None
     except UnicodeDecodeError as exc:
         raise UnreadableInput(path, f"not UTF-8 text ({exc.reason})") from None
+
+
+def write_text(path: str, text: str) -> None:
+    """Write `text` to a file as UTF-8; UnwritableOutput if it cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UnwritableOutput(path, exc.strerror or str(exc)) from None

@@ -420,3 +420,91 @@ def test_slice_beyond_delta_is_zero_circuit():
     sliced = homogeneous_component_circuit(c, c.declared.delta + 3)
     assert expand(sliced).is_zero()
     assert sliced.top_fanin == (c.declared.delta + 1) * c.top_fanin
+
+
+# ----------------------------------------------------------------------
+# a product gate is the one-"mul" DAG over its inputs
+
+def _sha256(text):
+    import hashlib
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("dom", [Q, PrimeField(1_000_003)], ids=["Q", "Fp"])
+def test_product_gate_is_the_one_mul_dag(dom):
+    from rankpit.pit import pit_test
+    v = [Polynomial.variable(dom, 3, i) for i in range(3)]
+    # zero at the origin, so the identity test scans past it
+    inner = [v[0] + v[1], v[1] * v[2] - v[0], v[2] + Polynomial.constant(dom, 3, 2)]
+    dag = OuterExpr(3, [("input", 0), ("input", 1), ("input", 2),
+                        ("mul", (0, 1, 2))], 3)
+    product, explicit = Gate("product", inner), Gate(dag, inner)
+    assert (product.is_product, explicit.is_product) == (True, False)
+    assert product.outer.nodes == dag.nodes and product.outer.root == dag.root
+    rng = random.Random(5)
+    for _ in range(20):
+        pt = [dom.coerce(rng.randrange(-30, 30)) for _ in range(3)]
+        assert product._value(pt) == explicit._value(pt)
+    assert product.expand(None) == explicit.expand(None)
+    assert product.formal_degree() == explicit.formal_degree() == 4
+    reports, texts = [], []
+    for g in (product, explicit):
+        c = Circuit(dom, 3, DeclaredBounds(d=2, k=3, delta=4), [g])
+        reports.append(pit_test(c))
+        texts.append(serialize(c))
+    assert reports[0] == reports[1]
+    assert reports[0].verdict == "nonzero" and reports[0].witness_index > 0
+    assert json.loads(texts[0])["gates"][0]["outer"] == "product"
+    assert json.loads(texts[1])["gates"][0]["outer"]["dag"]["nodes"][3] == \
+        {"op": "mul", "args": [0, 1, 2]}
+
+
+def test_product_transforms_keep_their_bytes():
+    """sha256 of the all-product outputs, taken before product gates became
+    DAGs: the one-"mul" DAG grafts to exactly the nodes the product spelled."""
+    import sys
+    sys.path.insert(0, str(Path(__file__).parent))
+    from _corpus import rewrite_fixture
+    from rankpit import cli
+    code, out = cli.run(["rewrite", "--circuit", str(DATA / "e1_circuit.json"),
+                         "--json", "--seed", "0"])
+    assert (code, _sha256(out)) == (
+        0, "cf142441d43ac83363baac83e0c879d324617fbfd7da99af316641b37d094c82")
+    e1 = parse((DATA / "e1_circuit.json").read_text())
+    assert [_sha256(serialize(homogeneous_component_circuit(e1, ell)))
+            for ell in range(4)] == [
+        "494a1f4c81fd259500867802f76a4fb9fb57e1526daee30d45fb041006c88ef2",
+        "856ccef261995f9452828b1a7a7bf5f88731c6d9ea3c6cee626bf4161a11cce7",
+        "2eaef606e609404a3351801fcfcefb7e7f120cccc346e8f2811fdd4e9638dedf",
+        "e17d31a7fe7e3f7f7383cbbf0e15fbd596f732988f30cc04870877b83ffe3f93"]
+    c = rewrite_fixture(6)
+    assert [g.is_product for g in c.gates] == [True, True]
+    assert _sha256(serialize(algdep.rewrite_circuit(c, seed=6)[0])) == \
+        "e36d53a11852c449b0bf16ce56025a04e644dbdf4faacdacbe5e1c5fc4ce5fda"
+
+
+def _one_argument_adds(c):
+    return [node for g in c.gates for node in g.outer.nodes
+            if node[0] == "add" and len(node[1]) == 1]
+
+
+def test_grafted_dags_hold_no_alias_nodes():
+    import sys
+    sys.path.insert(0, str(Path(__file__).parent))
+    from _corpus import random_class_circuit, rewrite_fixture
+    grafted = 0
+    for seed in range(12):
+        c = rewrite_fixture(seed)
+        if all(g.is_product for g in c.gates):
+            continue
+        assert _one_argument_adds(c) == []
+        sliced = homogeneous_component_circuit(c, 1)
+        rewritten, a = algdep.rewrite_circuit(c, seed=seed)
+        assert _one_argument_adds(sliced) == _one_argument_adds(rewritten) == []
+        assert expand(rewritten) == expand(c).translate(a)
+        grafted += 1
+    for seed in range(4):
+        c = random_class_circuit(60_000 + seed, gamma_outer=True, domain=Q)
+        assert _one_argument_adds(c) == []
+        assert _one_argument_adds(homogeneous_component_circuit(c, 1)) == []
+    assert grafted >= 4

@@ -288,6 +288,15 @@ def test_rewrite_subcommand(tmp_path):
     assert ckt.expand(rewritten) == ckt.expand(original).translate(a)
 
 
+def test_rewrite_to_an_unwritable_path_is_a_structured_error(tmp_path):
+    out_path = str(tmp_path / "no_such_dir" / "rewritten.json")
+    code, out = cli.run(["rewrite", "--circuit", str(DATA / "e1_circuit.json"),
+                         "--out", out_path, "--json"])
+    payload = json.loads(out)
+    assert (code, payload["error"], payload["file"]) == (2, "UnwritableOutput", out_path)
+    assert payload["reason"] and "traceback" not in payload
+
+
 def test_bench_separation():
     code, out = cli.run(["bench", "separation", "--n", "2", "--q", "3",
                          "--e", "1", "--r", "1", "--m", "1", "--json"])
@@ -375,8 +384,8 @@ def test_fraction_coefficient_over_prime_field(tmp_path):
     polys["polys"][0][0]["coeff"] = "1/7"
     path.write_text(json.dumps(polys))
     code, out = cli.run(["rank", "--poly-file", str(path), "--json"])
-    assert code == 2
-    assert json.loads(out)["error"] == "InvalidParams"
+    payload = json.loads(out)
+    assert (code, payload["error"], payload["path"]) == (2, "CircuitSyntaxError", "$.polys[0]")
 
 
 def test_unreadable_and_malformed_inputs_exit_2(tmp_path):
@@ -466,6 +475,7 @@ def test_malformed_poly_file_reports_json_path(tmp_path):
         ([[{"coeff": "1"}], [{"mono": {}}]], "$.polys[1]"),  # KeyError
         ([[{"coeff": "1", "mono": [1]}]], "$.polys[0]"),  # AttributeError
         ([[{"coeff": "1/0"}]], "$.polys[0]"),  # ZeroDivisionError over Q
+        ([[{"coeff": "1", "mono": {"5": 1}}]], "$.polys[0]"),  # InvalidParams
     ]:
         path.write_text(json.dumps({"field": {"type": "rational"}, "nvars": 1,
                                     "polys": polys}))
@@ -536,6 +546,15 @@ def test_pit_timings_only_under_the_flag(zero_circuit_file):
     report["result"]["timings"] = None
     report["config"]["timings"] = False
     assert json.dumps(report, indent=2, sort_keys=True) + "\n" == plain[0]
+
+
+def test_measure_timings_only_under_the_flag(e1_file):
+    argv = ["measure", "--poly-file", e1_file, "--index", "2", "--r", "1",
+            "--m", "1", "--json"]
+    assert json.loads(cli.run(argv)[1])["result"]["timing_ms"] is None
+    code, out = cli.run(argv + ["--timings"])
+    assert code == 0
+    assert float(json.loads(out)["result"]["timing_ms"]) >= 0
 
 
 NW_ARGS = ["--n", "2", "--q", "2", "--e", "1"]

@@ -226,7 +226,7 @@ def _reference_circuit(c, point):
                 value = dom.mul(value, v)
         else:
             value = g.outer._fold(vals, lambda k: k, _reference_evaluate, dom.add,
-                                  dom.zero, dom.mul, dom.one)
+                                  dom.mul)
         total = dom.add(total, value)
     return total
 

@@ -131,3 +131,17 @@ def test_no_broad_except():
                   if isinstance(node, ast.ExceptHandler) and _catches_everything(node)
                   and node not in boundary]
     assert found == []
+
+
+def test_only_circuit_knows_the_product_spelling():
+    # a product gate is the one-"mul" DAG; "product" is its file spelling, so
+    # no module but circuit.py may test for it or read `is_product`
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "circuit.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if (isinstance(node, ast.Constant) and node.value == "product")
+                  or (isinstance(node, ast.Attribute) and node.attr == "is_product")]
+    assert found == []
