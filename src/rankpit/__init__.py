@@ -1,6 +1,6 @@
 """Exact computer algebra for rank-bounded depth-4 circuits.
 
-Sparse exact polynomials (poly), the circuit model and its JSON format
+Sparse exact polynomials (poly), the circuit model and both JSON file formats
 (circuit), algebraic-rank certificates and functional dependence (algdep),
 the projected shifted partial-derivatives measure (measure), design-based
 hard polynomial families with random restrictions (nw), and hitting-set
@@ -13,7 +13,7 @@ from .algdep import (Annihilator, DependenceWitness, RankCertificate,
                      rewrite_circuit, sample_good_translation)
 from .circuit import (Circuit, DeclaredBounds, Gate, OuterExpr, circuit_size,
                       evaluate_circuit, expand, homogeneous_component_circuit,
-                      parse, parse_file, serialize)
+                      parse, parse_file, parse_polys, serialize)
 from .domains import PrimeField, Rationals, domain_from_json, is_prime
 from .measure import (MeasureReport, MeasureSpec, circuit_measure_bound,
                       composition_upper_bound, psp_dimension)

@@ -3,8 +3,9 @@
 A circuit is a top sum of gates; each gate applies an outer expression DAG
 to a list of sparse inner polynomials given by monomial expansion.  A plain
 product Q_1...Q_t is the DAG with one "mul" node over its inputs; "product"
-is only its spelling in the file format.  The file format, blackbox
-evaluation, full expansion, and the degree-slice transform live here.
+is only its spelling in the file format.  Both JSON file formats (circuit
+and polynomial-tuple files), blackbox evaluation, full expansion, and the
+degree-slice transform live here.
 
 Outer expression DAGs are never expanded into polynomials: gates are
 evaluated by first evaluating the inner polynomials and then folding the DAG
@@ -149,25 +150,12 @@ class OuterExpr:
         dag = obj.get("dag") if isinstance(obj, dict) else None
         if not isinstance(dag, dict):
             raise CircuitSyntaxError("outer must be \"product\" or {\"dag\": ...}", path=path)
-        try:
-            arity = json_int(dag["arity"])
-            nodes_json = dag["nodes"]
-            root = json_int(dag["root"])
-        except _MALFORMED as exc:
-            raise CircuitSyntaxError(f"bad dag object: {exc}", path=path) from None
-        if not isinstance(nodes_json, list):
+        arity, root = _located(path, lambda: (json_int(dag["arity"]), json_int(dag["root"])))
+        if not isinstance(dag.get("nodes"), list):
             raise CircuitSyntaxError("dag nodes must be a list", path=path)
-        nodes = []
-        for i, nj in enumerate(nodes_json):
-            try:
-                nodes.append(_node_from_json(nj, domain))
-            except (InvalidParams, *_MALFORMED) as exc:
-                raise CircuitSyntaxError(f"bad dag node: {exc}",
-                                         path=f"{path}.nodes[{i}]") from None
-        try:
-            return cls(arity, nodes, root)
-        except InvalidParams as exc:
-            raise CircuitSyntaxError(str(exc), path=path) from None
+        nodes = [_located(f"{path}.nodes[{i}]", _node_from_json, nj, domain)
+                 for i, nj in enumerate(dag["nodes"])]
+        return _located(path, cls, arity, nodes, root)
 
 
 def _graft(nodes: list, outer: OuterExpr, input_ids) -> int:
@@ -357,7 +345,7 @@ def homogeneous_component_circuit(c: Circuit, ell: int) -> Circuit:
 
 
 # ----------------------------------------------------------------------
-# JSON file format
+# JSON file formats
 
 def serialize(c: Circuit) -> str:
     """Canonical circuit text: fixed key order, terms descending, 2-space indent."""
@@ -379,37 +367,47 @@ def _gate_to_json(g: Gate, domain) -> dict:
     return out
 
 
-def parse_nvars(value) -> int:
-    """The "nvars" entry of a circuit or poly file: a nonnegative int."""
-    try:
-        if json_int(value) >= 0:
-            return value
-    except TypeError:
-        pass
-    raise CircuitSyntaxError("nvars must be a nonnegative integer", path="$.nvars")
-
-
-def parse(text: str) -> Circuit:
-    """Parse a circuit file; validates the declared d and delta bounds."""
+def _json_object(text: str, keys) -> dict:
+    """The file's top-level JSON object, which must hold every key in `keys`."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CircuitSyntaxError(exc.msg, line=exc.lineno, column=exc.colno) from None
     if not isinstance(obj, dict):
         raise CircuitSyntaxError("top level must be an object", path="$")
-    for key in ("field", "nvars", "declared", "gates"):
+    for key in keys:
         if key not in obj:
             raise CircuitSyntaxError(f"missing key {key!r}", path="$")
+    return obj
+
+
+def _located(path: str, fn, *args):
+    """fn(*args), with InvalidParams or a _MALFORMED error raised as a
+    CircuitSyntaxError at the JSON path of the value being read."""
     try:
-        domain = domain_from_json(obj["field"])
+        return fn(*args)
     except (InvalidParams, *_MALFORMED) as exc:
-        raise CircuitSyntaxError(str(exc), path="$.field") from None
-    nvars = parse_nvars(obj["nvars"])
-    dec = obj["declared"]
-    try:
-        declared = DeclaredBounds(*(json_int(dec[key]) for key in ("d", "k", "delta")))
-    except _MALFORMED as exc:
-        raise CircuitSyntaxError(f"bad declared bounds: {exc}", path="$.declared") from None
+        raise CircuitSyntaxError(f"{type(exc).__name__}: {exc}", path=path) from None
+
+
+def _nvars(value) -> int:
+    if json_int(value) < 0:
+        raise InvalidParams(f"nvars must be nonnegative, got {value}")
+    return value
+
+
+def _header(obj: dict) -> tuple:
+    """The domain and variable count of a circuit or poly file."""
+    return (_located("$.field", domain_from_json, obj["field"]),
+            _located("$.nvars", _nvars, obj["nvars"]))
+
+
+def parse(text: str) -> Circuit:
+    """Parse a circuit file; validates the declared d and delta bounds."""
+    obj = _json_object(text, ("field", "nvars", "declared", "gates"))
+    domain, nvars = _header(obj)
+    declared = _located("$.declared", lambda dec: DeclaredBounds(
+        *(json_int(dec[key]) for key in ("d", "k", "delta"))), obj["declared"])
     if not isinstance(obj["gates"], list):
         raise CircuitSyntaxError("gates must be a list", path="$.gates")
     gates = []
@@ -419,22 +417,27 @@ def parse(text: str) -> Circuit:
             raise CircuitSyntaxError("gate needs \"outer\" and \"inner\"", path=path)
         if not isinstance(gobj["inner"], list):
             raise CircuitSyntaxError("inner must be a list", path=f"{path}.inner")
-        inner = []
-        for pi, terms in enumerate(gobj["inner"]):
-            try:
-                inner.append(Polynomial.terms_from_json(domain, nvars, terms))
-            except (InvalidParams, *_MALFORMED) as exc:
-                raise CircuitSyntaxError(str(exc), path=f"{path}.inner[{pi}]") from None
+        inner = [_located(f"{path}.inner[{pi}]", Polynomial.terms_from_json,
+                          domain, nvars, terms)
+                 for pi, terms in enumerate(gobj["inner"])]
         outer = gobj["outer"]
         if outer != "product":
             outer = OuterExpr.from_json(outer, domain, path=f"{path}.outer")
-        try:
-            rank_bound = None if gobj.get("k") is None else json_int(gobj["k"])
-            gates.append(Gate(outer, inner, rank_bound=rank_bound))
-        except (InvalidParams, TypeError) as exc:
-            raise CircuitSyntaxError(str(exc), path=path) from None
+        rank_bound = None if gobj.get("k") is None else _located(path, json_int, gobj["k"])
+        gates.append(_located(path, Gate, outer, inner, rank_bound))
     return Circuit(domain, nvars, declared, gates)
 
 
 def parse_file(path: str) -> Circuit:
     return parse(read_text(path))
+
+
+def parse_polys(text: str) -> tuple:
+    """Parse a polynomial-tuple file into (domain, nvars, polys)."""
+    obj = _json_object(text, ("field", "nvars", "polys"))
+    if not isinstance(obj["polys"], list):
+        raise CircuitSyntaxError("polys must be a list", path="$.polys")
+    domain, nvars = _header(obj)
+    return domain, nvars, [_located(f"$.polys[{i}]", Polynomial.terms_from_json,
+                                    domain, nvars, terms)
+                           for i, terms in enumerate(obj["polys"])]

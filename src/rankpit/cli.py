@@ -22,9 +22,9 @@ import traceback
 from fractions import Fraction
 
 from . import algdep, circuit as ckt, measure, nw, pit
-from .domains import PrimeField, Rationals, domain_from_json
-from .errors import CircuitSyntaxError, InvalidParams, RankpitError
-from .poly import DEFAULT_TERM_CAP, Polynomial
+from .domains import PrimeField, Rationals
+from .errors import InvalidParams, RankpitError
+from .poly import DEFAULT_TERM_CAP
 from .util import read_text, write_text
 
 USAGE_EXIT = 64
@@ -112,32 +112,8 @@ def _timed(fn, *args, **kwargs):
 
 
 def _load_polys(path: str):
-    """Read a polynomial-tuple file; malformed content raises
-    CircuitSyntaxError with its JSON path, as circuit.parse does, and an
-    empty tuple raises InvalidParams."""
-    try:
-        obj = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise CircuitSyntaxError(exc.msg, line=exc.lineno, column=exc.colno) from None
-    if not isinstance(obj, dict):
-        raise CircuitSyntaxError("top level must be an object", path="$")
-    for key in ("field", "nvars", "polys"):
-        if key not in obj:
-            raise CircuitSyntaxError(f"missing key {key!r}", path="$")
-    if not isinstance(obj["polys"], list):
-        raise CircuitSyntaxError("polys must be a list", path="$.polys")
-
-    def located(json_path, fn, *args):
-        try:
-            return fn(*args)
-        except (InvalidParams, *ckt._MALFORMED) as exc:
-            raise CircuitSyntaxError(f"{type(exc).__name__}: {exc}",
-                                     path=json_path) from None
-
-    domain = located("$.field", domain_from_json, obj["field"])
-    nvars = ckt.parse_nvars(obj["nvars"])
-    polys = [located(f"$.polys[{i}]", Polynomial.terms_from_json, domain, nvars, terms)
-             for i, terms in enumerate(obj["polys"])]
+    """circuit.parse_polys of the file; an empty tuple raises InvalidParams."""
+    domain, nvars, polys = ckt.parse_polys(read_text(path))
     if not polys:
         raise InvalidParams("the poly file holds an empty tuple")
     return domain, nvars, polys
@@ -237,14 +213,16 @@ def _cmd_measure(args) -> tuple[int, str]:
     if args.sweep:
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(["r", "m", "dimension", "rows", "cols", "millis"])
+        # wall-clock time only under --timings, as in the JSON report
+        writer.writerow(["r", "m", "dimension", "rows", "cols"]
+                        + ["millis"] * args.timings)
         for r in range(args.r + 1):
             for m in range(args.m + 1):
                 spec = measure.MeasureSpec.multilinear(nvars, r, m)
                 rep, elapsed_ms = _timed(measure.psp_dimension, p, spec,
                                          matrix_cap=args.cap_matrix)
-                writer.writerow([r, m, rep.dimension, rep.rows, rep.cols,
-                                 f"{elapsed_ms:.3f}"])
+                writer.writerow([r, m, rep.dimension, rep.rows, rep.cols]
+                                + [f"{elapsed_ms:.3f}"] * args.timings)
         return 0, buf.getvalue()
     rep, elapsed_ms = _timed(measure.psp_dimension, p, spec, matrix_cap=args.cap_matrix)
     result = {

@@ -204,7 +204,7 @@ def hitting_set(nvars: int, delta: int, ell: int, domain, *,
 
 
 def _verified(c: Circuit, point):
-    """The witness, after re-evaluating the circuit at it exactly."""
+    """A chunk's witness, re-evaluated exactly to cross-check the column path."""
     if c.domain.is_zero(evaluate_circuit(c, point)):
         raise AssertionError("witness evaluates to zero (internal bug)")
     return point
@@ -265,7 +265,7 @@ def _scan(c: Circuit, ell: int, values):
     # the origin goes through evaluate_circuit: most witnesses are there
     origin = (values[0],) * c.nvars
     if not dom.is_zero(evaluate_circuit(c, origin)):
-        return _verified(c, origin), 0
+        return origin, 0
     import numpy as np
     gates = _compile(c)
     # over F_p with p < 2^31 the indices 0..delta into W are the field elements
@@ -297,7 +297,7 @@ def schwartz_zippel_test(c: Circuit, rounds: int = 20, seed: int = 0, *,
 
     Points are drawn from the first |S| scalars with |S| defaulting to
     2*delta*2^10 (capped at p over a prime field); any nonzero evaluation is
-    returned as a witness, re-checked; otherwise the circuit is zero except
+    returned as a witness; otherwise the circuit is zero except
     with probability at most (delta/|S|)^rounds.
     """
     dom = c.domain
@@ -315,9 +315,8 @@ def schwartz_zippel_test(c: Circuit, rounds: int = 20, seed: int = 0, *,
     for _ in range(rounds):
         point = tuple(dom.coerce(rng.randrange(sample_size)) for _ in range(c.nvars))
         if not dom.is_zero(evaluate_circuit(c, point)):
-            return SZVerdict(nonzero=True, witness=_verified(c, point), rounds=rounds,
-                             sample_size=sample_size,
-                             error_bound=Fraction(0))
+            return SZVerdict(nonzero=True, witness=point, rounds=rounds,
+                             sample_size=sample_size, error_bound=Fraction(0))
     return SZVerdict(nonzero=False, witness=None, rounds=rounds,
                      sample_size=sample_size,
                      error_bound=Fraction(delta, sample_size) ** rounds)

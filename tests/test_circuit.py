@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from rankpit import algdep
 from rankpit.circuit import (Circuit, DeclaredBounds, Gate, OuterExpr,
                              circuit_size, evaluate_circuit, expand,
-                             homogeneous_component_circuit, parse, serialize)
+                             homogeneous_component_circuit, parse, parse_polys,
+                             serialize)
 from rankpit.domains import PrimeField, Rationals
 from rankpit.errors import (BoundViolation, CircuitSyntaxError,
                             DimensionMismatch, FieldTooSmall, RankpitError)
@@ -78,6 +79,32 @@ def test_missing_key_reported():
         parse(json.dumps({"field": {"type": "rational"}, "nvars": 2, "gates": []}))
 
 
+_POLY_FILE = {"field": {"type": "rational"}, "nvars": 2,
+              "polys": [[{"coeff": "1", "mono": {"1": 1}}]]}
+
+
+@pytest.mark.parametrize("damage", [
+    lambda obj: json.dumps({**obj, "nvars": True}),
+    lambda obj: json.dumps({**obj, "nvars": -1}),
+    lambda obj: json.dumps({**obj, "nvars": 2.7}),
+    lambda obj: json.dumps({**obj, "field": {"type": "prime", "p": 7.5}}),
+    lambda obj: "{\n  \"field\": ,\n}",
+    lambda obj: json.dumps([obj]),
+    lambda obj: json.dumps({k: v for k, v in obj.items() if k != "nvars"}),
+], ids=["nvars-bool", "nvars-negative", "nvars-float", "field-p-float", "not-json",
+        "top-level-list", "missing-key"])
+def test_circuit_and_poly_files_report_a_bad_header_alike(damage):
+    errors = []
+    for read, obj in ((parse, json.loads((DATA / "e1_circuit.json").read_text())),
+                      (parse_polys, _POLY_FILE)):
+        with pytest.raises(CircuitSyntaxError) as info:
+            read(damage(obj))
+        errors.append((str(info.value), info.value.path, info.value.line,
+                       info.value.column))
+    assert errors[0] == errors[1]
+    assert errors[0][1] or errors[0][2]  # located by JSON path or by line
+
+
 def _dag_circuit_json() -> dict:
     """A valid circuit whose gate 0 has a DAG outer with every node kind."""
     f = Polynomial.from_text(Q, 2, "z1^2 - 2*z2", var_prefix="z")
@@ -94,18 +121,20 @@ def _dag_circuit_json() -> dict:
     ({"op": "input"}, "$.gates[0].outer.nodes[0]"),
     ("x", "$.gates[0].outer.nodes[0]"),
     (None, "$.gates[0].outer"),  # "nodes": null
+    ({}, "$.gates[0].outer"),  # "nodes": {}
     ({"op": "add", "args": ["a"]}, "$.gates[0].outer.nodes[0]"),
     ({"op": "add", "args": 3}, "$.gates[0].outer.nodes[0]"),
     ({"op": "const"}, "$.gates[0].outer.nodes[0]"),
     ({"op": "call", "args": [0]}, "$.gates[0].outer.nodes[0]"),
     ({"op": "input", "index": "one"}, "$.gates[0].outer.nodes[0]"),
-], ids=["input-no-index", "node-not-object", "nodes-null", "args-not-ints",
-        "args-not-list", "const-no-value", "call-no-poly", "index-not-int"])
+], ids=["input-no-index", "node-not-object", "nodes-null", "nodes-object",
+        "args-not-ints", "args-not-list", "const-no-value", "call-no-poly",
+        "index-not-int"])
 def test_malformed_dag_node_is_a_syntax_error(node, path):
     obj = _dag_circuit_json()
     dag = obj["gates"][0]["outer"]["dag"]
-    if node is None:
-        dag["nodes"] = None
+    if path.endswith("outer"):  # the case replaces the whole node list
+        dag["nodes"] = node
     else:
         dag["nodes"][0] = node
     with pytest.raises(CircuitSyntaxError) as info:
@@ -132,6 +161,7 @@ def test_non_integer_bounds_in_e1_are_syntax_errors(where, value, path):
     with pytest.raises(CircuitSyntaxError) as info:
         parse(json.dumps(obj))
     assert info.value.path == path
+    assert str(info.value).startswith("TypeError: ")  # the detail names the type
 
 
 @pytest.mark.parametrize("where,value,path", [

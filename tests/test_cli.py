@@ -257,8 +257,20 @@ def test_measure_subcommand_and_sweep(e1_file):
                          "--r", "1", "--m", "1", "--sweep"])
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "r,m,dimension,rows,cols,millis"
+    assert lines[0] == "r,m,dimension,rows,cols"
     assert len(lines) == 1 + 2 * 2
+
+
+def test_sweep_is_byte_deterministic_unless_timed(e1_file):
+    argv = ["measure", "--poly-file", e1_file, "--index", "2", "--r", "1", "--m", "1",
+            "--sweep"]
+    assert cli.run(argv) == cli.run(argv)
+    untimed = cli.run(argv)[1].splitlines()
+    timed = cli.run(argv + ["--timings"])[1].splitlines()
+    assert timed[0] == untimed[0] + ",millis" and len(timed) == len(untimed) == 5
+    for plain, row in zip(untimed[1:], timed[1:]):
+        head, millis = row.rsplit(",", 1)
+        assert head == plain and float(millis) >= 0
 
 
 def test_nw_subcommand_text_and_experiment():

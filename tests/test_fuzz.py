@@ -1,8 +1,8 @@
 """Bounded fuzzing of the input boundary: polynomial parsers and the CLI.
 
 The parsers may raise a structured error, or one of the built-in errors in
-`circuit._MALFORMED`, which every reader of outside input (circuit.parse,
-the CLI's poly-file loader) turns into a CircuitSyntaxError with its JSON
+`circuit._MALFORMED`, which every reader of outside input (circuit.parse and
+circuit.parse_polys) turns into a CircuitSyntaxError with its JSON
 path.  The CLI itself returns only its documented exit codes, and a bad
 input never shows up as an InternalError.  A JSON number where an integer
 or a coefficient string belongs is refused, never rounded.

@@ -210,6 +210,27 @@ def test_pit_oracle_mode():
     assert rep.hitting_set_size is None
 
 
+def test_a_scalar_witness_is_evaluated_once(monkeypatch):
+    # an origin or oracle witness already comes from evaluate_circuit; only a
+    # chunk's witness is re-evaluated, to cross-check the column path
+    points = []
+    real = pit.evaluate_circuit
+
+    def spy(c, point):
+        points.append(point)
+        return real(c, point)
+    monkeypatch.setattr(pit, "evaluate_circuit", spy)
+    one_plus_x = Circuit(Q, 2, DeclaredBounds(d=1, k=1, delta=1),
+                         [Gate("product", [x(0) + Polynomial.constant(Q, 2, 1)])])
+    assert pit_test(one_plus_x).witness_index == 0 and points == [(0, 0)]
+    points.clear()
+    assert pit_test(one_plus_x, mode="oracle", seed=5).oracle.nonzero
+    assert len(points) == 1
+    points.clear()
+    assert pit_test(nonzero_fixture()).witness == (1, 1)
+    assert points == [(0, 0), (1, 1)]
+
+
 def test_pit_certify_rank_flag():
     rep = pit_test(nonzero_fixture(), certify_rank=True)
     assert rep.rank_certified

@@ -133,6 +133,21 @@ def test_no_broad_except():
     assert found == []
 
 
+def test_only_circuit_reads_the_file_formats():
+    # circuit.py reads both JSON file formats and places every malformed
+    # value at its JSON path, so no other module decodes or locates one
+    names = {"_MALFORMED", "JSONDecodeError"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "circuit.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if (isinstance(node, ast.Name) and node.id in names)
+                  or (isinstance(node, ast.Attribute) and node.attr in names)]
+    assert found == []
+
+
 def test_only_circuit_knows_the_product_spelling():
     # a product gate is the one-"mul" DAG; "product" is its file spelling, so
     # no module but circuit.py may test for it or read `is_product`
