@@ -37,7 +37,7 @@ from .errors import (BoundViolation, CharacteristicTooSmall, DerivativeVanishes,
                      ExpansionTooLarge, FieldTooSmall, InvalidParams,
                      NoAnnihilatorWithinCap, NoGoodTranslation, NonConvergence,
                      NoSolutionWithinCap, RankNotCertified)
-from .poly import (DEFAULT_TERM_CAP, Polynomial, _int_terms, compose, mono_degree,
+from .poly import (DEFAULT_TERM_CAP, Polynomial, compose, mono_degree,
                    mono_from_dict)
 from .util import derive_seed
 
@@ -211,7 +211,7 @@ class _CompositionTable:
     monomial product is a sum of keys and truncation one comparison.  Every
     product formed has degree <= B = cap*d (order <= cap-1 times a q_j of
     degree <= d), or degree_cap + d when truncated; 2^w > B, so no field
-    carries.  Over Q, q_j enters as N_j = D_j*q_j (`_int_terms`), the entry
+    carries.  Over Q, q_j enters as N_j = D_j*q_j (`_int_form`), the entry
     is N^alpha = D^alpha*q^alpha, and scaling column alpha by D^alpha != 0
     keeps every linear dependence (`combination` maps one back).  Terms come
     in `Polynomial.mul`'s order and cancel where its Fractions do, so term
@@ -227,9 +227,9 @@ class _CompositionTable:
         self.shift = self.width * qs[0].nvars
         self.limit = ((bound if degree_cap is None else degree_cap) + 1) << self.shift
         self.cap, self.term_cap, self.alphas = cap, term_cap, []
-        int_terms = [_int_terms(q.terms, self.p) for q in qs]
-        self.factors = [[(self.pack(m), c) for m, c in terms] for terms, _ in int_terms]
-        self.dens = [den for _, den in int_terms]
+        int_forms = [q._int_form() for q in qs]
+        self.factors = [[(self.pack(m), c) for m, _, c in terms] for terms, _ in int_forms]
+        self.dens = [den for _, den in int_forms]
         self.memo = {(0,) * len(qs): {0: 1}}
 
     def pack(self, mono) -> int:
@@ -336,7 +336,7 @@ def _point_basis(qs: list[Polynomial], seed: int) -> list[int]:
 def _jacobian_rows(qs: list[Polynomial], point: list[int], p: int) -> list[list[int]]:
     """Rows of the Jacobian at an integer point, as residues mod p, or as
     exact integers for p = 0.  Over Q, row i is the Jacobian of the integer
-    polynomial D_i*q_i (`_int_terms`); scaling a row by D_i != 0 keeps
+    polynomial D_i*q_i (`_int_form`); scaling a row by D_i != 0 keeps
     every rank and the greedy row basis.  Refuses mismatched tuples."""
     for q in qs:
         qs[0]._check_compat(q)
@@ -344,7 +344,7 @@ def _jacobian_rows(qs: list[Polynomial], point: list[int], p: int) -> list[list[
     rows = []
     for q in qs:
         row = [0] * len(point)
-        for mono, c in _int_terms(q.terms, q.domain.characteristic)[0]:
+        for mono, _, c in q._int_form()[0]:
             for v, e in mono:
                 term = c * e * pow(point[v], e - 1, mod)
                 for w, f in mono:
@@ -471,8 +471,8 @@ def reconstruct_dependence(qs: list[Polynomial], basis, a, *,
             continue
         cap_i = max(1, d_i * (k + 1) * d ** k)
         table = _CompositionTable(b_polys, cap_i, degree_cap=d_i, term_cap=term_cap)
-        terms, den = _int_terms(target.terms, table.p)
-        x = linalg.span_coefficients({table.pack(m): c for m, c in terms},
+        terms, den = target._int_form()
+        x = linalg.span_coefficients({table.pack(m): c for m, _, c in terms},
                                      table.columns(), dom)
         if x is None:
             raise NoSolutionWithinCap(i, cap_i)

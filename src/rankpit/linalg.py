@@ -14,11 +14,12 @@ field.  It runs on plain Python ints with no domain method calls:
 
 - over F_p, entries are residues; a basis row is scaled so that its pivot is
   1, and each update is reduced mod p inline;
-- over Q, each row is scaled to a primitive integer row (times the lcm of its
-  denominators, divided by the gcd of its entries) and reduced fraction-free
-  (Bareiss-style): v <- b[pivot]*v - v[pivot]*b cancels the pivot, and the
-  content of v is divided out after each step.  No Fraction is built until
-  a combination or a finished `rref_dense` row is divided by its pivot.
+- over Q, rows may hold ints or Fractions.  Each row is divided by the gcd
+  of its entries, after the lcm of its denominators clears any Fraction,
+  and reduced fraction-free (Bareiss-style): v <- b[pivot]*v - v[pivot]*b
+  cancels the pivot, and the content of v is divided out after each step.
+  No Fraction is built until a combination or a finished `rref_dense` row
+  is divided by its pivot.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .domains import PrimeField
+from .poly import _clear_denominators
 
 
 def _echelon(rows, p: int) -> dict[int, dict[int, int]]:
@@ -133,12 +135,13 @@ def _eliminate(v: dict, b: dict, col: int, p: int) -> dict:
 
 
 def _primitive(raw: dict) -> dict[int, int]:
-    """The nonzero entries of a rational row as a primitive integer row."""
-    cols = [j for j, c in raw.items() if c]
-    scale = math.lcm(*(raw[j].denominator for j in cols))
-    ints = [raw[j].numerator * (scale // raw[j].denominator) for j in cols]
-    g = math.gcd(*ints)
-    return {j: c // g for j, c in zip(cols, ints)}
+    """A row's nonzero entries as a primitive integer row ({} if none)."""
+    try:
+        g = math.gcd(*raw.values())
+    except TypeError:  # a Fraction entry
+        raw = dict(zip(raw, _clear_denominators(raw.values())[0]))
+        g = math.gcd(*raw.values())
+    return {j: c // g for j, c in raw.items() if c}
 
 
 def rank_stream(rows, domain) -> int:

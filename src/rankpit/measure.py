@@ -71,8 +71,10 @@ def psp_dimension(p: Polynomial, spec: MeasureSpec, *,
                   matrix_cap: int = DEFAULT_MATRIX_CAP) -> MeasureReport:
     """Exact dimension of the projected shifted partial-derivative span.
 
-    Rows are generated lazily, grouped by shift subset, and eliminated
-    exactly over the polynomial's own domain.
+    Rows are generated lazily from each derivative's `_int_form` (scaled by
+    its denominator) and eliminated exactly over the polynomial's own domain.
+    A row equal to one already streamed adds nothing to the span and is
+    skipped, so memory is bounded by the distinct rows; `rows` counts all.
     """
     n = p.nvars
     m = spec.shift_degree
@@ -83,24 +85,26 @@ def psp_dimension(p: Polynomial, spec: MeasureSpec, *,
     derivs = []
     for gamma in spec.monomials:
         dp = p.partial_derivative(gamma)
-        ml = [(_mask(mono), coeff) for mono, coeff in dp.terms.items()
-              if mono_is_multilinear(mono)]
+        ml = [(sum(1 << v for v, _ in mono), coeff)
+              for mono, _, coeff in dp._int_form()[0] if mono_is_multilinear(mono)]
         if ml:
             derivs.append(ml)
 
     counter = {"rows": 0, "cols": set()}
+    seen = set()
 
     def rows():
         for ml in derivs:
             for subset in combinations(range(n), m):
-                smask = 0
-                for v in subset:
-                    smask |= 1 << v
+                smask = sum(1 << v for v in subset)
                 row = {mask | smask: coeff for mask, coeff in ml if not mask & smask}
                 if row:
                     counter["rows"] += 1
-                    counter["cols"].update(row)
-                    yield row
+                    key = frozenset(row.items())
+                    if key not in seen:
+                        seen.add(key)
+                        counter["cols"].update(row)
+                        yield row
 
     dimension = rank_stream(rows(), p.domain)
     return MeasureReport(dimension=dimension, rows=counter["rows"],
@@ -108,13 +112,6 @@ def psp_dimension(p: Polynomial, spec: MeasureSpec, *,
                          rank_method="exact-elimination",
                          shift_degree=m, derivative_degree=spec.degree,
                          derivative_count=len(spec.monomials))
-
-
-def _mask(mono: Mono) -> int:
-    out = 0
-    for v, _ in mono:
-        out |= 1 << v
-    return out
 
 
 def composition_upper_bound(n: int, t: int, r: int, m: int, s: int) -> int:

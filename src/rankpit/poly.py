@@ -55,13 +55,11 @@ def mono_is_multilinear(a: Mono) -> bool:
     return all(e <= 1 for _, e in a)
 
 
-def _int_terms(terms: dict, p: int) -> tuple[list, int]:
-    """(mono, int) pairs and a denominator: the residues over F_p (p > 0) with
-    denominator 1, or over Q the numerators over the lcm of the denominators."""
-    if p:
-        return list(terms.items()), 1
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    return [(m, c.numerator * (den // c.denominator)) for m, c in terms.items()], den
+def _clear_denominators(values) -> tuple[list[int], int]:
+    """A collection of Fractions (or ints) as their numerators over the lcm
+    of their denominators, and that lcm."""
+    den = math.lcm(*(c.denominator for c in values))
+    return [c.numerator * (den // c.denominator) for c in values], den
 
 
 class MonomialOrder:
@@ -101,11 +99,12 @@ LEX = MonomialOrder("lex")
 class Polynomial:
     """Immutable sparse polynomial over an explicit coefficient domain."""
 
-    __slots__ = ("domain", "nvars", "terms")
+    __slots__ = ("domain", "nvars", "terms", "_int")
 
     def __init__(self, domain, nvars: int, terms: dict, *, _normalized: bool = False):
         self.domain = domain
         self.nvars = nvars
+        self._int = None  # `_int_form`, filled on first use
         if _normalized:
             self.terms = terms
         else:
@@ -169,6 +168,17 @@ class Polynomial:
     def __repr__(self):
         return f"Polynomial({self.to_text()} over {self.domain}, nvars={self.nvars})"
 
+    def _int_form(self) -> tuple[list, int]:
+        """([(mono, degree, int coeff), ...], den) in term order, computed once
+        (`terms` is never written after construction): the residues with
+        den = 1 over F_p, or over Q the numerators over the lcm den of the
+        denominators."""
+        if self._int is None:
+            coeffs, den = ((self.terms.values(), 1) if self.domain.characteristic
+                           else _clear_denominators(self.terms.values()))
+            self._int = ([(m, mono_degree(m), c) for m, c in zip(self.terms, coeffs)], den)
+        return self._int
+
     def _check_compat(self, other: "Polynomial"):
         if self.domain != other.domain:
             raise DomainMismatch(f"{self.domain} vs {other.domain}")
@@ -216,21 +226,19 @@ class Polynomial:
         """Product, optionally truncated to total degree <= degree_cap.
 
         Raises ExpansionTooLarge if the result would exceed term_cap terms.
-        The loop runs on plain ints: residues reduced mod p after each add,
-        or over Q each operand's numerators over the lcm of its denominators,
-        with one Fraction per output term.  A sum over a common denominator
-        is zero iff the Fraction sum is, so terms and their order are exact.
+        The loop runs on both operands' `_int_form`: residues reduced mod p
+        after each add, or over Q numerators over a common denominator, with
+        one Fraction per output term.  A sum over a common denominator is
+        zero iff the Fraction sum is, so terms and their order are exact.
         """
         self._check_compat(other)
         dom = self.domain
         p = dom.characteristic
-        a, den_a = _int_terms(self.terms, p)
-        b, den_b = _int_terms(other.terms, p)
-        rhs = [(mb, mono_degree(mb), cb) for mb, cb in b]
+        a, den_a = self._int_form()
+        b, den_b = other._int_form()
         out: dict = {}
-        for ma, ca in a:
-            da = mono_degree(ma)
-            for mb, db, cb in rhs:
+        for ma, da, ca in a:
+            for mb, db, cb in b:
                 if degree_cap is not None and da + db > degree_cap:
                     continue
                 m = mono_mul(ma, mb)

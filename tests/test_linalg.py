@@ -172,18 +172,37 @@ def _sparse_rows(draw, entry, reduce):
 
 
 def _reference_rank(rows, ncols, domain):
-    return len(_reference_rref([[row.get(j, domain.zero) for j in range(ncols)]
+    return len(_reference_rref([[domain.coerce(row.get(j, 0)) for j in range(ncols)]
                                 for row in rows], domain)[1])
 
 
 _RATIONAL = st.builds(Fraction, st.one_of(st.integers(-6, 6), st.integers(-10**15, 10**15)),
                       st.sampled_from([1, 1, 1, 2, 3, 4, 9, 10**9 + 7]))
+# a Q row may hold ints, Fractions or both; combinations keep their entries' types
+_Q_ENTRY = st.one_of(_RATIONAL, st.integers(-6, 6), st.integers(-10**15, 10**15))
 
 
 @settings(max_examples=120, deadline=None)
-@given(_sparse_rows(_RATIONAL, Fraction))
+@given(_sparse_rows(_Q_ENTRY, lambda x: x))
 def test_rank_stream_matches_dense_rank_over_q(matrix):
     ncols, rows = matrix
+    assert linalg.rank_stream(iter(rows), Q) == _reference_rank(rows, ncols, Q)
+
+
+@pytest.mark.parametrize("rows", [
+    [{0: 2, 1: 4}, {0: 1, 1: 2}, {1: 6}],                          # ints only
+    [{0: Fraction(1, 2), 1: Fraction(1, 3)}, {0: Fraction(3), 1: Fraction(2)}],
+    [{0: 1, 1: Fraction(2, 3)}, {0: Fraction(3, 2), 1: 1}, {2: 5}],  # mixed
+    [{0: 0, 1: 3, 2: 0}, {0: Fraction(0), 1: -6}, {2: Fraction(0, 7), 3: 0}],
+    [{0: 0}],
+    [{}],
+    [{}, {0: 0}, {1: Fraction(0)}, {1: 7}],
+    [{0: 10**30, 1: 10**30 + 1}, {0: Fraction(1, 10**30), 1: 1 + Fraction(1, 10**30)}],
+], ids=["ints", "fractions", "mixed", "explicit-zeros", "zero-entry", "empty",
+        "empty-and-zero", "huge"])
+def test_rank_stream_row_contract_over_q(rows):
+    # an all-zero or empty row has gcd 0 and must add nothing to the rank
+    ncols = 1 + max((j for row in rows for j in row), default=0)
     assert linalg.rank_stream(iter(rows), Q) == _reference_rank(rows, ncols, Q)
 
 
@@ -203,10 +222,10 @@ def test_rank_stream_matches_dense_rank_over_prime_fields(p):
 @pytest.mark.parametrize("dom", FIELDS + [PrimeField(2), PrimeField(7)], ids=str)
 def test_dependent_columns_are_the_non_pivot_columns(dom):
     p = dom.characteristic
-    entries = st.integers(0, p - 1) if p else _RATIONAL
+    entries = st.integers(0, p - 1) if p else _Q_ENTRY
 
     @settings(max_examples=60, deadline=None)
-    @given(_sparse_rows(entries, (lambda x: x % p) if p else Fraction))
+    @given(_sparse_rows(entries, (lambda x: x % p) if p else (lambda x: x)))
     def check(matrix):
         # the strategy's rows serve as the columns of the stream
         nkeys, columns = matrix

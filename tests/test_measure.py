@@ -5,6 +5,7 @@ fast per-property smoke versions plus every pinned example value.
 """
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -176,3 +177,78 @@ def test_pinned_nw_measure_values(case, expected):
 
     assert measured(Q) == expected
     assert measured(FP) == expected
+
+
+def _reference_psp(p, spec):
+    """(dimension, rows, cols) of the full matrix, repeated rows included:
+    one row per derivative monomial gamma and shift set S with a nonzero
+    mult[X^S * dP/dgamma], one column per multilinear monomial that occurs,
+    and the rank by dense elimination in the domain's own arithmetic."""
+    dom, n = p.domain, p.nvars
+    rows = []
+    for gamma in spec.monomials:
+        deriv = {}
+        for mono, c in p.terms.items():
+            e = dict(mono)
+            if any(e.get(v, 0) < g for v, g in gamma):
+                continue
+            for v, g in gamma:
+                for i in range(g):
+                    c = dom.mul(c, dom.coerce(e[v] - i))
+                e[v] -= g
+            if all(x <= 1 for x in e.values()):
+                support = frozenset(v for v, x in e.items() if x)
+                deriv[support] = dom.add(deriv.get(support, dom.zero), c)
+        for shift in combinations(range(n), spec.shift_degree):
+            row = {support | set(shift): c for support, c in deriv.items()
+                   if not dom.is_zero(c) and not support & set(shift)}
+            if row:
+                rows.append(row)
+    cols = sorted({col for row in rows for col in row}, key=sorted)
+    basis = {}  # pivot column -> dense row with 1 there, zero before it
+    for sparse in rows:
+        row = [sparse.get(col, dom.zero) for col in cols]
+        for c, b in sorted(basis.items()):
+            f = row[c]
+            if not dom.is_zero(f):
+                row = [x if dom.is_zero(y) else dom.sub(x, dom.mul(f, y))
+                       for x, y in zip(row, b)]
+        pivot = next((j for j, x in enumerate(row) if not dom.is_zero(x)), None)
+        if pivot is not None:
+            inv = dom.inv(row[pivot])
+            basis[pivot] = [dom.mul(x, inv) for x in row]
+    return len(basis), len(rows), len(cols)
+
+
+def _psp_cases():
+    """(polynomial, spec) pairs over Q with fractional coefficients and over
+    F_p, most with repeated derivatives or repeated rows."""
+    from rankpit.nw import NWParams, nw_polynomial
+    for dom in (Q, FP):
+        nw = nw_polynomial(NWParams(2, 5, 2), dom)
+        n = nw.nvars
+        yield nw, MeasureSpec.multilinear(n, 1, 2)  # 450 rows, 90 distinct
+        tweak = Polynomial(dom, n, {((0, 1), (7, 1)): Fraction(5, 6),
+                                    ((3, 1), (6, 1), (9, 1)): Fraction(-2, 9)})
+        yield nw.scale(Fraction(-3, 4)) + tweak, MeasureSpec.multilinear(n, 1, 2)
+        # every x0-derivative is 3 times the x1-one: the partners of x0 and
+        # x1 are shared, and so are those of x2 and x3
+        v = xs(6, dom)
+        prod = ((v[0] + v[1].scale(Fraction(1, 3))) * (v[2] - v[3].scale(Fraction(2, 5)))
+                * (v[4] + v[5]))
+        for r, m in [(1, 1), (1, 2), (2, 1)]:
+            yield prod, MeasureSpec.multilinear(6, r, m)
+        yield prod * prod, MeasureSpec.of([((0, 2),), ((1, 2),), ((0, 1), (1, 1))], 1)
+        rng = random.Random(127)
+        from test_poly import random_poly
+        for _ in range(6):
+            p = random_poly(rng, dom, 6, 4).scale(Fraction(rng.choice([1, 2, 5]), 7))
+            yield p, MeasureSpec.multilinear(6, rng.randrange(3), rng.randrange(3))
+
+
+@pytest.mark.parametrize("case", list(_psp_cases()), ids=lambda case: (
+    f"{case[0].domain}-n{case[0].nvars}-r{case[1].degree}-m{case[1].shift_degree}"))
+def test_psp_dimension_matches_the_full_dense_matrix(case):
+    p, spec = case
+    rep = psp_dimension(p, spec)
+    assert (rep.dimension, rep.rows, rep.cols) == _reference_psp(p, spec)

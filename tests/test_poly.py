@@ -389,6 +389,30 @@ def test_mul_matches_reference_loop(pair, degree_cap, term_cap):
     assert [type(c) for c in got.values()] == [type(c) for c in expected.values()]
 
 
+def _reference_int_terms(terms: dict, p: int) -> tuple[list, int]:
+    """The conversion `mul` once ran on both operands on every call: the
+    residues with denominator 1 over F_p, or over Q the numerators over the
+    lcm of the denominators."""
+    if p:
+        return list(terms.items()), 1
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return [(m, c.numerator * (den // c.denominator)) for m, c in terms.items()], den
+
+
+@settings(max_examples=100, deadline=None)
+@given(_poly_pair())
+@example((Polynomial.zero(Q, 3), Polynomial.from_text(Q, 3, "1/6*x1 - 2/3*x2^2 + 5/1000000007")))
+def test_int_form_is_the_conversion_computed_once(pair):
+    for poly in pair:
+        form = poly._int_form()
+        assert poly._int_form() is form
+        terms, den = form
+        expected = _reference_int_terms(poly.terms, poly.domain.characteristic)
+        assert ([(m, c) for m, _, c in terms], den) == expected
+        assert [d for _, d, _ in terms] == [mono_degree(m) for m in poly.terms]
+        assert all(type(c) is int for _, _, c in terms) and type(den) is int
+
+
 def _reference_mono_mul(a, b):
     """The dict-and-sort product that the merge in mono_mul replaced."""
     d = dict(a)

@@ -160,3 +160,54 @@ def test_only_circuit_knows_the_product_spelling():
                   if (isinstance(node, ast.Constant) and node.value == "product")
                   or (isinstance(node, ast.Attribute) and node.attr == "is_product")]
     assert found == []
+
+
+def test_only_poly_clears_denominators():
+    # a polynomial's integer form is computed once, in poly.py
+    # (`Polynomial._int_form`, over `_clear_denominators`), and every other
+    # module reads it: none takes an lcm of denominators itself
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "poly.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and "lcm" in (
+                      getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert found == []
+
+
+_MUTATORS = {"pop", "popitem", "clear", "update", "setdefault", "__setitem__",
+             "__delitem__"}
+
+
+def _is_terms(node):
+    return isinstance(node, ast.Attribute) and node.attr == "terms"
+
+
+def test_terms_are_not_written_after_construction():
+    # the cached `_int_form` of a Polynomial stays valid only while its
+    # terms do: `self.terms` is bound in an __init__ and never changed
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        in_init = {inner for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+                   for inner in ast.walk(node)}
+        for node in ast.walk(tree):
+            targets = []
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            for target in targets:
+                for t in ast.walk(target):
+                    rebound = (_is_terms(t) and not (
+                        isinstance(node, ast.Assign) and node in in_init
+                        and isinstance(t.value, ast.Name) and t.value.id == "self"))
+                    if rebound or (isinstance(t, ast.Subscript) and _is_terms(t.value)):
+                        found.append(f"{path.name}:{node.lineno}")
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in _MUTATORS and _is_terms(node.func.value)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
