@@ -34,11 +34,11 @@ from . import linalg
 from .circuit import Circuit, DeclaredBounds, Gate, OuterExpr, _graft
 from .domains import PrimeField
 from .errors import (BoundViolation, CharacteristicTooSmall, DerivativeVanishes,
-                     ExpansionTooLarge, FieldTooSmall, InvalidParams,
-                     NoAnnihilatorWithinCap, NoGoodTranslation, NonConvergence,
-                     NoSolutionWithinCap, RankNotCertified)
-from .poly import (DEFAULT_TERM_CAP, Polynomial, compose, mono_degree,
-                   mono_from_dict)
+                     FieldTooSmall, InvalidParams, NoAnnihilatorWithinCap,
+                     NoGoodTranslation, NonConvergence, NoSolutionWithinCap,
+                     RankNotCertified)
+from .poly import (DEFAULT_TERM_CAP, Polynomial, _layout, _pack, _packed_product,
+                   compose, mono_from_dict)
 from .util import derive_seed
 
 _CERTIFICATE_PRIME = (1 << 61) - 1
@@ -204,15 +204,12 @@ def _dense_to_mono(alpha: tuple):
 
 
 class _CompositionTable:
-    """Memoized products q^alpha = prod_j q_j^alpha_j, |alpha| <= cap, packed,
-    optionally truncated to total degree <= degree_cap.
+    """Memoized products q^alpha = prod_j q_j^alpha_j, |alpha| <= cap, packed
+    by `poly._layout` (order <= cap-1 times a q_j), optionally truncated to
+    total degree <= degree_cap.
 
-    x^e packs as the int sum_v e_v*2^(w*v) + deg(x^e)*2^(w*nvars), so a
-    monomial product is a sum of keys and truncation one comparison.  Every
-    product formed has degree <= B = cap*d (order <= cap-1 times a q_j of
-    degree <= d), or degree_cap + d when truncated; 2^w > B, so no field
-    carries.  Over Q, q_j enters as N_j = D_j*q_j (`_int_form`), the entry
-    is N^alpha = D^alpha*q^alpha, and scaling column alpha by D^alpha != 0
+    Over Q, q_j enters as N_j = D_j*q_j (`_int_form`), the entry is
+    N^alpha = D^alpha*q^alpha, and scaling column alpha by D^alpha != 0
     keeps every linear dependence (`combination` maps one back).  Terms come
     in `Polynomial.mul`'s order and cancel where its Fractions do, so term
     order and the term_cap count are those of the unpacked products.
@@ -222,18 +219,12 @@ class _CompositionTable:
                  term_cap: int | None = DEFAULT_TERM_CAP):
         self.domain, self.p = qs[0].domain, qs[0].domain.characteristic
         d = max(q.degree() for q in qs)
-        bound = cap * d if degree_cap is None else degree_cap + d
-        self.width = bound.bit_length()
-        self.shift = self.width * qs[0].nvars
-        self.limit = ((bound if degree_cap is None else degree_cap) + 1) << self.shift
+        self.width, self.shift, self.limit = _layout(qs[0].nvars, cap, d, degree_cap)
         self.cap, self.term_cap, self.alphas = cap, term_cap, []
         int_forms = [q._int_form() for q in qs]
-        self.factors = [[(self.pack(m), c) for m, _, c in terms] for terms, _ in int_forms]
+        self.factors = [_pack(terms, self.width, self.shift) for terms, _ in int_forms]
         self.dens = [den for _, den in int_forms]
         self.memo = {(0,) * len(qs): {0: 1}}
-
-    def pack(self, mono) -> int:
-        return sum(e << self.width * v for v, e in mono) + (mono_degree(mono) << self.shift)
 
     def den(self, alpha: tuple) -> int:  # D^alpha, 1 over F_p
         return math.prod(map(pow, self.dens, alpha))
@@ -244,24 +235,9 @@ class _CompositionTable:
             return memo[alpha]
         j = max(i for i, e in enumerate(alpha) if e)
         prev = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]
-        p, limit, term_cap, factor = self.p, self.limit, self.term_cap, self.factors[j]
-        out: dict = {}
-        for ma, ca in self.get(prev).items():
-            for mb, cb in factor:
-                m = ma + mb
-                if m >= limit:
-                    continue
-                s = out.get(m, 0) + ca * cb
-                if p:
-                    s %= p
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-            if term_cap is not None and len(out) > term_cap:
-                raise ExpansionTooLarge(len(out), term_cap)
-        memo[alpha] = out
-        return out
+        memo[alpha] = _packed_product(self.get(prev), self.factors[j], self.p, self.limit,
+                                      self.term_cap)
+        return memo[alpha]
 
     def columns(self):
         """The columns q^alpha, |alpha| <= cap, ascending in GRLEX order of
@@ -472,7 +448,7 @@ def reconstruct_dependence(qs: list[Polynomial], basis, a, *,
         cap_i = max(1, d_i * (k + 1) * d ** k)
         table = _CompositionTable(b_polys, cap_i, degree_cap=d_i, term_cap=term_cap)
         terms, den = target._int_form()
-        x = linalg.span_coefficients({table.pack(m): c for m, _, c in terms},
+        x = linalg.span_coefficients(dict(_pack(terms, table.width, table.shift)),
                                      table.columns(), dom)
         if x is None:
             raise NoSolutionWithinCap(i, cap_i)

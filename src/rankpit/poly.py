@@ -7,6 +7,11 @@ every operation here is exact: no floating point anywhere.
 
 Variables are 0-based internally; the text and JSON forms use the 1-based
 names x1, x2, ... with X_1 highest in the ordering precedence.
+
+Substitution (`compose`, and `Polynomial.translate`, a composition with
+X_j + a_j) runs Horner's rule on packed monomials, one int each
+(`_layout`), and integer numerators, and builds one Fraction per output
+term.
 """
 
 from __future__ import annotations
@@ -316,9 +321,10 @@ class Polynomial:
             raise DimensionMismatch(f"point has {len(point)} coords, nvars={self.nvars}")
         if not self.nvars:
             return self
-        dom, n = self.domain, self.nvars
-        return compose(self, [Polynomial(dom, n, {((j, 1),): dom.one, (): aj})
-                              for j, aj in enumerate(point)], term_cap=None)
+        # X_j + a_j, a_j = N_j/D_j, in integer form: [(X_j, D_j), (1, N_j)] over D_j
+        forms = {j: ([(((j, 1),), 1, a.denominator)] + [((), 0, a.numerator)] * bool(a),
+                     a.denominator) for j, a in enumerate(map(self.domain.coerce, point))}
+        return _horner(self, forms, self.nvars, None, None)
 
     def dilate(self, z) -> "Polynomial":
         """P(z*X): each degree-j term picks up a factor z^j."""
@@ -506,13 +512,53 @@ def _term_text(c_str: str, m: Mono, var_prefix: str) -> str:
     return f"{c_str}*{mono_str}"
 
 
+def _layout(nvars: int, top: int, d: int, degree_cap: int | None) -> tuple[int, int, int]:
+    """(width, shift, limit) packing x^e as sum_v e_v*2^(width*v) +
+    deg(x^e)*2^shift, for products of up to `top` factors of degree <= d,
+    truncated to degree <= degree_cap if given: a monomial product is a sum
+    of keys and truncation the test key >= limit.  Every product formed has
+    degree <= B = top*d, or degree_cap + d; 2^width > B, so no field carries."""
+    bound = top * d if degree_cap is None else degree_cap + d
+    width = bound.bit_length()
+    limit = (bound if degree_cap is None else degree_cap) + 1
+    return width, width * nvars, limit << width * nvars
+
+
+def _pack(terms, width: int, shift: int, f: int = 1) -> list:
+    """`_int_form` terms [(mono, degree, c), ...] as [(key, f*c), ...]."""
+    return [(sum(e << width * v for v, e in m) + (deg << shift), f * c) for m, deg, c in terms]
+
+
+def _packed_product(a: dict, b: list, p: int, limit: int, term_cap: int | None) -> dict:
+    """a * b on packed keys (`_layout`), keys >= limit dropped: the terms in
+    `Polynomial.mul`'s order, reduced mod p when p, and term_cap checked
+    after each term of a, as there."""
+    out: dict = {}
+    for ma, ca in a.items():
+        for mb, cb in b:
+            m = ma + mb
+            if m >= limit:
+                continue
+            s = out.get(m, 0) + ca * cb
+            if p:
+                s %= p
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
+        if term_cap is not None and len(out) > term_cap:
+            raise ExpansionTooLarge(len(out), term_cap)
+    return out
+
+
 def compose(outer: Polynomial, inners: list, term_cap: int | None = DEFAULT_TERM_CAP,
             degree_cap: int | None = None) -> Polynomial:
     """Exact substitution of `inners` into `outer`, fully expanded.
 
     outer lives in t variables; inners are t polynomials over one shared
     domain.  Horner's rule in each variable makes every product one by a
-    single inner polynomial, never of two large partial products.
+    single inner polynomial, never of two large partial products; it runs
+    on packed integers and builds one Fraction per output term (`_horner`).
     Raises ArityMismatch / DomainMismatch / ExpansionTooLarge.
     """
     if outer.nvars != len(inners):
@@ -529,47 +575,86 @@ def compose(outer: Polynomial, inners: list, term_cap: int | None = DEFAULT_TERM
             raise DimensionMismatch("inner polynomials on different variable counts")
     if outer.domain != dom:
         raise DomainMismatch("outer and inner polynomials on different domains")
+    used = {v for m in outer.terms for v, _ in m}
+    if not used:  # a constant outer: nothing to substitute
+        return Polynomial.constant(dom, nvars, outer.coefficient(()))
+    return _horner(outer, {v: inners[v]._int_form() for v in used}, nvars, term_cap, degree_cap)
 
-    def horner(terms: dict) -> Polynomial:
-        # c * inners^mono summed over terms, by Horner's rule in the largest
-        # variable v that occurs.  The part free of v is the loop's next turn,
-        # not a recursion, so the depth is bounded by one monomial's support.
+
+def _horner(outer: Polynomial, forms: dict, nvars: int, term_cap: int | None,
+            degree_cap: int | None) -> Polynomial:
+    """outer(inners), forms[v] = (N_v, D_v) the integer form of inner v for
+    every variable v that occurs in outer, on packed keys (`_layout`).
+
+    The inners are brought to one den L, and a term c*z^m of outer enters as
+    c*L^(D-|m|), D = deg(outer): then each partial sum is a power of L times
+    the one over Q, so terms cancel, and come in the order, as in
+    `Polynomial.mul` and `+` on Fractions; term_cap is checked after each
+    sum too.  One Fraction is built per output term."""
+    p = outer.domain.characteristic
+    terms, den_outer = outer._int_form()
+    top = max((deg for _, deg, _ in terms), default=0)
+    d = max((deg for ts, _ in forms.values() for _, deg, _ in ts), default=0)
+    den = math.lcm(*(den for _, den in forms.values()))
+    width, shift, limit = _layout(nvars, top, d, degree_cap)
+    factors = {v: _pack(ts, width, shift, den // d_v) for v, (ts, d_v) in forms.items()}
+
+    def add(total: dict, items, move=False):
+        # total += items in place; a key already in total keeps its place,
+        # or with `move` goes to the end
+        for m, c in items:
+            s = (total.pop(m, 0) if move else total.get(m, 0)) + c
+            if p:
+                s %= p
+            if s:
+                total[m] = s
+            elif not move:
+                total.pop(m, None)
+        if term_cap is not None and len(total) > term_cap:
+            raise ExpansionTooLarge(len(total), term_cap)
+
+    def horner(terms: dict) -> dict:
+        # c * inners^mono summed over terms: the terms grouped by their
+        # largest variable v, each group by Horner's rule in v.  Each term is
+        # split once, and the depth is bounded by one monomial's support.
+        groups: dict[int, dict] = {}
+        for mono, c in terms.items():
+            groups.setdefault(mono[-1][0] if mono else -1, {})[mono] = c
         parts = []
-        while terms is not None:
-            v = max((mono[-1][0] for mono in terms if mono), default=-1)
+        for v in sorted(groups, reverse=True):
             if v < 0:
-                parts.append(Polynomial.constant(dom, nvars, terms.get((), dom.zero)))
-                break
+                parts.append({0: groups[v][()]})
+                continue
             by_exp: dict[int, dict] = {}
-            for mono, c in terms.items():
-                e = mono[-1][1] if mono and mono[-1][0] == v else 0
-                by_exp.setdefault(e, {})[mono[:-1] if e else mono] = c
-            acc = horner(by_exp[max(by_exp)])
-            for e in range(max(by_exp) - 1, -1, -1):
-                acc = acc.mul(inners[v], term_cap=term_cap, degree_cap=degree_cap)
-                if e and e in by_exp:
-                    acc = acc + horner(by_exp[e])
-                    if term_cap is not None and acc.num_terms() > term_cap:
-                        raise ExpansionTooLarge(acc.num_terms(), term_cap)
+            for mono, c in groups[v].items():
+                by_exp.setdefault(mono[-1][1], {})[mono[:-1]] = c
+            high = max(by_exp)
+            acc = horner(by_exp[high])
+            for e in range(high - 1, -1, -1):
+                acc = _packed_product(acc, factors[v], p, limit, term_cap)
+                if e in by_exp:
+                    add(acc, horner(by_exp[e]).items())
             parts.append(acc)
-            terms = by_exp.get(0)
+        if len(parts) < 2:
+            return parts[0] if parts else {}
         # parts[0] + (parts[1] + (...)) in one dict, built backwards so that
         # each sum costs the size of its part and the terms keep their order
-        if len(parts) == 1:
-            return parts[0]
-        total = dict(reversed(parts.pop().terms.items()))
+        total = dict(reversed(parts.pop().items()))
         for part in reversed(parts):
-            for m, c in reversed(part.terms.items()):
-                s = dom.add(c, total.pop(m)) if m in total else c
-                if not dom.is_zero(s):
-                    total[m] = s
-            if term_cap is not None and len(total) > term_cap:
-                raise ExpansionTooLarge(len(total), term_cap)
-        return Polynomial(dom, nvars, dict(reversed(total.items())), _normalized=True)
+            add(total, reversed(part.items()), move=True)
+        return dict(reversed(total.items()))
 
-    if outer.is_zero():
-        return Polynomial.zero(dom, nvars)
-    return horner(outer.terms)
+    acc = horner({m: c * den ** (top - deg) for m, deg, c in terms})
+    den = den ** top * den_outer
+    out, mask, low = {}, (1 << width) - 1, (1 << shift) - 1
+    for key, c in acc.items():
+        mono, key = [], key & low  # read the fields that are set, lowest first
+        while key:
+            v = ((key & -key).bit_length() - 1) // width
+            mono.append((v, key >> width * v & mask))
+            key ^= mono[-1][1] << width * v
+        out[tuple(mono)] = c if p else Fraction(c, den)
+    return Polynomial(outer.domain, nvars, out, _normalized=True)
 
 
 def divide_exact(p: Polynomial, d: Polynomial, order: MonomialOrder = GRLEX) -> Polynomial:

@@ -11,6 +11,7 @@ from rankpit.circuit import Circuit, DeclaredBounds, Gate, OuterExpr, evaluate_c
 from rankpit.domains import PrimeField, Rationals
 from rankpit.errors import (ArityMismatch, DimensionMismatch, ExpansionTooLarge,
                             InexactDivision, InvalidParams, ZeroPolynomial)
+from rankpit import poly
 from rankpit.poly import (GRLEX, LEX, MonomialOrder, Polynomial, compose,
                           divide_exact, mono_degree, mono_from_dict, mono_mul)
 
@@ -470,6 +471,18 @@ def test_compose_evaluate_homomorphism():
             assert lhs == rhs
 
 
+def _power_products(f, qs):
+    """sum of c * prod q_j^e_j over the terms of f, built term by term."""
+    dom, nvars = qs[0].domain, qs[0].nvars
+    direct = Polynomial.zero(dom, nvars)
+    for mono, c in f.terms.items():
+        piece = Polynomial.constant(dom, nvars, c)
+        for v, e in mono:
+            piece = piece * qs[v].pow(e)
+        direct = direct + piece
+    return direct
+
+
 def test_compose_by_horner_matches_power_products():
     """compose equals the sum of c * prod q_j^e_j built term by term, and
     with a degree cap its truncation."""
@@ -478,14 +491,112 @@ def test_compose_by_horner_matches_power_products():
         for _ in range(25):
             f = random_poly(rng, dom, 3, 4)
             qs = [random_poly(rng, dom, 2, 2) for _ in range(3)]
-            direct = Polynomial.zero(dom, 2)
-            for mono, c in f.terms.items():
-                piece = Polynomial.constant(dom, 2, c)
-                for v, e in mono:
-                    piece = piece * qs[v].pow(e)
-                direct = direct + piece
+            direct = _power_products(f, qs)
             assert compose(f, qs) == direct
             assert compose(f, qs, degree_cap=3) == direct.homogeneous_le(3)
+
+
+@pytest.mark.parametrize("dom", [Q, FP], ids=str)
+def test_compose_with_rational_denominators(dom):
+    """The outer and each inner carry their own denominators (1/2, 2/3, 5/7,
+    -3/4): the packed kernel brings the inners to one denominator and scales
+    the outer's terms, and the result is still the power-product sum."""
+    rng = random.Random(53)
+    dens = [Fraction(1, 2), Fraction(2, 3), Fraction(5, 7), Fraction(-3, 4)]
+    for _ in range(20):
+        f = (random_poly(rng, dom, 3, 4).scale(dens[0])
+             + random_poly(rng, dom, 3, 2).scale(dens[1]))
+        qs = [random_poly(rng, dom, 2, 2).scale(dens[j + 1])
+              + random_poly(rng, dom, 2, 1).scale(dens[j]) for j in range(3)]
+        direct = _power_products(f, qs)
+        assert compose(f, qs) == direct
+        for cap in (0, 2, 3):
+            assert compose(f, qs, degree_cap=cap) == direct.homogeneous_le(cap)
+
+
+def test_compose_packing_edges():
+    """Exponents that fill their packed field exactly, a lone variable at
+    the top of a 2000-variable ring, constant and zero outers, inners with
+    constant terms, and a degree cap of 0."""
+    z3 = Polynomial(Q, 1, {((0, 3),): 1})
+    assert poly._layout(2, 3, 1, None)[0] == 2  # x1^3 fills its 2-bit field
+    assert compose(z3, [x(0)]) == x(0).pow(3)
+    assert compose(z3, [x(0) + x(1)]) == (x(0) + x(1)).pow(3)
+    n = 2000
+    last = x(n - 1, nvars=n)
+    f = Polynomial.from_text(Q, 1, "z1^3 - 2*z1 + 1/3", var_prefix="z")
+    shifted = last + const(2, nvars=n)
+    assert compose(f, [shifted]) == _power_products(f, [shifted])
+    p = last.pow(3).scale(Fraction(5, 2)) - last
+    point = [0] * (n - 1) + [Fraction(-1, 3)]
+    assert p.translate(point) == _reference_translate(p, point)
+    for dom in (Q, FP):
+        inners = [x(0, dom=dom) + const(3, dom=dom), x(1, dom=dom) - const(Fraction(1, 2), dom=dom)]
+        assert compose(const(5, dom=dom), inners) == const(5, dom=dom)
+        assert compose(Polynomial.zero(dom, 2), inners).is_zero()
+        assert compose(Polynomial.zero(dom, 2), inners, degree_cap=0).is_zero()
+        f = Polynomial.from_text(dom, 2, "z1*z2 + z2^2 - 4", var_prefix="z")
+        direct = _power_products(f, inners)
+        assert compose(f, inners) == direct
+        assert compose(f, inners, degree_cap=0) == direct.homogeneous_le(0)
+        assert compose(f, [const(2, dom=dom), const(3, dom=dom)]) == const(11, dom=dom)
+
+
+def _reference_horner(outer, inners, term_cap=None, degree_cap=None):
+    """Horner's rule on `Polynomial.mul` and `+`, the composition loop that the
+    packed kernel replaced: the parts by the largest variable, summed as
+    parts[0] + (parts[1] + (...))."""
+    dom, nvars = inners[0].domain, inners[0].nvars
+
+    def horner(terms):
+        v = max((mono[-1][0] for mono in terms if mono), default=-1)
+        if v < 0:
+            return Polynomial.constant(dom, nvars, terms.get((), 0))
+        by_exp = {}
+        for mono, c in terms.items():
+            e = mono[-1][1] if mono and mono[-1][0] == v else 0
+            by_exp.setdefault(e, {})[mono[:-1] if e else mono] = c
+        acc = horner(by_exp[max(by_exp)])
+        for e in range(max(by_exp) - 1, -1, -1):
+            acc = acc.mul(inners[v], term_cap=term_cap, degree_cap=degree_cap)
+            if e and e in by_exp:
+                acc = acc + horner(by_exp[e])
+                if term_cap is not None and acc.num_terms() > term_cap:
+                    raise ExpansionTooLarge(acc.num_terms(), term_cap)
+        if 0 not in by_exp:
+            return acc
+        total = acc + horner(by_exp[0])
+        if term_cap is not None and total.num_terms() > term_cap:
+            raise ExpansionTooLarge(total.num_terms(), term_cap)
+        return total
+
+    return horner(outer.terms)
+
+
+@pytest.mark.parametrize("dom", [Q, F11, FP], ids=str)
+def test_compose_terms_come_in_horner_order(dom):
+    """Term for term and in order, compose and translate give what Horner's
+    rule on `Polynomial.mul` and `+` gives, and a term cap stops both at
+    the same count."""
+    rng = random.Random(59)
+    for _ in range(40):
+        f = random_poly(rng, dom, 3, 4).scale(rng.choice([1, Fraction(3, 4)]))
+        qs = [random_poly(rng, dom, 3, 2).scale(rng.choice([1, Fraction(-2, 5)]))
+              for _ in range(3)]
+        cap, term_cap = rng.choice([None, 0, 2, 3]), rng.choice([None, 4, 12])
+        try:
+            expected = _reference_horner(f, qs, term_cap, cap)
+        except ExpansionTooLarge as err:
+            with pytest.raises(ExpansionTooLarge) as info:
+                compose(f, qs, term_cap=term_cap, degree_cap=cap)
+            assert (info.value.terms, info.value.cap) == (err.terms, err.cap)
+        else:
+            got = compose(f, qs, term_cap=term_cap, degree_cap=cap)
+            assert list(got.terms.items()) == list(expected.terms.items())
+        a = [rng.choice([0, 2, Fraction(-1, 3)]) for _ in range(3)]
+        shifts = [x(j, 3, dom) + const(aj, 3, dom) for j, aj in enumerate(a)]
+        expected = _reference_horner(f, shifts)
+        assert list(f.translate(a).terms.items()) == list(expected.terms.items())
 
 
 # ----------------------------------------------------------------------
