@@ -18,9 +18,10 @@ number of variables that occur.  The same point answers
 an independent tuple before any annihilator column is built.  Every
 Jacobian point, certified or randomized, is read by `_jacobian_rows`.
 A power-series Newton lift of the annihilator root serves as an
-independent cross-check of the reconstruction, and the whole machinery
-drives the circuit rewrite that replaces a gate's inputs by the homogeneous
-components of its basis.
+independent cross-check of the reconstruction; each of its steps
+substitutes the annihilator and its derivative through `compose`, truncated
+to the step's precision.  The whole machinery drives the circuit rewrite
+that replaces a gate's inputs by the homogeneous components of its basis.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .circuit import Circuit, DeclaredBounds, Gate, OuterExpr, _graft
+from .circuit import (Circuit, DeclaredBounds, Gate, OuterExpr, _graft,
+                      _interpolation_weights)
 from .domains import PrimeField
 from .errors import (BoundViolation, CharacteristicTooSmall, DerivativeVanishes,
                      FieldTooSmall, InvalidParams, NoAnnihilatorWithinCap,
@@ -479,75 +481,37 @@ def _series_inverse(u: Polynomial, prec: int) -> Polynomial:
     return v
 
 
-def _coefficients_in_last_var(p: Polynomial) -> dict[int, Polynomial]:
-    """View a (k+1)-variate polynomial as a polynomial in its last variable."""
-    k = p.nvars - 1
-    dom = p.domain
-    out: dict[int, dict] = {}
-    for mono, c in p.terms.items():
-        md = dict(mono)
-        j = md.pop(k, 0)
-        out.setdefault(j, {})[tuple(sorted(md.items()))] = c
-    return {j: Polynomial(dom, k, terms, _normalized=True)
-            for j, terms in out.items()}
-
-
 def newton_reconstruct(qs: list[Polynomial], basis, a, i: int,
                        annihilator: Annihilator | None = None, *,
                        term_cap: int | None = DEFAULT_TERM_CAP) -> Polynomial:
-    """Cross-check oracle: lift q_i(X+a) as the power-series root of its
-    annihilator, doubling precision up to degree d_i, and assert the result
-    equals the truncation of q_i(X+a)."""
+    """Cross-check oracle: lift q_i(X+a) as the power-series root y of its
+    annihilator R(Z, Y), doubling the precision e up to degree d_i.
+
+    At each e, R(b(X+a), y) and dR/dY(b(X+a), y) are one `compose` each,
+    truncated to degree <= e inside the Horner products (exact, since degrees
+    only grow along them).  Raises DerivativeVanishes if dR/dY vanishes at
+    (b(a), q_i(a)), and NonConvergence unless the result equals the
+    truncation of q_i(X+a)."""
     basis = tuple(basis)
     k = len(basis)
     dom = qs[0].domain
-    nvars = qs[0].nvars
-    basis_polys = [qs[b] for b in basis]
     if annihilator is None:
         annihilator = _sub_annihilator(qs, basis, i, term_cap)
+    R = annihilator.R
+    dR = R.partial_derivative(((k, 1),))
     d_i = qs[i].degree()
     target = qs[i].translate(a)
-    b_translated = [q.translate(a) for q in basis_polys]
-    coeffs = _coefficients_in_last_var(annihilator.R)
-    # c_j(X+a) for the annihilator read as sum_j c_j(Z) * Y^j
-    c_translated: dict[int, Polynomial] = {}
-    for j, cj in coeffs.items():
-        if k == 0:
-            c_translated[j] = Polynomial.constant(dom, nvars, cj.coefficient(()))
-        else:
-            c_translated[j] = compose(cj, b_translated, term_cap=term_cap)
-    y0_val = target.coefficient(())
-    # derivative of the annihilator in Y, evaluated at (a, q_i(a))
-    l_at_a = dom.zero
-    ypow = dom.one
-    for j in range(1, max(c_translated) + 1):
-        cj0 = c_translated.get(j)
-        if cj0 is not None:
-            l_at_a = dom.add(l_at_a, dom.mul(dom.mul(dom.coerce(j), cj0.coefficient(())), ypow))
-        ypow = dom.mul(ypow, y0_val)
-    if dom.is_zero(l_at_a):
+    b_translated = [qs[b].translate(a) for b in basis]
+    y0 = target.coefficient(())
+    if dom.is_zero(dR.evaluate([b.coefficient(()) for b in b_translated] + [y0])):
         raise DerivativeVanishes("translation is not good for this index")
-
-    max_j = max(c_translated)
-    y = Polynomial.constant(dom, nvars, y0_val)
-    if d_i > 0:
-        e = 0
-        while e < d_i:
-            e = min(max(1, 2 * e), d_i)
-            # Horner evaluation of the annihilator and its Y-derivative at y
-            g = Polynomial.zero(dom, nvars)
-            for j in range(max_j, -1, -1):
-                g = g.mul(y, degree_cap=e)
-                cj = c_translated.get(j)
-                if cj is not None:
-                    g = g + cj.homogeneous_le(e)
-            gp = Polynomial.zero(dom, nvars)
-            for j in range(max_j, 0, -1):
-                gp = gp.mul(y, degree_cap=e)
-                cj = c_translated.get(j)
-                if cj is not None:
-                    gp = gp + cj.homogeneous_le(e).scale(dom.coerce(j))
-            y = (y - g.mul(_series_inverse(gp, e), degree_cap=e)).homogeneous_le(e)
+    y = Polynomial.constant(dom, qs[0].nvars, y0)
+    e = 0
+    while e < d_i:
+        e = min(max(1, 2 * e), d_i)
+        g = compose(R, b_translated + [y], term_cap=term_cap, degree_cap=e)
+        gp = compose(dR, b_translated + [y], term_cap=term_cap, degree_cap=e)
+        y = (y - g.mul(_series_inverse(gp, e), degree_cap=e)).homogeneous_le(e)
     result = y.homogeneous_le(d_i)
     if result != target.homogeneous_le(d_i):
         raise NonConvergence("Newton lift disagrees with the translated polynomial")
@@ -633,10 +597,7 @@ def _rewrite_gate(g: Gate, cert: RankCertificate, witness: DependenceWitness,
             arg_ids[i] = push(("const", dom.coerce(f_i.coefficient(()))))
             continue
         zs = [dom.coerce(u + 1) for u in range(d_z + 1)]
-        # sum_u mu_u z_u^j = 1 for j <= d_i, 0 for d_i < j <= d_z
-        rows = [[dom.pow(z, j) for z in zs] for j in range(d_z + 1)]
-        rhs = [dom.one if j <= d_i else dom.zero for j in range(d_z + 1)]
-        mu = linalg.solve_dense(rows, rhs, dom)
+        mu = _interpolation_weights(zs, range(d_i + 1), dom)  # keeps degrees <= d_i
         terms = []
         for u, z in enumerate(zs):
             scaled_args = []

@@ -324,12 +324,8 @@ def homogeneous_component_circuit(c: Circuit, ell: int) -> Circuit:
     npts = delta + 1
     # over F_p, dom.scalars raises FieldTooSmall when p < npts
     zs = dom.scalars(npts) if dom.characteristic else [dom.coerce(i + 1) for i in range(npts)]
-    # lam solves sum_u lam_u * z_u^j = [j == ell] for 0 <= j <= delta
-    rows = [[dom.pow(z, j) for z in zs] for j in range(npts)]
-    rhs = [dom.one if j == ell else dom.zero for j in range(npts)]
-    lam = solve_dense(rows, rhs, dom)
-    if lam is None:
-        lam = [dom.zero] * npts  # ell > delta: the slice is identically zero
+    # ell > delta: every weight is zero, and so is the slice
+    lam = _interpolation_weights(zs, (ell,), dom)
     new_gates: list[Gate] = []
     for z, lam_u in zip(zs, lam):
         for g in c.gates:
@@ -342,6 +338,14 @@ def homogeneous_component_circuit(c: Circuit, ell: int) -> Circuit:
             outer = OuterExpr(t, nodes, len(nodes) - 1)
             new_gates.append(Gate(outer, scaled, rank_bound=g.rank_bound))
     return Circuit(dom, c.nvars, c.declared, new_gates)
+
+
+def _interpolation_weights(zs: list, wanted, dom) -> list:
+    """The weights mu with sum_u mu_u * z_u^j = [j in wanted] for
+    0 <= j < len(zs): one solution, the Vandermonde rows on distinct z's
+    being independent."""
+    rows = [[dom.pow(z, j) for z in zs] for j in range(len(zs))]
+    return solve_dense(rows, [dom.one if j in wanted else dom.zero for j in range(len(zs))], dom)
 
 
 # ----------------------------------------------------------------------

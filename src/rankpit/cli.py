@@ -251,7 +251,7 @@ def _cmd_nw(args) -> tuple[int, str]:
         alive = Fraction(args.p)
     except (ValueError, ZeroDivisionError):
         raise InvalidParams(f"bad --p value {args.p!r} (a rational in (0, 1])") from None
-    params = nw.HardPolyParams(base, gamma=args.gamma or 1, p=alive)
+    params = nw.HardPolyParams(base, gamma=1 if args.gamma is None else args.gamma, p=alive)
     stats = nw.survival_experiment(params, trials=args.trials, seed=args.seed)
     result = {
         "n": args.n, "q": args.q, "e": args.e,

@@ -39,9 +39,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
 
-from .circuit import Circuit, OuterExpr, evaluate_circuit
+from .circuit import Circuit, OuterExpr, evaluate_circuit, expand
 from .domains import PrimeField
-from .errors import FieldTooSmall, InvalidParams, SetTooLarge
+from .errors import BoundViolation, FieldTooSmall, InvalidParams, SetTooLarge
 from .util import derive_seed
 
 DEFAULT_POINT_CAP = 2_000_000
@@ -357,7 +357,6 @@ def pit_test(c: Circuit, mode: str = "hitting-set", *, seed: int = 0,
     rank_certified = False
     if certify_rank:
         from .algdep import algebraic_rank
-        from .errors import BoundViolation
         for gi, g in enumerate(c.gates):
             cert = algebraic_rank(g.inner, mode="symbolic",
                                   seed=derive_seed(seed, "certify", gi))
@@ -393,7 +392,6 @@ def pit_test(c: Circuit, mode: str = "hitting-set", *, seed: int = 0,
         # an oracle "probably-zero" against a verified witness is only a miss
         consistent = not (oracle.nonzero and verdict == "zero")
         if expansion_term_cap is not None:
-            from .circuit import expand
             expansion_nonzero = not expand(c, term_cap=expansion_term_cap).is_zero()
             consistent = consistent and (expansion_nonzero == (verdict == "nonzero"))
     return PitReport(verdict=verdict, witness=witness, ell=sb.ell,

@@ -17,7 +17,7 @@ from rankpit.errors import (BoundViolation, CharacteristicTooSmall,
                             DerivativeVanishes, DimensionMismatch, DomainMismatch,
                             ExpansionTooLarge, FieldTooSmall, InvalidParams,
                             NoAnnihilatorWithinCap, NoGoodTranslation,
-                            NoSolutionWithinCap, RankNotCertified)
+                            NonConvergence, NoSolutionWithinCap, RankNotCertified)
 from rankpit.poly import DEFAULT_TERM_CAP, GRLEX, Polynomial, compose, mono_from_dict
 
 Q = Rationals()
@@ -726,6 +726,34 @@ def test_newton_bad_translation_raises():
     qs = [x(0).pow(2), x(0).pow(3)]
     with pytest.raises(DerivativeVanishes):
         newton_reconstruct(qs, (0,), (0, 0), 1)
+
+
+def quadratic_root_pair(dom):
+    """[b, q] with b = q^2 + q, deg q = 4: R = Y^2 + Y - Z has the
+    non-constant dR/dY = 2Y + 1, so every lift step needs the full series
+    inverse of it (a chord step with its constant term falls short)."""
+    q = x(0, dom=dom).pow(2) * x(1, dom=dom).pow(2) + x(0, dom=dom) + x(1, dom=dom).pow(3)
+    return [q * q + q, q]
+
+
+@pytest.mark.parametrize("dom", [Q, FP], ids=str)
+def test_newton_lift_needs_the_full_series_inverse(dom):
+    qs = quadratic_root_pair(dom)
+    a = (2, 3)
+    assert newton_reconstruct(qs, (0,), a, 1) == qs[1].translate(a)
+
+
+@pytest.mark.parametrize("dom", [Q, FP], ids=str)
+def test_newton_wrong_annihilator_does_not_converge(dom):
+    z, y = x(0, dom=dom), x(1, dom=dom)
+    wrong = algdep.Annihilator(R=z - y, degree=1)
+    with pytest.raises(NonConvergence):
+        newton_reconstruct(quadratic_root_pair(dom), (0,), (2, 3), 1, annihilator=wrong)
+
+
+def test_newton_rank_zero_over_fp():
+    qs = [Polynomial.constant(FP, 2, 3), Polynomial.constant(FP, 2, 7)]
+    assert newton_reconstruct(qs, (), (5, 6), 1) == Polynomial.constant(FP, 2, 7)
 
 
 # ----------------------------------------------------------------------

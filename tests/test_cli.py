@@ -577,8 +577,12 @@ NW_ARGS = ["--n", "2", "--q", "2", "--e", "1"]
     ["bench", "separation", *NW_ARGS, "--r", "1", "--m", "1", "--field", "prime:x"],
     ["nw", *NW_ARGS, "--p", "abc"],
     ["nw", *NW_ARGS, "--p", "1/2", "--trials", "0"],
+    ["nw", *NW_ARGS, "--gamma", "0"],
+    ["nw", *NW_ARGS, "--gamma", "0", "--p", "1/2"],
+    ["nw", *NW_ARGS, "--gamma", "-2", "--p", "1/2"],
 ], ids=["nw-field-modulus", "bench-field-modulus", "nw-p-not-rational",
-        "nw-zero-trials"])
+        "nw-zero-trials", "nw-zero-gamma", "nw-zero-gamma-experiment",
+        "nw-negative-gamma-experiment"])
 def test_bad_nw_and_bench_inputs_exit_2(argv):
     code, out = cli.run(argv + ["--json"])
     assert (code, json.loads(out)["error"]) == (2, "InvalidParams")
