@@ -17,11 +17,11 @@ checked by composing it to zero, gives rank <= r, as does r equal to the
 number of variables that occur.  The same point answers
 an independent tuple before any annihilator column is built.  Every
 Jacobian point, certified or randomized, is read by `_jacobian_rows`.
-A power-series Newton lift of the annihilator root serves as an
-independent cross-check of the reconstruction; each of its steps
-substitutes the annihilator and its derivative through `compose`, truncated
-to the step's precision.  The whole machinery drives the circuit rewrite
-that replaces a gate's inputs by the homogeneous components of its basis.
+A power-series Newton lift of the annihilator root cross-checks the
+reconstruction: it carries 1/R_Y with the root, one Newton step on each per
+doubling of the precision, and skips the Y-derivative at the last step.  The
+whole machinery drives the circuit rewrite that replaces a gate's inputs by
+the homogeneous components of its basis.
 """
 
 from __future__ import annotations
@@ -115,8 +115,8 @@ def _check_jacobian_characteristic(qs):
 
 
 def algebraic_rank(qs: list[Polynomial], mode: str = "randomized", *,
-                   seed: int = 0, security: int = 30,
-                   trials: int = 3) -> RankCertificate:
+                   seed: int = 0, security: int = 30, trials: int = 3,
+                   term_cap: int | None = DEFAULT_TERM_CAP) -> RankCertificate:
     """Rank certificate for a polynomial tuple via the Jacobian criterion.
 
     Randomized mode evaluates the Jacobian at `trials` points drawn from a
@@ -130,7 +130,7 @@ def algebraic_rank(qs: list[Polynomial], mode: str = "randomized", *,
     its size, the number of variables that occur (`_certified_rank`).
     """
     if mode == "symbolic":
-        return _certified_rank(qs, seed, DEFAULT_TERM_CAP)[0]
+        return _certified_rank(qs, seed, term_cap)[0]
     if mode != "randomized":
         raise InvalidParams(f"unknown rank mode {mode!r}")
     t = len(qs)
@@ -466,56 +466,41 @@ def reconstruct_dependence(qs: list[Polynomial], basis, a, *,
 # ----------------------------------------------------------------------
 # Newton cross-check oracle
 
-def _series_inverse(u: Polynomial, prec: int) -> Polynomial:
-    dom = u.domain
-    u0 = u.coefficient(())
-    if dom.is_zero(u0):
-        raise ZeroDivisionError("series has no inverse: zero constant term")
-    v = Polynomial.constant(dom, u.nvars, dom.inv(u0))
-    two = Polynomial.constant(dom, u.nvars, dom.coerce(2))
-    e = 0
-    while e < prec:
-        e = min(max(1, 2 * e), prec)
-        correction = two - u.homogeneous_le(e).mul(v, degree_cap=e)
-        v = v.mul(correction, degree_cap=e)
-    return v
-
-
 def newton_reconstruct(qs: list[Polynomial], basis, a, i: int,
                        annihilator: Annihilator | None = None, *,
                        term_cap: int | None = DEFAULT_TERM_CAP) -> Polynomial:
     """Cross-check oracle: lift q_i(X+a) as the power-series root y of its
     annihilator R(Z, Y), doubling the precision e up to degree d_i.
 
-    At each e, R(b(X+a), y) and dR/dY(b(X+a), y) are one `compose` each,
-    truncated to degree <= e inside the Horner products (exact, since degrees
-    only grow along them).  Raises DerivativeVanishes if dR/dY vanishes at
-    (b(a), q_i(a)), and NonConvergence unless the result equals the
-    truncation of q_i(X+a)."""
+    Per doubling, one Newton step each on y and v = 1/R_Y(b(X+a), y), right
+    to degree e/2 before and to e after: y <- y - R(b(X+a), y)*v, then, but
+    at the last e, v <- v*(2 - R_Y*v) at the new y; all through `compose` and
+    products truncated to degree <= e.  Raises DerivativeVanishes if R_Y
+    vanishes at (b(a), q_i(a)), NonConvergence unless y = q_i(X+a)."""
     basis = tuple(basis)
-    k = len(basis)
     dom = qs[0].domain
-    if annihilator is None:
-        annihilator = _sub_annihilator(qs, basis, i, term_cap)
-    R = annihilator.R
-    dR = R.partial_derivative(((k, 1),))
+    R = (annihilator or _sub_annihilator(qs, basis, i, term_cap)).R
+    dR = R.partial_derivative(((len(basis), 1),))
     d_i = qs[i].degree()
     target = qs[i].translate(a)
     b_translated = [qs[b].translate(a) for b in basis]
     y0 = target.coefficient(())
-    if dom.is_zero(dR.evaluate([b.coefficient(()) for b in b_translated] + [y0])):
+    l0 = dR.evaluate([b.coefficient(()) for b in b_translated] + [y0])
+    if dom.is_zero(l0):
         raise DerivativeVanishes("translation is not good for this index")
     y = Polynomial.constant(dom, qs[0].nvars, y0)
+    v = Polynomial.constant(dom, qs[0].nvars, dom.inv(l0))
     e = 0
     while e < d_i:
         e = min(max(1, 2 * e), d_i)
         g = compose(R, b_translated + [y], term_cap=term_cap, degree_cap=e)
-        gp = compose(dR, b_translated + [y], term_cap=term_cap, degree_cap=e)
-        y = (y - g.mul(_series_inverse(gp, e), degree_cap=e)).homogeneous_le(e)
-    result = y.homogeneous_le(d_i)
-    if result != target.homogeneous_le(d_i):
+        y = y - g.mul(v, degree_cap=e)
+        if e < d_i:
+            gp = compose(dR, b_translated + [y], term_cap=term_cap, degree_cap=e)
+            v = v.scale(2) - v.mul(gp.mul(v, degree_cap=e), degree_cap=e)
+    if y != target.homogeneous_le(d_i):
         raise NonConvergence("Newton lift disagrees with the translated polynomial")
-    return result
+    return y
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,7 @@ import sys
 import time
 import traceback
 from fractions import Fraction
+from math import comb
 
 from . import algdep, circuit as ckt, measure, nw, pit
 from .domains import PrimeField, Rationals
@@ -136,7 +137,8 @@ def _field_from_flag(spec: str | None):
 
 def _cmd_rank(args) -> tuple[int, str]:
     domain, _, polys = _load_polys(args.poly_file)
-    cert = algdep.algebraic_rank(polys, mode=args.mode, seed=args.seed)
+    cert = algdep.algebraic_rank(polys, mode=args.mode, seed=args.seed,
+                                 term_cap=args.cap_expansion)
     result = {
         "rank": cert.rank,
         "basis": [i + 1 for i in cert.basis_indices],
@@ -209,7 +211,7 @@ def _cmd_measure(args) -> tuple[int, str]:
         raise InvalidParams(
             f"--index {args.index} is out of range for {len(polys)} polynomial(s)")
     p = polys[args.index]
-    spec = measure.MeasureSpec.multilinear(nvars, args.r, args.m)  # checks r, m
+    measure.MeasureSpec.check_degrees(nvars, args.r, args.m)
     if args.sweep:
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -218,12 +220,15 @@ def _cmd_measure(args) -> tuple[int, str]:
                         + ["millis"] * args.timings)
         for r in range(args.r + 1):
             for m in range(args.m + 1):
+                measure.check_cells(nvars, m, comb(nvars, r), args.cap_matrix)
                 spec = measure.MeasureSpec.multilinear(nvars, r, m)
                 rep, elapsed_ms = _timed(measure.psp_dimension, p, spec,
                                          matrix_cap=args.cap_matrix)
                 writer.writerow([r, m, rep.dimension, rep.rows, rep.cols]
                                 + [f"{elapsed_ms:.3f}"] * args.timings)
         return 0, buf.getvalue()
+    measure.check_cells(nvars, args.m, comb(nvars, args.r), args.cap_matrix)
+    spec = measure.MeasureSpec.multilinear(nvars, args.r, args.m)
     rep, elapsed_ms = _timed(measure.psp_dimension, p, spec, matrix_cap=args.cap_matrix)
     result = {
         "dimension": rep.dimension,

@@ -17,7 +17,7 @@ from math import comb
 
 from .errors import HypothesisViolated, InvalidParams, MatrixTooLarge
 from .linalg import rank_stream
-from .poly import Mono, Polynomial, mono_degree, mono_is_multilinear
+from .poly import Polynomial, mono_degree, mono_is_multilinear
 
 DEFAULT_MATRIX_CAP = 10**7
 
@@ -46,14 +46,17 @@ class MeasureSpec:
     @classmethod
     def multilinear(cls, nvars: int, r: int, shift_degree: int) -> "MeasureSpec":
         """All multilinear derivative monomials of degree exactly r."""
+        cls.check_degrees(nvars, r, shift_degree)
+        return cls.of([tuple((v, 1) for v in subset)
+                       for subset in combinations(range(nvars), r)], shift_degree)
+
+    @classmethod
+    def check_degrees(cls, nvars: int, r: int, shift_degree: int) -> None:
+        """Refuse, without listing a monomial, the degrees `multilinear` refuses."""
         if r < 0:
             raise InvalidParams("derivative degree must be >= 0")
-        if r == 0:
-            monos: list[Mono] = [()]
-        else:
-            monos = [tuple((v, 1) for v in subset)
-                     for subset in combinations(range(nvars), r)]
-        return cls.of(monos, shift_degree)
+        if shift_degree < 0 or r > nvars:
+            cls.of((), shift_degree)  # refuses the shift degree or the empty set
 
 
 @dataclass(frozen=True)
@@ -78,9 +81,7 @@ def psp_dimension(p: Polynomial, spec: MeasureSpec, *,
     """
     n = p.nvars
     m = spec.shift_degree
-    cells = n * comb(n, m) * len(spec.monomials)
-    if cells > matrix_cap:
-        raise MatrixTooLarge(cells, matrix_cap)
+    check_cells(n, m, len(spec.monomials), matrix_cap)
 
     derivs = []
     for gamma in spec.monomials:
@@ -112,6 +113,13 @@ def psp_dimension(p: Polynomial, spec: MeasureSpec, *,
                          rank_method="exact-elimination",
                          shift_degree=m, derivative_degree=spec.degree,
                          derivative_count=len(spec.monomials))
+
+
+def check_cells(nvars: int, shift_degree: int, derivative_count: int, matrix_cap: int):
+    """MatrixTooLarge past matrix_cap cells, nvars * C(nvars, shift_degree) a derivative."""
+    cells = nvars * comb(nvars, shift_degree) * derivative_count
+    if cells > matrix_cap:
+        raise MatrixTooLarge(cells, matrix_cap)
 
 
 def composition_upper_bound(n: int, t: int, r: int, m: int, s: int) -> int:

@@ -728,19 +728,23 @@ def test_newton_bad_translation_raises():
         newton_reconstruct(qs, (0,), (0, 0), 1)
 
 
-def quadratic_root_pair(dom):
-    """[b, q] with b = q^2 + q, deg q = 4: R = Y^2 + Y - Z has the
-    non-constant dR/dY = 2Y + 1, so every lift step needs the full series
-    inverse of it (a chord step with its constant term falls short)."""
-    q = x(0, dom=dom).pow(2) * x(1, dom=dom).pow(2) + x(0, dom=dom) + x(1, dom=dom).pow(3)
+def quadratic_root_pair(dom, degree: int = 4):
+    """[b, q] with b = q^2 + q and q = x1^h x2^h + x1 + x2^(degree-1),
+    h = degree/2: R = Y^2 + Y - Z has the non-constant dR/dY = 2Y + 1, so
+    each lift step needs 1/R_Y to the step's precision (a chord step with
+    its constant term falls short).  At degree 8 the lift doubles through
+    e = 1, 2, 4, 8, and 1/R_Y updated only after the first step falls short."""
+    x1, x2 = x(0, dom=dom), x(1, dom=dom)
+    q = x1.pow(degree // 2) * x2.pow(degree // 2) + x1 + x2.pow(degree - 1)
     return [q * q + q, q]
 
 
 @pytest.mark.parametrize("dom", [Q, FP], ids=str)
 def test_newton_lift_needs_the_full_series_inverse(dom):
-    qs = quadratic_root_pair(dom)
     a = (2, 3)
-    assert newton_reconstruct(qs, (0,), a, 1) == qs[1].translate(a)
+    for degree in (4, 8):
+        qs = quadratic_root_pair(dom, degree)
+        assert newton_reconstruct(qs, (0,), a, 1) == qs[1].translate(a)
 
 
 @pytest.mark.parametrize("dom", [Q, FP], ids=str)

@@ -325,6 +325,21 @@ def test_matrix_cap_honored(e1_file):
     assert json.loads(out)["error"] == "MatrixTooLarge"
 
 
+@pytest.mark.parametrize("extra", [[], ["--sweep"]], ids=["single", "sweep"])
+def test_matrix_cap_refuses_wide_inputs_before_listing_derivatives(tmp_path, extra):
+    """N = 10^8 would take one tuple per variable to list the derivative
+    monomials; the cells N * C(N, m) * C(N, r) are checked first."""
+    nvars = 10**8
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"field": {"type": "rational"}, "nvars": nvars, "polys": [
+        [{"coeff": "1", "mono": {"1": 1, "2": 1}}]]}))
+    code, out = cli.run(["measure", "--poly-file", str(path), "--r", "1", "--m", "1",
+                         "--json"] + extra)
+    error = json.loads(out)
+    cells = nvars if extra else nvars ** 3  # the sweep stops at r = m = 0
+    assert (code, error["error"], error["cells"]) == (2, "MatrixTooLarge", cells)
+
+
 def test_annihilator_cap_honored(tmp_path):
     obj = {"field": {"type": "rational"}, "nvars": 2, "polys": [
         [{"coeff": "1", "mono": {"1": 1}}],
@@ -355,6 +370,23 @@ def test_expansion_cap_honored(tmp_path):
                          "--json", "--cap-expansion", "20"])
     assert code == 2
     assert json.loads(out)["error"] == "ExpansionTooLarge"
+
+
+@pytest.mark.parametrize("command", [["rank", "--mode", "symbolic"], ["annihilate"],
+                                     ["depend"]], ids=lambda argv: argv[0])
+def test_expansion_cap_honored_by_every_annihilator_search(tmp_path, command):
+    """(x1+x2, (x1+x2)^2) is dependent in 2 variables, so each command runs
+    an annihilator search; under --cap-expansion 1 its columns exceed the cap."""
+    s = [{"coeff": "1", "mono": {"1": 1}}, {"coeff": "1", "mono": {"2": 1}}]
+    square = [{"coeff": "1", "mono": {"1": 2}}, {"coeff": "2", "mono": {"1": 1, "2": 1}},
+              {"coeff": "1", "mono": {"2": 2}}]
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"field": {"type": "rational"}, "nvars": 2,
+                                "polys": [s, square]}))
+    code, out = cli.run(command + ["--poly-file", str(path), "--json",
+                                   "--cap-expansion", "1"])
+    error = json.loads(out)
+    assert (code, error["error"], error["cap"]) == (2, "ExpansionTooLarge", 1)
 
 
 def test_independent_tuple_is_certified_before_the_term_cap(tmp_path):
