@@ -278,8 +278,7 @@ def _cmd_pit(args) -> tuple[int, str]:
     report, elapsed_ms = _timed(pit.pit_test, c, mode=args.mode, seed=args.seed,
                                 point_cap=args.cap_points, rounds=args.rounds,
                                 certify_rank=args.certify_rank,
-                                expansion_term_cap=(args.cap_expansion
-                                                    if args.mode == "both" else None))
+                                expansion_term_cap=args.cap_expansion)
     result = {
         "verdict": report.verdict,
         "witness": None if report.witness is None else _point(report.witness, c.domain),

@@ -152,6 +152,12 @@ def restrict(poly: Polynomial, alive) -> Polynomial:
     return poly.set_vars_zero(dead)
 
 
+def _alive_copy(params: HardPolyParams, slot: int, element: int, alive):
+    """The lowest-index copy of slot (slot, element) in `alive`, or None."""
+    return next((copy for copy in range(params.gamma)
+                 if params.var(slot, element, copy) in alive), None)
+
+
 def extract_nw_projection(g_restricted: Polynomial, params: HardPolyParams,
                           restriction: RestrictionSample) -> Polynomial:
     """Project a restricted hard polynomial back onto the base NW family.
@@ -162,15 +168,10 @@ def extract_nw_projection(g_restricted: Polynomial, params: HardPolyParams,
     (the restriction's failure event); i is 1-based, j is a field element.
     """
     base = params.base
-    gamma = params.gamma
     keep: dict[int, int] = {}
     for slot in range(base.n):
         for element in range(base.q):
-            chosen = None
-            for copy in range(gamma):
-                if params.var(slot, element, copy) in restriction.alive:
-                    chosen = copy
-                    break
+            chosen = _alive_copy(params, slot, element, restriction.alive)
             if chosen is None:
                 raise SlotDied((slot + 1, element))
             keep[params.var(slot, element, chosen)] = base.var(slot, element)
@@ -187,12 +188,8 @@ def extract_nw_projection(g_restricted: Polynomial, params: HardPolyParams,
             new_mono.append((target, e))
         if dead:
             continue
-        m = tuple(sorted(new_mono))
-        s = dom.add(terms.get(m, dom.zero), coeff)
-        if dom.is_zero(s):
-            terms.pop(m, None)
-        else:
-            terms[m] = s
+        # keep is injective on variables: no two terms land on one monomial
+        terms[tuple(sorted(new_mono))] = coeff
     return Polynomial(dom, base.nvars, terms, _normalized=True)
 
 
@@ -210,8 +207,7 @@ def survival_experiment(params: HardPolyParams, trials: int, seed: int) -> dict:
         dead_here = 0
         for slot in range(base.n):
             for element in range(base.q):
-                if all(params.var(slot, element, c) not in sample.alive
-                       for c in range(params.gamma)):
+                if _alive_copy(params, slot, element, sample.alive) is None:
                     dead_here += 1
         dead_total += dead_here
         if dead_here:

@@ -13,14 +13,15 @@ probabilistic counterpart.
 
 The scan evaluates the origin through `evaluate_circuit` (most nonzero
 circuits stop there) and the rest of the grid in chunks of at most `_CHUNK`
-points, one column per variable.  Over F_p with p < 2^31 the columns are
-int64: the grid values 0..delta are the field elements themselves
-(p > delta), every coefficient is reduced below p, and every product and
-gate-level sum is reduced mod p at once, so no operand exceeds 2^31 and no
-product 2^62.  An inner polynomial's column sum is reduced once, at its end,
-or after every `_SUM_TERMS` = 2^32 terms: 2^32 + 1 residues of at most
-2^31 - 2 (the terms and the carried sum) add up to less than 2^63.  The
-int64 arithmetic is therefore exact.  Over Q and over larger primes the
+points, one column per variable.  Each gate folds its own outer DAG over its
+inner polynomials' columns: nothing is compiled or copied.  Over F_p with
+p < 2^31 the columns are int64: the grid values 0..delta are the field
+elements themselves (p > delta), every coefficient is reduced below p, and
+every product and gate-level sum is reduced mod p at once, so no operand
+exceeds 2^31 and no product 2^62.  An inner polynomial's column sum is
+reduced once, at its end, or after every `_SUM_TERMS` = 2^32 terms: 2^32 + 1
+residues of at most 2^31 - 2 (the terms and the carried sum) add up to less
+than 2^63.  The int64 arithmetic is therefore exact.  Over Q and over larger primes the
 columns are object arrays of the domain's own values (`Fraction`s, exact
 ints).  The witness, the lowest nonzero row of the first chunk that has
 one, is re-evaluated through `evaluate_circuit` before it is returned.
@@ -39,9 +40,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
 
-from .circuit import Circuit, OuterExpr, evaluate_circuit, expand
+from .circuit import Circuit, evaluate_circuit, expand
 from .domains import PrimeField
 from .errors import BoundViolation, FieldTooSmall, InvalidParams, SetTooLarge
+from .poly import DEFAULT_TERM_CAP
 from .util import derive_seed
 
 DEFAULT_POINT_CAP = 2_000_000
@@ -210,52 +212,42 @@ def _verified(c: Circuit, point):
     return point
 
 
-class _ColumnPoly:
-    """A polynomial as plain (coeff, mono) terms, evaluated on columns."""
-
-    def __init__(self, poly):
-        self.nvars = poly.nvars  # OuterExpr checks call arity against it
-        self.terms = [(c, mono) for mono, c in poly.terms.items()]
-        self.p = poly.domain.characteristic
-
-    def evaluate(self, cols, powers=None):
-        """Columnwise value, mod p over F_p; `powers` caches cols[v]^e for these cols."""
-        powers = {} if powers is None else powers
-        p = self.p
-        acc = 0
-        for n, (c, mono) in enumerate(self.terms, 1):
-            term = c
-            for v, e in mono:
-                x = powers.get((v, e))
-                if x is None:
-                    x = cols[v]
-                    for _ in range(e - 1):
-                        x = x * cols[v] % p if p else x * cols[v]
-                    powers[(v, e)] = x
-                term = term * x % p if p else term * x
-            acc = acc + term
-            if p and n % _SUM_TERMS == 0:
-                acc = acc % p
-        return acc % p if p else acc
+def _column_value(poly, cols, powers):
+    """`poly`'s value on the columns `cols`, mod p over F_p; `powers` caches
+    cols[v]^e for these cols."""
+    p = poly.domain.characteristic
+    acc = 0
+    for n, (mono, c) in enumerate(poly.terms.items(), 1):
+        term = c
+        for v, e in mono:
+            x = powers.get((v, e))
+            if x is None:
+                x = cols[v]
+                for _ in range(e - 1):
+                    x = x * cols[v] % p if p else x * cols[v]
+                powers[(v, e)] = x
+            term = term * x % p if p else term * x
+        acc = acc + term
+        if p and n % _SUM_TERMS == 0:
+            acc = acc % p
+    return acc % p if p else acc
 
 
-def _compile(c: Circuit):
-    """Per gate, the inner polynomials and the outer DAG's call nodes on columns."""
-    return [([_ColumnPoly(q) for q in g.inner],
-             OuterExpr(g.outer.arity, [("call", _ColumnPoly(node[1]), node[2])
-                                       if node[0] == "call" else node
-                                       for node in g.outer.nodes], g.outer.root))
-            for g in c.gates]
-
-
-def _evaluate_chunk(gates, cols, dom):
+def _evaluate_chunk(c: Circuit, cols):
     """The circuit's value at each point whose coordinates are the columns `cols`
-    (int64 or object arrays); `dom`'s add and mul act on them elementwise."""
+    (int64 or object arrays): each gate folds its own DAG, uncompiled, over
+    its inner polynomials' columns, with the domain's add and mul acting
+    elementwise."""
+    dom = c.domain
     powers: dict = {}
+
+    def call(poly, args):  # a call node's arguments are new columns
+        return _column_value(poly, args, {})
+
     total = dom.zero
-    for inner, outer in gates:
-        vals = [q.evaluate(cols, powers) for q in inner]
-        total = dom.add(total, outer.evaluate(vals, dom))
+    for g in c.gates:
+        vals = [_column_value(q, cols, powers) for q in g.inner]
+        total = dom.add(total, g.outer._fold(vals, dom.coerce, call, dom.add, dom.mul))
     return total
 
 
@@ -267,14 +259,13 @@ def _scan(c: Circuit, ell: int, values):
     if not dom.is_zero(evaluate_circuit(c, origin)):
         return origin, 0
     import numpy as np
-    gates = _compile(c)
     # over F_p with p < 2^31 the indices 0..delta into W are the field elements
     int64 = 0 < dom.characteristic < _ARRAY_PRIME_LIMIT
     grid = np.array(values, dtype=object)
     index = 1
     for chunk in _point_chunks(c.nvars, ell, len(values) - 1):
         cols = np.ascontiguousarray(chunk.T) if int64 else grid[chunk.T]
-        nonzero = np.flatnonzero(_evaluate_chunk(gates, cols, dom))
+        nonzero = np.flatnonzero(_evaluate_chunk(c, cols))
         if nonzero.size:
             row = chunk[nonzero[0]]
             return _verified(c, tuple(values[x] for x in row)), index + int(nonzero[0])
@@ -350,15 +341,17 @@ def pit_test(c: Circuit, mode: str = "hitting-set", *, seed: int = 0,
     a zero verdict is certified for circuits within their declared bounds.
     oracle mode runs the randomized test alone; both mode cross-checks the
     two and, when a term cap allows, full expansion as well.  The scan is
-    sequential.
+    sequential.  `expansion_term_cap` also caps the annihilator searches of
+    `certify_rank` (`DEFAULT_TERM_CAP` when None).
     """
     if mode not in ("hitting-set", "oracle", "both"):
         raise InvalidParams(f"unknown mode {mode!r}")
     rank_certified = False
     if certify_rank:
         from .algdep import algebraic_rank
+        term_cap = DEFAULT_TERM_CAP if expansion_term_cap is None else expansion_term_cap
         for gi, g in enumerate(c.gates):
-            cert = algebraic_rank(g.inner, mode="symbolic",
+            cert = algebraic_rank(g.inner, mode="symbolic", term_cap=term_cap,
                                   seed=derive_seed(seed, "certify", gi))
             if cert.rank > c.declared.k:
                 raise BoundViolation(gi, "k", c.declared.k, cert.rank)

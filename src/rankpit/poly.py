@@ -358,12 +358,8 @@ class Polynomial:
                     md[v] = e - g
             if dead or dom.is_zero(coeff):
                 continue
-            m = tuple(sorted(md.items()))
-            s = dom.add(out.get(m, dom.zero), coeff)
-            if dom.is_zero(s):
-                out.pop(m, None)
-            else:
-                out[m] = s
+            # m -> m - gamma is injective: no two terms land on one monomial
+            out[tuple(sorted(md.items()))] = coeff
         return Polynomial(dom, self.nvars, out, _normalized=True)
 
     def multilinear_project(self) -> "Polynomial":

@@ -373,18 +373,26 @@ def test_expansion_cap_honored(tmp_path):
 
 
 @pytest.mark.parametrize("command", [["rank", "--mode", "symbolic"], ["annihilate"],
-                                     ["depend"]], ids=lambda argv: argv[0])
+                                     ["depend"], ["pit", "--certify-rank"]],
+                         ids=lambda argv: argv[0])
 def test_expansion_cap_honored_by_every_annihilator_search(tmp_path, command):
     """(x1+x2, (x1+x2)^2) is dependent in 2 variables, so each command runs
-    an annihilator search; under --cap-expansion 1 its columns exceed the cap."""
+    an annihilator search; under --cap-expansion 1 its columns exceed the cap.
+    pit reads the pair as the inner polynomials of one product gate."""
     s = [{"coeff": "1", "mono": {"1": 1}}, {"coeff": "1", "mono": {"2": 1}}]
     square = [{"coeff": "1", "mono": {"1": 2}}, {"coeff": "2", "mono": {"1": 1, "2": 1}},
               {"coeff": "1", "mono": {"2": 2}}]
     path = tmp_path / "pair.json"
-    path.write_text(json.dumps({"field": {"type": "rational"}, "nvars": 2,
-                                "polys": [s, square]}))
-    code, out = cli.run(command + ["--poly-file", str(path), "--json",
-                                   "--cap-expansion", "1"])
+    field = {"type": "rational"}
+    if command[0] == "pit":
+        path.write_text(json.dumps({
+            "field": field, "nvars": 2, "declared": {"d": 2, "k": 2, "delta": 3},
+            "gates": [{"outer": "product", "inner": [s, square]}]}))
+        source = ["--circuit", str(path)]
+    else:
+        path.write_text(json.dumps({"field": field, "nvars": 2, "polys": [s, square]}))
+        source = ["--poly-file", str(path)]
+    code, out = cli.run(command + source + ["--json", "--cap-expansion", "1"])
     error = json.loads(out)
     assert (code, error["error"], error["cap"]) == (2, "ExpansionTooLarge", 1)
 

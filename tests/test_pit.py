@@ -498,7 +498,28 @@ def test_object_scan_beyond_the_int64_range(chunk_calls, domain):
                          Polynomial.variable(domain, 2, 1)])]))
     assert "later" in _check_against_reference(circuits)
     assert chunk_calls
-    assert all(cols.dtype == object for _, cols, _ in chunk_calls)
+    assert all(cols.dtype == object for _, cols in chunk_calls)
+
+
+def test_scan_folds_each_gates_own_dag(monkeypatch, chunk_calls):
+    # the column path evaluates the circuit it was given: no DAG is copied
+    corpus = _corpus()
+    circuits = [corpus.random_class_circuit(80_000 + s, gamma_outer=s % 2 == 1,
+                                            zero=s % 3 == 0) for s in range(6)]
+    circuits += [_rewritten(s, FP) for s in range(2)]
+    circuits.append(_with_negated_twins(_rewritten(0, FP)))
+    built = []
+    real = OuterExpr.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        real(self, *args)
+    monkeypatch.setattr(OuterExpr, "__init__", counting)
+    scanned = [c for c in circuits if pit_test(c).witness_index != 0]
+    # scans went past the origin, through gates with call nodes
+    assert chunk_calls and any(op[0] == "call" for c in scanned for g in c.gates
+                               if not g.is_product for op in g.outer.nodes)
+    assert built == []
 
 
 def test_witness_index_locates_the_witness_in_the_hitting_set():

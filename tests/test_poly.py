@@ -162,6 +162,29 @@ def test_partial_derivative_examples():
     assert x(0).partial_derivative(((0, 2),)).is_zero()
 
 
+def test_partial_derivative_vanishes_in_characteristic_p():
+    f5 = PrimeField(5)
+    a, b = x(0, dom=f5), x(1, dom=f5)
+    assert a.pow(5).partial_derivative(((0, 1),)).is_zero()
+    assert (a.pow(5) * b + a).partial_derivative(((0, 1),)) == const(1, dom=f5)
+
+
+@pytest.mark.parametrize("dom", [Q, PrimeField(5), PrimeField(3)], ids=str)
+def test_partial_derivative_equals_one_variable_steps(dom):
+    rng = random.Random(47)
+    for _ in range(60):
+        p = random_poly(rng, dom, 3, 7, max_terms=8)
+        gamma = tuple((v, g) for v in range(3) if (g := rng.randrange(3)))
+        d = p.partial_derivative(gamma)
+        steps = p
+        for v, g in gamma:
+            for _ in range(g):
+                steps = steps.partial_derivative(((v, 1),))
+        assert d == steps
+        # stored in normal form: no term with a vanished coefficient
+        assert d == Polynomial(dom, 3, dict(d.terms))
+
+
 def test_multilinear_project():
     p = x(0).pow(2) * x(1) + x(0) * x(1)
     assert p.multilinear_project() == x(0) * x(1)
