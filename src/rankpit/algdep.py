@@ -45,6 +45,7 @@ from .util import derive_seed
 
 _CERTIFICATE_PRIME = (1 << 61) - 1
 _CERTIFY_ATTEMPTS = 3
+_SECURITY_BITS = 30  # randomized rank draws from >= 2*t*d*2^30 scalars
 
 
 @dataclass(frozen=True)
@@ -115,15 +116,15 @@ def _check_jacobian_characteristic(qs):
 
 
 def algebraic_rank(qs: list[Polynomial], mode: str = "randomized", *,
-                   seed: int = 0, security: int = 30, trials: int = 3,
+                   seed: int = 0, trials: int = 3,
                    term_cap: int | None = DEFAULT_TERM_CAP) -> RankCertificate:
     """Rank certificate for a polynomial tuple via the Jacobian criterion.
 
     Randomized mode evaluates the Jacobian at `trials` points drawn from a
-    scalar set of size >= 2*t*d*2^security and reports the maximum rank seen:
-    one-sided, never above the true rank, below it with probability at most
-    (t*d/|S|)^trials.  `_jacobian_rows` reads each point exactly (mod no
-    prime over Q), and the basis is the greedy matroid scan at the first
+    scalar set of size >= 2*t*d*2^30 (`_SECURITY_BITS`) and reports the
+    maximum rank seen: one-sided, never above the true rank, below it with
+    probability at most (t*d/|S|)^trials.  `_jacobian_rows` reads each
+    point exactly (mod no prime over Q), and the basis is the greedy matroid scan at the first
     point of maximum rank: keep q_i whenever it raises the rank.  Symbolic mode is exact in
     every characteristic and never guesses: the greedy basis at a Jacobian
     point is proved independent, and maximal by checked annihilators or by
@@ -139,7 +140,7 @@ def algebraic_rank(qs: list[Polynomial], mode: str = "randomized", *,
     _check_jacobian_characteristic(qs)
     dom = qs[0].domain
     d = max(1, max(q.degree() for q in qs))
-    target = 2 * t * d * (1 << security)
+    target = 2 * t * d * (1 << _SECURITY_BITS)
     size = min(dom.p, target) if isinstance(dom, PrimeField) else target
     rng = random.Random(derive_seed(seed, "algrank"))
     char = dom.characteristic
@@ -152,7 +153,7 @@ def algebraic_rank(qs: list[Polynomial], mode: str = "randomized", *,
             basis = found
     bound = (Fraction(t * d, size)) ** max(1, trials)
     return RankCertificate(len(basis), tuple(basis), "jacobian-randomized",
-                           evaluation_points=tuple(points), security=security,
+                           evaluation_points=tuple(points), security=_SECURITY_BITS,
                            error_bound=bound)
 
 
@@ -427,8 +428,8 @@ def reconstruct_dependence(qs: list[Polynomial], basis, a, *,
     first dependency that involves the target writes it in the independent
     columns before it, and that combination is F_i.  If none appears by
     degree d_i*(k+1)*d^k, NoSolutionWithinCap signals a bad translation
-    (resample and retry).  Every witness is re-verified by full composition
-    before it is returned.
+    (resample and retry).  Every witness is re-verified by composition,
+    truncated to degree d_i inside `compose`, before it is returned.
     """
     basis = tuple(basis)
     t = len(qs)
@@ -455,8 +456,7 @@ def reconstruct_dependence(qs: list[Polynomial], basis, a, *,
         if x is None:
             raise NoSolutionWithinCap(i, cap_i)
         solution = table.combination(x, den)
-        composed = compose(solution, b_polys, term_cap=term_cap)
-        if composed.homogeneous_le(d_i) != target:
+        if compose(solution, b_polys, term_cap=term_cap, degree_cap=d_i) != target:
             raise AssertionError("witness failed exact verification (internal bug)")
         f_map[i] = solution
     return DependenceWitness(a=tuple(a), basis=basis, F=f_map,

@@ -20,7 +20,6 @@ import sys
 import time
 import traceback
 from fractions import Fraction
-from math import comb
 
 from . import algdep, circuit as ckt, measure, nw, pit
 from .domains import PrimeField, Rationals
@@ -211,7 +210,7 @@ def _cmd_measure(args) -> tuple[int, str]:
         raise InvalidParams(
             f"--index {args.index} is out of range for {len(polys)} polynomial(s)")
     p = polys[args.index]
-    measure.MeasureSpec.check_degrees(nvars, args.r, args.m)
+    spec = measure.MeasureSpec.multilinear(nvars, args.r, args.m)  # bad degrees: before any step
     if args.sweep:
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -220,15 +219,12 @@ def _cmd_measure(args) -> tuple[int, str]:
                         + ["millis"] * args.timings)
         for r in range(args.r + 1):
             for m in range(args.m + 1):
-                measure.check_cells(nvars, m, comb(nvars, r), args.cap_matrix)
-                spec = measure.MeasureSpec.multilinear(nvars, r, m)
-                rep, elapsed_ms = _timed(measure.psp_dimension, p, spec,
+                rep, elapsed_ms = _timed(measure.psp_dimension, p,
+                                         measure.MeasureSpec.multilinear(nvars, r, m),
                                          matrix_cap=args.cap_matrix)
                 writer.writerow([r, m, rep.dimension, rep.rows, rep.cols]
                                 + [f"{elapsed_ms:.3f}"] * args.timings)
         return 0, buf.getvalue()
-    measure.check_cells(nvars, args.m, comb(nvars, args.r), args.cap_matrix)
-    spec = measure.MeasureSpec.multilinear(nvars, args.r, args.m)
     rep, elapsed_ms = _timed(measure.psp_dimension, p, spec, matrix_cap=args.cap_matrix)
     result = {
         "dimension": rep.dimension,
@@ -242,21 +238,23 @@ def _cmd_measure(args) -> tuple[int, str]:
     return 0, _emit(args, "measure", result)
 
 
+def _design_polynomial(base, gamma: int, domain, term_cap: int):
+    """NW with gamma copies of each slot variable (NW itself at gamma = 1), refused
+    past term_cap terms before any is built; p is a placeholder: nothing is drawn."""
+    return nw.hard_polynomial(nw.HardPolyParams(base, gamma, Fraction(1, 2)), domain, term_cap)
+
+
 def _cmd_nw(args) -> tuple[int, str]:
     domain = _field_from_flag(args.field)
     base = nw.NWParams(args.n, args.q, args.e)
+    gamma = 1 if args.gamma is None else args.gamma
     if args.p is None:
-        if args.gamma is None:
-            poly = nw.nw_polynomial(base, domain)
-        else:
-            params = nw.HardPolyParams(base, gamma=args.gamma, p=Fraction(1, 2))
-            poly = nw.hard_polynomial(params, domain, term_cap=args.cap_expansion)
-        return 0, poly.to_text() + "\n"
+        return 0, _design_polynomial(base, gamma, domain, args.cap_expansion).to_text() + "\n"
     try:
         alive = Fraction(args.p)
     except (ValueError, ZeroDivisionError):
         raise InvalidParams(f"bad --p value {args.p!r} (a rational in (0, 1])") from None
-    params = nw.HardPolyParams(base, gamma=1 if args.gamma is None else args.gamma, p=alive)
+    params = nw.HardPolyParams(base, gamma=gamma, p=alive)
     stats = nw.survival_experiment(params, trials=args.trials, seed=args.seed)
     result = {
         "n": args.n, "q": args.q, "e": args.e,
@@ -310,7 +308,7 @@ def _cmd_bench(args) -> tuple[int, str]:
         raise InvalidParams(f"unknown bench experiment {args.experiment!r}")
     domain = _field_from_flag(args.field)
     base = nw.NWParams(args.n, args.q, args.e)
-    poly = nw.nw_polynomial(base, domain)
+    poly = _design_polynomial(base, 1, domain, args.cap_expansion)
     spec = measure.MeasureSpec.multilinear(poly.nvars, args.r, args.m)
     rep = measure.psp_dimension(poly, spec, matrix_cap=args.cap_matrix)
     bound = measure.circuit_measure_bound(args.T, poly.nvars, args.k, args.n,

@@ -52,8 +52,6 @@ def is_prime(n: int) -> bool:
 class Rationals:
     """The field of rational numbers with arbitrary-precision integers."""
 
-    kind: str = "rational"
-
     @property
     def characteristic(self) -> int:
         return 0
@@ -120,10 +118,6 @@ class PrimeField:
     def __post_init__(self):
         if self.p < 2 or self.p >= 1 << 64 or not is_prime(self.p):
             raise InvalidParams(f"modulus {self.p} is not a prime below 2^64")
-
-    @property
-    def kind(self) -> str:
-        return "prime"
 
     @property
     def characteristic(self) -> int:

@@ -5,7 +5,9 @@ measure of P is the rank of the span of mult[(prod_{i in S} X_i) * dP/dgamma]
 over gamma in M and |S| = m, where mult[] keeps only multilinear monomials.
 The two closed-form bounds are the composition bound for functions of
 low-support polynomials and the per-circuit bound derived from it; both are
-exact big-integer formulas.
+exact big-integer formulas.  `psp_dimension` checks its cell cap before it
+lists a derivative; `MeasureSpec.multilinear` lists its C(N, r) monomials
+only when iterated.
 """
 
 from __future__ import annotations
@@ -23,10 +25,26 @@ DEFAULT_MATRIX_CAP = 10**7
 
 
 @dataclass(frozen=True)
+class _Multilinear:
+    """The multilinear monomials of degree r in nvars variables, in
+    `combinations` order, listed only when iterated; len is C(nvars, r)."""
+
+    nvars: int
+    r: int
+
+    def __iter__(self):
+        return (tuple((v, 1) for v in subset)
+                for subset in combinations(range(self.nvars), self.r))
+
+    def __len__(self) -> int:
+        return comb(self.nvars, self.r)
+
+
+@dataclass(frozen=True)
 class MeasureSpec:
     """Derivative set M (all of one degree r) and shift degree m."""
 
-    monomials: tuple
+    monomials: tuple | _Multilinear
     shift_degree: int
     degree: int
 
@@ -45,18 +63,14 @@ class MeasureSpec:
 
     @classmethod
     def multilinear(cls, nvars: int, r: int, shift_degree: int) -> "MeasureSpec":
-        """All multilinear derivative monomials of degree exactly r."""
-        cls.check_degrees(nvars, r, shift_degree)
-        return cls.of([tuple((v, 1) for v in subset)
-                       for subset in combinations(range(nvars), r)], shift_degree)
-
-    @classmethod
-    def check_degrees(cls, nvars: int, r: int, shift_degree: int) -> None:
-        """Refuse, without listing a monomial, the degrees `multilinear` refuses."""
+        """All multilinear monomials of degree exactly r, listed when iterated."""
         if r < 0:
             raise InvalidParams("derivative degree must be >= 0")
-        if shift_degree < 0 or r > nvars:
-            cls.of((), shift_degree)  # refuses the shift degree or the empty set
+        if shift_degree < 0:
+            raise InvalidParams("shift degree must be >= 0")
+        if r > nvars:
+            raise InvalidParams("derivative set must be nonempty")
+        return cls(monomials=_Multilinear(nvars, r), shift_degree=shift_degree, degree=r)
 
 
 @dataclass(frozen=True)
@@ -78,10 +92,14 @@ def psp_dimension(p: Polynomial, spec: MeasureSpec, *,
     its denominator) and eliminated exactly over the polynomial's own domain.
     A row equal to one already streamed adds nothing to the span and is
     skipped, so memory is bounded by the distinct rows; `rows` counts all.
+    MatrixTooLarge past `matrix_cap` cells, before any derivative is listed.
     """
     n = p.nvars
     m = spec.shift_degree
-    check_cells(n, m, len(spec.monomials), matrix_cap)
+    count = spec.monomials.__len__()  # len() refuses counts past sys.maxsize
+    cells = n * comb(n, m) * count  # n * C(n, m) cells a derivative
+    if cells > matrix_cap:
+        raise MatrixTooLarge(cells, matrix_cap)
 
     derivs = []
     for gamma in spec.monomials:
@@ -112,14 +130,7 @@ def psp_dimension(p: Polynomial, spec: MeasureSpec, *,
                          cols=len(counter["cols"]),
                          rank_method="exact-elimination",
                          shift_degree=m, derivative_degree=spec.degree,
-                         derivative_count=len(spec.monomials))
-
-
-def check_cells(nvars: int, shift_degree: int, derivative_count: int, matrix_cap: int):
-    """MatrixTooLarge past matrix_cap cells, nvars * C(nvars, shift_degree) a derivative."""
-    cells = nvars * comb(nvars, shift_degree) * derivative_count
-    if cells > matrix_cap:
-        raise MatrixTooLarge(cells, matrix_cap)
+                         derivative_count=count)
 
 
 def composition_upper_bound(n: int, t: int, r: int, m: int, s: int) -> int:

@@ -59,13 +59,12 @@ class HardPolyParams:
 
     The asymptotic instantiation ties gamma = N^(1+delta) and p = N^(-delta);
     at desk scale gamma and p are independent knobs so survival statistics
-    are actually testable, and delta is recorded when it defined them.
+    are actually testable.
     """
 
     base: NWParams
     gamma: int
     p: Fraction
-    delta: Fraction | None = None
 
     def __post_init__(self):
         if self.gamma < 1:

@@ -55,6 +55,7 @@ _CHUNK = 4096
 _ARRAY_PRIME_LIMIT = 1 << 31
 # terms an int64 column sum may add before it is reduced (module docstring)
 _SUM_TERMS = 1 << 32
+_SAMPLE_FACTOR = 1 << 10  # the oracle draws from 2*delta*2^10 scalars
 
 
 @dataclass(frozen=True)
@@ -98,10 +99,7 @@ def support_bound(d: int, k: int, top_fanin: int, delta: int,
     else:
         raise InvalidParams(f"unknown variant {variant!r}")
     try:
-        x = 2 * math.exp(3) * d * (
-            math.log(top_fanin * (delta + 1) ** v)
-            + (d + 1) * k * math.log(2 * (d + 1) * k)
-            + 1)
+        x = _support_x(d, k, top_fanin, delta, v, math.exp, math.log)
     except OverflowError:
         x = math.inf
     if math.isfinite(x) and abs(x - round(x)) > _FLOAT_MARGIN * x:
@@ -112,6 +110,12 @@ def support_bound(d: int, k: int, top_fanin: int, delta: int,
                         variant=variant)
 
 
+def _support_x(d, k, top_fanin, delta, v, exp, log):
+    """The support bound before its ceiling, in the arithmetic of exp and log."""
+    return 2 * exp(3) * d * (log(top_fanin * (delta + 1) ** v)
+                             + (d + 1) * k * log(2 * (d + 1) * k) + 1)
+
+
 def _interval_ell(d: int, k: int, top_fanin: int, delta: int, v: int) -> int:
     """The support bound's ceiling from 120-bit outward-rounded intervals,
     which can never round it down."""
@@ -120,10 +124,7 @@ def _interval_ell(d: int, k: int, top_fanin: int, delta: int, v: int) -> int:
     old_prec = iv.prec
     iv.prec = 120
     try:
-        expr = 2 * iv.exp(3) * d * (
-            iv.log(top_fanin * (delta + 1) ** v)
-            + (d + 1) * k * iv.log(2 * (d + 1) * k)
-            + 1)
+        expr = _support_x(d, k, top_fanin, delta, v, iv.exp, iv.log)
         # the interval's upper endpoint is a dyadic rational: ceil it exactly
         num, den = mpmath.libmp.to_rational(mpmath.mpf(expr.b)._mpf_)
         return math.ceil(Fraction(int(num), int(den)))
@@ -153,13 +154,10 @@ def _grid(nvars: int, delta: int, ell: int, domain, point_cap: int):
         raise InvalidParams("hitting set parameters must be nonnegative")
     clamped = ell > nvars
     ell = min(ell, nvars)
-    if isinstance(domain, PrimeField) and domain.p < delta + 1:
-        raise FieldTooSmall(
-            f"need {delta + 1} distinct scalars, field has {domain.p}")
     size = hitting_set_size(nvars, delta, ell)
     if size > point_cap:
         raise SetTooLarge(size, point_cap)
-    return ell, clamped, size, tuple(domain.coerce(i) for i in range(delta + 1))
+    return ell, clamped, size, tuple(domain.scalars(delta + 1))
 
 
 def _point_chunks(nvars: int, ell: int, delta: int):
@@ -282,19 +280,17 @@ class SZVerdict:
     error_bound: Fraction  # false-zero probability when the verdict is zero
 
 
-def schwartz_zippel_test(c: Circuit, rounds: int = 20, seed: int = 0, *,
-                         sample_size: int | None = None) -> SZVerdict:
+def schwartz_zippel_test(c: Circuit, rounds: int = 20, seed: int = 0) -> SZVerdict:
     """Randomized evaluation oracle; never expands the circuit.
 
-    Points are drawn from the first |S| scalars with |S| defaulting to
-    2*delta*2^10 (capped at p over a prime field); any nonzero evaluation is
-    returned as a witness; otherwise the circuit is zero except
-    with probability at most (delta/|S|)^rounds.
+    Points are drawn from the first |S| = 2*delta*2^10 scalars (capped at p
+    over a prime field); any nonzero evaluation is returned as a witness;
+    otherwise the circuit is zero except with probability at most
+    (delta/|S|)^rounds.
     """
     dom = c.domain
     delta = max(1, c.declared.delta)
-    if sample_size is None:
-        sample_size = 2 * delta * (1 << 10)
+    sample_size = 2 * delta * _SAMPLE_FACTOR
     if isinstance(dom, PrimeField):
         sample_size = min(dom.p, sample_size)
     if sample_size < 2 * delta:

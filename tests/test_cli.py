@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -325,19 +326,34 @@ def test_matrix_cap_honored(e1_file):
     assert json.loads(out)["error"] == "MatrixTooLarge"
 
 
-@pytest.mark.parametrize("extra", [[], ["--sweep"]], ids=["single", "sweep"])
-def test_matrix_cap_refuses_wide_inputs_before_listing_derivatives(tmp_path, extra):
-    """N = 10^8 would take one tuple per variable to list the derivative
-    monomials; the cells N * C(N, m) * C(N, r) are checked first."""
-    nvars = 10**8
+WIDE_MEASURE = ["measure", "--poly-file", "WIDE", "--r", "1", "--m", "1"]
+
+
+@pytest.mark.parametrize("argv, cells", [
+    (WIDE_MEASURE, 10**24),
+    (WIDE_MEASURE + ["--sweep"], 10**8),  # the sweep stops at r = m = 0
+    (["bench", "separation", "--n", "1", "--q", "10007", "--e", "1", "--r", "3",
+      "--m", "0"], 10007 * comb(10007, 3)),
+], ids=["single", "sweep", "bench"])
+def test_matrix_cap_refuses_wide_inputs_before_listing_derivatives(tmp_path, argv, cells):
+    """N = 10^8 (a file's) would take one tuple per variable to list the
+    derivative monomials, and C(10007, 3) tuples for NW at q = 10007; the
+    cells N * C(N, m) * C(N, r) are checked first."""
     path = tmp_path / "wide.json"
-    path.write_text(json.dumps({"field": {"type": "rational"}, "nvars": nvars, "polys": [
+    path.write_text(json.dumps({"field": {"type": "rational"}, "nvars": 10**8, "polys": [
         [{"coeff": "1", "mono": {"1": 1, "2": 1}}]]}))
-    code, out = cli.run(["measure", "--poly-file", str(path), "--r", "1", "--m", "1",
-                         "--json"] + extra)
+    code, out = cli.run([str(path) if a == "WIDE" else a for a in argv] + ["--json"])
     error = json.loads(out)
-    cells = nvars if extra else nvars ** 3  # the sweep stops at r = m = 0
     assert (code, error["error"], error["cells"]) == (2, "MatrixTooLarge", cells)
+
+
+@pytest.mark.parametrize("command", [["nw"], ["bench", "separation", "--r", "1", "--m", "1"]],
+                         ids=["nw", "bench"])
+def test_expansion_cap_refuses_wide_designs_before_building_them(command):
+    """NW at q = 10007, e = 3 has 10007^3 terms: refused by its count."""
+    code, out = cli.run(command + ["--n", "3", "--q", "10007", "--e", "3", "--json"])
+    error = json.loads(out)
+    assert (code, error["error"], error["terms"]) == (2, "ExpansionTooLarge", 10007**3)
 
 
 def test_annihilator_cap_honored(tmp_path):
@@ -405,6 +421,47 @@ def test_independent_tuple_is_certified_before_the_term_cap(tmp_path):
     assert code == 2
     error = json.loads(out)
     assert (error["error"], error["cap"]) == ("NoAnnihilatorWithinCap", 27)
+
+
+_CONFIG_TEXT = ('  config: {"caps": {"annihilator_degree": null, "expansion_terms": 10000000, '
+                '"hitting_set_points": 2000000, "matrix_cells": 10000000}, "output": "text", '
+                '"seed": SEED, "timings": false}\n')
+
+
+@pytest.mark.parametrize("argv, code, text", [
+    (["rank", "--poly-file", "E1", "--seed", "1"], 0,
+     "[rank]\n"
+     "  rank: 2\n"
+     "  basis: [1, 2]\n"
+     "  method: jacobian-randomized\n"
+     '  evaluation_points: [["3141346437", "578251824"], ["8749836508", '
+     '"12803971485"], ["12603438525", "3877795129"]]\n'
+     "  security_bits: 30\n"
+     "  error_bound: 1/9903520314283042199192993792\n"
+     "  seed: 1\n" + _CONFIG_TEXT.replace("SEED", "1")),
+    (["pit", "--circuit", str(DATA / "e1_circuit.json"), "--seed", "0"], 1,
+     "[pit]\n"
+     "  verdict: nonzero\n"
+     '  witness: ["1", "1"]\n'
+     "  ell: 1567\n"
+     "  ell_used: 2\n"
+     "  clamped: True\n"
+     "  hitting_set_size: 36\n"
+     "  mode: hitting-set\n"
+     "  rank_certified: False\n"
+     "  oracle: None\n"
+     "  expansion_nonzero: None\n"
+     "  consistent: None\n"
+     "  timings: None\n"
+     "  seed: 0\n" + _CONFIG_TEXT.replace("SEED", "0")),
+    (["nw", "--n", "2", "--q", "3", "--e", "1", "--gamma", "2"], 0,
+     "x1*x7 + x1*x8 + x2*x7 + x2*x8 + x3*x9 + x3*x10 + x4*x9 + x4*x10"
+     " + x5*x11 + x5*x12 + x6*x11 + x6*x12\n"),
+], ids=["rank", "pit", "nw-gamma"])
+def test_text_output_is_pinned(e1_file, argv, code, text):
+    """Text is every subcommand's default output; nw --gamma without --p
+    prints the hard polynomial."""
+    assert cli.run([e1_file if a == "E1" else a for a in argv]) == (code, text)
 
 
 def test_nw_prime_field_flag():

@@ -56,6 +56,40 @@ def test_matrix_cap():
         psp_dimension(p, spec, matrix_cap=100)
 
 
+def test_matrix_cap_is_checked_before_a_derivative_is_listed(monkeypatch):
+    import rankpit.measure
+
+    def listed(*args):
+        raise AssertionError("a derivative monomial was listed")
+
+    monkeypatch.setattr(rankpit.measure, "combinations", listed)
+    spec = MeasureSpec.multilinear(10**8, 1, 1)
+    assert len(spec.monomials) == 10**8
+    with pytest.raises(MatrixTooLarge) as info:
+        psp_dimension(Polynomial.variable(Q, 10**8, 0), spec)
+    assert info.value.cells == 10**24
+
+
+def test_multilinear_monomials_in_combinations_order():
+    spec = MeasureSpec.multilinear(6, 2, 1)
+    assert tuple(spec.monomials) == (
+        ((0, 1), (1, 1)), ((0, 1), (2, 1)), ((0, 1), (3, 1)), ((0, 1), (4, 1)),
+        ((0, 1), (5, 1)), ((1, 1), (2, 1)), ((1, 1), (3, 1)), ((1, 1), (4, 1)),
+        ((1, 1), (5, 1)), ((2, 1), (3, 1)), ((2, 1), (4, 1)), ((2, 1), (5, 1)),
+        ((3, 1), (4, 1)), ((3, 1), (5, 1)), ((4, 1), (5, 1)))
+    assert (len(spec.monomials), spec.degree, spec.shift_degree) == (15, 2, 1)
+
+
+@pytest.mark.parametrize("r, m, detail", [
+    (-1, -1, "derivative degree must be >= 0"),
+    (4, -1, "shift degree must be >= 0"),
+    (4, 0, "derivative set must be nonempty"),
+])
+def test_multilinear_refuses_bad_degrees_in_order(r, m, detail):
+    with pytest.raises(InvalidParams, match=detail):
+        MeasureSpec.multilinear(3, r, m)
+
+
 def test_composition_upper_bound_values():
     assert composition_upper_bound(8, 2, 1, 1, 1) == 672
     assert composition_upper_bound(8, 2, 0, 1, 1) == 8 * 1 * 8  # r=0: N*C(N,m)
