@@ -46,6 +46,7 @@ from .util import derive_seed
 _CERTIFICATE_PRIME = (1 << 61) - 1
 _CERTIFY_ATTEMPTS = 3
 _SECURITY_BITS = 30  # randomized rank draws from >= 2*t*d*2^30 scalars
+_TRIALS = 3  # Jacobian points per randomized rank
 
 
 @dataclass(frozen=True)
@@ -116,14 +117,14 @@ def _check_jacobian_characteristic(qs):
 
 
 def algebraic_rank(qs: list[Polynomial], mode: str = "randomized", *,
-                   seed: int = 0, trials: int = 3,
+                   seed: int = 0,
                    term_cap: int | None = DEFAULT_TERM_CAP) -> RankCertificate:
     """Rank certificate for a polynomial tuple via the Jacobian criterion.
 
-    Randomized mode evaluates the Jacobian at `trials` points drawn from a
+    Randomized mode evaluates the Jacobian at `_TRIALS` points drawn from a
     scalar set of size >= 2*t*d*2^30 (`_SECURITY_BITS`) and reports the
     maximum rank seen: one-sided, never above the true rank, below it with
-    probability at most (t*d/|S|)^trials.  `_jacobian_rows` reads each
+    probability at most (t*d/|S|)^_TRIALS.  `_jacobian_rows` reads each
     point exactly (mod no prime over Q), and the basis is the greedy matroid scan at the first
     point of maximum rank: keep q_i whenever it raises the rank.  Symbolic mode is exact in
     every characteristic and never guesses: the greedy basis at a Jacobian
@@ -145,13 +146,13 @@ def algebraic_rank(qs: list[Polynomial], mode: str = "randomized", *,
     rng = random.Random(derive_seed(seed, "algrank"))
     char = dom.characteristic
     basis, points = [], []
-    for _ in range(max(1, trials)):
+    for _ in range(_TRIALS):
         point = tuple(dom.coerce(rng.randrange(size)) for _ in range(qs[0].nvars))
         points.append(point)
         found = _independent_rows(_jacobian_rows(qs, [int(x) for x in point], char), char)
         if len(found) > len(basis):
             basis = found
-    bound = (Fraction(t * d, size)) ** max(1, trials)
+    bound = (Fraction(t * d, size)) ** _TRIALS
     return RankCertificate(len(basis), tuple(basis), "jacobian-randomized",
                            evaluation_points=tuple(points), security=_SECURITY_BITS,
                            error_bound=bound)
@@ -506,7 +507,7 @@ def newton_reconstruct(qs: list[Polynomial], basis, a, i: int,
 # ----------------------------------------------------------------------
 # circuit rewrite: inner lists become homogeneous components of a basis
 
-def rewrite_circuit(c: Circuit, seed: int = 0, *, max_retries: int = 10,
+def rewrite_circuit(c: Circuit, seed: int = 0, *,
                     term_cap: int | None = DEFAULT_TERM_CAP) -> tuple[Circuit, tuple]:
     """Rewrite every gate over the homogeneous components of its basis.
 
@@ -531,8 +532,7 @@ def rewrite_circuit(c: Circuit, seed: int = 0, *, max_retries: int = 10,
     k_max = max((cert.rank for cert in certs), default=0)
     d_max = max((q.degree() for g in c.gates for q in g.inner), default=1)
     if all_ls:
-        sampler = TranslationSampler.for_tuple(total_nonbasis, k_max, d_max, seed=seed,
-                                               max_retries=max_retries)
+        sampler = TranslationSampler.for_tuple(total_nonbasis, k_max, d_max, seed=seed)
         a = _sample_translation(all_ls, dom, nvars, sampler)
     else:
         a = tuple(dom.zero for _ in range(nvars))

@@ -238,18 +238,13 @@ def _cmd_measure(args) -> tuple[int, str]:
     return 0, _emit(args, "measure", result)
 
 
-def _design_polynomial(base, gamma: int, domain, term_cap: int):
-    """NW with gamma copies of each slot variable (NW itself at gamma = 1), refused
-    past term_cap terms before any is built; p is a placeholder: nothing is drawn."""
-    return nw.hard_polynomial(nw.HardPolyParams(base, gamma, Fraction(1, 2)), domain, term_cap)
-
-
 def _cmd_nw(args) -> tuple[int, str]:
     domain = _field_from_flag(args.field)
     base = nw.NWParams(args.n, args.q, args.e)
     gamma = 1 if args.gamma is None else args.gamma
     if args.p is None:
-        return 0, _design_polynomial(base, gamma, domain, args.cap_expansion).to_text() + "\n"
+        poly = nw.hard_polynomial(nw.HardPolyParams(base, gamma), domain, args.cap_expansion)
+        return 0, poly.to_text() + "\n"
     try:
         alive = Fraction(args.p)
     except (ValueError, ZeroDivisionError):
@@ -259,13 +254,7 @@ def _cmd_nw(args) -> tuple[int, str]:
     result = {
         "n": args.n, "q": args.q, "e": args.e,
         "gamma": params.gamma, "p": params.p,
-        "trials": stats["trials"],
-        "slots": stats["slots"],
-        "dead_slot_fraction": stats["dead_slot_fraction"],
-        "expected_fraction": stats["expected_fraction"],
-        "sigma": stats["sigma"],
-        "within_3_sigma": stats["within_3_sigma"],
-        "restrictions_with_dead_slot": stats["restrictions_with_dead_slot"],
+        **stats,
         "seed": args.seed,
     }
     return 0, _emit(args, "nw", result)
@@ -308,7 +297,7 @@ def _cmd_bench(args) -> tuple[int, str]:
         raise InvalidParams(f"unknown bench experiment {args.experiment!r}")
     domain = _field_from_flag(args.field)
     base = nw.NWParams(args.n, args.q, args.e)
-    poly = _design_polynomial(base, 1, domain, args.cap_expansion)
+    poly = nw.hard_polynomial(nw.HardPolyParams(base, 1), domain, args.cap_expansion)
     spec = measure.MeasureSpec.multilinear(poly.nvars, args.r, args.m)
     rep = measure.psp_dimension(poly, spec, matrix_cap=args.cap_matrix)
     bound = measure.circuit_measure_bound(args.T, poly.nvars, args.k, args.n,

@@ -7,7 +7,8 @@ slots.  The hard variant replaces each variable by a gamma-fold sum of fresh
 copies, which makes the family robust under random restrictions that keep
 each variable alive independently with probability p: a slot dies only when
 all gamma copies die, and a surviving instance projects back onto NW by
-keeping one alive copy per slot.
+keeping one alive copy per slot.  NW is the gamma = 1 member of the hard
+family, and one loop, `hard_polynomial`, builds them all.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _cartesian
+from operator import mul
 
 from .domains import Rationals, is_prime
 from .errors import ExpansionTooLarge, InvalidParams, SlotDied
@@ -57,6 +59,7 @@ class NWParams:
 class HardPolyParams:
     """NW composed with gamma-fold variable sums; p drives restrictions.
 
+    gamma = 1 is NW itself, and the default p = 1 keeps every variable alive.
     The asymptotic instantiation ties gamma = N^(1+delta) and p = N^(-delta);
     at desk scale gamma and p are independent knobs so survival statistics
     are actually testable.
@@ -64,7 +67,7 @@ class HardPolyParams:
 
     base: NWParams
     gamma: int
-    p: Fraction
+    p: Fraction = Fraction(1)
 
     def __post_init__(self):
         if self.gamma < 1:
@@ -93,43 +96,38 @@ def nw_polynomial(params: NWParams, domain=Rationals()) -> Polynomial:
     """Sum over all q^e low-degree index polynomials of their slot monomials.
 
     Exactly q^e monomials, each multilinear of degree n, all coefficients 1;
-    e = 0 gives the empty sum 0.
+    e = 0 gives the empty sum 0.  This is the gamma = 1 hard polynomial.
     """
-    n, q, e = params.n, params.q, params.e
-    if e == 0:
-        return Polynomial.zero(domain, params.nvars)  # no polynomials of degree < 0
-    terms = {}
-    one = domain.one
-    for coeffs in _cartesian(range(q), repeat=e):
-        mono = []
-        for slot in range(n):
-            x = (slot + 1) % q  # [q] identified with F_q, slot i evaluated at i
-            val = 0
-            for c in reversed(coeffs):
-                val = (val * x + c) % q
-            mono.append((params.var(slot, val), 1))
-        terms[tuple(sorted(mono))] = one
-    return Polynomial(domain, params.nvars, terms, _normalized=True)
+    return hard_polynomial(HardPolyParams(params, 1), domain, term_cap=None)
 
 
 def hard_polynomial(params: HardPolyParams, domain=Rationals(),
                     term_cap: int | None = DEFAULT_TERM_CAP) -> Polynomial:
-    """NW with each slot variable replaced by a gamma-fold sum of copies."""
-    base = params.base
-    gamma = params.gamma
-    count = base.q ** base.e * gamma ** base.n
+    """NW with each slot variable replaced by a gamma-fold sum of copies.
+
+    The q^e * gamma^n monomials (none when e = 0) are listed per index
+    polynomial, then per choice of one copy for each slot; refused past
+    term_cap before any is built.
+    """
+    base, gamma = params.base, params.gamma
+    n, q, e = base.n, base.q, base.e
+    if e == 0:
+        return Polynomial.zero(domain, params.nvars)  # no polynomials of degree < 0
+    count = q ** e * gamma ** n
     if term_cap is not None and count > term_cap:
         raise ExpansionTooLarge(count, term_cap)
-    base_poly = nw_polynomial(base, domain)
+    # [q] identified with F_q: slot i reads the index polynomial at i
+    powers = [[pow(x, k, q) for k in range(e)] for x in range(1, n + 1)]
+    # copies[slot][element]: the gamma copies of X_{slot+1, element}
+    copies = [[[(params.var(slot, element, c), 1) for c in range(gamma)]
+               for element in range(q)] for slot in range(n)]
     one = domain.one
     terms = {}
-    for mono in base_poly.terms:
-        slots = [divmod(v, base.q) for v, _ in mono]
-        for copies in _cartesian(range(gamma), repeat=base.n):
-            new_mono = tuple(sorted(
-                (params.var(slot, element, c), 1)
-                for (slot, element), c in zip(slots, copies)))
-            terms[new_mono] = one
+    for coeffs in _cartesian(range(q), repeat=e):
+        chosen = [table[sum(map(mul, coeffs, pw)) % q] for table, pw in zip(copies, powers)]
+        # one copy per slot; variables ascend with the slot, so each is sorted
+        for mono in _cartesian(*chosen):
+            terms[mono] = one
     return Polynomial(domain, params.nvars, terms, _normalized=True)
 
 

@@ -136,7 +136,7 @@ def _interval_ell(d: int, k: int, top_fanin: int, delta: int, v: int) -> int:
 class HittingSet:
     points: tuple
     ell: int
-    values: tuple   # W, with 0 first; |W| = delta + 1
+    values: tuple   # W, with 0 first; |W| = delta + 1, or 1 (the origin) when ell = 0
     nvars: int
     delta: int
     clamped: bool   # ell exceeded nvars and fell back to the full grid
@@ -157,7 +157,8 @@ def _grid(nvars: int, delta: int, ell: int, domain, point_cap: int):
     size = hitting_set_size(nvars, delta, ell)
     if size > point_cap:
         raise SetTooLarge(size, point_cap)
-    return ell, clamped, size, tuple(domain.scalars(delta + 1))
+    # with ell = 0 the set is the origin alone: W = {0}
+    return ell, clamped, size, tuple(domain.scalars(delta + 1 if ell else 1))
 
 
 def _point_chunks(nvars: int, ell: int, delta: int):

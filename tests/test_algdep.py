@@ -113,7 +113,7 @@ def test_rank_refuses_mismatched_tuples(mode):
 def test_randomized_rank_over_q_is_exact():
     """(x, P*y) with P = 2^61-1 has Jacobian diag(1, P): rank 2 over Q, but
     rank 1 mod P, the prime that certifies points over Q."""
-    cert = algebraic_rank([x(0), x(1).scale(algdep._CERTIFICATE_PRIME)], trials=1)
+    cert = algebraic_rank([x(0), x(1).scale(algdep._CERTIFICATE_PRIME)])
     assert (cert.rank, cert.basis_indices) == (2, (0, 1))
 
 
@@ -945,7 +945,7 @@ def test_randomized_basis_matches_greedy_scan(dom):
         qs.insert(rng.randrange(3), compose(random_poly(rng, dom, 2, 2), qs))
         qs.insert(rng.randrange(4), Polynomial.constant(dom, nvars, rng.choice([0, 3])))
         qs.append(random_poly(rng, dom, nvars, 2))
-        cert = algebraic_rank(qs, seed=trial, trials=3)
+        cert = algebraic_rank(qs, seed=trial)
         jac = jacobian(qs)
         numeric = [[[e.evaluate(pt) for e in row] for row in jac]
                    for pt in cert.evaluation_points]

@@ -14,7 +14,8 @@ from rankpit.circuit import (Circuit, DeclaredBounds, Gate, OuterExpr,
                              serialize)
 from rankpit.domains import PrimeField, Rationals
 from rankpit.errors import (BoundViolation, CircuitSyntaxError,
-                            DimensionMismatch, FieldTooSmall, RankpitError)
+                            DimensionMismatch, FieldTooSmall, InvalidParams,
+                            RankpitError)
 from rankpit.poly import Polynomial
 from test_fuzz import mistype
 
@@ -52,13 +53,19 @@ def test_parse_simple_product_gate():
     assert expand(parsed) == expand(c)
 
 
-def test_declared_degree_violation():
+@pytest.mark.parametrize("bound", ["d", "delta"])
+def test_declared_degree_violation(bound):
+    """x1^2 breaks d = 1; a product of two linear forms has formal degree
+    2 > delta = 1."""
     text = serialize(simple_product_circuit())
     obj = json.loads(text)
-    obj["gates"][0]["inner"][0] = [{"coeff": "1", "mono": {"1": 2}}]
+    if bound == "d":
+        obj["gates"][0]["inner"][0] = [{"coeff": "1", "mono": {"1": 2}}]
+    else:
+        obj["declared"]["delta"] = 1
     with pytest.raises(BoundViolation) as info:
         parse(json.dumps(obj))
-    assert info.value.bound == "d"
+    assert info.value.bound == bound
     assert info.value.declared == 1
     assert info.value.actual == 2
 
@@ -105,6 +112,22 @@ def test_circuit_and_poly_files_report_a_bad_header_alike(damage):
     assert errors[0][1] or errors[0][2]  # located by JSON path or by line
 
 
+@pytest.mark.parametrize("read, key, path", [
+    (parse, ("gates",), "$.gates"),
+    (parse, ("gates", 0, "inner"), "$.gates[0].inner"),
+    (parse_polys, ("polys",), "$.polys"),
+], ids=["gates", "inner", "polys"])
+def test_a_list_field_that_is_no_list_is_a_syntax_error(read, key, path):
+    text = (DATA / "e1_circuit.json").read_text() if read is parse else json.dumps(_POLY_FILE)
+    obj = parent = json.loads(text)
+    for k in key[:-1]:
+        parent = parent[k]
+    parent[key[-1]] = {}
+    with pytest.raises(CircuitSyntaxError) as info:
+        read(json.dumps(obj))
+    assert (str(info.value), info.value.path) == (f"{key[-1]} must be a list at {path}", path)
+
+
 def _dag_circuit_json() -> dict:
     """A valid circuit whose gate 0 has a DAG outer with every node kind."""
     f = Polynomial.from_text(Q, 2, "z1^2 - 2*z2", var_prefix="z")
@@ -127,9 +150,15 @@ def _dag_circuit_json() -> dict:
     ({"op": "const"}, "$.gates[0].outer.nodes[0]"),
     ({"op": "call", "args": [0]}, "$.gates[0].outer.nodes[0]"),
     ({"op": "input", "index": "one"}, "$.gates[0].outer.nodes[0]"),
+    ({"op": "pow", "args": [0]}, "$.gates[0].outer.nodes[0]"),
+    # six nodes keep the root 5 in range, so node 0 is the fault
+    ([{"op": "input", "index": 9}] + [{"op": "input", "index": 1}] * 5, "$.gates[0].outer"),
+    ([{"op": "add", "args": [0]}] + [{"op": "input", "index": 1}] * 5, "$.gates[0].outer"),
+    ([], "$.gates[0].outer"),  # "nodes": [], so the root is out of range
 ], ids=["input-no-index", "node-not-object", "nodes-null", "nodes-object",
         "args-not-ints", "args-not-list", "const-no-value", "call-no-poly",
-        "index-not-int"])
+        "index-not-int", "unknown-op", "input-out-of-range", "args-not-earlier",
+        "root-out-of-range"])
 def test_malformed_dag_node_is_a_syntax_error(node, path):
     obj = _dag_circuit_json()
     dag = obj["gates"][0]["outer"]["dag"]
@@ -140,6 +169,14 @@ def test_malformed_dag_node_is_a_syntax_error(node, path):
     with pytest.raises(CircuitSyntaxError) as info:
         parse(json.dumps(obj))
     assert info.value.path == path
+
+
+def test_a_call_node_must_match_its_polynomial_arity():
+    """A parsed call node reads its polynomial over len(args) variables, so
+    only a DAG built in code can break this check."""
+    f = Polynomial.from_text(Q, 2, "z1*z2", var_prefix="z")
+    with pytest.raises(InvalidParams, match="call arity 1 != poly variables 2"):
+        OuterExpr(2, [("input", 0), ("call", f, (0,))], 1)
 
 
 @pytest.mark.parametrize("where,value,path", [

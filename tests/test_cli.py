@@ -457,10 +457,27 @@ _CONFIG_TEXT = ('  config: {"caps": {"annihilator_degree": null, "expansion_term
     (["nw", "--n", "2", "--q", "3", "--e", "1", "--gamma", "2"], 0,
      "x1*x7 + x1*x8 + x2*x7 + x2*x8 + x3*x9 + x3*x10 + x4*x9 + x4*x10"
      " + x5*x11 + x5*x12 + x6*x11 + x6*x12\n"),
-], ids=["rank", "pit", "nw-gamma"])
+    (["nw", "--n", "2", "--q", "2", "--e", "1", "--gamma", "3", "--p", "1/2",
+      "--trials", "300", "--seed", "4"], 0,
+     "[nw]\n"
+     "  n: 2\n"
+     "  q: 2\n"
+     "  e: 1\n"
+     "  gamma: 3\n"
+     "  p: 1/2\n"
+     "  trials: 300\n"
+     "  slots: 4\n"
+     "  dead_slot_fraction: 161/1200\n"
+     "  expected_fraction: 1/8\n"
+     "  sigma: 0.009547032697824667\n"
+     "  within_3_sigma: True\n"
+     "  restrictions_with_dead_slot: 130\n"
+     "  seed: 4\n" + _CONFIG_TEXT.replace("SEED", "4")),
+    (["nw", "--n", "20", "--q", "23", "--e", "0", "--gamma", "3"], 0, "0\n"),
+], ids=["rank", "pit", "nw-gamma", "nw-experiment", "nw-e0"])
 def test_text_output_is_pinned(e1_file, argv, code, text):
     """Text is every subcommand's default output; nw --gamma without --p
-    prints the hard polynomial."""
+    prints the hard polynomial, which is 0 for e = 0 whatever gamma is."""
     assert cli.run([e1_file if a == "E1" else a for a in argv]) == (code, text)
 
 

@@ -149,6 +149,19 @@ def test_hitting_set_field_too_small():
         hitting_set(3, 4, 1, PrimeField(3))
 
 
+def test_a_set_of_the_origin_alone_lists_one_grid_value():
+    """With ell = 0 (here: no variables) the set is the origin, whatever delta
+    is: W = {0}, not the delta + 1 values of a grid the scan never reaches,
+    and over F_p no p > delta is needed."""
+    hs = hitting_set(0, 10 ** 8, 5, Q)
+    assert (hs.points, hs.values, hs.ell) == (((),), (0,), 0)
+    assert hitting_set(3, 4, 0, PrimeField(3)).points == ((0, 0, 0),)
+    c = Circuit(Q, 0, DeclaredBounds(d=0, k=1, delta=10 ** 8),
+                [Gate("product", [Polynomial.constant(Q, 0, 3)])])
+    report = pit_test(c)
+    assert (report.verdict, report.witness, report.hitting_set_size) == ("nonzero", (), 1)
+
+
 def test_hitting_set_counting_formula_sweep():
     for (n, delta, ell) in [(4, 1, 2), (5, 2, 3), (6, 4, 2), (7, 3, 1),
                             (8, 2, 2), (3, 7, 3), (2, 12, 2)]:
