@@ -24,7 +24,6 @@ from .nw import (HardPolyParams, NWInstantiation, NWParams, RestrictionSample,
 from .pit import (HittingSet, PitReport, SupportBound, SZVerdict, hitting_set,
                   hitting_set_size, pit_test, schwartz_zippel_test,
                   support_bound)
-from .poly import (GRLEX, LEX, MonomialOrder, Polynomial, compose,
-                   divide_exact)
+from .poly import Polynomial, compose
 
 __version__ = "0.1.0"

@@ -26,6 +26,7 @@ the homogeneous components of its basis.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -193,14 +194,13 @@ def _certified_rank(qs: list[Polynomial], seed: int,
 
 def _dense_monos_exact(t: int, d: int) -> list[tuple]:
     """Dense exponent tuples of t variables and total degree d, ascending in
-    GRLEX order of the monomials they name."""
+    graded-lex order of the monomials they name."""
     if t == 0:
         return [()] if d == 0 else []
-    out = []
-    for first in range(d + 1):
-        for rest in _dense_monos_exact(t - 1, d - first):
-            out.append((first,) + rest)
-    return out
+    # stars and bars: the t - 1 bar positions among d + t - 1 slots, in lex
+    # order, and the runs of stars between them
+    return [tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, d + t - 1)))
+            for bars in itertools.combinations(range(d + t - 1), t - 1)]
 
 
 def _dense_to_mono(alpha: tuple):
@@ -244,7 +244,7 @@ class _CompositionTable:
         return memo[alpha]
 
     def columns(self):
-        """The columns q^alpha, |alpha| <= cap, ascending in GRLEX order of
+        """The columns q^alpha, |alpha| <= cap, ascending in graded-lex order of
         z^alpha; a degree block is built, and its alphas listed, before it is yielded."""
         for deg in range(self.cap + 1):
             block = _dense_monos_exact(len(self.factors), deg)
@@ -266,7 +266,7 @@ def find_annihilator(qs: list[Polynomial], cap: int | None = None, *,
                      term_cap: int | None = DEFAULT_TERM_CAP) -> Annihilator:
     """Minimal-total-degree annihilator R with R(q_1, ..., q_t) = 0 exactly.
 
-    The columns q^alpha = prod_j q_j^alpha_j are taken in ascending GRLEX
+    The columns q^alpha = prod_j q_j^alpha_j are taken in ascending graded-lex
     order of z^alpha and stream through `linalg.dependent_columns`.  The
     first column that depends on the earlier ones, q^alpha = sum c_beta
     q^beta, gives R = z^alpha - sum c_beta z^beta: an annihilator with a
@@ -425,7 +425,7 @@ def reconstruct_dependence(qs: list[Polynomial], basis, a, *,
 
     For each non-basis index the target q_i(X+a) streams through
     `linalg.span_coefficients` ahead of the truncated compositions
-    h^{<=d_i}[basis(X+a)^alpha] in ascending GRLEX order of z^alpha: the
+    h^{<=d_i}[basis(X+a)^alpha] in ascending graded-lex order of z^alpha: the
     first dependency that involves the target writes it in the independent
     columns before it, and that combination is F_i.  If none appears by
     degree d_i*(k+1)*d^k, NoSolutionWithinCap signals a bad translation

@@ -283,7 +283,7 @@ def circuit_size(c: Circuit) -> int:
     monos: set = set()
     for g in c.gates:
         for q in g.inner:
-            monos |= q.support_monomials()
+            monos.update(q.terms)
     return max(len(c.gates), len(monos))
 
 
@@ -377,6 +377,8 @@ def _json_object(text: str, keys) -> dict:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CircuitSyntaxError(exc.msg, line=exc.lineno, column=exc.colno) from None
+    except RecursionError:
+        raise CircuitSyntaxError("values nested too deeply", path="$") from None
     if not isinstance(obj, dict):
         raise CircuitSyntaxError("top level must be an object", path="$")
     for key in keys:
@@ -439,9 +441,9 @@ def parse_file(path: str) -> Circuit:
 def parse_polys(text: str) -> tuple:
     """Parse a polynomial-tuple file into (domain, nvars, polys)."""
     obj = _json_object(text, ("field", "nvars", "polys"))
+    domain, nvars = _header(obj)
     if not isinstance(obj["polys"], list):
         raise CircuitSyntaxError("polys must be a list", path="$.polys")
-    domain, nvars = _header(obj)
     return domain, nvars, [_located(f"$.polys[{i}]", Polynomial.terms_from_json,
                                     domain, nvars, terms)
                            for i, terms in enumerate(obj["polys"])]

@@ -29,10 +29,6 @@ class DomainMismatch(RankpitError):
     """Operands live in different coefficient domains."""
 
 
-class InexactDivision(RankpitError):
-    """Polynomial division that was promised exact left a remainder."""
-
-
 class ExpansionTooLarge(RankpitError):
     """An expansion exceeded the configured term cap."""
 

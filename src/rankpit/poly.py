@@ -6,7 +6,9 @@ nonzero coefficients in an explicit domain (rationals or a prime field), so
 every operation here is exact: no floating point anywhere.
 
 Variables are 0-based internally; the text and JSON forms use the 1-based
-names x1, x2, ... with X_1 highest in the ordering precedence.
+names x1, x2, ...  Monomials are ordered one way, graded-lex (`grlex_key`):
+total degree first, then lex with X_1 > X_2 > ...  It sorts the text and
+JSON forms and picks the trailing monomial.
 
 Substitution (`compose`, and `Polynomial.translate`, a composition with
 X_j + a_j) runs Horner's rule on packed monomials, one int each
@@ -20,8 +22,7 @@ import math
 from fractions import Fraction
 
 from .errors import (ArityMismatch, DimensionMismatch, DomainMismatch,
-                     ExpansionTooLarge, InexactDivision, InvalidParams,
-                     ZeroPolynomial)
+                     ExpansionTooLarge, InvalidParams, ZeroPolynomial)
 
 # Monomial: ((var, exp), ...) sorted by var, all exps > 0.  () is 1.
 Mono = tuple
@@ -67,38 +68,11 @@ def _clear_denominators(values) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in values], den
 
 
-class MonomialOrder:
-    """A total multiplicative monomial order with 1 minimal.
-
-    kind "graded-lex" compares total degree first, then lex; "lex" is pure
-    lexicographic.  Precedence is fixed as X_1 > X_2 > ...
-    """
-
-    def __init__(self, kind: str = "graded-lex"):
-        if kind not in ("graded-lex", "lex"):
-            raise InvalidParams(f"unknown monomial order {kind!r}")
-        self.kind = kind
-
-    def key(self, m: Mono):
-        # Encoding (-var, exp) per pair makes tuple comparison agree with
-        # lex order under the X_1 > X_2 > ... precedence.
-        lex = tuple((-v, e) for v, e in m)
-        if self.kind == "lex":
-            return lex
-        return (mono_degree(m), lex)
-
-    def max(self, monos):
-        return max(monos, key=self.key)
-
-    def min(self, monos):
-        return min(monos, key=self.key)
-
-    def __repr__(self):
-        return f"MonomialOrder({self.kind!r})"
-
-
-GRLEX = MonomialOrder("graded-lex")
-LEX = MonomialOrder("lex")
+def grlex_key(m: Mono) -> tuple:
+    """The sort key of graded-lex, the one monomial order: total degree
+    first, then lex under the precedence X_1 > X_2 > ...; 1 is minimal."""
+    # (-var, exp) per pair makes tuple comparison agree with that lex order
+    return mono_degree(m), tuple((-v, e) for v, e in m)
 
 
 class Polynomial:
@@ -118,9 +92,11 @@ class Polynomial:
                 c = domain.coerce(c)
                 if domain.is_zero(c):
                     continue
-                if any(e <= 0 for _, e in mono) or any(
-                        not (0 <= v < nvars) for v, _ in mono):
-                    raise InvalidParams(f"bad monomial {mono} for nvars={nvars}")
+                prev = -1  # variables strictly ascending, each once
+                for v, e in mono:
+                    if e <= 0 or not prev < v < nvars:
+                        raise InvalidParams(f"bad monomial {mono} for nvars={nvars}")
+                    prev = v
                 clean[mono] = c
             self.terms = clean
 
@@ -153,9 +129,6 @@ class Polynomial:
     def degree(self) -> int:
         """Total degree; 0 for the zero polynomial."""
         return max((mono_degree(m) for m in self.terms), default=0)
-
-    def support_monomials(self) -> set:
-        return set(self.terms)
 
     def num_terms(self) -> int:
         return len(self.terms)
@@ -283,16 +256,11 @@ class Polynomial:
     # ------------------------------------------------------------------
     # the operations the rest of the package is built on
 
-    def trailing_monomial(self, order: MonomialOrder = GRLEX) -> Mono:
-        """The order-minimal monomial of the support; error on zero."""
+    def trailing_monomial(self) -> Mono:
+        """The graded-lex-minimal monomial of the support; error on zero."""
         if not self.terms:
             raise ZeroPolynomial("zero polynomial has no trailing monomial")
-        return order.min(self.terms)
-
-    def leading_monomial(self, order: MonomialOrder = GRLEX) -> Mono:
-        if not self.terms:
-            raise ZeroPolynomial("zero polynomial has no leading monomial")
-        return order.max(self.terms)
+        return min(self.terms, key=grlex_key)
 
     def homogeneous_component(self, i: int) -> "Polynomial":
         """The degree-i part; zero when i is out of range."""
@@ -304,16 +272,6 @@ class Polynomial:
         return Polynomial(self.domain, self.nvars,
                           {m: c for m, c in self.terms.items() if mono_degree(m) <= i},
                           _normalized=True)
-
-    def homogeneous_ge(self, i: int) -> "Polynomial":
-        return Polynomial(self.domain, self.nvars,
-                          {m: c for m, c in self.terms.items() if mono_degree(m) >= i},
-                          _normalized=True)
-
-    def homogeneous_tuple(self) -> tuple:
-        """All components ordered degree-descending: (h^d, ..., h^0)."""
-        d = self.degree()
-        return tuple(self.homogeneous_component(i) for i in range(d, -1, -1))
 
     def translate(self, point) -> "Polynomial":
         """P(X + a): the composition with X_j + a_j, uncapped."""
@@ -361,13 +319,6 @@ class Polynomial:
             # m -> m - gamma is injective: no two terms land on one monomial
             out[tuple(sorted(md.items()))] = coeff
         return Polynomial(dom, self.nvars, out, _normalized=True)
-
-    def multilinear_project(self) -> "Polynomial":
-        """Keep exactly the terms whose exponents are all <= 1."""
-        return Polynomial(self.domain, self.nvars,
-                          {m: c for m, c in self.terms.items()
-                           if mono_is_multilinear(m)},
-                          _normalized=True)
 
     def evaluate(self, point):
         """Exact evaluation at a point of the domain."""
@@ -419,7 +370,7 @@ class Polynomial:
         if not self.terms:
             return "0"
         dom = self.domain
-        monos = sorted(self.terms, key=GRLEX.key, reverse=True)
+        monos = sorted(self.terms, key=grlex_key, reverse=True)
         pieces: list[str] = []
         for idx, m in enumerate(monos):
             c = self.terms[m]
@@ -475,7 +426,7 @@ class Polynomial:
     def terms_to_json(self) -> list:
         """Term list with exact string coefficients and 1-based variables."""
         dom = self.domain
-        monos = sorted(self.terms, key=GRLEX.key, reverse=True)
+        monos = sorted(self.terms, key=grlex_key, reverse=True)
         return [{"coeff": dom.format(self.terms[m]),
                  "mono": {str(v + 1): e for v, e in m}} for m in monos]
 
@@ -489,7 +440,7 @@ class Polynomial:
                 v = int(v_str) - 1
                 if isinstance(e, bool) or not isinstance(e, int):
                     raise TypeError(f"exponent of x{v_str} is not an integer: {e!r}")
-                if not (0 <= v < nvars) or e <= 0:
+                if str(v + 1) != v_str or not (0 <= v < nvars) or e <= 0:
                     raise InvalidParams(f"bad monomial entry {v_str}:{e}")
                 mono_d[v] = e
             m = mono_from_dict(mono_d)
@@ -609,10 +560,12 @@ def _horner(outer: Polynomial, forms: dict, nvars: int, term_cap: int | None,
         if term_cap is not None and len(total) > term_cap:
             raise ExpansionTooLarge(len(total), term_cap)
 
-    def horner(terms: dict) -> dict:
+    def horner(terms: dict):
         # c * inners^mono summed over terms: the terms grouped by their
         # largest variable v, each group by Horner's rule in v.  Each term is
-        # split once, and the depth is bounded by one monomial's support.
+        # split once.  A generator: it yields each sub-sum it needs and is
+        # sent its value, so the nesting, one level per variable of a
+        # monomial, lives in a list and not on the Python stack.
         groups: dict[int, dict] = {}
         for mono, c in terms.items():
             groups.setdefault(mono[-1][0] if mono else -1, {})[mono] = c
@@ -625,11 +578,11 @@ def _horner(outer: Polynomial, forms: dict, nvars: int, term_cap: int | None,
             for mono, c in groups[v].items():
                 by_exp.setdefault(mono[-1][1], {})[mono[:-1]] = c
             high = max(by_exp)
-            acc = horner(by_exp[high])
+            acc = yield by_exp[high]
             for e in range(high - 1, -1, -1):
                 acc = _packed_product(acc, factors[v], p, limit, term_cap)
                 if e in by_exp:
-                    add(acc, horner(by_exp[e]).items())
+                    add(acc, (yield by_exp[e]).items())
             parts.append(acc)
         if len(parts) < 2:
             return parts[0] if parts else {}
@@ -640,7 +593,14 @@ def _horner(outer: Polynomial, forms: dict, nvars: int, term_cap: int | None,
             add(total, reversed(part.items()), move=True)
         return dict(reversed(total.items()))
 
-    acc = horner({m: c * den ** (top - deg) for m, deg, c in terms})
+    stack, acc = [horner({m: c * den ** (top - deg) for m, deg, c in terms})], None
+    while stack:  # send each generator the sum it asked for, depth first
+        try:
+            stack.append(horner(stack[-1].send(acc)))
+            acc = None
+        except StopIteration as done:
+            stack.pop()
+            acc = done.value
     den = den ** top * den_outer
     out, mask, low = {}, (1 << width) - 1, (1 << shift) - 1
     for key, c in acc.items():
@@ -652,32 +612,3 @@ def _horner(outer: Polynomial, forms: dict, nvars: int, term_cap: int | None,
         out[tuple(mono)] = c if p else Fraction(c, den)
     return Polynomial(outer.domain, nvars, out, _normalized=True)
 
-
-def divide_exact(p: Polynomial, d: Polynomial, order: MonomialOrder = GRLEX) -> Polynomial:
-    """Quotient p / d when the division is exact; InexactDivision otherwise."""
-    p._check_compat(d)
-    if d.is_zero():
-        raise InexactDivision("division by the zero polynomial")
-    dom = p.domain
-    lead_d = d.leading_monomial(order)
-    cd = d.terms[lead_d]
-    cd_inv = dom.inv(cd)
-    lead_d_dict = dict(lead_d)
-    quotient = Polynomial.zero(dom, p.nvars)
-    rem = p
-    while not rem.is_zero():
-        lead_r = rem.leading_monomial(order)
-        md = dict(lead_r)
-        for v, e in lead_d_dict.items():
-            if md.get(v, 0) < e:
-                raise InexactDivision(f"{lead_d} does not divide {lead_r}")
-            if md[v] == e:
-                del md[v]
-            else:
-                md[v] -= e
-        q_mono = tuple(sorted(md.items()))
-        q_coeff = dom.mul(rem.terms[lead_r], cd_inv)
-        q_term = Polynomial(dom, p.nvars, {q_mono: q_coeff}, _normalized=True)
-        quotient = quotient + q_term
-        rem = rem - q_term.mul(d)
-    return quotient

@@ -18,7 +18,7 @@ from rankpit.errors import (BoundViolation, CharacteristicTooSmall,
                             ExpansionTooLarge, FieldTooSmall, InvalidParams,
                             NoAnnihilatorWithinCap, NoGoodTranslation,
                             NonConvergence, NoSolutionWithinCap, RankNotCertified)
-from rankpit.poly import DEFAULT_TERM_CAP, GRLEX, Polynomial, compose, mono_from_dict
+from rankpit.poly import DEFAULT_TERM_CAP, Polynomial, compose, grlex_key, mono_from_dict
 
 Q = Rationals()
 FP = PrimeField(1_000_003)
@@ -258,8 +258,17 @@ def test_dense_monos_ascend_in_graded_lex():
     this order."""
     for t in range(1, 5):
         alphas = [a for d in range(6) for a in algdep._dense_monos_exact(t, d)]
-        keys = [GRLEX.key(algdep._dense_to_mono(a)) for a in alphas]
+        keys = [grlex_key(algdep._dense_to_mono(a)) for a in alphas]
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
+def test_dense_monos_of_a_long_tuple():
+    # one exponent per tuple member: 1,200 members would nest deeper than
+    # Python's default recursion limit of 1,000 if built member by member
+    x1 = Polynomial.variable(Q, 1, 0)
+    ann = find_annihilator([x1] * 1200)
+    assert ann.degree == 1
+    assert ann.R.to_text(var_prefix="z") == "z1199 - z1200"
 
 
 def _canonical_kernel_poly(polys):
@@ -270,13 +279,13 @@ def _canonical_kernel_poly(polys):
     for poly in polys:
         cur = poly
         while not cur.is_zero():
-            lm = cur.leading_monomial(GRLEX)
+            lm = max(cur.terms, key=grlex_key)
             if lm in by_lead:
                 cur = cur - by_lead[lm].scale(cur.terms[lm])
             else:
                 by_lead[lm] = cur.scale(dom.inv(cur.terms[lm]))
                 break
-    return by_lead[min(by_lead, key=GRLEX.key)]
+    return by_lead[min(by_lead, key=grlex_key)]
 
 
 def _power_product(qs, alpha, degree_cap=None, term_cap=None):

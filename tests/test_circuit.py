@@ -98,8 +98,10 @@ _POLY_FILE = {"field": {"type": "rational"}, "nvars": 2,
     lambda obj: "{\n  \"field\": ,\n}",
     lambda obj: json.dumps([obj]),
     lambda obj: json.dumps({k: v for k, v in obj.items() if k != "nvars"}),
+    lambda obj: json.dumps({**obj, "nvars": -1, "gates": 0, "polys": 0}),
+    lambda obj: "[" * 100_000 + "]" * 100_000,  # json.loads raises RecursionError
 ], ids=["nvars-bool", "nvars-negative", "nvars-float", "field-p-float", "not-json",
-        "top-level-list", "missing-key"])
+        "top-level-list", "missing-key", "nvars-and-list", "nested-too-deeply"])
 def test_circuit_and_poly_files_report_a_bad_header_alike(damage):
     errors = []
     for read, obj in ((parse, json.loads((DATA / "e1_circuit.json").read_text())),

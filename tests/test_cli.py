@@ -602,6 +602,7 @@ def test_malformed_poly_file_reports_json_path(tmp_path):
         ([[{"coeff": "1", "mono": [1]}]], "$.polys[0]"),  # AttributeError
         ([[{"coeff": "1/0"}]], "$.polys[0]"),  # ZeroDivisionError over Q
         ([[{"coeff": "1", "mono": {"5": 1}}]], "$.polys[0]"),  # InvalidParams
+        ([[{"coeff": "1", "mono": {"1": 1, "01": 2}}]], "$.polys[0]"),  # key not "1"
     ]:
         path.write_text(json.dumps({"field": {"type": "rational"}, "nvars": 1,
                                     "polys": polys}))

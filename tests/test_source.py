@@ -1,11 +1,15 @@
 """Source-level checks on the rankpit package."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
 from pathlib import Path
 
 import rankpit
 
 SRC = Path(rankpit.__file__).parent
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_no_assert_statements():
@@ -211,3 +215,77 @@ def test_terms_are_not_written_after_construction():
                     and node.func.attr in _MUTATORS and _is_terms(node.func.value)):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _dotted(node, bound):
+    """The dotted rankpit name an expression spells, or None."""
+    if isinstance(node, ast.Name):
+        return bound.get(node.id)
+    if isinstance(node, ast.Attribute):
+        owner = _dotted(node.value, bound)
+        return owner and f"{owner}.{node.attr}"
+    return None
+
+
+def _rankpit_names(tree) -> list:
+    """Every dotted rankpit name a file imports, or reads off a name that it
+    imported from rankpit."""
+    bound, names = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "rankpit":
+                    names.append(alias.name)
+                    # `import a.b` binds `a`, `import a.b as c` binds a.b
+                    bound[alias.asname or "rankpit"] = (alias.name if alias.asname
+                                                        else "rankpit")
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.split(".")[0] == "rankpit"):
+            for alias in node.names:
+                names.append(f"{node.module}.{alias.name}")
+                bound[alias.asname or alias.name] = names[-1]
+    return names + [name for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                    for name in [_dotted(node, bound)] if name]
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether a dotted name names something: each part an attribute of the
+    one before, or a submodule of it that imports."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], 2):
+        if hasattr(obj, part):
+            obj = getattr(obj, part)
+        elif inspect.ismodule(obj):
+            try:
+                obj = importlib.import_module(".".join(parts[:i]))
+            except ModuleNotFoundError:
+                return False
+        else:
+            return False
+    return True
+
+
+def test_benchmark_names_resolve():
+    # tier-1 imports nothing from perfbench/, yet the tracer patches every
+    # name in its tables and the workloads call rankpit by name: a name
+    # deleted from rankpit would break every benchmark run while the tests
+    # of the package stayed green
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for name, (modname, path) in {**tracing.SPANNED, **tracing.COUNTED}.items():
+        owner = importlib.import_module(modname)
+        *outer, attr = path.split(".")
+        for part in outer:
+            owner = getattr(owner, part, None)
+        # `Tracer.install` reads the name off the owner's own namespace
+        if attr not in getattr(owner, "__dict__", {}):
+            missing.append(f"tracing.py {name}")
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        missing += [f"{path.name} {name}" for name in _rankpit_names(tree)
+                    if not _resolves(name)]
+    assert missing == []
