@@ -317,7 +317,11 @@ def _jacobian_rows(qs: list[Polynomial], point: list[int], p: int) -> list[list[
     """Rows of the Jacobian at an integer point, as residues mod p, or as
     exact integers for p = 0.  Over Q, row i is the Jacobian of the integer
     polynomial D_i*q_i (`_int_form`); scaling a row by D_i != 0 keeps
-    every rank and the greedy row basis.  Refuses mismatched tuples."""
+    every rank and the greedy row basis.  The partial in x_v of a term is
+    c * e * x_v^(e-1) times the factors before x_v and those after it; the
+    products of the factors after each variable are formed once per term,
+    reduced mod p as they grow, so a term costs time linear in its support.
+    Refuses mismatched tuples."""
     for q in qs:
         qs[0]._check_compat(q)
     mod = p or None
@@ -325,12 +329,20 @@ def _jacobian_rows(qs: list[Polynomial], point: list[int], p: int) -> list[list[
     for q in qs:
         row = [0] * len(point)
         for mono, _, c in q._int_form()[0]:
-            for v, e in mono:
-                term = c * e * pow(point[v], e - 1, mod)
-                for w, f in mono:
-                    if w != v:
-                        term *= pow(point[w], f, mod)
-                row[v] += term
+            if len(mono) < 2:  # the common case: no products to form
+                for v, e in mono:
+                    row[v] += c * e * pow(point[v], e - 1, mod)
+                continue
+            after = [1]  # after.pop() is the product of the factors after x_v
+            for v, e in reversed(mono[1:]):
+                x = after[-1] * pow(point[v], e, mod)
+                after.append(x % p if p else x)
+            for v, e in mono:  # c absorbs the factors before x_v
+                low = pow(point[v], e - 1, mod)
+                row[v] += c * e * low * after.pop()
+                c *= low * point[v]
+                if p:
+                    c %= p
         rows.append([x % p for x in row] if p else row)
     return rows
 

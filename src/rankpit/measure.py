@@ -90,9 +90,12 @@ def psp_dimension(p: Polynomial, spec: MeasureSpec, *,
 
     Rows are generated lazily from each derivative's `_int_form` (scaled by
     its denominator) and eliminated exactly over the polynomial's own domain.
-    A row equal to one already streamed adds nothing to the span and is
-    skipped, so memory is bounded by the distinct rows; `rows` counts all.
-    MatrixTooLarge past `matrix_cap` cells, before any derivative is listed.
+    Derivatives with the same multilinear part give the same rows, so each
+    distinct one is shifted once, and a row equal to one already streamed
+    adds nothing to the span and is skipped: memory is bounded by the
+    distinct rows, while `rows` still counts the full matrix, repeats
+    included.  MatrixTooLarge past `matrix_cap` cells, before any derivative
+    is listed.
     """
     n = p.nvars
     m = spec.shift_degree
@@ -101,24 +104,24 @@ def psp_dimension(p: Polynomial, spec: MeasureSpec, *,
     if cells > matrix_cap:
         raise MatrixTooLarge(cells, matrix_cap)
 
-    derivs = []
+    derivs = {}  # multilinear part -> [its (mask, coeff) list, times it occurs]
     for gamma in spec.monomials:
         dp = p.partial_derivative(gamma)
         ml = [(sum(1 << v for v, _ in mono), coeff)
               for mono, _, coeff in dp._int_form()[0] if mono_is_multilinear(mono)]
         if ml:
-            derivs.append(ml)
+            derivs.setdefault(frozenset(ml), [ml, 0])[1] += 1
+    smasks = [sum(1 << v for v in subset) for subset in combinations(range(n), m)]
 
     counter = {"rows": 0, "cols": set()}
     seen = set()
 
     def rows():
-        for ml in derivs:
-            for subset in combinations(range(n), m):
-                smask = sum(1 << v for v in subset)
+        for ml, times in derivs.values():
+            for smask in smasks:
                 row = {mask | smask: coeff for mask, coeff in ml if not mask & smask}
                 if row:
-                    counter["rows"] += 1
+                    counter["rows"] += times
                     key = frozenset(row.items())
                     if key not in seen:
                         seen.add(key)

@@ -301,23 +301,23 @@ class Polynomial:
         out: dict = {}
         for mono, c in self.terms.items():
             md = dict(mono)
-            coeff = c
-            dead = False
+            factor = 1  # the falling factorials, as one plain int
             for v, g in gamma:
                 e = md.get(v, 0)
                 if e < g:
-                    dead = True
                     break
-                for i in range(g):
-                    coeff = dom.mul(coeff, dom.coerce(e - i))
+                factor *= math.perm(e, g)
                 if e == g:
                     del md[v]
                 else:
                     md[v] = e - g
-            if dead or dom.is_zero(coeff):
-                continue
-            # m -> m - gamma is injective: no two terms land on one monomial
-            out[tuple(sorted(md.items()))] = coeff
+            else:
+                if factor != 1:
+                    c = dom.mul(c, dom.coerce(factor))
+                    if dom.is_zero(c):  # over F_p, p divides the factor
+                        continue
+                # m -> m - gamma is injective: no two terms land on one monomial
+                out[tuple(sorted(md.items()))] = c
         return Polynomial(dom, self.nvars, out, _normalized=True)
 
     def evaluate(self, point):
@@ -407,12 +407,11 @@ class Polynomial:
                     raise InvalidParams(f"empty factor in term {raw!r}")
                 if factor.startswith(var_prefix) and factor[len(var_prefix):][:1].isdigit():
                     body = factor[len(var_prefix):]
-                    if "^" in body:
-                        v_str, e_str = body.split("^", 1)
-                        v, e = int(v_str) - 1, int(e_str)
-                    else:
-                        v, e = int(body) - 1, 1
-                    if not (0 <= v < nvars) or e <= 0:
+                    v_str, caret, e_str = body.partition("^")
+                    v, e = int(v_str) - 1, int(e_str) if caret else 1
+                    # canonical decimals only, as in terms_from_json: no "1_0", "01", "+2"
+                    if (str(v + 1) != v_str or caret and str(e) != e_str
+                            or not (0 <= v < nvars) or e <= 0):
                         raise InvalidParams(f"bad variable factor {factor!r}")
                     mono[v] = mono.get(v, 0) + e
                 else:

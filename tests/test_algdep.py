@@ -56,6 +56,37 @@ def test_jacobian_characteristic_gate():
         jacobian(qs)
 
 
+def _quadratic_jacobian_rows(qs, point, p):
+    """Row i, entry v: the sum over the terms c*x^mono of D_i*q_i of
+    c * e_v * x_v^(e_v - 1) * prod_{w != v} x_w^(e_w), each factor formed
+    anew for every v, reduced mod p at the end (exact for p = 0)."""
+    rows = []
+    for q in qs:
+        row = [0] * len(point)
+        for mono, _, c in q._int_form()[0]:
+            for v, e in mono:
+                term = c * e * point[v] ** (e - 1)
+                for w, f in mono:
+                    if w != v:
+                        term *= point[w] ** f
+                row[v] += term
+        rows.append([x % p for x in row] if p else row)
+    return rows
+
+
+@pytest.mark.parametrize("dom, p", [(Q, 0), (Q, algdep._CERTIFICATE_PRIME), (FP, FP.p)],
+                         ids=["Q-exact", "Q-mod", "F_p"])
+def test_jacobian_rows_match_the_quadratic_formula(dom, p):
+    from test_poly import random_poly
+    rng = random.Random(331)
+    for _ in range(25):
+        n = rng.randrange(1, 7)
+        qs = [random_poly(rng, dom, n, 7).scale(Fraction(rng.randrange(1, 9), 3))
+              for _ in range(rng.randrange(1, 4))]
+        point = [rng.choice([0, 1, rng.randrange(p or 1000)]) for _ in range(n)]
+        assert algdep._jacobian_rows(qs, point, p) == _quadratic_jacobian_rows(qs, point, p)
+
+
 # ----------------------------------------------------------------------
 # algebraic rank
 

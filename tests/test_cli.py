@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from math import comb
 from pathlib import Path
 
@@ -316,6 +317,36 @@ def test_bench_separation():
     assert code == 0
     res = json.loads(out)["result"]
     assert res["phi"] <= res["circuit_bound"]
+
+
+def test_bench_separation_report_is_pinned():
+    """NW(2,7,2) at r = m = 2: every second derivative is the same constant,
+    so phi is the C(14, 2) = 91 shift sets; the report's bytes are fixed."""
+    code, out = cli.run(["bench", "separation", "--n", "2", "--q", "7", "--e", "2",
+                         "--r", "2", "--m", "2", "--json"])
+    expected = {"command": "bench", "config": {
+        "caps": {"annihilator_degree": None, "expansion_terms": 10000000,
+                 "hitting_set_points": 2000000, "matrix_cells": 10000000},
+        "output": "json", "seed": 0, "timings": False}, "result": {
+        "bound_inputs": {"T": 1, "k": 1, "m": 2, "r": 2, "s": 1},
+        "circuit_bound": 140140, "note": "toy-scale comparison; no asymptotic claim",
+        "nw": {"e": 2, "monomials": 49, "n": 2, "nvars": 14, "q": 7},
+        "phi": 91, "ratio": "1/1540"}}
+    assert (code, out) == (0, json.dumps(expected, indent=2, sort_keys=True) + "\n")
+
+
+@pytest.mark.parametrize("argv", [["depend"], ["rank", "--mode", "symbolic"]],
+                         ids=["depend", "rank-symbolic"])
+def test_a_1200_variable_monomial_is_answered_in_under_a_second(tmp_path, argv):
+    """x1*...*x1200 has 1,200 partials; a Jacobian row costs time linear in
+    the monomial's support (the quadratic loop took seconds here)."""
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"field": {"type": "rational"}, "nvars": 1200, "polys": [
+        [{"coeff": "1", "mono": {str(v): 1 for v in range(1, 1201)}}]]}))
+    start = time.perf_counter()
+    code, out = cli.run(argv + ["--poly-file", str(path), "--json"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and json.loads(out)["result"]
 
 
 def test_matrix_cap_honored(e1_file):

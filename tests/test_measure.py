@@ -198,6 +198,10 @@ def test_dimension_bounded_by_row_count():
     ((4, 5, 2, 1, 1), (397, 400, 1625, "exact-elimination")),
     ((3, 5, 2, 2, 2), (455, 6825, 455, "exact-elimination")),
     ((2, 7, 2, 2, 2), (91, 4459, 91, "exact-elimination")),
+    ((3, 7, 1, 1, 2), (3150, 3591, 3150, "exact-elimination")),
+    ((3, 3, 2, 2, 2), (84, 756, 84, "exact-elimination")),
+    ((2, 7, 2, 1, 1), (27, 196, 91, "exact-elimination")),
+    ((3, 5, 2, 1, 1), (215, 225, 425, "exact-elimination")),
 ])
 def test_pinned_nw_measure_values(case, expected):
     """(n, q, e, r, m) -> (dimension, rows, cols, rank_method) of NW(n,q,e)."""
@@ -273,11 +277,25 @@ def _psp_cases():
         for r, m in [(1, 1), (1, 2), (2, 1)]:
             yield prod, MeasureSpec.multilinear(6, r, m)
         yield prod * prod, MeasureSpec.of([((0, 2),), ((1, 2),), ((0, 1), (1, 1))], 1)
+        # d/dx0 and d/dx1 share the multilinear part x2*x3 and differ in
+        # x4^2: with coefficient 1 they share their rows, with 1/3 the
+        # integer forms scale the x0 rows by 3
+        v = xs(5, dom)
+        for c in (1, Fraction(1, 3)):
+            p = (v[0] + v[1]) * v[2] * v[3] + (v[0] * v[4] * v[4]).scale(c)
+            for m in (1, 2):
+                yield p, MeasureSpec.multilinear(5, 1, m)
         rng = random.Random(127)
         from test_poly import random_poly
         for _ in range(6):
             p = random_poly(rng, dom, 6, 4).scale(Fraction(rng.choice([1, 2, 5]), 7))
             yield p, MeasureSpec.multilinear(6, rng.randrange(3), rng.randrange(3))
+    # over F_3 the falling factorial 3*2 of x0^3 and of x1^3 is 0, so the
+    # x0^2- and x1^2-derivatives both reduce to 2*x3
+    v = xs(4, PrimeField(3))
+    p = (v[0].pow(3) * v[2] + v[0] * v[0] * v[3] + v[1].pow(3) * v[3]
+         + v[1] * v[1] * v[3] + v[0] * v[1] * v[2])
+    yield p, MeasureSpec.of([((0, 2),), ((1, 2),), ((0, 1), (1, 1))], 1)
 
 
 @pytest.mark.parametrize("case", list(_psp_cases()), ids=lambda case: (

@@ -674,6 +674,15 @@ def test_from_text_rejects_garbage():
         Polynomial.from_text(Q, 2, "spam*x1")
 
 
+@pytest.mark.parametrize("nvars, text", [(12, "x1_0"), (3, "x01^0_2"), (3, "x1^+2")])
+def test_from_text_refuses_non_canonical_decimals(nvars, text):
+    """int() reads these as x10, x1^2 and x1^2; as in terms_from_json, a
+    variable index or exponent must be written as str() writes it."""
+    import rankpit.errors as errors
+    with pytest.raises(errors.InvalidParams):
+        Polynomial.from_text(Q, nvars, text)
+
+
 def test_non_canonical_monomials_are_refused():
     # a monomial names each variable once, ascending: x2*x1 or x1*x1^2
     # would not compare equal to x1*x2 or x1^3 built in order
