@@ -692,6 +692,65 @@ def test_measure_rejects_out_of_range_arguments(tmp_path, extra):
     assert (code, json.loads(out)["error"]) == (2, "InvalidParams")
 
 
+def _terms(*pairs):
+    """JSON terms from (coeff, {variable: exponent}) pairs."""
+    return [{"coeff": str(c), "mono": {str(v): e for v, e in mono.items()}}
+            for c, mono in pairs]
+
+
+def _dag(negate):
+    """q1 * q2 + 3 + q1, times -1 when `negate`: a planted twin's outer."""
+    nodes = [{"op": "input", "index": 1}, {"op": "input", "index": 2},
+             {"op": "mul", "args": [0, 1]}, {"op": "const", "value": "3"},
+             {"op": "add", "args": [2, 3, 0]}]
+    if negate:
+        nodes += [{"op": "const", "value": "-1"}, {"op": "mul", "args": [4, 5]}]
+    return {"dag": {"arity": 2, "nodes": nodes, "root": len(nodes) - 1}}
+
+
+_FP = {"type": "prime", "p": 1000003}
+_X1_PLUS_X2 = _terms((1, {1: 1}), (1, {2: 1}))
+_X3X4_MINUS_1 = _terms((1, {3: 1, 4: 1}), (-1, {}))
+# corpus-shaped: a DAG gate and a product gate, each with its negated twin;
+# the 256-point hitting set spans support sizes 0 to 4
+PLANTED_ZERO = {"field": _FP, "nvars": 4, "declared": {"d": 2, "k": 2, "delta": 3},
+                "gates": [
+    {"outer": _dag(False), "inner": [_X1_PLUS_X2, _X3X4_MINUS_1]},
+    {"outer": "product", "inner": [_terms((2, {2: 1}), (-1, {4: 1})), _X1_PLUS_X2]},
+    {"outer": _dag(True), "inner": [_X1_PLUS_X2, _X3X4_MINUS_1]},
+    {"outer": "product", "inner": [_terms((-2, {2: 1}), (1, {4: 1})), _X1_PLUS_X2]}]}
+# (x1 + x2) * x3 * (x2*x4 - x1^2) vanishes at every point of support <= 1 and
+# on the support {x1, x2}: its first witness is point 33, of support 2
+LATER_WITNESS = {"field": _FP, "nvars": 4, "declared": {"d": 2, "k": 2, "delta": 4},
+                 "gates": [{"outer": "product", "inner": [
+                     _X1_PLUS_X2, _terms((1, {3: 1})),
+                     _terms((1, {2: 1, 4: 1}), (-1, {1: 2}))]}]}
+_PIT_JSON = (
+    '{\n  "command": "pit",\n  "config": {\n    "caps": {\n'
+    '      "annihilator_degree": null,\n      "expansion_terms": 10000000,\n'
+    '      "hitting_set_points": 2000000,\n      "matrix_cells": 10000000\n'
+    '    },\n    "output": "json",\n    "seed": 0,\n    "timings": false\n  },\n'
+    '  "result": {\n    "clamped": true,\n    "consistent": null,\n'
+    '    "ell": ELL,\n    "ell_used": 4,\n    "expansion_nonzero": null,\n'
+    '    "hitting_set_size": SIZE,\n    "mode": "hitting-set",\n    "oracle": null,\n'
+    '    "rank_certified": false,\n    "seed": 0,\n    "timings": null,\n'
+    '    "verdict": VERDICT\n  }\n}\n')
+
+
+@pytest.mark.parametrize("circuit,code,result", [
+    (PLANTED_ZERO, 0, ("1613", "256", '"zero",\n    "witness": null')),
+    (LATER_WITNESS, 1, ("1537", "625", '"nonzero",\n    "witness": [\n      "1",\n'
+                                       '      "0",\n      "1",\n      "0"\n    ]')),
+], ids=["planted-zero", "witness-past-support-1"])
+def test_pit_json_bytes_are_pinned(tmp_path, circuit, code, result):
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps(circuit))
+    ell, size, verdict = result
+    text = (_PIT_JSON.replace("ELL", ell).replace("SIZE", size)
+            .replace("VERDICT", verdict))
+    assert cli.run(["pit", "--circuit", str(path), "--json"]) == (code, text)
+
+
 def test_pit_timings_only_under_the_flag(zero_circuit_file):
     argv = ["pit", "--circuit", zero_circuit_file, "--json"]
     plain = [cli.run(argv)[1] for _ in range(2)]

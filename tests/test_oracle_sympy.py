@@ -1,0 +1,116 @@
+"""Outside oracle: rankpit's expansion and hitting-set verdicts against sympy.
+
+Each circuit is rebuilt as a sympy expression straight from its inner
+polynomials' terms and its outer DAG's nodes, then expanded by sympy over Q,
+or as a polynomial over GF(p) (`modulus=p`).  rankpit's `expand` must give the
+same polynomial, and the hitting-set verdict must be "zero" exactly when
+sympy's polynomial is zero.
+"""
+
+import sys
+from fractions import Fraction
+from math import prod
+from pathlib import Path
+
+import pytest
+import sympy
+
+from rankpit.circuit import expand
+from rankpit.pit import pit_test
+
+sys.path.insert(0, str(Path(__file__).parent))
+import _corpus  # noqa: E402
+from test_pit import _rewritten, _with_negated_twins  # noqa: E402
+
+Q = _corpus.Q
+FP = _corpus.FP
+P = FP.p
+
+
+def _scalar(value):
+    if isinstance(value, Fraction):
+        return sympy.Rational(value.numerator, value.denominator)
+    return sympy.Integer(value)
+
+
+def _sympy_poly(poly, args):
+    """poly's terms, read by hand, at the sympy expressions `args`."""
+    return sympy.Add(*(_scalar(c) * prod((args[v] ** e for v, e in mono), start=1)
+                       for mono, c in poly.terms.items()))
+
+
+def _sympy_circuit(c, xs):
+    """The circuit as one sympy expression: each gate's DAG nodes, in order."""
+    total = sympy.Integer(0)
+    for g in c.gates:
+        vals = []
+        for node in g.outer.nodes:
+            op = node[0]
+            if op == "input":
+                vals.append(_sympy_poly(g.inner[node[1]], xs))
+            elif op == "const":
+                vals.append(_scalar(node[1]))
+            elif op == "add":
+                vals.append(sympy.Add(*(vals[j] for j in node[1])))
+            elif op == "mul":
+                vals.append(sympy.Mul(*(vals[j] for j in node[1])))
+            else:
+                vals.append(_sympy_poly(node[1], [vals[j] for j in node[2]]))
+        total += vals[g.outer.root]
+    return total
+
+
+def _case(seed, **kind):
+    return lambda: _corpus.random_class_circuit(seed, **kind)
+
+
+def _call(seed, domain, twins=False):
+    """A rewritten circuit (its DAG outers have call nodes), with its negated
+    twins when `twins`."""
+    def build():
+        c = _rewritten(seed, domain)
+        return _with_negated_twins(c) if twins else c
+    return build
+
+
+# tiny corpus circuits (at most 5 variables): product and DAG outers, planted
+# twins, and rewritten circuits with call nodes, over F_p and over Q
+CASES = {
+    **{f"product-Fp-{s}": _case(s) for s in (3, 4, 14)},
+    **{f"product-Q-{s}": _case(s, domain=Q) for s in (2, 6)},
+    **{f"dag-Fp-{s}": _case(s, gamma_outer=True) for s in (3, 5)},
+    **{f"dag-Q-{s}": _case(s, gamma_outer=True, domain=Q) for s in (4, 8)},
+    **{f"twins-Fp-{s}": _case(s, zero=True) for s in (3, 6)},
+    "twins-Q-4": _case(4, zero=True, domain=Q),
+    "twins-dag-Fp-8": _case(8, zero=True, gamma_outer=True),
+    **{f"twins-dag-Q-{s}": _case(s, zero=True, gamma_outer=True, domain=Q) for s in (3, 14)},
+    **{f"call-Q-{s}": _call(s, Q) for s in (0, 1, 2)},
+    **{f"call-Fp-{s}": _call(s, FP) for s in (0, 3)},
+    "call-twins-Q-1": _call(1, Q, twins=True),
+    "call-twins-Fp-2": _call(2, FP, twins=True),
+}
+
+
+def _sympy_poly_of(c, expr, xs):
+    """expr as a sympy polynomial over c's field: GF(p) or QQ."""
+    p = c.domain.characteristic
+    return sympy.Poly(expr, *xs, modulus=p) if p else sympy.Poly(expr, *xs, domain="QQ")
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_expansion_and_verdict_agree_with_sympy(case):
+    c = CASES[case]()
+    xs = sympy.symbols(f"x1:{c.nvars + 1}")
+    expected = _sympy_poly_of(c, sympy.expand(_sympy_circuit(c, xs)), xs)
+    assert _sympy_poly_of(c, _sympy_poly(expand(c), xs), xs) == expected
+    assert pit_test(c).verdict == ("zero" if expected.is_zero else "nonzero")
+
+
+def test_the_cases_cover_both_fields_twins_dags_and_calls():
+    circuits = [build() for build in CASES.values()]
+    assert {c.domain.characteristic for c in circuits} == {0, P}
+    outers = {op[0] for c in circuits for g in c.gates if not g.is_product
+              for op in g.outer.nodes}
+    assert {"call", "add", "mul", "const"} <= outers
+    assert {expand(c).is_zero() for c in circuits} == {True, False}
+    assert max(c.nvars for c in circuits) <= 5

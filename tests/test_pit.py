@@ -613,3 +613,84 @@ def test_deferred_column_sum_at_the_largest_accepted_prime(monkeypatch, chunk_ca
     assert _check_against_reference([nonzero, _with_negated_twins(nonzero)]) == {
         "zero", "later"}
     assert chunk_calls
+
+
+# ----------------------------------------------------------------------
+# chunks that grow across support sizes, one column per distinct polynomial
+
+def _x1_x2(domain):
+    """x1 * x2 in 4 variables with delta = 2: it vanishes at every point of
+    support <= 1, so its first witness is point 9, (1, 1, 0, 0)."""
+    v = [Polynomial.variable(domain, 4, i) for i in range(4)]
+    return Circuit(domain, 4, DeclaredBounds(d=1, k=2, delta=2),
+                   [Gate("product", [v[0], v[1]])])
+
+
+@pytest.mark.parametrize("chunk", [4096, 5, 7])
+@pytest.mark.parametrize("domain", [FP, Q], ids=["F1000003", "Q"])
+def test_chunks_grow_across_support_sizes_in_enumeration_order(monkeypatch, chunk_calls,
+                                                               domain, chunk):
+    monkeypatch.setattr(pit, "_CHUNK", chunk)
+    rep = pit_test(_with_negated_twins(_x1_x2(domain)))
+    assert (rep.verdict, rep.ell_used) == ("zero", 4)
+    sizes = [cols.shape[1] for _, cols in chunk_calls]
+    # the first chunk is the first array of the enumeration; each later one
+    # holds 7x the points before it, at most _CHUNK, and the last the rest
+    assert sizes[0] == len(next(pit._point_chunks(4, 4, 2)))
+    for i, size in enumerate(sizes[1:], 1):
+        room = min(chunk, 7 * sum(sizes[:i]))
+        assert size == room if i < len(sizes) - 1 else 0 < size <= room
+    if chunk == 4096:
+        # support 1, then supports 2 and 3 (24 + 32 points) joined, then support 4
+        assert sizes == [8, 56, 16]
+    values = tuple(domain.coerce(i) for i in range(3))
+    rows = [values[:1] * 4] + [tuple(domain.coerce(int(v)) for v in cols[:, j])
+                               for _, cols in chunk_calls for j in range(cols.shape[1])]
+    assert rows == list(_reference_points(4, 4, values))
+    assert all(cols.dtype == (np.int64 if domain == FP else object)
+               for _, cols in chunk_calls)
+    c = _x1_x2(domain)
+    rep = pit_test(c)
+    assert (rep.witness, rep.witness_index) == _scalar_reference(c, rep.ell) == (
+        (1, 1, 0, 0), 9)
+
+
+@pytest.fixture
+def column_counts(monkeypatch):
+    """Per chunk, [calls of `_column_value` on the chunk's own columns, other
+    calls (a call node's arguments are columns of their own)]."""
+    counts = []
+    real_chunk, real_value = pit._evaluate_chunk, pit._column_value
+
+    def chunk_spy(c, cols):
+        counts.append([0, 0])
+        chunk_spy.cols = cols
+        return real_chunk(c, cols)
+
+    def value_spy(poly, cols, powers):
+        counts[-1][cols is not chunk_spy.cols] += 1
+        return real_value(poly, cols, powers)
+    monkeypatch.setattr(pit, "_evaluate_chunk", chunk_spy)
+    monkeypatch.setattr(pit, "_column_value", value_spy)
+    return counts
+
+
+def test_equal_inner_polynomials_share_one_column(column_counts):
+    twins = _with_negated_twins(_corpus().random_class_circuit(83_006, gamma_outer=True))
+    assert not any(g.is_product for g in twins.gates)
+    reread = parse(serialize(twins))
+    half = len(reread.gates) // 2
+    # the re-read twins hold equal, not identical, inner polynomials
+    assert all(p == q and p is not q for g, h in zip(reread.gates[:half], reread.gates[half:])
+               for p, q in zip(g.inner, h.inner))
+    rewritten = _with_negated_twins(_rewritten(0, FP))
+    assert any(op[0] == "call" for g in rewritten.gates if not g.is_product
+               for op in g.outer.nodes)
+    for c in (twins, reread, rewritten):
+        column_counts.clear()
+        assert _check_against_reference([c]) == {"zero"}
+        distinct = len({q for g in c.gates for q in g.inner})
+        assert distinct < sum(len(g.inner) for g in c.gates)
+        assert column_counts and all(own == distinct for own, _ in column_counts)
+    # a call node's polynomial still gets columns of its own
+    assert all(other > 0 for _, other in column_counts)

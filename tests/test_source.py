@@ -111,6 +111,14 @@ def test_only_pit_imports_numpy():
     assert found == []
 
 
+def test_no_module_imports_sympy():
+    # sympy is the tests' outside oracle (the `test` extra), not a dependency
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if "sympy" in _imported_modules(node)]
+    assert found == []
+
+
 def _catches_everything(handler):
     """A bare `except:` or one that names Exception or BaseException."""
     if handler.type is None:
