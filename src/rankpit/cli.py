@@ -405,10 +405,13 @@ def run(argv) -> tuple[int, str]:
             except ValueError:
                 raise InvalidParams("bad RANKPIT_SEED value "
                                     f"{os.environ['RANKPIT_SEED']!r} (an integer)") from None
-        for flag in ("cap_expansion", "cap_matrix", "cap_points"):
-            if getattr(args, flag) < 0:
-                raise InvalidParams(f"--{flag.replace('_', '-')} must be >= 0, "
-                                    f"got {getattr(args, flag)}")
+        # (flag, least value); a flag the subcommand lacks, or that was not
+        # given and has no default, reads None
+        for flag, least in (("cap_expansion", 0), ("cap_matrix", 0), ("cap_points", 0),
+                            ("cap_annihilator", 1), ("rounds", 1)):
+            if (value := getattr(args, flag, None)) is not None and value < least:
+                raise InvalidParams(f"--{flag.replace('_', '-')} must be >= {least}, "
+                                    f"got {value}")
         return args.fn(args)
     except RankpitError as exc:
         # the documented attributes (sizes, caps, gate, JSON path, ...) ride along

@@ -12,22 +12,22 @@ order.  The randomized evaluation oracle provides the classical
 probabilistic counterpart.
 
 The scan evaluates the origin through `evaluate_circuit` (most nonzero
-circuits stop there) and the rest of the grid in chunks that cross support
-sizes and grow geometrically: the first array `_point_chunks` yields, then
-chunks of `_GROWTH` times the points before them, at most `_CHUNK` points
-each, one column per variable.  Each gate folds its own outer DAG over its
-inner polynomials' columns, and equal inner polynomials share one column:
-nothing is compiled or copied.  Over F_p with p < 2^31 the columns are
-int64: the grid values 0..delta are the field elements themselves
-(p > delta), every coefficient is reduced below p, and every product and
-gate-level sum is reduced mod p at once, so no operand exceeds 2^31 and no
-product 2^62.  An inner polynomial's column sum is reduced once, at its
-end, or after every `_SUM_TERMS` = 2^32 terms: 2^32 + 1 residues of at most
-2^31 - 2 (the terms and the carried sum) add up to less than 2^63.  The
-int64 arithmetic is therefore exact.  Over Q and over larger primes the
+circuits stop there) and the rest of the grid in the arrays `_point_chunks`
+fills in place.  They cross support sizes and grow geometrically: the
+enumeration's first piece, then `_GROWTH` times the points before each, at
+most `_CHUNK` points each, one column per variable.  Each gate folds its own
+outer DAG over its inner polynomials' columns, and equal inner polynomials
+share one column: nothing is compiled or copied.  Over F_p with p < 2^31 the
+columns are int64: the grid values 0..delta are the field elements
+themselves (p > delta), every coefficient is reduced below p, and every
+product and gate-level sum is reduced mod p at once, so no operand exceeds
+2^31 and no product 2^62.  An inner polynomial's column sum is reduced once,
+at its end, or after every `_SUM_TERMS` = 2^32 terms: 2^32 + 1 residues of
+at most 2^31 - 2 (the terms and the carried sum) add up to less than 2^63.
+The int64 arithmetic is therefore exact.  Over Q and over larger primes the
 columns are object arrays of the domain's own values (`Fraction`s, exact
-ints).  The witness, the lowest nonzero row of the first chunk that has
-one, is re-evaluated through `evaluate_circuit` before it is returned.
+ints).  The witness, the lowest nonzero row of the first chunk that has one,
+is re-evaluated through `evaluate_circuit` before it is returned.
 
 The support bound is computed in floats and accepted only when its value is
 far from every integer; near an integer, or beyond the float range, it
@@ -51,7 +51,7 @@ from .util import derive_seed
 
 DEFAULT_POINT_CAP = 2_000_000
 
-# no chunk of the scan, and no array `_point_chunks` yields, holds more points
+# no array `_point_chunks` yields, and so no chunk of the scan, holds more points
 _CHUNK = 4096
 # each chunk after the first holds 7x the points before it: a zero scan pays
 # numpy's per-call costs a few times, not once per support size, and a scan
@@ -171,10 +171,16 @@ def _grid(nvars: int, delta: int, ell: int, domain, point_cap: int):
 
 def _point_chunks(nvars: int, ell: int, delta: int):
     """The points with 1..ell nonzero coordinates valued in {1..delta}, as
-    int64 arrays of at most `_CHUNK` rows of indices into W, in enumeration
-    order: support size, then support position, then values, last coordinate
-    fastest.  The origin, which comes first, is not among them."""
+    int64 arrays of indices into W, in enumeration order: support size, then
+    support position, then values, last coordinate fastest.  The origin,
+    which comes first, is not among them.  The arrays cross support sizes and
+    grow: the first is the first piece the loops build (at most `_CHUNK`
+    points), each later one holds min(`_CHUNK`, `_GROWTH` x the points
+    before it), and the last the rest.  Each piece is written straight into
+    the arrays it spans."""
     import numpy as np
+    total = hitting_set_size(nvars, delta, ell) - 1
+    done, chunk = 0, None
     for j in range(1, ell + 1 if delta else 1):
         block = delta ** j  # value tuples per support, last coordinate fastest
         place = delta ** np.arange(j - 1, -1, -1, dtype=np.int64)
@@ -183,10 +189,17 @@ def _point_chunks(nvars: int, ell: int, delta: int):
             sup = np.array(batch, dtype=np.int64)
             for start in range(0, block, _CHUNK):
                 vals = np.arange(start, min(block, start + _CHUNK))[:, None] // place % delta + 1
-                pts = np.zeros((len(sup) * len(vals), nvars), dtype=np.int64)
-                rows = np.arange(len(pts))[:, None]
-                pts[rows, np.repeat(sup, len(vals), axis=0)] = np.tile(vals, (len(sup), 1))
-                yield pts
+                where, piece = np.repeat(sup, len(vals), axis=0), np.tile(vals, (len(sup), 1))
+                while len(piece):
+                    if chunk is None:  # 0 points done: the first array is the first piece
+                        want = min(_CHUNK, _GROWTH * done, total - done) or len(piece)
+                        chunk, filled = np.zeros((want, nvars), dtype=np.int64), 0
+                    take = min(len(piece), want - filled)
+                    chunk[np.arange(filled, filled + take)[:, None], where[:take]] = piece[:take]
+                    where, piece, filled = where[take:], piece[take:], filled + take
+                    if filled == want:
+                        yield chunk
+                        chunk, done = None, done + want
 
 
 def hitting_set(nvars: int, delta: int, ell: int, domain, *,
@@ -265,24 +278,6 @@ def _evaluate_chunk(c: Circuit, cols):
     return total
 
 
-def _growing_chunks(nvars: int, ell: int, delta: int):
-    """`_point_chunks`' arrays re-cut in enumeration order, across support
-    sizes: the first array as it comes, then chunks of
-    min(_CHUNK, _GROWTH * the points before them), the last holding the rest."""
-    import numpy as np
-    done, held = 0, []
-    for piece in _point_chunks(nvars, ell, delta):
-        held.append(piece)
-        want = min(_CHUNK, _GROWTH * done) or len(piece)  # 0 points done: the first array
-        while sum(map(len, held)) >= want:
-            joined = np.concatenate(held)
-            held, done = [joined[want:]], done + want
-            yield joined[:want]
-            want = min(_CHUNK, _GROWTH * done)
-    if held and len(rest := np.concatenate(held)):
-        yield rest
-
-
 def _scan(c: Circuit, ell: int, values):
     """The first witness in enumeration order and its index, or (None, None)."""
     dom = c.domain
@@ -295,7 +290,7 @@ def _scan(c: Circuit, ell: int, values):
     int64 = 0 < dom.characteristic < _ARRAY_PRIME_LIMIT
     grid = np.array(values, dtype=object)
     index = 1
-    for chunk in _growing_chunks(c.nvars, ell, len(values) - 1):
+    for chunk in _point_chunks(c.nvars, ell, len(values) - 1):
         cols = np.ascontiguousarray(chunk.T) if int64 else grid[chunk.T]
         nonzero = np.flatnonzero(_evaluate_chunk(c, cols))
         if nonzero.size:

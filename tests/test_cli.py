@@ -793,10 +793,11 @@ def test_bad_nw_and_bench_inputs_exit_2(argv):
     assert (code, json.loads(out)["error"]) == (2, "InvalidParams")
 
 
-@pytest.mark.parametrize("mode", ["oracle", "both"])
+@pytest.mark.parametrize("mode", ["hitting-set", "oracle", "both"])
 @pytest.mark.parametrize("rounds", ["0", "-1"])
 def test_pit_rejects_fewer_than_one_round(zero_circuit_file, mode, rounds):
-    """The oracle ran one round for these and reported `rounds: 0` or -1."""
+    """The oracle ran one round for these and reported `rounds: 0` or -1;
+    hitting-set mode accepted the value unchecked."""
     code, out = cli.run(["pit", "--circuit", zero_circuit_file, "--json",
                          "--mode", mode, "--rounds", rounds])
     assert (code, json.loads(out)["error"]) == (2, "InvalidParams")
@@ -817,8 +818,11 @@ def test_depend_rejects_fewer_than_one_retry(e1_file, retries):
     ["annihilate", "--poly-file", "E1", "--cap-expansion", "-1"],
     ["measure", "--poly-file", "E1", "--r", "1", "--m", "1", "--cap-matrix", "-1"],
     ["pit", "--circuit", "ZERO", "--cap-points", "-1"],
+    ["rank", "--poly-file", "E1", "--cap-annihilator", "0"],
+    ["annihilate", "--poly-file", "E1", "--cap-annihilator", "-2"],
 ], ids=["nw-field", "bench-field", "negative-cap-expansion",
-        "negative-cap-matrix", "negative-cap-points"])
+        "negative-cap-matrix", "negative-cap-points", "rank-zero-cap-annihilator",
+        "negative-cap-annihilator"])
 def test_bad_flag_values_are_invalid_params(e1_file, zero_circuit_file, argv):
     argv = [{"E1": e1_file, "ZERO": zero_circuit_file}.get(a, a) for a in argv]
     code, out = cli.run(argv + ["--json"])

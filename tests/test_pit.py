@@ -452,13 +452,26 @@ def _check_against_reference(circuits):
 
 @pytest.mark.parametrize("nvars,ell,delta,chunk", [
     (0, 0, 3, 4096), (4, 0, 3, 4096), (4, 3, 0, 4096), (5, 2, 3, 4096),
-    (6, 4, 1, 5), (3, 3, 2, 5), (2, 2, 4, 7)])
+    (5, 3, 2, 4096), (6, 4, 1, 5), (3, 3, 2, 5), (2, 2, 4, 7),
+    (3, 3, 17, 4096), (3, 3, 3, 5)])
 def test_point_chunks_concatenate_to_enumeration_order(monkeypatch, nvars, ell,
                                                        delta, chunk):
-    # the last three cases split a support's delta^j value block across chunks
+    # (5, 3, 2, 4096): the batch of all 10 supports of size 3 (80 points)
+    # straddles the second array's end, 30 points in, inside its fourth
+    # support; the last four cases split a support's delta^j value block
+    # (4913 points at delta = 17) across arrays
     monkeypatch.setattr(pit, "_CHUNK", chunk)
     chunks = list(pit._point_chunks(nvars, ell, delta))
     assert all(ch.dtype == np.int64 and 0 < len(ch) <= chunk for ch in chunks)
+    sizes = [len(ch) for ch in chunks]
+    # the first array is the first piece: the first batch of supports of
+    # size 1 with their values; each later one holds 7x the points before
+    # it, at most _CHUNK, and the last no more
+    if sizes:
+        assert sizes[0] == min(nvars, max(1, chunk // delta)) * min(delta, chunk)
+    for i, size in enumerate(sizes[1:], 1):
+        room = min(chunk, 7 * sum(sizes[:i]))
+        assert size == room if i < len(sizes) - 1 else 0 < size <= room
     rows = [(0,) * nvars] + [tuple(int(v) for v in row) for ch in chunks for row in ch]
     assert rows == list(_reference_points(nvars, ell, tuple(range(delta + 1))))
 
