@@ -5,7 +5,10 @@ exhibit a minimal-degree annihilator as the first dependent column in
 graded order, and reconstruct every dependent polynomial as a truncated
 polynomial function of a transcendence basis after a good translation, as
 the first dependency on it in that graded stream; both searches ask the one
-span query `linalg.dependent_columns`.
+span query `linalg.dependent_columns`, over the power products that
+`poly._CompositionTable` builds.  Every annihilator, whether it proves a
+rank, answers `find_annihilator`, certifies a translation or seeds the
+Newton lift, comes from the one search `_annihilator`.
 Both bounds of the exact rank are checked.  A Jacobian of rank r at one
 point of a prime field makes an r x r minor a nonzero polynomial.  If those
 r polynomials had a minimal annihilator A, the chain rule would make
@@ -26,8 +29,6 @@ the homogeneous components of its basis.
 
 from __future__ import annotations
 
-import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,12 +41,12 @@ from .errors import (BoundViolation, CharacteristicTooSmall, DerivativeVanishes,
                      FieldTooSmall, InvalidParams, NoAnnihilatorWithinCap,
                      NoGoodTranslation, NonConvergence, NoSolutionWithinCap,
                      RankNotCertified)
-from .poly import (DEFAULT_TERM_CAP, Polynomial, _layout, _pack, _packed_product,
-                   compose, mono_from_dict)
+from .poly import DEFAULT_TERM_CAP, Polynomial, _CompositionTable, compose
 from .util import derive_seed
 
 _CERTIFICATE_PRIME = (1 << 61) - 1
 _CERTIFY_ATTEMPTS = 3
+_CERTIFICATE_SEED = derive_seed(0, "annihilator-certificate")  # find_annihilator's point
 _SECURITY_BITS = 30  # randomized rank draws from >= 2*t*d*2^30 scalars
 _TRIALS = 3  # Jacobian points per randomized rank
 
@@ -181,7 +182,8 @@ def _certified_rank(qs: list[Polynomial], seed: int,
         basis = _point_basis(qs, point_seed)
         try:
             annihilators = {} if len(basis) == occurring else {
-                i: _sub_annihilator(qs, basis, i, term_cap, derive_seed(point_seed, i))
+                i: _annihilator([qs[b] for b in basis] + [qs[i]], None, term_cap,
+                                derive_seed(point_seed, i))
                 for i in range(len(qs)) if i not in basis}
         except NoAnnihilatorWithinCap:
             continue
@@ -191,76 +193,6 @@ def _certified_rank(qs: list[Polynomial], seed: int,
 
 # ----------------------------------------------------------------------
 # annihilators
-
-def _dense_monos_exact(t: int, d: int) -> list[tuple]:
-    """Dense exponent tuples of t variables and total degree d, ascending in
-    graded-lex order of the monomials they name."""
-    if t == 0:
-        return [()] if d == 0 else []
-    # stars and bars: the t - 1 bar positions among d + t - 1 slots, in lex
-    # order, and the runs of stars between them
-    return [tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, d + t - 1)))
-            for bars in itertools.combinations(range(d + t - 1), t - 1)]
-
-
-def _dense_to_mono(alpha: tuple):
-    return mono_from_dict({v: e for v, e in enumerate(alpha) if e})
-
-
-class _CompositionTable:
-    """Memoized products q^alpha = prod_j q_j^alpha_j, |alpha| <= cap, packed
-    by `poly._layout` (order <= cap-1 times a q_j), optionally truncated to
-    total degree <= degree_cap.
-
-    Over Q, q_j enters as N_j = D_j*q_j (`_int_form`), the entry is
-    N^alpha = D^alpha*q^alpha, and scaling column alpha by D^alpha != 0
-    keeps every linear dependence (`combination` maps one back).  Terms come
-    in `Polynomial.mul`'s order and cancel where its Fractions do, so term
-    order and the term_cap count are those of the unpacked products.
-    """
-
-    def __init__(self, qs: list[Polynomial], cap: int, degree_cap: int | None = None,
-                 term_cap: int | None = DEFAULT_TERM_CAP):
-        self.domain, self.p = qs[0].domain, qs[0].domain.characteristic
-        d = max(q.degree() for q in qs)
-        self.width, self.shift, self.limit = _layout(qs[0].nvars, cap, d, degree_cap)
-        self.cap, self.term_cap, self.alphas = cap, term_cap, []
-        int_forms = [q._int_form() for q in qs]
-        self.factors = [_pack(terms, self.width, self.shift) for terms, _ in int_forms]
-        self.dens = [den for _, den in int_forms]
-        self.memo = {(0,) * len(qs): {0: 1}}
-
-    def den(self, alpha: tuple) -> int:  # D^alpha, 1 over F_p
-        return math.prod(map(pow, self.dens, alpha))
-
-    def get(self, alpha: tuple) -> dict:
-        memo = self.memo
-        if alpha in memo:
-            return memo[alpha]
-        j = max(i for i, e in enumerate(alpha) if e)
-        prev = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]
-        memo[alpha] = _packed_product(self.get(prev), self.factors[j], self.p, self.limit,
-                                      self.term_cap)
-        return memo[alpha]
-
-    def columns(self):
-        """The columns q^alpha, |alpha| <= cap, ascending in graded-lex order of
-        z^alpha; a degree block is built, and its alphas listed, before it is yielded."""
-        for deg in range(self.cap + 1):
-            block = _dense_monos_exact(len(self.factors), deg)
-            self.alphas.extend(block)
-            yield from [self.get(alpha) for alpha in block]
-
-    def combination(self, x: dict, den: int) -> Polynomial:
-        """sum_i x_i * D^alpha_i / den * z^alpha_i: the combination x of the
-        streamed packed columns, over den, as a polynomial in the q_j."""
-        alphas = self.alphas
-        if not self.p:
-            x = {i: c * self.den(alphas[i]) / den for i, c in x.items()}
-        return Polynomial(self.domain, len(self.factors),
-                          {_dense_to_mono(alphas[i]): c for i, c in x.items()},
-                          _normalized=True)
-
 
 def find_annihilator(qs: list[Polynomial], cap: int | None = None, *,
                      term_cap: int | None = DEFAULT_TERM_CAP) -> Annihilator:
@@ -278,29 +210,39 @@ def find_annihilator(qs: list[Polynomial], cap: int | None = None, *,
     The default cap is t*d^(t-1), the annihilator degree bound (k+1)*d^k for
     degree-d inputs of rank k instantiated at the dependent regime k = t-1.
 
-    Before any column is built, the Jacobian is evaluated at one seeded point
-    of a prime field (`_full_rank_at_a_point`).  Rank t there proves, in
+    Before any column is built, the Jacobian is evaluated at one fixed
+    seeded point of a prime field (`_point_basis`).  Rank t there proves, in
     every characteristic, that no annihilator exists at any degree (see the
     module docstring), so NoAnnihilatorWithinCap is raised at once; a
     smaller rank proves nothing and the search runs.
     """
-    t = len(qs)
-    if t == 0:
+    if not qs:
         raise InvalidParams("empty tuple has no annihilator")
-    d = max(1, max(q.degree() for q in qs))
-    if cap is None:
-        cap = t * d ** (t - 1)
-    if cap < 1:
+    if cap is not None and cap < 1:
         raise InvalidParams("annihilator cap must be >= 1")
-    if _full_rank_at_a_point(qs):
+    return _annihilator(qs, cap, term_cap, _CERTIFICATE_SEED)
+
+
+def _annihilator(qs: list[Polynomial], cap: int | None, term_cap,
+                 seed: int | None) -> Annihilator:
+    """The one annihilator search, without `find_annihilator`'s checks.
+
+    cap=None is the bound t*d^(t-1).  Given a seed, full Jacobian rank at
+    the point that `_point_basis` draws from it raises NoAnnihilatorWithinCap
+    before any column is built; seed=None reads no point.  Then the graded
+    column search runs, and its answer is checked by composing it to zero."""
+    if cap is None:
+        cap = len(qs) * max(1, max(q.degree() for q in qs)) ** (len(qs) - 1)
+    if seed is not None and len(_point_basis(qs, seed)) == len(qs):
         raise NoAnnihilatorWithinCap(cap)
-    return _search_annihilator(qs, cap, term_cap)
-
-
-def _full_rank_at_a_point(qs, seed: int = derive_seed(0, "annihilator-certificate")):
-    """True if the Jacobian of qs has rank t = len(qs) at the point drawn by
-    `seed` (`_point_basis`); never for t > nvars."""
-    return len(_point_basis(qs, seed)) == len(qs)
+    table = _CompositionTable(qs, cap, term_cap=term_cap)
+    j, lam = next(linalg.dependent_columns(table.columns(), table.p), (None, None))
+    if lam is None:
+        raise NoAnnihilatorWithinCap(cap)
+    r_poly = table.combination(lam, table.den(table.alphas[j]))
+    if not compose(r_poly, qs, term_cap=term_cap).is_zero():
+        raise AssertionError("kernel element does not annihilate (internal bug)")
+    return Annihilator(R=r_poly, degree=r_poly.degree())
 
 
 def _point_basis(qs: list[Polynomial], seed: int) -> list[int]:
@@ -347,33 +289,8 @@ def _jacobian_rows(qs: list[Polynomial], point: list[int], p: int) -> list[list[
     return rows
 
 
-def _search_annihilator(qs: list[Polynomial], cap: int, term_cap) -> Annihilator:
-    """The graded column search of `find_annihilator`, without its checks."""
-    table = _CompositionTable(qs, cap, term_cap=term_cap)
-    j, lam = next(linalg.dependent_columns(table.columns(), table.p), (None, None))
-    if lam is None:
-        raise NoAnnihilatorWithinCap(cap)
-    r_poly = table.combination(lam, table.den(table.alphas[j]))
-    if not compose(r_poly, qs, term_cap=term_cap).is_zero():
-        raise AssertionError("kernel element does not annihilate (internal bug)")
-    return Annihilator(R=r_poly, degree=r_poly.degree())
-
-
 # ----------------------------------------------------------------------
 # good translations
-
-def _sub_annihilator(qs, basis, i: int, term_cap, seed: int | None = None) -> Annihilator:
-    """Annihilator of (basis..., q_i) within the degree bound (k+1)*d^k.
-
-    The sub-tuple is dependent whenever basis is a transcendence basis.  Given
-    a seed, its Jacobian at the point drawn by the seed is read first, and
-    full rank there raises NoAnnihilatorWithinCap before any search."""
-    sub = [qs[b] for b in basis] + [qs[i]]
-    cap = len(sub) * max(1, max(q.degree() for q in sub)) ** len(basis)
-    if seed is not None and _full_rank_at_a_point(sub, seed):
-        raise NoAnnihilatorWithinCap(cap)
-    return _search_annihilator(sub, cap, term_cap)
-
 
 def _goodness_certificates(qs, basis, annihilators: dict | None,
                            term_cap) -> list[Polynomial]:
@@ -383,9 +300,10 @@ def _goodness_certificates(qs, basis, annihilators: dict | None,
     basis_polys = [qs[b] for b in basis]
     ls = []
     for i in (i for i in range(len(qs)) if i not in basis):
-        ann = (annihilators or {}).get(i) or _sub_annihilator(qs, basis, i, term_cap)
+        sub = basis_polys + [qs[i]]
+        ann = (annihilators or {}).get(i) or _annihilator(sub, None, term_cap, None)
         dA = ann.R.partial_derivative(((k, 1),))
-        li = compose(dA, basis_polys + [qs[i]], term_cap=term_cap)
+        li = compose(dA, sub, term_cap=term_cap)
         if li.is_zero():
             raise AssertionError(
                 "derivative certificate vanished identically: annihilator not minimal")
@@ -464,8 +382,7 @@ def reconstruct_dependence(qs: list[Polynomial], basis, a, *,
         cap_i = max(1, d_i * (k + 1) * d ** k)
         table = _CompositionTable(b_polys, cap_i, degree_cap=d_i, term_cap=term_cap)
         terms, den = target._int_form()
-        x = linalg.span_coefficients(dict(_pack(terms, table.width, table.shift)),
-                                     table.columns(), dom)
+        x = linalg.span_coefficients(dict(table.pack(terms)), table.columns(), dom)
         if x is None:
             raise NoSolutionWithinCap(i, cap_i)
         solution = table.combination(x, den)
@@ -492,7 +409,7 @@ def newton_reconstruct(qs: list[Polynomial], basis, a, i: int,
     vanishes at (b(a), q_i(a)), NonConvergence unless y = q_i(X+a)."""
     basis = tuple(basis)
     dom = qs[0].domain
-    R = (annihilator or _sub_annihilator(qs, basis, i, term_cap)).R
+    R = (annihilator or _annihilator([qs[b] for b in basis] + [qs[i]], None, term_cap, None)).R
     dR = R.partial_derivative(((len(basis), 1),))
     d_i = qs[i].degree()
     target = qs[i].translate(a)

@@ -408,7 +408,8 @@ def run(argv) -> tuple[int, str]:
         # (flag, least value); a flag the subcommand lacks, or that was not
         # given and has no default, reads None
         for flag, least in (("cap_expansion", 0), ("cap_matrix", 0), ("cap_points", 0),
-                            ("cap_annihilator", 1), ("rounds", 1)):
+                            ("cap_annihilator", 1), ("rounds", 1), ("max_retries", 1),
+                            ("trials", 1)):
             if (value := getattr(args, flag, None)) is not None and value < least:
                 raise InvalidParams(f"--{flag.replace('_', '-')} must be >= {least}, "
                                     f"got {value}")

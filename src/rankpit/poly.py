@@ -13,11 +13,13 @@ JSON forms and picks the trailing monomial.
 Substitution (`compose`, and `Polynomial.translate`, a composition with
 X_j + a_j) runs Horner's rule on packed monomials, one int each
 (`_layout`), and integer numerators, and builds one Fraction per output
-term.
+term.  The column searches of `algdep` read their power products
+q^alpha from `_CompositionTable`, on the same packed keys.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -241,17 +243,15 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def pow(self, k: int, term_cap: int | None = None,
-            degree_cap: int | None = None) -> "Polynomial":
+    def pow(self, k: int) -> "Polynomial":
         if k < 0:
             raise InvalidParams("negative power")
         result = Polynomial.constant(self.domain, self.nvars, self.domain.one)
         for _ in range(k):
-            result = result.mul(self, term_cap=term_cap, degree_cap=degree_cap)
+            result = result.mul(self)
         return result
 
-    def __pow__(self, k: int) -> "Polynomial":
-        return self.pow(k)
+    __pow__ = pow
 
     # ------------------------------------------------------------------
     # the operations the rest of the package is built on
@@ -495,6 +495,80 @@ def _packed_product(a: dict, b: list, p: int, limit: int, term_cap: int | None) 
         if term_cap is not None and len(out) > term_cap:
             raise ExpansionTooLarge(len(out), term_cap)
     return out
+
+
+def _dense_monos_exact(t: int, d: int) -> list[tuple]:
+    """Dense exponent tuples of t variables and total degree d, ascending in
+    graded-lex order of the monomials they name."""
+    if t == 0:
+        return [()] if d == 0 else []
+    # stars and bars: the t - 1 bar positions among d + t - 1 slots, in lex
+    # order, and the runs of stars between them
+    return [tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, d + t - 1)))
+            for bars in itertools.combinations(range(d + t - 1), t - 1)]
+
+
+def _dense_to_mono(alpha: tuple) -> Mono:
+    return mono_from_dict({v: e for v, e in enumerate(alpha) if e})
+
+
+class _CompositionTable:
+    """Memoized products q^alpha = prod_j q_j^alpha_j, |alpha| <= cap, packed
+    by `_layout` (order <= cap-1 times a q_j), optionally truncated to total
+    degree <= degree_cap: the columns of the annihilator and witness searches.
+
+    Over Q, q_j enters as N_j = D_j*q_j (`_int_form`), the entry is
+    N^alpha = D^alpha*q^alpha, and scaling column alpha by D^alpha != 0
+    keeps every linear dependence (`combination` maps one back).  Terms come
+    in `Polynomial.mul`'s order and cancel where its Fractions do, so term
+    order and the term_cap count are those of the unpacked products.
+    """
+
+    def __init__(self, qs: list[Polynomial], cap: int, degree_cap: int | None = None,
+                 term_cap: int | None = DEFAULT_TERM_CAP):
+        self.domain, self.p = qs[0].domain, qs[0].domain.characteristic
+        d = max(q.degree() for q in qs)
+        self.width, self.shift, self.limit = _layout(qs[0].nvars, cap, d, degree_cap)
+        self.cap, self.term_cap, self.alphas = cap, term_cap, []
+        int_forms = [q._int_form() for q in qs]
+        self.factors = [self.pack(terms) for terms, _ in int_forms]
+        self.dens = [den for _, den in int_forms]
+        self.memo = {(0,) * len(qs): {0: 1}}
+
+    def pack(self, terms) -> list:
+        """`_int_form` terms in this table's packed keys."""
+        return _pack(terms, self.width, self.shift)
+
+    def den(self, alpha: tuple) -> int:  # D^alpha, 1 over F_p
+        return math.prod(map(pow, self.dens, alpha))
+
+    def get(self, alpha: tuple) -> dict:
+        memo = self.memo
+        if alpha in memo:
+            return memo[alpha]
+        j = max(i for i, e in enumerate(alpha) if e)
+        prev = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]
+        memo[alpha] = _packed_product(self.get(prev), self.factors[j], self.p, self.limit,
+                                      self.term_cap)
+        return memo[alpha]
+
+    def columns(self):
+        """The columns q^alpha, |alpha| <= cap, ascending in graded-lex order of
+        z^alpha; a degree block is built, and its alphas listed, before it is yielded."""
+        for deg in range(self.cap + 1):
+            block = _dense_monos_exact(len(self.factors), deg)
+            self.alphas.extend(block)
+            yield from [self.get(alpha) for alpha in block]
+
+    def combination(self, x: dict, den: int) -> Polynomial:
+        """sum_i x_i * D^alpha_i / den * z^alpha_i: the combination x of the
+        streamed packed columns, over den, as a polynomial in the q_j."""
+        alphas = self.alphas
+        if not self.p:
+            x = {i: c * self.den(alphas[i]) / den for i, c in x.items()}
+        return Polynomial(self.domain, len(self.factors),
+                          {_dense_to_mono(alphas[i]): c for i, c in x.items()},
+                          _normalized=True)
 
 
 def compose(outer: Polynomial, inners: list, term_cap: int | None = DEFAULT_TERM_CAP,

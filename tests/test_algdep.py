@@ -18,7 +18,9 @@ from rankpit.errors import (BoundViolation, CharacteristicTooSmall,
                             ExpansionTooLarge, FieldTooSmall, InvalidParams,
                             NoAnnihilatorWithinCap, NoGoodTranslation,
                             NonConvergence, NoSolutionWithinCap, RankNotCertified)
-from rankpit.poly import DEFAULT_TERM_CAP, Polynomial, compose, grlex_key, mono_from_dict
+from rankpit.poly import (DEFAULT_TERM_CAP, Polynomial, _CompositionTable,
+                          _dense_monos_exact, _dense_to_mono, compose, grlex_key,
+                          mono_from_dict)
 
 Q = Rationals()
 FP = PrimeField(1_000_003)
@@ -150,9 +152,12 @@ def test_randomized_rank_over_q_is_exact():
 
 def test_symbolic_rank_as_large_as_the_variables_needs_no_annihilator(monkeypatch):
     """4 generic cubics in 3 variables: rank 3 at one point is the number of
-    variables, so no annihilator (minimal degree 27) is searched."""
+    variables, so no annihilator (minimal degree 27) is searched: no
+    composition table is built."""
     calls = []
-    monkeypatch.setattr(algdep, "_search_annihilator", lambda *args: calls.append(args))
+    table = algdep._CompositionTable
+    monkeypatch.setattr(algdep, "_CompositionTable",
+                        lambda *args, **kw: calls.append(args) or table(*args, **kw))
     rng = random.Random(5)
     monos = [mono_from_dict(dict(enumerate(e)))
              for e in itertools.product(range(4), repeat=3) if sum(e) <= 3]
@@ -164,17 +169,19 @@ def test_symbolic_rank_as_large_as_the_variables_needs_no_annihilator(monkeypatc
 def test_symbolic_rank_refutes_an_unlucky_point(monkeypatch):
     """Over F_11, (x^2, (y+z)^4, x^2 + (y+z)^4) at seed 2: the first point
     has x = 0 or y+z = 0, so its basis is (1,).  The independent pair
-    ((y+z)^4, x^2) is refuted at a fresh point without a search, and the
-    next point certifies rank 2 with one search, for q_3."""
+    ((y+z)^4, x^2) is refuted at a fresh point without a search (no
+    composition table), and the next point certifies rank 2 with one
+    search, for q_3."""
     f11 = PrimeField(11)
     a, b, c = (x(v, 3, f11) for v in range(3))
     s = (b + c).pow(4)
     qs = [a.pow(2), s, a.pow(2) + s]
     assert algdep._point_basis(qs, algdep.derive_seed(2, "certified-rank", 0)) == [1]
     sizes = []
-    search = algdep._search_annihilator
-    monkeypatch.setattr(algdep, "_search_annihilator",
-                        lambda sub, *args: sizes.append(len(sub)) or search(sub, *args))
+    table = algdep._CompositionTable
+    monkeypatch.setattr(algdep, "_CompositionTable",
+                        lambda sub, *args, **kw: sizes.append(len(sub))
+                        or table(sub, *args, **kw))
     cert = algebraic_rank(qs, mode="symbolic", seed=2)
     assert (cert.rank, cert.basis_indices, sizes) == (2, (0, 1), [3])
 
@@ -184,9 +191,9 @@ def test_rewrite_and_depend_reuse_the_rank_annihilators(monkeypatch, tmp_path):
     hands it on, or, when the basis is as large as the number of variables
     (E1: rank 2 in 2 variables), by the goodness certificates alone."""
     calls = []
-    search = algdep._sub_annihilator
-    monkeypatch.setattr(algdep, "_sub_annihilator",
-                        lambda *args: calls.append(args[2]) or search(*args))
+    search = algdep._annihilator
+    monkeypatch.setattr(algdep, "_annihilator",
+                        lambda sub, *args: calls.append(sub[-1]) or search(sub, *args))
     a, b, c = (x(v, 3) for v in range(3))
     for inner in (e1_triple(), [a + b, (a + b) * (a + b) + c, c]):
         calls.clear()
@@ -195,12 +202,61 @@ def test_rewrite_and_depend_reuse_the_rank_annihilators(monkeypatch, tmp_path):
                           [Gate("product", inner)])
         rewritten, shift = rewrite_circuit(circuit, seed=11)
         assert expand(rewritten) == expand(circuit).translate(shift)
-        assert calls == [2]
+        assert calls == [inner[2]]
         path = tmp_path / "tuple.json"
         path.write_text(json.dumps({"field": {"type": "rational"}, "nvars": nvars,
                                     "polys": [q.terms_to_json() for q in inner]}))
         code, _ = cli.run(["depend", "--poly-file", str(path), "--json"])
-        assert (code, calls) == (0, [2, 2])
+        assert (code, calls) == (0, [inner[2], inner[2]])
+
+
+def _planted_dependent_tuple(rng, dom):
+    """k <= 2 independent seeds over dom and one or two polynomials in them."""
+    from _corpus import random_linear, random_poly
+    k, nvars = rng.randrange(1, 3), rng.randrange(2, 5)
+    while True:
+        seeds = [random_linear(rng, dom, nvars) if rng.random() < 0.5
+                 else random_poly(rng, dom, nvars, 2, max_terms=3, allow_zero=False)
+                 for _ in range(k)]
+        if algebraic_rank(seeds, mode="symbolic").rank == k:
+            break
+    extras = [compose(random_poly(rng, dom, k, 2, max_terms=3, allow_zero=False), seeds)
+              for _ in range(rng.randrange(1, 3))]
+    return seeds + [q if q.degree() >= 1 else seeds[0] for q in extras]
+
+
+def test_every_caller_gets_the_same_annihilator(monkeypatch):
+    """For each non-basis q_i, the annihilator of (basis, q_i) that the rank
+    certificate hands on, the ones that the goodness certificates and the
+    Newton lift search when none is handed on, and find_annihilator on the
+    sub-tuple are one R, with its terms in one order."""
+    from _corpus import dependent_tuple
+    rng = random.Random(107)
+    tuples = [dependent_tuple(i)[0] for i in range(100)]
+    tuples += [_planted_dependent_tuple(rng, dom) for dom in (Q, FP) for _ in range(8)]
+    searched = []
+    search = algdep._annihilator
+    monkeypatch.setattr(algdep, "_annihilator",
+                        lambda *args: searched.append(search(*args)) or searched[-1])
+    handed_on = 0
+    for qs in tuples:
+        cert, handed = algdep._certified_rank(qs, 0, DEFAULT_TERM_CAP)
+        basis, dom, nvars = cert.basis_indices, qs[0].domain, qs[0].nvars
+        others = [i for i in range(len(qs)) if i not in basis]
+        searched.clear()
+        ls = algdep._goodness_certificates(qs, basis, None, DEFAULT_TERM_CAP)
+        sampler = TranslationSampler.for_tuple(
+            len(qs), len(basis), max(1, max(q.degree() for q in qs)))
+        a = algdep._sample_translation(ls, dom, nvars, sampler)
+        for i in others:
+            newton_reconstruct(qs, basis, a, i)
+        assert len(searched) == 2 * len(others)
+        for i, goodness, newton in zip(others, searched[:len(others)], searched[len(others):]):
+            sub = [qs[b] for b in basis] + [qs[i]]
+            answers = [goodness, newton, find_annihilator(sub)] + ([handed[i]] if handed else [])
+            handed_on += bool(handed)
+            assert len({tuple(ann.R.terms.items()) for ann in answers}) == 1
+    assert handed_on >= 20
 
 
 def test_randomized_rank_never_exceeds_symbolic():
@@ -288,8 +344,8 @@ def test_dense_monos_ascend_in_graded_lex():
     """The annihilator and witness searches take the columns z^alpha in
     this order."""
     for t in range(1, 5):
-        alphas = [a for d in range(6) for a in algdep._dense_monos_exact(t, d)]
-        keys = [grlex_key(algdep._dense_to_mono(a)) for a in alphas]
+        alphas = [a for d in range(6) for a in _dense_monos_exact(t, d)]
+        keys = [grlex_key(_dense_to_mono(a)) for a in alphas]
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
@@ -334,9 +390,9 @@ def _reference_annihilator(qs, cap):
     """The earlier search: at each degree D, the kernel of the dense matrix
     of every column q^alpha with |alpha| <= D, canonicalized."""
     t, dom = len(qs), qs[0].domain
-    columns = algdep._dense_monos_exact(t, 0)
+    columns = _dense_monos_exact(t, 0)
     for deg in range(1, cap + 1):
-        columns = columns + algdep._dense_monos_exact(t, deg)
+        columns = columns + _dense_monos_exact(t, deg)
         entries = [_power_product(qs, alpha).terms for alpha in columns]
         row_index = {}
         for terms in entries:
@@ -353,7 +409,7 @@ def _reference_annihilator(qs, cap):
             for i, pc in enumerate(pivots):
                 vec[pc] = dom.neg(rref[i][free])
             kernel.append(Polynomial(dom, t, {
-                algdep._dense_to_mono(columns[ci]): vec[ci]
+                _dense_to_mono(columns[ci]): vec[ci]
                 for ci in sorted(vec) if not dom.is_zero(vec[ci])}, _normalized=True))
         if kernel:
             return _canonical_kernel_poly(kernel)
@@ -445,7 +501,7 @@ def test_packed_entries_are_the_public_products(dom):
         qs.insert(rng.randrange(len(qs) + 1),
                   Polynomial.constant(dom, nvars, Fraction(5, 3) if dom == Q else 5))
         for degree_cap in (None, 0, 1, 3):
-            table = algdep._CompositionTable(qs, 3, degree_cap=degree_cap)
+            table = _CompositionTable(qs, 3, degree_cap=degree_cap)
             _assert_entries_are_products(table, qs, degree_cap)
 
 
@@ -457,11 +513,11 @@ def test_packed_table_round_trips_at_its_width_bound(dom):
     member of degree 5 above degree_cap = 3."""
     x1, x2 = x(0, dom=dom), x(1, dom=dom)
     qs = [x1.pow(2).scale(Fraction(1, 3) if dom == Q else 3), x2]
-    table = algdep._CompositionTable(qs, 4)
+    table = _CompositionTable(qs, 4)
     _assert_entries_are_products(table, qs, None)
     assert list(_unpacked(table, 2, (4, 0))) == [((0, 8),)]
     qs = [x1.pow(5) + x1 * x2 + x2, x1 + x2.scale(2)]
-    _assert_entries_are_products(algdep._CompositionTable(qs, 6, degree_cap=3), qs, 3)
+    _assert_entries_are_products(_CompositionTable(qs, 6, degree_cap=3), qs, 3)
 
 
 @pytest.mark.parametrize("dom", [Q, FP], ids=str)
@@ -472,8 +528,8 @@ def test_packed_table_meets_the_term_cap_as_mul_does(dom, term_cap):
     a, b, c = (x(i, 3, dom) for i in range(3))
     qs = [a.scale(Fraction(1, 2) if dom == Q else 2) + b + c,
           a * a + b * b.scale(Fraction(-2, 3) if dom == Q else 5) + c * c]
-    table = algdep._CompositionTable(qs, 5, term_cap=term_cap)
-    for alpha in [al for deg in range(6) for al in algdep._dense_monos_exact(2, deg)]:
+    table = _CompositionTable(qs, 5, term_cap=term_cap)
+    for alpha in [al for deg in range(6) for al in _dense_monos_exact(2, deg)]:
         try:
             _power_product(qs, alpha, term_cap=term_cap)
         except ExpansionTooLarge as err:
@@ -527,14 +583,14 @@ def test_a_corrupted_column_is_caught_by_the_exact_checks(dom, monkeypatch):
     assert find_annihilator(qs).R == Polynomial.from_text(dom, 2, "z1^2 - z2",
                                                            var_prefix="z")
     assert reconstruct_dependence(qs, (0,), (0, 0)).F[1].degree() == 2
-    columns = algdep._CompositionTable.columns
+    columns = _CompositionTable.columns
     corrupt_at = []
 
     def corrupted(table):
         for n, col in enumerate(columns(table)):
             yield {m: 2 * c for m, c in col.items()} if n in corrupt_at else col
 
-    monkeypatch.setattr(algdep._CompositionTable, "columns", corrupted)
+    monkeypatch.setattr(_CompositionTable, "columns", corrupted)
     corrupt_at[:] = [1]  # the column q_2 of the search 1, q_2, q_1, ...
     with pytest.raises(AssertionError, match="does not annihilate"):
         find_annihilator(qs)
@@ -547,6 +603,10 @@ def test_a_corrupted_column_is_caught_by_the_exact_checks(dom, monkeypatch):
 # the Jacobian certificate of find_annihilator
 
 M61 = (1 << 61) - 1
+
+
+def _full_rank_at_the_certificate_point(qs):
+    return len(algdep._point_basis(qs, algdep._CERTIFICATE_SEED)) == len(qs)
 
 
 @pytest.mark.parametrize("dom", [Q, FP, PrimeField(M61), PrimeField(2), PrimeField(3),
@@ -566,14 +626,14 @@ def test_certificate_answers_as_the_search(dom):
         d = max(1, max(q.degree() for q in qs))
         cap = min(t * d ** (t - 1), 4)
         try:
-            expected = algdep._search_annihilator(qs, cap, DEFAULT_TERM_CAP).R
+            expected = algdep._annihilator(qs, cap, DEFAULT_TERM_CAP, None).R
         except NoAnnihilatorWithinCap:
             with pytest.raises(NoAnnihilatorWithinCap) as info:
                 find_annihilator(qs, cap=cap)
             assert info.value.cap == cap
-            certified += algdep._full_rank_at_a_point(qs)
+            certified += _full_rank_at_the_certificate_point(qs)
             continue
-        assert not algdep._full_rank_at_a_point(qs)
+        assert not _full_rank_at_the_certificate_point(qs)
         got = find_annihilator(qs, cap=cap).R
         assert list(got.terms.items()) == list(expected.terms.items())
         found += 1
@@ -586,7 +646,7 @@ def test_frobenius_tuples_fall_through_to_the_search():
     f5 = PrimeField(5)
     a, b = x(0, dom=f5), x(1, dom=f5)
     for qs in ([a.pow(5), b], [a, a.pow(5)]):
-        assert not algdep._full_rank_at_a_point(qs)
+        assert not _full_rank_at_the_certificate_point(qs)
     with pytest.raises(NoAnnihilatorWithinCap) as info:
         find_annihilator([a.pow(5), b])
     assert info.value.cap == 10
@@ -600,7 +660,7 @@ def test_certified_tuple_builds_no_column():
     qs = [sum((x(i, 3).pow(e) for i in range(3)), Polynomial.zero(Q, 3))
           for e in (1, 2, 3)]
     with pytest.raises(ExpansionTooLarge):
-        algdep._search_annihilator(qs, 27, 5)
+        algdep._annihilator(qs, 27, 5, None)
     with pytest.raises(NoAnnihilatorWithinCap) as info:
         find_annihilator(qs, term_cap=5)
     assert info.value.cap == 27
@@ -613,8 +673,8 @@ def test_certificate_fires_when_2_61_minus_1_divides_a_denominator():
     s, d = x(0) + x(1), x(0) - x(1)
     scaled = s.scale(Fraction(1, M61))
     with pytest.raises(ExpansionTooLarge):
-        algdep._search_annihilator([scaled, d], 2, 2)
-    assert algdep._full_rank_at_a_point([scaled, d])
+        algdep._annihilator([scaled, d], 2, 2, None)
+    assert _full_rank_at_the_certificate_point([scaled, d])
     with pytest.raises(NoAnnihilatorWithinCap):
         find_annihilator([scaled, d], term_cap=2)
 
@@ -896,7 +956,7 @@ def _reference_reconstruct(qs, basis, a):
         target = qs[i].translate(a).terms
         cap_i = max(1, d_i * (k + 1) * d ** k)
         for dd in range(1, cap_i + 1):
-            alphas = [al for e in range(dd + 1) for al in algdep._dense_monos_exact(k, e)]
+            alphas = [al for e in range(dd + 1) for al in _dense_monos_exact(k, e)]
             entries = [_power_product(b_polys, al, d_i).terms for al in alphas] + [target]
             row_index = {}
             for terms in entries:
@@ -910,7 +970,7 @@ def _reference_reconstruct(qs, basis, a):
             if pivots[-1] == len(alphas):  # the target is not in the span
                 continue
             witnesses[i] = Polynomial(dom, k, {
-                algdep._dense_to_mono(alphas[pc]): rref[r][-1]
+                _dense_to_mono(alphas[pc]): rref[r][-1]
                 for r, pc in enumerate(pivots) if not dom.is_zero(rref[r][-1])},
                 _normalized=True)
             break

@@ -812,6 +812,11 @@ def test_depend_rejects_fewer_than_one_retry(e1_file, retries):
     assert (code, json.loads(out)["error"]) == (2, "InvalidParams")
 
 
+# the integer flags that `cli.run` checks from its table of least values
+_CHECKED_FLAGS = {"--cap-expansion", "--cap-matrix", "--cap-points", "--cap-annihilator",
+                  "--rounds", "--max-retries", "--trials"}
+
+
 @pytest.mark.parametrize("argv", [
     ["nw", *NW_ARGS, "--field", "bogus"],
     ["bench", "separation", *NW_ARGS, "--r", "1", "--m", "1", "--field", "bogus"],
@@ -820,14 +825,19 @@ def test_depend_rejects_fewer_than_one_retry(e1_file, retries):
     ["pit", "--circuit", "ZERO", "--cap-points", "-1"],
     ["rank", "--poly-file", "E1", "--cap-annihilator", "0"],
     ["annihilate", "--poly-file", "E1", "--cap-annihilator", "-2"],
+    ["depend", "--poly-file", "E1", "--max-retries", "0"],
+    ["nw", *NW_ARGS, "--p", "1/2", "--trials", "0"],
+    ["nw", *NW_ARGS, "--trials", "0"],
 ], ids=["nw-field", "bench-field", "negative-cap-expansion",
         "negative-cap-matrix", "negative-cap-points", "rank-zero-cap-annihilator",
-        "negative-cap-annihilator"])
+        "negative-cap-annihilator", "depend-zero-max-retries", "nw-zero-trials",
+        "nw-zero-trials-without-experiment"])
 def test_bad_flag_values_are_invalid_params(e1_file, zero_circuit_file, argv):
     argv = [{"E1": e1_file, "ZERO": zero_circuit_file}.get(a, a) for a in argv]
     code, out = cli.run(argv + ["--json"])
     error = json.loads(out)
     assert (code, error["error"]) == (2, "InvalidParams")
-    flag = next((a for a in argv if a.startswith("--cap-")), None)
+    # every flag of `cli.run`'s table names itself in the detail
+    flag = next((a for a in argv if a in _CHECKED_FLAGS), None)
     if flag:
         assert flag in error["detail"]

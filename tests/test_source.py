@@ -189,7 +189,22 @@ def test_only_poly_clears_denominators():
     assert found == []
 
 
-_MUTATORS = {"pop", "popitem", "clear", "update", "setdefault", "__setitem__",
+def test_only_poly_packs_monomials():
+    # the packed monomial format (`_layout`, `_pack`, `_packed_product`) is
+    # read and written in poly.py alone: other modules reach it through
+    # `compose` and `_CompositionTable`, whose `pack` keys a search target
+    packing = {"_layout", "_pack", "_packed_product"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "poly.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if packing & {getattr(node, a, None) for a in ("id", "attr", "name")}]
+    assert found == []
+
+
+_MUTATORS ={"pop", "popitem", "clear", "update", "setdefault", "__setitem__",
              "__delitem__"}
 
 
