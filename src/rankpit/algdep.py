@@ -36,7 +36,7 @@ from fractions import Fraction
 from . import linalg
 from .circuit import (Circuit, DeclaredBounds, Gate, OuterExpr, _graft,
                       _interpolation_weights)
-from .domains import PrimeField
+from .domains import PrimeField, is_prime
 from .errors import (BoundViolation, CharacteristicTooSmall, DerivativeVanishes,
                      FieldTooSmall, InvalidParams, NoAnnihilatorWithinCap,
                      NoGoodTranslation, NonConvergence, NoSolutionWithinCap,
@@ -44,7 +44,6 @@ from .errors import (BoundViolation, CharacteristicTooSmall, DerivativeVanishes,
 from .poly import DEFAULT_TERM_CAP, Polynomial, _CompositionTable, compose
 from .util import derive_seed
 
-_CERTIFICATE_PRIME = (1 << 61) - 1
 _CERTIFY_ATTEMPTS = 3
 _CERTIFICATE_SEED = derive_seed(0, "annihilator-certificate")  # find_annihilator's point
 _SECURITY_BITS = 30  # randomized rank draws from >= 2*t*d*2^30 scalars
@@ -246,11 +245,14 @@ def _annihilator(qs: list[Polynomial], cap: int | None, term_cap,
 
 
 def _point_basis(qs: list[Polynomial], seed: int) -> list[int]:
-    """The greedy basis of `_jacobian_rows` mod p at a point drawn by `seed`
-    from F_p, p = char, or over Q from F_(2^61-1): reduction mod p is a ring
-    map on the integer rows, so a minor nonzero mod p is nonzero over Q."""
-    p = qs[0].domain.characteristic or _CERTIFICATE_PRIME
+    """The greedy basis of `_jacobian_rows` mod p at a point that `seed`
+    draws, p = char, or over Q a prime in [2^61, 2^62) that `seed` draws
+    first; a minor nonzero mod p is nonzero over Q (a ring map)."""
+    p = qs[0].domain.characteristic
     rng = random.Random(seed)
+    while not p:  # seeded odd candidates until one is prime
+        c = rng.randrange((1 << 61) + 1, 1 << 62, 2)
+        p = c if is_prime(c) else 0
     point = [rng.randrange(p) for _ in range(qs[0].nvars)]
     return _independent_rows(_jacobian_rows(qs, point, p), p)
 

@@ -9,8 +9,11 @@ annihilators, dependence witnesses, the randomized rank basis and
 tracer and the tests (ROADMAP item 1).  Everything is exact; nothing here
 touches floating point.
 
-One elimination loop, `_reduce` over `_eliminate`, serves Q and every prime
-field.  It runs on plain Python ints with no domain method calls:
+One kernel, `_eliminate`, serves Q and every prime field.  `_echelon`
+keeps the shorter row at each pivot collision (Markowitz's local rule),
+which keeps the span and cuts fill-in.  `_reduce`, under `dependent_columns`,
+never swaps: a basis row's combination would move into a later column's
+slot.  Both run on plain Python ints with no domain method calls:
 
 - over F_p, entries are residues; a basis row is scaled so that its pivot is
   1, and each update is reduced mod p inline;
@@ -35,17 +38,22 @@ from .poly import _clear_denominators
 def _echelon(rows, p: int) -> dict[int, dict[int, int]]:
     """Echelon basis of sparse rows (dict col -> coeff), as pivot -> row.
 
-    p is the prime of the field, or 0 for Q.  Each row is reduced against
-    the basis until its smallest column is a new pivot, or nothing is left
-    (the row was dependent), so memory is bounded by the rank, not by the
-    number of rows.  Basis rows are monic residues over F_p and primitive
-    integer rows over Q; they are not reduced against one another.
+    p is the prime of the field, or 0 for Q.  A row v is reduced until it
+    is empty or its smallest column c is a new pivot.  If v is strictly
+    shorter than the basis row b at c, b is reduced by v in its place: the
+    span is kept, each swap is followed by an elimination at c, and memory
+    stays bounded by the rank.  Basis rows are monic over F_p, primitive over Q.
     """
     basis: dict[int, dict[int, int]] = {}
     for raw in rows:
-        v = _reduce(_integer_row(raw, p), basis, p)
-        if v:
-            basis[min(v)] = v
+        v = _integer_row(raw, p)
+        while v:  # None once v is the pivot row of a new column
+            c = min(v)
+            b = basis.get(c)
+            if b is None or len(v) < len(b):
+                basis[c], v = _monic(v, c, p), b
+            else:
+                v = _eliminate(v, b, c, p)
     return basis
 
 
@@ -102,12 +110,17 @@ def _reduce(v: dict, basis: dict, p: int) -> dict:
         pivot = min(v)
         b = basis.get(pivot)
         if b is None:
-            if p:
-                inv = pow(v[pivot], -1, p)
-                v = {j: c * inv % p for j, c in v.items()}
-            return v
+            return _monic(v, pivot, p)
         v = _eliminate(v, b, pivot, p)
     return v
+
+
+def _monic(v: dict, col: int, p: int) -> dict:
+    """v scaled to v[col] = 1 over F_p; over Q, v as it is (primitive)."""
+    if not p:
+        return v
+    inv = pow(v[col], -1, p)
+    return {j: c * inv % p for j, c in v.items()}
 
 
 def _eliminate(v: dict, b: dict, col: int, p: int) -> dict:
@@ -145,8 +158,8 @@ def _primitive(raw: dict) -> dict[int, int]:
 
 
 def rank_stream(rows, domain) -> int:
-    """Rank of a stream of sparse rows (dict col -> coeff), exact elimination
-    with memory bounded by the rank."""
+    """Rank of a stream of sparse rows (dict col -> coeff) by `_echelon`,
+    which keeps the shorter row at each pivot and memory bounded by the rank."""
     return len(_echelon(rows, domain.characteristic))
 
 

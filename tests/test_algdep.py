@@ -12,7 +12,7 @@ from rankpit.algdep import (TranslationSampler, algebraic_rank, find_annihilator
                             jacobian, newton_reconstruct, reconstruct_dependence,
                             rewrite_circuit, sample_good_translation)
 from rankpit.circuit import Circuit, DeclaredBounds, Gate, OuterExpr, expand
-from rankpit.domains import PrimeField, Rationals
+from rankpit.domains import PrimeField, Rationals, is_prime
 from rankpit.errors import (BoundViolation, CharacteristicTooSmall,
                             DerivativeVanishes, DimensionMismatch, DomainMismatch,
                             ExpansionTooLarge, FieldTooSmall, InvalidParams,
@@ -24,6 +24,7 @@ from rankpit.poly import (DEFAULT_TERM_CAP, Polynomial, _CompositionTable,
 
 Q = Rationals()
 FP = PrimeField(1_000_003)
+M61 = (1 << 61) - 1
 
 
 def x(i, nvars=2, dom=Q):
@@ -76,7 +77,7 @@ def _quadratic_jacobian_rows(qs, point, p):
     return rows
 
 
-@pytest.mark.parametrize("dom, p", [(Q, 0), (Q, algdep._CERTIFICATE_PRIME), (FP, FP.p)],
+@pytest.mark.parametrize("dom, p", [(Q, 0), (Q, M61), (FP, FP.p)],
                          ids=["Q-exact", "Q-mod", "F_p"])
 def test_jacobian_rows_match_the_quadratic_formula(dom, p):
     from test_poly import random_poly
@@ -145,8 +146,8 @@ def test_rank_refuses_mismatched_tuples(mode):
 
 def test_randomized_rank_over_q_is_exact():
     """(x, P*y) with P = 2^61-1 has Jacobian diag(1, P): rank 2 over Q, but
-    rank 1 mod P, the prime that certifies points over Q."""
-    cert = algebraic_rank([x(0), x(1).scale(algdep._CERTIFICATE_PRIME)])
+    rank 1 mod P."""
+    cert = algebraic_rank([x(0), x(1).scale(M61)])
     assert (cert.rank, cert.basis_indices) == (2, (0, 1))
 
 
@@ -184,6 +185,37 @@ def test_symbolic_rank_refutes_an_unlucky_point(monkeypatch):
                         or table(sub, *args, **kw))
     cert = algebraic_rank(qs, mode="symbolic", seed=2)
     assert (cert.rank, cert.basis_indices, sizes) == (2, (0, 1), [3])
+
+
+def _certificate_prime(seed, attempt):
+    """The prime that `_certified_rank`'s attempt reads a Q Jacobian modulo:
+    the first odd candidate in [2^61, 2^62) that the point seed draws."""
+    rng = random.Random(algdep.derive_seed(seed, "certified-rank", attempt))
+    while not is_prime(c := rng.randrange((1 << 61) + 1, 1 << 62, 2)):
+        pass
+    return c
+
+
+def test_symbolic_rank_over_q_is_not_hidden_by_one_prime():
+    """2^61-1 divides a Jacobian entry: rank 2 of (P*x, y) and rank 1 of P*x
+    are still certified, because the prime is drawn from the point seed."""
+    cert = algebraic_rank([x(0).scale(M61), x(1)], mode="symbolic")
+    assert (cert.rank, cert.basis_indices) == (2, (0, 1))
+    cert = algebraic_rank([x(0, 1).scale(M61)], mode="symbolic")
+    assert (cert.rank, cert.basis_indices) == (1, (0,))
+
+
+def test_symbolic_rank_over_q_moves_to_the_next_prime():
+    """(p0*x, y), with p0 the prime of attempt 0: singular mod p0 at every
+    point, so attempt 0 sees rank 1 and its search for an annihilator of
+    (y, p0*x) is refuted; attempt 1 reads another prime and certifies 2."""
+    p0, p1 = _certificate_prime(3, 0), _certificate_prime(3, 1)
+    assert p0 != p1 and all(1 << 61 < p < 1 << 62 for p in (p0, p1))
+    qs = [x(0).scale(p0), x(1)]
+    seeds = [algdep.derive_seed(3, "certified-rank", attempt) for attempt in (0, 1)]
+    assert [algdep._point_basis(qs, s) for s in seeds] == [[1], [0, 1]]
+    cert = algebraic_rank(qs, mode="symbolic", seed=3)
+    assert (cert.rank, cert.basis_indices) == (2, (0, 1))
 
 
 def test_rewrite_and_depend_reuse_the_rank_annihilators(monkeypatch, tmp_path):
@@ -601,8 +633,6 @@ def test_a_corrupted_column_is_caught_by_the_exact_checks(dom, monkeypatch):
 
 # ----------------------------------------------------------------------
 # the Jacobian certificate of find_annihilator
-
-M61 = (1 << 61) - 1
 
 
 def _full_rank_at_the_certificate_point(qs):

@@ -104,6 +104,17 @@ def test_rank_symbolic_refuses_an_uncertified_tuple(tmp_path):
     assert (code, payload["error"], payload["attempts"]) == (2, "RankNotCertified", 3)
 
 
+@pytest.mark.parametrize("command", [["rank", "--mode", "symbolic"], ["depend"]])
+def test_a_coefficient_of_2_61_minus_1_is_certified(tmp_path, command):
+    """((2^61-1)*x1, x2) over Q has rank 2; no fixed prime may hide it."""
+    path = tmp_path / "m61.json"
+    path.write_text(json.dumps({"field": {"type": "rational"}, "nvars": 2, "polys": [
+        [{"coeff": str((1 << 61) - 1), "mono": {"1": 1}}], [{"coeff": "1", "mono": {"2": 1}}]]}))
+    code, out = cli.run([command[0], "--poly-file", str(path), *command[1:], "--json"])
+    assert code == 0
+    assert json.loads(out)["result"]["basis"] == [1, 2]
+
+
 def test_annihilate_e1(e1_file):
     code, out = cli.run(["annihilate", "--poly-file", e1_file, "--json"])
     assert code == 0

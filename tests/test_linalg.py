@@ -149,16 +149,27 @@ def test_short_and_empty_matrices_unchanged():
 
 
 @st.composite
-def _sparse_rows(draw, entry, reduce):
+def _sparse_rows(draw, entry, reduce, collide=False):
     """(ncols, sparse rows) with explicit zero entries, empty rows and rows
     planted as combinations of earlier rows (`reduce` maps a combination
-    back into the domain)."""
+    back into the domain); with `collide`, also runs of rows that share an
+    earlier row's leading column, so that `_echelon` swaps pivot rows,
+    several rounds deep."""
     ncols = draw(st.integers(1, 7))
     rows = []
+    kinds = ["entries", "empty", "combination"] + ["collision"] * collide
     for _ in range(draw(st.integers(0, 10))):
-        kind = draw(st.sampled_from(["entries", "empty", "combination"]))
+        kind = draw(st.sampled_from(kinds))
         if kind == "empty":
             rows.append({})
+        elif kind == "collision" and any(rows):
+            # rows at an earlier row's leading column, each shorter than the
+            # one before, so that each may displace the pivot row before it
+            lead = min(draw(st.sampled_from([row for row in rows if row])))
+            cols = draw(st.permutations(range(lead + 1, ncols)))
+            for size in range(len(cols), -1, -draw(st.integers(1, 3))):
+                row = {j: draw(entry) for j in sorted(cols[:size])}
+                rows.append({lead: draw(entry.filter(bool)), **row})
         elif kind == "combination" and rows:
             picks = draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
                                             st.integers(-3, 3)), min_size=1, max_size=3))
@@ -176,6 +187,22 @@ def _reference_rank(rows, ncols, domain):
                                 for row in rows], domain)[1])
 
 
+@pytest.mark.parametrize("p", [0, 7], ids=["Q", "F_7"])
+def test_echelon_keeps_the_shorter_row_at_a_pivot_collision(p):
+    """A long row, then a shorter one with the same leading column: the short
+    row becomes the pivot row (monic over F_7, primitive over Q) and the long
+    one is reduced by it.  Rows of equal length do not swap."""
+    long, short = {0: 1, 1: 1, 2: 1, 3: 1}, {0: 3, 3: 2}
+    expected = ({0: {0: 1, 3: 3}, 1: {1: 1, 2: 1, 3: 5}} if p
+                else {0: {0: 3, 3: 2}, 1: {1: 3, 2: 3, 3: 1}})
+    assert linalg._echelon([long, short], p) == expected
+    dom = PrimeField(p) if p else Q
+    assert linalg.rank_stream(iter([long, short]), dom) == 2 == _reference_rank(
+        [long, short], 4, dom)
+    first, second = {0: 1, 1: 1}, {0: 1, 2: 1}
+    assert linalg._echelon([first, second], p)[0] == first
+
+
 _RATIONAL = st.builds(Fraction, st.one_of(st.integers(-6, 6), st.integers(-10**15, 10**15)),
                       st.sampled_from([1, 1, 1, 2, 3, 4, 9, 10**9 + 7]))
 # a Q row may hold ints, Fractions or both; combinations keep their entries' types
@@ -183,7 +210,7 @@ _Q_ENTRY = st.one_of(_RATIONAL, st.integers(-6, 6), st.integers(-10**15, 10**15)
 
 
 @settings(max_examples=120, deadline=None)
-@given(_sparse_rows(_Q_ENTRY, lambda x: x))
+@given(_sparse_rows(_Q_ENTRY, lambda x: x, collide=True))
 def test_rank_stream_matches_dense_rank_over_q(matrix):
     ncols, rows = matrix
     assert linalg.rank_stream(iter(rows), Q) == _reference_rank(rows, ncols, Q)
@@ -211,7 +238,7 @@ def test_rank_stream_matches_dense_rank_over_prime_fields(p):
     dom = PrimeField(p)
 
     @settings(max_examples=40, deadline=None)
-    @given(_sparse_rows(st.integers(0, p - 1), lambda x: x % p))
+    @given(_sparse_rows(st.integers(0, p - 1), lambda x: x % p, collide=True))
     def check(matrix):
         ncols, rows = matrix
         assert linalg.rank_stream(iter(rows), dom) == _reference_rank(rows, ncols, dom)

@@ -1,22 +1,31 @@
-"""Outside oracle: rankpit's expansion and hitting-set verdicts against sympy.
+"""Outside oracle: rankpit's expansion, hitting-set verdicts and shifted-partials
+measure against sympy.
 
 Each circuit is rebuilt as a sympy expression straight from its inner
 polynomials' terms and its outer DAG's nodes, then expanded by sympy over Q,
 or as a polynomial over GF(p) (`modulus=p`).  rankpit's `expand` must give the
 same polynomial, and the hitting-set verdict must be "zero" exactly when
-sympy's polynomial is zero.
+sympy's polynomial is zero.  The measure's matrix is rebuilt with `sympy.diff`
+and `expand`, and its rank taken by sympy over Q or over GF(p).
 """
 
+import random
 import sys
 from fractions import Fraction
+from itertools import combinations
 from math import prod
 from pathlib import Path
 
 import pytest
 import sympy
+from sympy.polys.domains import GF
+from sympy.polys.matrices import DomainMatrix
 
 from rankpit.circuit import expand
+from rankpit.domains import PrimeField
+from rankpit.measure import MeasureSpec, psp_dimension
 from rankpit.pit import pit_test
+from rankpit.poly import Polynomial
 
 sys.path.insert(0, str(Path(__file__).parent))
 import _corpus  # noqa: E402
@@ -114,3 +123,61 @@ def test_the_cases_cover_both_fields_twins_dags_and_calls():
     assert {"call", "add", "mul", "const"} <= outers
     assert {expand(c).is_zero() for c in circuits} == {True, False}
     assert max(c.nvars for c in circuits) <= 5
+
+
+# ----------------------------------------------------------------------
+# the shifted-partials measure
+
+def _sympy_psp_rank(poly, spec, p):
+    """rank of mult[(prod_{i in S} x_i) * d^gamma P] over gamma in the spec and
+    |S| = m, built and ranked by sympy alone."""
+    xs = sympy.symbols(f"x1:{poly.nvars + 1}")
+    expr = _sympy_poly(poly, xs)
+    rows, cols = [], {}
+    for gamma in spec.monomials:
+        d = sympy.diff(expr, *((xs[v], e) for v, e in gamma)) if gamma else expr
+        for shift in combinations(xs, spec.shift_degree):
+            terms = sympy.Poly(sympy.expand(prod(shift, start=1) * d), *xs).terms()
+            rows.append({cols.setdefault(e, len(cols)): c for e, c in terms if max(e) <= 1})
+    if not cols:
+        return 0
+    dense = [[row.get(j, 0) for j in range(len(cols))] for row in rows]
+    if p:
+        field = GF(p)
+        return DomainMatrix([[field(int(c)) for c in row] for row in dense],
+                            (len(dense), len(cols)), field).rank()
+    return sympy.Matrix(dense).rank()
+
+
+def _measure_case(seed):
+    """A seeded polynomial in <= 6 variables of degree <= 3 with non-unit
+    coefficients, its field, and a multilinear spec with r <= 1, m <= 2."""
+    rng = random.Random(seed)
+    dom = [Q, PrimeField(5), PrimeField(1_000_003)][seed % 3]
+    coeffs = [2, -3, 4, 6, -10, 12] + ([Fraction(3, 2), Fraction(-5, 7)] if dom == Q else [])
+    n = rng.randrange(4, 7)
+    terms = {}
+    for _ in range(rng.randrange(3, 8)):
+        mono = {}
+        for _ in range(rng.randrange(1, 4)):
+            v = rng.randrange(n)
+            mono[v] = mono.get(v, 0) + 1
+        terms[tuple(sorted(mono.items()))] = rng.choice(coeffs)
+    r, m = [(1, 2), (1, 1), (1, 2), (0, 2), (1, 2), (1, 1)][seed]
+    return Polynomial(dom, n, terms), MeasureSpec.multilinear(n, r, m)
+
+
+def _worked_example():
+    """Criterion 7: x1*x2 + x3*x4, M = {x1, x3}, m = 1, dimension 5."""
+    v = [Polynomial.variable(Q, 4, i) for i in range(4)]
+    return v[0] * v[1] + v[2] * v[3], MeasureSpec.of([((0, 1),), ((2, 1),)], 1)
+
+
+@pytest.mark.parametrize("seed", [None, *range(6)],
+                         ids=lambda s: "criterion-7" if s is None else f"seeded-{s}")
+def test_psp_dimension_agrees_with_sympy(seed):
+    poly, spec = _worked_example() if seed is None else _measure_case(seed)
+    expected = _sympy_psp_rank(poly, spec, poly.domain.characteristic)
+    assert psp_dimension(poly, spec).dimension == expected
+    if seed is None:
+        assert expected == 5
