@@ -361,8 +361,9 @@ def reconstruct_dependence(qs: list[Polynomial], basis, a, *,
     first dependency that involves the target writes it in the independent
     columns before it, and that combination is F_i.  If none appears by
     degree d_i*(k+1)*d^k, NoSolutionWithinCap signals a bad translation
-    (resample and retry).  Every witness is re-verified by composition,
-    truncated to degree d_i inside `compose`, before it is returned.
+    (resample and retry); it comes before any column when the target has a
+    variable that no basis member has.  Every witness is re-verified by
+    composition, truncated to degree d_i inside `compose`, before return.
     """
     basis = tuple(basis)
     t = len(qs)
@@ -384,7 +385,8 @@ def reconstruct_dependence(qs: list[Polynomial], basis, a, *,
         cap_i = max(1, d_i * (k + 1) * d ** k)
         table = _CompositionTable(b_polys, cap_i, degree_cap=d_i, term_cap=term_cap)
         terms, den = target._int_form()
-        x = linalg.span_coefficients(dict(table.pack(terms)), table.columns(), dom)
+        packed = table.pack(terms)  # None: a variable that no basis member has
+        x = None if packed is None else linalg.span_coefficients(packed, table.columns(), dom)
         if x is None:
             raise NoSolutionWithinCap(i, cap_i)
         solution = table.combination(x, den)

@@ -10,11 +10,11 @@ names x1, x2, ...  Monomials are ordered one way, graded-lex (`grlex_key`):
 total degree first, then lex with X_1 > X_2 > ...  It sorts the text and
 JSON forms and picks the trailing monomial.
 
-Substitution (`compose`, and `Polynomial.translate`, a composition with
-X_j + a_j) runs Horner's rule on packed monomials, one int each
-(`_layout`), and integer numerators, and builds one Fraction per output
-term.  The column searches of `algdep` read their power products
-q^alpha from `_CompositionTable`, on the same packed keys.
+Every product runs one loop, `_packed_product`, on integer numerators and
+packed monomials (`_Layout`: one int each, a field per variable that occurs
+in the operands), and builds one Fraction per output term: `Polynomial.mul`,
+substitution by Horner's rule (`compose`, and `Polynomial.translate`), and
+`_CompositionTable`, the power products q^alpha that `algdep` searches.
 """
 
 from __future__ import annotations
@@ -34,21 +34,6 @@ DEFAULT_TERM_CAP = 10**7
 
 def mono_from_dict(d: dict) -> Mono:
     return tuple(sorted((v, e) for v, e in d.items() if e))
-
-
-def mono_mul(a: Mono, b: Mono) -> Mono:
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):  # merge by variable; a shared one adds
-        (va, ea), (vb, eb) = a[i], b[j]
-        out.append((va, ea + eb) if va == vb else a[i] if va < vb else b[j])
-        i += va <= vb
-        j += vb <= va
-    return (*out, *a[i:], *b[j:])
 
 
 def mono_degree(a: Mono) -> int:
@@ -206,35 +191,16 @@ class Polynomial:
         """Product, optionally truncated to total degree <= degree_cap.
 
         Raises ExpansionTooLarge if the result would exceed term_cap terms.
-        The loop runs on both operands' `_int_form`: residues reduced mod p
-        after each add, or over Q numerators over a common denominator, with
-        one Fraction per output term.  A sum over a common denominator is
-        zero iff the Fraction sum is, so terms and their order are exact.
-        """
+        One `_packed_product` of both operands' `_int_form`; a sum over the
+        common denominator is zero iff the Fraction sum is, so terms and
+        their order are exact."""
         self._check_compat(other)
-        dom = self.domain
-        p = dom.characteristic
-        a, den_a = self._int_form()
-        b, den_b = other._int_form()
-        out: dict = {}
-        for ma, da, ca in a:
-            for mb, db, cb in b:
-                if degree_cap is not None and da + db > degree_cap:
-                    continue
-                m = mono_mul(ma, mb)
-                s = out.get(m, 0) + ca * cb
-                if p:
-                    s %= p
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-            if term_cap is not None and len(out) > term_cap:
-                raise ExpansionTooLarge(len(out), term_cap)
-        if not p:
-            den = den_a * den_b
-            out = {m: Fraction(s, den) for m, s in out.items()}
-        return Polynomial(dom, self.nvars, out, _normalized=True)
+        p = self.domain.characteristic
+        (a, den_a), (b, den_b) = self._int_form(), other._int_form()
+        layout = _Layout((a, b), 2, degree_cap)
+        out = _packed_product(dict(layout.pack(a)), layout.pack(b), p, layout.limit, term_cap)
+        return Polynomial(self.domain, self.nvars,
+                          layout.unpack(out, None if p else den_a * den_b), _normalized=True)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
@@ -277,11 +243,10 @@ class Polynomial:
         """P(X + a): the composition with X_j + a_j, uncapped."""
         if len(point) != self.nvars:
             raise DimensionMismatch(f"point has {len(point)} coords, nvars={self.nvars}")
-        if not self.nvars:
-            return self
-        # X_j + a_j, a_j = N_j/D_j, in integer form: [(X_j, D_j), (1, N_j)] over D_j
-        forms = {j: ([(((j, 1),), 1, a.denominator)] + [((), 0, a.numerator)] * bool(a),
-                     a.denominator) for j, a in enumerate(map(self.domain.coerce, point))}
+        a = [self.domain.coerce(c) for c in point]  # each one, so a bad one raises
+        # X_j + a_j, a_j = N_j/D_j, as [(X_j, D_j), (1, N_j)] over D_j, for each j that occurs
+        forms = {j: ([(((j, 1),), 1, a[j].denominator)] + [((), 0, a[j].numerator)] * bool(a[j]),
+                     a[j].denominator) for j in {v for m in self.terms for v, _ in m}}
         return _horner(self, forms, self.nvars, None, None)
 
     def dilate(self, z) -> "Polynomial":
@@ -458,27 +423,54 @@ def _term_text(c_str: str, m: Mono, var_prefix: str) -> str:
     return f"{c_str}*{mono_str}"
 
 
-def _layout(nvars: int, top: int, d: int, degree_cap: int | None) -> tuple[int, int, int]:
-    """(width, shift, limit) packing x^e as sum_v e_v*2^(width*v) +
-    deg(x^e)*2^shift, for products of up to `top` factors of degree <= d,
-    truncated to degree <= degree_cap if given: a monomial product is a sum
-    of keys and truncation the test key >= limit.  Every product formed has
-    degree <= B = top*d, or degree_cap + d; 2^width > B, so no field carries."""
-    bound = top * d if degree_cap is None else degree_cap + d
-    width = bound.bit_length()
-    limit = (bound if degree_cap is None else degree_cap) + 1
-    return width, width * nvars, limit << width * nvars
+class _Layout:
+    """The one packed monomial format, for products of up to `top` terms of
+    `forms`, lists of `_int_form` terms: x^e is the int sum_i e_v*2^(width*i)
+    + deg(x^e)*2^shift, v = frame[i], the variables that occur in `forms`.
+    A monomial product is a sum of keys, kept iff key < limit, i.e. degree <=
+    bound (degree_cap, or else `top` times the largest degree) < 2^width, so
+    no field of a kept key carries."""
 
+    def __init__(self, forms, top: int, degree_cap: int | None = None):
+        self.frame = tuple(sorted({v for ts in forms for m, _, _ in ts for v, _ in m}))
+        bound = (top * max((deg for ts in forms for _, deg, _ in ts), default=0)
+                 if degree_cap is None else degree_cap)
+        self.width = width = bound.bit_length()
+        self.offsets = {v: width * i for i, v in enumerate(self.frame)}
+        self.shift = width * len(self.frame)
+        self.limit = (bound + 1) << self.shift
 
-def _pack(terms, width: int, shift: int, f: int = 1) -> list:
-    """`_int_form` terms [(mono, degree, c), ...] as [(key, f*c), ...]."""
-    return [(sum(e << width * v for v, e in m) + (deg << shift), f * c) for m, deg, c in terms]
+    def pack(self, terms, f: int = 1) -> list:
+        """`_int_form` terms [(mono, degree, c), ...] as [(key, f*c), ...];
+        KeyError on a variable outside the frame."""
+        offsets, shift, out = self.offsets, self.shift, []
+        for m, deg, c in terms:
+            key = deg << shift
+            for v, e in m:
+                key += e << offsets[v]
+            out.append((key, f * c))
+        return out
+
+    def unpack(self, packed: dict, den: int | None) -> dict:
+        """{key: c} as {mono: c}, each c over den, or left as it is (over F_p)
+        when den is None."""
+        frame, width = self.frame, self.width
+        out, mask, low = {}, (1 << width) - 1, (1 << self.shift) - 1
+        for key, c in packed.items():
+            mono, key = [], key & low  # read the fields that are set, lowest first
+            while key:
+                i = ((key & -key).bit_length() - 1) // width
+                e = key >> width * i & mask
+                mono.append((frame[i], e))
+                key ^= e << width * i
+            out[tuple(mono)] = c if den is None else Fraction(c, den)
+        return out
 
 
 def _packed_product(a: dict, b: list, p: int, limit: int, term_cap: int | None) -> dict:
-    """a * b on packed keys (`_layout`), keys >= limit dropped: the terms in
-    `Polynomial.mul`'s order, reduced mod p when p, and term_cap checked
-    after each term of a, as there."""
+    """a * b on packed keys (`_Layout`), the one product loop: keys >= limit
+    dropped, sums reduced mod p when p, and term_cap checked after each
+    term of a."""
     out: dict = {}
     for ma, ca in a.items():
         for mb, cb in b:
@@ -514,30 +506,31 @@ def _dense_to_mono(alpha: tuple) -> Mono:
 
 class _CompositionTable:
     """Memoized products q^alpha = prod_j q_j^alpha_j, |alpha| <= cap, packed
-    by `_layout` (order <= cap-1 times a q_j), optionally truncated to total
-    degree <= degree_cap: the columns of the annihilator and witness searches.
+    (order <= cap-1 times a q_j), optionally truncated to total degree <=
+    degree_cap: the columns of the annihilator and witness searches.
 
     Over Q, q_j enters as N_j = D_j*q_j (`_int_form`), the entry is
     N^alpha = D^alpha*q^alpha, and scaling column alpha by D^alpha != 0
-    keeps every linear dependence (`combination` maps one back).  Terms come
-    in `Polynomial.mul`'s order and cancel where its Fractions do, so term
-    order and the term_cap count are those of the unpacked products.
+    keeps every linear dependence (`combination` maps one back).
     """
 
     def __init__(self, qs: list[Polynomial], cap: int, degree_cap: int | None = None,
                  term_cap: int | None = DEFAULT_TERM_CAP):
         self.domain, self.p = qs[0].domain, qs[0].domain.characteristic
-        d = max(q.degree() for q in qs)
-        self.width, self.shift, self.limit = _layout(qs[0].nvars, cap, d, degree_cap)
         self.cap, self.term_cap, self.alphas = cap, term_cap, []
         int_forms = [q._int_form() for q in qs]
-        self.factors = [self.pack(terms) for terms, _ in int_forms]
+        self.layout = _Layout([terms for terms, _ in int_forms], cap, degree_cap)
+        self.factors = [self.layout.pack(terms) for terms, _ in int_forms]
         self.dens = [den for _, den in int_forms]
         self.memo = {(0,) * len(qs): {0: 1}}
 
-    def pack(self, terms) -> list:
-        """`_int_form` terms in this table's packed keys."""
-        return _pack(terms, self.width, self.shift)
+    def pack(self, terms) -> dict | None:
+        """`_int_form` terms in this table's packed keys, or None if they
+        have a variable that no q_j has: then no column combines to them."""
+        try:
+            return dict(self.layout.pack(terms))
+        except KeyError:
+            return None
 
     def den(self, alpha: tuple) -> int:  # D^alpha, 1 over F_p
         return math.prod(map(pow, self.dens, alpha))
@@ -548,8 +541,8 @@ class _CompositionTable:
             return memo[alpha]
         j = max(i for i, e in enumerate(alpha) if e)
         prev = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]
-        memo[alpha] = _packed_product(self.get(prev), self.factors[j], self.p, self.limit,
-                                      self.term_cap)
+        memo[alpha] = _packed_product(self.get(prev), self.factors[j], self.p,
+                                      self.layout.limit, self.term_cap)
         return memo[alpha]
 
     def columns(self):
@@ -596,28 +589,25 @@ def compose(outer: Polynomial, inners: list, term_cap: int | None = DEFAULT_TERM
     if outer.domain != dom:
         raise DomainMismatch("outer and inner polynomials on different domains")
     used = {v for m in outer.terms for v, _ in m}
-    if not used:  # a constant outer: nothing to substitute
-        return Polynomial.constant(dom, nvars, outer.coefficient(()))
     return _horner(outer, {v: inners[v]._int_form() for v in used}, nvars, term_cap, degree_cap)
 
 
 def _horner(outer: Polynomial, forms: dict, nvars: int, term_cap: int | None,
             degree_cap: int | None) -> Polynomial:
     """outer(inners), forms[v] = (N_v, D_v) the integer form of inner v for
-    every variable v that occurs in outer, on packed keys (`_layout`).
+    every variable v that occurs in outer, on packed keys over the variables
+    of those inners (`_Layout`).
 
     The inners are brought to one den L, and a term c*z^m of outer enters as
     c*L^(D-|m|), D = deg(outer): then each partial sum is a power of L times
-    the one over Q, so terms cancel, and come in the order, as in
-    `Polynomial.mul` and `+` on Fractions; term_cap is checked after each
-    sum too.  One Fraction is built per output term."""
+    the one over Q, so terms cancel where the Fraction sums do; term_cap is
+    checked after each sum too.  One Fraction is built per output term."""
     p = outer.domain.characteristic
     terms, den_outer = outer._int_form()
     top = max((deg for _, deg, _ in terms), default=0)
-    d = max((deg for ts, _ in forms.values() for _, deg, _ in ts), default=0)
     den = math.lcm(*(den for _, den in forms.values()))
-    width, shift, limit = _layout(nvars, top, d, degree_cap)
-    factors = {v: _pack(ts, width, shift, den // d_v) for v, (ts, d_v) in forms.items()}
+    layout = _Layout([ts for ts, _ in forms.values()], top, degree_cap)
+    factors = {v: layout.pack(ts, den // d_v) for v, (ts, d_v) in forms.items()}
 
     def add(total: dict, items, move=False):
         # total += items in place; a key already in total keeps its place,
@@ -653,7 +643,7 @@ def _horner(outer: Polynomial, forms: dict, nvars: int, term_cap: int | None,
             high = max(by_exp)
             acc = yield by_exp[high]
             for e in range(high - 1, -1, -1):
-                acc = _packed_product(acc, factors[v], p, limit, term_cap)
+                acc = _packed_product(acc, factors[v], p, layout.limit, term_cap)
                 if e in by_exp:
                     add(acc, (yield by_exp[e]).items())
             parts.append(acc)
@@ -674,14 +664,7 @@ def _horner(outer: Polynomial, forms: dict, nvars: int, term_cap: int | None,
         except StopIteration as done:
             stack.pop()
             acc = done.value
-    den = den ** top * den_outer
-    out, mask, low = {}, (1 << width) - 1, (1 << shift) - 1
-    for key, c in acc.items():
-        mono, key = [], key & low  # read the fields that are set, lowest first
-        while key:
-            v = ((key & -key).bit_length() - 1) // width
-            mono.append((v, key >> width * v & mask))
-            key ^= mono[-1][1] << width * v
-        out[tuple(mono)] = c if p else Fraction(c, den)
-    return Polynomial(outer.domain, nvars, out, _normalized=True)
+    return Polynomial(outer.domain, nvars,
+                      layout.unpack(acc, None if p else den ** top * den_outer),
+                      _normalized=True)
 

@@ -490,15 +490,13 @@ def test_annihilator_matches_reference_search(dom):
 # ----------------------------------------------------------------------
 # the packed composition table against public products
 
-def _unpacked(table, nvars, alpha) -> dict:
-    """The entry for alpha as the terms of q^alpha: each key decoded field
-    by field (its degree field must agree), each coefficient over D^alpha."""
-    w, mask = table.width, (1 << table.width) - 1
-    out = {}
-    for key, c in table.get(alpha).items():
-        mono = tuple((v, key >> w * v & mask) for v in range(nvars) if key >> w * v & mask)
-        assert key >> table.shift == sum(e for _, e in mono)
-        out[mono] = c if table.p else Fraction(c, table.den(alpha))
+def _unpacked(table, alpha) -> dict:
+    """The entry for alpha as the terms of q^alpha, decoded by the table's
+    layout (each key's degree field must agree), each coefficient over
+    D^alpha."""
+    layout, entry = table.layout, table.get(alpha)
+    out = layout.unpack(entry, None if table.p else table.den(alpha))
+    assert [key >> layout.shift for key in entry] == [sum(e for _, e in m) for m in out]
     return out
 
 
@@ -506,7 +504,7 @@ def _assert_entries_are_products(table, qs, degree_cap):
     list(table.columns())
     for alpha in table.alphas:
         expected = _power_product(qs, alpha, degree_cap).terms
-        assert list(_unpacked(table, qs[0].nvars, alpha).items()) == list(expected.items())
+        assert list(_unpacked(table, alpha).items()) == list(expected.items())
 
 
 def _fractional_poly(rng, dom, nvars, max_exp=2):
@@ -542,14 +540,17 @@ def test_packed_table_round_trips_at_its_width_bound(dom):
     """x1^2 at |alpha| = cap = 4 is x1^8, whose exponent equals the bound
     B = cap*d = 8 that sets the width (4 bits; 3 would carry).  The
     truncated table forms products of degree up to degree_cap + 5 from a
-    member of degree 5 above degree_cap = 3."""
+    member of degree 5 above degree_cap = 3, whose exponents overflow the
+    2-bit fields that degree_cap sets; the limit drops every one of them."""
     x1, x2 = x(0, dom=dom), x(1, dom=dom)
     qs = [x1.pow(2).scale(Fraction(1, 3) if dom == Q else 3), x2]
     table = _CompositionTable(qs, 4)
     _assert_entries_are_products(table, qs, None)
-    assert list(_unpacked(table, 2, (4, 0))) == [((0, 8),)]
+    assert list(_unpacked(table, (4, 0))) == [((0, 8),)] and table.layout.width == 4
     qs = [x1.pow(5) + x1 * x2 + x2, x1 + x2.scale(2)]
-    _assert_entries_are_products(_CompositionTable(qs, 6, degree_cap=3), qs, 3)
+    table = _CompositionTable(qs, 6, degree_cap=3)
+    _assert_entries_are_products(table, qs, 3)
+    assert table.layout.width == 2
 
 
 @pytest.mark.parametrize("dom", [Q, FP], ids=str)
@@ -1049,6 +1050,34 @@ def test_bad_translation_has_no_witness_within_cap():
         with pytest.raises(NoSolutionWithinCap) as info:
             reconstruct(qs, (0,), (0,))
         assert (info.value.index, info.value.cap) == (1, 18)
+
+
+@pytest.mark.parametrize("dom", [Q, FP], ids=str)
+@pytest.mark.parametrize("texts, basis, expected, streamed_caps", [
+    (["x1", "x2"], (0,), (1, 2), []),
+    (["x1^3", "x1", "x2^2"], (1,), (2, 12), [18])])
+def test_a_target_variable_outside_the_basis_has_no_witness(dom, texts, basis, expected,
+                                                            streamed_caps, monkeypatch):
+    """x2 occurs in the target and in no basis member, so no combination of
+    basis powers is the target: NoSolutionWithinCap with the (index, cap) of
+    the full column search, raised before any column for it streams (q_1 =
+    x1^3 in the second tuple streams its own, with cap 3*2*3 = 18)."""
+    qs = [Polynomial.from_text(dom, 2, text) for text in texts]
+    a = (dom.coerce(1), dom.coerce(-2))
+    with pytest.raises(NoSolutionWithinCap) as info:
+        _reference_reconstruct(qs, basis, a)
+    assert (info.value.index, info.value.cap) == expected
+    columns, caps = _CompositionTable.columns, []
+
+    def streamed(table):
+        caps.append(table.cap)
+        yield from columns(table)
+
+    monkeypatch.setattr(_CompositionTable, "columns", streamed)
+    with pytest.raises(NoSolutionWithinCap) as info:
+        reconstruct_dependence(qs, basis, a)
+    assert (info.value.index, info.value.cap) == expected
+    assert caps == streamed_caps
 
 
 def _greedy_basis(matrix, dom, rank):

@@ -12,8 +12,7 @@ from rankpit.domains import PrimeField, Rationals
 from rankpit.errors import (ArityMismatch, DimensionMismatch, ExpansionTooLarge,
                             InvalidParams, ZeroPolynomial)
 from rankpit import poly
-from rankpit.poly import (Polynomial, compose, grlex_key, mono_degree, mono_from_dict,
-                          mono_mul)
+from rankpit.poly import Polynomial, compose, grlex_key, mono_degree, mono_from_dict
 
 Q = Rationals()
 F11 = PrimeField(11)
@@ -41,6 +40,14 @@ def random_poly(rng, dom, nvars, max_deg, max_terms=6):
     return Polynomial(dom, nvars, terms)
 
 
+def _reference_mono_mul(a, b):
+    """The product of two monomials, by a dict and a sort."""
+    d = dict(a)
+    for v, e in b:
+        d[v] = d.get(v, 0) + e
+    return tuple(sorted(d.items()))
+
+
 # ----------------------------------------------------------------------
 # trailing monomial
 
@@ -65,7 +72,7 @@ def test_trailing_monomial_multiplicative():
         if p.is_zero() or q.is_zero():
             continue
         lhs = (p * q).trailing_monomial()
-        rhs = mono_mul(p.trailing_monomial(), q.trailing_monomial())
+        rhs = _reference_mono_mul(p.trailing_monomial(), q.trailing_monomial())
         assert lhs == rhs
 
 
@@ -77,7 +84,7 @@ def test_order_total_and_one_minimal():
         monos.update(p.terms)
     for m in monos:
         assert grlex_key(()) <= grlex_key(m)
-        assert grlex_key(m) < grlex_key(mono_mul(m, ((0, 1),)))
+        assert grlex_key(m) < grlex_key(_reference_mono_mul(m, ((0, 1),)))
 
 
 # ----------------------------------------------------------------------
@@ -347,7 +354,7 @@ def _reference_mul(a, b, term_cap=None, degree_cap=None) -> dict:
         for mb, cb in b.terms.items():
             if degree_cap is not None and da + mono_degree(mb) > degree_cap:
                 continue
-            m = mono_mul(ma, mb)
+            m = _reference_mono_mul(ma, mb)
             s = dom.add(out.get(m, dom.zero), dom.mul(ca, cb))
             if dom.is_zero(s):
                 out.pop(m, None)
@@ -418,26 +425,6 @@ def test_int_form_is_the_conversion_computed_once(pair):
         assert ([(m, c) for m, _, c in terms], den) == expected
         assert [d for _, d, _ in terms] == [mono_degree(m) for m in poly.terms]
         assert all(type(c) is int for _, _, c in terms) and type(den) is int
-
-
-def _reference_mono_mul(a, b):
-    """The dict-and-sort product that the merge in mono_mul replaced."""
-    d = dict(a)
-    for v, e in b:
-        d[v] = d.get(v, 0) + e
-    return tuple(sorted(d.items()))
-
-
-_SPARSE_MONO = st.dictionaries(st.integers(0, 7), st.integers(1, 4), max_size=5).map(
-    mono_from_dict)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_SPARSE_MONO, _SPARSE_MONO)
-def test_mono_mul_merge_matches_dict_and_sort(a, b):
-    got = mono_mul(a, b)
-    assert type(got) is tuple
-    assert got == _reference_mono_mul(a, b) == mono_mul(b, a)
 
 
 # ----------------------------------------------------------------------
@@ -525,7 +512,8 @@ def test_compose_packing_edges():
     the top of a 2000-variable ring, constant and zero outers, inners with
     constant terms, and a degree cap of 0."""
     z3 = Polynomial(Q, 1, {((0, 3),): 1})
-    assert poly._layout(2, 3, 1, None)[0] == 2  # x1^3 fills its 2-bit field
+    # x1^3 fills its 2-bit field
+    assert poly._Layout([x(0)._int_form()[0]], 3).width == 2
     assert compose(z3, [x(0)]) == x(0).pow(3)
     assert compose(z3, [x(0) + x(1)]) == (x(0) + x(1)).pow(3)
     n = 2000
@@ -546,6 +534,46 @@ def test_compose_packing_edges():
         assert compose(f, inners) == direct
         assert compose(f, inners, degree_cap=0) == direct.homogeneous_le(0)
         assert compose(f, [const(2, dom=dom), const(3, dom=dom)]) == const(11, dom=dom)
+
+
+@pytest.mark.parametrize("dom", [Q, FP], ids=str)
+def test_a_wide_ring_packs_only_the_variables_that_occur(dom, monkeypatch):
+    """In a 10^6-variable ring, mul, pow, compose and translate of
+    polynomials in x1 and x_N equal the same operations in a 2-variable
+    ring, x2 relabelled x_N, and every packed layout has a field for each
+    of the two variables that occur and no other: its shift is width * 2."""
+    n = 10**6
+    layouts = []
+
+    class Recorded(poly._Layout):
+        def __init__(self, *args):
+            super().__init__(*args)
+            layouts.append(self)
+
+    monkeypatch.setattr(poly, "_Layout", Recorded)
+
+    def wide(p):
+        return Polynomial(p.domain, n, {tuple((v and n - 1, e) for v, e in m): c
+                                        for m, c in p.terms.items()})
+
+    f = Polynomial.from_text(dom, 2, "1/2*x1^2*x2 - 3*x2 + 5")
+    g = Polynomial.from_text(dom, 2, "x1 - 2/3*x2^2")
+    outer = Polynomial.from_text(dom, 2, "z1*z2 - z2^2 + 7", var_prefix="z")
+    point = [Fraction(0)] * n
+    point[0], point[-1] = Fraction(1, 2), Fraction(-3)
+    narrow = [f.mul(g), f.mul(g, degree_cap=3), f.pow(3), compose(outer, [f, g]),
+              compose(outer, [f, g], degree_cap=2), f.translate([Fraction(1, 2), -3])]
+    layouts.clear()
+    f, g = wide(f), wide(g)
+    got = [f.mul(g), f.mul(g, degree_cap=3), f.pow(3), compose(outer, [f, g]),
+           compose(outer, [f, g], degree_cap=2), f.translate(point)]
+    assert [list(p.terms.items()) for p in got] == [list(wide(p).terms.items()) for p in narrow]
+    assert {layout.frame for layout in layouts} == {(0, n - 1)}
+    assert all(layout.shift == 2 * layout.width for layout in layouts)
+    # a coordinate of a variable that does not occur is still coerced
+    point[5] = Fraction(1, FP.p) if dom == FP else "not a number"
+    with pytest.raises(ZeroDivisionError if dom == FP else ValueError):
+        f.translate(point)
 
 
 def _reference_horner(outer, inners, term_cap=None, degree_cap=None):
@@ -721,7 +749,7 @@ def _reference_translate(p, point):
             apow = dom.one
             for i in range(e, -1, -1):
                 coeff = dom.mul(c, dom.mul(dom.coerce(math.comb(e, i)), apow))
-                m = mono_mul(rest, ((j, i),) if i else ())
+                m = _reference_mono_mul(rest, ((j, i),) if i else ())
                 s = dom.add(out.get(m, dom.zero), coeff)
                 if dom.is_zero(s):
                     out.pop(m, None)

@@ -190,10 +190,11 @@ def test_only_poly_clears_denominators():
 
 
 def test_only_poly_packs_monomials():
-    # the packed monomial format (`_layout`, `_pack`, `_packed_product`) is
-    # read and written in poly.py alone: other modules reach it through
-    # `compose` and `_CompositionTable`, whose `pack` keys a search target
-    packing = {"_layout", "_pack", "_packed_product"}
+    # the packed monomial format (`_Layout`, its `unpack`, a table's
+    # `layout`, `_packed_product`) is read and written in poly.py alone:
+    # other modules reach it through `compose` and `_CompositionTable`,
+    # whose `pack` keys a search target
+    packing = {"_Layout", "layout", "unpack", "_packed_product"}
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "poly.py":
