@@ -360,10 +360,13 @@ def reconstruct_dependence(qs: list[Polynomial], basis, a, *,
     h^{<=d_i}[basis(X+a)^alpha] in ascending graded-lex order of z^alpha: the
     first dependency that involves the target writes it in the independent
     columns before it, and that combination is F_i.  If none appears by
-    degree d_i*(k+1)*d^k, NoSolutionWithinCap signals a bad translation
-    (resample and retry); it comes before any column when the target has a
-    variable that no basis member has.  Every witness is re-verified by
-    composition, truncated to degree d_i inside `compose`, before return.
+    degree d_i, NoSolutionWithinCap signals a bad translation (resample and
+    retry); it comes before any column when the target has a variable that
+    no basis member has.  Every witness is re-verified by composition,
+    truncated to degree d_i inside `compose`, before return.  No column past
+    degree d_i is needed: with b(X+a) = b(a) + b~, b~ free of constants,
+    span{b^alpha : |alpha| <= d_i} = span{b~^beta : |beta| <= d_i}, and
+    h^{<=d_i} kills every b~^beta with |beta| > d_i.
     """
     basis = tuple(basis)
     t = len(qs)
@@ -371,7 +374,6 @@ def reconstruct_dependence(qs: list[Polynomial], basis, a, *,
     dom = qs[0].domain
     non_basis = [i for i in range(t) if i not in basis]
     b_polys = [qs[b].translate(a) for b in basis]
-    d = max(1, max(q.degree() for q in qs))
     f_map: dict = {}
     trunc: dict = {}
     for i in non_basis:
@@ -382,7 +384,7 @@ def reconstruct_dependence(qs: list[Polynomial], basis, a, *,
             # rank-0 tuple: every polynomial is a constant
             f_map[i] = Polynomial.constant(dom, 0, target.coefficient(()))
             continue
-        cap_i = max(1, d_i * (k + 1) * d ** k)
+        cap_i = max(1, d_i)
         table = _CompositionTable(b_polys, cap_i, degree_cap=d_i, term_cap=term_cap)
         terms, den = target._int_form()
         packed = table.pack(terms)  # None: a variable that no basis member has

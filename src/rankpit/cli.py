@@ -293,8 +293,6 @@ def _cmd_pit(args) -> tuple[int, str]:
 
 
 def _cmd_bench(args) -> tuple[int, str]:
-    if args.experiment != "separation":
-        raise InvalidParams(f"unknown bench experiment {args.experiment!r}")
     domain = _field_from_flag(args.field)
     base = nw.NWParams(args.n, args.q, args.e)
     poly = nw.hard_polynomial(nw.HardPolyParams(base, 1), domain, args.cap_expansion)

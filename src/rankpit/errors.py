@@ -117,12 +117,12 @@ class NoGoodTranslation(RankpitError):
 
 
 class NoSolutionWithinCap(RankpitError):
-    """Dependence reconstruction found no witness up to the degree cap."""
+    """Dependence reconstruction found no witness up to the target's degree."""
 
     def __init__(self, index: int, cap: int):
         super().__init__(
             f"no functional-dependence witness of degree <= {cap} for polynomial {index}"
-            " (bad translation or cap too small; resample the translation)")
+            " (bad translation; resample the translation)")
         self.index = index
         self.cap = cap
 

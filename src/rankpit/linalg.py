@@ -11,9 +11,9 @@ touches floating point.
 
 One kernel, `_eliminate`, serves Q and every prime field.  `_echelon`
 keeps the shorter row at each pivot collision (Markowitz's local rule),
-which keeps the span and cuts fill-in.  `_reduce`, under `dependent_columns`,
-never swaps: a basis row's combination would move into a later column's
-slot.  Both run on plain Python ints with no domain method calls:
+which keeps the span and cuts fill-in.  `dependent_columns` never swaps: a
+basis row's combination would move into a later column's slot.  Both run
+on plain Python ints with no domain method calls:
 
 - over F_p, entries are residues; a basis row is scaled so that its pivot is
   1, and each update is reduced mod p inline;
@@ -64,20 +64,26 @@ def dependent_columns(columns, p: int):
     reduced in one row that also carries its combination: row keys get
     negative ids and column i the slot i >= 0, so one `_eliminate` covers
     both, and a row whose smallest key is a slot has no row entry left.
-    Independent columns join the basis and dependent ones do not: for each
-    dependent column j this yields (j, lam), lam = {i: lam_i} ascending over
-    j and the independent columns before it, with lam_j = 1 and
-    sum lam_i * column_i = 0.
+    No basis row has a slot as its pivot, so v keeps its own slot j and is
+    never empty.  Independent columns join the basis and dependent ones do
+    not: for each dependent column j this yields (j, lam), lam = {i: lam_i}
+    ascending over j and the independent columns before it, with lam_j = 1
+    and sum lam_i * column_i = 0.
+
+    Row ids follow first appearance, not the caller's keys: negated packed
+    keys are ~7% faster on dependence_q but take `find_annihilator` on 3
+    cubics in 2 linear forms of x1..x3 over Q from 17 s to 23 s.
     """
     row_id: dict = {}
     basis: dict[int, dict[int, int]] = {}
     for j, col in enumerate(columns):
         raw = {~row_id.setdefault(r, len(row_id)): c for r, c in col.items()}
         raw[j] = 1
-        v = _reduce(_integer_row(raw, p), basis, p)
-        pivot = min(v)  # v keeps its slot j: no basis row has that slot
+        v = _integer_row(raw, p)
+        while (b := basis.get(pivot := min(v))) is not None:
+            v = _eliminate(v, b, pivot, p)
         if pivot < 0:
-            basis[pivot] = v
+            basis[pivot] = _monic(v, pivot, p)
             continue
         f = v[j]
         if p:
@@ -101,18 +107,6 @@ def span_coefficients(target: dict, columns, domain) -> dict | None:
 
 def _integer_row(raw: dict, p: int) -> dict[int, int]:
     return {j: c % p for j, c in raw.items() if c % p} if p else _primitive(raw)
-
-
-def _reduce(v: dict, basis: dict, p: int) -> dict:
-    """v reduced until its smallest column is not a pivot of the basis, and
-    then scaled monic over F_p; empty if v was in the span of the basis."""
-    while v:
-        pivot = min(v)
-        b = basis.get(pivot)
-        if b is None:
-            return _monic(v, pivot, p)
-        v = _eliminate(v, b, pivot, p)
-    return v
 
 
 def _monic(v: dict, col: int, p: int) -> dict:

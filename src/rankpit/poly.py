@@ -5,10 +5,11 @@ positive exponents; the empty tuple is 1.  A polynomial maps monomials to
 nonzero coefficients in an explicit domain (rationals or a prime field), so
 every operation here is exact: no floating point anywhere.
 
-Variables are 0-based internally; the text and JSON forms use the 1-based
-names x1, x2, ...  Monomials are ordered one way, graded-lex (`grlex_key`):
-total degree first, then lex with X_1 > X_2 > ...  It sorts the text and
-JSON forms and picks the trailing monomial.
+Variables are 0-based internally; the text form (output only) and the JSON
+form (read and written) use the 1-based names x1, x2, ...  Monomials are
+ordered one way, graded-lex (`grlex_key`): total degree first, then lex
+with X_1 > X_2 > ...  It sorts the text and JSON forms and picks the
+trailing monomial.
 
 Every product runs one loop, `_packed_product`, on integer numerators and
 packed monomials (`_Layout`: one int each, a field per variable that occurs
@@ -349,43 +350,6 @@ class Polynomial:
             else:
                 pieces.append((" - " if negative else " + ") + body)
         return "".join(pieces)
-
-    @classmethod
-    def from_text(cls, domain, nvars: int, text: str,
-                  var_prefix: str = "x") -> "Polynomial":
-        """Parse the canonical text form (tolerant about whitespace)."""
-        text = text.strip()
-        if text in ("0", ""):
-            return cls.zero(domain, nvars)
-        norm = text.replace(" - ", " + -").replace(" + ", "\x00")
-        out = cls.zero(domain, nvars)
-        for raw in norm.split("\x00"):
-            raw = raw.strip()
-            negate = raw.startswith("-")
-            if negate:
-                raw = raw[1:].strip()
-            coeff = domain.one
-            mono: dict = {}
-            for factor in raw.split("*"):
-                factor = factor.strip()
-                if not factor:
-                    raise InvalidParams(f"empty factor in term {raw!r}")
-                if factor.startswith(var_prefix) and factor[len(var_prefix):][:1].isdigit():
-                    body = factor[len(var_prefix):]
-                    v_str, caret, e_str = body.partition("^")
-                    v, e = int(v_str) - 1, int(e_str) if caret else 1
-                    # canonical decimals only, as in terms_from_json: no "1_0", "01", "+2"
-                    if (str(v + 1) != v_str or caret and str(e) != e_str
-                            or not (0 <= v < nvars) or e <= 0):
-                        raise InvalidParams(f"bad variable factor {factor!r}")
-                    mono[v] = mono.get(v, 0) + e
-                else:
-                    coeff = domain.mul(coeff, domain.parse(factor))
-            if negate:
-                coeff = domain.neg(coeff)
-            term = cls(domain, nvars, {mono_from_dict(mono): coeff})
-            out = out + term
-        return out
 
     def terms_to_json(self) -> list:
         """Term list with exact string coefficients and 1-based variables."""

@@ -132,7 +132,7 @@ def test_a_list_field_that_is_no_list_is_a_syntax_error(read, key, path):
 
 def _dag_circuit_json() -> dict:
     """A valid circuit whose gate 0 has a DAG outer with every node kind."""
-    f = Polynomial.from_text(Q, 2, "z1^2 - 2*z2", var_prefix="z")
+    f = x(0).pow(2) - 2 * x(1)  # z1^2 - 2*z2
     outer = OuterExpr(2, [("input", 0), ("input", 1),
                           ("const", Q.coerce(3)), ("mul", (0, 2)),
                           ("add", (3, 1)), ("call", f, (0, 4))], 5)
@@ -176,7 +176,7 @@ def test_malformed_dag_node_is_a_syntax_error(node, path):
 def test_a_call_node_must_match_its_polynomial_arity():
     """A parsed call node reads its polynomial over len(args) variables, so
     only a DAG built in code can break this check."""
-    f = Polynomial.from_text(Q, 2, "z1*z2", var_prefix="z")
+    f = x(0) * x(1)  # z1*z2
     with pytest.raises(InvalidParams, match="call arity 1 != poly variables 2"):
         OuterExpr(2, [("input", 0), ("call", f, (0,))], 1)
 
@@ -324,7 +324,7 @@ def test_expand_examples():
     ])
     assert expand(zero).is_zero()
     # gamma(z1, z2) = z1^2 - 2 z2 as a call node
-    f = Polynomial.from_text(Q, 2, "z1^2 - 2*z2", var_prefix="z")
+    f = x(0).pow(2) - 2 * x(1)  # z1^2 - 2*z2
     outer2 = OuterExpr(2, [("input", 0), ("input", 1), ("call", f, (0, 1))], 2)
     g = Gate(outer2, [x(0) + x(1), x(0) * x(1)])
     c = Circuit(Q, 2, DeclaredBounds(d=2, k=2, delta=2), [g])
@@ -334,7 +334,7 @@ def test_expand_examples():
 
 
 def test_formal_degree_of_dag():
-    f = Polynomial.from_text(Q, 2, "z1^2*z2 + z2", var_prefix="z")
+    f = x(0).pow(2) * x(1) + x(1)  # z1^2*z2 + z2
     outer = OuterExpr(2, [("input", 0), ("input", 1), ("call", f, (0, 1))], 2)
     g = Gate(outer, [x(0) + x(1), x(0) * x(1)])
     assert g.formal_degree() == 2 * 1 + 2  # z1^2*z2 with weights (1, 2)
@@ -343,8 +343,9 @@ def test_formal_degree_of_dag():
 def every_node_dag(dom):
     """A DAG over 2 inputs with every node kind: a constant above any p, a
     one-argument add, a mul, a call, a nested call and a call of zero."""
-    f = Polynomial.from_text(dom, 2, "z1^2 + 3*z1*z2 - 1", var_prefix="z")
-    g = Polynomial.from_text(dom, 2, "z1*z2^2 - z2", var_prefix="z")
+    z1, z2 = x(0, dom=dom), x(1, dom=dom)
+    f = z1.pow(2) + 3 * z1 * z2 - const(1, dom=dom)
+    g = z1 * z2.pow(2) - z2
     return OuterExpr(2, [
         ("input", 0), ("input", 1), ("const", 2 ** 70 + 3), ("add", (2,)),
         ("mul", (0, 3, 1)), ("call", f, (0, 4)), ("call", g, (5, 1)),
@@ -442,7 +443,7 @@ def test_slice_over_prime_field_small_reps():
 
 
 def test_dag_outer_json_roundtrip():
-    f = Polynomial.from_text(Q, 2, "z1^2 - 2*z2", var_prefix="z")
+    f = x(0).pow(2) - 2 * x(1)  # z1^2 - 2*z2
     outer = OuterExpr(2, [("input", 0), ("input", 1),
                           ("const", Q.coerce(3)), ("mul", (0, 2)),
                           ("add", (3, 1)), ("call", f, (0, 4))], 5)

@@ -1,12 +1,13 @@
-"""Outside oracle: rankpit's expansion, hitting-set verdicts and shifted-partials
-measure against sympy.
+"""Outside oracle: rankpit's text form, expansion, hitting-set verdicts and
+shifted-partials measure against sympy.
 
 Each circuit is rebuilt as a sympy expression straight from its inner
 polynomials' terms and its outer DAG's nodes, then expanded by sympy over Q,
 or as a polynomial over GF(p) (`modulus=p`).  rankpit's `expand` must give the
 same polynomial, and the hitting-set verdict must be "zero" exactly when
 sympy's polynomial is zero.  The measure's matrix is rebuilt with `sympy.diff`
-and `expand`, and its rank taken by sympy over Q or over GF(p).
+and `expand`, and its rank taken by sympy over Q or over GF(p).  The text
+that `to_text` prints is read back by sympy's own parser.
 """
 
 import random
@@ -69,6 +70,30 @@ def _sympy_circuit(c, xs):
     return total
 
 
+@pytest.mark.parametrize("dom", [Q, FP], ids=str)
+def test_sympy_reads_the_text_form_as_the_polynomial(dom):
+    """sympy parses `to_text` (`^` read as `**`) to the polynomial's own
+    terms, over Q and modulo p: signs, rational coefficients, exponents and
+    the zero polynomial."""
+    rng = random.Random(97)
+    coeffs = [1, -1, 2, -3, Fraction(3, 4), Fraction(-5, 7), Fraction(1, 1000000007)]
+    for trial in range(60):
+        nvars = rng.randrange(1, 5)
+        terms = {}
+        for _ in range(rng.randrange(0, 6)):
+            mono = {}
+            for _ in range(rng.randrange(0, 5)):
+                v = rng.randrange(nvars)
+                mono[v] = mono.get(v, 0) + 1
+            terms[tuple(sorted(mono.items()))] = rng.choice(coeffs)
+        poly = Polynomial(dom, nvars, terms)
+        xs = sympy.symbols(f"x1:{nvars + 1}")
+        parsed = sympy.parse_expr(poly.to_text().replace("^", "**"),
+                                  local_dict={str(v): v for v in xs})
+        assert (_sympy_poly_of(poly, parsed, xs)
+                == _sympy_poly_of(poly, _sympy_poly(poly, xs), xs)), poly.to_text()
+
+
 def _case(seed, **kind):
     return lambda: _corpus.random_class_circuit(seed, **kind)
 
@@ -101,7 +126,8 @@ CASES = {
 
 
 def _sympy_poly_of(c, expr, xs):
-    """expr as a sympy polynomial over c's field: GF(p) or QQ."""
+    """expr as a sympy polynomial over the field of c (a circuit or a
+    polynomial): GF(p) or QQ."""
     p = c.domain.characteristic
     return sympy.Poly(expr, *xs, modulus=p) if p else sympy.Poly(expr, *xs, domain="QQ")
 

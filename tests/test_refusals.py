@@ -1,0 +1,129 @@
+"""Every public refusal that the other tests never reach: a bad argument to a
+constructor or an entry point raises its structured error (or the built-in
+one the API documents), with its message, before any work is done."""
+
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from rankpit import algdep, circuit, domains, measure, nw, pit, util
+from rankpit.circuit import Circuit, DeclaredBounds, Gate, OuterExpr
+from rankpit.domains import PrimeField, Rationals
+from rankpit.errors import (ArityMismatch, DimensionMismatch, DomainMismatch,
+                            ExpansionTooLarge, InvalidParams, UnreadableInput)
+from rankpit.poly import Polynomial, compose
+
+Q = Rationals()
+FP = PrimeField(1_000_003)
+
+
+def x(i, nvars=2, dom=Q):
+    return Polynomial.variable(dom, nvars, i)
+
+
+def _circuit(*gates, nvars=2, dom=Q):
+    return Circuit(dom, nvars, DeclaredBounds(d=1, k=1, delta=1), list(gates))
+
+
+def _read_latin1():
+    Path("latin1.txt").write_bytes("café".encode("latin-1"))
+    return util.read_text("latin1.txt")
+
+
+REFUSALS = {
+    # poly
+    "compose-no-inners": (lambda: compose(Polynomial.constant(Q, 0, 1), []),
+                          ArityMismatch, "at least one inner"),
+    "compose-mixed-domains": (lambda: compose(x(0) + x(1), [x(0), x(0, dom=FP)]),
+                              DomainMismatch, "inner polynomials on different domains"),
+    "compose-mixed-nvars": (lambda: compose(x(0) + x(1), [x(0), x(0, nvars=3)]),
+                            DimensionMismatch, "different variable counts"),
+    "compose-outer-domain": (lambda: compose(x(0, 1, FP), [x(0)]),
+                             DomainMismatch, "outer and inner"),
+    "variable-out-of-range": (lambda: Polynomial.variable(Q, 2, 2),
+                              InvalidParams, "variable 2 out of range"),
+    "negative-power": (lambda: x(0).pow(-1), InvalidParams, "negative power"),
+    "evaluate-short-point": (lambda: x(0).evaluate([1]),
+                             DimensionMismatch, "point has 1 coords, nvars=2"),
+    # circuit
+    "gate-no-inners": (lambda: Gate("product", []), InvalidParams, "at least one inner"),
+    "gate-mixed-domains": (lambda: Gate("product", [x(0), x(0, dom=FP)]),
+                           DomainMismatch, "different domains"),
+    "gate-mixed-nvars": (lambda: Gate("product", [x(0), x(0, nvars=3)]),
+                         DimensionMismatch, "different variable counts"),
+    "gate-outer-not-a-dag": (lambda: Gate("sum", [x(0)]),
+                             InvalidParams, 'outer must be "product" or an OuterExpr'),
+    "gate-outer-arity": (lambda: Gate(OuterExpr(1, [("input", 0)], 0), [x(0), x(1)]),
+                         InvalidParams, "outer arity 1 != 2 inner"),
+    "dag-unknown-op": (lambda: OuterExpr(1, [("input", 0), ("neg", (0,))], 1),
+                       InvalidParams, "node 1: unknown op 'neg'"),
+    "dag-call-forward-argument": (
+        lambda: OuterExpr(1, [("input", 0), ("call", x(0, nvars=1), (1,))], 1),
+        InvalidParams, r"node 1: bad argument list \(1,\)"),
+    "circuit-nvars": (lambda: _circuit(Gate("product", [x(0)]), nvars=3),
+                      DimensionMismatch, "gate 0: inner polynomial on 2 variables"),
+    "circuit-domain": (lambda: _circuit(Gate("product", [x(0)]), dom=FP),
+                       DomainMismatch, "gate 0: inner polynomial domain differs"),
+    "expand-over-term-cap": (
+        lambda: circuit.expand(_circuit(Gate("product", [x(0)]), Gate("product", [x(1)])),
+                               term_cap=1),
+        ExpansionTooLarge, "2 terms"),
+    "negative-degree-slice": (
+        lambda: circuit.homogeneous_component_circuit(_circuit(Gate("product", [x(0)])), -1),
+        InvalidParams, "negative degree slice"),
+    # domains
+    "composite-modulus": (lambda: PrimeField(4), InvalidParams, "modulus 4 is not a prime"),
+    "inverse-of-zero-Q": (lambda: Q.inv(0), ZeroDivisionError, "inverse of zero"),
+    "inverse-of-zero-Fp": (lambda: FP.inv(FP.p), ZeroDivisionError, "inverse of zero"),
+    "field-spec-not-an-object": (lambda: domains.domain_from_json("rational"),
+                                 InvalidParams, "bad field spec"),
+    "field-spec-unknown-type": (lambda: domains.domain_from_json({"type": "complex"}),
+                                InvalidParams, "unknown field type 'complex'"),
+    # measure
+    "spec-empty": (lambda: measure.MeasureSpec.of([], 1),
+                   InvalidParams, "derivative set must be nonempty"),
+    "spec-negative-shift": (lambda: measure.MeasureSpec.of([((0, 1),)], -1),
+                            InvalidParams, "shift degree must be >= 0"),
+    "bound-negative-rank": (lambda: measure.circuit_measure_bound(1, 4, -1, 1, 0, 1, 0),
+                            InvalidParams, "k and degree must be >= 0"),
+    "bound-zero-fanin": (lambda: measure.circuit_measure_bound(0, 4, 1, 1, 0, 1, 0),
+                         InvalidParams, "bound inputs out of range"),
+    # nw
+    "nw-degree-above-q": (lambda: nw.NWParams(2, 2, 3), InvalidParams, "need 0 <= e <= q"),
+    "hard-poly-zero-p": (lambda: nw.HardPolyParams(nw.NWParams(2, 2, 1), 1, Fraction(0)),
+                         InvalidParams, "need 0 < p <= 1"),
+    "restriction-zero-p": (lambda: nw.sample_restriction(3, 0, 0),
+                           InvalidParams, "need 0 < p <= 1"),
+    "survival-no-trials": (lambda: nw.survival_experiment(
+        nw.HardPolyParams(nw.NWParams(2, 2, 1), 1), 0, 0),
+                           InvalidParams, "trials >= 1"),
+    "instantiate-n-below-2": (lambda: nw.instantiate_parameters(1),
+                              InvalidParams, "need n >= 2"),
+    # pit
+    "hitting-set-negative": (lambda: pit.hitting_set(2, -1, 1, FP),
+                             InvalidParams, "must be nonnegative"),
+    "oracle-no-rounds": (lambda: pit.schwartz_zippel_test(_circuit(Gate("product", [x(0)])),
+                                                          rounds=0),
+                         InvalidParams, "at least 1 round, got 0"),
+    "pit-unknown-mode": (lambda: pit.pit_test(_circuit(Gate("product", [x(0)])),
+                                              mode="exhaustive"),
+                         InvalidParams, "unknown mode 'exhaustive'"),
+    # algdep
+    "rank-unknown-mode": (lambda: algdep.algebraic_rank([x(0)], mode="numeric"),
+                          InvalidParams, "unknown rank mode 'numeric'"),
+    "annihilator-empty-tuple": (lambda: algdep.find_annihilator([]),
+                                InvalidParams, "empty tuple has no annihilator"),
+    "annihilator-zero-cap": (lambda: algdep.find_annihilator([x(0)], cap=0),
+                             InvalidParams, "cap must be >= 1"),
+    # util
+    "read-text-not-utf8": (_read_latin1, UnreadableInput, "latin1.txt: not UTF-8 text"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_public_refusal(case, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error, match=message):
+        call()
