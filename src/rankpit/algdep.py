@@ -273,10 +273,6 @@ def _jacobian_rows(qs: list[Polynomial], point: list[int], p: int) -> list[list[
     for q in qs:
         row = [0] * len(point)
         for mono, _, c in q._int_form()[0]:
-            if len(mono) < 2:  # the common case: no products to form
-                for v, e in mono:
-                    row[v] += c * e * pow(point[v], e - 1, mod)
-                continue
             after = [1]  # after.pop() is the product of the factors after x_v
             for v, e in reversed(mono[1:]):
                 x = after[-1] * pow(point[v], e, mod)
@@ -459,8 +455,9 @@ def rewrite_circuit(c: Circuit, seed: int = 0, *,
     certs, all_ls, total_nonbasis = [], [], 0
     for gi, g in enumerate(c.gates):
         cert, anns = _certified_rank(g.inner, derive_seed(seed, "rank", gi), term_cap)
-        if cert.rank > c.declared.k:
-            raise BoundViolation(gi, "k", c.declared.k, cert.rank)
+        bound = c.declared.k if g.rank_bound is None else min(c.declared.k, g.rank_bound)
+        if cert.rank > bound:
+            raise BoundViolation(gi, "k", bound, cert.rank)
         certs.append(cert)
         total_nonbasis += len(g.inner) - cert.rank
         all_ls += _goodness_certificates(g.inner, cert.basis_indices, anns, term_cap)
@@ -536,4 +533,6 @@ def _rewrite_gate(g: Gate, cert: RankCertificate, witness: DependenceWitness,
 
     root = _graft(nodes, g.outer, arg_ids)
     outer = OuterExpr(len(comp_polys), nodes, root)
-    return Gate(outer, comp_polys, rank_bound=g.rank_bound)
+    # the old k bounds the old inputs; the components' rank is <= their number, nvars
+    k = None if g.rank_bound is None else min(len(comp_polys), nvars)
+    return Gate(outer, comp_polys, rank_bound=k)

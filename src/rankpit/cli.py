@@ -165,7 +165,7 @@ def _cmd_annihilate(args) -> tuple[int, str]:
 def _cmd_depend(args) -> tuple[int, str]:
     domain, _, polys = _load_polys(args.poly_file)
     # the rank's annihilators are the goodness certificates' annihilators
-    cert, annihilators = algdep._certified_rank(polys, 0, args.cap_expansion)
+    cert, annihilators = algdep._certified_rank(polys, args.seed, args.cap_expansion)
     sampler = algdep.TranslationSampler.for_tuple(
         len(polys), cert.rank, max(1, max(q.degree() for q in polys)),
         seed=args.seed, max_retries=args.max_retries)

@@ -4,10 +4,10 @@
 `dependent_columns` also carries each column's combination and yields every
 column that depends on the ones before it: the one span query behind
 annihilators, dependence witnesses, the randomized rank basis and
-`span_coefficients`/`solve_dense`.  No package code calls `rref_dense`,
-`rank_dense` or `nullspace_modp` any more: they are kept for the benchmark
-tracer and the tests (ROADMAP item 1).  Everything is exact; nothing here
-touches floating point.
+`span_coefficients`/`solve_dense`.  `rank_dense` counts the `_echelon`
+basis, as `rank_stream` does.  No package code calls `rref_dense`,
+`rank_dense` or `nullspace_modp`: they are kept for the benchmark tracer
+and the tests (ROADMAP item 1).  Everything is exact, with no floating point.
 
 One kernel, `_eliminate`, serves Q and every prime field.  `_echelon`
 keeps the shorter row at each pivot collision (Markowitz's local rule),
@@ -185,7 +185,7 @@ def rref_dense(rows: list[list], domain) -> tuple[list[list], list[int]]:
 
 
 def rank_dense(rows: list[list], domain) -> int:
-    return len(rref_dense(rows, domain)[1]) if rows else 0
+    return len(_echelon((dict(enumerate(row)) for row in rows), domain.characteristic))
 
 
 # no caller in rankpit; kept because perfbench/tracing.py resolves this name

@@ -145,8 +145,8 @@ def sample_restriction(nvars: int, p, seed: int) -> RestrictionSample:
 def restrict(poly: Polynomial, alive) -> Polynomial:
     """Set every variable outside `alive` to zero."""
     alive = set(alive)
-    dead = set(range(poly.nvars)) - alive
-    return poly.set_vars_zero(dead)
+    kept = {m: c for m, c in poly.terms.items() if alive.issuperset([v for v, _ in m])}
+    return Polynomial(poly.domain, poly.nvars, kept, _normalized=True)
 
 
 def _alive_copy(params: HardPolyParams, slot: int, element: int, alive):

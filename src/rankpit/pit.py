@@ -378,8 +378,9 @@ def pit_test(c: Circuit, mode: str = "hitting-set", *, seed: int = 0,
         for gi, g in enumerate(c.gates):
             cert = algebraic_rank(g.inner, mode="symbolic", term_cap=term_cap,
                                   seed=derive_seed(seed, "certify", gi))
-            if cert.rank > c.declared.k:
-                raise BoundViolation(gi, "k", c.declared.k, cert.rank)
+            bound = c.declared.k if g.rank_bound is None else min(c.declared.k, g.rank_bound)
+            if cert.rank > bound:
+                raise BoundViolation(gi, "k", bound, cert.rank)
         rank_certified = True
 
     d = max(1, c.declared.d)

@@ -296,37 +296,21 @@ class Polynomial:
     def _value(self, pt):
         """The value at `pt`, whose coordinates are canonical domain elements
         (residues in [0, p) or `Fraction`s).  A term stops at its first zero
-        coordinate; over F_p the sum is reduced once, at the end."""
+        coordinate; over F_p each product is reduced as it grows, and the sum
+        once, at the end."""
         p = self.domain.characteristic
-        if p:
-            total = 0
-            for mono, c in self.terms.items():
-                for v, e in mono:
-                    x = pt[v]
-                    if not x:
-                        break
-                    c = c * pow(x, e, p) % p
-                else:
-                    total += c
-            return total % p
-        total = Fraction(0)
+        mod, total = p or None, self.domain.zero
         for mono, c in self.terms.items():
             for v, e in mono:
                 x = pt[v]
                 if not x:
                     break
-                c = c * x ** e
+                c = c * pow(x, e, mod)
+                if p:
+                    c %= p
             else:
                 total += c
-        return total
-
-    def set_vars_zero(self, dead) -> "Polynomial":
-        """Substitute 0 for every variable in `dead`."""
-        dead = set(dead)
-        return Polynomial(self.domain, self.nvars,
-                          {m: c for m, c in self.terms.items()
-                           if not (set(mono_support(m)) & dead)},
-                          _normalized=True)
+        return total % p if p else total
 
     # ------------------------------------------------------------------
     # text and JSON forms

@@ -131,6 +131,41 @@ def test_depend_e1(e1_file):
     assert "3" in res["witnesses"]
 
 
+def test_rewritten_gate_k_bounds_its_components(tmp_path):
+    """x1 + x2^2 has rank 1, so its gate may declare k = 1; its translate's
+    components, a constant, x1 + 2*a2*x2 and x2^2, have rank 2.  The
+    rewritten gate's k bounds the components, so the rewritten circuit
+    passes `pit --certify-rank`."""
+    path, out = tmp_path / "rank1.json", tmp_path / "rewritten.json"
+    path.write_text(json.dumps({
+        "field": {"type": "rational"}, "nvars": 2, "declared": {"d": 2, "k": 1, "delta": 2},
+        "gates": [{"outer": "product", "k": 1, "inner": [
+            [{"coeff": "1", "mono": {"1": 1}}, {"coeff": "1", "mono": {"2": 2}}]]}]}))
+    code, _ = cli.run(["rewrite", "--circuit", str(path), "--out", str(out)])
+    assert code == 0 and json.loads(out.read_text())["gates"][0]["k"] == 2
+    code, text = cli.run(["pit", "--circuit", str(out), "--certify-rank", "--json"])
+    assert code == 1 and json.loads(text)["result"]["rank_certified"]
+
+
+def test_depend_draws_its_rank_certificate_from_the_seed(tmp_path):
+    """Over F_3, (x1^2, x2) has rank 2, but the Jacobian is singular wherever
+    x1 = 0, so a seed whose three certificate points all have x1 = 0 cannot
+    certify it.  `depend` fails at exactly the seeds where `rank --mode
+    symbolic` does, so --seed moves its certificate's points."""
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps({"field": {"type": "prime", "p": "3"}, "nvars": 2, "polys": [
+        [{"coeff": "1", "mono": {"1": 2}}], [{"coeff": "1", "mono": {"2": 1}}]]}))
+    failing = {"rank": set(), "depend": set()}
+    for command in (["rank", "--mode", "symbolic"], ["depend"]):
+        for seed in range(50):
+            code, out = cli.run(command + ["--poly-file", str(path), "--json",
+                                           "--seed", str(seed)])
+            if code:
+                assert (code, json.loads(out)["error"]) == (2, "RankNotCertified")
+                failing[command[0]].add(seed)
+    assert failing["rank"] and failing["depend"] == failing["rank"]
+
+
 def test_depend_on_constants_in_no_variables(tmp_path):
     """A 0-variable tuple has rank 0: every witness is its constant."""
     path = tmp_path / "constants.json"
@@ -686,6 +721,23 @@ def test_error_payload_carries_attributes(zero_circuit_file, tmp_path):
     assert (code, payload["error"]) == (2, "BoundViolation")
     # gate 1's inner x1^2 - x2^2 breaks d = 1
     assert [payload[k] for k in ("gate", "bound", "declared", "actual")] == [1, "d", 1, 2]
+
+
+@pytest.mark.parametrize("command", [["pit", "--certify-rank"], ["rewrite"]],
+                         ids=lambda argv: argv[0])
+def test_certified_rank_is_checked_against_the_gates_own_k(tmp_path, command):
+    """Gate 0 declares k = 1 in the file, the circuit k = 2; its inner
+    polynomials x1 + x2 and x1*x2 have rank 2, which breaks the gate's k."""
+    s = [{"coeff": "1", "mono": {"1": 1}}, {"coeff": "1", "mono": {"2": 1}}]
+    e = [{"coeff": "1", "mono": {"1": 1, "2": 1}}]
+    path = tmp_path / "gate_k.json"
+    path.write_text(json.dumps({
+        "field": {"type": "rational"}, "nvars": 2, "declared": {"d": 2, "k": 2, "delta": 3},
+        "gates": [{"outer": "product", "inner": [s, e], "k": 1}]}))
+    code, out = cli.run(command + ["--circuit", str(path), "--json"])
+    payload = json.loads(out)
+    assert (code, payload["error"]) == (2, "BoundViolation")
+    assert [payload[k] for k in ("gate", "bound", "declared", "actual")] == [0, "k", 1, 2]
 
 
 @pytest.mark.parametrize("extra", [
