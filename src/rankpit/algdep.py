@@ -19,7 +19,7 @@ in every characteristic, and an annihilator of the r plus any other q_i,
 checked by composing it to zero, gives rank <= r, as does r equal to the
 number of variables that occur.  The same point answers
 an independent tuple before any annihilator column is built.  Every
-Jacobian point, certified or randomized, is read by `_jacobian_rows`.
+Jacobian point, certified or randomized, is read by `_point_basis`.
 A power-series Newton lift of the annihilator root cross-checks the
 reconstruction: it carries 1/R_Y with the root, one Newton step on each per
 doubling of the precision, and skips the Y-derivative at the last step.  The
@@ -29,6 +29,7 @@ the homogeneous components of its basis.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -106,15 +107,9 @@ def jacobian(qs: list[Polynomial]) -> list[list[Polynomial]]:
 
 
 def _check_jacobian_characteristic(qs):
-    dom = qs[0].domain
-    if dom.characteristic == 0:
-        return
-    prod = 1
-    for q in qs:
-        prod *= max(1, q.degree())
-    if dom.characteristic <= prod:
-        raise CharacteristicTooSmall(
-            f"rank criterion needs char 0 or p > {prod}, have p = {dom.characteristic}")
+    p, need = qs[0].domain.characteristic, math.prod(max(1, q.degree()) for q in qs)
+    if 0 < p <= need:
+        raise CharacteristicTooSmall(f"rank criterion needs char 0 or p > {need}, have p = {p}")
 
 
 def algebraic_rank(qs: list[Polynomial], mode: str = "randomized", *,
@@ -122,15 +117,22 @@ def algebraic_rank(qs: list[Polynomial], mode: str = "randomized", *,
                    term_cap: int | None = DEFAULT_TERM_CAP) -> RankCertificate:
     """Rank certificate for a polynomial tuple via the Jacobian criterion.
 
-    Randomized mode evaluates the Jacobian at `_TRIALS` points drawn from a
-    scalar set of size >= 2*t*d*2^30 (`_SECURITY_BITS`) and reports the
-    maximum rank seen: one-sided, never above the true rank, below it with
-    probability at most (t*d/|S|)^_TRIALS.  `_jacobian_rows` reads each
-    point exactly (mod no prime over Q), and the basis is the greedy matroid scan at the first
-    point of maximum rank: keep q_i whenever it raises the rank.  Symbolic mode is exact in
-    every characteristic and never guesses: the greedy basis at a Jacobian
-    point is proved independent, and maximal by checked annihilators or by
-    its size, the number of variables that occur (`_certified_rank`).
+    Randomized mode reports the maximum rank over `_TRIALS` `_point_basis`
+    reads at points of S^n, S = {0, ..., |S|-1}, |S| >= 2*t*d*2^30
+    (`_SECURITY_BITS`), and the greedy basis at the first point of that rank.
+    Over Q a read is mod a prime p drawn first, so never above the rank r.
+    A read falls short only if an r x r minor M (degree <= t*d) vanishes at
+    the point, w.p. <= t*d/|S| (Schwartz-Zippel), or if p divides v = M(point)
+    != 0.  An entry of row i, of D_i*q_i with T_i terms and integer
+    coefficients <= h_i, is <= T_i*h_i*d_i*|S|^(d_i-1), so Hadamard's bound
+    gives log2|v| <= B = sum_i ceil(log2(n*T_i*h_i*d_i)) + (d_i-1)*ceil(log2|S|).
+    v has at most B/61 prime factors >= 2^61, and p is uniform over the more
+    than 3*10^16 primes of [2^61, 2^62) (about 3.9*10^16, Rosser-Schoenfeld
+    1962).  So error_bound is (t*d/|S| + B/(61*3*10^16))^_TRIALS over Q, and
+    (t*d/|S|)^_TRIALS over F_p.  Symbolic mode is exact in every
+    characteristic and never guesses: the greedy basis at a Jacobian point
+    is proved independent, and maximal by checked annihilators or by its
+    size, the number of variables that occur (`_certified_rank`).
     """
     if mode == "symbolic":
         return _certified_rank(qs, seed, term_cap)[0]
@@ -145,25 +147,20 @@ def algebraic_rank(qs: list[Polynomial], mode: str = "randomized", *,
     target = 2 * t * d * (1 << _SECURITY_BITS)
     size = min(dom.p, target) if isinstance(dom, PrimeField) else target
     rng = random.Random(derive_seed(seed, "algrank"))
-    char = dom.characteristic
-    basis, points = [], []
-    for _ in range(_TRIALS):
-        point = tuple(dom.coerce(rng.randrange(size)) for _ in range(qs[0].nvars))
-        points.append(point)
-        found = _independent_rows(_jacobian_rows(qs, [int(x) for x in point], char), char)
-        if len(found) > len(basis):
-            basis = found
-    bound = (Fraction(t * d, size)) ** _TRIALS
+    reads = [_point_basis(qs, rng, size) for _ in range(_TRIALS)]
+    basis = max((found for _, found in reads), key=len)  # the first of maximum rank
+    points = tuple(tuple(map(dom.coerce, point)) for point, _ in reads)
+    bound = Fraction(t * d, size)
+    if not dom.characteristic:  # B of the docstring
+        bits = 0
+        for q in qs:
+            h = max((abs(c) for _, _, c in q._int_form()[0]), default=0)
+            bits += ((max(1, q.nvars * len(q.terms) * h * q.degree()) - 1).bit_length()
+                     + max(0, q.degree() - 1) * (size - 1).bit_length())
+        bound += Fraction(bits, 61 * 3 * 10 ** 16)
     return RankCertificate(len(basis), tuple(basis), "jacobian-randomized",
-                           evaluation_points=tuple(points), security=_SECURITY_BITS,
-                           error_bound=bound)
-
-
-def _independent_rows(rows, p: int) -> list[int]:
-    """The greedy row basis: the rows that no earlier rows span."""
-    dependent = {j for j, _ in linalg.dependent_columns(
-        (dict(enumerate(row)) for row in rows), p)}
-    return [i for i in range(len(rows)) if i not in dependent]
+                           evaluation_points=points, security=_SECURITY_BITS,
+                           error_bound=bound ** _TRIALS)
 
 
 def _certified_rank(qs: list[Polynomial], seed: int,
@@ -178,7 +175,7 @@ def _certified_rank(qs: list[Polynomial], seed: int,
     occurring = len({v for q in qs for mono in q.terms for v, _ in mono})
     for attempt in range(_CERTIFY_ATTEMPTS):
         point_seed = derive_seed(seed, "certified-rank", attempt)
-        basis = _point_basis(qs, point_seed)
+        basis = _point_basis(qs, random.Random(point_seed))[1]
         try:
             annihilators = {} if len(basis) == occurring else {
                 i: _annihilator([qs[b] for b in basis] + [qs[i]], None, term_cap,
@@ -232,7 +229,7 @@ def _annihilator(qs: list[Polynomial], cap: int | None, term_cap,
     column search runs, and its answer is checked by composing it to zero."""
     if cap is None:
         cap = len(qs) * max(1, max(q.degree() for q in qs)) ** (len(qs) - 1)
-    if seed is not None and len(_point_basis(qs, seed)) == len(qs):
+    if seed is not None and len(_point_basis(qs, random.Random(seed))[1]) == len(qs):
         raise NoAnnihilatorWithinCap(cap)
     table = _CompositionTable(qs, cap, term_cap=term_cap)
     j, lam = next(linalg.dependent_columns(table.columns(), table.p), (None, None))
@@ -244,46 +241,46 @@ def _annihilator(qs: list[Polynomial], cap: int | None, term_cap,
     return Annihilator(R=r_poly, degree=r_poly.degree())
 
 
-def _point_basis(qs: list[Polynomial], seed: int) -> list[int]:
-    """The greedy basis of `_jacobian_rows` mod p at a point that `seed`
-    draws, p = char, or over Q a prime in [2^61, 2^62) that `seed` draws
-    first; a minor nonzero mod p is nonzero over Q (a ring map)."""
+def _point_basis(qs: list[Polynomial], rng: random.Random,
+                 size: int | None = None) -> tuple[list[int], list[int]]:
+    """(point, greedy row basis of `_jacobian_rows` mod p there): p is the
+    characteristic, or over Q the first odd candidate in [2^61, 2^62) that
+    `rng` draws and that is prime, uniform over the primes there; a minor
+    nonzero mod p is nonzero over Q (a ring map).  Then `rng` draws the point
+    from [0, size), size = p by default."""
     p = qs[0].domain.characteristic
-    rng = random.Random(seed)
-    while not p:  # seeded odd candidates until one is prime
+    while not p:
         c = rng.randrange((1 << 61) + 1, 1 << 62, 2)
         p = c if is_prime(c) else 0
-    point = [rng.randrange(p) for _ in range(qs[0].nvars)]
-    return _independent_rows(_jacobian_rows(qs, point, p), p)
+    point = [rng.randrange(size or p) for _ in range(qs[0].nvars)]
+    rows = _jacobian_rows(qs, point, p)
+    dependent = {j for j, _ in linalg.dependent_columns(
+        (dict(enumerate(row)) for row in rows), p)}
+    return point, [i for i in range(len(rows)) if i not in dependent]
 
 
 def _jacobian_rows(qs: list[Polynomial], point: list[int], p: int) -> list[list[int]]:
-    """Rows of the Jacobian at an integer point, as residues mod p, or as
-    exact integers for p = 0.  Over Q, row i is the Jacobian of the integer
-    polynomial D_i*q_i (`_int_form`); scaling a row by D_i != 0 keeps
-    every rank and the greedy row basis.  The partial in x_v of a term is
-    c * e * x_v^(e-1) times the factors before x_v and those after it; the
-    products of the factors after each variable are formed once per term,
-    reduced mod p as they grow, so a term costs time linear in its support.
-    Refuses mismatched tuples."""
-    for q in qs:
-        qs[0]._check_compat(q)
-    mod = p or None
+    """Rows of the Jacobian at an integer point, as residues mod the prime p.
+    Over Q, row i is the Jacobian of the integer polynomial D_i*q_i
+    (`_int_form`); scaling a row by D_i != 0 keeps every rank over Q and the
+    greedy row basis.  The partial in x_v of a term is c * e * x_v^(e-1)
+    times the factors before x_v and those after it; the products of the
+    factors after each variable are formed once per term, reduced mod p as
+    they grow, so a term costs time linear in its support.  Refuses
+    mismatched tuples."""
     rows = []
     for q in qs:
+        qs[0]._check_compat(q)
         row = [0] * len(point)
         for mono, _, c in q._int_form()[0]:
             after = [1]  # after.pop() is the product of the factors after x_v
             for v, e in reversed(mono[1:]):
-                x = after[-1] * pow(point[v], e, mod)
-                after.append(x % p if p else x)
+                after.append(after[-1] * pow(point[v], e, p) % p)
             for v, e in mono:  # c absorbs the factors before x_v
-                low = pow(point[v], e - 1, mod)
+                low = pow(point[v], e - 1, p)
                 row[v] += c * e * low * after.pop()
-                c *= low * point[v]
-                if p:
-                    c %= p
-        rows.append([x % p for x in row] if p else row)
+                c = c * low * point[v] % p
+        rows.append([x % p for x in row])
     return rows
 
 

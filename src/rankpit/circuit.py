@@ -396,16 +396,17 @@ def _located(path: str, fn, *args):
         raise CircuitSyntaxError(f"{type(exc).__name__}: {exc}", path=path) from None
 
 
-def _nvars(value) -> int:
+def _count(value) -> int:
+    """A JSON integer >= 0: nvars, a declared bound or a gate's k."""
     if json_int(value) < 0:
-        raise InvalidParams(f"nvars must be nonnegative, got {value}")
+        raise InvalidParams(f"must be nonnegative, got {value}")
     return value
 
 
 def _header(obj: dict) -> tuple:
     """The domain and variable count of a circuit or poly file."""
     return (_located("$.field", domain_from_json, obj["field"]),
-            _located("$.nvars", _nvars, obj["nvars"]))
+            _located("$.nvars", _count, obj["nvars"]))
 
 
 def parse(text: str) -> Circuit:
@@ -413,7 +414,7 @@ def parse(text: str) -> Circuit:
     obj = _json_object(text, ("field", "nvars", "declared", "gates"))
     domain, nvars = _header(obj)
     declared = _located("$.declared", lambda dec: DeclaredBounds(
-        *(json_int(dec[key]) for key in ("d", "k", "delta"))), obj["declared"])
+        *(_count(dec[key]) for key in ("d", "k", "delta"))), obj["declared"])
     if not isinstance(obj["gates"], list):
         raise CircuitSyntaxError("gates must be a list", path="$.gates")
     gates = []
@@ -429,7 +430,7 @@ def parse(text: str) -> Circuit:
         outer = gobj["outer"]
         if outer != "product":
             outer = OuterExpr.from_json(outer, domain, path=f"{path}.outer")
-        rank_bound = None if gobj.get("k") is None else _located(path, json_int, gobj["k"])
+        rank_bound = None if gobj.get("k") is None else _located(path, _count, gobj["k"])
         gates.append(_located(path, Gate, outer, inner, rank_bound))
     return Circuit(domain, nvars, declared, gates)
 

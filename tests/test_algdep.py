@@ -62,7 +62,7 @@ def test_jacobian_characteristic_gate():
 def _quadratic_jacobian_rows(qs, point, p):
     """Row i, entry v: the sum over the terms c*x^mono of D_i*q_i of
     c * e_v * x_v^(e_v - 1) * prod_{w != v} x_w^(e_w), each factor formed
-    anew for every v, reduced mod p at the end (exact for p = 0)."""
+    anew for every v, reduced mod p at the end."""
     rows = []
     for q in qs:
         row = [0] * len(point)
@@ -73,12 +73,11 @@ def _quadratic_jacobian_rows(qs, point, p):
                     if w != v:
                         term *= point[w] ** f
                 row[v] += term
-        rows.append([x % p for x in row] if p else row)
+        rows.append([x % p for x in row])
     return rows
 
 
-@pytest.mark.parametrize("dom, p", [(Q, 0), (Q, M61), (FP, FP.p)],
-                         ids=["Q-exact", "Q-mod", "F_p"])
+@pytest.mark.parametrize("dom, p", [(Q, M61), (FP, FP.p)], ids=["Q-mod", "F_p"])
 def test_jacobian_rows_match_the_quadratic_formula(dom, p):
     from test_poly import random_poly
     rng = random.Random(331)
@@ -86,7 +85,7 @@ def test_jacobian_rows_match_the_quadratic_formula(dom, p):
         n = rng.randrange(1, 7)
         qs = [random_poly(rng, dom, n, 7).scale(Fraction(rng.randrange(1, 9), 3))
               for _ in range(rng.randrange(1, 4))]
-        point = [rng.choice([0, 1, rng.randrange(p or 1000)]) for _ in range(n)]
+        point = [rng.choice([0, 1, rng.randrange(p)]) for _ in range(n)]
         assert algdep._jacobian_rows(qs, point, p) == _quadratic_jacobian_rows(qs, point, p)
 
 
@@ -146,7 +145,7 @@ def test_rank_refuses_mismatched_tuples(mode):
 
 def test_randomized_rank_over_q_is_exact():
     """(x, P*y) with P = 2^61-1 has Jacobian diag(1, P): rank 2 over Q, but
-    rank 1 mod P."""
+    rank 1 mod P, which no trial reads: each draws its own prime."""
     cert = algebraic_rank([x(0), x(1).scale(M61)])
     assert (cert.rank, cert.basis_indices) == (2, (0, 1))
 
@@ -177,7 +176,8 @@ def test_symbolic_rank_refutes_an_unlucky_point(monkeypatch):
     a, b, c = (x(v, 3, f11) for v in range(3))
     s = (b + c).pow(4)
     qs = [a.pow(2), s, a.pow(2) + s]
-    assert algdep._point_basis(qs, algdep.derive_seed(2, "certified-rank", 0)) == [1]
+    rng = random.Random(algdep.derive_seed(2, "certified-rank", 0))
+    assert algdep._point_basis(qs, rng)[1] == [1]
     sizes = []
     table = algdep._CompositionTable
     monkeypatch.setattr(algdep, "_CompositionTable",
@@ -187,13 +187,17 @@ def test_symbolic_rank_refutes_an_unlucky_point(monkeypatch):
     assert (cert.rank, cert.basis_indices, sizes) == (2, (0, 1), [3])
 
 
-def _certificate_prime(seed, attempt):
-    """The prime that `_certified_rank`'s attempt reads a Q Jacobian modulo:
-    the first odd candidate in [2^61, 2^62) that the point seed draws."""
-    rng = random.Random(algdep.derive_seed(seed, "certified-rank", attempt))
+def _drawn_prime(rng):
+    """The prime that `_point_basis` reads a Q Jacobian modulo: the first
+    odd candidate in [2^61, 2^62) that `rng` draws and that is prime."""
     while not is_prime(c := rng.randrange((1 << 61) + 1, 1 << 62, 2)):
         pass
     return c
+
+
+def _certificate_prime(seed, attempt):
+    """The prime of `_certified_rank`'s attempt: drawn from the point seed."""
+    return _drawn_prime(random.Random(algdep.derive_seed(seed, "certified-rank", attempt)))
 
 
 def test_symbolic_rank_over_q_is_not_hidden_by_one_prime():
@@ -213,9 +217,35 @@ def test_symbolic_rank_over_q_moves_to_the_next_prime():
     assert p0 != p1 and all(1 << 61 < p < 1 << 62 for p in (p0, p1))
     qs = [x(0).scale(p0), x(1)]
     seeds = [algdep.derive_seed(3, "certified-rank", attempt) for attempt in (0, 1)]
-    assert [algdep._point_basis(qs, s) for s in seeds] == [[1], [0, 1]]
+    assert [algdep._point_basis(qs, random.Random(s))[1] for s in seeds] == [[1], [0, 1]]
     cert = algebraic_rank(qs, mode="symbolic", seed=3)
     assert (cert.rank, cert.basis_indices) == (2, (0, 1))
+
+
+def test_randomized_rank_over_q_outlives_the_prime_of_one_trial():
+    """(p0*x, y), with p0 the prime of trial 0 at seed 4: trial 0 reads
+    rank 1, and the next trial, modulo another prime, reads rank 2."""
+    rng = random.Random(algdep.derive_seed(4, "algrank"))
+    p0 = _drawn_prime(random.Random(algdep.derive_seed(4, "algrank")))
+    qs = [x(0).scale(p0), x(1)]
+    size = 2 * 2 * 1 * (1 << algdep._SECURITY_BITS)
+    assert algdep._point_basis(qs, rng, size)[1] == [1]
+    assert algdep._point_basis(qs, rng, size)[1] == [0, 1]
+    cert = algebraic_rank(qs, seed=4)
+    assert (cert.rank, cert.basis_indices) == (2, (0, 1))
+
+
+@pytest.mark.parametrize("qs", [[x(0), x(1)], [x(0).pow(3).scale(M61), x(0) * x(1)]],
+                         ids=["linear", "cubic-M61"])
+def test_randomized_error_bound_over_q_adds_the_prime_term(qs):
+    """Over Q the bound is (t*d/|S| + B/(61*3*10^16))^3, above the
+    Schwartz-Zippel bound (t*d/|S|)^3 alone; over F_p it is that bound."""
+    t, d = len(qs), max(q.degree() for q in qs)
+    size = 2 * t * d * (1 << algdep._SECURITY_BITS)
+    bound = algebraic_rank(qs).error_bound
+    assert Fraction(t * d, size) ** 3 < bound < Fraction(2 * t * d, size) ** 3
+    fp = [Polynomial(FP, q.nvars, q.terms) for q in qs]
+    assert algebraic_rank(fp).error_bound == Fraction(t * d, min(FP.p, size)) ** 3
 
 
 def test_rewrite_and_depend_reuse_the_rank_annihilators(monkeypatch, tmp_path):
@@ -637,7 +667,7 @@ def test_a_corrupted_column_is_caught_by_the_exact_checks(dom, monkeypatch):
 
 
 def _full_rank_at_the_certificate_point(qs):
-    return len(algdep._point_basis(qs, algdep._CERTIFICATE_SEED)) == len(qs)
+    return len(algdep._point_basis(qs, random.Random(algdep._CERTIFICATE_SEED))[1]) == len(qs)
 
 
 @pytest.mark.parametrize("dom", [Q, FP, PrimeField(M61), PrimeField(2), PrimeField(3),

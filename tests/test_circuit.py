@@ -204,6 +204,25 @@ def test_non_integer_bounds_in_e1_are_syntax_errors(where, value, path):
 
 
 @pytest.mark.parametrize("where,value,path", [
+    (("declared", "d"), -1, "$.declared"),
+    (("declared", "k"), -3, "$.declared"),
+    (("declared", "delta"), -5, "$.declared"),
+    (("gates", 0, "k"), -3, "$.gates[0]"),
+], ids=["declared-d", "declared-k", "declared-delta", "gate-k"])
+def test_negative_bounds_in_e1_are_syntax_errors(where, value, path):
+    """pit clamps k with max(1, k), so a negative bound reached a verdict."""
+    obj = json.loads((DATA / "e1_circuit.json").read_text())
+    parent = obj
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    with pytest.raises(CircuitSyntaxError) as info:
+        parse(json.dumps(obj))
+    assert info.value.path == path
+    assert str(info.value).startswith("InvalidParams: must be nonnegative")
+
+
+@pytest.mark.parametrize("where,value,path", [
     (("arity",), 2.0, "$.gates[0].outer"),
     (("root",), True, "$.gates[0].outer"),
     (("nodes", 0, "index"), 1.0, "$.gates[0].outer.nodes[0]"),

@@ -66,8 +66,10 @@ def test_rank_on_e1(e1_file):
 
 @pytest.mark.parametrize("field, points, error_bound", [
     ({"type": "rational"},
-     [["3141346437", "578251824"], ["8749836508", "12803971485"],
-      ["12603438525", "3877795129"]], "1/9903520314283042199192993792"),
+     [["7295726851", "4861069063"], ["217265690", "7209370884"],
+      ["3704651610", "2332140455"]],
+     "51609517852490439776383554733416957/"
+     "511115773510091276288000000000000000000000000000000000000000000"),
     ({"type": "prime", "p": "101"},
      [["93", "30"], ["17", "18"], ["4", "71"]], "216/1030301"),
 ], ids=["Q", "F101"])
@@ -113,6 +115,20 @@ def test_a_coefficient_of_2_61_minus_1_is_certified(tmp_path, command):
     code, out = cli.run([command[0], "--poly-file", str(path), *command[1:], "--json"])
     assert code == 0
     assert json.loads(out)["result"]["basis"] == [1, 2]
+
+
+@pytest.mark.parametrize("polys, rank", [
+    ([{str(v): 1 for v in range(1, 1201)}], 1),
+    ([{"1": 10 ** 6}, {"2": 1}], 2),
+], ids=["x1-to-x1200", "x1-to-the-million"])
+def test_randomized_rank_over_q_reads_wide_and_deep_monomials(tmp_path, polys, rank):
+    """Each trial reads the Q Jacobian modulo a prime, so neither a monomial
+    of 1,200 variables nor an exponent of 10^6 builds huge integers."""
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"field": {"type": "rational"}, "nvars": max(map(int, polys[-1])),
+                                "polys": [[{"coeff": "1", "mono": m}] for m in polys]}))
+    code, out = cli.run(["rank", "--poly-file", str(path), "--json"])
+    assert (code, json.loads(out)["result"]["rank"]) == (0, rank)
 
 
 def test_annihilate_e1(e1_file):
@@ -511,10 +527,11 @@ _CONFIG_TEXT = ('  config: {"caps": {"annihilator_degree": null, "expansion_term
      "  rank: 2\n"
      "  basis: [1, 2]\n"
      "  method: jacobian-randomized\n"
-     '  evaluation_points: [["3141346437", "578251824"], ["8749836508", '
-     '"12803971485"], ["12603438525", "3877795129"]]\n'
+     '  evaluation_points: [["7295726851", "4861069063"], ["217265690", '
+     '"7209370884"], ["3704651610", "2332140455"]]\n'
      "  security_bits: 30\n"
-     "  error_bound: 1/9903520314283042199192993792\n"
+     "  error_bound: 51609517852490439776383554733416957/"
+     "511115773510091276288000000000000000000000000000000000000000000\n"
      "  seed: 1\n" + _CONFIG_TEXT.replace("SEED", "1")),
     (["pit", "--circuit", str(DATA / "e1_circuit.json"), "--seed", "0"], 1,
      "[pit]\n"
@@ -610,6 +627,23 @@ def test_unreadable_and_malformed_inputs_exit_2(tmp_path):
         payload = json.loads(out)
         assert (code, payload["error"]) == (2, error)
     assert payload["file"] == missing
+
+
+@pytest.mark.parametrize("edit, where", [
+    (lambda obj: obj["gates"][0].update(k=-3), "$.gates[0]"),
+    (lambda obj: obj["declared"].update(k=-3), "$.declared"),
+], ids=["gate-k", "declared-k"])
+def test_negative_bounds_exit_2(tmp_path, edit, where):
+    """pit clamps k to at least 1, so a negative k used to reach a verdict."""
+    obj = {"field": {"type": "rational"}, "nvars": 2, "declared": {"d": 2, "k": 1, "delta": 2},
+           "gates": [{"outer": "product", "inner": [
+               [{"coeff": "1", "mono": {"1": 1}}, {"coeff": "1", "mono": {"2": 2}}]]}]}
+    edit(obj)
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(obj))
+    code, out = cli.run(["pit", "--circuit", str(path), "--json"])
+    payload = json.loads(out)
+    assert (code, payload["error"], payload["path"]) == (2, "CircuitSyntaxError", where)
 
 
 @pytest.mark.parametrize("coeff", [0.1, True], ids=["float", "bool"])

@@ -1,5 +1,5 @@
-"""Outside oracle: rankpit's text form, expansion, hitting-set verdicts and
-shifted-partials measure against sympy.
+"""Outside oracle: rankpit's text form, expansion, hitting-set verdicts,
+shifted-partials measure and randomized algebraic rank against sympy.
 
 Each circuit is rebuilt as a sympy expression straight from its inner
 polynomials' terms and its outer DAG's nodes, then expanded by sympy over Q,
@@ -7,7 +7,9 @@ or as a polynomial over GF(p) (`modulus=p`).  rankpit's `expand` must give the
 same polynomial, and the hitting-set verdict must be "zero" exactly when
 sympy's polynomial is zero.  The measure's matrix is rebuilt with `sympy.diff`
 and `expand`, and its rank taken by sympy over Q or over GF(p).  The text
-that `to_text` prints is read back by sympy's own parser.
+that `to_text` prints is read back by sympy's own parser.  Randomized rank
+over Q, which reads each trial's Jacobian modulo a prime it draws, must equal
+the rank of the symbolic Jacobian that sympy builds with `sympy.diff`.
 """
 
 import random
@@ -22,14 +24,17 @@ import sympy
 from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
+from rankpit.algdep import algebraic_rank
 from rankpit.circuit import expand
 from rankpit.domains import PrimeField
 from rankpit.measure import MeasureSpec, psp_dimension
 from rankpit.pit import pit_test
 from rankpit.poly import Polynomial
+from rankpit.util import derive_seed
 
 sys.path.insert(0, str(Path(__file__).parent))
 import _corpus  # noqa: E402
+from test_algdep import _drawn_prime  # noqa: E402
 from test_pit import _rewritten, _with_negated_twins  # noqa: E402
 
 Q = _corpus.Q
@@ -207,3 +212,46 @@ def test_psp_dimension_agrees_with_sympy(seed):
     assert psp_dimension(poly, spec).dimension == expected
     if seed is None:
         assert expected == 5
+
+
+# ----------------------------------------------------------------------
+# randomized algebraic rank over Q
+
+M61 = (1 << 61) - 1
+
+
+def _rank_case(seed):
+    """A tuple of 2-3 polynomials of degree <= 2 in 2-3 variables over Q, with
+    coefficients that are multiples of 2^61-1 and of the prime p0 that the
+    first trial draws at `seed`; odd seeds replace the last by q1^2 + p0*q1."""
+    rng = random.Random(seed)
+    p0 = _drawn_prime(random.Random(derive_seed(seed, "algrank")))
+    coeffs = [1, -2, Fraction(3, 2), M61, -2 * M61, p0, 3 * p0, p0 * M61]
+    n, t = rng.randrange(2, 4), rng.randrange(2, 4)
+    qs = []
+    for _ in range(t):
+        terms = {}
+        for _ in range(rng.randrange(1, 3)):
+            v, w = rng.randrange(n), rng.randrange(n)
+            mono = {v: 1}
+            if rng.random() < 0.5:
+                mono[w] = mono.get(w, 0) + 1
+            terms[tuple(sorted(mono.items()))] = rng.choice(coeffs)
+        qs.append(Polynomial(Q, n, terms))
+    if seed % 2:
+        qs[-1] = qs[0] * qs[0] + qs[0].scale(p0)
+    return qs
+
+
+@pytest.mark.parametrize("seed", range(8), ids=lambda s: f"seeded-{s}")
+def test_randomized_rank_over_q_agrees_with_sympy(seed):
+    qs = _rank_case(seed)
+    xs = sympy.symbols(f"x1:{qs[0].nvars + 1}")
+    jac = sympy.Matrix([[sympy.diff(_sympy_poly(q, xs), v) for v in xs] for q in qs])
+    assert algebraic_rank(qs, seed=seed).rank == jac.rank()
+
+
+def test_the_rank_cases_cover_full_and_deficient_rank():
+    ranks = {algebraic_rank(qs := _rank_case(seed), seed=seed).rank < len(qs)
+             for seed in range(8)}
+    assert ranks == {True, False}
