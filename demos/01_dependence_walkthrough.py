@@ -37,7 +37,7 @@ ann = find_annihilator(triple)
 print("\nannihilator R =", ann.R.to_text(var_prefix="z"), "of degree", ann.degree)
 print("R(q1, q2, q3) =", compose(ann.R, triple).to_text())
 
-# 3. a good translation: the derivative certificate must not vanish
+# 3. a good translation: dR/dY must not vanish at (q1(a), q2(a), q3(a))
 sampler = TranslationSampler.for_tuple(t=3, k=2, d=2, seed=1)
 a = sample_good_translation(triple, sym.basis_indices, sampler)
 print("\ngood translation a =", tuple(str(v) for v in a),

@@ -7,8 +7,11 @@ polynomial function of a transcendence basis after a good translation, as
 the first dependency on it in that graded stream; both searches ask the one
 span query `linalg.dependent_columns`, over the power products that
 `poly._CompositionTable` builds.  Every annihilator, whether it proves a
-rank, answers `find_annihilator`, certifies a translation or seeds the
-Newton lift, comes from the one search `_annihilator`.
+rank, answers `find_annihilator`, tests a translation or seeds the Newton
+lift, comes from the one search `_annihilator`.  A translation a is good
+where L_i(a) = (dA_i/dY)(basis(a), q_i(a)) != 0 for the annihilator A_i of
+(basis, q_i), for every non-basis i: a value, read at the numbers basis(a)
+and q_i(a), with no polynomial composed.
 Both bounds of the exact rank are checked.  A Jacobian of rank r at one
 point of a prime field makes an r x r minor a nonzero polynomial.  If those
 r polynomials had a minimal annihilator A, the chain rule would make
@@ -88,8 +91,8 @@ class TranslationSampler:
     @classmethod
     def for_tuple(cls, t: int, k: int, d: int, seed: int = 0,
                   max_retries: int = 10) -> "TranslationSampler":
-        # grid of size 2*t*(k+1)*d^(k+1): each goodness certificate has degree
-        # at most (k+1)*d^(k+1), so one uniform sample is bad w.p. <= 1/2t
+        # grid of size 2*t*(k+1)*d^(k+1): each L_i has degree at most
+        # (k+1)*d^(k+1) in a, so one uniform sample is bad w.p. <= 1/2t
         return cls(grid_size=2 * max(1, t) * (k + 1) * max(1, d) ** (k + 1),
                    seed=seed, max_retries=max_retries)
 
@@ -287,56 +290,67 @@ def _jacobian_rows(qs: list[Polynomial], point: list[int], p: int) -> list[list[
 # ----------------------------------------------------------------------
 # good translations
 
-def _goodness_certificates(qs, basis, annihilators: dict | None,
-                           term_cap) -> list[Polynomial]:
-    """L_i = (dA_i/dY)(basis..., q_i) for the annihilator A_i of (basis, q_i),
-    for every non-basis i."""
-    k = len(basis)
+def _checked_basis(qs, basis, i=None) -> tuple:
+    """The basis as a tuple.  Refuses an empty tuple, a basis that is not
+    distinct indices into qs, and an index i out of range, before any work."""
+    basis = tuple(basis)
+    if not qs:
+        raise InvalidParams("empty tuple has no dependence")
+    if any(b not in range(len(qs)) for b in basis) or len(set(basis)) < len(basis):
+        raise InvalidParams(f"basis {basis} is not distinct indices into {len(qs)} polynomials")
+    if i is not None and i not in range(len(qs)):
+        raise InvalidParams(f"index {i} out of range for {len(qs)} polynomials")
+    return basis
+
+
+def _goodness_pairs(qs, basis, annihilators: dict | None, term_cap) -> list[tuple]:
+    """(dA_i/dY, (basis..., q_i)) for the annihilator A_i of (basis, q_i), for
+    every non-basis i: L_i(a) is the first evaluated at the second's values.
+    An entry whose variable dA_i/dY does not read is None: it is not evaluated."""
     basis_polys = [qs[b] for b in basis]
-    ls = []
+    pairs = []
     for i in (i for i in range(len(qs)) if i not in basis):
         sub = basis_polys + [qs[i]]
         ann = (annihilators or {}).get(i) or _annihilator(sub, None, term_cap, None)
-        dA = ann.R.partial_derivative(((k, 1),))
-        li = compose(dA, sub, term_cap=term_cap)
-        if li.is_zero():
-            raise AssertionError(
-                "derivative certificate vanished identically: annihilator not minimal")
-        ls.append(li)
-    return ls
+        dA = ann.R.partial_derivative(((len(basis), 1),))
+        read = {v for mono in dA.terms for v, _ in mono}
+        pairs.append((dA, [q if j in read else None for j, q in enumerate(sub)]))
+    return pairs
 
 
 def sample_good_translation(qs: list[Polynomial], basis,
                             sampler: TranslationSampler | None = None,
                             annihilators: dict | None = None, *,
                             term_cap: int | None = DEFAULT_TERM_CAP) -> tuple:
-    """A grid point a with L_i(a) != 0 for every non-basis index i.
+    """A grid point a where the value L_i(a) (module docstring), read with no
+    polynomial composed, is nonzero for every non-basis index i.
 
     The grid is the fixed deterministic scalar set {0, 1, ...} of the size the
     sampler carries; each retry is one uniform draw from grid^N.
     """
-    basis = tuple(basis)
+    basis = _checked_basis(qs, basis)
     dom = qs[0].domain
     nvars = qs[0].nvars
     if len(basis) == len(qs):
         return tuple(dom.zero for _ in range(nvars))
     sampler = sampler or TranslationSampler.for_tuple(
         len(qs), len(basis), max(1, max(q.degree() for q in qs)))
-    ls = _goodness_certificates(qs, basis, annihilators, term_cap)
-    return _sample_translation(ls, dom, nvars, sampler)
+    pairs = _goodness_pairs(qs, basis, annihilators, term_cap)
+    return _sample_translation(pairs, dom, nvars, sampler)
 
 
-def _sample_translation(certificates: list[Polynomial], dom, nvars: int,
+def _sample_translation(pairs: list[tuple], dom, nvars: int,
                         sampler: TranslationSampler) -> tuple:
-    """The first uniform draw from grid^N where every certificate is nonzero;
-    the grid is the first `grid_size` scalars 0, 1, 2, ... of `dom`."""
+    """The first uniform draw a from grid^N with dA(sub(a)) != 0 for every
+    pair; the grid is the first `grid_size` scalars 0, 1, 2, ... of `dom`."""
     size, p = sampler.grid_size, dom.characteristic
     if 0 < p < size:
         raise FieldTooSmall(f"need {size} distinct scalars, field has {p}")
     rng = random.Random(derive_seed(sampler.seed, "translation"))
     for _ in range(sampler.max_retries):
         a = tuple(dom.coerce(rng.randrange(size)) for _ in range(nvars))
-        if all(not dom.is_zero(li.evaluate(a)) for li in certificates):
+        if all(not dom.is_zero(dA.evaluate([0 if q is None else q.evaluate(a) for q in sub]))
+               for dA, sub in pairs):
             return a
     raise NoGoodTranslation(sampler.max_retries)
 
@@ -361,7 +375,7 @@ def reconstruct_dependence(qs: list[Polynomial], basis, a, *,
     span{b^alpha : |alpha| <= d_i} = span{b~^beta : |beta| <= d_i}, and
     h^{<=d_i} kills every b~^beta with |beta| > d_i.
     """
-    basis = tuple(basis)
+    basis = _checked_basis(qs, basis)
     t = len(qs)
     k = len(basis)
     dom = qs[0].domain
@@ -405,8 +419,9 @@ def newton_reconstruct(qs: list[Polynomial], basis, a, i: int,
     to degree e/2 before and to e after: y <- y - R(b(X+a), y)*v, then, but
     at the last e, v <- v*(2 - R_Y*v) at the new y; all through `compose` and
     products truncated to degree <= e.  Raises DerivativeVanishes if R_Y
-    vanishes at (b(a), q_i(a)), NonConvergence unless y = q_i(X+a)."""
-    basis = tuple(basis)
+    vanishes at (b(a), q_i(a)), read off the translated constants (the
+    goodness value L_i(a)), NonConvergence unless y = q_i(X+a)."""
+    basis = _checked_basis(qs, basis, i)
     dom = qs[0].domain
     R = (annihilator or _annihilator([qs[b] for b in basis] + [qs[i]], None, term_cap, None)).R
     dR = R.partial_derivative(((len(basis), 1),))
@@ -448,8 +463,8 @@ def rewrite_circuit(c: Circuit, seed: int = 0, *,
     if dom.characteristic != 0:
         raise CharacteristicTooSmall("the rewrite requires a characteristic-zero domain")
     nvars = c.nvars
-    # one shared grid: union bound over every goodness certificate
-    certs, all_ls, total_nonbasis = [], [], 0
+    # one shared grid: union bound over every non-basis L_i of every gate
+    certs, pairs, total_nonbasis = [], [], 0
     for gi, g in enumerate(c.gates):
         cert, anns = _certified_rank(g.inner, derive_seed(seed, "rank", gi), term_cap)
         bound = c.declared.k if g.rank_bound is None else min(c.declared.k, g.rank_bound)
@@ -457,12 +472,12 @@ def rewrite_circuit(c: Circuit, seed: int = 0, *,
             raise BoundViolation(gi, "k", bound, cert.rank)
         certs.append(cert)
         total_nonbasis += len(g.inner) - cert.rank
-        all_ls += _goodness_certificates(g.inner, cert.basis_indices, anns, term_cap)
+        pairs += _goodness_pairs(g.inner, cert.basis_indices, anns, term_cap)
     k_max = max((cert.rank for cert in certs), default=0)
     d_max = max((q.degree() for g in c.gates for q in g.inner), default=1)
-    if all_ls:
+    if pairs:
         sampler = TranslationSampler.for_tuple(total_nonbasis, k_max, d_max, seed=seed)
-        a = _sample_translation(all_ls, dom, nvars, sampler)
+        a = _sample_translation(pairs, dom, nvars, sampler)
     else:
         a = tuple(dom.zero for _ in range(nvars))
 

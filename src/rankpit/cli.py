@@ -164,7 +164,7 @@ def _cmd_annihilate(args) -> tuple[int, str]:
 
 def _cmd_depend(args) -> tuple[int, str]:
     domain, _, polys = _load_polys(args.poly_file)
-    # the rank's annihilators are the goodness certificates' annihilators
+    # the rank's annihilators A_i give the goodness values L_i(a)
     cert, annihilators = algdep._certified_rank(polys, args.seed, args.cap_expansion)
     sampler = algdep.TranslationSampler.for_tuple(
         len(polys), cert.rank, max(1, max(q.degree() for q in polys)),

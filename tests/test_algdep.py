@@ -251,7 +251,7 @@ def test_randomized_error_bound_over_q_adds_the_prime_term(qs):
 def test_rewrite_and_depend_reuse_the_rank_annihilators(monkeypatch, tmp_path):
     """Each sub-annihilator is searched once: by the rank certificate, which
     hands it on, or, when the basis is as large as the number of variables
-    (E1: rank 2 in 2 variables), by the goodness certificates alone."""
+    (E1: rank 2 in 2 variables), by the goodness test alone."""
     calls = []
     search = algdep._annihilator
     monkeypatch.setattr(algdep, "_annihilator",
@@ -287,11 +287,28 @@ def _planted_dependent_tuple(rng, dom):
     return seeds + [q if q.degree() >= 1 else seeds[0] for q in extras]
 
 
+def _power_basis_tuple(rng, dom):
+    """Powers l_j^e_j of k <= 2 independent linear forms, and one or two
+    polynomials in the l_j, which are algebraic over the powers but, unlike
+    in the planted tuples, not polynomials in them: dA_i/dY is in general
+    not constant."""
+    from _corpus import random_linear, random_poly
+    k, nvars = rng.randrange(1, 3), rng.randrange(2, 4)
+    while True:
+        forms = [random_linear(rng, dom, nvars) for _ in range(k)]
+        if algebraic_rank(forms, mode="symbolic").rank == k:
+            break
+    basis = [form.pow(rng.randrange(2, 4)) for form in forms]
+    extras = [compose(random_poly(rng, dom, k, 2, max_terms=3, allow_zero=False), forms)
+              for _ in range(rng.randrange(1, 3))]
+    return basis + [q if q.degree() >= 1 else forms[0] for q in extras]
+
+
 def test_every_caller_gets_the_same_annihilator(monkeypatch):
     """For each non-basis q_i, the annihilator of (basis, q_i) that the rank
-    certificate hands on, the ones that the goodness certificates and the
-    Newton lift search when none is handed on, and find_annihilator on the
-    sub-tuple are one R, with its terms in one order."""
+    certificate hands on, the ones that the goodness test and the Newton
+    lift search when none is handed on, and find_annihilator on the sub-tuple
+    are one R, with its terms in one order."""
     from _corpus import dependent_tuple
     rng = random.Random(107)
     tuples = [dependent_tuple(i)[0] for i in range(100)]
@@ -306,10 +323,10 @@ def test_every_caller_gets_the_same_annihilator(monkeypatch):
         basis, dom, nvars = cert.basis_indices, qs[0].domain, qs[0].nvars
         others = [i for i in range(len(qs)) if i not in basis]
         searched.clear()
-        ls = algdep._goodness_certificates(qs, basis, None, DEFAULT_TERM_CAP)
+        pairs = algdep._goodness_pairs(qs, basis, None, DEFAULT_TERM_CAP)
         sampler = TranslationSampler.for_tuple(
             len(qs), len(basis), max(1, max(q.degree() for q in qs)))
-        a = algdep._sample_translation(ls, dom, nvars, sampler)
+        a = algdep._sample_translation(pairs, dom, nvars, sampler)
         for i in others:
             newton_reconstruct(qs, basis, a, i)
         assert len(searched) == 2 * len(others)
@@ -766,7 +783,7 @@ def test_huge_exponent_is_certified_at_once(tmp_path):
 
 def test_translation_pair_trivially_good():
     a = sample_good_translation([x(0), x(0) * x(0)], (0,))
-    assert len(a) == 2  # the certificate is constant: the very first draw works
+    assert len(a) == 2  # L_1 is constant: the very first draw works
 
 
 def test_translation_e1_certificate_nonzero():
@@ -779,7 +796,7 @@ def test_translation_e1_certificate_nonzero():
 
 
 def test_translation_adversarial_avoids_origin():
-    # (x1^2, x1^3): the derivative certificate is a multiple of x1^3,
+    # (x1^2, x1^3): L_1 is a multiple of x1^3,
     # so a = 0 is bad and any good a must have a nonzero first coordinate
     qs = [x(0).pow(2), x(0).pow(3)]
     a = sample_good_translation(qs, (0,), TranslationSampler(grid_size=48, seed=0))
@@ -813,11 +830,13 @@ def test_translation_grid_larger_than_the_field():
 
 
 def test_translation_draws_the_grid_scalars_of_the_domain():
-    # each retry draws uniform indices into dom.scalars(grid_size)
+    # each retry draws uniform indices into dom.scalars(grid_size); the pair
+    # (y, (x_i,)) has the value x_i(a)
     for dom in (Q, PrimeField(1_000_003)):
-        certificates = [Polynomial.variable(dom, 3, i) for i in range(2)]
+        pairs = [(Polynomial.variable(dom, 1, 0), [Polynomial.variable(dom, 3, i)])
+                 for i in range(2)]
         sampler = TranslationSampler(grid_size=3, seed=1)
-        a = algdep._sample_translation(certificates, dom, 3, sampler)
+        a = algdep._sample_translation(pairs, dom, 3, sampler)
         rng = random.Random(algdep.derive_seed(1, "translation"))
         grid = dom.scalars(3)
         draws = []
@@ -825,6 +844,61 @@ def test_translation_draws_the_grid_scalars_of_the_domain():
             draws.append(tuple(grid[rng.randrange(3)] for _ in range(3)))
         assert len(draws) > 1
         assert a == draws[-1] and [type(v) for v in a] == [type(dom.one)] * 3
+
+
+def _reference_translation(qs, basis, samplers):
+    """The draw loop with each L_i first composed into a polynomial in X and
+    then evaluated at each draw.  Returns the annihilators it used, and per
+    sampler the accepted a, or None, and the number of draws rejected."""
+    dom, k = qs[0].domain, len(basis)
+    anns, ls = {}, []
+    for i in (i for i in range(len(qs)) if i not in basis):
+        sub = [qs[b] for b in basis] + [qs[i]]
+        anns[i] = find_annihilator(sub)
+        ls.append(compose(anns[i].R.partial_derivative(((k, 1),)), sub))
+    draws = []
+    for sampler in samplers:
+        rng = random.Random(algdep.derive_seed(sampler.seed, "translation"))
+        for rejected in range(sampler.max_retries):
+            a = tuple(dom.coerce(rng.randrange(sampler.grid_size)) for _ in range(qs[0].nvars))
+            if all(not dom.is_zero(li.evaluate(a)) for li in ls):
+                break
+        else:
+            a, rejected = None, sampler.max_retries
+        draws.append((a, rejected))
+    return anns, draws
+
+
+def test_goodness_values_draw_as_the_composed_certificates():
+    """sample_good_translation, which reads each L_i(a) as dA_i/dY at the
+    values of (basis, q_i) at a, returns the a of the reference that composes
+    L_i first, or fails where the reference finds none: on the criterion-5
+    tuples, planted and power-basis tuples over Q and F_p, and (x1^2, x1^3),
+    whose first draw at seed 5, the origin, is rejected; with the default
+    grid, and with a grid of 3 at three seeds, where draws are rejected."""
+    from _corpus import dependent_tuple
+    rng = random.Random(109)
+    cases = [dependent_tuple(n) for n in range(100)]
+    cases += [(qs, algebraic_rank(qs, mode="symbolic").basis_indices)
+              for make in (_planted_dependent_tuple, _power_basis_tuple)
+              for qs in (make(rng, dom) for dom in (Q, FP) for _ in range(8))]
+    cases.append(([x(0, 1).pow(2), x(0, 1).pow(3)], (0,)))
+    rejected = []
+    for n, (qs, basis) in enumerate(cases):
+        seed = 5 if n == len(cases) - 1 else n
+        d = max(q.degree() for q in qs)
+        samplers = [TranslationSampler.for_tuple(len(qs), len(basis), d, seed=seed),
+                    *(TranslationSampler(grid_size=3, seed=seed + s) for s in range(3))]
+        anns, draws = _reference_translation(qs, basis, samplers)
+        for sampler, (expected, misses) in zip(samplers, draws):
+            try:
+                a = sample_good_translation(qs, basis, sampler, anns)
+            except NoGoodTranslation:
+                a = None
+            assert a == expected, (n, sampler)
+            rejected.append(misses)
+    assert rejected[-4] == 1  # (x1^2, x1^3), default grid
+    assert sum(rejected) >= 20
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,9 @@ sympy's polynomial is zero.  The measure's matrix is rebuilt with `sympy.diff`
 and `expand`, and its rank taken by sympy over Q or over GF(p).  The text
 that `to_text` prints is read back by sympy's own parser.  Randomized rank
 over Q, which reads each trial's Jacobian modulo a prime it draws, must equal
-the rank of the symbolic Jacobian that sympy builds with `sympy.diff`.
+the rank of the symbolic Jacobian that sympy builds with `sympy.diff`.  The
+minimal annihilator must generate the elimination ideal that sympy's lex
+Groebner basis gives.
 """
 
 import random
@@ -24,12 +26,12 @@ import sympy
 from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
-from rankpit.algdep import algebraic_rank
+from rankpit.algdep import algebraic_rank, find_annihilator
 from rankpit.circuit import expand
 from rankpit.domains import PrimeField
 from rankpit.measure import MeasureSpec, psp_dimension
 from rankpit.pit import pit_test
-from rankpit.poly import Polynomial
+from rankpit.poly import Polynomial, compose
 from rankpit.util import derive_seed
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -255,3 +257,44 @@ def test_the_rank_cases_cover_full_and_deficient_rank():
     ranks = {algebraic_rank(qs := _rank_case(seed), seed=seed).rank < len(qs)
              for seed in range(8)}
     assert ranks == {True, False}
+
+
+# ----------------------------------------------------------------------
+# annihilator minimality
+
+def _annihilator_cases(dom):
+    """Tiny tuples of rank t-1 over dom: three by hand, and four seeded ones,
+    each one or two linear forms in two variables (or their squares) and a
+    quadratic in the forms."""
+    x1, x2 = (Polynomial.variable(dom, 2, i) for i in range(2))
+    cases = [[x1.pow(2), x1.pow(3)], [x1 + x2, x1 * x2, x1 * x1 + x2 * x2],
+             [x1 * x1, x1 * x2, x2 * x2]]
+    rng = random.Random(113)
+    while len(cases) < 7:
+        forms = [_corpus.random_linear(rng, dom, 2) for _ in range(rng.randrange(1, 3))]
+        extra = compose(_corpus.random_poly(rng, dom, len(forms), 2, max_terms=3), forms)
+        qs = [f.pow(rng.randrange(1, 3)) for f in forms] + [extra]
+        if extra.degree() >= 1 and algebraic_rank(qs, mode="symbolic").rank == len(forms):
+            cases.append(qs)
+    return cases
+
+
+@pytest.mark.parametrize("dom", [Q, FP], ids=str)
+def test_annihilator_is_the_elimination_ideal_generator(dom):
+    """For t polynomials of rank t-1, the ideal of (z_i - q_i) meets the z's in
+    a principal ideal, generated by the minimal annihilator (Cox-Little-
+    O'Shea, ch. 3).  So the lex Groebner basis with x > z, over Q or over
+    GF(p), has exactly one element free of x, and find_annihilator's R is a
+    scalar multiple of it: same degree, same ideal, so minimal."""
+    p = dom.characteristic
+    for qs in _annihilator_cases(dom):
+        xs = sympy.symbols(f"x1:{qs[0].nvars + 1}")
+        zs = sympy.symbols(f"z1:{len(qs) + 1}")
+        field = {"modulus": p} if p else {"domain": "QQ"}
+        basis = sympy.groebner([z - _sympy_poly(q, xs) for z, q in zip(zs, qs)],
+                               *xs, *zs, order="lex", **field)
+        eliminated = [g for g in basis.exprs if not g.free_symbols & set(xs)]
+        assert len(eliminated) == 1, [q.to_text() for q in qs]
+        expected = sympy.Poly(eliminated[0], *zs, **field)
+        got = sympy.Poly(_sympy_poly(find_annihilator(qs).R, zs), *zs, **field)
+        assert got.monic() == expected.monic(), [q.to_text() for q in qs]

@@ -2,6 +2,7 @@
 constructor or an entry point raises its structured error (or the built-in
 one the API documents), with its message, before any work is done."""
 
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,6 +25,21 @@ def x(i, nvars=2, dom=Q):
 
 def _circuit(*gates, nvars=2, dom=Q):
     return Circuit(dom, nvars, DeclaredBounds(d=1, k=1, delta=1), list(gates))
+
+
+def _moment_curve():
+    v = x(0, 1)
+    return [v, v.pow(2), v.pow(3)]
+
+
+# the dependence entry points, each on (x1, x1^2, x1^3) with a given basis
+_DEPENDENCE_CALLS = {
+    "translation": lambda basis: algdep.sample_good_translation(_moment_curve(), basis),
+    "reconstruct": lambda basis: algdep.reconstruct_dependence(_moment_curve(), basis, (1,)),
+    "newton": lambda basis: algdep.newton_reconstruct(_moment_curve(), basis, (1,), 2),
+}
+_BAD_BASES = {"out-of-range": (5,), "negative": (-1,), "repeated": (0, 0),
+              "repeated-to-full": (0, 0, 0)}
 
 
 def _read_latin1():
@@ -116,6 +132,17 @@ REFUSALS = {
                                 InvalidParams, "empty tuple has no annihilator"),
     "annihilator-zero-cap": (lambda: algdep.find_annihilator([x(0)], cap=0),
                              InvalidParams, "cap must be >= 1"),
+    **{f"{call}-basis-{name}": (
+        lambda call=call, basis=basis: _DEPENDENCE_CALLS[call](basis), InvalidParams,
+        re.escape(f"basis {basis} is not distinct indices into 3 polynomials"))
+       for call in _DEPENDENCE_CALLS for name, basis in _BAD_BASES.items()},
+    "translation-empty-tuple": (lambda: algdep.sample_good_translation([], ()),
+                                InvalidParams, "empty tuple has no dependence"),
+    "reconstruct-empty-tuple": (lambda: algdep.reconstruct_dependence([], (), ()),
+                                InvalidParams, "empty tuple has no dependence"),
+    **{f"newton-index-{i}": (
+        lambda i=i: algdep.newton_reconstruct(_moment_curve(), (0,), (1,), i),
+        InvalidParams, f"index {i} out of range for 3 polynomials") for i in (-1, 3)},
     # util
     "read-text-not-utf8": (_read_latin1, UnreadableInput, "latin1.txt: not UTF-8 text"),
 }
