@@ -10,8 +10,10 @@ span query `linalg.dependent_columns`, over the power products that
 rank, answers `find_annihilator`, tests a translation or seeds the Newton
 lift, comes from the one search `_annihilator`.  A translation a is good
 where L_i(a) = (dA_i/dY)(basis(a), q_i(a)) != 0 for the annihilator A_i of
-(basis, q_i), for every non-basis i: a value, read at the numbers basis(a)
-and q_i(a), with no polynomial composed.
+(basis, q_i), for every non-basis i: a value, with no polynomial composed.
+Then each q_i(X+a) is a truncated polynomial in basis(X+a), so `depend` and
+the rewrite, which never print A_i, search none: they take the first draw
+where that witness exists and checks, no later than the first good one.
 Both bounds of the exact rank are checked.  A Jacobian of rank r at one
 point of a prime field makes an r x r minor a nonzero polynomial.  If those
 r polynomials had a minimal annihilator A, the chain rule would make
@@ -138,7 +140,7 @@ def algebraic_rank(qs: list[Polynomial], mode: str = "randomized", *,
     size, the number of variables that occur (`_certified_rank`).
     """
     if mode == "symbolic":
-        return _certified_rank(qs, seed, term_cap)[0]
+        return _certified_rank(qs, seed, term_cap)
     if mode != "randomized":
         raise InvalidParams(f"unknown rank mode {mode!r}")
     t = len(qs)
@@ -166,28 +168,41 @@ def algebraic_rank(qs: list[Polynomial], mode: str = "randomized", *,
                            error_bound=bound ** _TRIALS)
 
 
-def _certified_rank(qs: list[Polynomial], seed: int,
-                    term_cap) -> tuple[RankCertificate, dict]:
-    """The exact rank of qs, proved as the module docstring says, and the
-    annihilators of (basis, q_i) that prove it: none if the basis is as large
-    as the number of variables that occur.  An unlucky point, refuted by an
-    independent (basis, q_i), or a tuple such as (x^p, y), singular
-    everywhere, moves on to the next point, up to _CERTIFY_ATTEMPTS."""
+def _certified_rank(qs: list[Polynomial], seed: int, term_cap) -> RankCertificate:
+    """The exact rank of qs, proved as the module docstring says, by checked
+    annihilators of (basis, q_i) unless the basis is as large as the number of
+    variables that occur.  An unlucky point, refuted by an independent (basis,
+    q_i), or a tuple such as (x^p, y), singular everywhere, moves on to the
+    next point, up to _CERTIFY_ATTEMPTS."""
     if not qs:
-        return RankCertificate(0, (), "jacobian-certified"), {}
+        return RankCertificate(0, (), "jacobian-certified")
     occurring = len({v for q in qs for mono in q.terms for v, _ in mono})
     for attempt in range(_CERTIFY_ATTEMPTS):
         point_seed = derive_seed(seed, "certified-rank", attempt)
         basis = _point_basis(qs, random.Random(point_seed))[1]
+        others = [i for i in range(len(qs)) if i not in basis and len(basis) < occurring]
         try:
-            annihilators = {} if len(basis) == occurring else {
-                i: _annihilator([qs[b] for b in basis] + [qs[i]], None, term_cap,
-                                derive_seed(point_seed, i))
-                for i in range(len(qs)) if i not in basis}
+            for i in others:
+                _annihilator([qs[b] for b in basis] + [qs[i]], None, term_cap,
+                             derive_seed(point_seed, i))
         except NoAnnihilatorWithinCap:
             continue
-        return RankCertificate(len(basis), tuple(basis), "jacobian-certified"), annihilators
+        return RankCertificate(len(basis), tuple(basis), "jacobian-certified")
     raise RankNotCertified(_CERTIFY_ATTEMPTS)
+
+
+def _gate_ranks(c: Circuit, seed: int, label: str, term_cap) -> list[RankCertificate]:
+    """Each gate's symbolic rank certificate, read at derive_seed(seed, label, index);
+    BoundViolation(index, "k", ...) at the first above min(declared k, its own k)."""
+    certs = []
+    for gi, g in enumerate(c.gates):
+        cert = algebraic_rank(g.inner, mode="symbolic", seed=derive_seed(seed, label, gi),
+                              term_cap=term_cap)
+        bound = c.declared.k if g.rank_bound is None else min(c.declared.k, g.rank_bound)
+        if cert.rank > bound:
+            raise BoundViolation(gi, "k", bound, cert.rank)
+        certs.append(cert)
+    return certs
 
 
 # ----------------------------------------------------------------------
@@ -303,55 +318,67 @@ def _checked_basis(qs, basis, i=None) -> tuple:
     return basis
 
 
-def _goodness_pairs(qs, basis, annihilators: dict | None, term_cap) -> list[tuple]:
-    """(dA_i/dY, (basis..., q_i)) for the annihilator A_i of (basis, q_i), for
-    every non-basis i: L_i(a) is the first evaluated at the second's values.
-    An entry whose variable dA_i/dY does not read is None: it is not evaluated."""
-    basis_polys = [qs[b] for b in basis]
-    pairs = []
-    for i in (i for i in range(len(qs)) if i not in basis):
-        sub = basis_polys + [qs[i]]
-        ann = (annihilators or {}).get(i) or _annihilator(sub, None, term_cap, None)
-        dA = ann.R.partial_derivative(((len(basis), 1),))
-        read = {v for mono in dA.terms for v, _ in mono}
-        pairs.append((dA, [q if j in read else None for j, q in enumerate(sub)]))
-    return pairs
-
-
 def sample_good_translation(qs: list[Polynomial], basis,
-                            sampler: TranslationSampler | None = None,
-                            annihilators: dict | None = None, *,
+                            sampler: TranslationSampler | None = None, *,
                             term_cap: int | None = DEFAULT_TERM_CAP) -> tuple:
     """A grid point a where the value L_i(a) (module docstring), read with no
-    polynomial composed, is nonzero for every non-basis index i.
+    polynomial composed, is nonzero for every non-basis index i: the Newton
+    lift's precondition.  Each A_i is searched here; `depend` and the rewrite
+    search none, and test a draw by its witness (`_witness_translation`).
 
     The grid is the fixed deterministic scalar set {0, 1, ...} of the size the
     sampler carries; each retry is one uniform draw from grid^N.
     """
     basis = _checked_basis(qs, basis)
-    dom = qs[0].domain
-    nvars = qs[0].nvars
+    dom, nvars = qs[0].domain, qs[0].nvars
     if len(basis) == len(qs):
         return tuple(dom.zero for _ in range(nvars))
     sampler = sampler or TranslationSampler.for_tuple(
         len(qs), len(basis), max(1, max(q.degree() for q in qs)))
-    pairs = _goodness_pairs(qs, basis, annihilators, term_cap)
-    return _sample_translation(pairs, dom, nvars, sampler)
+    # (dA_i/dY, (basis..., q_i)) per non-basis i: L_i(a) is the first at the
+    # second's values; an entry whose variable dA_i/dY does not read is None
+    pairs = []
+    for i in (i for i in range(len(qs)) if i not in basis):
+        sub = [qs[b] for b in basis] + [qs[i]]
+        dA = _annihilator(sub, None, term_cap, None).R.partial_derivative(((len(basis), 1),))
+        read = {v for mono in dA.terms for v, _ in mono}
+        pairs.append((dA, [q if j in read else None for j, q in enumerate(sub)]))
+
+    def good(a):
+        return all(not dom.is_zero(dA.evaluate([0 if q is None else q.evaluate(a) for q in sub]))
+                   for dA, sub in pairs) or None
+    return _sample_translation(good, dom, nvars, sampler)[0]
 
 
-def _sample_translation(pairs: list[tuple], dom, nvars: int,
-                        sampler: TranslationSampler) -> tuple:
-    """The first uniform draw a from grid^N with dA(sub(a)) != 0 for every
-    pair; the grid is the first `grid_size` scalars 0, 1, 2, ... of `dom`."""
+def _witness_translation(tuples: list[tuple], dom, nvars: int, sampler: TranslationSampler,
+                         term_cap) -> tuple[tuple, list[DependenceWitness]]:
+    """The first draw a of `sampler` at which `reconstruct_dependence` finds and
+    checks the witness of every (qs, basis) in `tuples`, with those witnesses;
+    NoSolutionWithinCap draws again.  a = 0, undrawn, if no tuple has a dependent."""
+    def witnesses(a):
+        try:
+            return [reconstruct_dependence(qs, basis, a, term_cap=term_cap)
+                    for qs, basis in tuples]
+        except NoSolutionWithinCap:
+            return None
+    if all(len(basis) == len(qs) for qs, basis in tuples):
+        a = tuple(dom.zero for _ in range(nvars))
+        return a, witnesses(a)
+    return _sample_translation(witnesses, dom, nvars, sampler)
+
+
+def _sample_translation(accept, dom, nvars: int, sampler: TranslationSampler) -> tuple:
+    """(a, accept(a)) for the first uniform draw a from grid^N at which
+    accept does not return None; the grid is the first `grid_size` scalars
+    0, 1, 2, ... of `dom`."""
     size, p = sampler.grid_size, dom.characteristic
     if 0 < p < size:
         raise FieldTooSmall(f"need {size} distinct scalars, field has {p}")
     rng = random.Random(derive_seed(sampler.seed, "translation"))
     for _ in range(sampler.max_retries):
         a = tuple(dom.coerce(rng.randrange(size)) for _ in range(nvars))
-        if all(not dom.is_zero(dA.evaluate([0 if q is None else q.evaluate(a) for q in sub]))
-               for dA, sub in pairs):
-            return a
+        if (value := accept(a)) is not None:
+            return a, value
     raise NoGoodTranslation(sampler.max_retries)
 
 
@@ -376,18 +403,13 @@ def reconstruct_dependence(qs: list[Polynomial], basis, a, *,
     h^{<=d_i} kills every b~^beta with |beta| > d_i.
     """
     basis = _checked_basis(qs, basis)
-    t = len(qs)
-    k = len(basis)
     dom = qs[0].domain
-    non_basis = [i for i in range(t) if i not in basis]
     b_polys = [qs[b].translate(a) for b in basis]
+    trunc = {i: qs[i].degree() for i in range(len(qs)) if i not in basis}
     f_map: dict = {}
-    trunc: dict = {}
-    for i in non_basis:
-        d_i = qs[i].degree()
+    for i, d_i in trunc.items():
         target = qs[i].translate(a)
-        trunc[i] = d_i
-        if k == 0:
+        if not basis:
             # rank-0 tuple: every polynomial is a constant
             f_map[i] = Polynomial.constant(dom, 0, target.coefficient(()))
             continue
@@ -454,50 +476,35 @@ def rewrite_circuit(c: Circuit, seed: int = 0, *,
                     term_cap: int | None = DEFAULT_TERM_CAP) -> tuple[Circuit, tuple]:
     """Rewrite every gate over the homogeneous components of its basis.
 
-    One shared translation a is sampled (verified good for all gates at
-    once); gate i's inner list becomes {h^j[q_ib(X+a)]} for b in its basis,
-    and its outer DAG composes the old outer with the dependence witnesses
-    and the interpolated truncations, so that expand(C')(X) = expand(C)(X+a).
+    One shared translation a is drawn, the first at which every gate's
+    dependence witnesses exist and check; gate i's inner list becomes
+    {h^j[q_ib(X+a)]} for b in its basis, and its outer DAG composes the old
+    outer with those witnesses and the interpolated truncations, so that
+    expand(C')(X) = expand(C)(X+a).
     """
-    dom = c.domain
+    dom, nvars = c.domain, c.nvars
     if dom.characteristic != 0:
         raise CharacteristicTooSmall("the rewrite requires a characteristic-zero domain")
-    nvars = c.nvars
+    certs = _gate_ranks(c, seed, "rank", term_cap)
     # one shared grid: union bound over every non-basis L_i of every gate
-    certs, pairs, total_nonbasis = [], [], 0
-    for gi, g in enumerate(c.gates):
-        cert, anns = _certified_rank(g.inner, derive_seed(seed, "rank", gi), term_cap)
-        bound = c.declared.k if g.rank_bound is None else min(c.declared.k, g.rank_bound)
-        if cert.rank > bound:
-            raise BoundViolation(gi, "k", bound, cert.rank)
-        certs.append(cert)
-        total_nonbasis += len(g.inner) - cert.rank
-        pairs += _goodness_pairs(g.inner, cert.basis_indices, anns, term_cap)
-    k_max = max((cert.rank for cert in certs), default=0)
-    d_max = max((q.degree() for g in c.gates for q in g.inner), default=1)
-    if pairs:
-        sampler = TranslationSampler.for_tuple(total_nonbasis, k_max, d_max, seed=seed)
-        a = _sample_translation(pairs, dom, nvars, sampler)
-    else:
-        a = tuple(dom.zero for _ in range(nvars))
-
-    new_gates = []
-    for g, cert in zip(c.gates, certs):
-        witness = reconstruct_dependence(g.inner, cert.basis_indices, a,
-                                         term_cap=term_cap)
-        new_gates.append(_rewrite_gate(g, cert, witness, dom, nvars))
-    d_new = c.declared.d
+    sampler = TranslationSampler.for_tuple(
+        sum(len(g.inner) - cert.rank for g, cert in zip(c.gates, certs)),
+        max((cert.rank for cert in certs), default=0),
+        max((q.degree() for g in c.gates for q in g.inner), default=1), seed=seed)
+    a, witnesses = _witness_translation(
+        [(g.inner, cert.basis_indices) for g, cert in zip(c.gates, certs)],
+        dom, nvars, sampler, term_cap)
+    new_gates = [_rewrite_gate(g, witness, dom, nvars)
+                 for g, witness in zip(c.gates, witnesses)]
     k_new = max((len(g.inner) for g in new_gates), default=c.declared.k)
     delta_new = max((g.formal_degree() for g in new_gates), default=c.declared.delta)
-    declared = DeclaredBounds(d=d_new, k=max(c.declared.k, k_new),
+    declared = DeclaredBounds(d=c.declared.d, k=max(c.declared.k, k_new),
                               delta=max(c.declared.delta, delta_new))
     return Circuit(dom, nvars, declared, new_gates), a
 
 
-def _rewrite_gate(g: Gate, cert: RankCertificate, witness: DependenceWitness,
-                  dom, nvars: int) -> Gate:
-    basis = cert.basis_indices
-    t = len(g.inner)
+def _rewrite_gate(g: Gate, witness: DependenceWitness, dom, nvars: int) -> Gate:
+    basis = witness.basis
     b_translated = [g.inner[b].translate(witness.a) for b in basis]
     comp_polys: list[Polynomial] = []
     comp_ids: dict[tuple[int, int], int] = {}  # (basis position, degree) -> input index
@@ -514,14 +521,13 @@ def _rewrite_gate(g: Gate, cert: RankCertificate, witness: DependenceWitness,
         nodes.append(node)
         return len(nodes) - 1
 
-    arg_ids: list[int] = [0] * t
+    arg_ids: list[int] = [0] * len(g.inner)
     for pos, b in enumerate(basis):
         ids = tuple(comp_ids[(pos, j)] for j in range(b_translated[pos].degree() + 1))
         arg_ids[b] = push(("add", ids))
     for i, f_i in witness.F.items():
         d_i = witness.truncation_degrees[i]
-        d_f = f_i.degree()
-        d_z = d_f * max((bp.degree() for bp in b_translated), default=0)
+        d_z = f_i.degree() * max((bp.degree() for bp in b_translated), default=0)
         if d_z == 0 or f_i.nvars == 0:
             arg_ids[i] = push(("const", dom.coerce(f_i.coefficient(()))))
             continue

@@ -163,16 +163,15 @@ def _cmd_annihilate(args) -> tuple[int, str]:
 
 
 def _cmd_depend(args) -> tuple[int, str]:
-    domain, _, polys = _load_polys(args.poly_file)
-    # the rank's annihilators A_i give the goodness values L_i(a)
-    cert, annihilators = algdep._certified_rank(polys, args.seed, args.cap_expansion)
+    domain, nvars, polys = _load_polys(args.poly_file)
+    cert = algdep.algebraic_rank(polys, mode="symbolic", seed=args.seed,
+                                 term_cap=args.cap_expansion)
     sampler = algdep.TranslationSampler.for_tuple(
         len(polys), cert.rank, max(1, max(q.degree() for q in polys)),
         seed=args.seed, max_retries=args.max_retries)
-    a = algdep.sample_good_translation(polys, cert.basis_indices, sampler, annihilators,
-                                       term_cap=args.cap_expansion)
-    witness = algdep.reconstruct_dependence(polys, cert.basis_indices, a,
-                                            term_cap=args.cap_expansion)
+    # a is the first draw at which the witness exists and checks
+    a, (witness,) = algdep._witness_translation([(polys, cert.basis_indices)], domain,
+                                                nvars, sampler, args.cap_expansion)
     result = {
         "a": _point(a, domain),
         "basis": [i + 1 for i in witness.basis],

@@ -45,7 +45,7 @@ from itertools import combinations, islice
 
 from .circuit import Circuit, evaluate_circuit, expand
 from .domains import PrimeField
-from .errors import BoundViolation, FieldTooSmall, InvalidParams, SetTooLarge
+from .errors import FieldTooSmall, InvalidParams, SetTooLarge
 from .poly import DEFAULT_TERM_CAP
 from .util import derive_seed
 
@@ -371,17 +371,11 @@ def pit_test(c: Circuit, mode: str = "hitting-set", *, seed: int = 0,
     """
     if mode not in ("hitting-set", "oracle", "both"):
         raise InvalidParams(f"unknown mode {mode!r}")
-    rank_certified = False
     if certify_rank:
-        from .algdep import algebraic_rank
-        term_cap = DEFAULT_TERM_CAP if expansion_term_cap is None else expansion_term_cap
-        for gi, g in enumerate(c.gates):
-            cert = algebraic_rank(g.inner, mode="symbolic", term_cap=term_cap,
-                                  seed=derive_seed(seed, "certify", gi))
-            bound = c.declared.k if g.rank_bound is None else min(c.declared.k, g.rank_bound)
-            if cert.rank > bound:
-                raise BoundViolation(gi, "k", bound, cert.rank)
-        rank_certified = True
+        from .algdep import _gate_ranks
+        _gate_ranks(c, seed, "certify",
+                    DEFAULT_TERM_CAP if expansion_term_cap is None else expansion_term_cap)
+    rank_certified = bool(certify_rank)
 
     d = max(1, c.declared.d)
     k = max(1, c.declared.k)

@@ -248,10 +248,10 @@ def test_randomized_error_bound_over_q_adds_the_prime_term(qs):
     assert algebraic_rank(fp).error_bound == Fraction(t * d, min(FP.p, size)) ** 3
 
 
-def test_rewrite_and_depend_reuse_the_rank_annihilators(monkeypatch, tmp_path):
-    """Each sub-annihilator is searched once: by the rank certificate, which
-    hands it on, or, when the basis is as large as the number of variables
-    (E1: rank 2 in 2 variables), by the goodness test alone."""
+def test_rewrite_and_depend_search_only_the_rank_annihilators(monkeypatch, tmp_path):
+    """A draw is tested by its witness, so the only annihilator searched is
+    the rank certificate's: none for E1 (rank 2 in 2 variables), one for
+    (a+b, (a+b)^2+c, c) (rank 2 in 3)."""
     calls = []
     search = algdep._annihilator
     monkeypatch.setattr(algdep, "_annihilator",
@@ -264,12 +264,13 @@ def test_rewrite_and_depend_reuse_the_rank_annihilators(monkeypatch, tmp_path):
                           [Gate("product", inner)])
         rewritten, shift = rewrite_circuit(circuit, seed=11)
         assert expand(rewritten) == expand(circuit).translate(shift)
-        assert calls == [inner[2]]
+        searched = [] if nvars == 2 else [inner[2]]
+        assert calls == searched
         path = tmp_path / "tuple.json"
         path.write_text(json.dumps({"field": {"type": "rational"}, "nvars": nvars,
                                     "polys": [q.terms_to_json() for q in inner]}))
         code, _ = cli.run(["depend", "--poly-file", str(path), "--json"])
-        assert (code, calls) == (0, [inner[2], inner[2]])
+        assert (code, calls) == (0, searched * 2)
 
 
 def _planted_dependent_tuple(rng, dom):
@@ -305,10 +306,9 @@ def _power_basis_tuple(rng, dom):
 
 
 def test_every_caller_gets_the_same_annihilator(monkeypatch):
-    """For each non-basis q_i, the annihilator of (basis, q_i) that the rank
-    certificate hands on, the ones that the goodness test and the Newton
-    lift search when none is handed on, and find_annihilator on the sub-tuple
-    are one R, with its terms in one order."""
+    """For each non-basis q_i, the annihilators of (basis, q_i) that the
+    goodness test and the Newton lift search, and find_annihilator on the
+    sub-tuple, are one R, with its terms in one order."""
     from _corpus import dependent_tuple
     rng = random.Random(107)
     tuples = [dependent_tuple(i)[0] for i in range(100)]
@@ -317,25 +317,18 @@ def test_every_caller_gets_the_same_annihilator(monkeypatch):
     search = algdep._annihilator
     monkeypatch.setattr(algdep, "_annihilator",
                         lambda *args: searched.append(search(*args)) or searched[-1])
-    handed_on = 0
     for qs in tuples:
-        cert, handed = algdep._certified_rank(qs, 0, DEFAULT_TERM_CAP)
-        basis, dom, nvars = cert.basis_indices, qs[0].domain, qs[0].nvars
+        basis = algebraic_rank(qs, mode="symbolic").basis_indices
         others = [i for i in range(len(qs)) if i not in basis]
         searched.clear()
-        pairs = algdep._goodness_pairs(qs, basis, None, DEFAULT_TERM_CAP)
-        sampler = TranslationSampler.for_tuple(
-            len(qs), len(basis), max(1, max(q.degree() for q in qs)))
-        a = algdep._sample_translation(pairs, dom, nvars, sampler)
+        a = sample_good_translation(qs, basis)
         for i in others:
             newton_reconstruct(qs, basis, a, i)
         assert len(searched) == 2 * len(others)
         for i, goodness, newton in zip(others, searched[:len(others)], searched[len(others):]):
             sub = [qs[b] for b in basis] + [qs[i]]
-            answers = [goodness, newton, find_annihilator(sub)] + ([handed[i]] if handed else [])
-            handed_on += bool(handed)
+            answers = [goodness, newton, find_annihilator(sub)]
             assert len({tuple(ann.R.terms.items()) for ann in answers}) == 1
-    assert handed_on >= 20
 
 
 def test_randomized_rank_never_exceeds_symbolic():
@@ -830,13 +823,13 @@ def test_translation_grid_larger_than_the_field():
 
 
 def test_translation_draws_the_grid_scalars_of_the_domain():
-    # each retry draws uniform indices into dom.scalars(grid_size); the pair
-    # (y, (x_i,)) has the value x_i(a)
+    # each retry draws uniform indices into dom.scalars(grid_size); the test
+    # accepts a draw whose first two coordinates are nonzero
     for dom in (Q, PrimeField(1_000_003)):
-        pairs = [(Polynomial.variable(dom, 1, 0), [Polynomial.variable(dom, 3, i)])
-                 for i in range(2)]
         sampler = TranslationSampler(grid_size=3, seed=1)
-        a = algdep._sample_translation(pairs, dom, 3, sampler)
+        a, value = algdep._sample_translation(
+            lambda a: "accepted" if all(a[:2]) else None, dom, 3, sampler)
+        assert value == "accepted"
         rng = random.Random(algdep.derive_seed(1, "translation"))
         grid = dom.scalars(3)
         draws = []
@@ -848,14 +841,13 @@ def test_translation_draws_the_grid_scalars_of_the_domain():
 
 def _reference_translation(qs, basis, samplers):
     """The draw loop with each L_i first composed into a polynomial in X and
-    then evaluated at each draw.  Returns the annihilators it used, and per
-    sampler the accepted a, or None, and the number of draws rejected."""
+    then evaluated at each draw.  Returns, per sampler, the accepted a, or
+    None, and the number of draws rejected."""
     dom, k = qs[0].domain, len(basis)
-    anns, ls = {}, []
+    ls = []
     for i in (i for i in range(len(qs)) if i not in basis):
         sub = [qs[b] for b in basis] + [qs[i]]
-        anns[i] = find_annihilator(sub)
-        ls.append(compose(anns[i].R.partial_derivative(((k, 1),)), sub))
+        ls.append(compose(find_annihilator(sub).R.partial_derivative(((k, 1),)), sub))
     draws = []
     for sampler in samplers:
         rng = random.Random(algdep.derive_seed(sampler.seed, "translation"))
@@ -866,10 +858,10 @@ def _reference_translation(qs, basis, samplers):
         else:
             a, rejected = None, sampler.max_retries
         draws.append((a, rejected))
-    return anns, draws
+    return draws
 
 
-def test_goodness_values_draw_as_the_composed_certificates():
+def test_goodness_values_draw_as_the_composed_certificates(monkeypatch):
     """sample_good_translation, which reads each L_i(a) as dA_i/dY at the
     values of (basis, q_i) at a, returns the a of the reference that composes
     L_i first, or fails where the reference finds none: on the criterion-5
@@ -883,22 +875,96 @@ def test_goodness_values_draw_as_the_composed_certificates():
               for make in (_planted_dependent_tuple, _power_basis_tuple)
               for qs in (make(rng, dom) for dom in (Q, FP) for _ in range(8))]
     cases.append(([x(0, 1).pow(2), x(0, 1).pow(3)], (0,)))
+    # the four samplers of a case test the same A_i: search each once
+    search, found = algdep._annihilator, {}
+    monkeypatch.setattr(algdep, "_annihilator", lambda sub, *args: found.get(tuple(sub))
+                        or found.setdefault(tuple(sub), search(sub, *args)))
     rejected = []
     for n, (qs, basis) in enumerate(cases):
         seed = 5 if n == len(cases) - 1 else n
         d = max(q.degree() for q in qs)
         samplers = [TranslationSampler.for_tuple(len(qs), len(basis), d, seed=seed),
                     *(TranslationSampler(grid_size=3, seed=seed + s) for s in range(3))]
-        anns, draws = _reference_translation(qs, basis, samplers)
+        draws = _reference_translation(qs, basis, samplers)
         for sampler, (expected, misses) in zip(samplers, draws):
             try:
-                a = sample_good_translation(qs, basis, sampler, anns)
+                a = sample_good_translation(qs, basis, sampler)
             except NoGoodTranslation:
                 a = None
             assert a == expected, (n, sampler)
             rejected.append(misses)
     assert rejected[-4] == 1  # (x1^2, x1^3), default grid
     assert sum(rejected) >= 20
+
+
+def _witness_draws(qs, sampler):
+    """`_witness_translation` on one tuple, its rank basis read symbolically."""
+    basis = algebraic_rank(qs, mode="symbolic").basis_indices
+    return algdep._witness_translation([(qs, basis)], qs[0].domain, qs[0].nvars,
+                                       sampler, DEFAULT_TERM_CAP)
+
+
+def test_the_witness_test_accepts_a_draw_that_the_l_test_rejects():
+    """(2x1^2+2x1, x1, 6x1^4+10x1^3+4x1^2), basis (0,): at the origin, the
+    only draw of a grid of 1, L_2 vanishes, yet q_3 is a truncated
+    polynomial in the basis, whose linear part 2x1 is nonzero there."""
+    x1 = x(0, 1)
+    qs = [(x1 * x1 + x1).scale(2), x1,
+          (x1.pow(4).scale(6) + x1.pow(3).scale(10) + x1.pow(2).scale(4))]
+    dA = find_annihilator([qs[0], qs[2]]).R.partial_derivative(((1, 1),))
+    assert dA.evaluate([0, 0]) == 0
+    sampler = TranslationSampler(grid_size=1)
+    with pytest.raises(NoGoodTranslation):
+        sample_good_translation(qs, (0,), sampler)
+    a, (w,) = _witness_draws(qs, sampler)
+    assert (a, w.basis, sorted(w.F)) == ((0,), (0,), [1, 2])
+    for i, f in w.F.items():
+        composed = compose(f, [qs[0].translate(a)]).homogeneous_le(w.truncation_degrees[i])
+        assert composed == qs[i].translate(a)
+
+
+def test_the_witness_test_rejects_a_draw_without_a_witness():
+    """(x1^2, x1^3): at the origin x1^3 is no truncated polynomial in x1^2,
+    so a grid of 1 has no draw, and a grid of 48 takes the first draw off
+    the origin, the one that the L-test takes too."""
+    qs = [x(0, 1).pow(2), x(0, 1).pow(3)]
+    with pytest.raises(NoGoodTranslation):
+        _witness_draws(qs, TranslationSampler(grid_size=1))
+    sampler = TranslationSampler(grid_size=48, seed=5)
+    a, (w,) = _witness_draws(qs, sampler)
+    assert a[0] != 0 and a == sample_good_translation(qs, (0,), sampler)
+    assert compose(w.F[1], [qs[0].translate(a)]).homogeneous_le(3) == qs[1].translate(a)
+
+
+def test_no_l_good_draw_lacks_a_witness():
+    """Over planted and power-basis tuples over Q and F_p, every draw of a
+    grid of 3 is tallied by both tests: none that the L-test accepts lacks a
+    witness (a good a makes each q_i a truncated polynomial in the basis), so
+    the witness test takes a draw no later than the L-test."""
+    rng = random.Random(113)
+    tally = dict.fromkeys(itertools.product((True, False), repeat=2), 0)
+    for make, dom, seed in itertools.product((_planted_dependent_tuple, _power_basis_tuple),
+                                             (Q, FP), range(5)):
+        qs = make(rng, dom)
+        basis = algebraic_rank(qs).basis_indices
+        ls = [(find_annihilator(sub).R.partial_derivative(((len(basis), 1),)), sub)
+              for sub in ([qs[b] for b in basis] + [qs[i]]
+                          for i in range(len(qs)) if i not in basis)]
+
+        def both(a):  # returns None: the whole stream is drawn
+            good = all(not dom.is_zero(dA.evaluate([q.evaluate(a) for q in sub]))
+                       for dA, sub in ls)
+            try:
+                witness = bool(reconstruct_dependence(qs, basis, a))
+            except NoSolutionWithinCap:
+                witness = False
+            tally[good, witness] += 1
+
+        with pytest.raises(NoGoodTranslation):
+            algdep._sample_translation(both, dom, qs[0].nvars,
+                                       TranslationSampler(grid_size=3, seed=seed))
+    assert tally[True, False] == 0
+    assert tally[True, True] >= 150 and tally[False, False] >= 10
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,10 @@ that `to_text` prints is read back by sympy's own parser.  Randomized rank
 over Q, which reads each trial's Jacobian modulo a prime it draws, must equal
 the rank of the symbolic Jacobian that sympy builds with `sympy.diff`.  The
 minimal annihilator must generate the elimination ideal that sympy's lex
-Groebner basis gives.
+Groebner basis gives.  `Polynomial.mul` (with and without its degree and
+term caps), `compose`, `translate` and `partial_derivative`, on small
+hypothesis-drawn polynomials, must give what `sympy.expand` and
+`sympy.diff` give.
 """
 
 import random
@@ -23,12 +26,15 @@ from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
 from rankpit.algdep import algebraic_rank, find_annihilator
 from rankpit.circuit import expand
 from rankpit.domains import PrimeField
+from rankpit.errors import ExpansionTooLarge
 from rankpit.measure import MeasureSpec, psp_dimension
 from rankpit.pit import pit_test
 from rankpit.poly import Polynomial, compose
@@ -298,3 +304,101 @@ def test_annihilator_is_the_elimination_ideal_generator(dom):
         expected = sympy.Poly(eliminated[0], *zs, **field)
         got = sympy.Poly(_sympy_poly(find_annihilator(qs).R, zs), *zs, **field)
         assert got.monic() == expected.monic(), [q.to_text() for q in qs]
+
+
+# ----------------------------------------------------------------------
+# the Polynomial operations
+
+# derandomized: tier-1 draws the same examples on every run
+_DRAWS = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+def _coefficients(dom):
+    if dom.characteristic:
+        return st.integers(0, dom.characteristic - 1)
+    return st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+
+
+def _polynomials(dom, nvars, max_terms=4, max_exp=3):
+    """Polynomials over dom in nvars variables: up to max_terms terms, each
+    exponent at most max_exp."""
+    mono = st.lists(st.integers(0, max_exp), min_size=nvars, max_size=nvars).map(
+        lambda es: tuple((v, e) for v, e in enumerate(es) if e))
+    return st.dictionaries(mono, _coefficients(dom), max_size=max_terms).map(
+        lambda terms: Polynomial(dom, nvars, terms))
+
+
+def _truncated(poly, cap):
+    """The sympy polynomial's terms of total degree <= cap (all if None)."""
+    if cap is None:
+        return poly
+    return sympy.Poly.from_dict({m: c for m, c in poly.as_dict().items() if sum(m) <= cap},
+                                poly.gens, domain=poly.domain)
+
+
+def _agrees(got, expr, xs, cap=None):
+    """got is the sympy expression expr, expanded and truncated to degree cap."""
+    return _sympy_poly_of(got, _sympy_poly(got, xs), xs) == _truncated(
+        _sympy_poly_of(got, sympy.expand(expr), xs), cap)
+
+
+@pytest.mark.parametrize("dom", [Q, FP], ids=str)
+@_DRAWS
+@given(data=st.data())
+def test_mul_agrees_with_sympy(dom, data):
+    """The product, truncated at degree_cap, and its term cap: it raises
+    exactly when the product has more terms, and is exact under a cap of
+    len(a) * len(b), which no partial sum exceeds."""
+    nvars = data.draw(st.integers(1, 3))
+    a, b = (data.draw(_polynomials(dom, nvars)) for _ in range(2))
+    cap = data.draw(st.none() | st.integers(0, 6))
+    xs = sympy.symbols(f"x1:{nvars + 1}")
+    got = a.mul(b, degree_cap=cap)
+    assert _agrees(got, _sympy_poly(a, xs) * _sympy_poly(b, xs), xs, cap)
+    assert a.mul(b, term_cap=len(a.terms) * len(b.terms), degree_cap=cap) == got
+    if got.terms:
+        with pytest.raises(ExpansionTooLarge):
+            a.mul(b, term_cap=len(got.terms) - 1, degree_cap=cap)
+
+
+@pytest.mark.parametrize("dom", [Q, FP], ids=str)
+@_DRAWS
+@given(data=st.data())
+def test_compose_agrees_with_sympy(dom, data):
+    """outer(inners), substituted and expanded by sympy, truncated at
+    degree_cap as `compose` truncates inside its products."""
+    nvars, t = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    outer = data.draw(_polynomials(dom, t, max_exp=2))
+    inners = [data.draw(_polynomials(dom, nvars, max_terms=3, max_exp=2)) for _ in range(t)]
+    cap = data.draw(st.none() | st.integers(0, 8))
+    xs = sympy.symbols(f"x1:{nvars + 1}")
+    got = compose(outer, inners, degree_cap=cap)
+    assert _agrees(got, _sympy_poly(outer, [_sympy_poly(q, xs) for q in inners]), xs, cap)
+
+
+@pytest.mark.parametrize("dom", [Q, FP], ids=str)
+@_DRAWS
+@given(data=st.data())
+def test_translate_agrees_with_sympy(dom, data):
+    nvars = data.draw(st.integers(1, 3))
+    q = data.draw(_polynomials(dom, nvars))
+    point = data.draw(st.lists(_coefficients(dom), min_size=nvars, max_size=nvars))
+    xs = sympy.symbols(f"x1:{nvars + 1}")
+    shifted = [x + _scalar(a) for x, a in zip(xs, point)]
+    assert _agrees(q.translate(point), _sympy_poly(q, shifted), xs)
+
+
+@pytest.mark.parametrize("dom", [Q, FP], ids=str)
+@_DRAWS
+@given(data=st.data())
+def test_partial_derivative_agrees_with_sympy(dom, data):
+    """d^gamma q for a monomial gamma, as iterated `sympy.diff`."""
+    nvars = data.draw(st.integers(1, 3))
+    q = data.draw(_polynomials(dom, nvars, max_exp=4))
+    orders = data.draw(st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars))
+    gamma = tuple((v, g) for v, g in enumerate(orders) if g)
+    xs = sympy.symbols(f"x1:{nvars + 1}")
+    expected = _sympy_poly(q, xs)
+    for v, g in gamma:
+        expected = sympy.diff(expected, xs[v], g)
+    assert _agrees(q.partial_derivative(gamma), expected, xs)

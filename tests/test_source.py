@@ -4,12 +4,18 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 import rankpit
 
 SRC = Path(rankpit.__file__).parent
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TESTS = Path(__file__).resolve().parent
+ROOT = TESTS.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_no_assert_statements():
@@ -90,6 +96,42 @@ def _imported_modules(node):
     if isinstance(node, ast.ImportFrom) and node.level == 0:
         return {node.module.split(".")[0]}
     return set()
+
+
+def _third_party_imports(paths, local: set) -> dict:
+    """Each top-level module the files import, outside the standard library
+    and the `local` names, with the first place that imports it."""
+    found = {}
+    for path in sorted(paths):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            for name in _imported_modules(node) - set(sys.stdlib_module_names) - local:
+                found.setdefault(name, f"{path.parent.name}/{path.name}:{node.lineno}")
+    return found
+
+
+def _requirement_names(requirements) -> set:
+    """The distribution names of PEP 508 requirement strings, normalized to
+    the module spelling (every dependency here imports under its own name)."""
+    return {re.match(r"[A-Za-z0-9_.-]+", r).group().lower().replace("-", "_").replace(".", "_")
+            for r in requirements}
+
+
+def test_every_imported_package_is_a_declared_dependency():
+    # CI installs the package with its `test` extra and nothing else, so a
+    # module imported but not declared would fail only on a fresh machine
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    runtime = _requirement_names(project["dependencies"])
+    testing = runtime | _requirement_names(project["optional-dependencies"]["test"])
+    test_modules = {path.stem for path in TESTS.glob("*.py")}
+    undeclared = [f"{where} {name}" for name, where in
+                  _third_party_imports(SRC.glob("*.py"), {"rankpit"}).items()
+                  if name not in runtime]
+    undeclared += [f"{where} {name}" for name, where in
+                   _third_party_imports(TESTS.glob("*.py"), {"rankpit"} | test_modules).items()
+                   if name not in testing]
+    assert sorted(undeclared) == []
 
 
 def test_only_pit_imports_numpy():
