@@ -272,13 +272,13 @@ def _point_basis(qs: list[Polynomial], rng: random.Random,
         p = c if is_prime(c) else 0
     point = [rng.randrange(size or p) for _ in range(qs[0].nvars)]
     rows = _jacobian_rows(qs, point, p)
-    dependent = {j for j, _ in linalg.dependent_columns(
-        (dict(enumerate(row)) for row in rows), p)}
+    dependent = {j for j, _ in linalg.dependent_columns(rows, p)}
     return point, [i for i in range(len(rows)) if i not in dependent]
 
 
-def _jacobian_rows(qs: list[Polynomial], point: list[int], p: int) -> list[list[int]]:
-    """Rows of the Jacobian at an integer point, as residues mod the prime p.
+def _jacobian_rows(qs: list[Polynomial], point: list[int], p: int) -> list[dict]:
+    """Rows of the Jacobian at an integer point, as sparse dicts {v: residue
+    mod the prime p} of the nonzero partials, over the variables that occur.
     Over Q, row i is the Jacobian of the integer polynomial D_i*q_i
     (`_int_form`); scaling a row by D_i != 0 keeps every rank over Q and the
     greedy row basis.  The partial in x_v of a term is c * e * x_v^(e-1)
@@ -289,16 +289,16 @@ def _jacobian_rows(qs: list[Polynomial], point: list[int], p: int) -> list[list[
     rows = []
     for q in qs:
         qs[0]._check_compat(q)
-        row = [0] * len(point)
+        row: dict[int, int] = {}
         for mono, _, c in q._int_form()[0]:
             after = [1]  # after.pop() is the product of the factors after x_v
             for v, e in reversed(mono[1:]):
                 after.append(after[-1] * pow(point[v], e, p) % p)
             for v, e in mono:  # c absorbs the factors before x_v
                 low = pow(point[v], e - 1, p)
-                row[v] += c * e * low * after.pop()
+                row[v] = row.get(v, 0) + c * e * low * after.pop()
                 c = c * low * point[v] % p
-        rows.append([x % p for x in row])
+        rows.append({v: x % p for v, x in row.items() if x % p})
     return rows
 
 

@@ -10,7 +10,25 @@ from __future__ import annotations
 
 
 class RankpitError(Exception):
-    """Base class for all structured errors raised by this package."""
+    """Base class for all structured errors raised by this package.
+
+    A subclass with attributes names them once, in `fields`, and words its
+    message as `template`, formatted with them.  It is built from the field
+    values in that order, and they are its `args`, so copy and pickle
+    rebuild it."""
+
+    fields: tuple = ()
+    template = ""
+
+    def __init__(self, *args):
+        if self.fields and len(args) != len(self.fields):
+            raise TypeError(f"{type(self).__name__} takes {', '.join(self.fields)}")
+        super().__init__(*args)
+        for name, value in zip(self.fields, args):
+            setattr(self, name, value)
+
+    def __str__(self):
+        return self.template.format(**vars(self)) if self.fields else super().__str__()
 
 
 class ZeroPolynomial(RankpitError):
@@ -31,11 +49,8 @@ class DomainMismatch(RankpitError):
 
 class ExpansionTooLarge(RankpitError):
     """An expansion exceeded the configured term cap."""
-
-    def __init__(self, terms: int, cap: int):
-        super().__init__(f"expansion reached {terms} terms, cap is {cap}")
-        self.terms = terms
-        self.cap = cap
+    fields = ("terms", "cap")
+    template = "expansion reached {terms} terms, cap is {cap}"
 
 
 class CircuitSyntaxError(RankpitError):
@@ -56,32 +71,20 @@ class CircuitSyntaxError(RankpitError):
 
 class UnreadableInput(RankpitError):
     """An input file could not be opened or decoded as UTF-8 text."""
-
-    def __init__(self, file: str, reason: str):
-        super().__init__(f"cannot read {file}: {reason}")
-        self.file = file
-        self.reason = reason
+    fields = ("file", "reason")
+    template = "cannot read {file}: {reason}"
 
 
 class UnwritableOutput(RankpitError):
     """An output file could not be written."""
-
-    def __init__(self, file: str, reason: str):
-        super().__init__(f"cannot write {file}: {reason}")
-        self.file = file
-        self.reason = reason
+    fields = ("file", "reason")
+    template = "cannot write {file}: {reason}"
 
 
 class BoundViolation(RankpitError):
     """A declared circuit bound does not hold."""
-
-    def __init__(self, gate: int, bound: str, declared, actual):
-        super().__init__(
-            f"gate {gate}: declared {bound}={declared} but actual value is {actual}")
-        self.gate = gate
-        self.bound = bound
-        self.declared = declared
-        self.actual = actual
+    fields = ("gate", "bound", "declared", "actual")
+    template = "gate {gate}: declared {bound}={declared} but actual value is {actual}"
 
 
 class FieldTooSmall(RankpitError):
@@ -94,37 +97,27 @@ class CharacteristicTooSmall(RankpitError):
 
 class RankNotCertified(RankpitError):
     """No Jacobian point's rank was confirmed by checked annihilators."""
-
-    def __init__(self, attempts: int):
-        super().__init__(f"rank not certified at {attempts} Jacobian points")
-        self.attempts = attempts
+    fields = ("attempts",)
+    template = "rank not certified at {attempts} Jacobian points"
 
 
 class NoAnnihilatorWithinCap(RankpitError):
     """No annihilating polynomial exists up to the degree cap."""
-
-    def __init__(self, cap: int):
-        super().__init__(f"no annihilator of total degree <= {cap}")
-        self.cap = cap
+    fields = ("cap",)
+    template = "no annihilator of total degree <= {cap}"
 
 
 class NoGoodTranslation(RankpitError):
     """Translation sampling exhausted its retries."""
-
-    def __init__(self, retries: int):
-        super().__init__(f"no good translation found in {retries} samples")
-        self.retries = retries
+    fields = ("retries",)
+    template = "no good translation found in {retries} samples"
 
 
 class NoSolutionWithinCap(RankpitError):
     """Dependence reconstruction found no witness up to the target's degree."""
-
-    def __init__(self, index: int, cap: int):
-        super().__init__(
-            f"no functional-dependence witness of degree <= {cap} for polynomial {index}"
-            " (bad translation; resample the translation)")
-        self.index = index
-        self.cap = cap
+    fields = ("index", "cap")
+    template = ("no functional-dependence witness of degree <= {cap} for polynomial {index}"
+                " (bad translation; resample the translation)")
 
 
 class DerivativeVanishes(RankpitError):
@@ -137,11 +130,8 @@ class NonConvergence(RankpitError):
 
 class MatrixTooLarge(RankpitError):
     """The measure matrix exceeds the configured cell cap."""
-
-    def __init__(self, cells: int, cap: int):
-        super().__init__(f"measure matrix needs {cells} cells, cap is {cap}")
-        self.cells = cells
-        self.cap = cap
+    fields = ("cells", "cap")
+    template = "measure matrix needs {cells} cells, cap is {cap}"
 
 
 class HypothesisViolated(RankpitError):
@@ -154,16 +144,11 @@ class InvalidParams(RankpitError):
 
 class SlotDied(RankpitError):
     """A restriction killed every variable of one linear-form slot."""
-
-    def __init__(self, slot: tuple[int, int]):
-        super().__init__(f"slot {slot} has no alive variable")
-        self.slot = slot
+    fields = ("slot",)
+    template = "slot {slot} has no alive variable"
 
 
 class SetTooLarge(RankpitError):
     """An explicit point set would exceed the configured cap; size is exact."""
-
-    def __init__(self, size: int, cap: int):
-        super().__init__(f"hitting set would contain {size} points, cap is {cap}")
-        self.size = size
-        self.cap = cap
+    fields = ("size", "cap")
+    template = "hitting set would contain {size} points, cap is {cap}"

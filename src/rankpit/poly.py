@@ -14,8 +14,9 @@ trailing monomial.
 Every product runs one loop, `_packed_product`, on integer numerators and
 packed monomials (`_Layout`: one int each, a field per variable that occurs
 in the operands), and builds one Fraction per output term: `Polynomial.mul`,
-substitution by Horner's rule (`compose`, and `Polynomial.translate`), and
-`_CompositionTable`, the power products q^alpha that `algdep` searches.
+substitution by Horner's rule, one variable at a time (`compose`, and
+`Polynomial.translate`), and `_CompositionTable`, the power products q^alpha
+that `algdep` searches.
 """
 
 from __future__ import annotations
@@ -517,9 +518,10 @@ def compose(outer: Polynomial, inners: list, term_cap: int | None = DEFAULT_TERM
     """Exact substitution of `inners` into `outer`, fully expanded.
 
     outer lives in t variables; inners are t polynomials over one shared
-    domain.  Horner's rule in each variable makes every product one by a
-    single inner polynomial, never of two large partial products; it runs
-    on packed integers and builds one Fraction per output term (`_horner`).
+    domain.  Horner's rule, one variable at a time, makes every product one
+    by a single inner polynomial, never of two large partial products; it
+    runs in one loop per variable, with no recursion, on packed integers and
+    builds one Fraction per output term (`_horner`).
     Raises ArityMismatch / DomainMismatch / ExpansionTooLarge.
     """
     if outer.nvars != len(inners):
@@ -546,73 +548,44 @@ def _horner(outer: Polynomial, forms: dict, nvars: int, term_cap: int | None,
     every variable v that occurs in outer, on packed keys over the variables
     of those inners (`_Layout`).
 
-    The inners are brought to one den L, and a term c*z^m of outer enters as
-    c*L^(D-|m|), D = deg(outer): then each partial sum is a power of L times
-    the one over Q, so terms cancel where the Fraction sums do; term_cap is
-    checked after each sum too.  One Fraction is built per output term."""
+    Horner's rule one variable at a time, in ascending order: `parts` maps
+    the rest of each monomial, its variables above v, to a packed partial
+    sum, and the parts whose monomials differ only in their exponent e of v
+    fold into sum_e part_e * inner_v^e.  The inners are brought to one den
+    L, and a term c*z^m of outer enters as c*L^(D-|m|), D = deg(outer): then
+    each partial sum is a power of L times the one over Q, so terms cancel
+    where the Fraction sums do; term_cap is checked after each sum too.  A
+    part is dropped once it is folded in, and one Fraction is built per
+    output term."""
     p = outer.domain.characteristic
     terms, den_outer = outer._int_form()
     top = max((deg for _, deg, _ in terms), default=0)
     den = math.lcm(*(den for _, den in forms.values()))
     layout = _Layout([ts for ts, _ in forms.values()], top, degree_cap)
-    factors = {v: layout.pack(ts, den // d_v) for v, (ts, d_v) in forms.items()}
-
-    def add(total: dict, items, move=False):
-        # total += items in place; a key already in total keeps its place,
-        # or with `move` goes to the end
-        for m, c in items:
-            s = (total.pop(m, 0) if move else total.get(m, 0)) + c
-            if p:
-                s %= p
-            if s:
-                total[m] = s
-            elif not move:
-                total.pop(m, None)
-        if term_cap is not None and len(total) > term_cap:
-            raise ExpansionTooLarge(len(total), term_cap)
-
-    def horner(terms: dict):
-        # c * inners^mono summed over terms: the terms grouped by their
-        # largest variable v, each group by Horner's rule in v.  Each term is
-        # split once.  A generator: it yields each sub-sum it needs and is
-        # sent its value, so the nesting, one level per variable of a
-        # monomial, lives in a list and not on the Python stack.
-        groups: dict[int, dict] = {}
-        for mono, c in terms.items():
-            groups.setdefault(mono[-1][0] if mono else -1, {})[mono] = c
-        parts = []
-        for v in sorted(groups, reverse=True):
-            if v < 0:
-                parts.append({0: groups[v][()]})
-                continue
-            by_exp: dict[int, dict] = {}
-            for mono, c in groups[v].items():
-                by_exp.setdefault(mono[-1][1], {})[mono[:-1]] = c
-            high = max(by_exp)
-            acc = yield by_exp[high]
+    parts = {m: {0: c * den ** (top - deg)} for m, deg, c in terms}
+    for v in sorted(forms):
+        ts, d_v = forms[v]
+        factor = layout.pack(ts, den // d_v)
+        by_rest: dict[Mono, dict] = {}
+        for mono, part in parts.items():
+            e = mono[0][1] if mono and mono[0][0] == v else 0
+            by_rest.setdefault(mono[1:] if e else mono, {})[e] = part
+        parts = {}
+        for rest, by_exp in by_rest.items():
+            acc = by_exp.pop(high := max(by_exp))
             for e in range(high - 1, -1, -1):
-                acc = _packed_product(acc, factors[v], p, layout.limit, term_cap)
-                if e in by_exp:
-                    add(acc, (yield by_exp[e]).items())
-            parts.append(acc)
-        if len(parts) < 2:
-            return parts[0] if parts else {}
-        # parts[0] + (parts[1] + (...)) in one dict, built backwards so that
-        # each sum costs the size of its part and the terms keep their order
-        total = dict(reversed(parts.pop().items()))
-        for part in reversed(parts):
-            add(total, reversed(part.items()), move=True)
-        return dict(reversed(total.items()))
-
-    stack, acc = [horner({m: c * den ** (top - deg) for m, deg, c in terms})], None
-    while stack:  # send each generator the sum it asked for, depth first
-        try:
-            stack.append(horner(stack[-1].send(acc)))
-            acc = None
-        except StopIteration as done:
-            stack.pop()
-            acc = done.value
+                acc = _packed_product(acc, factor, p, layout.limit, term_cap)
+                for m, c in by_exp.pop(e, {}).items():  # acc += part_e in place
+                    s = acc.get(m, 0) + c
+                    if p:
+                        s %= p
+                    if s:
+                        acc[m] = s
+                    else:
+                        acc.pop(m, None)
+                if term_cap is not None and len(acc) > term_cap:
+                    raise ExpansionTooLarge(len(acc), term_cap)
+            parts[rest] = acc
     return Polynomial(outer.domain, nvars,
-                      layout.unpack(acc, None if p else den ** top * den_outer),
+                      layout.unpack(parts.get((), {}), None if p else den ** top * den_outer),
                       _normalized=True)
-

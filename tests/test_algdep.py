@@ -86,7 +86,11 @@ def test_jacobian_rows_match_the_quadratic_formula(dom, p):
         qs = [random_poly(rng, dom, n, 7).scale(Fraction(rng.randrange(1, 9), 3))
               for _ in range(rng.randrange(1, 4))]
         point = [rng.choice([0, 1, rng.randrange(p)]) for _ in range(n)]
-        assert algdep._jacobian_rows(qs, point, p) == _quadratic_jacobian_rows(qs, point, p)
+        rows = algdep._jacobian_rows(qs, point, p)
+        # sparse rows: only nonzero residues, keyed by variables in range
+        assert all(set(row) <= set(range(n)) and all(row.values()) for row in rows)
+        dense = [[row.get(v, 0) for v in range(n)] for row in rows]
+        assert dense == _quadratic_jacobian_rows(qs, point, p)
 
 
 # ----------------------------------------------------------------------

@@ -577,34 +577,28 @@ def test_a_wide_ring_packs_only_the_variables_that_occur(dom, monkeypatch):
 
 
 def _reference_horner(outer, inners, term_cap=None, degree_cap=None):
-    """Horner's rule on `Polynomial.mul` and `+`, the composition loop that the
-    packed kernel replaced: the parts by the largest variable, summed as
-    parts[0] + (parts[1] + (...))."""
+    """Horner's rule on `Polynomial.mul` and `+`, one variable at a time in
+    ascending order: the parts, keyed by the rest of each monomial above v,
+    that differ only in their exponent e of v fold into
+    sum_e part_e * inners[v]^e."""
     dom, nvars = inners[0].domain, inners[0].nvars
-
-    def horner(terms):
-        v = max((mono[-1][0] for mono in terms if mono), default=-1)
-        if v < 0:
-            return Polynomial.constant(dom, nvars, terms.get((), 0))
-        by_exp = {}
-        for mono, c in terms.items():
-            e = mono[-1][1] if mono and mono[-1][0] == v else 0
-            by_exp.setdefault(e, {})[mono[:-1] if e else mono] = c
-        acc = horner(by_exp[max(by_exp)])
-        for e in range(max(by_exp) - 1, -1, -1):
-            acc = acc.mul(inners[v], term_cap=term_cap, degree_cap=degree_cap)
-            if e and e in by_exp:
-                acc = acc + horner(by_exp[e])
-                if term_cap is not None and acc.num_terms() > term_cap:
-                    raise ExpansionTooLarge(acc.num_terms(), term_cap)
-        if 0 not in by_exp:
-            return acc
-        total = acc + horner(by_exp[0])
-        if term_cap is not None and total.num_terms() > term_cap:
-            raise ExpansionTooLarge(total.num_terms(), term_cap)
-        return total
-
-    return horner(outer.terms)
+    parts = {m: Polynomial.constant(dom, nvars, c) for m, c in outer.terms.items()}
+    for v in sorted({v for m in outer.terms for v, _ in m}):
+        by_rest = {}
+        for mono, part in parts.items():
+            e = mono[0][1] if mono and mono[0][0] == v else 0
+            by_rest.setdefault(mono[1:] if e else mono, {})[e] = part
+        parts = {}
+        for rest, by_exp in by_rest.items():
+            acc = by_exp[max(by_exp)]
+            for e in range(max(by_exp) - 1, -1, -1):
+                acc = acc.mul(inners[v], term_cap=term_cap, degree_cap=degree_cap)
+                if e in by_exp:
+                    acc = acc + by_exp[e]
+                    if term_cap is not None and acc.num_terms() > term_cap:
+                        raise ExpansionTooLarge(acc.num_terms(), term_cap)
+            parts[rest] = acc
+    return parts.get((), Polynomial.zero(dom, nvars))
 
 
 @pytest.mark.parametrize("dom", [Q, F11, FP], ids=str)

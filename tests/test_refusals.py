@@ -2,13 +2,15 @@
 constructor or an entry point raises its structured error (or the built-in
 one the API documents), with its message, before any work is done."""
 
+import copy
+import pickle
 import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from rankpit import algdep, circuit, domains, measure, nw, pit, util
+from rankpit import algdep, circuit, domains, errors, measure, nw, pit, util
 from rankpit.circuit import Circuit, DeclaredBounds, Gate, OuterExpr
 from rankpit.domains import PrimeField, Rationals
 from rankpit.errors import (ArityMismatch, DimensionMismatch, DomainMismatch,
@@ -154,3 +156,30 @@ def test_public_refusal(case, tmp_path, monkeypatch):
     call, error, message = REFUSALS[case]
     with pytest.raises(error, match=message):
         call()
+
+
+_FIELDED = sorted((cls for cls in vars(errors).values() if isinstance(cls, type)
+                   and issubclass(cls, errors.RankpitError) and cls.fields),
+                  key=lambda cls: cls.__name__)
+
+
+@pytest.mark.parametrize("cls", _FIELDED, ids=lambda cls: cls.__name__)
+def test_a_fielded_error_survives_copy_and_pickle(cls):
+    """A copy or an unpickled error has the same type, attributes, message
+    and args as the one it was made from, and it is built from its fields
+    alone."""
+    values = [(i, i + 1) if name == "slot" else 10 + i for i, name in enumerate(cls.fields)]
+    exc = cls(*values)
+    assert vars(exc) == dict(zip(cls.fields, values))
+    for twin in (copy.copy(exc), copy.deepcopy(exc), pickle.loads(pickle.dumps(exc))):
+        assert type(twin) is cls
+        assert (vars(twin), str(twin), twin.args) == (vars(exc), str(exc), exc.args)
+    with pytest.raises(TypeError):
+        cls(*values, 0)
+
+
+def test_a_circuit_syntax_error_survives_copy_and_pickle():
+    exc = errors.CircuitSyntaxError("unexpected token", 3, 7)
+    for twin in (copy.copy(exc), pickle.loads(pickle.dumps(exc))):
+        assert (str(twin), vars(twin)) == ("unexpected token at line 3, column 7",
+                                           {"line": 3, "column": 7, "path": None})
