@@ -8,6 +8,7 @@ the rest of the package is generic over the two kinds.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -115,6 +116,7 @@ class PrimeField:
 
     p: int
 
+    @functools.lru_cache(maxsize=64)  # one test a modulus: every file read builds its field
     def __post_init__(self):
         if self.p < 2 or self.p >= 1 << 64 or not is_prime(self.p):
             raise InvalidParams(f"modulus {self.p} is not a prime below 2^64")

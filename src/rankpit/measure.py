@@ -3,23 +3,25 @@
 For a derivative monomial set M of uniform degree r and a shift degree m, the
 measure of P is the rank of the span of mult[(prod_{i in S} X_i) * dP/dgamma]
 over gamma in M and |S| = m, where mult[] keeps only multilinear monomials.
-The two closed-form bounds are the composition bound for functions of
-low-support polynomials and the per-circuit bound derived from it; both are
-exact big-integer formulas.  `psp_dimension` checks its cell cap before it
-lists a derivative; `MeasureSpec.multilinear` lists its C(N, r) monomials
-only when iterated.
+`psp_dimension` lists every derivative in one pass over the T terms of P, in
+at most |M| * T term tests, and prunes singleton columns before it eliminates:
+a row alone in a column is outside the span of the other rows, so it adds 1
+to the rank.  It checks its cell cap before it lists a derivative.  The two
+closed-form bounds (the composition bound for functions of low-support
+polynomials, and the per-circuit bound derived from it) are exact integers.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb
+from itertools import chain, combinations
+from math import comb, factorial, prod
 
 from .errors import HypothesisViolated, InvalidParams, MatrixTooLarge
 from .linalg import rank_stream
-from .poly import Polynomial, mono_degree, mono_is_multilinear
+from .poly import Polynomial, check_derivative, mono_degree
 
 DEFAULT_MATRIX_CAP = 10**7
 
@@ -55,6 +57,8 @@ class MeasureSpec:
             raise InvalidParams("shift degree must be >= 0")
         if not monos:
             raise InvalidParams("derivative set must be nonempty")
+        for gamma in monos:
+            check_derivative(gamma)
         degs = {mono_degree(m) for m in monos}
         if len(degs) != 1:
             raise InvalidParams(
@@ -88,49 +92,67 @@ def psp_dimension(p: Polynomial, spec: MeasureSpec, *,
                   matrix_cap: int = DEFAULT_MATRIX_CAP) -> MeasureReport:
     """Exact dimension of the projected shifted partial-derivative span.
 
-    Rows are generated lazily from each derivative's `_int_form` (scaled by
-    its denominator) and eliminated exactly over the polynomial's own domain.
-    Derivatives with the same multilinear part give the same rows, so each
-    distinct one is shifted once, and a row equal to one already streamed
-    adds nothing to the span and is skipped: memory is bounded by the
-    distinct rows, while `rows` still counts the full matrix, repeats
-    included.  MatrixTooLarge past `matrix_cap` cells, before any derivative
-    is listed.
+    One pass over P's `_int_form` lists each mult[dP/dgamma] as (mask, coeff)
+    pairs.  A multilinear term tests its C(deg, r) subsets of r variables if
+    they are fewer than M, any other term every gamma: at most |M| * T tests.
+    Each distinct derivative is shifted once and each distinct row kept once;
+    `rows` counts the full matrix.  A row alone in some column is outside the
+    span of the others, which are 0 there: it adds 1 to the dimension and is
+    pruned, until no such column is left (one sweep, then row by row: linear
+    in the entries).  `rank_stream` eliminates the rest in order.
+    MatrixTooLarge past `matrix_cap` cells, before any derivative is listed.
     """
     n = p.nvars
-    m = spec.shift_degree
+    m, r, q = spec.shift_degree, spec.degree, p.domain.characteristic
     count = spec.monomials.__len__()  # len() refuses counts past sys.maxsize
     cells = n * comb(n, m) * count  # n * C(n, m) cells a derivative
     if cells > matrix_cap:
         raise MatrixTooLarge(cells, matrix_cap)
 
-    derivs = {}  # multilinear part -> [its (mask, coeff) list, times it occurs]
-    for gamma in spec.monomials:
-        dp = p.partial_derivative(gamma)
-        ml = [(sum(1 << v for v, _ in mono), coeff)
-              for mono, _, coeff in dp._int_form()[0] if mono_is_multilinear(mono)]
-        if ml:
-            derivs.setdefault(frozenset(ml), [ml, 0])[1] += 1
+    lists = {gamma: [] for gamma in spec.monomials}  # gamma -> [(mask, coeff)]
+    check_derivative(max(lists, key=lambda g: g[-1][0] if g else -1), n)
+    for mono, deg, c in p._int_form()[0]:
+        c *= prod(factorial(e) for _, e in mono)  # e!/(e - g)! = e!, as e - g is 0 or 1
+        if q and not (c := c % q):
+            continue
+        by_subsets = deg == len(mono) and comb(deg, r) <= len(lists)  # a multilinear term
+        for gamma in combinations(mono, r) if by_subsets else lists:
+            rest = dict(mono)
+            for v, g in gamma:
+                rest[v] = rest.get(v, 0) - g
+            if gamma in lists and all(0 <= e <= 1 for e in rest.values()):
+                lists[gamma].append((sum(1 << v for v, e in rest.items() if e), c))
+    # sorted by mask, a row's entries come out sorted by column: the row is its key
+    derivs = Counter(tuple(sorted(lists[gamma])) for gamma in spec.monomials)
     smasks = [sum(1 << v for v in subset) for subset in combinations(range(n), m)]
 
-    counter = {"rows": 0, "cols": set()}
-    seen = set()
+    distinct, nrows = {}, 0
+    for ml, times in derivs.items():
+        for smask in smasks:
+            if row := tuple([(mask | smask, coeff) for mask, coeff in ml if not mask & smask]):
+                nrows += times
+                distinct[row] = None
+    rows = list(map(dict, distinct))
+    weight = Counter(chain.from_iterable(rows))
+    ones = {col for col, w in weight.items() if w == 1}
+    live = [row for row in rows if ones.isdisjoint(row)]
+    pruned, cols = len(rows) - len(live), len(weight)
+    reach = defaultdict(set)  # column -> its live rows, if the sweep left a singleton
+    for i, row in enumerate(live if 1 in Counter(chain.from_iterable(live)).values() else ()):
+        for col in row:
+            reach[col].add(i)
+    singles = [col for col, ids in reach.items() if len(ids) == 1]
+    while singles:
+        if len(ids := reach[singles.pop()]) == 1:  # 0 once its row is pruned
+            i, pruned = ids.pop(), pruned + 1
+            for col in live[i]:
+                reach[col].discard(i)
+                if len(reach[col]) == 1:
+                    singles.append(col)
+            live[i] = {}
 
-    def rows():
-        for ml, times in derivs.values():
-            for smask in smasks:
-                row = {mask | smask: coeff for mask, coeff in ml if not mask & smask}
-                if row:
-                    counter["rows"] += times
-                    key = frozenset(row.items())
-                    if key not in seen:
-                        seen.add(key)
-                        counter["cols"].update(row)
-                        yield row
-
-    dimension = rank_stream(rows(), p.domain)
-    return MeasureReport(dimension=dimension, rows=counter["rows"],
-                         cols=len(counter["cols"]),
+    dimension = pruned + rank_stream(filter(None, live), p.domain)
+    return MeasureReport(dimension=dimension, rows=nrows, cols=cols,
                          rank_method="exact-elimination",
                          shift_degree=m, derivative_degree=spec.degree,
                          derivative_count=count)

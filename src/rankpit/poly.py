@@ -46,8 +46,13 @@ def mono_support(a: Mono) -> tuple:
     return tuple(v for v, _ in a)
 
 
-def mono_is_multilinear(a: Mono) -> bool:
-    return all(e <= 1 for _, e in a)
+def check_derivative(gamma: Mono, nvars: int | None = None) -> None:
+    """Refuse gamma unless its variables ascend strictly in range(nvars) with exponents >= 1."""
+    vs = [v for v, _ in gamma]
+    if vs != sorted(set(vs)) or min(vs, default=0) < 0 or any(e < 1 for _, e in gamma):
+        raise InvalidParams(f"derivative {gamma!r} needs ascending variables and exponents >= 1")
+    if nvars is not None and vs and vs[-1] >= nvars:
+        raise InvalidParams(f"derivative variable {vs[-1]} out of range for {nvars} variables")
 
 
 def _clear_denominators(values) -> tuple[list[int], int]:
@@ -264,6 +269,7 @@ class Polynomial:
 
     def partial_derivative(self, gamma: Mono) -> "Polynomial":
         """Iterated formal derivative with respect to the monomial gamma."""
+        check_derivative(gamma, self.nvars)
         dom = self.domain
         out: dict = {}
         for mono, c in self.terms.items():

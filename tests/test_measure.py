@@ -304,3 +304,67 @@ def test_psp_dimension_matches_the_full_dense_matrix(case):
     p, spec = case
     rep = psp_dimension(p, spec)
     assert (rep.dimension, rep.rows, rep.cols) == _reference_psp(p, spec)
+
+
+def _path(nvars, dom=Q):
+    """x0*x1 + x1*x2 + ... : d/dx_i is x_{i-1} + x_{i+1}, a chain of rows."""
+    v = xs(nvars, dom)
+    return sum((v[i] * v[i + 1] for i in range(1, nvars - 1)), v[0] * v[1])
+
+
+def _streamed(monkeypatch, p, spec):
+    """psp_dimension's report and the rows that reached the elimination."""
+    import rankpit.measure
+    from rankpit.linalg import rank_stream
+    streamed = []
+
+    def counted(rows, domain):
+        rows = list(rows)
+        streamed.extend(rows)
+        return rank_stream(rows, domain)
+
+    monkeypatch.setattr(rankpit.measure, "rank_stream", counted)
+    return psp_dimension(p, spec), streamed
+
+
+@pytest.mark.parametrize("dom", [Q, FP])
+def test_singleton_columns_cascade(monkeypatch, dom):
+    # x0 and x7 are reached by d/dx1 and d/dx6 alone; pruning those leaves
+    # x2 reached by d/dx3 alone, and so on inward: no row is eliminated
+    p, spec = _path(8, dom), MeasureSpec.multilinear(8, 1, 0)
+    rep, streamed = _streamed(monkeypatch, p, spec)
+    assert (rep.dimension, rep.rows, rep.cols) == _reference_psp(p, spec) == (8, 8, 8)
+    assert streamed == []
+
+
+@pytest.mark.parametrize("dom", [Q, FP])
+def test_pruning_stops_at_a_rank_deficient_core(monkeypatch, dom):
+    # d/dx1 and d/dx3 are pruned (x0 and x4); x1 and x3 are then each reached
+    # by two of x1, x1 + x3, x3, whose rank is 2, not 3
+    p, spec = _path(5, dom), MeasureSpec.multilinear(5, 1, 0)
+    rep, streamed = _streamed(monkeypatch, p, spec)
+    assert (rep.dimension, rep.rows, rep.cols) == _reference_psp(p, spec) == (4, 5, 5)
+    assert sorted(map(sorted, streamed)) == [[2], [2, 8], [8]]
+
+
+def test_one_derivative_of_a_wide_term_is_tested_once(monkeypatch):
+    # x0*...*x59 has C(60, 5) = 5,461,512 subsets of 5 variables: with one
+    # gamma in M the term is tested against that gamma, not its subsets
+    import itertools
+
+    import rankpit.measure
+    listed = []
+
+    def counted(items, k):
+        for item in itertools.combinations(items, k):
+            listed.append(item)
+            yield item
+
+    monkeypatch.setattr(rankpit.measure, "combinations", counted)
+    n = 60
+    p = Polynomial(Q, n, {tuple((v, 1) for v in range(n)): Fraction(3, 2),
+                          ((0, 2), (1, 1), (2, 1), (3, 1), (4, 1)): 1})
+    spec = MeasureSpec.of([tuple((v, 1) for v in range(5))], 1)
+    rep = psp_dimension(p, spec)
+    assert len(listed) == n  # the shifts by one variable alone
+    assert (rep.dimension, rep.rows, rep.cols) == _reference_psp(p, spec) == (60, 60, 64)

@@ -44,6 +44,13 @@ _BAD_BASES = {"out-of-range": (5,), "negative": (-1,), "repeated": (0, 0),
               "repeated-to-full": (0, 0, 0)}
 
 
+# derivative monomials that break the format: each variable once, in ascending
+# order, with an exponent >= 1
+_BAD_DERIVATIVES = {"zero-exponent": ((0, 0),), "negative-exponent": ((0, -1),),
+                    "unsorted": ((1, 1), (0, 1)), "repeated": ((0, 1), (0, 1)),
+                    "negative-variable": ((-1, 1),)}
+
+
 def _read_latin1():
     Path("latin1.txt").write_bytes("café".encode("latin-1"))
     return util.read_text("latin1.txt")
@@ -64,6 +71,12 @@ REFUSALS = {
     "negative-power": (lambda: x(0).pow(-1), InvalidParams, "negative power"),
     "evaluate-short-point": (lambda: x(0).evaluate([1]),
                              DimensionMismatch, "point has 1 coords, nvars=2"),
+    **{f"derivative-{name}": (
+        lambda gamma=gamma: x(0).partial_derivative(gamma), InvalidParams,
+        re.escape(f"derivative {gamma} needs ascending variables and exponents >= 1"))
+       for name, gamma in _BAD_DERIVATIVES.items()},
+    "derivative-variable-out-of-range": (lambda: x(0).partial_derivative(((2, 1),)),
+                                         InvalidParams, "derivative variable 2 out of range"),
     # circuit
     "gate-no-inners": (lambda: Gate("product", []), InvalidParams, "at least one inner"),
     "gate-mixed-domains": (lambda: Gate("product", [x(0), x(0, dom=FP)]),
@@ -103,6 +116,14 @@ REFUSALS = {
                    InvalidParams, "derivative set must be nonempty"),
     "spec-negative-shift": (lambda: measure.MeasureSpec.of([((0, 1),)], -1),
                             InvalidParams, "shift degree must be >= 0"),
+    **{f"spec-derivative-{name}": (
+        lambda gamma=gamma: measure.MeasureSpec.of([gamma], 1), InvalidParams,
+        re.escape(f"derivative {gamma} needs ascending variables and exponents >= 1"))
+       for name, gamma in _BAD_DERIVATIVES.items()},
+    "measure-variable-out-of-range": (
+        lambda: measure.psp_dimension(x(0, 3) * x(1, 3) + x(2, 3),
+                                      measure.MeasureSpec.of([((7, 1),)], 1)),
+        InvalidParams, "derivative variable 7 out of range for 3 variables"),
     "bound-negative-rank": (lambda: measure.circuit_measure_bound(1, 4, -1, 1, 0, 1, 0),
                             InvalidParams, "k and degree must be >= 0"),
     "bound-zero-fanin": (lambda: measure.circuit_measure_bound(0, 4, 1, 1, 0, 1, 0),
