@@ -2,11 +2,12 @@
 
 Each gate of a rank-bounded circuit can be re-expressed, after one shared
 translation a, so that its inputs are the at most k(d+1) homogeneous
-components of a transcendence basis of its original inputs: the dependent
-inputs are recovered through their functional-dependence witnesses, and the
-truncations become exact interpolated linear combinations inside the outer
-expression DAG.  The expansion identity expand(C')(X) = expand(C)(X+a) is
-checked on the nose.
+components of a transcendence basis of its original inputs.  Each
+dependent input is recovered through its functional-dependence witness F:
+one call, inside the outer expression DAG, of F applied to the sums of the
+components, keeping only the terms whose weighted degree (a component of
+degree j weighs j) is at most the input's degree.  The expansion identity
+expand(C')(X) = expand(C)(X+a) is checked on the nose.
 
 Run:  python demos/02_circuit_rewrite.py
 """

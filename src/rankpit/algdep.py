@@ -29,7 +29,8 @@ A power-series Newton lift of the annihilator root cross-checks the
 reconstruction: it carries 1/R_Y with the root, one Newton step on each per
 doubling of the precision, and skips the Y-derivative at the last step.  The
 whole machinery drives the circuit rewrite that replaces a gate's inputs by
-the homogeneous components of its basis.
+the homogeneous components of its basis, each dependent input by one call of
+F_i of the component sums, cut to weighted degree <= d_i: no interpolation.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .circuit import (Circuit, DeclaredBounds, Gate, OuterExpr, _graft,
-                      _interpolation_weights)
+from .circuit import Circuit, DeclaredBounds, Gate, OuterExpr, _graft
 from .domains import PrimeField, is_prime
 from .errors import (BoundViolation, CharacteristicTooSmall, DerivativeVanishes,
                      FieldTooSmall, InvalidParams, NoAnnihilatorWithinCap,
@@ -478,9 +478,13 @@ def rewrite_circuit(c: Circuit, seed: int = 0, *,
 
     One shared translation a is drawn, the first at which every gate's
     dependence witnesses exist and check; gate i's inner list becomes
-    {h^j[q_ib(X+a)]} for b in its basis, and its outer DAG composes the old
-    outer with those witnesses and the interpolated truncations, so that
-    expand(C')(X) = expand(C)(X+a).
+    {h^j[q_ib(X+a)]} for b in its basis.  Its outer DAG reads each basis
+    input as the sum of its components, and each dependent input q_i as one
+    call of G_i = F_i(those sums), kept to the terms of weighted degree
+    <= d_i, where a component of degree j weighs j: so
+    expand(C')(X) = expand(C)(X+a).  No input's formal degree exceeds the
+    one it replaces, so the declared delta is kept (`Circuit` checks it);
+    G_i's composition is held to term_cap.
     """
     dom, nvars = c.domain, c.nvars
     if dom.characteristic != 0:
@@ -494,63 +498,48 @@ def rewrite_circuit(c: Circuit, seed: int = 0, *,
     a, witnesses = _witness_translation(
         [(g.inner, cert.basis_indices) for g, cert in zip(c.gates, certs)],
         dom, nvars, sampler, term_cap)
-    new_gates = [_rewrite_gate(g, witness, dom, nvars)
+    new_gates = [_rewrite_gate(g, witness, dom, nvars, term_cap)
                  for g, witness in zip(c.gates, witnesses)]
     k_new = max((len(g.inner) for g in new_gates), default=c.declared.k)
-    delta_new = max((g.formal_degree() for g in new_gates), default=c.declared.delta)
     declared = DeclaredBounds(d=c.declared.d, k=max(c.declared.k, k_new),
-                              delta=max(c.declared.delta, delta_new))
+                              delta=c.declared.delta)
     return Circuit(dom, nvars, declared, new_gates), a
 
 
-def _rewrite_gate(g: Gate, witness: DependenceWitness, dom, nvars: int) -> Gate:
-    basis = witness.basis
-    b_translated = [g.inner[b].translate(witness.a) for b in basis]
+def _rewrite_gate(g: Gate, witness: DependenceWitness, dom, nvars: int, term_cap) -> Gate:
+    b_translated = [g.inner[b].translate(witness.a) for b in witness.basis]
+    # input u is the component of degree weight[u] of a basis member; ids[pos]
+    # lists the inputs of the member at basis position pos
     comp_polys: list[Polynomial] = []
-    comp_ids: dict[tuple[int, int], int] = {}  # (basis position, degree) -> input index
-    for pos, bp in enumerate(b_translated):
-        for j in range(bp.degree() + 1):
-            comp_ids[(pos, j)] = len(comp_polys)
-            comp_polys.append(bp.homogeneous_component(j))
+    weight: list[int] = []
+    ids: list[tuple] = []
+    for bp in b_translated:
+        ids.append(tuple(range(len(comp_polys), len(comp_polys) + bp.degree() + 1)))
+        comp_polys.extend(bp.homogeneous_component(j) for j in range(bp.degree() + 1))
+        weight.extend(range(bp.degree() + 1))
     if not comp_polys:
         comp_polys = [Polynomial.constant(dom, nvars, dom.one)]  # placeholder input
+    n = len(comp_polys)
 
-    nodes: list = [("input", idx) for idx in range(len(comp_polys))]
-
-    def push(node) -> int:
-        nodes.append(node)
-        return len(nodes) - 1
-
+    nodes: list = [("input", u) for u in range(n)]
     arg_ids: list[int] = [0] * len(g.inner)
-    for pos, b in enumerate(basis):
-        ids = tuple(comp_ids[(pos, j)] for j in range(b_translated[pos].degree() + 1))
-        arg_ids[b] = push(("add", ids))
+    for b, us in zip(witness.basis, ids):
+        arg_ids[b] = len(nodes)
+        nodes.append(("add", us))
+    # h^{<=d_i}[F_i(b(X+a))]: the terms of F_i(sums) with sum_u weight[u]*e_u <= d_i
+    sums = [Polynomial(dom, n, {((u, 1),): 1 for u in us}) for us in ids]
     for i, f_i in witness.F.items():
-        d_i = witness.truncation_degrees[i]
-        d_z = f_i.degree() * max((bp.degree() for bp in b_translated), default=0)
-        if d_z == 0 or f_i.nvars == 0:
-            arg_ids[i] = push(("const", dom.coerce(f_i.coefficient(()))))
+        arg_ids[i] = len(nodes)
+        if f_i.nvars == 0:
+            nodes.append(("const", dom.coerce(f_i.coefficient(()))))
             continue
-        zs = [dom.coerce(u + 1) for u in range(d_z + 1)]
-        mu = _interpolation_weights(zs, range(d_i + 1), dom)  # keeps degrees <= d_i
-        terms = []
-        for u, z in enumerate(zs):
-            scaled_args = []
-            for pos in range(len(basis)):
-                addends = []
-                zp = dom.one
-                for j in range(b_translated[pos].degree() + 1):
-                    cn = push(("const", dom.coerce(zp)))
-                    addends.append(push(("mul", (cn, comp_ids[(pos, j)]))))
-                    zp = dom.mul(zp, z)
-                scaled_args.append(push(("add", tuple(addends))))
-            call_id = push(("call", f_i, tuple(scaled_args)))
-            cn = push(("const", dom.coerce(mu[u])))
-            terms.append(push(("mul", (cn, call_id))))
-        arg_ids[i] = push(("add", tuple(terms)))
+        d_i = witness.truncation_degrees[i]
+        kept = {m: c for m, c in compose(f_i, sums, term_cap=term_cap).terms.items()
+                if sum(weight[u] * e for u, e in m) <= d_i}
+        nodes.append(("call", Polynomial(dom, n, kept, _normalized=True), tuple(range(n))))
 
     root = _graft(nodes, g.outer, arg_ids)
-    outer = OuterExpr(len(comp_polys), nodes, root)
+    outer = OuterExpr(n, nodes, root)
     # the old k bounds the old inputs; the components' rank is <= their number, nvars
-    k = None if g.rank_bound is None else min(len(comp_polys), nvars)
+    k = None if g.rank_bound is None else min(n, nvars)
     return Gate(outer, comp_polys, rank_bound=k)

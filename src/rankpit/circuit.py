@@ -325,7 +325,7 @@ def homogeneous_component_circuit(c: Circuit, ell: int) -> Circuit:
     # over F_p, dom.scalars raises FieldTooSmall when p < npts
     zs = dom.scalars(npts) if dom.characteristic else [dom.coerce(i + 1) for i in range(npts)]
     # ell > delta: every weight is zero, and so is the slice
-    lam = _interpolation_weights(zs, (ell,), dom)
+    lam = _interpolation_weights(zs, ell, dom)
     new_gates: list[Gate] = []
     for z, lam_u in zip(zs, lam):
         for g in c.gates:
@@ -340,12 +340,12 @@ def homogeneous_component_circuit(c: Circuit, ell: int) -> Circuit:
     return Circuit(dom, c.nvars, c.declared, new_gates)
 
 
-def _interpolation_weights(zs: list, wanted, dom) -> list:
-    """The weights mu with sum_u mu_u * z_u^j = [j in wanted] for
+def _interpolation_weights(zs: list, ell: int, dom) -> list:
+    """The weights mu with sum_u mu_u * z_u^j = [j = ell] for
     0 <= j < len(zs): one solution, the Vandermonde rows on distinct z's
     being independent."""
     rows = [[dom.pow(z, j) for z in zs] for j in range(len(zs))]
-    return solve_dense(rows, [dom.one if j in wanted else dom.zero for j in range(len(zs))], dom)
+    return solve_dense(rows, [dom.one if j == ell else dom.zero for j in range(len(zs))], dom)
 
 
 # ----------------------------------------------------------------------

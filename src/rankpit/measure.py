@@ -34,6 +34,10 @@ class _Multilinear:
     nvars: int
     r: int
 
+    def __post_init__(self):
+        if self.r < 0:
+            raise InvalidParams("derivative degree must be >= 0")
+
     def __iter__(self):
         return (tuple((v, 1) for v in subset)
                 for subset in combinations(range(self.nvars), self.r))
@@ -44,36 +48,39 @@ class _Multilinear:
 
 @dataclass(frozen=True)
 class MeasureSpec:
-    """Derivative set M (all of one degree r) and shift degree m."""
+    """Derivative set M (all of one degree r) and shift degree m.  Checked
+    however it is built; a `_Multilinear` M is checked without being listed."""
 
     monomials: tuple | _Multilinear
     shift_degree: int
     degree: int
 
-    @classmethod
-    def of(cls, monomials, shift_degree: int) -> "MeasureSpec":
-        monos = tuple(monomials)
-        if shift_degree < 0:
+    def __post_init__(self):
+        monos = self.monomials
+        if self.shift_degree < 0:
             raise InvalidParams("shift degree must be >= 0")
-        if not monos:
+        multilinear = isinstance(monos, _Multilinear)
+        if monos.r > monos.nvars if multilinear else not monos:
             raise InvalidParams("derivative set must be nonempty")
-        for gamma in monos:
+        for gamma in () if multilinear else monos:
             check_derivative(gamma)
-        degs = {mono_degree(m) for m in monos}
+        degs = {monos.r} if multilinear else {mono_degree(m) for m in monos}
         if len(degs) != 1:
             raise InvalidParams(
                 f"derivative monomials must share one degree, got degrees {sorted(degs)}")
-        return cls(monomials=monos, shift_degree=shift_degree, degree=degs.pop())
+        if degs != {self.degree}:
+            raise InvalidParams(
+                f"spec degree {self.degree} is not the derivatives' degree {degs.pop()}")
+
+    @classmethod
+    def of(cls, monomials, shift_degree: int) -> "MeasureSpec":
+        monos = tuple(monomials)
+        return cls(monomials=monos, shift_degree=shift_degree,
+                   degree=mono_degree(monos[0]) if monos else 0)
 
     @classmethod
     def multilinear(cls, nvars: int, r: int, shift_degree: int) -> "MeasureSpec":
         """All multilinear monomials of degree exactly r, listed when iterated."""
-        if r < 0:
-            raise InvalidParams("derivative degree must be >= 0")
-        if shift_degree < 0:
-            raise InvalidParams("shift degree must be >= 0")
-        if r > nvars:
-            raise InvalidParams("derivative set must be nonempty")
         return cls(monomials=_Multilinear(nvars, r), shift_degree=shift_degree, degree=r)
 
 

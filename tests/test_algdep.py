@@ -59,6 +59,14 @@ def test_jacobian_characteristic_gate():
         jacobian(qs)
 
 
+def test_the_empty_tuple_has_rank_zero():
+    assert jacobian([]) == []
+    for mode, method in (("randomized", "jacobian-randomized"),
+                         ("symbolic", "jacobian-certified")):
+        cert = algebraic_rank([], mode=mode)
+        assert (cert.rank, cert.basis_indices, cert.method) == (0, (), method)
+
+
 def _quadratic_jacobian_rows(qs, point, p):
     """Row i, entry v: the sum over the terms c*x^mono of D_i*q_i of
     c * e_v * x_v^(e_v - 1) * prod_{w != v} x_w^(e_w), each factor formed
@@ -189,6 +197,11 @@ def test_symbolic_rank_refutes_an_unlucky_point(monkeypatch):
                         or table(sub, *args, **kw))
     cert = algebraic_rank(qs, mode="symbolic", seed=2)
     assert (cert.rank, cert.basis_indices, sizes) == (2, (0, 1), [3])
+
+
+@pytest.mark.parametrize("n", [-7, 0, 1])
+def test_no_number_below_two_is_prime(n):
+    assert not is_prime(n)
 
 
 def _drawn_prime(rng):
@@ -783,6 +796,11 @@ def test_translation_pair_trivially_good():
     assert len(a) == 2  # L_1 is constant: the very first draw works
 
 
+def test_translation_of_a_full_basis_is_the_origin():
+    for dom in (Q, FP):
+        assert sample_good_translation([x(0, dom=dom), x(1, dom=dom)], (1, 0)) == (0, 0)
+
+
 def test_translation_e1_certificate_nonzero():
     qs = e1_triple()
     a = sample_good_translation(qs, (0, 1),
@@ -1135,6 +1153,45 @@ def test_rank_zero_tuple_of_constants():
     assert w.F[1].coefficient(()) == 7
     out = newton_reconstruct(qs, (), a, 1)
     assert out == Polynomial.constant(Q, 2, 7)
+
+
+def test_rewrite_keeps_the_declared_delta():
+    """Each dependent input becomes one call of a polynomial of weighted
+    degree <= its old degree, so no gate's formal degree grows."""
+    from _corpus import rewrite_fixture
+    for seed in range(50):
+        c = rewrite_fixture(seed)
+        rewritten, _ = rewrite_circuit(c, seed=seed)
+        assert rewritten.declared.delta == c.declared.delta
+        for g, new in zip(c.gates, rewritten.gates):
+            assert new.formal_degree() <= g.formal_degree()
+
+
+def _cube_and_its_cube():
+    """(x1^3, x1^9): F(z) = z^3, and b(X+a) has 4 components, so the one call
+    is (W1 + W2 + W3 + W4)^3 with all its 20 terms (weighted degree <= 9)."""
+    return Circuit(Q, 1, DeclaredBounds(d=9, k=1, delta=12),
+                   [Gate("product", [x(0, 1).pow(3), x(0, 1).pow(9)])])
+
+
+def test_rewrite_writes_each_dependent_input_as_one_call():
+    c = _cube_and_its_cube()
+    rewritten, a = rewrite_circuit(c, seed=2)
+    assert expand(rewritten) == expand(c).translate(a)
+    nodes = rewritten.gates[0].outer.nodes
+    calls = [node for node in nodes if node[0] == "call"]
+    assert [(call[1].num_terms(), call[2]) for call in calls] == [(20, (0, 1, 2, 3))]
+    assert [node[0] for node in nodes] == ["input"] * 4 + ["add", "call", "mul"]
+
+
+def test_rewrite_term_cap_reaches_the_call_of_each_dependent_input():
+    """At 12 terms the witness of x1^9 in x1^3 is found and checked (no
+    translated power has more than 10 terms), and composing it with the
+    sums of 4 components, 20 terms, is refused."""
+    with pytest.raises(ExpansionTooLarge) as info:
+        rewrite_circuit(_cube_and_its_cube(), seed=2, term_cap=12)
+    assert info.value.cap == 12
+    assert any(entry.name == "_rewrite_gate" for entry in info.traceback)
 
 
 def test_rewrite_all_constant_gate():

@@ -116,6 +116,27 @@ REFUSALS = {
                    InvalidParams, "derivative set must be nonempty"),
     "spec-negative-shift": (lambda: measure.MeasureSpec.of([((0, 1),)], -1),
                             InvalidParams, "shift degree must be >= 0"),
+    # the dataclass constructor checks what `of` and `multilinear` check
+    "spec-degree-not-the-derivatives": (
+        lambda: measure.MeasureSpec(monomials=(((0, 1),),), shift_degree=1, degree=2),
+        InvalidParams, "spec degree 2 is not the derivatives' degree 1"),
+    "spec-constructor-negative-shift": (
+        lambda: measure.MeasureSpec(monomials=(((0, 1),),), shift_degree=-1, degree=1),
+        InvalidParams, "shift degree must be >= 0"),
+    "spec-constructor-empty": (
+        lambda: measure.MeasureSpec(monomials=(), shift_degree=1, degree=0),
+        InvalidParams, "derivative set must be nonempty"),
+    "spec-constructor-bad-derivative": (
+        lambda: measure.MeasureSpec(monomials=(((0, 0),),), shift_degree=1, degree=0),
+        InvalidParams, re.escape("derivative ((0, 0),) needs ascending variables")),
+    "spec-multilinear-negative-degree": (lambda: measure._Multilinear(3, -1),
+                                         InvalidParams, "derivative degree must be >= 0"),
+    "spec-multilinear-above-nvars": (
+        lambda: measure.MeasureSpec(measure._Multilinear(3, 4), shift_degree=0, degree=4),
+        InvalidParams, "derivative set must be nonempty"),
+    "spec-multilinear-degree-not-r": (
+        lambda: measure.MeasureSpec(measure._Multilinear(3, 1), shift_degree=1, degree=2),
+        InvalidParams, "spec degree 2 is not the derivatives' degree 1"),
     **{f"spec-derivative-{name}": (
         lambda gamma=gamma: measure.MeasureSpec.of([gamma], 1), InvalidParams,
         re.escape(f"derivative {gamma} needs ascending variables and exponents >= 1"))
