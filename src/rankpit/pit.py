@@ -3,17 +3,31 @@
 A nonzero polynomial computed by a circuit in the declared class always has
 a monomial of small support: ell grows only logarithmically in the top
 fan-in and formal degree (and quasi-linearly in d and k).  Every point set
-that exhausts the low-support grid therefore hits the circuit, which gives a
+that exhausts the low-support grid H therefore hits the circuit, which gives a
 deterministic blackbox test: enumerate all points with at most ell nonzero
-coordinates taking values in {1..delta} and evaluate.  The scan is one
-sequential pass that generates the points in enumeration order and stops at
-the first nonzero evaluation, so its witness is always the first one in that
-order.  The randomized evaluation oracle provides the classical
-probabilistic counterpart.
+coordinates taking values in {1..delta} and evaluate.  The randomized
+evaluation oracle provides the classical probabilistic counterpart.
+
+Past the origin the scan visits only the points of H supported on the
+circuit's essential coordinates I (`_essential`; Carlini, "Reducing the
+number of variables of a polynomial", 2006; Kayal, SODA 2011).  Let K be
+the directions v with sum_u v_u dq/dx_u = 0 for every inner polynomial q.
+In characteristic 0, or when p exceeds every inner degree, q(x + t*v) has
+zero t-derivative and degree < p in t, so each q, and the circuit with
+them, is constant along K.  I is the greedy independent columns of the
+partial derivatives, so F^N = span(e_I) + K, a direct sum: C == 0 if and
+only if C with every x_j, j not in I, set to 0 is, a circuit of the same
+class in |I| variables that the points of H supported on I hit.  When p
+is at most some inner degree, I is every variable.  The scan is one
+sequential pass over those points in H's order and stops at the first
+nonzero evaluation: its witness is the first nonzero point of H supported
+on I (not always H's first nonzero point), and its index is the point's
+position in H.
 
 The scan evaluates the origin through `evaluate_circuit` (most nonzero
-circuits stop there) and the rest of the grid in the arrays `_point_chunks`
-fills in place.  They cross support sizes and grow geometrically: the
+circuits stop there, before I is computed) and the rest in the arrays
+`_point_chunks` fills in place for the |I| essential coordinates, zero
+outside them.  They cross support sizes and grow geometrically: the
 enumeration's first piece, then `_GROWTH` times the points before each, at
 most `_CHUNK` points each, one column per variable.  Each gate folds its own
 outer DAG over its inner polynomials' columns, and equal inner polynomials
@@ -46,6 +60,7 @@ from itertools import combinations, islice
 from .circuit import Circuit, evaluate_circuit, expand
 from .domains import PrimeField
 from .errors import FieldTooSmall, InvalidParams, SetTooLarge
+from .linalg import dependent_columns
 from .poly import DEFAULT_TERM_CAP
 from .util import derive_seed
 
@@ -278,8 +293,63 @@ def _evaluate_chunk(c: Circuit, cols):
     return total
 
 
+def _essential(c: Circuit) -> list:
+    """I, the essential coordinates of c: one column per variable x_v holds
+    the coefficients of dq/dx_v over every distinct inner polynomial q,
+    keyed by (q, monomial), and I is the variables whose columns do not
+    depend on those before them.  Every variable is essential when p <= the
+    degree of some q, where the reduction does not hold (module docstring);
+    each q's degree is at most the declared d, checked when c was built, so
+    only p <= d needs the degrees.  Each dependency is re-checked exactly
+    before its variable is dropped."""
+    qs = list(dict.fromkeys(q for g in c.gates for q in g.inner))
+    p = c.domain.characteristic
+    if p and p <= c.declared.d and p <= max((q.degree() for q in qs), default=0):
+        return list(range(c.nvars))
+    by_var: dict = {}  # a variable that occurs in no q has a zero column
+    rows: dict = {}    # (q, monomial) -> its row, an int that hashes fast
+    for n, q in enumerate(qs):
+        for mono, coef in q.terms.items():
+            for i, (v, e) in enumerate(mono):
+                key = n, (mono[:i] + mono[i + 1:] if e == 1
+                          else mono[:i] + ((v, e - 1),) + mono[i + 1:])
+                if (row := rows.get(key)) is None:
+                    row = rows[key] = len(rows)
+                by_var.setdefault(v, {})[row] = e * coef
+    occurring = sorted(by_var)
+    cols = [by_var[v] for v in occurring]
+    dropped = set()
+    for j, lam in dependent_columns(cols, p):
+        total: dict = {}
+        get = total.get
+        for u, x in lam.items():
+            for row, a in cols[u].items():
+                total[row] = get(row, 0) + x * a
+        # col_j is a combination of the columns before it, and of no others
+        if max(lam) != j or any(s % p if p else s for s in total.values()):
+            raise AssertionError("column dependency fails its exact check (internal bug)")
+        dropped.add(j)
+    return [v for j, v in enumerate(occurring) if j not in dropped]
+
+
+def _index(row: list, delta: int) -> int:
+    """The position in H's enumeration of the point whose value indices are
+    `row`: the points of smaller support, then its support's rank among the
+    supports of its size (lex order), times delta^s, then its values read as
+    base-delta digits, last coordinate fastest."""
+    nvars, support = len(row), [v for v, x in enumerate(row) if x]
+    s = len(support)
+    rank = math.comb(nvars, s) - 1 - sum(math.comb(nvars - 1 - v, s - i)
+                                         for i, v in enumerate(support))
+    value = 0
+    for v in support:
+        value = value * delta + row[v] - 1
+    return hitting_set_size(nvars, delta, s - 1) + rank * delta ** s + value
+
+
 def _scan(c: Circuit, ell: int, values):
-    """The first witness in enumeration order and its index, or (None, None)."""
+    """The first witness among the points of H supported on the essential
+    coordinates, in H's order, and its index in H; or (None, None)."""
     dom = c.domain
     # the origin goes through evaluate_circuit: most witnesses are there
     origin = (values[0],) * c.nvars
@@ -289,14 +359,14 @@ def _scan(c: Circuit, ell: int, values):
     # over F_p with p < 2^31 the indices 0..delta into W are the field elements
     int64 = 0 < dom.characteristic < _ARRAY_PRIME_LIMIT
     grid = np.array(values, dtype=object)
-    index = 1
-    for chunk in _point_chunks(c.nvars, ell, len(values) - 1):
-        cols = np.ascontiguousarray(chunk.T) if int64 else grid[chunk.T]
-        nonzero = np.flatnonzero(_evaluate_chunk(c, cols))
+    essential, delta = _essential(c), len(values) - 1
+    for chunk in _point_chunks(len(essential), min(ell, len(essential)), delta):
+        rows = np.zeros((c.nvars, len(chunk)), dtype=np.int64)
+        rows[essential] = chunk.T  # zero outside I
+        nonzero = np.flatnonzero(_evaluate_chunk(c, rows if int64 else grid[rows]))
         if nonzero.size:
-            row = chunk[nonzero[0]]
-            return _verified(c, tuple(values[x] for x in row)), index + int(nonzero[0])
-        index += len(chunk)
+            row = rows[:, nonzero[0]].tolist()
+            return _verified(c, tuple(values[x] for x in row)), _index(row, delta)
     return None, None
 
 
@@ -364,9 +434,13 @@ def pit_test(c: Circuit, mode: str = "hitting-set", *, seed: int = 0,
     from the general support bound (the (delta+1)^2 factor already accounts
     for homogeneous-component slicing, so no component circuits are built);
     a zero verdict is certified for circuits within their declared bounds.
-    oracle mode runs the randomized test alone; both mode cross-checks the
-    two and, when a term cap allows, full expansion as well.  The scan is
-    sequential.  `expansion_term_cap` also caps the annihilator searches of
+    Past the origin only the points supported on the essential coordinates
+    are scanned (module docstring); the witness is the first nonzero one in
+    the hitting set's order, and `witness_index` its position in the whole
+    set, whose size `hitting_set_size` still is.  oracle mode runs the
+    randomized test alone; both mode cross-checks the two and, when a term
+    cap allows, full expansion as well.  The scan is sequential.
+    `expansion_term_cap` also caps the annihilator searches of
     `certify_rank` (`DEFAULT_TERM_CAP` when None).
     """
     if mode not in ("hitting-set", "oracle", "both"):

@@ -557,41 +557,92 @@ def _horner(outer: Polynomial, forms: dict, nvars: int, term_cap: int | None,
     Horner's rule one variable at a time, in ascending order: `parts` maps
     the rest of each monomial, its variables above v, to a packed partial
     sum, and the parts whose monomials differ only in their exponent e of v
-    fold into sum_e part_e * inner_v^e.  The inners are brought to one den
-    L, and a term c*z^m of outer enters as c*L^(D-|m|), D = deg(outer): then
-    each partial sum is a power of L times the one over Q, so terms cancel
-    where the Fraction sums do; term_cap is checked after each sum too.  A
-    part is dropped once it is folded in, and one Fraction is built per
-    output term."""
+    fold into sum_e part_e * inner_v^e.  `led` files each part under its
+    leading variable, so the pass for v visits only the parts that hold v
+    (`_by_rest`), and the sums fold in the order of their first terms in
+    outer.  A sum costs its smaller operand (`_add`), so a part that keeps
+    absorbing small ones is stored backward.  The inners are brought to one
+    den L, and a term c*z^m of outer enters as c*L^(D-|m|), D = deg(outer):
+    then each partial sum is a power of L times the one over Q, so terms
+    cancel where the Fraction sums do; term_cap is checked after each sum
+    too.  A part is dropped once it is folded in, and one Fraction is built
+    per output term."""
     p = outer.domain.characteristic
     terms, den_outer = outer._int_form()
     top = max((deg for _, deg, _ in terms), default=0)
     den = math.lcm(*(den for _, den in forms.values()))
     layout = _Layout([ts for ts, _ in forms.values()], top, degree_cap)
-    parts = {m: {0: c * den ** (top - deg)} for m, deg, c in terms}
+    # parts: rest -> (index in outer of its first term, packed sum, stored
+    # backward?); led: leading variable (None for the rest 1) -> its rests
+    parts, led = {}, {}
+    for i, (m, deg, c) in enumerate(terms):
+        parts[m] = (i, {0: c * den ** (top - deg)}, False)
+        led.setdefault(m[0][0] if m else None, []).append(m)
     for v in sorted(forms):
         ts, d_v = forms[v]
         factor = layout.pack(ts, den // d_v)
-        by_rest: dict[Mono, dict] = {}
-        for mono, part in parts.items():
-            e = mono[0][1] if mono and mono[0][0] == v else 0
-            by_rest.setdefault(mono[1:] if e else mono, {})[e] = part
-        parts = {}
-        for rest, by_exp in by_rest.items():
-            acc = by_exp.pop(high := max(by_exp))
+        for first, rest, by_exp in _by_rest(parts, led.pop(v)):
+            _, acc, back = by_exp[high := max(by_exp)]
             for e in range(high - 1, -1, -1):
-                acc = _packed_product(acc, factor, p, layout.limit, term_cap)
-                for m, c in by_exp.pop(e, {}).items():  # acc += part_e in place
-                    s = acc.get(m, 0) + c
-                    if p:
-                        s %= p
-                    if s:
-                        acc[m] = s
-                    else:
-                        acc.pop(m, None)
+                acc = _packed_product(dict(reversed(acc.items())) if back else acc,
+                                      factor, p, layout.limit, term_cap)
+                back = False
+                if e in by_exp:
+                    acc, back = _add(acc, by_exp[e], p)
                 if term_cap is not None and len(acc) > term_cap:
                     raise ExpansionTooLarge(len(acc), term_cap)
-            parts[rest] = acc
+            if rest not in parts:
+                led.setdefault(rest[0][0] if rest else None, []).append(rest)
+            parts[rest] = (first, acc, back)
+    _, total, back = parts.get((), (0, {}, False))
     return Polynomial(outer.domain, nvars,
-                      layout.unpack(parts.get((), {}), None if p else den ** top * den_outer),
+                      layout.unpack(dict(reversed(total.items())) if back else total,
+                                    None if p else den ** top * den_outer),
                       _normalized=True)
+
+
+def _add(a: dict, part: tuple, p: int) -> tuple[dict, bool]:
+    """a + b, part = (_, b, back), in a's term order and then b's new terms,
+    as (sum, stored backward?); b is stored backward when `back`.  The
+    smaller one is added into the larger in place: into a forward, or else
+    into b backward, where a's terms, reversed, go after b's.  So a sum
+    costs the smaller size."""
+    _, b, back = part
+    if len(a) >= len(b):
+        for m, c in reversed(b.items()) if back else b.items():
+            s = a.get(m, 0) + c
+            if p:
+                s %= p
+            if s:
+                a[m] = s
+            else:  # c != 0, so m was in a
+                del a[m]
+        return a, False
+    if not back:
+        b = dict(reversed(b.items()))
+    for m, c in reversed(a.items()):  # each term of a moves to b's end
+        s = b.pop(m, 0) + c
+        if p:
+            s %= p
+        if s:
+            b[m] = s
+    return b, True
+
+
+def _by_rest(parts: dict, monos: list) -> list:
+    """The parts at `monos`, which all lead with one variable v, popped and
+    grouped by rest as [first, rest, {e: part}], with the part at the rest
+    as e = 0 (it stays in `parts`), in the order of their first terms in
+    outer."""
+    groups: dict = {}
+    for mono in monos:
+        part = parts.pop(mono)
+        if (group := groups.get(rest := mono[1:])) is None:
+            own = parts.get(rest)
+            group = groups[rest] = [part[0], rest, {0: own} if own else {}]
+            if own and own[0] < part[0]:
+                group[0] = own[0]
+        elif part[0] < group[0]:
+            group[0] = part[0]
+        group[2][mono[0][1]] = part
+    return sorted(groups.values())  # no two groups share a first term

@@ -18,7 +18,7 @@ from rankpit.domains import PrimeField, Rationals
 from rankpit.errors import FieldTooSmall, InvalidParams, SetTooLarge
 from rankpit.pit import (hitting_set, hitting_set_size, pit_test,
                          schwartz_zippel_test, support_bound)
-from rankpit.poly import Polynomial, mono_support
+from rankpit.poly import Polynomial, compose, mono_support
 
 Q = Rationals()
 FP = PrimeField(1_000_003)
@@ -639,12 +639,20 @@ def _x1_x2(domain):
                    [Gate("product", [v[0], v[1]])])
 
 
+def _x1_x2_plus_x3_x4(domain):
+    """x1*x2 + x3*x4 with delta = 2: each variable is essential, so a zero
+    scan of its negated twins visits the whole grid."""
+    v = [Polynomial.variable(domain, 4, i) for i in range(4)]
+    return Circuit(domain, 4, DeclaredBounds(d=1, k=2, delta=2),
+                   [Gate("product", [v[0], v[1]]), Gate("product", [v[2], v[3]])])
+
+
 @pytest.mark.parametrize("chunk", [4096, 5, 7])
 @pytest.mark.parametrize("domain", [FP, Q], ids=["F1000003", "Q"])
 def test_chunks_grow_across_support_sizes_in_enumeration_order(monkeypatch, chunk_calls,
                                                                domain, chunk):
     monkeypatch.setattr(pit, "_CHUNK", chunk)
-    rep = pit_test(_with_negated_twins(_x1_x2(domain)))
+    rep = pit_test(_with_negated_twins(_x1_x2_plus_x3_x4(domain)))
     assert (rep.verdict, rep.ell_used) == ("zero", 4)
     sizes = [cols.shape[1] for _, cols in chunk_calls]
     # the first chunk is the first array of the enumeration; each later one
@@ -707,3 +715,157 @@ def test_equal_inner_polynomials_share_one_column(column_counts):
         assert column_counts and all(own == distinct for own, _ in column_counts)
     # a call node's polynomial still gets columns of its own
     assert all(other > 0 for _, other in column_counts)
+
+
+# ----------------------------------------------------------------------
+# essential coordinates: past the origin, the scan visits only the points
+# of H supported on them
+
+def _x1_x3_times_x2_x3(domain):
+    """(x1 + x3)(x2 + x3), delta = 2: x3 is not essential."""
+    v = [Polynomial.variable(domain, 3, i) for i in range(3)]
+    return Circuit(domain, 3, DeclaredBounds(d=1, k=2, delta=2),
+                   [Gate("product", [v[0] + v[2], v[1] + v[2]])])
+
+
+@pytest.mark.parametrize("domain", [Q, FP], ids=["Q", "F1000003"])
+def test_witness_is_the_first_point_supported_on_the_essential_coordinates(domain):
+    c = _x1_x3_times_x2_x3(domain)
+    assert pit._essential(c) == [0, 1]
+    rep = pit_test(c)
+    # H's first nonzero point is (0, 0, 1) at 5; the scan never sets x3
+    assert _scalar_reference(c, rep.ell) == ((0, 0, 1), 5)
+    assert (rep.witness, rep.witness_index) == ((1, 1, 0), 7)
+    hs = hitting_set(3, 2, rep.ell, domain)
+    assert hs.points.index(rep.witness) == rep.witness_index
+    assert rep.hitting_set_size == len(hs.points) == 27
+
+
+def test_index_ranks_every_point_of_small_grids():
+    for nvars in range(6):
+        for delta in range(1, 4):
+            for ell in range(nvars + 2):
+                points = hitting_set(nvars, delta, ell, FP).points
+                assert [pit._index(list(pt), delta) for pt in points] == list(
+                    range(len(points))), (nvars, delta, ell)
+
+
+def _essential_reference(c):
+    """The greedy independent columns of dq/dx_v over the distinct inner
+    polynomials, from `partial_derivative` and elimination in the domain."""
+    dom = c.domain
+    qs = list(dict.fromkeys(q for g in c.gates for q in g.inner))
+    basis, essential = [], []
+    for v in range(c.nvars):
+        col = {(n, m): a for n, q in enumerate(qs)
+               for m, a in q.partial_derivative(((v, 1),)).terms.items()}
+        for pivot, b in basis:
+            if pivot in col:
+                f = dom.mul(col[pivot], dom.inv(b[pivot]))
+                for key, a in b.items():
+                    col[key] = dom.sub(col.get(key, dom.zero), dom.mul(f, a))
+                col = {key: a for key, a in col.items() if not dom.is_zero(a)}
+        if col:
+            basis.append((min(col), col))
+            essential.append(v)
+    return essential
+
+
+def _form_circuit(seed, domain, zero):
+    """Product gates whose inner polynomials are functions of one or two
+    seeded linear forms in 3-6 variables; zero=True adds negated twins."""
+    rng = random.Random(seed)
+    nvars = rng.randrange(3, 7)
+    forms = [Polynomial(domain, nvars, {((v, 1),): rng.choice([-3, -2, -1, 1, 2, 3])
+                                        for v in rng.sample(range(nvars), rng.randrange(1, nvars + 1))})
+             for _ in range(rng.randrange(1, 3))]
+    gates = []
+    for _ in range(rng.randrange(1, 3)):
+        inner = []
+        for _ in range(rng.randrange(1, 3)):
+            f = Polynomial(domain, len(forms), {
+                tuple(sorted(Counter(rng.choices(range(len(forms)), k=deg)).items())):
+                rng.randrange(-3, 4) for deg in range(3)})
+            inner.append(compose(f, forms))
+        gates.append(Gate("product", inner))
+    c = Circuit(domain, nvars, DeclaredBounds(
+        d=max(1, max(q.degree() for g in gates for q in g.inner)), k=2,
+        delta=max(1, max(g.formal_degree() for g in gates))), gates)
+    return _with_negated_twins(c) if zero else c
+
+
+@pytest.mark.parametrize("domain", [Q, FP, P31], ids=["Q", "F1000003", "F2^31-1"])
+def test_essential_scan_agrees_with_expansion_and_the_reference(chunk_calls, domain):
+    kinds = Counter()
+    for seed in range(36):
+        c = _form_circuit(85_000 + seed, domain, zero=seed % 3 == 0)
+        chunk_calls.clear()
+        rep = pit_test(c)
+        assert rep.verdict == ("nonzero" if not expand(c).is_zero() else "zero"), seed
+        essential = _essential_reference(c)
+        values = tuple(domain.coerce(i) for i in range(c.declared.delta + 1))
+        first = next(((pt, i) for i, pt in enumerate(
+            _reference_points(c.nvars, rep.ell_used, values))
+            if all(v in essential for v, a in enumerate(pt) if a)
+            and not domain.is_zero(evaluate_circuit(c, pt))), (None, None))
+        assert (rep.witness, rep.witness_index) == first, seed
+        if rep.witness is not None:
+            points = hitting_set(c.nvars, c.declared.delta, rep.ell, domain).points
+            assert points.index(rep.witness) == rep.witness_index
+        else:
+            assert sum(cols.shape[1] for _, cols in chunk_calls) == hitting_set_size(
+                len(essential), c.declared.delta, rep.ell) - 1
+        kinds[rep.verdict, len(essential) < c.nvars, rep.witness_index == 0] += 1
+    # zero and nonzero verdicts, past the origin, with coordinates dropped
+    assert kinds["zero", True, False] and kinds["nonzero", True, False]
+
+
+def test_reduction_is_skipped_when_p_is_at_most_an_inner_degree(chunk_calls):
+    # over F_3, d(x2^3)/dx2 = 3 x2^2 = 0: x2's column vanishes, yet the
+    # outer z1 ignores x2^3, so delta = 1 < p holds
+    F3 = PrimeField(3)
+    v = [Polynomial.variable(F3, 2, i) for i in range(2)]
+    c = _with_negated_twins(Circuit(F3, 2, DeclaredBounds(d=3, k=2, delta=1), [
+        Gate(OuterExpr(2, [("input", 0)], 0), [v[0], v[1].pow(3)])]))
+    assert pit._essential(c) == [0, 1]
+    assert pit_test(c).verdict == "zero"
+    assert sum(cols.shape[1] for _, cols in chunk_calls) == hitting_set_size(2, 1, 2) - 1 == 3
+    # the columns alone would drop x2
+    assert _essential_reference(c) == [0]
+
+
+def test_origin_verdicts_never_compute_the_essential_coordinates(monkeypatch, chunk_calls):
+    found = []
+    real = pit._essential
+
+    def spy(c):
+        found.append(real(c))
+        return found[-1]
+    monkeypatch.setattr(pit, "_essential", spy)
+    corpus = _corpus()
+    circuits = [corpus.random_class_circuit(s, zero=s % 7 == 0) for s in range(60)]
+    circuits += [corpus.random_class_circuit(10_000 + s, gamma_outer=True, zero=s % 7 == 0)
+                 for s in range(20)]
+    kinds = Counter()
+    for c in circuits:
+        found.clear()
+        chunk_calls.clear()
+        rep = pit_test(c)
+        if rep.witness_index == 0:
+            assert found == []
+            kinds["origin"] += 1
+            continue
+        assert len(found) == 1
+        if rep.verdict == "zero":
+            assert sum(cols.shape[1] for _, cols in chunk_calls) == hitting_set_size(
+                len(found[0]), c.declared.delta, rep.ell) - 1
+            kinds["zero"] += 1
+    assert kinds["origin"] and kinds["zero"]
+
+
+def test_a_dependency_that_fails_its_exact_check_raises(monkeypatch):
+    # the kernel is re-checked before a coordinate is dropped, by a raise
+    # that `python -O` keeps
+    monkeypatch.setattr(pit, "dependent_columns", lambda cols, p: iter([(2, {0: 1, 2: 1})]))
+    with pytest.raises(AssertionError, match="internal bug"):
+        pit._essential(_x1_x3_times_x2_x3(Q))

@@ -756,6 +756,34 @@ def test_translate_in_many_variables():
     assert Polynomial.constant(Q, n, 3).translate([1] * n) == Polynomial.constant(Q, n, 3)
 
 
+def test_horner_work_is_linear_on_a_wide_linear_polynomial(monkeypatch):
+    """The pass for each variable visits only the parts that hold it, and a
+    sum costs the size of its smaller operand: on c_0 + sum c_j x_j the
+    regroup visits at most terms + variables parts, and the sums add at most
+    2 terms per variable, where a regroup or a sum over every part is
+    quadratic."""
+    visited, summed = [], []
+    real_by_rest, real_add = poly._by_rest, poly._add
+
+    def by_rest(parts, monos):
+        visited.append(len(monos))
+        return real_by_rest(parts, monos)
+
+    def add(a, part, p):  # the terms added one by one: those of the operand not kept
+        sizes = len(part[1]), len(a)
+        total, back = real_add(a, part, p)
+        summed.append(sizes[total is not a])
+        return total, back
+    monkeypatch.setattr(poly, "_by_rest", by_rest)
+    monkeypatch.setattr(poly, "_add", add)
+    n = 500
+    f = Polynomial(FP, n, {((j, 1),): j + 2 for j in range(n)} | {(): 1})
+    a = [j % 5 for j in range(n)]
+    assert f.translate(a) == _reference_translate(f, a)
+    assert len(visited) == n and sum(visited) <= len(f.terms) + n
+    assert sum(summed) <= 2 * n
+
+
 def test_compose_term_cap_counts_the_summed_parts():
     """z_1 + ... + z_30 at distinct variables: only the sum of the parts
     reaches 30 terms."""
