@@ -631,18 +631,13 @@ def _add(a: dict, part: tuple, p: int) -> tuple[dict, bool]:
 
 def _by_rest(parts: dict, monos: list) -> list:
     """The parts at `monos`, which all lead with one variable v, popped and
-    grouped by rest as [first, rest, {e: part}], with the part at the rest
+    grouped by rest as (first, rest, {e: part}), with the part at the rest
     as e = 0 (it stays in `parts`), in the order of their first terms in
-    outer."""
+    outer.  A part is (first, sum, backward?), and no two share a first."""
     groups: dict = {}
     for mono in monos:
-        part = parts.pop(mono)
-        if (group := groups.get(rest := mono[1:])) is None:
-            own = parts.get(rest)
-            group = groups[rest] = [part[0], rest, {0: own} if own else {}]
-            if own and own[0] < part[0]:
-                group[0] = own[0]
-        elif part[0] < group[0]:
-            group[0] = part[0]
-        group[2][mono[0][1]] = part
-    return sorted(groups.values())  # no two groups share a first term
+        groups.setdefault(mono[1:], {})[mono[0][1]] = parts.pop(mono)
+    for rest, by_exp in groups.items():
+        if rest in parts:
+            by_exp[0] = parts[rest]
+    return sorted((min(by_exp.values())[0], rest, by_exp) for rest, by_exp in groups.items())
