@@ -24,12 +24,12 @@ nonzero evaluation: its witness is the first nonzero point of H supported
 on I (not always H's first nonzero point), and its index is the point's
 position in H.
 
-The scan evaluates the origin through `evaluate_circuit` (most nonzero
-circuits stop there, before I is computed) and the rest in the arrays
-`_point_chunks` fills in place for the |I| essential coordinates, zero
-outside them.  They cross support sizes and grow geometrically: the
-enumeration's first piece, then `_GROWTH` times the points before each, at
-most `_CHUNK` points each, one column per variable.  Each gate folds its own
+The scan evaluates the origin through `evaluate_circuit` and the rest in the
+arrays `_point_chunks` fills in place for the |I| essential coordinates,
+growing across support sizes (`_GROWTH`, `_CHUNK`).  The first array is the
+axis of v0 = min I, found without I (`_first_axis`): I is computed only past
+it.  A chunk's column is None where every point is 0 (outside I, or off the
+axis), and a term through it is skipped.  Each gate folds its own
 outer DAG over its inner polynomials' columns, and equal inner polynomials
 share one column: nothing is compiled or copied.  Over F_p with p < 2^31 the
 columns are int64: the grid values 0..delta are the field elements
@@ -71,7 +71,7 @@ _CHUNK = 4096
 # each chunk after the first holds 7x the points before it: a zero scan pays
 # numpy's per-call costs a few times, not once per support size, and a scan
 # that stops at a witness evaluates under 8x the points before its chunk.
-# On the PIT benchmark 4x was slower, and 16x and 32x no faster than 7x.
+# With the axis first, on the PIT benchmark 4x was slower at both seeds, 16x at one.
 _GROWTH = 7
 # residues below 2^31 keep every product of two below 2^62, exact in int64;
 # larger primes and Q scan object columns
@@ -189,10 +189,10 @@ def _point_chunks(nvars: int, ell: int, delta: int):
     int64 arrays of indices into W, in enumeration order: support size, then
     support position, then values, last coordinate fastest.  The origin,
     which comes first, is not among them.  The arrays cross support sizes and
-    grow: the first is the first piece the loops build (at most `_CHUNK`
-    points), each later one holds min(`_CHUNK`, `_GROWTH` x the points
-    before it), and the last the rest.  Each piece is written straight into
-    the arrays it spans."""
+    grow: the first holds the first support's min(delta, `_CHUNK`) points
+    (over I, the axis `_scan` tests first), each later one min(`_CHUNK`,
+    `_GROWTH` x the points before it), and the last the rest.  Each piece
+    is written straight into the arrays it spans."""
     import numpy as np
     total = hitting_set_size(nvars, delta, ell) - 1
     done, chunk = 0, None
@@ -206,8 +206,8 @@ def _point_chunks(nvars: int, ell: int, delta: int):
                 vals = np.arange(start, min(block, start + _CHUNK))[:, None] // place % delta + 1
                 where, piece = np.repeat(sup, len(vals), axis=0), np.tile(vals, (len(sup), 1))
                 while len(piece):
-                    if chunk is None:  # 0 points done: the first array is the first piece
-                        want = min(_CHUNK, _GROWTH * done, total - done) or len(piece)
+                    if chunk is None:  # the first array is the first support's values
+                        want = min(_CHUNK, _GROWTH * done or delta, total - done)
                         chunk, filled = np.zeros((want, nvars), dtype=np.int64), 0
                     take = min(len(piece), want - filled)
                     chunk[np.arange(filled, filled + take)[:, None], where[:take]] = piece[:take]
@@ -249,7 +249,7 @@ def _verified(c: Circuit, point):
 
 def _column_value(poly, cols, powers):
     """`poly`'s value on the columns `cols`, mod p over F_p; `powers` caches
-    cols[v]^e for these cols."""
+    cols[v]^e for these cols; a term through a None column (all 0) is skipped."""
     p = poly.domain.characteristic
     acc = 0
     for n, (mono, c) in enumerate(poly.terms.items(), 1):
@@ -257,28 +257,30 @@ def _column_value(poly, cols, powers):
         for v, e in mono:
             x = powers.get((v, e))
             if x is None:
-                x = cols[v]
+                if (x := cols[v]) is None:  # 0 at every point: so is the term
+                    break
                 for _ in range(e - 1):
                     x = x * cols[v] % p if p else x * cols[v]
                 powers[(v, e)] = x
             term = term * x % p if p else term * x
-        acc = acc + term
-        if p and n % _SUM_TERMS == 0:
-            acc = acc % p
+        else:
+            acc = acc + term
+            if p and n % _SUM_TERMS == 0:
+                acc = acc % p
     return acc % p if p else acc
 
 
 def _evaluate_chunk(c: Circuit, cols):
     """The circuit's value at each point whose coordinates are the columns `cols`
-    (int64 or object arrays): each gate folds its own DAG, uncompiled, over
-    its inner polynomials' columns, with the domain's add and mul acting
-    elementwise.  Equal inner polynomials share one column; a call node's
-    polynomial gets fresh ones."""
+    (int64 or object arrays, or None where every point is 0): each gate folds
+    its own DAG, uncompiled, over its inner polynomials' columns (arrays or
+    scalars), with the domain's add and mul acting elementwise.  Equal inner
+    polynomials share one column; a call node's polynomial gets fresh ones."""
     dom = c.domain
     powers: dict = {}
     columns: dict = {}
 
-    def call(poly, args):  # a call node's arguments are new columns
+    def call(poly, args):  # a call node's arguments are new columns or scalars
         return _column_value(poly, args, {})
 
     def column(q):
@@ -293,19 +295,32 @@ def _evaluate_chunk(c: Circuit, cols):
     return total
 
 
+def _reduces(c: Circuit, qs: list) -> bool:
+    """Whether the reduction to I holds (module docstring): p = 0, or p > deg q
+    for each q in qs; deg q <= the declared d, checked when c was built."""
+    p = c.domain.characteristic
+    return not (p and p <= c.declared.d and p <= max((q.degree() for q in qs), default=0))
+
+
+def _first_axis(c: Circuit):
+    """min I, without I: x_1 where the reduction fails, else the first variable
+    in an inner q (its column holds e * coefficient != 0 mod p > deg q), or None."""
+    qs = list(dict.fromkeys(q for g in c.gates for q in g.inner))
+    if not _reduces(c, qs):
+        return 0
+    return min((m[0][0] for q in qs for m in q.terms if m), default=None)
+
+
 def _essential(c: Circuit) -> list:
     """I, the essential coordinates of c: one column per variable x_v holds
     the coefficients of dq/dx_v over every distinct inner polynomial q,
     keyed by (q, monomial), and I is the variables whose columns do not
-    depend on those before them.  Every variable is essential when p <= the
-    degree of some q, where the reduction does not hold (module docstring);
-    each q's degree is at most the declared d, checked when c was built, so
-    only p <= d needs the degrees.  Each dependency is re-checked exactly
-    before its variable is dropped."""
+    depend on those before them (every variable where `_reduces` fails).
+    Each dependency is re-checked exactly before its variable is dropped."""
     qs = list(dict.fromkeys(q for g in c.gates for q in g.inner))
-    p = c.domain.characteristic
-    if p and p <= c.declared.d and p <= max((q.degree() for q in qs), default=0):
+    if not _reduces(c, qs):
         return list(range(c.nvars))
+    p = c.domain.characteristic
     by_var: dict = {}  # a variable that occurs in no q has a zero column
     rows: dict = {}    # (q, monomial) -> its row, an int that hashes fast
     for n, q in enumerate(qs):
@@ -355,15 +370,28 @@ def _scan(c: Circuit, ell: int, values):
     origin = (values[0],) * c.nvars
     if not dom.is_zero(evaluate_circuit(c, origin)):
         return origin, 0
+    delta = len(values) - 1
+    if not delta or (v0 := _first_axis(c)) is None:
+        return None, None  # H is the origin alone, or every inner is constant
     import numpy as np
     # over F_p with p < 2^31 the indices 0..delta into W are the field elements
     int64 = 0 < dom.characteristic < _ARRAY_PRIME_LIMIT
     grid = np.array(values, dtype=object)
-    essential, delta = _essential(c), len(values) - 1
-    for chunk in _point_chunks(len(essential), min(ell, len(essential)), delta):
+
+    def chunks():  # every enumeration over I starts on v0's axis: I comes after it
+        yield next(_point_chunks(1, 1, delta)), [v0]
+        essential = _essential(c)
+        if essential[:1] != [v0]:
+            raise AssertionError("v0 is not the first essential coordinate (internal bug)")
+        yield from ((chunk, essential) for chunk in islice(
+            _point_chunks(len(essential), min(ell, len(essential)), delta), 1, None))
+
+    for chunk, coords in chunks():
         rows = np.zeros((c.nvars, len(chunk)), dtype=np.int64)
-        rows[essential] = chunk.T  # zero outside I
-        nonzero = np.flatnonzero(_evaluate_chunk(c, rows if int64 else grid[rows]))
+        rows[coords] = chunk.T  # zero outside coords; a row 0 at every point is None
+        cols = [row if live else None for row, live in
+                zip(rows if int64 else grid[rows], rows.any(axis=1).tolist())]
+        nonzero = np.flatnonzero(_evaluate_chunk(c, cols))
         if nonzero.size:
             row = rows[:, nonzero[0]].tolist()
             return _verified(c, tuple(values[x] for x in row)), _index(row, delta)

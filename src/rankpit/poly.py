@@ -72,12 +72,12 @@ def grlex_key(m: Mono) -> tuple:
 class Polynomial:
     """Immutable sparse polynomial over an explicit coefficient domain."""
 
-    __slots__ = ("domain", "nvars", "terms", "_int")
+    __slots__ = ("domain", "nvars", "terms", "_int", "_hash")
 
     def __init__(self, domain, nvars: int, terms: dict, *, _normalized: bool = False):
         self.domain = domain
         self.nvars = nvars
-        self._int = None  # `_int_form`, filled on first use
+        self._int = self._hash = None  # `_int_form` and the hash, filled on first use
         if _normalized:
             self.terms = terms
         else:
@@ -134,8 +134,10 @@ class Polynomial:
         return (isinstance(other, Polynomial) and self.domain == other.domain
                 and self.nvars == other.nvars and self.terms == other.terms)
 
-    def __hash__(self):
-        return hash((self.domain, self.nvars, frozenset(self.terms.items())))
+    def __hash__(self):  # `terms` is never written after construction: hash once
+        if self._hash is None:
+            self._hash = hash((self.domain, self.nvars, frozenset(self.terms.items())))
+        return self._hash
 
     def __repr__(self):
         return f"Polynomial({self.to_text()} over {self.domain}, nvars={self.nvars})"

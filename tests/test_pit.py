@@ -426,6 +426,23 @@ def _scalar_reference(c, ell):
                  if not c.domain.is_zero(evaluate_circuit(c, pt))), (None, None))
 
 
+def _live(cols):
+    """The columns `_evaluate_chunk` receives as arrays: the others are None,
+    0 at every point of the chunk."""
+    return [col for col in cols if col is not None]
+
+
+def _size(cols):
+    """The number of points in the chunk whose columns are `cols`."""
+    (size,) = {len(col) for col in _live(cols)}
+    return size
+
+
+def _points(cols):
+    """The chunk's points, one tuple per point, 0 in a None column."""
+    return [tuple(0 if col is None else col[j] for col in cols) for j in range(_size(cols))]
+
+
 @pytest.fixture
 def chunk_calls(monkeypatch):
     calls = []
@@ -464,11 +481,10 @@ def test_point_chunks_concatenate_to_enumeration_order(monkeypatch, nvars, ell,
     chunks = list(pit._point_chunks(nvars, ell, delta))
     assert all(ch.dtype == np.int64 and 0 < len(ch) <= chunk for ch in chunks)
     sizes = [len(ch) for ch in chunks]
-    # the first array is the first piece: the first batch of supports of
-    # size 1 with their values; each later one holds 7x the points before
-    # it, at most _CHUNK, and the last no more
+    # the first array is the first support's values alone; each later one
+    # holds 7x the points before it, at most _CHUNK, and the last no more
     if sizes:
-        assert sizes[0] == min(nvars, max(1, chunk // delta)) * min(delta, chunk)
+        assert sizes[0] == min(delta, chunk)
     for i, size in enumerate(sizes[1:], 1):
         room = min(chunk, 7 * sum(sizes[:i]))
         assert size == room if i < len(sizes) - 1 else 0 < size <= room
@@ -524,7 +540,7 @@ def test_object_scan_beyond_the_int64_range(chunk_calls, domain):
                          Polynomial.variable(domain, 2, 1)])]))
     assert "later" in _check_against_reference(circuits)
     assert chunk_calls
-    assert all(cols.dtype == object for _, cols in chunk_calls)
+    assert all(col.dtype == object for _, cols in chunk_calls for col in _live(cols))
 
 
 def test_scan_folds_each_gates_own_dag(monkeypatch, chunk_calls):
@@ -654,22 +670,24 @@ def test_chunks_grow_across_support_sizes_in_enumeration_order(monkeypatch, chun
     monkeypatch.setattr(pit, "_CHUNK", chunk)
     rep = pit_test(_with_negated_twins(_x1_x2_plus_x3_x4(domain)))
     assert (rep.verdict, rep.ell_used) == ("zero", 4)
-    sizes = [cols.shape[1] for _, cols in chunk_calls]
-    # the first chunk is the first array of the enumeration; each later one
-    # holds 7x the points before it, at most _CHUNK, and the last the rest
+    sizes = [_size(cols) for _, cols in chunk_calls]
+    # the first chunk is the first array of the enumeration, x1's axis; each
+    # later one holds 7x the points before it, at most _CHUNK, and the last
+    # the rest
     assert sizes[0] == len(next(pit._point_chunks(4, 4, 2)))
     for i, size in enumerate(sizes[1:], 1):
         room = min(chunk, 7 * sum(sizes[:i]))
         assert size == room if i < len(sizes) - 1 else 0 < size <= room
     if chunk == 4096:
-        # support 1, then supports 2 and 3 (24 + 32 points) joined, then support 4
-        assert sizes == [8, 56, 16]
+        # x1's axis, then the rest of support 1 and the first 8 points of
+        # support 2, then the rest
+        assert sizes == [2, 14, 64]
     values = tuple(domain.coerce(i) for i in range(3))
-    rows = [values[:1] * 4] + [tuple(domain.coerce(int(v)) for v in cols[:, j])
-                               for _, cols in chunk_calls for j in range(cols.shape[1])]
+    rows = [values[:1] * 4] + [tuple(domain.coerce(int(v)) for v in point)
+                               for _, cols in chunk_calls for point in _points(cols)]
     assert rows == list(_reference_points(4, 4, values))
-    assert all(cols.dtype == (np.int64 if domain == FP else object)
-               for _, cols in chunk_calls)
+    assert all(col.dtype == (np.int64 if domain == FP else object)
+               for _, cols in chunk_calls for col in _live(cols))
     c = _x1_x2(domain)
     rep = pit_test(c)
     assert (rep.witness, rep.witness_index) == _scalar_reference(c, rep.ell) == (
@@ -813,7 +831,7 @@ def test_essential_scan_agrees_with_expansion_and_the_reference(chunk_calls, dom
             points = hitting_set(c.nvars, c.declared.delta, rep.ell, domain).points
             assert points.index(rep.witness) == rep.witness_index
         else:
-            assert sum(cols.shape[1] for _, cols in chunk_calls) == hitting_set_size(
+            assert sum(_size(cols) for _, cols in chunk_calls) == hitting_set_size(
                 len(essential), c.declared.delta, rep.ell) - 1
         kinds[rep.verdict, len(essential) < c.nvars, rep.witness_index == 0] += 1
     # zero and nonzero verdicts, past the origin, with coordinates dropped
@@ -829,12 +847,13 @@ def test_reduction_is_skipped_when_p_is_at_most_an_inner_degree(chunk_calls):
         Gate(OuterExpr(2, [("input", 0)], 0), [v[0], v[1].pow(3)])]))
     assert pit._essential(c) == [0, 1]
     assert pit_test(c).verdict == "zero"
-    assert sum(cols.shape[1] for _, cols in chunk_calls) == hitting_set_size(2, 1, 2) - 1 == 3
+    assert sum(_size(cols) for _, cols in chunk_calls) == hitting_set_size(2, 1, 2) - 1 == 3
     # the columns alone would drop x2
     assert _essential_reference(c) == [0]
 
 
-def test_origin_verdicts_never_compute_the_essential_coordinates(monkeypatch, chunk_calls):
+@pytest.fixture
+def essential_calls(monkeypatch):
     found = []
     real = pit._essential
 
@@ -842,6 +861,12 @@ def test_origin_verdicts_never_compute_the_essential_coordinates(monkeypatch, ch
         found.append(real(c))
         return found[-1]
     monkeypatch.setattr(pit, "_essential", spy)
+    return found
+
+
+def test_origin_verdicts_never_compute_the_essential_coordinates(
+        essential_calls, chunk_calls):
+    found = essential_calls
     corpus = _corpus()
     circuits = [corpus.random_class_circuit(s, zero=s % 7 == 0) for s in range(60)]
     circuits += [corpus.random_class_circuit(10_000 + s, gamma_outer=True, zero=s % 7 == 0)
@@ -852,15 +877,20 @@ def test_origin_verdicts_never_compute_the_essential_coordinates(monkeypatch, ch
         chunk_calls.clear()
         rep = pit_test(c)
         if rep.witness_index == 0:
-            assert found == []
+            assert found == [] and chunk_calls == []
             kinds["origin"] += 1
+            continue
+        if rep.verdict == "nonzero" and len(chunk_calls) == 1:
+            # a witness on the first essential axis: one point set, I unknown
+            assert found == [] and sum(1 for a in rep.witness if a) == 1
+            kinds["axis"] += 1
             continue
         assert len(found) == 1
         if rep.verdict == "zero":
-            assert sum(cols.shape[1] for _, cols in chunk_calls) == hitting_set_size(
+            assert sum(_size(cols) for _, cols in chunk_calls) == hitting_set_size(
                 len(found[0]), c.declared.delta, rep.ell) - 1
             kinds["zero"] += 1
-    assert kinds["origin"] and kinds["zero"]
+    assert kinds["origin"] and kinds["axis"] and kinds["zero"]
 
 
 def test_a_dependency_that_fails_its_exact_check_raises(monkeypatch):
@@ -869,3 +899,137 @@ def test_a_dependency_that_fails_its_exact_check_raises(monkeypatch):
     monkeypatch.setattr(pit, "dependent_columns", lambda cols, p: iter([(2, {0: 1, 2: 1})]))
     with pytest.raises(AssertionError, match="internal bug"):
         pit._essential(_x1_x3_times_x2_x3(Q))
+
+
+# ----------------------------------------------------------------------
+# the first essential axis, scanned before I is computed; no term through
+# a column that is 0 at every point of its chunk
+
+BIG = PrimeField(2147483659)  # the first prime above 2^31: object columns
+DOMAINS = pytest.mark.parametrize("domain", [Q, FP, P31, BIG],
+                                  ids=["Q", "F1000003", "F2^31-1", "first-prime-above-2^31"])
+
+
+def _linear(domain, nvars, coeffs, const=0):
+    """sum_v coeffs[v] x_v + const in nvars variables."""
+    terms = {((v, 1),): a for v, a in coeffs.items()}
+    terms[()] = const
+    return Polynomial(domain, nvars, terms)
+
+
+@DOMAINS
+def test_an_axis_witness_never_computes_the_essential_coordinates(essential_calls,
+                                                                  chunk_calls, domain):
+    # x1 * (x2 + 1) + x3^2: nonzero at (1, 0, 0), the first point past the origin
+    v = [Polynomial.variable(domain, 3, i) for i in range(3)]
+    c = Circuit(domain, 3, DeclaredBounds(d=2, k=3, delta=3), [
+        Gate("product", [v[0], _linear(domain, 3, {1: 1}, 1)]),
+        Gate("product", [v[2].pow(2)])])
+    rep = pit_test(c)
+    assert (rep.witness, rep.witness_index) == _scalar_reference(c, rep.ell) == (
+        (1, 0, 0), 1)
+    assert essential_calls == []
+    assert [_size(cols) for _, cols in chunk_calls] == [min(3, pit._CHUNK)]
+    # the axis chunk holds x1 alone: x2 and x3 are None
+    assert [col is None for col in chunk_calls[0][1]] == [False, True, True]
+
+
+@DOMAINS
+def test_the_first_axis_is_the_first_variable_that_occurs(essential_calls, chunk_calls,
+                                                          domain):
+    # x1 does not occur: the first essential coordinate is x2, and a scan
+    # that took x1's axis first would find I[0] != x1 and raise
+    v = [Polynomial.variable(domain, 3, i) for i in range(3)]
+    c = Circuit(domain, 3, DeclaredBounds(d=1, k=2, delta=2), [
+        Gate("product", [v[1], _linear(domain, 3, {2: 1}, 1)])])
+    assert pit._first_axis(c) == 1
+    rep = pit_test(c)
+    assert (rep.witness, rep.witness_index) == _scalar_reference(c, rep.ell) == (
+        (0, 1, 0), 3)
+    assert essential_calls == [] and len(chunk_calls) == 1
+    zero = _with_negated_twins(c)
+    chunk_calls.clear()
+    assert pit_test(zero).verdict == "zero"
+    assert essential_calls == [[1, 2]]
+    assert sum(_size(cols) for _, cols in chunk_calls) == hitting_set_size(2, 2, 2) - 1
+    assert all(cols[0] is None for _, cols in chunk_calls)
+
+
+@DOMAINS
+def test_an_empty_essential_set_stops_after_the_origin(essential_calls, chunk_calls,
+                                                       domain):
+    one = Polynomial.constant(domain, 3, 1)
+    c = Circuit(domain, 3, DeclaredBounds(d=1, k=1, delta=2), [
+        Gate("product", [one, one]), Gate("product", [one.scale(-1)])])
+    assert pit._first_axis(c) is None
+    rep = pit_test(c)
+    assert (rep.verdict, rep.hitting_set_size) == ("zero", 27)
+    assert essential_calls == [] and chunk_calls == []
+
+
+@DOMAINS
+def test_the_axis_spans_two_arrays(monkeypatch, essential_calls, chunk_calls, domain):
+    # x1 (x1 - 1)...(x1 - 5) (x2 + 1) with delta = 7 and _CHUNK = 5: the
+    # first array is x1 = 1..5, where it vanishes; x1 = 6 starts the second
+    monkeypatch.setattr(pit, "_CHUNK", 5)
+    c = Circuit(domain, 2, DeclaredBounds(d=1, k=2, delta=7), [
+        Gate("product", [_linear(domain, 2, {0: 1}, -a) for a in range(6)]
+             + [_linear(domain, 2, {1: 1}, 1)])])
+    rep = pit_test(c)
+    assert (rep.witness, rep.witness_index) == _scalar_reference(c, rep.ell)
+    assert rep.witness_index == 6
+    assert len(essential_calls) == 1
+    assert [_size(cols) for _, cols in chunk_calls] == [5, 5]
+    chunk_calls.clear()
+    assert _check_against_reference([_with_negated_twins(c)]) == {"zero"}
+    sizes = [_size(cols) for _, cols in chunk_calls]
+    assert sizes[:3] == [5, 5, 5] and sum(sizes) == hitting_set_size(2, 7, 2) - 1
+
+
+@pytest.mark.parametrize("domain", [Q, FP], ids=["Q", "F1000003"])
+def test_no_term_is_multiplied_by_a_column_outside_the_essential_coordinates(
+        monkeypatch, chunk_calls, domain):
+    multiplied = []
+    real = pit._column_value
+
+    def spy(poly, cols, powers):
+        value = real(poly, cols, powers)
+        multiplied.extend(v for v, _ in powers)
+        return value
+    monkeypatch.setattr(pit, "_column_value", spy)
+    c = _x1_x3_times_x2_x3(domain)
+    assert (pit_test(c).witness, pit_test(_with_negated_twins(c)).verdict) == (
+        (1, 1, 0), "zero")
+    assert chunk_calls and multiplied
+    assert all(cols[2] is None for _, cols in chunk_calls)
+    assert 2 not in multiplied
+
+
+def _zero_at_origin(c):
+    """c minus its value at the origin: it goes past the origin."""
+    value = evaluate_circuit(c, (c.domain.zero,) * c.nvars)
+    return Circuit(c.domain, c.nvars, c.declared, c.gates + [
+        Gate("product", [Polynomial.constant(c.domain, c.nvars, c.domain.neg(value))])])
+
+
+@DOMAINS
+def test_rewritten_circuits_with_scalar_call_arguments_agree_with_the_reference(
+        monkeypatch, domain):
+    scalar_args = []
+    real_chunk, real_value = pit._evaluate_chunk, pit._column_value
+
+    def chunk_spy(c, cols):
+        chunk_spy.cols = cols
+        return real_chunk(c, cols)
+
+    def value_spy(poly, cols, powers):
+        if cols is not chunk_spy.cols:  # a call node's arguments
+            scalar_args.extend(not isinstance(a, np.ndarray) for a in cols)
+        return real_value(poly, cols, powers)
+    monkeypatch.setattr(pit, "_evaluate_chunk", chunk_spy)
+    monkeypatch.setattr(pit, "_column_value", value_spy)
+    circuits = [_zero_at_origin(_rewritten(s, domain)) for s in range(3)]
+    circuits.append(_with_negated_twins(_rewritten(1, domain)))
+    assert _check_against_reference(circuits) == {"zero", "later"}
+    # on the first axis the other inputs' columns are scalars
+    assert any(scalar_args) and not all(scalar_args)

@@ -821,3 +821,19 @@ def test_prime_field_parse_fractions():
         f7.parse("1/7")
     p = Polynomial.terms_from_json(f7, 1, [{"coeff": "1/3", "mono": {"1": 1}}])
     assert p == x(0, 1, f7).scale(5)
+
+
+def test_the_hash_is_computed_once_per_polynomial(monkeypatch):
+    # `terms` is never written after construction, so the first hash holds
+    built = []
+
+    def counting(items):
+        built.append(1)
+        return frozenset(items)
+    monkeypatch.setattr(poly, "frozenset", counting, raising=False)
+    a = Polynomial(Q, 3, {((0, 1), (1, 1)): 1, ((2, 2),): 3, (): Fraction(-1, 2)})
+    b = Polynomial(Q, 3, {(): Fraction(-1, 2), ((2, 2),): 3, ((0, 1), (1, 1)): 1})
+    assert a == b and a is not b
+    assert hash(a) == hash(b) and len(built) == 2
+    assert hash(a) == hash(b) and len(built) == 2
+    assert len({a, b, a.scale(2)}) == 2 and len(built) == 3

@@ -256,7 +256,7 @@ def _is_terms(node):
 
 
 def test_terms_are_not_written_after_construction():
-    # the cached `_int_form` of a Polynomial stays valid only while its
+    # the cached `_int_form` and hash of a Polynomial stay valid only while its
     # terms do: `self.terms` is bound in an __init__ and never changed
     found = []
     for path in sorted(SRC.glob("*.py")):
