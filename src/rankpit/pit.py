@@ -24,24 +24,14 @@ nonzero evaluation: its witness is the first nonzero point of H supported
 on I (not always H's first nonzero point), and its index is the point's
 position in H.
 
-The scan evaluates the origin through `evaluate_circuit` and the rest in the
-arrays `_point_chunks` fills in place for the |I| essential coordinates,
-growing across support sizes (`_GROWTH`, `_CHUNK`).  The first array is the
-axis of v0 = min I, found without I (`_first_axis`): I is computed only past
-it.  A chunk's column is None where every point is 0 (outside I, or off the
-axis), and a term through it is skipped.  Each gate folds its own
-outer DAG over its inner polynomials' columns, and equal inner polynomials
-share one column: nothing is compiled or copied.  Over F_p with p < 2^31 the
-columns are int64: the grid values 0..delta are the field elements
-themselves (p > delta), every coefficient is reduced below p, and every
-product and gate-level sum is reduced mod p at once, so no operand exceeds
-2^31 and no product 2^62.  An inner polynomial's column sum is reduced once,
-at its end, or after every `_SUM_TERMS` = 2^32 terms: 2^32 + 1 residues of
-at most 2^31 - 2 (the terms and the carried sum) add up to less than 2^63.
-The int64 arithmetic is therefore exact.  Over Q and over larger primes the
-columns are object arrays of the domain's own values (`Fraction`s, exact
-ints).  The witness, the lowest nonzero row of the first chunk that has one,
-is re-evaluated through `evaluate_circuit` before it is returned.
+The scan evaluates the origin through `evaluate_circuit` and every other
+point exactly, one at a time, in the order `_supports` yields them: first
+the axis of v0 = min I, found without I (`_first_axis`), then the other
+points supported on I, which is computed only past that axis.  At each
+point every distinct inner polynomial is evaluated once, and each gate
+folds its own outer DAG over those values: nothing is compiled or copied.
+The witness is re-evaluated through `evaluate_circuit` before it is
+returned.
 
 The support bound is computed in floats and accepted only when its value is
 far from every integer; near an integer, or beyond the float range, it
@@ -55,7 +45,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 
 from .circuit import Circuit, evaluate_circuit, expand
 from .domains import PrimeField
@@ -66,18 +56,6 @@ from .util import derive_seed
 
 DEFAULT_POINT_CAP = 2_000_000
 
-# no array `_point_chunks` yields, and so no chunk of the scan, holds more points
-_CHUNK = 4096
-# each chunk after the first holds 7x the points before it: a zero scan pays
-# numpy's per-call costs a few times, not once per support size, and a scan
-# that stops at a witness evaluates under 8x the points before its chunk.
-# With the axis first, on the PIT benchmark 4x was slower at both seeds, 16x at one.
-_GROWTH = 7
-# residues below 2^31 keep every product of two below 2^62, exact in int64;
-# larger primes and Q scan object columns
-_ARRAY_PRIME_LIMIT = 1 << 31
-# terms an int64 column sum may add before it is reduced (module docstring)
-_SUM_TERMS = 1 << 32
 _SAMPLE_FACTOR = 1 << 10  # the oracle draws from 2*delta*2^10 scalars
 
 
@@ -184,37 +162,15 @@ def _grid(nvars: int, delta: int, ell: int, domain, point_cap: int):
     return ell, clamped, size, tuple(domain.scalars(delta + 1 if ell else 1))
 
 
-def _point_chunks(nvars: int, ell: int, delta: int):
-    """The points with 1..ell nonzero coordinates valued in {1..delta}, as
-    int64 arrays of indices into W, in enumeration order: support size, then
-    support position, then values, last coordinate fastest.  The origin,
-    which comes first, is not among them.  The arrays cross support sizes and
-    grow: the first holds the first support's min(delta, `_CHUNK`) points
-    (over I, the axis `_scan` tests first), each later one min(`_CHUNK`,
-    `_GROWTH` x the points before it), and the last the rest.  Each piece
-    is written straight into the arrays it spans."""
-    import numpy as np
-    total = hitting_set_size(nvars, delta, ell) - 1
-    done, chunk = 0, None
+def _supports(coords, ell: int, delta: int):
+    """(support, values) for each point with 1..ell nonzero coordinates, all
+    in `coords`, valued in {1..delta} (indices into W), in H's order:
+    support size, then support position, then values, last coordinate
+    fastest.  The origin, which comes first, is not among them."""
     for j in range(1, ell + 1 if delta else 1):
-        block = delta ** j  # value tuples per support, last coordinate fastest
-        place = delta ** np.arange(j - 1, -1, -1, dtype=np.int64)
-        supports = combinations(range(nvars), j)
-        while batch := list(islice(supports, max(1, _CHUNK // block))):
-            sup = np.array(batch, dtype=np.int64)
-            for start in range(0, block, _CHUNK):
-                vals = np.arange(start, min(block, start + _CHUNK))[:, None] // place % delta + 1
-                where, piece = np.repeat(sup, len(vals), axis=0), np.tile(vals, (len(sup), 1))
-                while len(piece):
-                    if chunk is None:  # the first array is the first support's values
-                        want = min(_CHUNK, _GROWTH * done or delta, total - done)
-                        chunk, filled = np.zeros((want, nvars), dtype=np.int64), 0
-                    take = min(len(piece), want - filled)
-                    chunk[np.arange(filled, filled + take)[:, None], where[:take]] = piece[:take]
-                    where, piece, filled = where[take:], piece[take:], filled + take
-                    if filled == want:
-                        yield chunk
-                        chunk, done = None, done + want
+        for support in combinations(coords, j):
+            for values in product(range(1, delta + 1), repeat=j):
+                yield support, values
 
 
 def hitting_set(nvars: int, delta: int, ell: int, domain, *,
@@ -225,100 +181,55 @@ def hitting_set(nvars: int, delta: int, ell: int, domain, *,
     support <= ell: zeroing the variables outside that monomial's support
     keeps its coefficient alive, and the surviving polynomial in <= ell
     variables of individual degree <= delta cannot vanish on the whole
-    (delta+1)-grid.  Enumeration order is deterministic: support size, then
-    support position, then values.
+    (delta+1)-grid.  The points come in H's order, the origin first and then
+    as `_supports` yields them.
     """
-    import numpy as np
     ell, clamped, size, values = _grid(nvars, delta, ell, domain, point_cap)
-    grid = np.array(values, dtype=object)
-    points = ((values[0],) * nvars,) + tuple(
-        tuple(row) for chunk in _point_chunks(nvars, ell, delta)
-        for row in grid[chunk].tolist())
+    points = [(values[0],) * nvars]
+    for support, vals in _supports(range(nvars), ell, delta):
+        point = [values[0]] * nvars
+        for v, a in zip(support, vals):
+            point[v] = values[a]
+        points.append(tuple(point))
     if len(points) != size:
         raise AssertionError("hitting set size disagrees with |H| (internal bug)")
-    return HittingSet(points=points, ell=ell, values=values, nvars=nvars,
+    return HittingSet(points=tuple(points), ell=ell, values=values, nvars=nvars,
                       delta=delta, clamped=clamped)
 
 
 def _verified(c: Circuit, point):
-    """A chunk's witness, re-evaluated exactly to cross-check the column path."""
+    """A scanned witness, re-evaluated through `evaluate_circuit` to
+    cross-check the scan's own evaluation."""
     if c.domain.is_zero(evaluate_circuit(c, point)):
         raise AssertionError("witness evaluates to zero (internal bug)")
     return point
 
 
-def _column_value(poly, cols, powers):
-    """`poly`'s value on the columns `cols`, mod p over F_p; `powers` caches
-    cols[v]^e for these cols; a term through a None column (all 0) is skipped."""
-    p = poly.domain.characteristic
-    acc = 0
-    for n, (mono, c) in enumerate(poly.terms.items(), 1):
-        term = c
-        for v, e in mono:
-            x = powers.get((v, e))
-            if x is None:
-                if (x := cols[v]) is None:  # 0 at every point: so is the term
-                    break
-                for _ in range(e - 1):
-                    x = x * cols[v] % p if p else x * cols[v]
-                powers[(v, e)] = x
-            term = term * x % p if p else term * x
-        else:
-            acc = acc + term
-            if p and n % _SUM_TERMS == 0:
-                acc = acc % p
-    return acc % p if p else acc
-
-
-def _evaluate_chunk(c: Circuit, cols):
-    """The circuit's value at each point whose coordinates are the columns `cols`
-    (int64 or object arrays, or None where every point is 0): each gate folds
-    its own DAG, uncompiled, over its inner polynomials' columns (arrays or
-    scalars), with the domain's add and mul acting elementwise.  Equal inner
-    polynomials share one column; a call node's polynomial gets fresh ones."""
-    dom = c.domain
-    powers: dict = {}
-    columns: dict = {}
-
-    def call(poly, args):  # a call node's arguments are new columns or scalars
-        return _column_value(poly, args, {})
-
-    def column(q):
-        if (col := columns.get(q)) is None:
-            col = columns[q] = _column_value(q, cols, powers)
-        return col
-
-    total = dom.zero
-    for g in c.gates:
-        vals = [column(q) for q in g.inner]
-        total = dom.add(total, g.outer._fold(vals, dom.coerce, call, dom.add, dom.mul))
-    return total
-
-
-def _reduces(c: Circuit, qs: list) -> bool:
-    """Whether the reduction to I holds (module docstring): p = 0, or p > deg q
-    for each q in qs; deg q <= the declared d, checked when c was built."""
+def _inners(c: Circuit):
+    """The distinct inner polynomials of c, and whether the reduction to I
+    holds for them (module docstring): p = 0, or p > deg q for each q;
+    deg q <= the declared d, checked when c was built."""
+    qs = list(dict.fromkeys(q for g in c.gates for q in g.inner))
     p = c.domain.characteristic
-    return not (p and p <= c.declared.d and p <= max((q.degree() for q in qs), default=0))
+    return qs, not (p and p <= c.declared.d
+                    and p <= max((q.degree() for q in qs), default=0))
 
 
-def _first_axis(c: Circuit):
+def _first_axis(qs: list, reduces: bool):
     """min I, without I: x_1 where the reduction fails, else the first variable
     in an inner q (its column holds e * coefficient != 0 mod p > deg q), or None."""
-    qs = list(dict.fromkeys(q for g in c.gates for q in g.inner))
-    if not _reduces(c, qs):
+    if not reduces:
         return 0
     return min((m[0][0] for q in qs for m in q.terms if m), default=None)
 
 
-def _essential(c: Circuit) -> list:
+def _essential(c: Circuit, qs: list, reduces: bool) -> list:
     """I, the essential coordinates of c: one column per variable x_v holds
-    the coefficients of dq/dx_v over every distinct inner polynomial q,
+    the coefficients of dq/dx_v over the distinct inner polynomials qs,
     keyed by (q, monomial), and I is the variables whose columns do not
-    depend on those before them (every variable where `_reduces` fails).
+    depend on those before them (every variable where the reduction fails).
     Each dependency is re-checked exactly before its variable is dropped."""
-    qs = list(dict.fromkeys(q for g in c.gates for q in g.inner))
-    if not _reduces(c, qs):
+    if not reduces:
         return list(range(c.nvars))
     p = c.domain.characteristic
     by_var: dict = {}  # a variable that occurs in no q has a zero column
@@ -362,39 +273,51 @@ def _index(row: list, delta: int) -> int:
     return hitting_set_size(nvars, delta, s - 1) + rank * delta ** s + value
 
 
+def _point_value(dom, qs: list, folds: list, pt: list):
+    """The circuit's value at the canonical coordinates `pt`: each distinct
+    inner polynomial of `qs` once, then each gate's own outer DAG over the
+    values at its inputs' positions in `qs` (`folds`, one (outer, positions)
+    pair per gate)."""
+    vals = [q._value(pt) for q in qs]
+    total = dom.zero
+    for outer, at in folds:
+        total = dom.add(total, outer.evaluate([vals[i] for i in at], dom))
+    return total
+
+
 def _scan(c: Circuit, ell: int, values):
     """The first witness among the points of H supported on the essential
-    coordinates, in H's order, and its index in H; or (None, None)."""
+    coordinates, in H's order, and its index in H; or (None, None).  The
+    origin goes first, then v0's axis, and only then is I computed and the
+    rest of its points scanned, one exact evaluation per point."""
     dom = c.domain
     # the origin goes through evaluate_circuit: most witnesses are there
     origin = (values[0],) * c.nvars
     if not dom.is_zero(evaluate_circuit(c, origin)):
         return origin, 0
     delta = len(values) - 1
-    if not delta or (v0 := _first_axis(c)) is None:
+    qs, reduces = _inners(c)
+    if not delta or (v0 := _first_axis(qs, reduces)) is None:
         return None, None  # H is the origin alone, or every inner is constant
-    import numpy as np
-    # over F_p with p < 2^31 the indices 0..delta into W are the field elements
-    int64 = 0 < dom.characteristic < _ARRAY_PRIME_LIMIT
-    grid = np.array(values, dtype=object)
 
-    def chunks():  # every enumeration over I starts on v0's axis: I comes after it
-        yield next(_point_chunks(1, 1, delta)), [v0]
-        essential = _essential(c)
+    def points():  # every enumeration over I starts on v0's axis: I comes after it
+        yield from _supports([v0], 1, delta)
+        essential = _essential(c, qs, reduces)
         if essential[:1] != [v0]:
             raise AssertionError("v0 is not the first essential coordinate (internal bug)")
-        yield from ((chunk, essential) for chunk in islice(
-            _point_chunks(len(essential), min(ell, len(essential)), delta), 1, None))
+        yield from islice(_supports(essential, min(ell, len(essential)), delta), delta, None)
 
-    for chunk, coords in chunks():
-        rows = np.zeros((c.nvars, len(chunk)), dtype=np.int64)
-        rows[coords] = chunk.T  # zero outside coords; a row 0 at every point is None
-        cols = [row if live else None for row, live in
-                zip(rows if int64 else grid[rows], rows.any(axis=1).tolist())]
-        nonzero = np.flatnonzero(_evaluate_chunk(c, cols))
-        if nonzero.size:
-            row = rows[:, nonzero[0]].tolist()
-            return _verified(c, tuple(values[x] for x in row)), _index(row, delta)
+    where = {q: i for i, q in enumerate(qs)}
+    folds = [(g.outer, [where[q] for q in g.inner]) for g in c.gates]
+    pt = list(origin)
+    for support, vals in points():
+        for v, a in zip(support, vals):
+            pt[v] = values[a]
+        if not dom.is_zero(_point_value(dom, qs, folds, pt)):
+            witness = _verified(c, tuple(pt))
+            return witness, _index([values.index(x) for x in witness], delta)
+        for v in support:
+            pt[v] = values[0]
     return None, None
 
 

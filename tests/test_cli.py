@@ -285,8 +285,8 @@ print(json.dumps({"codes": codes, "seen": seen}))
 
 
 def test_numpy_and_mpmath_load_only_where_used(e1_file, tmp_path):
-    # start-up cost: numpy loads only for a scan past the origin, mpmath
-    # only for interval arithmetic; neither import may vanish altogether
+    # start-up cost: no command loads numpy, not even a scan past the
+    # origin, and mpmath loads only for interval arithmetic
     one = [{"outer": "product", "inner": [[{"coeff": "1", "mono": {}}]]}]
     origin = tmp_path / "origin.json"
     origin.write_text(json.dumps({**ZERO_CIRCUIT, "gates": one}))
@@ -298,8 +298,8 @@ def test_numpy_and_mpmath_load_only_where_used(e1_file, tmp_path):
                           env=env, capture_output=True, text=True, check=True)
     out = json.loads(done.stdout)
     assert out["codes"] == [0, 0, 0, 0, 1, 1]
-    assert out["seen"] == {"import": [], "light": [], "scan": ["numpy"],
-                           "interval": ["mpmath", "numpy"]}
+    assert out["seen"] == {"import": [], "light": [], "scan": [],
+                           "interval": ["mpmath"]}
 
 
 def test_json_reports_deterministic_across_workers(zero_circuit_file):

@@ -4,10 +4,9 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, islice, product
 from math import comb
 
-import numpy as np
 import pytest
 
 from rankpit import pit
@@ -88,7 +87,7 @@ def _reference_points(nvars, ell, values):
 
 
 def _fraction_text(value):
-    """json.dumps default that accepts a Fraction and nothing else (not np.int64)."""
+    """json.dumps default that accepts a Fraction and nothing else."""
     if type(value) is Fraction:
         return str(value)
     raise TypeError(f"{type(value).__name__} is not a JSON coordinate")
@@ -225,7 +224,7 @@ def test_pit_oracle_mode():
 
 def test_a_scalar_witness_is_evaluated_once(monkeypatch):
     # an origin or oracle witness already comes from evaluate_circuit; only a
-    # chunk's witness is re-evaluated, to cross-check the column path
+    # scanned witness is re-evaluated, to cross-check the scan's evaluation
     points = []
     real = pit.evaluate_circuit
 
@@ -377,9 +376,9 @@ def test_streamed_scan_matches_materialized_hitting_set():
 
 
 # ----------------------------------------------------------------------
-# the chunked scan against the point-by-point reference
+# the scan against the point-by-point reference
 
-P31 = PrimeField(2 ** 31 - 1)  # the largest prime the int64 columns accept
+P31 = PrimeField(2 ** 31 - 1)
 
 
 def _corpus():
@@ -426,32 +425,16 @@ def _scalar_reference(c, ell):
                  if not c.domain.is_zero(evaluate_circuit(c, pt))), (None, None))
 
 
-def _live(cols):
-    """The columns `_evaluate_chunk` receives as arrays: the others are None,
-    0 at every point of the chunk."""
-    return [col for col in cols if col is not None]
-
-
-def _size(cols):
-    """The number of points in the chunk whose columns are `cols`."""
-    (size,) = {len(col) for col in _live(cols)}
-    return size
-
-
-def _points(cols):
-    """The chunk's points, one tuple per point, 0 in a None column."""
-    return [tuple(0 if col is None else col[j] for col in cols) for j in range(_size(cols))]
-
-
 @pytest.fixture
-def chunk_calls(monkeypatch):
+def point_calls(monkeypatch):
+    """The points past the origin that the scan evaluates, in order."""
     calls = []
-    real = pit._evaluate_chunk
+    real = pit._point_value
 
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
-    monkeypatch.setattr(pit, "_evaluate_chunk", spy)
+    def spy(dom, qs, folds, pt):
+        calls.append(tuple(pt))
+        return real(dom, qs, folds, pt)
+    monkeypatch.setattr(pit, "_point_value", spy)
     return calls
 
 
@@ -467,32 +450,30 @@ def _check_against_reference(circuits):
     return seen
 
 
-@pytest.mark.parametrize("nvars,ell,delta,chunk", [
+@pytest.mark.parametrize("nvars,ell,delta,first", [
     (0, 0, 3, 4096), (4, 0, 3, 4096), (4, 3, 0, 4096), (5, 2, 3, 4096),
     (5, 3, 2, 4096), (6, 4, 1, 5), (3, 3, 2, 5), (2, 2, 4, 7),
     (3, 3, 17, 4096), (3, 3, 3, 5)])
-def test_point_chunks_concatenate_to_enumeration_order(monkeypatch, nvars, ell,
-                                                       delta, chunk):
-    # (5, 3, 2, 4096): the batch of all 10 supports of size 3 (80 points)
-    # straddles the second array's end, 30 points in, inside its fourth
-    # support; the last four cases split a support's delta^j value block
-    # (4913 points at delta = 17) across arrays
-    monkeypatch.setattr(pit, "_CHUNK", chunk)
-    chunks = list(pit._point_chunks(nvars, ell, delta))
-    assert all(ch.dtype == np.int64 and 0 < len(ch) <= chunk for ch in chunks)
-    sizes = [len(ch) for ch in chunks]
-    # the first array is the first support's values alone; each later one
-    # holds 7x the points before it, at most _CHUNK, and the last no more
-    if sizes:
-        assert sizes[0] == min(delta, chunk)
-    for i, size in enumerate(sizes[1:], 1):
-        room = min(chunk, 7 * sum(sizes[:i]))
-        assert size == room if i < len(sizes) - 1 else 0 < size <= room
-    rows = [(0,) * nvars] + [tuple(int(v) for v in row) for ch in chunks for row in ch]
+def test_point_chunks_concatenate_to_enumeration_order(nvars, ell, delta, first):
+    # the scan takes the points past the origin in two pieces, the first
+    # coordinate's axis and then the rest, over coordinates that need not
+    # start at 0 (here first, first + 1, ...): together they are `_supports`
+    # over all of them, which lists H's points in enumeration order
+    coords = range(first, first + nvars)
+    points = list(pit._supports(coords, ell, delta))
+    if points:
+        assert (list(pit._supports(coords[:1], 1, delta))
+                + list(islice(pit._supports(coords, ell, delta), delta, None))) == points
+    rows = [(0,) * nvars]
+    for support, values in points:
+        row = [0] * nvars
+        for v, a in zip(support, values):
+            row[v - first] = a
+        rows.append(tuple(row))
     assert rows == list(_reference_points(nvars, ell, tuple(range(delta + 1))))
 
 
-def test_array_scan_matches_scalar_loop_on_corpus(chunk_calls):
+def test_array_scan_matches_scalar_loop_on_corpus(point_calls):
     corpus = _corpus()
     circuits = [corpus.random_class_circuit(80_000 + s, gamma_outer=s % 2 == 1,
                                             zero=s % 3 == 0) for s in range(24)]
@@ -501,11 +482,18 @@ def test_array_scan_matches_scalar_loop_on_corpus(chunk_calls):
     assert any(op[0] == "call" for c in circuits[-6:] for g in c.gates
                if not g.is_product for op in g.outer.nodes)
     assert _check_against_reference(circuits) == {"zero", "origin", "later"}
-    assert chunk_calls
+    assert point_calls
 
 
-def test_array_scan_exact_at_the_largest_accepted_prime(chunk_calls):
-    # residues up to p - 1 = 2^31 - 2: every product must stay exact in int64
+def _dense_poly(domain, nvars, degree, coeff):
+    """Every monomial of degree 1..degree, each with coefficient coeff."""
+    return Polynomial(domain, nvars, {
+        tuple(sorted(Counter(vs).items())): coeff for deg in range(1, degree + 1)
+        for vs in combinations_with_replacement(range(nvars), deg)})
+
+
+def test_array_scan_exact_at_the_largest_accepted_prime(point_calls):
+    # residues up to p - 1 = 2^31 - 2 in every coefficient and term
     p = P31.p
     corpus = _corpus()
     v = [Polynomial.variable(P31, 3, i) for i in range(3)]
@@ -524,13 +512,19 @@ def test_array_scan_exact_at_the_largest_accepted_prime(chunk_calls):
                  for s in range(12)]
     circuits += [_rewritten(s, P31) for s in range(3)]
     circuits.append(_with_negated_twins(_rewritten(1, P31)))
+    # every monomial of degree 1..3 in 4 variables, each with coefficient p - 1
+    q = _dense_poly(P31, 4, 3, p - 1)
+    r = _dense_poly(P31, 4, 2, p - 1) + Polynomial.variable(P31, 4, 3).scale(p - 2)
+    assert len(q.terms) == 34
+    dense = Circuit(P31, 4, DeclaredBounds(d=3, k=2, delta=5), [Gate("product", [q, r])])
+    circuits += [dense, _with_negated_twins(dense)]
     assert _check_against_reference(circuits) == {"zero", "origin", "later"}
-    assert chunk_calls
+    assert point_calls
 
 
 @pytest.mark.parametrize("domain", [PrimeField(2147483659), Q],
                          ids=["first-prime-above-2^31", "Q"])
-def test_object_scan_beyond_the_int64_range(chunk_calls, domain):
+def test_object_scan_beyond_the_int64_range(point_calls, domain):
     corpus = _corpus()
     circuits = [corpus.random_class_circuit(82_000 + s, domain=domain,
                                             gamma_outer=s % 2 == 1, zero=s % 3 == 0)
@@ -539,12 +533,13 @@ def test_object_scan_beyond_the_int64_range(chunk_calls, domain):
         Gate("product", [Polynomial.variable(domain, 2, 0),
                          Polynomial.variable(domain, 2, 1)])]))
     assert "later" in _check_against_reference(circuits)
-    assert chunk_calls
-    assert all(col.dtype == object for _, cols in chunk_calls for col in _live(cols))
+    # every coordinate is the domain's own value: an exact int or a Fraction
+    kind = Fraction if domain == Q else int
+    assert point_calls and all(type(a) is kind for pt in point_calls for a in pt)
 
 
-def test_scan_folds_each_gates_own_dag(monkeypatch, chunk_calls):
-    # the column path evaluates the circuit it was given: no DAG is copied
+def test_scan_folds_each_gates_own_dag(monkeypatch, point_calls):
+    # the scan evaluates the circuit it was given: no DAG is copied
     corpus = _corpus()
     circuits = [corpus.random_class_circuit(80_000 + s, gamma_outer=s % 2 == 1,
                                             zero=s % 3 == 0) for s in range(6)]
@@ -559,7 +554,7 @@ def test_scan_folds_each_gates_own_dag(monkeypatch, chunk_calls):
     monkeypatch.setattr(OuterExpr, "__init__", counting)
     scanned = [c for c in circuits if pit_test(c).witness_index != 0]
     # scans went past the origin, through gates with call nodes
-    assert chunk_calls and any(op[0] == "call" for c in scanned for g in c.gates
+    assert point_calls and any(op[0] == "call" for c in scanned for g in c.gates
                                if not g.is_product for op in g.outer.nodes)
     assert built == []
 
@@ -618,34 +613,7 @@ def test_support_bound_beyond_the_float_range(interval_calls):
 
 
 # ----------------------------------------------------------------------
-# the column sum, reduced once at its end
-
-def _dense_poly(domain, nvars, degree, coeff):
-    """Every monomial of degree 1..degree, each with coefficient coeff."""
-    return Polynomial(domain, nvars, {
-        tuple(sorted(Counter(vs).items())): coeff for deg in range(1, degree + 1)
-        for vs in combinations_with_replacement(range(nvars), deg)})
-
-
-@pytest.mark.parametrize("sum_terms", [1 << 32, 3, 1], ids=["once", "every-3", "every-1"])
-def test_deferred_column_sum_at_the_largest_accepted_prime(monkeypatch, chunk_calls,
-                                                           sum_terms):
-    # residues up to p - 1 in every term: the column sums are the largest
-    # the int64 scan can meet; a smaller _SUM_TERMS reduces along the way
-    monkeypatch.setattr(pit, "_SUM_TERMS", sum_terms)
-    p = P31.p
-    q = _dense_poly(P31, 4, 3, p - 1)
-    r = _dense_poly(P31, 4, 2, p - 1) + Polynomial.variable(P31, 4, 3).scale(p - 2)
-    assert len(q.terms) == 34
-    nonzero = Circuit(P31, 4, DeclaredBounds(d=3, k=2, delta=5),
-                      [Gate("product", [q, r])])
-    assert _check_against_reference([nonzero, _with_negated_twins(nonzero)]) == {
-        "zero", "later"}
-    assert chunk_calls
-
-
-# ----------------------------------------------------------------------
-# chunks that grow across support sizes, one column per distinct polynomial
+# the scan's order, one value per distinct inner polynomial
 
 def _x1_x2(domain):
     """x1 * x2 in 4 variables with delta = 2: it vanishes at every point of
@@ -663,31 +631,13 @@ def _x1_x2_plus_x3_x4(domain):
                    [Gate("product", [v[0], v[1]]), Gate("product", [v[2], v[3]])])
 
 
-@pytest.mark.parametrize("chunk", [4096, 5, 7])
 @pytest.mark.parametrize("domain", [FP, Q], ids=["F1000003", "Q"])
-def test_chunks_grow_across_support_sizes_in_enumeration_order(monkeypatch, chunk_calls,
-                                                               domain, chunk):
-    monkeypatch.setattr(pit, "_CHUNK", chunk)
+def test_a_zero_scan_visits_every_point_in_enumeration_order(point_calls, domain):
     rep = pit_test(_with_negated_twins(_x1_x2_plus_x3_x4(domain)))
     assert (rep.verdict, rep.ell_used) == ("zero", 4)
-    sizes = [_size(cols) for _, cols in chunk_calls]
-    # the first chunk is the first array of the enumeration, x1's axis; each
-    # later one holds 7x the points before it, at most _CHUNK, and the last
-    # the rest
-    assert sizes[0] == len(next(pit._point_chunks(4, 4, 2)))
-    for i, size in enumerate(sizes[1:], 1):
-        room = min(chunk, 7 * sum(sizes[:i]))
-        assert size == room if i < len(sizes) - 1 else 0 < size <= room
-    if chunk == 4096:
-        # x1's axis, then the rest of support 1 and the first 8 points of
-        # support 2, then the rest
-        assert sizes == [2, 14, 64]
+    # x1's axis first, then every other point of H, across support sizes
     values = tuple(domain.coerce(i) for i in range(3))
-    rows = [values[:1] * 4] + [tuple(domain.coerce(int(v)) for v in point)
-                               for _, cols in chunk_calls for point in _points(cols)]
-    assert rows == list(_reference_points(4, 4, values))
-    assert all(col.dtype == (np.int64 if domain == FP else object)
-               for _, cols in chunk_calls for col in _live(cols))
+    assert [values[:1] * 4] + point_calls == list(_reference_points(4, 4, values))
     c = _x1_x2(domain)
     rep = pit_test(c)
     assert (rep.witness, rep.witness_index) == _scalar_reference(c, rep.ell) == (
@@ -695,26 +645,31 @@ def test_chunks_grow_across_support_sizes_in_enumeration_order(monkeypatch, chun
 
 
 @pytest.fixture
-def column_counts(monkeypatch):
-    """Per chunk, [calls of `_column_value` on the chunk's own columns, other
-    calls (a call node's arguments are columns of their own)]."""
+def value_counts(monkeypatch):
+    """Per point past the origin, [`Polynomial._value` calls on the scan's
+    distinct inner polynomials, other calls (a call node's polynomial)]."""
     counts = []
-    real_chunk, real_value = pit._evaluate_chunk, pit._column_value
+    real_point, real_value = pit._point_value, Polynomial._value
 
-    def chunk_spy(c, cols):
+    def point_spy(dom, qs, folds, pt):
         counts.append([0, 0])
-        chunk_spy.cols = cols
-        return real_chunk(c, cols)
+        point_spy.qs = qs
+        try:
+            return real_point(dom, qs, folds, pt)
+        finally:
+            point_spy.qs = None
+    point_spy.qs = None
 
-    def value_spy(poly, cols, powers):
-        counts[-1][cols is not chunk_spy.cols] += 1
-        return real_value(poly, cols, powers)
-    monkeypatch.setattr(pit, "_evaluate_chunk", chunk_spy)
-    monkeypatch.setattr(pit, "_column_value", value_spy)
+    def value_spy(poly, pt):
+        if point_spy.qs is not None:
+            counts[-1][all(poly is not q for q in point_spy.qs)] += 1
+        return real_value(poly, pt)
+    monkeypatch.setattr(pit, "_point_value", point_spy)
+    monkeypatch.setattr(Polynomial, "_value", value_spy)
     return counts
 
 
-def test_equal_inner_polynomials_share_one_column(column_counts):
+def test_equal_inner_polynomials_share_one_column(value_counts):
     twins = _with_negated_twins(_corpus().random_class_circuit(83_006, gamma_outer=True))
     assert not any(g.is_product for g in twins.gates)
     reread = parse(serialize(twins))
@@ -726,13 +681,13 @@ def test_equal_inner_polynomials_share_one_column(column_counts):
     assert any(op[0] == "call" for g in rewritten.gates if not g.is_product
                for op in g.outer.nodes)
     for c in (twins, reread, rewritten):
-        column_counts.clear()
+        value_counts.clear()
         assert _check_against_reference([c]) == {"zero"}
         distinct = len({q for g in c.gates for q in g.inner})
         assert distinct < sum(len(g.inner) for g in c.gates)
-        assert column_counts and all(own == distinct for own, _ in column_counts)
-    # a call node's polynomial still gets columns of its own
-    assert all(other > 0 for _, other in column_counts)
+        assert value_counts and all(own == distinct for own, _ in value_counts)
+    # a call node's polynomial is evaluated at its own arguments
+    assert all(other > 0 for _, other in value_counts)
 
 
 # ----------------------------------------------------------------------
@@ -749,7 +704,7 @@ def _x1_x3_times_x2_x3(domain):
 @pytest.mark.parametrize("domain", [Q, FP], ids=["Q", "F1000003"])
 def test_witness_is_the_first_point_supported_on_the_essential_coordinates(domain):
     c = _x1_x3_times_x2_x3(domain)
-    assert pit._essential(c) == [0, 1]
+    assert pit._essential(c, *pit._inners(c)) == [0, 1]
     rep = pit_test(c)
     # H's first nonzero point is (0, 0, 1) at 5; the scan never sets x3
     assert _scalar_reference(c, rep.ell) == ((0, 0, 1), 5)
@@ -813,11 +768,11 @@ def _form_circuit(seed, domain, zero):
 
 
 @pytest.mark.parametrize("domain", [Q, FP, P31], ids=["Q", "F1000003", "F2^31-1"])
-def test_essential_scan_agrees_with_expansion_and_the_reference(chunk_calls, domain):
+def test_essential_scan_agrees_with_expansion_and_the_reference(point_calls, domain):
     kinds = Counter()
     for seed in range(36):
         c = _form_circuit(85_000 + seed, domain, zero=seed % 3 == 0)
-        chunk_calls.clear()
+        point_calls.clear()
         rep = pit_test(c)
         assert rep.verdict == ("nonzero" if not expand(c).is_zero() else "zero"), seed
         essential = _essential_reference(c)
@@ -831,23 +786,23 @@ def test_essential_scan_agrees_with_expansion_and_the_reference(chunk_calls, dom
             points = hitting_set(c.nvars, c.declared.delta, rep.ell, domain).points
             assert points.index(rep.witness) == rep.witness_index
         else:
-            assert sum(_size(cols) for _, cols in chunk_calls) == hitting_set_size(
+            assert len(point_calls) == hitting_set_size(
                 len(essential), c.declared.delta, rep.ell) - 1
         kinds[rep.verdict, len(essential) < c.nvars, rep.witness_index == 0] += 1
     # zero and nonzero verdicts, past the origin, with coordinates dropped
     assert kinds["zero", True, False] and kinds["nonzero", True, False]
 
 
-def test_reduction_is_skipped_when_p_is_at_most_an_inner_degree(chunk_calls):
+def test_reduction_is_skipped_when_p_is_at_most_an_inner_degree(point_calls):
     # over F_3, d(x2^3)/dx2 = 3 x2^2 = 0: x2's column vanishes, yet the
     # outer z1 ignores x2^3, so delta = 1 < p holds
     F3 = PrimeField(3)
     v = [Polynomial.variable(F3, 2, i) for i in range(2)]
     c = _with_negated_twins(Circuit(F3, 2, DeclaredBounds(d=3, k=2, delta=1), [
         Gate(OuterExpr(2, [("input", 0)], 0), [v[0], v[1].pow(3)])]))
-    assert pit._essential(c) == [0, 1]
+    assert pit._essential(c, *pit._inners(c)) == [0, 1]
     assert pit_test(c).verdict == "zero"
-    assert sum(_size(cols) for _, cols in chunk_calls) == hitting_set_size(2, 1, 2) - 1 == 3
+    assert len(point_calls) == hitting_set_size(2, 1, 2) - 1 == 3
     # the columns alone would drop x2
     assert _essential_reference(c) == [0]
 
@@ -857,15 +812,15 @@ def essential_calls(monkeypatch):
     found = []
     real = pit._essential
 
-    def spy(c):
-        found.append(real(c))
+    def spy(c, qs, reduces):
+        found.append(real(c, qs, reduces))
         return found[-1]
     monkeypatch.setattr(pit, "_essential", spy)
     return found
 
 
 def test_origin_verdicts_never_compute_the_essential_coordinates(
-        essential_calls, chunk_calls):
+        essential_calls, point_calls):
     found = essential_calls
     corpus = _corpus()
     circuits = [corpus.random_class_circuit(s, zero=s % 7 == 0) for s in range(60)]
@@ -874,20 +829,22 @@ def test_origin_verdicts_never_compute_the_essential_coordinates(
     kinds = Counter()
     for c in circuits:
         found.clear()
-        chunk_calls.clear()
+        point_calls.clear()
         rep = pit_test(c)
         if rep.witness_index == 0:
-            assert found == [] and chunk_calls == []
+            assert found == [] and point_calls == []
             kinds["origin"] += 1
             continue
-        if rep.verdict == "nonzero" and len(chunk_calls) == 1:
-            # a witness on the first essential axis: one point set, I unknown
-            assert found == [] and sum(1 for a in rep.witness if a) == 1
+        v0 = pit._first_axis(*pit._inners(c))
+        if rep.verdict == "nonzero" and [v for v, a in enumerate(rep.witness) if a] == [v0]:
+            # a witness on the first essential axis: I unknown
+            assert found == [] and all(
+                [v for v, a in enumerate(pt) if a] == [v0] for pt in point_calls)
             kinds["axis"] += 1
             continue
         assert len(found) == 1
         if rep.verdict == "zero":
-            assert sum(_size(cols) for _, cols in chunk_calls) == hitting_set_size(
+            assert len(point_calls) == hitting_set_size(
                 len(found[0]), c.declared.delta, rep.ell) - 1
             kinds["zero"] += 1
     assert kinds["origin"] and kinds["axis"] and kinds["zero"]
@@ -898,14 +855,14 @@ def test_a_dependency_that_fails_its_exact_check_raises(monkeypatch):
     # that `python -O` keeps
     monkeypatch.setattr(pit, "dependent_columns", lambda cols, p: iter([(2, {0: 1, 2: 1})]))
     with pytest.raises(AssertionError, match="internal bug"):
-        pit._essential(_x1_x3_times_x2_x3(Q))
+        pit._essential(_x1_x3_times_x2_x3(Q), *pit._inners(_x1_x3_times_x2_x3(Q)))
 
 
 # ----------------------------------------------------------------------
-# the first essential axis, scanned before I is computed; no term through
-# a column that is 0 at every point of its chunk
+# the first essential axis, scanned before I is computed; no point sets a
+# coordinate outside I
 
-BIG = PrimeField(2147483659)  # the first prime above 2^31: object columns
+BIG = PrimeField(2147483659)  # the first prime above 2^31
 DOMAINS = pytest.mark.parametrize("domain", [Q, FP, P31, BIG],
                                   ids=["Q", "F1000003", "F2^31-1", "first-prime-above-2^31"])
 
@@ -919,7 +876,7 @@ def _linear(domain, nvars, coeffs, const=0):
 
 @DOMAINS
 def test_an_axis_witness_never_computes_the_essential_coordinates(essential_calls,
-                                                                  chunk_calls, domain):
+                                                                  point_calls, domain):
     # x1 * (x2 + 1) + x3^2: nonzero at (1, 0, 0), the first point past the origin
     v = [Polynomial.variable(domain, 3, i) for i in range(3)]
     c = Circuit(domain, 3, DeclaredBounds(d=2, k=3, delta=3), [
@@ -929,80 +886,71 @@ def test_an_axis_witness_never_computes_the_essential_coordinates(essential_call
     assert (rep.witness, rep.witness_index) == _scalar_reference(c, rep.ell) == (
         (1, 0, 0), 1)
     assert essential_calls == []
-    assert [_size(cols) for _, cols in chunk_calls] == [min(3, pit._CHUNK)]
-    # the axis chunk holds x1 alone: x2 and x3 are None
-    assert [col is None for col in chunk_calls[0][1]] == [False, True, True]
+    assert point_calls == [(1, 0, 0)]
 
 
 @DOMAINS
-def test_the_first_axis_is_the_first_variable_that_occurs(essential_calls, chunk_calls,
+def test_the_first_axis_is_the_first_variable_that_occurs(essential_calls, point_calls,
                                                           domain):
     # x1 does not occur: the first essential coordinate is x2, and a scan
     # that took x1's axis first would find I[0] != x1 and raise
     v = [Polynomial.variable(domain, 3, i) for i in range(3)]
     c = Circuit(domain, 3, DeclaredBounds(d=1, k=2, delta=2), [
         Gate("product", [v[1], _linear(domain, 3, {2: 1}, 1)])])
-    assert pit._first_axis(c) == 1
+    assert pit._first_axis(*pit._inners(c)) == 1
     rep = pit_test(c)
     assert (rep.witness, rep.witness_index) == _scalar_reference(c, rep.ell) == (
         (0, 1, 0), 3)
-    assert essential_calls == [] and len(chunk_calls) == 1
+    assert essential_calls == [] and point_calls == [(0, 1, 0)]
     zero = _with_negated_twins(c)
-    chunk_calls.clear()
+    point_calls.clear()
     assert pit_test(zero).verdict == "zero"
     assert essential_calls == [[1, 2]]
-    assert sum(_size(cols) for _, cols in chunk_calls) == hitting_set_size(2, 2, 2) - 1
-    assert all(cols[0] is None for _, cols in chunk_calls)
+    assert len(point_calls) == hitting_set_size(2, 2, 2) - 1
+    assert all(pt[0] == 0 for pt in point_calls)
 
 
 @DOMAINS
-def test_an_empty_essential_set_stops_after_the_origin(essential_calls, chunk_calls,
+def test_an_empty_essential_set_stops_after_the_origin(essential_calls, point_calls,
                                                        domain):
     one = Polynomial.constant(domain, 3, 1)
     c = Circuit(domain, 3, DeclaredBounds(d=1, k=1, delta=2), [
         Gate("product", [one, one]), Gate("product", [one.scale(-1)])])
-    assert pit._first_axis(c) is None
+    assert pit._first_axis(*pit._inners(c)) is None
     rep = pit_test(c)
     assert (rep.verdict, rep.hitting_set_size) == ("zero", 27)
-    assert essential_calls == [] and chunk_calls == []
+    assert essential_calls == [] and point_calls == []
 
 
 @DOMAINS
-def test_the_axis_spans_two_arrays(monkeypatch, essential_calls, chunk_calls, domain):
-    # x1 (x1 - 1)...(x1 - 5) (x2 + 1) with delta = 7 and _CHUNK = 5: the
-    # first array is x1 = 1..5, where it vanishes; x1 = 6 starts the second
-    monkeypatch.setattr(pit, "_CHUNK", 5)
+def test_the_axis_spans_two_arrays(essential_calls, point_calls, domain):
+    # x1 (x1 - 1)...(x1 - 5) (x2 + 1) with delta = 7 vanishes at x1 = 1..5:
+    # the witness x1 = 6 lies deep in the axis, which is scanned whole
+    # before I is computed
     c = Circuit(domain, 2, DeclaredBounds(d=1, k=2, delta=7), [
         Gate("product", [_linear(domain, 2, {0: 1}, -a) for a in range(6)]
              + [_linear(domain, 2, {1: 1}, 1)])])
     rep = pit_test(c)
     assert (rep.witness, rep.witness_index) == _scalar_reference(c, rep.ell)
     assert rep.witness_index == 6
-    assert len(essential_calls) == 1
-    assert [_size(cols) for _, cols in chunk_calls] == [5, 5]
-    chunk_calls.clear()
+    assert essential_calls == []
+    assert point_calls == [(a, 0) for a in range(1, 7)]
+    point_calls.clear()
     assert _check_against_reference([_with_negated_twins(c)]) == {"zero"}
-    sizes = [_size(cols) for _, cols in chunk_calls]
-    assert sizes[:3] == [5, 5, 5] and sum(sizes) == hitting_set_size(2, 7, 2) - 1
+    assert len(essential_calls) == 1
+    assert point_calls[:7] == [(a, 0) for a in range(1, 8)]
+    assert len(point_calls) == hitting_set_size(2, 7, 2) - 1
 
 
 @pytest.mark.parametrize("domain", [Q, FP], ids=["Q", "F1000003"])
 def test_no_term_is_multiplied_by_a_column_outside_the_essential_coordinates(
-        monkeypatch, chunk_calls, domain):
-    multiplied = []
-    real = pit._column_value
-
-    def spy(poly, cols, powers):
-        value = real(poly, cols, powers)
-        multiplied.extend(v for v, _ in powers)
-        return value
-    monkeypatch.setattr(pit, "_column_value", spy)
+        point_calls, domain):
+    # x3 is 0 at every point the scan evaluates, so `Polynomial._value`
+    # stops every term through x3 at it
     c = _x1_x3_times_x2_x3(domain)
     assert (pit_test(c).witness, pit_test(_with_negated_twins(c)).verdict) == (
         (1, 1, 0), "zero")
-    assert chunk_calls and multiplied
-    assert all(cols[2] is None for _, cols in chunk_calls)
-    assert 2 not in multiplied
+    assert point_calls and all(pt[2] == 0 for pt in point_calls)
 
 
 def _zero_at_origin(c):
@@ -1014,22 +962,9 @@ def _zero_at_origin(c):
 
 @DOMAINS
 def test_rewritten_circuits_with_scalar_call_arguments_agree_with_the_reference(
-        monkeypatch, domain):
-    scalar_args = []
-    real_chunk, real_value = pit._evaluate_chunk, pit._column_value
-
-    def chunk_spy(c, cols):
-        chunk_spy.cols = cols
-        return real_chunk(c, cols)
-
-    def value_spy(poly, cols, powers):
-        if cols is not chunk_spy.cols:  # a call node's arguments
-            scalar_args.extend(not isinstance(a, np.ndarray) for a in cols)
-        return real_value(poly, cols, powers)
-    monkeypatch.setattr(pit, "_evaluate_chunk", chunk_spy)
-    monkeypatch.setattr(pit, "_column_value", value_spy)
+        value_counts, domain):
     circuits = [_zero_at_origin(_rewritten(s, domain)) for s in range(3)]
     circuits.append(_with_negated_twins(_rewritten(1, domain)))
     assert _check_against_reference(circuits) == {"zero", "later"}
-    # on the first axis the other inputs' columns are scalars
-    assert any(scalar_args) and not all(scalar_args)
+    # past the origin, call nodes were evaluated at their scalar arguments
+    assert any(other for _, other in value_counts)

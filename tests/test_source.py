@@ -135,11 +135,12 @@ def test_every_imported_package_is_a_declared_dependency():
 
 
 def test_only_pit_imports_numpy():
-    # every elimination runs on plain ints: numpy serves only the vectorized
-    # hitting-set scan, and mpmath only the interval bounds in pit and nw.
-    # Both are imported inside the functions that use them, so a process
-    # that needs neither never pays for loading them
-    allowed = {"numpy": {"pit.py"}, "mpmath": {"pit.py", "nw.py"}}
+    # every elimination and the hitting-set scan run on plain ints and
+    # Fractions: no module imports numpy (test_no_module_imports_sympy), and
+    # mpmath serves only the interval bounds in pit and nw, imported inside
+    # the functions that use them, so a process that needs none never pays
+    # for loading it
+    allowed = {"mpmath": {"pit.py", "nw.py"}}
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -154,10 +155,11 @@ def test_only_pit_imports_numpy():
 
 
 def test_no_module_imports_sympy():
-    # sympy is the tests' outside oracle (the `test` extra), not a dependency
-    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+    # sympy is the tests' outside oracle (the `test` extra), not a
+    # dependency; numpy is neither
+    found = [f"{path.name}:{node.lineno} {name}" for path in sorted(SRC.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-             if "sympy" in _imported_modules(node)]
+             for name in _imported_modules(node) & {"sympy", "numpy"}]
     assert found == []
 
 
