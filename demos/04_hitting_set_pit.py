@@ -35,7 +35,7 @@ zero = Circuit(Q, 2, DeclaredBounds(d=2, k=2, delta=2), [
 rep = pit_test(zero, mode="both", expansion_term_cap=10_000)
 print("\nplanted zero:", rep.verdict,
       "| cross-checks consistent:", rep.consistent,
-      "| points scanned:", rep.hitting_set_size)
+      "| hitting-set size:", rep.hitting_set_size)
 
 nonzero = Circuit(Q, 2, DeclaredBounds(d=1, k=2, delta=2),
                   [Gate("product", [x1, x2])])

@@ -18,20 +18,43 @@ them, is constant along K.  I is the greedy independent columns of the
 partial derivatives, so F^N = span(e_I) + K, a direct sum: C == 0 if and
 only if C with every x_j, j not in I, set to 0 is, a circuit of the same
 class in |I| variables that the points of H supported on I hit.  When p
-is at most some inner degree, I is every variable.  The scan is one
-sequential pass over those points in H's order and stops at the first
-nonzero evaluation: its witness is the first nonzero point of H supported
-on I (not always H's first nonzero point), and its index is the point's
-position in H.
+is at most some inner degree, I is every variable.
+
+Of those points the scan visits only the principal lattice, the ones whose
+value indices sum to at most delta (Chung and Yao, "On lattices admitting
+unique Lagrange interpolations", SIAM J. Numer. Anal. 14, 1977):
+C(|I| + delta, delta) points in place of (delta + 1)^|I|.  The circuit's
+total degree is at most delta, since `Circuit` checks every gate's formal
+degree, and so is f, the circuit with x_j = 0 off I.
+
+Lemma.  Let f have total degree <= delta and take distinct w_0 = 0, w_1,
+..., w_delta.  The first point of the grid {w}^m, in H's order, where f is
+nonzero has value indices a with sum(a) <= delta.  Proof: let that point
+have support S, s = |S|.  Every point of smaller support comes first, so
+f restricted to S vanishes on the whole grid of each face x_v = 0, v in S,
+and prod_{v in S} x_v divides it: f|_S = prod x_v * g, deg g <= delta - s.
+Inside support S the order is lex on b = a - 1.  g vanishes at every
+b' < b: each earlier slice g(w_{b'+1}, .) vanishes on a grid too large for
+its degree, so prod_{b' < b_1} (x_1 - w_{b'+1}) divides g and b_1 <= deg g;
+recurse on the other coordinates with deg g - b_1.  So sum(b) <= delta - s
+and sum(a) <= delta.
+
+The points of H on I are a prefix of the grid {w}^|I| in its order, even
+when ell < |I|, so the scan's first nonzero lattice point is the first
+nonzero point of H supported on I: its witness (not always H's first
+nonzero point) and its index, the point's position in H, are those of the
+full scan over I.  A zero verdict evaluates C(|I| + delta, delta) - 1
+points past the origin; when min(delta, |I|) <= ell every lattice point is
+in H and the verdict rests on delta alone, not on k or the support bound.
 
 The scan evaluates the origin through `evaluate_circuit` and every other
-point exactly, one at a time, in the order `_supports` yields them: first
+point exactly, one at a time, in the order `_lattice` yields them: first
 the axis of v0 = min I, found without I (`_first_axis`), then the other
-points supported on I, which is computed only past that axis.  At each
-point every distinct inner polynomial is evaluated once, and each gate
-folds its own outer DAG over those values: nothing is compiled or copied.
-The witness is re-evaluated through `evaluate_circuit` before it is
-returned.
+lattice points supported on I, which is computed only past that axis.  At
+each point every distinct inner polynomial is evaluated once, and each
+gate folds its own outer DAG over those values: nothing is compiled or
+copied.  The witness is re-evaluated through `evaluate_circuit` before it
+is returned.
 
 The support bound is computed in floats and accepted only when its value is
 far from every integer; near an integer, or beyond the float range, it
@@ -173,6 +196,21 @@ def _supports(coords, ell: int, delta: int):
                 yield support, values
 
 
+def _lattice(coords, ell: int, delta: int):
+    """The pairs of `_supports(coords, ell, delta)` whose values sum to at
+    most delta, in the same order, generated directly: j values a >= 1 with
+    sum <= delta are the gaps of their partial sums, a j-subset of
+    {1..delta}, and `combinations` lists those in lex order, as `product`
+    lists the values.  With ell >= min(len(coords), delta) there are
+    C(len(coords) + delta, delta) - 1 pairs."""
+    for j in range(1, min(ell, delta) + 1):
+        simplex = [tuple(b - a for a, b in zip((0,) + sums, sums))
+                   for sums in combinations(range(1, delta + 1), j)]
+        for support in combinations(coords, j):
+            for values in simplex:
+                yield support, values
+
+
 def hitting_set(nvars: int, delta: int, ell: int, domain, *,
                 point_cap: int = DEFAULT_POINT_CAP) -> HittingSet:
     """All points with at most ell nonzero coordinates valued in {1..delta}.
@@ -289,7 +327,10 @@ def _scan(c: Circuit, ell: int, values):
     """The first witness among the points of H supported on the essential
     coordinates, in H's order, and its index in H; or (None, None).  The
     origin goes first, then v0's axis, and only then is I computed and the
-    rest of its points scanned, one exact evaluation per point."""
+    rest of its points scanned, one exact evaluation per point.  Only the
+    points whose value indices sum to at most delta are visited: by the
+    module docstring's lemma (Chung and Yao, 1977) the first nonzero point
+    of H on I is among them."""
     dom = c.domain
     # the origin goes through evaluate_circuit: most witnesses are there
     origin = (values[0],) * c.nvars
@@ -301,11 +342,11 @@ def _scan(c: Circuit, ell: int, values):
         return None, None  # H is the origin alone, or every inner is constant
 
     def points():  # every enumeration over I starts on v0's axis: I comes after it
-        yield from _supports([v0], 1, delta)
+        yield from _lattice([v0], 1, delta)
         essential = _essential(c, qs, reduces)
         if essential[:1] != [v0]:
             raise AssertionError("v0 is not the first essential coordinate (internal bug)")
-        yield from islice(_supports(essential, min(ell, len(essential)), delta), delta, None)
+        yield from islice(_lattice(essential, min(ell, len(essential)), delta), delta, None)
 
     where = {q: i for i, q in enumerate(qs)}
     folds = [(g.outer, [where[q] for q in g.inner]) for g in c.gates]
@@ -386,11 +427,13 @@ def pit_test(c: Circuit, mode: str = "hitting-set", *, seed: int = 0,
     for homogeneous-component slicing, so no component circuits are built);
     a zero verdict is certified for circuits within their declared bounds.
     Past the origin only the points supported on the essential coordinates
-    are scanned (module docstring); the witness is the first nonzero one in
-    the hitting set's order, and `witness_index` its position in the whole
-    set, whose size `hitting_set_size` still is.  oracle mode runs the
-    randomized test alone; both mode cross-checks the two and, when a term
-    cap allows, full expansion as well.  The scan is sequential.
+    I whose value indices sum to at most delta are scanned, the principal
+    lattice (Chung and Yao, 1977; module docstring); the witness is still
+    the first nonzero point of H on I in the hitting set's order, and
+    `witness_index` its position in the whole set, whose size
+    `hitting_set_size` still is.  oracle mode runs the randomized test
+    alone; both mode cross-checks the two and, when a term cap allows, full
+    expansion as well.  The scan is sequential.
     `expansion_term_cap` also caps the annihilator searches of
     `certify_rank` (`DEFAULT_TERM_CAP` when None).
     """

@@ -14,7 +14,7 @@ from rankpit.algdep import rewrite_circuit
 from rankpit.circuit import (Circuit, DeclaredBounds, Gate, OuterExpr,
                              evaluate_circuit, expand, parse, serialize)
 from rankpit.domains import PrimeField, Rationals
-from rankpit.errors import FieldTooSmall, InvalidParams, SetTooLarge
+from rankpit.errors import BoundViolation, FieldTooSmall, InvalidParams, SetTooLarge
 from rankpit.pit import (hitting_set, hitting_set_size, pit_test,
                          schwartz_zippel_test, support_bound)
 from rankpit.poly import Polynomial, compose, mono_support
@@ -84,6 +84,20 @@ def _reference_points(nvars, ell, values):
                 for v, val in zip(support, nonzero):
                     point[v] = val
                 yield tuple(point)
+
+
+def _lattice_points(nvars, ell, values):
+    """The points of `_reference_points` whose value indices sum to at most
+    delta = |W| - 1, in the same order: the principal lattice L_delta."""
+    return [pt for pt in _reference_points(nvars, ell, values)
+            if sum(values.index(a) for a in pt) <= len(values) - 1]
+
+
+def _lattice_size(nvars, delta, ell):
+    """The number of points of H in nvars variables whose value indices sum
+    to at most delta, counted over the full grid {0..delta}^nvars."""
+    return sum(1 for a in product(range(delta + 1), repeat=nvars)
+               if sum(a) <= delta and len([x for x in a if x]) <= ell)
 
 
 def _fraction_text(value):
@@ -635,9 +649,11 @@ def _x1_x2_plus_x3_x4(domain):
 def test_a_zero_scan_visits_every_point_in_enumeration_order(point_calls, domain):
     rep = pit_test(_with_negated_twins(_x1_x2_plus_x3_x4(domain)))
     assert (rep.verdict, rep.ell_used) == ("zero", 4)
-    # x1's axis first, then every other point of H, across support sizes
+    # x1's axis first, then every other point of H whose value indices sum
+    # to at most delta, across support sizes: C(4 + 2, 2) = 15 with the origin
     values = tuple(domain.coerce(i) for i in range(3))
-    assert [values[:1] * 4] + point_calls == list(_reference_points(4, 4, values))
+    assert [values[:1] * 4] + point_calls == _lattice_points(4, 4, values)
+    assert len(point_calls) == comb(4 + 2, 2) - 1
     c = _x1_x2(domain)
     rep = pit_test(c)
     assert (rep.witness, rep.witness_index) == _scalar_reference(c, rep.ell) == (
@@ -786,7 +802,7 @@ def test_essential_scan_agrees_with_expansion_and_the_reference(point_calls, dom
             points = hitting_set(c.nvars, c.declared.delta, rep.ell, domain).points
             assert points.index(rep.witness) == rep.witness_index
         else:
-            assert len(point_calls) == hitting_set_size(
+            assert len(point_calls) == _lattice_size(
                 len(essential), c.declared.delta, rep.ell) - 1
         kinds[rep.verdict, len(essential) < c.nvars, rep.witness_index == 0] += 1
     # zero and nonzero verdicts, past the origin, with coordinates dropped
@@ -802,7 +818,7 @@ def test_reduction_is_skipped_when_p_is_at_most_an_inner_degree(point_calls):
         Gate(OuterExpr(2, [("input", 0)], 0), [v[0], v[1].pow(3)])]))
     assert pit._essential(c, *pit._inners(c)) == [0, 1]
     assert pit_test(c).verdict == "zero"
-    assert len(point_calls) == hitting_set_size(2, 1, 2) - 1 == 3
+    assert len(point_calls) == _lattice_size(2, 1, 2) - 1 == 2
     # the columns alone would drop x2
     assert _essential_reference(c) == [0]
 
@@ -844,7 +860,7 @@ def test_origin_verdicts_never_compute_the_essential_coordinates(
             continue
         assert len(found) == 1
         if rep.verdict == "zero":
-            assert len(point_calls) == hitting_set_size(
+            assert len(point_calls) == _lattice_size(
                 len(found[0]), c.declared.delta, rep.ell) - 1
             kinds["zero"] += 1
     assert kinds["origin"] and kinds["axis"] and kinds["zero"]
@@ -906,7 +922,7 @@ def test_the_first_axis_is_the_first_variable_that_occurs(essential_calls, point
     point_calls.clear()
     assert pit_test(zero).verdict == "zero"
     assert essential_calls == [[1, 2]]
-    assert len(point_calls) == hitting_set_size(2, 2, 2) - 1
+    assert len(point_calls) == _lattice_size(2, 2, 2) - 1 == 5
     assert all(pt[0] == 0 for pt in point_calls)
 
 
@@ -939,7 +955,7 @@ def test_the_axis_spans_two_arrays(essential_calls, point_calls, domain):
     assert _check_against_reference([_with_negated_twins(c)]) == {"zero"}
     assert len(essential_calls) == 1
     assert point_calls[:7] == [(a, 0) for a in range(1, 8)]
-    assert len(point_calls) == hitting_set_size(2, 7, 2) - 1
+    assert len(point_calls) == _lattice_size(2, 7, 2) - 1 == 35
 
 
 @pytest.mark.parametrize("domain", [Q, FP], ids=["Q", "F1000003"])
@@ -968,3 +984,141 @@ def test_rewritten_circuits_with_scalar_call_arguments_agree_with_the_reference(
     assert _check_against_reference(circuits) == {"zero", "later"}
     # past the origin, call nodes were evaluated at their scalar arguments
     assert any(other for _, other in value_counts)
+
+
+# ----------------------------------------------------------------------
+# the principal lattice: past the origin, the scan visits only the points
+# of H on I whose value indices sum to at most delta
+
+@pytest.mark.parametrize("nvars,ell,delta,first", [
+    (0, 0, 3, 4096), (4, 0, 3, 4096), (4, 3, 0, 4096), (5, 2, 3, 4096),
+    (5, 3, 2, 4096), (6, 4, 1, 5), (3, 3, 2, 5), (2, 2, 4, 7),
+    (3, 3, 17, 4096), (4, 4, 3, 5), (6, 6, 6, 0)])
+def test_the_lattice_is_the_grid_filtered_by_index_sum(nvars, ell, delta, first):
+    # as the scan takes it, the first coordinate's axis and then the rest
+    coords = range(first, first + nvars)
+    points = list(pit._lattice(coords, ell, delta))
+    if points:
+        assert (list(pit._lattice(coords[:1], 1, delta))
+                + list(islice(pit._lattice(coords, ell, delta), delta, None))) == points
+    rows = [(0,) * nvars]
+    for support, values in points:
+        row = [0] * nvars
+        for v, a in zip(support, values):
+            row[v - first] = a
+        rows.append(tuple(row))
+    assert rows == _lattice_points(nvars, ell, tuple(range(delta + 1)))
+    if ell >= min(nvars, delta):
+        assert len(rows) == comb(nvars + delta, delta)
+
+
+def _degree_bounded(rng, domain, m, delta):
+    """A seeded polynomial of total degree <= delta in m variables: a product
+    of affine factors plus sparse terms.  The factors x_v - w_b, b < a_v, for
+    a random a with sum <= delta make a staircase whose first nonzero point
+    of the grid is a itself; random affine factors fill the degree left."""
+    a = [0] * m
+    for _ in range(rng.randrange(delta + 1)):
+        a[rng.randrange(m)] += 1
+    factors = [_linear(domain, m, {v: 1}, -b) for v in range(m) for b in range(a[v])]
+    for _ in range(rng.randrange(delta - sum(a) + 1)):
+        factors.append(_linear(domain, m, {v: rng.randrange(-2, 3) for v in range(m)},
+                               rng.randrange(-2, 3)))
+    f = Polynomial.constant(domain, m, rng.randrange(1, 4))
+    for factor in factors:
+        f = f * factor
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        mono = Counter(rng.choices(range(m), k=rng.randrange(delta + 1)))
+        f = f + Polynomial(domain, m, {tuple(sorted(mono.items())): rng.randrange(-3, 4)})
+    return f
+
+
+@pytest.mark.parametrize("domain", [PrimeField(7), PrimeField(11), Q], ids=["F7", "F11", "Q"])
+def test_the_first_nonzero_grid_point_lies_on_the_lattice(domain):
+    # a polynomial of total degree <= delta that is nonzero on the grid
+    # {w_0..w_delta}^m is first nonzero, in H's order, at a point whose
+    # value indices sum to at most delta (Chung and Yao, 1977)
+    rng = random.Random(44_000 + domain.characteristic)
+    sums = Counter()
+    for _ in range(600):
+        m, delta = rng.randrange(1, 5), rng.randrange(1, 6)
+        f = _degree_bounded(rng, domain, m, delta)
+        assert f.degree() <= delta
+        values = tuple(domain.scalars(delta + 1))
+        first = next((pt for pt in _reference_points(m, m, values)
+                      if not domain.is_zero(f.evaluate(pt))), None)
+        if first is None:
+            assert f.is_zero()
+            continue
+        total = sum(values.index(a) for a in first)
+        assert total <= delta, (m, delta, f, first)
+        sums["deep" if total == delta > 1 else "shallow"] += 1
+    # many first nonzero points sit on the lattice's outer face
+    assert sums["deep"] >= 40 and sums["shallow"], sums
+
+
+def _first_on(c, ell, essential):
+    """(witness, index) of the first point of the full grid H, in its order,
+    supported on `essential` where `evaluate_circuit` is nonzero."""
+    values = tuple(c.domain.scalars(c.declared.delta + 1))
+    points = _reference_points(c.nvars, min(ell, c.nvars), values)
+    return next(((pt, i) for i, pt in enumerate(points)
+                 if all(v in essential for v, a in enumerate(pt) if a)
+                 and not c.domain.is_zero(evaluate_circuit(c, pt))), (None, None))
+
+
+@pytest.mark.parametrize("domain", [Q, FP, P31], ids=["Q", "F1000003", "F2^31-1"])
+def test_lattice_witnesses_equal_the_full_grid_references(domain):
+    corpus = _corpus()
+    circuits = [_form_circuit(86_000 + s, domain, zero=s % 3 == 0) for s in range(24)]
+    if domain == FP:
+        circuits += [corpus.random_class_circuit(87_000 + s, gamma_outer=s % 2 == 1,
+                                                 zero=s % 4 == 0) for s in range(16)]
+    kinds = Counter()
+    for c in circuits:
+        rep = pit_test(c)
+        essential = _essential_reference(c)
+        assert (rep.witness, rep.witness_index) == _first_on(c, rep.ell, essential)
+        if len(essential) == c.nvars:
+            assert (rep.witness, rep.witness_index) == _scalar_reference(c, rep.ell)
+        past_axis = (rep.witness_index or 0) > c.declared.delta
+        kinds[rep.verdict, len(essential) < c.nvars, past_axis] += 1
+    # planted zeros with |I| < N, and witnesses past H's first axis
+    assert kinds["zero", True, False]
+    assert kinds["nonzero", True, True] + kinds["nonzero", False, True]
+
+
+@pytest.mark.parametrize("domain", [Q, FP], ids=["Q", "F1000003"])
+@pytest.mark.parametrize("m,delta", [(2, 2), (3, 2), (2, 3), (4, 1)])
+def test_the_lattice_rests_on_the_checked_degree_bound(domain, m, delta):
+    # prod_{k=0..delta} (x1 + ... + xm - k) vanishes at every point of
+    # L_delta, whose value indices sum to 0..delta, but not on the grid: its
+    # degree is delta + 1, which a circuit declared at delta refuses
+    factors = [_linear(domain, m, {v: 1 for v in range(m)}, -k) for k in range(delta + 1)]
+    f = factors[0]
+    for g in factors[1:]:
+        f = f * g
+    values = tuple(domain.scalars(delta + 1))
+    assert all(domain.is_zero(f.evaluate(pt)) for pt in _lattice_points(m, m, values))
+    assert any(not domain.is_zero(f.evaluate(pt)) for pt in _reference_points(m, m, values))
+    with pytest.raises(BoundViolation, match="delta"):
+        Circuit(domain, m, DeclaredBounds(d=1, k=1, delta=delta), [Gate("product", factors)])
+    c = Circuit(domain, m, DeclaredBounds(d=1, k=1, delta=delta + 1), [Gate("product", factors)])
+    rep = pit_test(c)
+    assert (rep.witness, rep.witness_index) == _scalar_reference(c, rep.ell)
+    assert rep.verdict == "nonzero"
+
+
+def test_an_eight_variable_planted_zero_scans_the_lattice(essential_calls, point_calls):
+    # (x1x2 + x3x4)(x5x6 + x7x8) and its negation, delta = 4: I is all eight
+    # variables, so H on I is the grid {0..4}^8 of 390,625 points, and the
+    # scan visits its C(8 + 4, 4) = 495 lattice points
+    v = [Polynomial.variable(FP, 8, i) for i in range(8)]
+    left, right = v[0] * v[1] + v[2] * v[3], v[4] * v[5] + v[6] * v[7]
+    c = Circuit(FP, 8, DeclaredBounds(d=2, k=2, delta=4), [
+        Gate("product", [left, right]), Gate("product", [left.scale(-1), right])])
+    rep = pit_test(c)
+    assert (rep.verdict, rep.ell_used, rep.hitting_set_size) == ("zero", 8, 5 ** 8)
+    assert essential_calls == [list(range(8))]
+    assert len(point_calls) == len(set(point_calls)) == comb(8 + 4, 4) - 1 == 494
+    assert all(0 < sum(pt) <= 4 for pt in point_calls)
