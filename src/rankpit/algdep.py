@@ -404,11 +404,11 @@ def reconstruct_dependence(qs: list[Polynomial], basis, a, *,
     """
     basis = _checked_basis(qs, basis)
     dom = qs[0].domain
-    b_polys = [qs[b].translate(a) for b in basis]
+    b_polys = [qs[b].translate(a, term_cap=term_cap) for b in basis]
     trunc = {i: qs[i].degree() for i in range(len(qs)) if i not in basis}
     f_map: dict = {}
     for i, d_i in trunc.items():
-        target = qs[i].translate(a)
+        target = qs[i].translate(a, term_cap=term_cap)
         if not basis:
             # rank-0 tuple: every polynomial is a constant
             f_map[i] = Polynomial.constant(dom, 0, target.coefficient(()))
@@ -448,8 +448,8 @@ def newton_reconstruct(qs: list[Polynomial], basis, a, i: int,
     R = (annihilator or _annihilator([qs[b] for b in basis] + [qs[i]], None, term_cap, None)).R
     dR = R.partial_derivative(((len(basis), 1),))
     d_i = qs[i].degree()
-    target = qs[i].translate(a)
-    b_translated = [qs[b].translate(a) for b in basis]
+    target = qs[i].translate(a, term_cap=term_cap)
+    b_translated = [qs[b].translate(a, term_cap=term_cap) for b in basis]
     y0 = target.coefficient(())
     l0 = dR.evaluate([b.coefficient(()) for b in b_translated] + [y0])
     if dom.is_zero(l0):
@@ -507,7 +507,7 @@ def rewrite_circuit(c: Circuit, seed: int = 0, *,
 
 
 def _rewrite_gate(g: Gate, witness: DependenceWitness, dom, nvars: int, term_cap) -> Gate:
-    b_translated = [g.inner[b].translate(witness.a) for b in witness.basis]
+    b_translated = [g.inner[b].translate(witness.a, term_cap=term_cap) for b in witness.basis]
     # input u is the component of degree weight[u] of a basis member; ids[pos]
     # lists the inputs of the member at basis position pos
     comp_polys: list[Polynomial] = []

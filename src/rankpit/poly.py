@@ -248,15 +248,15 @@ class Polynomial:
                           {m: c for m, c in self.terms.items() if mono_degree(m) <= i},
                           _normalized=True)
 
-    def translate(self, point) -> "Polynomial":
-        """P(X + a): the composition with X_j + a_j, uncapped."""
+    def translate(self, point, term_cap: int | None = None) -> "Polynomial":
+        """P(X + a), composed with X_j + a_j; ExpansionTooLarge past term_cap terms."""
         if len(point) != self.nvars:
             raise DimensionMismatch(f"point has {len(point)} coords, nvars={self.nvars}")
         a = [self.domain.coerce(c) for c in point]  # each one, so a bad one raises
         # X_j + a_j, a_j = N_j/D_j, as [(X_j, D_j), (1, N_j)] over D_j, for each j that occurs
         forms = {j: ([(((j, 1),), 1, a[j].denominator)] + [((), 0, a[j].numerator)] * bool(a[j]),
                      a[j].denominator) for j in {v for m in self.terms for v, _ in m}}
-        return _horner(self, forms, self.nvars, None, None)
+        return _horner(self, forms, self.nvars, term_cap, None)
 
     def dilate(self, z) -> "Polynomial":
         """P(z*X): each degree-j term picks up a factor z^j."""
@@ -561,85 +561,69 @@ def _horner(outer: Polynomial, forms: dict, nvars: int, term_cap: int | None,
     sum, and the parts whose monomials differ only in their exponent e of v
     fold into sum_e part_e * inner_v^e.  `led` files each part under its
     leading variable, so the pass for v visits only the parts that hold v
-    (`_by_rest`), and the sums fold in the order of their first terms in
-    outer.  A sum costs its smaller operand (`_add`), so a part that keeps
-    absorbing small ones is stored backward.  The inners are brought to one
-    den L, and a term c*z^m of outer enters as c*L^(D-|m|), D = deg(outer):
-    then each partial sum is a power of L times the one over Q, so terms
-    cancel where the Fraction sums do; term_cap is checked after each sum
-    too.  A part is dropped once it is folded in, and one Fraction is built
-    per output term."""
+    (`_by_rest`), and a sum costs its smaller operand (`_add`).  The inners
+    are brought to one den L, and a term c*z^m of outer enters as
+    c*L^(D-|m|), D = deg(outer): then each partial sum is a power of L times
+    the one over Q, so terms cancel where the Fraction sums do; term_cap is
+    checked after each sum and on the result too.  A part is dropped once it
+    is folded in, and one Fraction is built per output term.  The order of
+    the output terms is unspecified."""
     p = outer.domain.characteristic
     terms, den_outer = outer._int_form()
     top = max((deg for _, deg, _ in terms), default=0)
     den = math.lcm(*(den for _, den in forms.values()))
     layout = _Layout([ts for ts, _ in forms.values()], top, degree_cap)
-    # parts: rest -> (index in outer of its first term, packed sum, stored
-    # backward?); led: leading variable (None for the rest 1) -> its rests
+    # parts: rest -> packed sum; led: leading variable (None for the rest 1) -> its rests
     parts, led = {}, {}
-    for i, (m, deg, c) in enumerate(terms):
-        parts[m] = (i, {0: c * den ** (top - deg)}, False)
+    for m, deg, c in terms:
+        parts[m] = {0: c * den ** (top - deg)}
         led.setdefault(m[0][0] if m else None, []).append(m)
     for v in sorted(forms):
         ts, d_v = forms[v]
         factor = layout.pack(ts, den // d_v)
-        for first, rest, by_exp in _by_rest(parts, led.pop(v)):
-            _, acc, back = by_exp[high := max(by_exp)]
+        for rest, by_exp in _by_rest(parts, led.pop(v)).items():
+            acc = by_exp[high := max(by_exp)]
             for e in range(high - 1, -1, -1):
-                acc = _packed_product(dict(reversed(acc.items())) if back else acc,
-                                      factor, p, layout.limit, term_cap)
-                back = False
+                acc = _packed_product(acc, factor, p, layout.limit, term_cap)
                 if e in by_exp:
-                    acc, back = _add(acc, by_exp[e], p)
-                if term_cap is not None and len(acc) > term_cap:
-                    raise ExpansionTooLarge(len(acc), term_cap)
+                    acc = _add(acc, by_exp[e], p)
+                    if term_cap is not None and len(acc) > term_cap:
+                        raise ExpansionTooLarge(len(acc), term_cap)
             if rest not in parts:
                 led.setdefault(rest[0][0] if rest else None, []).append(rest)
-            parts[rest] = (first, acc, back)
-    _, total, back = parts.get((), (0, {}, False))
+            parts[rest] = acc
+    total = parts.get((), {})
+    if term_cap is not None and len(total) > term_cap:  # also where no product ran
+        raise ExpansionTooLarge(len(total), term_cap)
     return Polynomial(outer.domain, nvars,
-                      layout.unpack(dict(reversed(total.items())) if back else total,
-                                    None if p else den ** top * den_outer),
+                      layout.unpack(total, None if p else den ** top * den_outer),
                       _normalized=True)
 
 
-def _add(a: dict, part: tuple, p: int) -> tuple[dict, bool]:
-    """a + b, part = (_, b, back), in a's term order and then b's new terms,
-    as (sum, stored backward?); b is stored backward when `back`.  The
-    smaller one is added into the larger in place: into a forward, or else
-    into b backward, where a's terms, reversed, go after b's.  So a sum
-    costs the smaller size."""
-    _, b, back = part
-    if len(a) >= len(b):
-        for m, c in reversed(b.items()) if back else b.items():
-            s = a.get(m, 0) + c
-            if p:
-                s %= p
-            if s:
-                a[m] = s
-            else:  # c != 0, so m was in a
-                del a[m]
-        return a, False
-    if not back:
-        b = dict(reversed(b.items()))
-    for m, c in reversed(a.items()):  # each term of a moves to b's end
-        s = b.pop(m, 0) + c
+def _add(a: dict, b: dict, p: int) -> dict:
+    """a + b: the smaller one is added into the larger in place, and that
+    one is returned, so a sum costs the smaller size."""
+    if len(a) < len(b):
+        a, b = b, a
+    for m, c in b.items():
+        s = a.get(m, 0) + c
         if p:
             s %= p
         if s:
-            b[m] = s
-    return b, True
+            a[m] = s
+        else:  # c != 0, so m was in a
+            del a[m]
+    return a
 
 
-def _by_rest(parts: dict, monos: list) -> list:
+def _by_rest(parts: dict, monos: list) -> dict:
     """The parts at `monos`, which all lead with one variable v, popped and
-    grouped by rest as (first, rest, {e: part}), with the part at the rest
-    as e = 0 (it stays in `parts`), in the order of their first terms in
-    outer.  A part is (first, sum, backward?), and no two share a first."""
+    grouped as {rest: {e: part}}, with the part at the rest as e = 0 (it
+    stays in `parts`)."""
     groups: dict = {}
     for mono in monos:
         groups.setdefault(mono[1:], {})[mono[0][1]] = parts.pop(mono)
     for rest, by_exp in groups.items():
         if rest in parts:
             by_exp[0] = parts[rest]
-    return sorted((min(by_exp.values())[0], rest, by_exp) for rest, by_exp in groups.items())
+    return groups

@@ -506,6 +506,20 @@ def test_expansion_cap_honored_by_every_annihilator_search(tmp_path, command):
     assert (code, error["error"], error["cap"]) == (2, "ExpansionTooLarge", 1)
 
 
+def test_depend_translates_under_the_term_cap(tmp_path):
+    """(x1, x1^300 + x2, x2) has rank 2 in 2 variables, so no annihilator is
+    searched; the translate of x1^300 + x2 has 302 terms and meets the cap."""
+    polys = [[{"coeff": "1", "mono": {"1": 1}}],
+             [{"coeff": "1", "mono": {"1": 300}}, {"coeff": "1", "mono": {"2": 1}}],
+             [{"coeff": "1", "mono": {"2": 1}}]]
+    path = tmp_path / "power.json"
+    path.write_text(json.dumps({"field": {"type": "rational"}, "nvars": 2, "polys": polys}))
+    code, out = cli.run(["depend", "--poly-file", str(path), "--json", "--cap-expansion", "50"])
+    error = json.loads(out)
+    assert (code, error["error"], error["cap"]) == (2, "ExpansionTooLarge", 50)
+    assert error["terms"] > 50
+
+
 def test_independent_tuple_is_certified_before_the_term_cap(tmp_path):
     """p1, p2, p3 in 6 variables are independent: one Jacobian evaluation
     answers before any column meets the term cap."""

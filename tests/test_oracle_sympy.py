@@ -14,7 +14,8 @@ minimal annihilator must generate the elimination ideal that sympy's lex
 Groebner basis gives.  `Polynomial.mul` (with and without its degree and
 term caps), `compose`, `translate` and `partial_derivative`, on small
 hypothesis-drawn polynomials, must give what `sympy.expand` and
-`sympy.diff` give.
+`sympy.diff` give; so must `compose` and `translate` on wide ones, with many
+variables and few terms.
 """
 
 import random
@@ -402,3 +403,34 @@ def test_partial_derivative_agrees_with_sympy(dom, data):
     for v, g in gamma:
         expected = sympy.diff(expected, xs[v], g)
     assert _agrees(q.partial_derivative(gamma), expected, xs)
+
+
+def _wide_polynomials(dom, nvars, max_terms, max_exp=2):
+    """Polynomials over dom in nvars variables, up to max_terms terms, each
+    term in at most 2 of them with exponents at most max_exp."""
+    mono = st.dictionaries(st.integers(0, nvars - 1), st.integers(1, max_exp), max_size=2).map(
+        lambda d: tuple(sorted(d.items())))
+    return st.dictionaries(mono, _coefficients(dom), max_size=max_terms).map(
+        lambda terms: Polynomial(dom, nvars, terms))
+
+
+@pytest.mark.parametrize("dom", [Q, FP], ids=str)
+@_DRAWS
+@given(data=st.data())
+def test_wide_compose_and_translate_agree_with_sympy(dom, data):
+    """Many variables and few terms, the shape in which Horner's rule meets
+    many small parts: an outer in 40 variables composed with 40 sparse inners
+    in 30 variables, and translated at a point of mostly zeros."""
+    t, nvars = 40, 30
+    outer = data.draw(_wide_polynomials(dom, t, max_terms=10))
+    used = {v for m in outer.terms for v, _ in m}
+    inners = [data.draw(_wide_polynomials(dom, nvars, max_terms=2, max_exp=1)) if v in used
+              else Polynomial.zero(dom, nvars) for v in range(t)]
+    point = data.draw(st.lists(st.sampled_from([0, 0, 0, 1, 5]) | _coefficients(dom),
+                               min_size=t, max_size=t))
+    xs = sympy.symbols(f"x1:{nvars + 1}")
+    zs = sympy.symbols(f"z1:{t + 1}")
+    assert _agrees(compose(outer, inners), _sympy_poly(outer, [_sympy_poly(q, xs) for q in inners]),
+                   xs)
+    shifted = [z + _scalar(dom.coerce(a)) for z, a in zip(zs, point)]
+    assert _agrees(outer.translate(point), _sympy_poly(outer, shifted), zs)

@@ -150,6 +150,17 @@ def test_translate_dimension_mismatch():
         x(0).translate([1])
 
 
+def test_translate_meets_the_term_cap():
+    """(x1 + 1)^300 + x2 has 302 terms: a cap of 50 stops the translate past
+    50 terms, and a cap of 302 lets it through."""
+    p = x(0).pow(300) + x(1)
+    with pytest.raises(ExpansionTooLarge) as info:
+        p.translate([1, 0], term_cap=50)
+    assert info.value.cap == 50 and info.value.terms > 50
+    assert p.translate([1, 0], term_cap=302) == p.translate([1, 0])
+    assert p.translate([1, 0]).num_terms() == 302
+
+
 def test_translate_roundtrip_and_degree():
     rng = random.Random(19)
     for dom in (Q, FP):
@@ -602,10 +613,10 @@ def _reference_horner(outer, inners, term_cap=None, degree_cap=None):
 
 
 @pytest.mark.parametrize("dom", [Q, F11, FP], ids=str)
-def test_compose_terms_come_in_horner_order(dom):
-    """Term for term and in order, compose and translate give what Horner's
-    rule on `Polynomial.mul` and `+` gives, and a term cap stops both at
-    the same count."""
+def test_compose_and_translate_equal_plain_horner(dom):
+    """compose and translate give the polynomial that Horner's rule on
+    `Polynomial.mul` and `+` gives, and a term cap that stops one stops the
+    other, past the same cap."""
     rng = random.Random(59)
     for _ in range(40):
         f = random_poly(rng, dom, 3, 4).scale(rng.choice([1, Fraction(3, 4)]))
@@ -617,14 +628,12 @@ def test_compose_terms_come_in_horner_order(dom):
         except ExpansionTooLarge as err:
             with pytest.raises(ExpansionTooLarge) as info:
                 compose(f, qs, term_cap=term_cap, degree_cap=cap)
-            assert (info.value.terms, info.value.cap) == (err.terms, err.cap)
+            assert info.value.cap == err.cap and info.value.terms > term_cap
         else:
-            got = compose(f, qs, term_cap=term_cap, degree_cap=cap)
-            assert list(got.terms.items()) == list(expected.terms.items())
+            assert compose(f, qs, term_cap=term_cap, degree_cap=cap) == expected
         a = [rng.choice([0, 2, Fraction(-1, 3)]) for _ in range(3)]
         shifts = [x(j, 3, dom) + const(aj, 3, dom) for j, aj in enumerate(a)]
-        expected = _reference_horner(f, shifts)
-        assert list(f.translate(a).terms.items()) == list(expected.terms.items())
+        assert f.translate(a) == _reference_horner(f, shifts)
 
 
 # ----------------------------------------------------------------------
@@ -769,11 +778,11 @@ def test_horner_work_is_linear_on_a_wide_linear_polynomial(monkeypatch):
         visited.append(len(monos))
         return real_by_rest(parts, monos)
 
-    def add(a, part, p):  # the terms added one by one: those of the operand not kept
-        sizes = len(part[1]), len(a)
-        total, back = real_add(a, part, p)
+    def add(a, b, p):  # the terms added one by one: those of the operand not kept
+        sizes = len(b), len(a)
+        total = real_add(a, b, p)
         summed.append(sizes[total is not a])
-        return total, back
+        return total
     monkeypatch.setattr(poly, "_by_rest", by_rest)
     monkeypatch.setattr(poly, "_add", add)
     n = 500
@@ -793,6 +802,22 @@ def test_compose_term_cap_counts_the_summed_parts():
     with pytest.raises(ExpansionTooLarge) as info:
         compose(outer, inners, term_cap=29)
     assert (info.value.terms, info.value.cap) == (30, 29)
+
+
+@pytest.mark.parametrize("dom", [Q, FP], ids=str)
+def test_a_constant_outer_meets_the_term_cap_as_mul_does(dom):
+    """No product touches a constant outer, and its one term still counts
+    against the cap: compose and translate raise as `mul` does."""
+    error = []
+    for run in (lambda: const(5, 1, dom).mul(const(1, 1, dom), term_cap=0),
+                lambda: compose(const(5, 1, dom), [x(0, 2, dom)], term_cap=0),
+                lambda: const(5, 2, dom).translate([1, 2], term_cap=0)):
+        with pytest.raises(ExpansionTooLarge) as info:
+            run()
+        error.append((info.value.terms, info.value.cap))
+    assert error == [(1, 0)] * 3
+    assert compose(const(5, 1, dom), [x(0, 2, dom)], term_cap=1) == const(5, 2, dom)
+    assert compose(const(0, 1, dom), [x(0, 2, dom)], term_cap=0) == const(0, 2, dom)
 
 
 def test_translate_in_no_variables():
