@@ -1,16 +1,22 @@
 """Algebraic rank, annihilating polynomials, and functional dependence.
 
 The constructive core: certify the algebraic rank of a polynomial tuple,
-exhibit a minimal-degree annihilator as the first dependent column in
-graded order, and reconstruct every dependent polynomial as a truncated
+exhibit a minimal-degree annihilator as the first dependent column in a
+monomial order, and reconstruct every dependent polynomial as a truncated
 polynomial function of a transcendence basis after a good translation, as
-the first dependency on it in that graded stream; both searches ask the one
-span query `linalg.dependent_columns`, over the power products that
+the first dependency on it in the graded-lex stream; both searches ask the
+one span query `linalg.dependent_columns`, over the power products that
 `poly._CompositionTable` builds.  Every annihilator, whether it proves a
 rank, answers `find_annihilator`, tests a translation or seeds the Newton
-lift, comes from the one search `_annihilator`.  A translation a is good
-where L_i(a) = (dA_i/dY)(basis(a), q_i(a)) != 0 for the annihilator A_i of
-(basis, q_i), for every non-basis i: a value, with no polynomial composed.
+lift, comes from the one search `_annihilator`.  Where a Jacobian read
+proves rank >= t-1, its columns come by weighted degree sum_j deg(q_j)*alpha_j
+(ties in graded-lex), up to the annihilator's, that of Perron's bound: the
+annihilators form a principal ideal (A), a height-1 prime of a UFD, and the
+first dependent column in any monomial order is LM(A), so R, monic in
+graded-lex, is as before.  Below rank t-1 the orders can disagree ((x, x^2,
+x^3): z1*z3 - z2^2 or z1^2 - z2).  A translation a is good where L_i(a) =
+(dA_i/dY)(basis(a), q_i(a)) != 0 for the annihilator A_i of (basis, q_i),
+for every non-basis i: a value, with no polynomial composed.
 Then each q_i(X+a) is a truncated polynomial in basis(X+a), so `depend` and
 the rewrite, which never print A_i, search none: they take the first draw
 where that witness exists and checks, no later than the first good one.
@@ -219,7 +225,8 @@ def find_annihilator(qs: list[Polynomial], cap: int | None = None, *,
     smaller leading monomial would make an earlier column dependent, and two
     monic ones with leading monomial z^alpha would differ by one, so R is
     the monic minimal-degree annihilator with order-minimal leading monomial
-    (the dependency test of FGLM).
+    (the dependency test of FGLM).  A read of rank t-1 below weighs z_j by
+    deg q_j, for the same R (module docstring).
 
     The default cap is t*d^(t-1), the annihilator degree bound (k+1)*d^k for
     degree-d inputs of rank k instantiated at the dependent regime k = t-1.
@@ -227,8 +234,8 @@ def find_annihilator(qs: list[Polynomial], cap: int | None = None, *,
     Before any column is built, the Jacobian is evaluated at one fixed
     seeded point of a prime field (`_point_basis`).  Rank t there proves, in
     every characteristic, that no annihilator exists at any degree (see the
-    module docstring), so NoAnnihilatorWithinCap is raised at once; a
-    smaller rank proves nothing and the search runs.
+    module docstring), so NoAnnihilatorWithinCap is raised at once; rank t-1
+    lets the search weigh its columns, and a smaller rank proves nothing.
     """
     if not qs:
         raise InvalidParams("empty tuple has no annihilator")
@@ -238,35 +245,50 @@ def find_annihilator(qs: list[Polynomial], cap: int | None = None, *,
 
 
 def _annihilator(qs: list[Polynomial], cap: int | None, term_cap,
-                 seed: int | None) -> Annihilator:
+                 seed: int | None, ranked: bool = False) -> Annihilator:
     """The one annihilator search, without `find_annihilator`'s checks.
 
     cap=None is the bound t*d^(t-1).  Given a seed, full Jacobian rank at
     the point that `_point_basis` draws from it raises NoAnnihilatorWithinCap
-    before any column is built; seed=None reads no point.  Then the graded
-    column search runs, and its answer is checked by composing it to zero."""
+    before any column is built; seed=None reads no point.  Rank t-1 there, or
+    `ranked`, weighs z_j by deg q_j.  R is checked by composing it to zero."""
+    degrees, t = [q.degree() for q in qs], len(qs)
     if cap is None:
-        cap = len(qs) * max(1, max(q.degree() for q in qs)) ** (len(qs) - 1)
-    if seed is not None and len(_point_basis(qs, random.Random(seed))[1]) == len(qs):
+        cap = t * max(1, *degrees) ** (t - 1)
+    rank = None if seed is None else len(_point_basis(qs, random.Random(seed))[1])
+    if rank == t:
         raise NoAnnihilatorWithinCap(cap)
-    table = _CompositionTable(qs, cap, term_cap=term_cap)
-    j, lam = next(linalg.dependent_columns(table.columns(), table.p), (None, None))
+    table = _CompositionTable(qs, cap, term_cap=term_cap,
+                              weights=degrees if ranked or rank == t - 1 else None)
+    _, lam = next(linalg.dependent_columns(table.columns(), table.p), (None, None))
     if lam is None:
         raise NoAnnihilatorWithinCap(cap)
-    r_poly = table.combination(lam, table.den(table.alphas[j]))
+    order = sorted(lam, key=lambda i: (sum(table.alphas[i]), table.alphas[i]))  # graded-lex
+    lead = table.alphas[order[-1]]
+    r_poly = table.combination({i: lam[i] for i in order}, lam[order[-1]] * table.den(lead))
     if not compose(r_poly, qs, term_cap=term_cap).is_zero():
         raise AssertionError("kernel element does not annihilate (internal bug)")
     return Annihilator(R=r_poly, degree=r_poly.degree())
 
 
-def _point_basis(qs: list[Polynomial], rng: random.Random,
-                 size: int | None = None) -> tuple[list[int], list[int]]:
+def _ranked(qs: list[Polynomial], basis) -> bool:
+    """Whether one `_point_basis` read, mod 2^61 - 1 over Q, proves the basis
+    independent, so that `_annihilator` may weigh each (basis, q_i); made only
+    if the nonconstant members have different degrees: else weights save nothing."""
+    polys = [qs[b] for b in basis]
+    return (len({q.degree() for q in qs} - {0}) > 1 and bool(polys)
+            and len(_point_basis(polys, random.Random(_CERTIFICATE_SEED),
+                                 prime=(1 << 61) - 1)[1]) == len(polys))
+
+
+def _point_basis(qs: list[Polynomial], rng: random.Random, size: int | None = None,
+                 prime: int | None = None) -> tuple[list[int], list[int]]:
     """(point, greedy row basis of `_jacobian_rows` mod p there): p is the
-    characteristic, or over Q the first odd candidate in [2^61, 2^62) that
-    `rng` draws and that is prime, uniform over the primes there; a minor
-    nonzero mod p is nonzero over Q (a ring map).  Then `rng` draws the point
-    from [0, size), size = p by default."""
-    p = qs[0].domain.characteristic
+    characteristic, or over Q the prime given, or else the first odd candidate
+    in [2^61, 2^62) that `rng` draws and that is prime, uniform over the
+    primes there; a minor nonzero mod p is nonzero over Q (a ring map).  Then
+    `rng` draws the point from [0, size), size = p by default."""
+    p = qs[0].domain.characteristic or prime
     while not p:
         c = rng.randrange((1 << 61) + 1, 1 << 62, 2)
         p = c if is_prime(c) else 0
@@ -323,8 +345,8 @@ def sample_good_translation(qs: list[Polynomial], basis,
                             term_cap: int | None = DEFAULT_TERM_CAP) -> tuple:
     """A grid point a where the value L_i(a) (module docstring), read with no
     polynomial composed, is nonzero for every non-basis index i: the Newton
-    lift's precondition.  Each A_i is searched here; `depend` and the rewrite
-    search none, and test a draw by its witness (`_witness_translation`).
+    lift's precondition.  Each A_i is searched here, after one `_ranked` read;
+    `depend` and the rewrite search none, and test a draw by its witness.
 
     The grid is the fixed deterministic scalar set {0, 1, ...} of the size the
     sampler carries; each retry is one uniform draw from grid^N.
@@ -337,10 +359,10 @@ def sample_good_translation(qs: list[Polynomial], basis,
         len(qs), len(basis), max(1, max(q.degree() for q in qs)))
     # (dA_i/dY, (basis..., q_i)) per non-basis i: L_i(a) is the first at the
     # second's values; an entry whose variable dA_i/dY does not read is None
-    pairs = []
+    pairs, ranked = [], _ranked(qs, basis)
     for i in (i for i in range(len(qs)) if i not in basis):
         sub = [qs[b] for b in basis] + [qs[i]]
-        dA = _annihilator(sub, None, term_cap, None).R.partial_derivative(((len(basis), 1),))
+        dA = _annihilator(sub, None, term_cap, None, ranked).R.partial_derivative(((len(basis), 1),))
         read = {v for mono in dA.terms for v, _ in mono}
         pairs.append((dA, [q if j in read else None for j, q in enumerate(sub)]))
 
@@ -445,7 +467,8 @@ def newton_reconstruct(qs: list[Polynomial], basis, a, i: int,
     goodness value L_i(a)), NonConvergence unless y = q_i(X+a)."""
     basis = _checked_basis(qs, basis, i)
     dom = qs[0].domain
-    R = (annihilator or _annihilator([qs[b] for b in basis] + [qs[i]], None, term_cap, None)).R
+    sub = [qs[b] for b in basis] + [qs[i]]
+    R = (annihilator or _annihilator(sub, None, term_cap, None, _ranked(qs, basis))).R
     dR = R.partial_derivative(((len(basis), 1),))
     d_i = qs[i].degree()
     target = qs[i].translate(a, term_cap=term_cap)

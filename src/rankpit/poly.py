@@ -21,9 +21,11 @@ that `algdep` searches.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from fractions import Fraction
+from operator import add
 
 from .errors import (ArityMismatch, DimensionMismatch, DomainMismatch,
                      ExpansionTooLarge, InvalidParams, ZeroPolynomial)
@@ -72,12 +74,12 @@ def grlex_key(m: Mono) -> tuple:
 class Polynomial:
     """Immutable sparse polynomial over an explicit coefficient domain."""
 
-    __slots__ = ("domain", "nvars", "terms", "_int", "_hash")
+    __slots__ = ("domain", "nvars", "terms", "_int", "_hash", "_degree")
 
     def __init__(self, domain, nvars: int, terms: dict, *, _normalized: bool = False):
         self.domain = domain
         self.nvars = nvars
-        self._int = self._hash = None  # `_int_form` and the hash, filled on first use
+        self._int = self._hash = self._degree = None  # filled on first use
         if _normalized:
             self.terms = terms
         else:
@@ -122,7 +124,9 @@ class Polynomial:
 
     def degree(self) -> int:
         """Total degree; 0 for the zero polynomial."""
-        return max((mono_degree(m) for m in self.terms), default=0)
+        if self._degree is None:
+            self._degree = max((mono_degree(m) for m in self.terms), default=0)
+        return self._degree
 
     def num_terms(self) -> int:
         return len(self.terms)
@@ -472,9 +476,10 @@ class _CompositionTable:
     """
 
     def __init__(self, qs: list[Polynomial], cap: int, degree_cap: int | None = None,
-                 term_cap: int | None = DEFAULT_TERM_CAP):
+                 term_cap: int | None = DEFAULT_TERM_CAP, weights: list | None = None):
         self.domain, self.p = qs[0].domain, qs[0].domain.characteristic
         self.cap, self.term_cap, self.alphas = cap, term_cap, []
+        self.weights = weights or [1] * len(qs)  # of the z_j, in `columns`
         int_forms = [q._int_form() for q in qs]
         self.layout = _Layout([terms for terms, _ in int_forms], cap, degree_cap)
         self.factors = [self.layout.pack(terms) for terms, _ in int_forms]
@@ -503,18 +508,29 @@ class _CompositionTable:
         return memo[alpha]
 
     def columns(self):
-        """The columns q^alpha, |alpha| <= cap, ascending in graded-lex order of
-        z^alpha; a degree block is built, and its alphas listed, before it is yielded."""
-        for deg in range(self.cap + 1):
-            block = _dense_monos_exact(len(self.factors), deg)
-            self.alphas.extend(block)
-            yield from [self.get(alpha) for alpha in block]
+        """The columns q^alpha, |alpha| <= cap, built as they are yielded by
+        weighted degree sum_j w_j*alpha_j (all 1 is graded-lex), ties in graded-lex
+        order of z^alpha; a heap holds the successors alpha + e_j, j >= the last
+        index alpha uses, of those yielded, so the work follows the output."""
+        t = len(self.factors)
+        steps = list(zip(self.weights, reversed(_dense_monos_exact(t, 1))))  # w_j, e_j
+        heap = [(0, 0, (0,) * t, 0)]
+        while heap:
+            weight, deg, alpha, last = heapq.heappop(heap)
+            self.alphas.append(alpha)
+            yield self.get(alpha)
+            for j in range(last, t) if deg < self.cap else ():
+                w, e = steps[j]
+                heapq.heappush(heap, (weight + w, deg + 1, tuple(map(add, alpha, e)), j))
 
-    def combination(self, x: dict, den: int) -> Polynomial:
+    def combination(self, x: dict, den) -> Polynomial:
         """sum_i x_i * D^alpha_i / den * z^alpha_i: the combination x of the
-        streamed packed columns, over den, as a polynomial in the q_j."""
-        alphas = self.alphas
-        if not self.p:
+        streamed packed columns, over den != 0, as a polynomial in the q_j."""
+        alphas, p = self.alphas, self.p
+        if p:
+            inv = pow(den, -1, p)
+            x = {i: c * inv % p for i, c in x.items()}
+        else:
             x = {i: c * self.den(alphas[i]) / den for i, c in x.items()}
         return Polynomial(self.domain, len(self.factors),
                           {_dense_to_mono(alphas[i]): c for i, c in x.items()},

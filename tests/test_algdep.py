@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -542,6 +543,39 @@ def test_annihilator_matches_reference_search(dom):
         assert list(got.terms.items()) == list(expected.terms.items())
         found += 1
     assert found >= 40 and missing >= 10
+    for qs in _mixed_degree_tuples(dom):
+        got, expected = find_annihilator(qs).R, _reference_annihilator(qs, 4)
+        assert list(got.terms.items()) == list(expected.terms.items())
+
+
+def _mixed_degree_tuples(dom):
+    """Tuples whose members have different degrees, so that a search which
+    reads rank t-1 weighs its columns: the power sums p1..p(n+1) in n = 2, 3
+    variables; (l, f(l)) with deg f = 3, whose weighted stream meets z1 and z2
+    in another order than the graded-lex one; (x1, x2^3, 2*x2^6 + x1^4),
+    whose weighted leading monomial z2^2 is not its graded-lex one z1^4; and
+    (x, x^2, x^3), of rank t-2, whose annihilators are not one principal
+    ideal: its search weighs nothing, and keeps z1*z3 - z2^2."""
+    x1, x2, x3 = (x(i, 3, dom) for i in range(3))
+    one = Polynomial.constant(dom, 3, 1)
+    ell = x1 + x2.scale(2) - one
+    yield [x1.pow(e) + x2.pow(e) for e in (1, 2, 3)]
+    yield [x1.pow(e) + x2.pow(e) + x3.pow(e) for e in (1, 2, 3, 4)]
+    yield [ell, ell.pow(3).scale(2) - ell + one.scale(3)]
+    yield [x1, x2.pow(3), x2.pow(6).scale(2) + x1.pow(4)]
+    yield [x1, x1.pow(2), x1.pow(3)]
+
+
+def test_the_weighted_stream_stops_at_the_weighted_degree():
+    """(l, l^300): graded-lex would build every column z1^i z2^j, i + j <=
+    300, before z1^300; the weighted stream builds the 302 columns of
+    weighted degree <= 300, which its heap lists without enumerating the
+    columns it does not build."""
+    ell = x(0, dom=FP) + x(1, dom=FP)
+    start = time.perf_counter()
+    ann = find_annihilator([ell, ell.pow(300)])
+    assert time.perf_counter() - start < 2
+    assert ann.R.to_text("z") == "z1^300 + 1000002*z2"
 
 
 # ----------------------------------------------------------------------
@@ -681,7 +715,7 @@ def test_a_corrupted_column_is_caught_by_the_exact_checks(dom, monkeypatch):
             yield {m: 2 * c for m, c in col.items()} if n in corrupt_at else col
 
     monkeypatch.setattr(_CompositionTable, "columns", corrupted)
-    corrupt_at[:] = [1]  # the column q_2 of the search 1, q_2, q_1, ...
+    corrupt_at[:] = [2]  # the column q_2 of the search 1, q_1, q_2, q_1^2, weighed by degree
     with pytest.raises(AssertionError, match="does not annihilate"):
         find_annihilator(qs)
     corrupt_at[:] = [2]  # the column x^2 of the witness search 1, x, x^2
@@ -917,6 +951,20 @@ def test_goodness_values_draw_as_the_composed_certificates(monkeypatch):
             rejected.append(misses)
     assert rejected[-4] == 1  # (x1^2, x1^3), default grid
     assert sum(rejected) >= 20
+
+
+@pytest.mark.parametrize("dom", [Q, FP], ids=str)
+def test_a_dependent_basis_weighs_no_column(dom):
+    """(x, x^2, x^3) with the dependent basis (0, 1): (x, x^2) reads rank 1,
+    so no search weighs its columns, and the graded-lex annihilator
+    z1*z3 - z2^2 gives the translation and the lift it always gave.  Weighed,
+    the search would answer z1^2 - z2, which does not involve q_3: its L_3
+    vanishes at every draw, and the lift raises DerivativeVanishes."""
+    x1 = x(0, dom=dom)
+    qs = [x1, x1.pow(2), x1.pow(3)]
+    a = sample_good_translation(qs, (0, 1))
+    assert a == (198, 168)
+    assert newton_reconstruct(qs, (0, 1), a, 2) == qs[2].translate(a)
 
 
 def _witness_draws(qs, sampler):

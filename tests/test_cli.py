@@ -473,10 +473,11 @@ def _power_sums_file(tmp_path, nvars, count):
 
 
 def test_expansion_cap_honored(tmp_path):
-    """p1..p4 in 3 variables are dependent (t > nvars), so the search runs
-    and meets the term cap."""
+    """p1..p4 in 3 variables are dependent (t > nvars), so the search runs.
+    Its columns stop at the annihilator's weighted degree 4, where p1^4 has
+    15 terms, so it meets a term cap of 10 (under 15 it answers)."""
     code, out = cli.run(["annihilate", "--poly-file", _power_sums_file(tmp_path, 3, 4),
-                         "--json", "--cap-expansion", "20"])
+                         "--json", "--cap-expansion", "10"])
     assert code == 2
     assert json.loads(out)["error"] == "ExpansionTooLarge"
 
