@@ -7,22 +7,26 @@ dependent input is recovered through its functional-dependence witness F:
 one call, inside the outer expression DAG, of F applied to the sums of the
 components, keeping only the terms whose weighted degree (a component of
 degree j weighs j) is at most the input's degree.  The expansion identity
-expand(C')(X) = expand(C)(X+a) is checked on the nose.
+expand(C')(X) = expand(C)(X+a) is checked on the nose, over Q and then over
+the prime field F_1000003: no step of the rewrite depends on the characteristic.
 
 Run:  python demos/02_circuit_rewrite.py
 """
 
-from rankpit import (Circuit, DeclaredBounds, Gate, Polynomial, Rationals,
-                     circuit_size, expand, rewrite_circuit)
+from rankpit import (Circuit, DeclaredBounds, Gate, Polynomial, PrimeField,
+                     Rationals, circuit_size, expand, rewrite_circuit)
 
-Q = Rationals()
-x1 = Polynomial.variable(Q, 2, 0)
-x2 = Polynomial.variable(Q, 2, 1)
 
-# gate 1: the dependent triple; gate 2: a dependent pair
-g1 = Gate("product", [x1 + x2, x1 * x2, x1 * x1 + x2 * x2])
-g2 = Gate("product", [x1, x1 * x1])
-circuit = Circuit(Q, 2, DeclaredBounds(d=2, k=2, delta=5), [g1, g2])
+def demo_circuit(dom):
+    x1 = Polynomial.variable(dom, 2, 0)
+    x2 = Polynomial.variable(dom, 2, 1)
+    # gate 1: the dependent triple; gate 2: a dependent pair
+    g1 = Gate("product", [x1 + x2, x1 * x2, x1 * x1 + x2 * x2])
+    g2 = Gate("product", [x1, x1 * x1])
+    return Circuit(dom, 2, DeclaredBounds(d=2, k=2, delta=5), [g1, g2])
+
+
+circuit = demo_circuit(Rationals())
 
 print("original circuit: T =", circuit.top_fanin,
       "| size =", circuit_size(circuit))
@@ -40,3 +44,10 @@ for gi, gate in enumerate(rewritten.gates):
 lhs = expand(rewritten)
 rhs = expand(circuit).translate(a)
 print("\nexpand(C')(X) == expand(C)(X + a):", lhs == rhs)
+
+fp_circuit = demo_circuit(PrimeField(1_000_003))
+fp_rewritten, fp_a = rewrite_circuit(fp_circuit, seed=7)
+print("\nover F_1000003: a =", tuple(str(v) for v in fp_a), "| inner counts",
+      [len(gate.inner) for gate in fp_rewritten.gates])
+print("expand(C')(X) == expand(C)(X + a):",
+      expand(fp_rewritten) == expand(fp_circuit).translate(fp_a))

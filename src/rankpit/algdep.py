@@ -504,14 +504,13 @@ def rewrite_circuit(c: Circuit, seed: int = 0, *,
     {h^j[q_ib(X+a)]} for b in its basis.  Its outer DAG reads each basis
     input as the sum of its components, and each dependent input q_i as one
     call of G_i = F_i(those sums), kept to the terms of weighted degree
-    <= d_i, where a component of degree j weighs j: so
-    expand(C')(X) = expand(C)(X+a).  No input's formal degree exceeds the
-    one it replaces, so the declared delta is kept (`Circuit` checks it);
-    G_i's composition is held to term_cap.
+    <= d_i, a component of degree j weighing j: so expand(C')(X) =
+    expand(C)(X+a), over Q or any prime field that admits the translation
+    grid.  No input's formal degree grows, so the declared delta is kept
+    (`Circuit` checks it); G_i's composition is held to term_cap.  A step
+    that cannot run raises its own error (RankNotCertified, FieldTooSmall).
     """
     dom, nvars = c.domain, c.nvars
-    if dom.characteristic != 0:
-        raise CharacteristicTooSmall("the rewrite requires a characteristic-zero domain")
     certs = _gate_ranks(c, seed, "rank", term_cap)
     # one shared grid: union bound over every non-basis L_i of every gate
     sampler = TranslationSampler.for_tuple(

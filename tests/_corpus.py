@@ -214,8 +214,10 @@ def dependent_tuple(seed: int):
         return polys, tuple(range(k))
 
 
-def rewrite_fixture(seed: int) -> Circuit:
-    """Desk-scale rewrite inputs over the rationals: k <= 2, d <= 2, T <= 2."""
+def rewrite_fixture(seed: int, domain=Q) -> Circuit:
+    """Desk-scale rewrite inputs, over the rationals by default: k <= 2, d <= 2,
+    T <= 2.  In another domain the draws are the same unless an input cancels
+    there (only in a small field)."""
     rng = random.Random(seed)
     nvars = rng.randrange(2, 4)
     k = rng.randrange(1, 3)
@@ -223,17 +225,17 @@ def rewrite_fixture(seed: int) -> Circuit:
     gates = []
     for _ in range(rng.randrange(1, 3)):
         t = rng.randrange(1, 4)
-        seeds = [random_linear(rng, Q, nvars) for _ in range(k)]
+        seeds = [random_linear(rng, domain, nvars) for _ in range(k)]
         inner = []
         for _ in range(t):
-            f = random_poly(rng, Q, k, d, max_terms=3, allow_zero=False)
+            f = random_poly(rng, domain, k, d, max_terms=3, allow_zero=False)
             q = compose(f, seeds)
             if q.is_zero() or q.degree() > d:
                 q = seeds[rng.randrange(k)]
             inner.append(q)
         if rng.random() < 0.4:
-            gates.append(Gate(_random_outer_dag(rng, Q, len(inner)), inner))
+            gates.append(Gate(_random_outer_dag(rng, domain, len(inner)), inner))
         else:
             gates.append(Gate("product", inner))
     delta = max(1, max(g.formal_degree() for g in gates))
-    return Circuit(Q, nvars, DeclaredBounds(d=d, k=k, delta=delta), gates)
+    return Circuit(domain, nvars, DeclaredBounds(d=d, k=k, delta=delta), gates)

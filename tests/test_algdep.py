@@ -1167,12 +1167,42 @@ def test_rewrite_two_gate_mixed_shared_translation():
         assert len(g.inner) <= 2 * (2 + 1)
 
 
-def test_rewrite_requires_char_zero():
+def test_rewrite_refuses_only_what_a_step_cannot_do():
+    """A prime field is no refusal of its own: a full-rank gate rewrites at
+    the undrawn a = 0; below the translation grid the sampler refuses, and on
+    a Frobenius gate symbolic rank does."""
     y = Polynomial.variable(FP, 1, 0)
     c = Circuit(FP, 1, DeclaredBounds(d=1, k=1, delta=1),
                 [Gate("product", [y])])
-    with pytest.raises(CharacteristicTooSmall):
-        rewrite_circuit(c)
+    rewritten, a = rewrite_circuit(c)
+    assert a == (0,) and expand(rewritten) == expand(c).translate(a)
+    f7 = PrimeField(7)
+    x1, x2 = x(0, dom=f7), x(1, dom=f7)
+    e1 = Circuit(f7, 2, DeclaredBounds(d=2, k=2, delta=5),
+                 [Gate("product", [x1 + x2, x1 * x2, x1 * x1 + x2 * x2])])
+    with pytest.raises(FieldTooSmall):
+        rewrite_circuit(e1)
+    f5 = PrimeField(5)
+    frobenius = Circuit(f5, 2, DeclaredBounds(d=5, k=2, delta=6),
+                        [Gate("product", [x(0, dom=f5).pow(5), x(1, dom=f5)])])
+    with pytest.raises(RankNotCertified):
+        rewrite_circuit(frobenius)
+
+
+@pytest.mark.parametrize("dom", [FP, PrimeField(101)], ids=["F_1000003", "F_101"])
+def test_rewrite_identity_over_prime_fields(dom):
+    """Criterion 6 read in F_p: every step is exact in any characteristic, so
+    expand(C')(X) = expand(C)(X+a) and the k(d+1) bound hold there too."""
+    from _corpus import random_class_circuit, rewrite_fixture
+    circuits = [rewrite_fixture(seed, dom) for seed in range(50)]
+    if dom is FP:
+        circuits += [random_class_circuit(seed, gamma_outer=seed % 2 == 1,
+                                          zero=seed % 3 == 0) for seed in range(30)]
+    for seed, c in enumerate(circuits):
+        rewritten, a = rewrite_circuit(c, seed=seed)
+        assert expand(rewritten) == expand(c).translate(a)
+        bound = c.declared.k * (c.declared.d + 1)
+        assert all(len(g.inner) <= bound for g in rewritten.gates)
 
 
 def test_rewrite_rejects_rank_above_declared():

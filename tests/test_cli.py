@@ -364,6 +364,30 @@ def test_rewrite_subcommand(tmp_path):
     assert ckt.expand(rewritten) == ckt.expand(original).translate(a)
 
 
+def test_rewrite_over_a_prime_field(tmp_path, capsys):
+    """E1 read in F_1000003 rewrites, its identity holds at the reported a,
+    and the written circuit certifies its ranks; in F_7 the translation grid
+    does not fit, and the sampler's refusal is the exit."""
+    from rankpit import circuit as ckt
+    doc = json.loads((DATA / "e1_circuit.json").read_text())
+    src, out_path = tmp_path / "e1_fp.json", tmp_path / "rewritten.json"
+    doc["field"] = {"type": "prime", "p": "1000003"}
+    src.write_text(json.dumps(doc))
+    code, out = cli.run(["rewrite", "--circuit", str(src), "--out",
+                         str(out_path), "--json"])
+    assert code == 0
+    original, rewritten = ckt.parse_file(str(src)), ckt.parse_file(str(out_path))
+    assert rewritten.domain.characteristic == 1_000_003
+    a = [original.domain.parse(v) for v in json.loads(out)["result"]["a"]]
+    assert ckt.expand(rewritten) == ckt.expand(original).translate(a)
+    code, text = cli.run(["pit", "--circuit", str(out_path), "--certify-rank", "--json"])
+    assert code == 1 and json.loads(text)["result"]["rank_certified"] is True
+    doc["field"] = {"type": "prime", "p": "7"}
+    src.write_text(json.dumps(doc))
+    assert cli.main(["rewrite", "--circuit", str(src), "--json"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "FieldTooSmall"
+
+
 def test_rewrite_to_an_unwritable_path_is_a_structured_error(tmp_path):
     out_path = str(tmp_path / "no_such_dir" / "rewritten.json")
     code, out = cli.run(["rewrite", "--circuit", str(DATA / "e1_circuit.json"),
