@@ -27,10 +27,17 @@ r polynomials had a minimal annihilator A, the chain rule would make
 dA/dy_i vanished, A would be a p-th power over the perfect field; a nonzero
 one has smaller degree than A, so it does not vanish at q).  So rank >= r
 in every characteristic, and an annihilator of the r plus any other q_i,
-checked by composing it to zero, gives rank <= r, as does r equal to the
-number of variables that occur.  The same point answers
-an independent tuple before any annihilator column is built.  Every
-Jacobian point, certified or randomized, is read by `_point_basis`.
+checked by composing it to zero, gives rank <= r, as does r = |I| for the
+essential coordinates I (`_essential`; Carlini, "Reducing the number of
+variables of a polynomial", 2006; Kayal, SODA 2011).  Let K be the
+directions v with sum_u v_u dq/dx_u = 0 for every q.  In characteristic 0,
+or when p exceeds every degree, q(x + t*v) has zero t-derivative and degree
+< p in t, so each q is constant along K; I is the greedy independent
+columns of the partial derivatives, F^N = span(e_I) + K, and each q is a
+polynomial in |I| linear forms.  Otherwise I is every variable that occurs.
+The same point answers an independent tuple, and a basis of size |I| any
+tuple, before any annihilator column is built.  Every Jacobian point,
+certified or randomized, is read by `_point_basis`.
 A power-series Newton lift of the annihilator root cross-checks the
 reconstruction: it carries 1/R_Y with the root, one Newton step on each per
 doubling of the precision, and skips the Y-derivative at the last step.  The
@@ -143,7 +150,7 @@ def algebraic_rank(qs: list[Polynomial], mode: str = "randomized", *,
     (t*d/|S|)^_TRIALS over F_p.  Symbolic mode is exact in every
     characteristic and never guesses: the greedy basis at a Jacobian point
     is proved independent, and maximal by checked annihilators or by its
-    size, the number of variables that occur (`_certified_rank`).
+    size, |I| for the essential coordinates I (`_certified_rank`).
     """
     if mode == "symbolic":
         return _certified_rank(qs, seed, term_cap)
@@ -176,17 +183,17 @@ def algebraic_rank(qs: list[Polynomial], mode: str = "randomized", *,
 
 def _certified_rank(qs: list[Polynomial], seed: int, term_cap) -> RankCertificate:
     """The exact rank of qs, proved as the module docstring says, by checked
-    annihilators of (basis, q_i) unless the basis is as large as the number of
-    variables that occur.  An unlucky point, refuted by an independent (basis,
-    q_i), or a tuple such as (x^p, y), singular everywhere, moves on to the
-    next point, up to _CERTIFY_ATTEMPTS."""
+    annihilators of (basis, q_i) unless the basis is as large as the
+    essential coordinates (`_essential`).  An unlucky point, refuted by an
+    independent (basis, q_i), or a tuple such as (x^p, y), singular
+    everywhere, moves on to the next point, up to _CERTIFY_ATTEMPTS."""
     if not qs:
         return RankCertificate(0, (), "jacobian-certified")
-    occurring = len({v for q in qs for mono in q.terms for v, _ in mono})
+    essential = len(_essential(qs))
     for attempt in range(_CERTIFY_ATTEMPTS):
         point_seed = derive_seed(seed, "certified-rank", attempt)
         basis = _point_basis(qs, random.Random(point_seed))[1]
-        others = [i for i in range(len(qs)) if i not in basis and len(basis) < occurring]
+        others = [i for i in range(len(qs)) if i not in basis and len(basis) < essential]
         try:
             for i in others:
                 _annihilator([qs[b] for b in basis] + [qs[i]], None, term_cap,
@@ -322,6 +329,43 @@ def _jacobian_rows(qs: list[Polynomial], point: list[int], p: int) -> list[dict]
                 c = c * low * point[v] % p
         rows.append({v: x % p for v, x in row.items() if x % p})
     return rows
+
+
+def _essential(qs: list[Polynomial]) -> list[int]:
+    """I, the essential coordinates of qs (module docstring): one column per
+    variable x_v holds the coefficients of dq/dx_v over qs, keyed by (q,
+    monomial), and I is the variables whose columns do not depend on those
+    before them, or every variable that occurs when p is at most some
+    deg q.  Each dependency is re-checked exactly before its variable is
+    dropped.  Refuses mismatched tuples."""
+    by_var: dict = {}  # a variable that occurs in no q has no column
+    rows: dict = {}    # (q, monomial) -> its row, an int that hashes fast
+    for n, q in enumerate(qs):
+        qs[0]._check_compat(q)
+        for mono, coef in q.terms.items():
+            for i, (v, e) in enumerate(mono):
+                key = n, (mono[:i] + mono[i + 1:] if e == 1
+                          else mono[:i] + ((v, e - 1),) + mono[i + 1:])
+                if (row := rows.get(key)) is None:
+                    row = rows[key] = len(rows)
+                by_var.setdefault(v, {})[row] = e * coef
+    occurring = sorted(by_var)
+    p = qs[0].domain.characteristic if qs else 0
+    if p and p <= max(q.degree() for q in qs):
+        return occurring
+    cols = [by_var[v] for v in occurring]
+    dropped = set()
+    for j, lam in linalg.dependent_columns(cols, p):
+        total: dict = {}
+        get = total.get
+        for u, x in lam.items():
+            for row, a in cols[u].items():
+                total[row] = get(row, 0) + x * a
+        # col_j is a combination of the columns before it, and of no others
+        if max(lam) != j or any(s % p if p else s for s in total.values()):
+            raise AssertionError("column dependency fails its exact check (internal bug)")
+        dropped.add(j)
+    return [v for j, v in enumerate(occurring) if j not in dropped]
 
 
 # ----------------------------------------------------------------------

@@ -71,7 +71,8 @@ def _add_common(p: _Parser):
     p.add_argument("--cap-points", type=int, default=pit.DEFAULT_POINT_CAP,
                    help="hitting-set point cap")
     p.add_argument("--cap-annihilator", type=int, default=None,
-                   help="annihilator degree cap override")
+                   help="annihilator degree cap override, read only by annihilate "
+                        "(every other search goes up to t*d^(t-1))")
 
 
 def _resolved_config(args) -> dict:

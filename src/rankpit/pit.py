@@ -9,16 +9,20 @@ coordinates taking values in {1..delta} and evaluate.  The randomized
 evaluation oracle provides the classical probabilistic counterpart.
 
 Past the origin the scan visits only the points of H supported on the
-circuit's essential coordinates I (`_essential`; Carlini, "Reducing the
-number of variables of a polynomial", 2006; Kayal, SODA 2011).  Let K be
-the directions v with sum_u v_u dq/dx_u = 0 for every inner polynomial q.
+circuit's essential coordinates I, those of its distinct inner
+polynomials (`algdep._essential`; Carlini, "Reducing the number of
+variables of a polynomial", 2006; Kayal, SODA 2011).  Let K be the
+directions v with sum_u v_u dq/dx_u = 0 for every inner polynomial q.
 In characteristic 0, or when p exceeds every inner degree, q(x + t*v) has
 zero t-derivative and degree < p in t, so each q, and the circuit with
 them, is constant along K.  I is the greedy independent columns of the
 partial derivatives, so F^N = span(e_I) + K, a direct sum: C == 0 if and
 only if C with every x_j, j not in I, set to 0 is, a circuit of the same
 class in |I| variables that the points of H supported on I hit.  When p
-is at most some inner degree, I is every variable.
+is at most some inner degree, I is every variable that occurs: one that
+no inner polynomial contains cannot change C, so zeroing it at a nonzero
+point gives an earlier point of H with the same value, and H's first
+nonzero point sets none.
 
 Of those points the scan visits only the principal lattice, the ones whose
 value indices sum to at most delta (Chung and Yao, "On lattices admitting
@@ -49,11 +53,12 @@ in H and the verdict rests on delta alone, not on k or the support bound.
 
 The scan evaluates the origin through `evaluate_circuit` and every other
 point exactly, one at a time, in the order `_lattice` yields them: first
-the axis of v0 = min I, found without I (`_first_axis`), then the other
-lattice points supported on I, which is computed only past that axis.  At
-each point every distinct inner polynomial is evaluated once, and each
-gate folds its own outer DAG over those values: nothing is compiled or
-copied.  The witness is re-evaluated through `evaluate_circuit` before it
+the axis of v0 = min I, found without I (the first variable that occurs,
+in I in either case: when p > deg q its column holds e * coefficient
+!= 0), then the other lattice points supported on I, which is computed
+only past that axis.  At each point every distinct inner polynomial is
+evaluated once, and each gate folds its own outer DAG over those values:
+nothing is compiled or copied.  The witness is re-evaluated through `evaluate_circuit` before it
 is returned.
 
 The support bound is computed in floats and accepted only when its value is
@@ -70,10 +75,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice, product
 
+from .algdep import _essential, _gate_ranks
 from .circuit import Circuit, evaluate_circuit, expand
 from .domains import PrimeField
 from .errors import FieldTooSmall, InvalidParams, SetTooLarge
-from .linalg import dependent_columns
 from .poly import DEFAULT_TERM_CAP
 from .util import derive_seed
 
@@ -243,59 +248,6 @@ def _verified(c: Circuit, point):
     return point
 
 
-def _inners(c: Circuit):
-    """The distinct inner polynomials of c, and whether the reduction to I
-    holds for them (module docstring): p = 0, or p > deg q for each q;
-    deg q <= the declared d, checked when c was built."""
-    qs = list(dict.fromkeys(q for g in c.gates for q in g.inner))
-    p = c.domain.characteristic
-    return qs, not (p and p <= c.declared.d
-                    and p <= max((q.degree() for q in qs), default=0))
-
-
-def _first_axis(qs: list, reduces: bool):
-    """min I, without I: x_1 where the reduction fails, else the first variable
-    in an inner q (its column holds e * coefficient != 0 mod p > deg q), or None."""
-    if not reduces:
-        return 0
-    return min((m[0][0] for q in qs for m in q.terms if m), default=None)
-
-
-def _essential(c: Circuit, qs: list, reduces: bool) -> list:
-    """I, the essential coordinates of c: one column per variable x_v holds
-    the coefficients of dq/dx_v over the distinct inner polynomials qs,
-    keyed by (q, monomial), and I is the variables whose columns do not
-    depend on those before them (every variable where the reduction fails).
-    Each dependency is re-checked exactly before its variable is dropped."""
-    if not reduces:
-        return list(range(c.nvars))
-    p = c.domain.characteristic
-    by_var: dict = {}  # a variable that occurs in no q has a zero column
-    rows: dict = {}    # (q, monomial) -> its row, an int that hashes fast
-    for n, q in enumerate(qs):
-        for mono, coef in q.terms.items():
-            for i, (v, e) in enumerate(mono):
-                key = n, (mono[:i] + mono[i + 1:] if e == 1
-                          else mono[:i] + ((v, e - 1),) + mono[i + 1:])
-                if (row := rows.get(key)) is None:
-                    row = rows[key] = len(rows)
-                by_var.setdefault(v, {})[row] = e * coef
-    occurring = sorted(by_var)
-    cols = [by_var[v] for v in occurring]
-    dropped = set()
-    for j, lam in dependent_columns(cols, p):
-        total: dict = {}
-        get = total.get
-        for u, x in lam.items():
-            for row, a in cols[u].items():
-                total[row] = get(row, 0) + x * a
-        # col_j is a combination of the columns before it, and of no others
-        if max(lam) != j or any(s % p if p else s for s in total.values()):
-            raise AssertionError("column dependency fails its exact check (internal bug)")
-        dropped.add(j)
-    return [v for j, v in enumerate(occurring) if j not in dropped]
-
-
 def _index(row: list, delta: int) -> int:
     """The position in H's enumeration of the point whose value indices are
     `row`: the points of smaller support, then its support's rank among the
@@ -337,13 +289,14 @@ def _scan(c: Circuit, ell: int, values):
     if not dom.is_zero(evaluate_circuit(c, origin)):
         return origin, 0
     delta = len(values) - 1
-    qs, reduces = _inners(c)
-    if not delta or (v0 := _first_axis(qs, reduces)) is None:
+    qs = list(dict.fromkeys(q for g in c.gates for q in g.inner))
+    v0 = min((m[0][0] for q in qs for m in q.terms if m), default=None)
+    if not delta or v0 is None:
         return None, None  # H is the origin alone, or every inner is constant
 
     def points():  # every enumeration over I starts on v0's axis: I comes after it
         yield from _lattice([v0], 1, delta)
-        essential = _essential(c, qs, reduces)
+        essential = _essential(qs)
         if essential[:1] != [v0]:
             raise AssertionError("v0 is not the first essential coordinate (internal bug)")
         yield from islice(_lattice(essential, min(ell, len(essential)), delta), delta, None)
@@ -440,7 +393,6 @@ def pit_test(c: Circuit, mode: str = "hitting-set", *, seed: int = 0,
     if mode not in ("hitting-set", "oracle", "both"):
         raise InvalidParams(f"unknown mode {mode!r}")
     if certify_rank:
-        from .algdep import _gate_ranks
         _gate_ranks(c, seed, "certify",
                     DEFAULT_TERM_CAP if expansion_term_cap is None else expansion_term_cap)
     rank_certified = bool(certify_rank)

@@ -22,7 +22,6 @@ that `algdep` searches.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from fractions import Fraction
 from operator import add
@@ -450,17 +449,6 @@ def _packed_product(a: dict, b: list, p: int, limit: int, term_cap: int | None) 
     return out
 
 
-def _dense_monos_exact(t: int, d: int) -> list[tuple]:
-    """Dense exponent tuples of t variables and total degree d, ascending in
-    graded-lex order of the monomials they name."""
-    if t == 0:
-        return [()] if d == 0 else []
-    # stars and bars: the t - 1 bar positions among d + t - 1 slots, in lex
-    # order, and the runs of stars between them
-    return [tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, d + t - 1)))
-            for bars in itertools.combinations(range(d + t - 1), t - 1)]
-
-
 def _dense_to_mono(alpha: tuple) -> Mono:
     return mono_from_dict({v: e for v, e in enumerate(alpha) if e})
 
@@ -513,7 +501,8 @@ class _CompositionTable:
         order of z^alpha; a heap holds the successors alpha + e_j, j >= the last
         index alpha uses, of those yielded, so the work follows the output."""
         t = len(self.factors)
-        steps = list(zip(self.weights, reversed(_dense_monos_exact(t, 1))))  # w_j, e_j
+        steps = [(w, tuple(int(i == j) for i in range(t)))  # w_j, e_j
+                 for j, w in enumerate(self.weights)]
         heap = [(0, 0, (0,) * t, 0)]
         while heap:
             weight, deg, alpha, last = heapq.heappop(heap)

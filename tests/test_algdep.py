@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,8 +21,7 @@ from rankpit.errors import (BoundViolation, CharacteristicTooSmall,
                             NoAnnihilatorWithinCap, NoGoodTranslation,
                             NonConvergence, NoSolutionWithinCap, RankNotCertified)
 from rankpit.poly import (DEFAULT_TERM_CAP, Polynomial, _CompositionTable,
-                          _dense_monos_exact, _dense_to_mono, compose, grlex_key,
-                          mono_from_dict)
+                          _dense_to_mono, compose, grlex_key, mono_from_dict)
 
 Q = Rationals()
 FP = PrimeField(1_000_003)
@@ -35,6 +35,17 @@ def x(i, nvars=2, dom=Q):
 def e1_triple(dom=Q):
     a, b = x(0, dom=dom), x(1, dom=dom)
     return [a + b, a * b, a * a + b * b]
+
+
+def _dense_monos_exact(t: int, d: int) -> list[tuple]:
+    """The reference enumerator: dense exponent tuples of t variables and
+    total degree d, ascending in graded-lex order of the monomials they name."""
+    if t == 0:
+        return [()] if d == 0 else []
+    # stars and bars: the t - 1 bar positions among d + t - 1 slots, in lex
+    # order, and the runs of stars between them
+    return [tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, d + t - 1)))
+            for bars in itertools.combinations(range(d + t - 1), t - 1)]
 
 
 # ----------------------------------------------------------------------
@@ -180,15 +191,16 @@ def test_symbolic_rank_as_large_as_the_variables_needs_no_annihilator(monkeypatc
 
 
 def test_symbolic_rank_refutes_an_unlucky_point(monkeypatch):
-    """Over F_11, (x^2, (y+z)^4, x^2 + (y+z)^4) at seed 2: the first point
-    has x = 0 or y+z = 0, so its basis is (1,).  The independent pair
-    ((y+z)^4, x^2) is refuted at a fresh point without a search (no
-    composition table), and the next point certifies rank 2 with one
-    search, for q_3."""
+    """Over F_11, (x^2, y^4 + z, x^2 + y^4 + z) at seed 2, |I| = 3 above its
+    rank 2: the first point has x = 0, so its basis is (1,).  The
+    independent pair (y^4 + z, x^2) is refuted at a fresh point without a
+    search (no composition table), and the next point certifies rank 2 with
+    one search, for q_3."""
     f11 = PrimeField(11)
     a, b, c = (x(v, 3, f11) for v in range(3))
-    s = (b + c).pow(4)
+    s = b.pow(4) + c
     qs = [a.pow(2), s, a.pow(2) + s]
+    assert algdep._essential(qs) == [0, 1, 2]
     rng = random.Random(algdep.derive_seed(2, "certified-rank", 0))
     assert algdep._point_basis(qs, rng)[1] == [1]
     sizes = []
@@ -198,6 +210,63 @@ def test_symbolic_rank_refutes_an_unlucky_point(monkeypatch):
                         or table(sub, *args, **kw))
     cert = algebraic_rank(qs, mode="symbolic", seed=2)
     assert (cert.rank, cert.basis_indices, sizes) == (2, (0, 1), [3])
+
+
+def _no_table(*args, **kw):
+    raise AssertionError("an annihilator column was built")
+
+
+@pytest.mark.parametrize("dom", [Q, FP], ids=["Q", "F_1000003"])
+def test_a_basis_as_large_as_the_essential_coordinates_needs_no_annihilator(
+        monkeypatch, dom):
+    """3 cubics, each with every monomial of degree <= 3, in 2 seeded linear
+    forms of 4 variables: rank 2 at one point equals |I| = 2, so no
+    annihilator is searched, though 4 variables occur."""
+    monkeypatch.setattr(algdep, "_CompositionTable", _no_table)
+    rng = random.Random(13)
+    forms = [Polynomial(dom, 4, {((v, 1),): rng.randrange(1, 9) for v in range(4)})
+             for _ in range(2)]
+    monos = [mono_from_dict(dict(enumerate(e)))
+             for e in itertools.product(range(4), repeat=2) if sum(e) <= 3]
+    cubics = [compose(Polynomial(dom, 2, {m: rng.randrange(1, 9) for m in monos}), forms)
+              for _ in range(3)]
+    cert = algebraic_rank(cubics, mode="symbolic")
+    assert (cert.rank, cert.basis_indices) == (2, (0, 1))
+    assert len(algdep._essential(cubics)) == 2
+
+
+def _form_tuple(rng, dom):
+    """1-3 polynomials of degree <= 2 in one or two seeded linear forms of
+    3-5 variables: |I| is the number of independent forms."""
+    from _corpus import random_linear, random_poly
+    nvars = rng.randrange(3, 6)
+    forms = [random_linear(rng, dom, nvars) for _ in range(rng.randrange(1, 3))]
+    return [compose(random_poly(rng, dom, len(forms), 2, max_terms=3, allow_zero=False),
+                    forms) for _ in range(rng.randrange(1, 4))]
+
+
+def _occurring(qs):
+    """The variables that occur in qs, in order."""
+    return sorted({v for q in qs for mono in q.terms for v, _ in mono})
+
+
+def test_symbolic_rank_agrees_with_the_occurring_variables_bound(monkeypatch):
+    """The bound |I| gives the rank and basis that the bound "every variable
+    that occurs" and its annihilator searches give, on 100 planted
+    dependent tuples and on polynomials in linear forms over Q and F_p."""
+    from _corpus import dependent_tuple
+    rng = random.Random(49)
+    tuples = [dependent_tuple(8_000 + s)[0] for s in range(100)]
+    tuples += [_form_tuple(rng, dom) for dom in (Q, FP, PrimeField(101)) for _ in range(20)]
+    new = [algebraic_rank(qs, mode="symbolic", seed=s) for s, qs in enumerate(tuples)]
+    essential = [len(algdep._essential(qs)) for qs in tuples]
+    monkeypatch.setattr(algdep, "_essential", _occurring)
+    old = [algebraic_rank(qs, mode="symbolic", seed=s) for s, qs in enumerate(tuples)]
+    assert [(c.rank, c.basis_indices) for c in new] == [(c.rank, c.basis_indices) for c in old]
+    # the bound answers with no search where the rank is |I| < the variables that occur
+    kinds = Counter((c.rank == e < len(_occurring(qs)), c.rank < e)
+                    for c, e, qs in zip(new, essential, tuples))
+    assert kinds[True, False] >= 20 and kinds[False, True] >= 20, kinds
 
 
 @pytest.mark.parametrize("n", [-7, 0, 1])
@@ -269,16 +338,16 @@ def test_randomized_error_bound_over_q_adds_the_prime_term(qs):
 def test_rewrite_and_depend_search_only_the_rank_annihilators(monkeypatch, tmp_path):
     """A draw is tested by its witness, so the only annihilator searched is
     the rank certificate's: none for E1 (rank 2 in 2 variables), one for
-    (a+b, (a+b)^2+c, c) (rank 2 in 3)."""
+    (a*b, (a*b)^2+c, c) (rank 2, |I| = 3)."""
     calls = []
     search = algdep._annihilator
     monkeypatch.setattr(algdep, "_annihilator",
                         lambda sub, *args: calls.append(sub[-1]) or search(sub, *args))
     a, b, c = (x(v, 3) for v in range(3))
-    for inner in (e1_triple(), [a + b, (a + b) * (a + b) + c, c]):
+    for inner in (e1_triple(), [a * b, (a * b) * (a * b) + c, c]):
         calls.clear()
         nvars = inner[0].nvars
-        circuit = Circuit(Q, nvars, DeclaredBounds(d=2, k=2, delta=5),
+        circuit = Circuit(Q, nvars, DeclaredBounds(d=4, k=2, delta=7),
                           [Gate("product", inner)])
         rewritten, shift = rewrite_circuit(circuit, seed=11)
         assert expand(rewritten) == expand(circuit).translate(shift)

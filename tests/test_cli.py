@@ -510,17 +510,18 @@ def test_expansion_cap_honored(tmp_path):
                                      ["depend"], ["pit", "--certify-rank"]],
                          ids=lambda argv: argv[0])
 def test_expansion_cap_honored_by_every_annihilator_search(tmp_path, command):
-    """(x1+x2, (x1+x2)^2) is dependent in 2 variables, so each command runs
-    an annihilator search; under --cap-expansion 1 its columns exceed the cap.
-    pit reads the pair as the inner polynomials of one product gate."""
-    s = [{"coeff": "1", "mono": {"1": 1}}, {"coeff": "1", "mono": {"2": 1}}]
-    square = [{"coeff": "1", "mono": {"1": 2}}, {"coeff": "2", "mono": {"1": 1, "2": 1}},
-              {"coeff": "1", "mono": {"2": 2}}]
+    """(x1*x2 + 1, (x1*x2 + 1)^2) has rank 1 below its 2 essential
+    coordinates, so each command runs an annihilator search; under
+    --cap-expansion 1 its columns exceed the cap.  pit reads the pair as the
+    inner polynomials of one product gate."""
+    s = [{"coeff": "1", "mono": {"1": 1, "2": 1}}, {"coeff": "1", "mono": {}}]
+    square = [{"coeff": "1", "mono": {"1": 2, "2": 2}}, {"coeff": "2", "mono": {"1": 1, "2": 1}},
+              {"coeff": "1", "mono": {}}]
     path = tmp_path / "pair.json"
     field = {"type": "rational"}
     if command[0] == "pit":
         path.write_text(json.dumps({
-            "field": field, "nvars": 2, "declared": {"d": 2, "k": 2, "delta": 3},
+            "field": field, "nvars": 2, "declared": {"d": 4, "k": 2, "delta": 6},
             "gates": [{"outer": "product", "inner": [s, square]}]}))
         source = ["--circuit", str(path)]
     else:

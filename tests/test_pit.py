@@ -9,7 +9,7 @@ from math import comb
 
 import pytest
 
-from rankpit import pit
+from rankpit import algdep, linalg, pit
 from rankpit.algdep import rewrite_circuit
 from rankpit.circuit import (Circuit, DeclaredBounds, Gate, OuterExpr,
                              evaluate_circuit, expand, parse, serialize)
@@ -710,6 +710,11 @@ def test_equal_inner_polynomials_share_one_column(value_counts):
 # essential coordinates: past the origin, the scan visits only the points
 # of H supported on them
 
+def _inners(c):
+    """The distinct inner polynomials of c, in the order the scan takes them."""
+    return list(dict.fromkeys(q for g in c.gates for q in g.inner))
+
+
 def _x1_x3_times_x2_x3(domain):
     """(x1 + x3)(x2 + x3), delta = 2: x3 is not essential."""
     v = [Polynomial.variable(domain, 3, i) for i in range(3)]
@@ -720,7 +725,7 @@ def _x1_x3_times_x2_x3(domain):
 @pytest.mark.parametrize("domain", [Q, FP], ids=["Q", "F1000003"])
 def test_witness_is_the_first_point_supported_on_the_essential_coordinates(domain):
     c = _x1_x3_times_x2_x3(domain)
-    assert pit._essential(c, *pit._inners(c)) == [0, 1]
+    assert pit._essential(_inners(c)) == [0, 1]
     rep = pit_test(c)
     # H's first nonzero point is (0, 0, 1) at 5; the scan never sets x3
     assert _scalar_reference(c, rep.ell) == ((0, 0, 1), 5)
@@ -816,11 +821,34 @@ def test_reduction_is_skipped_when_p_is_at_most_an_inner_degree(point_calls):
     v = [Polynomial.variable(F3, 2, i) for i in range(2)]
     c = _with_negated_twins(Circuit(F3, 2, DeclaredBounds(d=3, k=2, delta=1), [
         Gate(OuterExpr(2, [("input", 0)], 0), [v[0], v[1].pow(3)])]))
-    assert pit._essential(c, *pit._inners(c)) == [0, 1]
+    assert pit._essential(_inners(c)) == [0, 1]
     assert pit_test(c).verdict == "zero"
     assert len(point_calls) == _lattice_size(2, 1, 2) - 1 == 2
     # the columns alone would drop x2
     assert _essential_reference(c) == [0]
+
+
+def test_small_characteristic_scans_only_the_variables_that_occur(point_calls):
+    # over F_3 with the input x3^3 + x1 the reduction fails, so I is every
+    # variable that occurs: x2 occurs in no inner polynomial and is never set
+    F3 = PrimeField(3)
+    v = [Polynomial.variable(F3, 3, i) for i in range(3)]
+    c = Circuit(F3, 3, DeclaredBounds(d=3, k=3, delta=2), [
+        Gate(OuterExpr(3, [("input", 0), ("input", 1), ("mul", (0, 1))], 2),
+             [v[2], _linear(F3, 3, {0: 1}, 1), v[2].pow(3) + v[0]])])
+    rep = pit_test(c)
+    assert (rep.witness, rep.witness_index) == _scalar_reference(c, rep.ell) == (
+        (0, 0, 1), 5)
+    assert point_calls == [(1, 0, 0), (2, 0, 0), (0, 0, 1)]
+    point_calls.clear()
+    zero = pit_test(_with_negated_twins(c))
+    assert zero.verdict == "zero"
+    # the lattice on the 2 variables that occur, not on all 3
+    assert len(point_calls) == _lattice_size(2, 2, zero.ell_used) - 1 == 5
+    assert all(pt[1] == 0 for pt in point_calls)
+    assert rep.hitting_set_size == zero.hitting_set_size == len(
+        hitting_set(3, 2, rep.ell, F3).points) == 27
+    assert pit._essential(_inners(c)) == [0, 2]
 
 
 @pytest.fixture
@@ -828,8 +856,8 @@ def essential_calls(monkeypatch):
     found = []
     real = pit._essential
 
-    def spy(c, qs, reduces):
-        found.append(real(c, qs, reduces))
+    def spy(qs):
+        found.append(real(qs))
         return found[-1]
     monkeypatch.setattr(pit, "_essential", spy)
     return found
@@ -851,7 +879,7 @@ def test_origin_verdicts_never_compute_the_essential_coordinates(
             assert found == [] and point_calls == []
             kinds["origin"] += 1
             continue
-        v0 = pit._first_axis(*pit._inners(c))
+        v0 = min(algdep._essential(_inners(c)), default=None)
         if rep.verdict == "nonzero" and [v for v, a in enumerate(rep.witness) if a] == [v0]:
             # a witness on the first essential axis: I unknown
             assert found == [] and all(
@@ -869,9 +897,9 @@ def test_origin_verdicts_never_compute_the_essential_coordinates(
 def test_a_dependency_that_fails_its_exact_check_raises(monkeypatch):
     # the kernel is re-checked before a coordinate is dropped, by a raise
     # that `python -O` keeps
-    monkeypatch.setattr(pit, "dependent_columns", lambda cols, p: iter([(2, {0: 1, 2: 1})]))
+    monkeypatch.setattr(linalg, "dependent_columns", lambda cols, p: iter([(2, {0: 1, 2: 1})]))
     with pytest.raises(AssertionError, match="internal bug"):
-        pit._essential(_x1_x3_times_x2_x3(Q), *pit._inners(_x1_x3_times_x2_x3(Q)))
+        pit._essential(_inners(_x1_x3_times_x2_x3(Q)))
 
 
 # ----------------------------------------------------------------------
@@ -913,7 +941,7 @@ def test_the_first_axis_is_the_first_variable_that_occurs(essential_calls, point
     v = [Polynomial.variable(domain, 3, i) for i in range(3)]
     c = Circuit(domain, 3, DeclaredBounds(d=1, k=2, delta=2), [
         Gate("product", [v[1], _linear(domain, 3, {2: 1}, 1)])])
-    assert pit._first_axis(*pit._inners(c)) == 1
+    assert algdep._essential(_inners(c))[:1] == [1]
     rep = pit_test(c)
     assert (rep.witness, rep.witness_index) == _scalar_reference(c, rep.ell) == (
         (0, 1, 0), 3)
@@ -932,7 +960,7 @@ def test_an_empty_essential_set_stops_after_the_origin(essential_calls, point_ca
     one = Polynomial.constant(domain, 3, 1)
     c = Circuit(domain, 3, DeclaredBounds(d=1, k=1, delta=2), [
         Gate("product", [one, one]), Gate("product", [one.scale(-1)])])
-    assert pit._first_axis(*pit._inners(c)) is None
+    assert algdep._essential(_inners(c)) == []
     rep = pit_test(c)
     assert (rep.verdict, rep.hitting_set_size) == ("zero", 27)
     assert essential_calls == [] and point_calls == []

@@ -134,12 +134,12 @@ def test_every_imported_package_is_a_declared_dependency():
     assert sorted(undeclared) == []
 
 
-def test_only_pit_imports_numpy():
+def test_mpmath_is_imported_only_inside_pit_and_nw_functions():
     # every elimination and the hitting-set scan run on plain ints and
-    # Fractions: no module imports numpy (test_no_module_imports_sympy), and
-    # mpmath serves only the interval bounds in pit and nw, imported inside
-    # the functions that use them, so a process that needs none never pays
-    # for loading it
+    # Fractions: no module imports numpy
+    # (test_no_module_imports_sympy_or_numpy), and mpmath serves only the
+    # interval bounds in pit and nw, imported inside the functions that use
+    # them, so a process that needs none never pays for loading it
     allowed = {"mpmath": {"pit.py", "nw.py"}}
     found = []
     for path in sorted(SRC.glob("*.py")):
@@ -154,7 +154,7 @@ def test_only_pit_imports_numpy():
     assert found == []
 
 
-def test_no_module_imports_sympy():
+def test_no_module_imports_sympy_or_numpy():
     # sympy is the tests' outside oracle (the `test` extra), not a
     # dependency; numpy is neither
     found = [f"{path.name}:{node.lineno} {name}" for path in sorted(SRC.glob("*.py"))
