@@ -67,6 +67,7 @@ _CERTIFY_ATTEMPTS = 3
 _CERTIFICATE_SEED = derive_seed(0, "annihilator-certificate")  # find_annihilator's point
 _SECURITY_BITS = 30  # randomized rank draws from >= 2*t*d*2^30 scalars
 _TRIALS = 3  # Jacobian points per randomized rank
+_SHORTCUT_PRIME = (1 << 61) - 1  # over Q, a read that only saves work is made mod this prime
 
 
 @dataclass(frozen=True)
@@ -256,13 +257,16 @@ def _annihilator(qs: list[Polynomial], cap: int | None, term_cap,
     """The one annihilator search, without `find_annihilator`'s checks.
 
     cap=None is the bound t*d^(t-1).  Given a seed, full Jacobian rank at
-    the point that `_point_basis` draws from it raises NoAnnihilatorWithinCap
-    before any column is built; seed=None reads no point.  Rank t-1 there, or
-    `ranked`, weighs z_j by deg q_j.  R is checked by composing it to zero."""
+    the point that `_point_basis` draws from it, mod 2^61 - 1 over Q, raises
+    NoAnnihilatorWithinCap before any column is built; seed=None reads no
+    point.  A read that falls short there only lets the search run, so it
+    needs no drawn prime.  Rank t-1 there, or `ranked`, weighs z_j by
+    deg q_j.  R is checked by composing it to zero."""
     degrees, t = [q.degree() for q in qs], len(qs)
     if cap is None:
         cap = t * max(1, *degrees) ** (t - 1)
-    rank = None if seed is None else len(_point_basis(qs, random.Random(seed))[1])
+    rank = None if seed is None else len(_point_basis(qs, random.Random(seed),
+                                                      prime=_SHORTCUT_PRIME)[1])
     if rank == t:
         raise NoAnnihilatorWithinCap(cap)
     table = _CompositionTable(qs, cap, term_cap=term_cap,
@@ -285,7 +289,7 @@ def _ranked(qs: list[Polynomial], basis) -> bool:
     polys = [qs[b] for b in basis]
     return (len({q.degree() for q in qs} - {0}) > 1 and bool(polys)
             and len(_point_basis(polys, random.Random(_CERTIFICATE_SEED),
-                                 prime=(1 << 61) - 1)[1]) == len(polys))
+                                 prime=_SHORTCUT_PRIME)[1]) == len(polys))
 
 
 def _point_basis(qs: list[Polynomial], rng: random.Random, size: int | None = None,

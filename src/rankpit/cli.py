@@ -3,8 +3,10 @@
 JSON is the machine interface and is byte-deterministic for identical
 (argv, seed): reports carry only exact values (integers and decimal/fraction
 strings), embed the fully resolved run configuration, and omit wall-clock
-timings unless --timings opts in.  Text output renders the same data for
-humans.  Exit codes: 0 success (or pit verdict "zero"), 1 pit verdict
+timings unless --timings opts in.  A --json report is the bytes of
+json.dumps(report, indent=2, sort_keys=True), Fractions and floats as
+strings, written in one walk (`_report_json`).  Text output renders the same
+data for humans.  Exit codes: 0 success (or pit verdict "zero"), 1 pit verdict
 "nonzero", 2 computation error, 64 usage error.
 """
 
@@ -38,17 +40,66 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _fmt(value):
-    """Render report values as exact JSON-safe data."""
+def _exact(value):
+    """A Fraction as str(value), a float as repr(value): exact report text.
+    Any other leaf is returned as it is."""
     if isinstance(value, Fraction):
         return str(value)
+    if isinstance(value, float):
+        return repr(value)
+    return value
+
+
+def _fmt(value):
+    """Render report values as exact JSON-safe data."""
     if isinstance(value, (list, tuple)):
         return [_fmt(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _fmt(v) for k, v in value.items()}
-    if isinstance(value, float):
-        return repr(value)
-    return value
+    return _exact(value)
+
+
+_quote = json.encoder.encode_basestring_ascii  # json.dumps's, under ensure_ascii
+
+
+def _report_json(value, pad: str = "\n") -> str:
+    """json.dumps(_fmt(value), indent=2, sort_keys=True), written in one walk.
+
+    An indented json.dumps needs the `_fmt` copy and runs json's generator
+    encoder; this walk keeps json's rules.  Keys are `_fmt`'s (str(k), a
+    later duplicate wins), sorted; strings go through json's own quoting;
+    bool and None come before int, and ints are int.__repr__; other leaves
+    are `_exact`'s, and what it leaves as it is raises json's TypeError.
+    `pad` is a newline and the indent of the enclosing level."""
+    if isinstance(value, str):
+        return _quote(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if not all(type(k) is str for k in value):
+            value = {str(k): v for k, v in value.items()}
+        # a str value is quoted in place: most leaves are, and a call costs more
+        parts = [_quote(k) + ": " + (_quote(v) if type(v) is str else _report_json(v, inner))
+                 for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(parts) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        parts = [_quote(v) if type(v) is str else _report_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(parts) + pad + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    text = _exact(value)
+    if text is value:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return _quote(text)
 
 
 def _point(values, domain):
@@ -94,7 +145,7 @@ def _resolved_config(args) -> dict:
 def _emit(args, command: str, result: dict) -> str:
     report = {"command": command, "config": _resolved_config(args), "result": result}
     if args.json:
-        return json.dumps(_fmt(report), indent=2, sort_keys=True) + "\n"
+        return _report_json(report) + "\n"
     buf = io.StringIO()
     buf.write(f"[{command}]\n")
     for key, value in _fmt(result).items():

@@ -368,9 +368,11 @@ class Polynomial:
                     raise InvalidParams(f"bad monomial entry {v_str}:{e}")
                 mono_d[v] = e
             m = mono_from_dict(mono_d)
-            prev = terms.get(m, domain.zero)
-            terms[m] = domain.add(prev, c)
-        return cls(domain, nvars, terms)
+            prev = terms.get(m)
+            terms[m] = c if prev is None else domain.add(prev, c)
+        # every monomial and coefficient is checked above: drop zero sums only
+        return cls(domain, nvars, {m: c for m, c in terms.items() if not domain.is_zero(c)},
+                   _normalized=True)
 
 
 def _term_text(c_str: str, m: Mono, var_prefix: str) -> str:

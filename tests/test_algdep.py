@@ -797,7 +797,19 @@ def test_a_corrupted_column_is_caught_by_the_exact_checks(dom, monkeypatch):
 
 
 def _full_rank_at_the_certificate_point(qs):
-    return len(algdep._point_basis(qs, random.Random(algdep._CERTIFICATE_SEED))[1]) == len(qs)
+    return len(algdep._point_basis(qs, random.Random(algdep._CERTIFICATE_SEED),
+                                   prime=M61)[1]) == len(qs)
+
+
+def test_the_annihilator_read_draws_no_prime(monkeypatch):
+    """Over Q the certificate read of an annihilator search is made mod
+    2^61 - 1, with no prime drawn; symbolic rank still draws its prime."""
+    calls = []
+    monkeypatch.setattr(algdep, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    assert find_annihilator(e1_triple()).R.to_text("z") == "z1^2 - 2*z2 - z3"
+    assert calls == []
+    assert algebraic_rank(e1_triple(), mode="symbolic", seed=1).rank == 2
+    assert calls and all(1 << 61 < n < 1 << 62 for n in calls)
 
 
 @pytest.mark.parametrize("dom", [Q, FP, PrimeField(M61), PrimeField(2), PrimeField(3),

@@ -5,10 +5,13 @@ import os
 import subprocess
 import sys
 import time
+from decimal import Decimal
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rankpit import cli
 
@@ -978,3 +981,91 @@ def test_bad_flag_values_are_invalid_params(e1_file, zero_circuit_file, argv):
     flag = next((a for a in argv if a in _CHECKED_FLAGS), None)
     if flag:
         assert flag in error["detail"]
+
+
+# ----------------------------------------------------------------------
+# the --json writer: the bytes of json.dumps(_fmt(report), indent=2, sort_keys=True)
+
+def _indented(value) -> str:
+    return json.dumps(cli._fmt(value), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("field", ["rational", "prime:1000003"], ids=["Q", "F_1000003"])
+@pytest.mark.parametrize("argv", [
+    ["rank", "--poly-file", "E1"],
+    ["rank", "--poly-file", "E1", "--mode", "symbolic"],
+    ["annihilate", "--poly-file", "E1"],
+    ["depend", "--poly-file", "E1"],
+    ["measure", "--poly-file", "E1", "--index", "2", "--r", "1", "--m", "1", "--timings"],
+    ["rewrite", "--circuit", "C1"],
+    ["pit", "--circuit", "C1", "--mode", "both"],
+    ["pit", "--circuit", "C1", "--certify-rank"],
+    ["nw", *NW_ARGS, "--p", "1/2", "--trials", "20", "--field", "FIELD"],
+    ["bench", "separation", *NW_ARGS, "--r", "1", "--m", "1", "--field", "FIELD"],
+], ids=["rank", "rank-symbolic", "annihilate", "depend", "measure", "rewrite",
+        "pit-both", "pit-certify-rank", "nw-experiment", "bench"])
+def test_json_reports_are_the_bytes_of_an_indented_dumps(tmp_path, monkeypatch, field, argv):
+    """Each subcommand's report, over Q and F_1000003, is written once by
+    `_report_json`, and its bytes are those of the indented json.dumps."""
+    domain = ({"type": "rational"} if field == "rational"
+              else {"type": "prime", "p": 1000003})
+    polys, circuit = tmp_path / "e1.json", tmp_path / "e1_circuit.json"
+    polys.write_text(json.dumps(dict(E1_POLYS, field=domain)))
+    circuit.write_text(json.dumps(dict(json.loads((DATA / "e1_circuit.json").read_text()),
+                                       field=domain)))
+    names = {"E1": str(polys), "C1": str(circuit), "FIELD": field}
+    reports, writer = [], cli._report_json
+
+    def spy(value, *pad):
+        if not pad:  # the whole report, not one of the walk's own calls
+            reports.append(value)
+        return writer(value, *pad)
+
+    monkeypatch.setattr(cli, "_report_json", spy)
+    code, out = cli.run([names.get(a, a) for a in argv] + ["--json"])
+    assert code in (0, 1) and len(reports) == 1
+    assert out == _indented(reports[0]) + "\n"
+
+
+_KEYS = (st.sampled_from([1, "1", 2, "2", "", "a", "é", True, None, "-0.0"])
+         | st.integers() | st.text(max_size=4))
+_CHARS = (st.characters(exclude_categories=()) | st.integers(0xD800, 0xDFFF).map(chr)
+          | st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", " ", "\U0001f600"]))
+_LEAVES = (st.text(_CHARS, max_size=8) | st.integers()
+           | st.integers(min_value=1 << 64).map(lambda n: -n ** 5) | st.booleans()
+           | st.none() | st.fractions() | st.floats(allow_nan=True, allow_infinity=True)
+           | st.sampled_from([-0.0, 0.0, float("nan"), float("inf"), float("-inf")]))
+_TREES = st.recursive(
+    _LEAVES, lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                           | st.dictionaries(_KEYS, kids, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TREES)
+@example({1: "int key", "1": "str key", 2: ("x", [])})
+@example({"1": "str key", 1: "int key", "b": {}, "a": Fraction(-1, 3)})
+def test_report_writer_equals_indented_dumps(tree):
+    """Nested dicts, lists and tuples with int and str keys (1 next to "1":
+    the later duplicate wins), and every kind of leaf `_fmt` keeps or rewrites."""
+    assert cli._report_json(tree) == _indented(tree)
+
+
+@pytest.mark.parametrize("tree", [
+    {"a": [1, {2, 3}]}, (b"bytes",), {"b": object(), "a": [complex(1, 2)]},
+    {"point": [Fraction(1, 2), Decimal("0.5")]}, [range(2)],
+], ids=["set", "bytes", "first-in-key-order", "decimal", "range"])
+def test_report_writer_refuses_what_json_refuses(tree):
+    """A leaf json cannot write raises json's own TypeError, for the first
+    such leaf in the written order; an int past the digit limit json's ValueError."""
+    with pytest.raises(TypeError) as ours:
+        cli._report_json(tree)
+    with pytest.raises(TypeError) as theirs:
+        _indented(tree)
+    assert str(ours.value) == str(theirs.value)
+    huge = {"n": 10 ** (sys.get_int_max_str_digits() + 1)}
+    with pytest.raises(ValueError) as ours:
+        cli._report_json(huge)
+    with pytest.raises(ValueError) as theirs:
+        _indented(huge)
+    assert str(ours.value) == str(theirs.value)

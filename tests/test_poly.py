@@ -682,6 +682,31 @@ def test_json_terms_roundtrip():
             assert Polynomial.terms_from_json(dom, 4, items) == p
 
 
+@pytest.mark.parametrize("dom", [Q, FP], ids=str)
+def test_terms_from_json_sums_repeated_monomials(dom):
+    """A term list that repeats monomials, some summing to 0 (in F_p also
+    through a multiple of p), reads as Polynomial(dom, nvars, summed)."""
+    rng = random.Random(59)
+    coeffs = ["0", "1", "-1", "3", "-3", "1/2", "-1/2", "2/3", str(FP.p), f"-{FP.p}"]
+    for _ in range(60):
+        nvars = rng.randrange(1, 4)
+        monos = [{str(v + 1): rng.randrange(1, 3) for v in range(nvars) if rng.random() < 0.5}
+                 for _ in range(rng.randrange(1, 4))]
+        items = [{"coeff": rng.choice(coeffs), "mono": rng.choice(monos)}
+                 for _ in range(rng.randrange(8))]
+        if items and rng.random() < 0.5:  # cancel one monomial's sum so far
+            mono = rng.choice(items)["mono"]
+            total = sum(Fraction(t["coeff"]) for t in items if t["mono"] == mono)
+            items.insert(rng.randrange(len(items) + 1), {"coeff": str(-total), "mono": mono})
+        summed = {}
+        for item in items:
+            m = tuple(sorted((int(v) - 1, e) for v, e in item["mono"].items()))
+            summed[m] = summed.get(m, 0) + Fraction(item["coeff"])
+        got = Polynomial.terms_from_json(dom, nvars, items)
+        expected = Polynomial(dom, nvars, summed)
+        assert got == expected and got.terms == expected.terms
+
+
 def test_dilate_matches_component_scaling():
     rng = random.Random(43)
     for _ in range(20):
