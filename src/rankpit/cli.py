@@ -24,7 +24,7 @@ import traceback
 from fractions import Fraction
 
 from . import algdep, circuit as ckt, measure, nw, pit
-from .domains import PrimeField, Rationals
+from .domains import PrimeField, Rationals, parse_rational
 from .errors import InvalidParams, RankpitError
 from .poly import DEFAULT_TERM_CAP
 from .util import read_text, write_text
@@ -106,7 +106,17 @@ def _point(values, domain):
     return [domain.format(v) for v in values]
 
 
-def _add_common(p: _Parser):
+# each cap's config key: (flag, default, least value, help); a subcommand
+# registers the caps it applies, read as args.<key>, and its report echoes those
+_CAPS = {
+    "expansion_terms": ("--cap-expansion", DEFAULT_TERM_CAP, 0, "expansion term cap"),
+    "matrix_cells": ("--cap-matrix", measure.DEFAULT_MATRIX_CAP, 0, "measure matrix cell cap"),
+    "hitting_set_points": ("--cap-points", pit.DEFAULT_POINT_CAP, 0, "hitting-set point cap"),
+    "annihilator_degree": ("--cap-annihilator", None, 1, "degree cap (default t*d^(t-1))"),
+}
+
+
+def _add_common(p: _Parser, *caps: str):
     p.add_argument("--seed", type=int, default=None,
                    help="64-bit seed (default: $RANKPIT_SEED or 0)")
     p.add_argument("--json", action="store_true", help="emit the JSON report")
@@ -115,15 +125,9 @@ def _add_common(p: _Parser):
                         "is sequential)")
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock timings (breaks byte determinism)")
-    p.add_argument("--cap-expansion", type=int, default=DEFAULT_TERM_CAP,
-                   help="expansion term cap")
-    p.add_argument("--cap-matrix", type=int, default=measure.DEFAULT_MATRIX_CAP,
-                   help="measure matrix cell cap")
-    p.add_argument("--cap-points", type=int, default=pit.DEFAULT_POINT_CAP,
-                   help="hitting-set point cap")
-    p.add_argument("--cap-annihilator", type=int, default=None,
-                   help="annihilator degree cap override, read only by annihilate "
-                        "(every other search goes up to t*d^(t-1))")
+    for key in caps:
+        flag, default, _, help_text = _CAPS[key]
+        p.add_argument(flag, type=int, default=default, help=help_text, dest=key)
 
 
 def _resolved_config(args) -> dict:
@@ -133,12 +137,7 @@ def _resolved_config(args) -> dict:
         "seed": args.seed,
         "output": "json" if args.json else "text",
         "timings": bool(args.timings),
-        "caps": {
-            "expansion_terms": args.cap_expansion,
-            "matrix_cells": args.cap_matrix,
-            "hitting_set_points": args.cap_points,
-            "annihilator_degree": args.cap_annihilator,
-        },
+        "caps": {key: getattr(args, key) for key in _CAPS if hasattr(args, key)},
     }
 
 
@@ -189,7 +188,7 @@ def _field_from_flag(spec: str | None):
 def _cmd_rank(args) -> tuple[int, str]:
     domain, _, polys = _load_polys(args.poly_file)
     cert = algdep.algebraic_rank(polys, mode=args.mode, seed=args.seed,
-                                 term_cap=args.cap_expansion)
+                                 term_cap=args.expansion_terms)
     result = {
         "rank": cert.rank,
         "basis": [i + 1 for i in cert.basis_indices],
@@ -204,8 +203,8 @@ def _cmd_rank(args) -> tuple[int, str]:
 
 def _cmd_annihilate(args) -> tuple[int, str]:
     _, _, polys = _load_polys(args.poly_file)
-    ann = algdep.find_annihilator(polys, cap=args.cap_annihilator,
-                                  term_cap=args.cap_expansion)
+    ann = algdep.find_annihilator(polys, cap=args.annihilator_degree,
+                                  term_cap=args.expansion_terms)
     result = {
         "annihilator": ann.R.to_text(var_prefix="z"),
         "degree": ann.degree,
@@ -217,13 +216,13 @@ def _cmd_annihilate(args) -> tuple[int, str]:
 def _cmd_depend(args) -> tuple[int, str]:
     domain, nvars, polys = _load_polys(args.poly_file)
     cert = algdep.algebraic_rank(polys, mode="symbolic", seed=args.seed,
-                                 term_cap=args.cap_expansion)
+                                 term_cap=args.expansion_terms)
     sampler = algdep.TranslationSampler.for_tuple(
         len(polys), cert.rank, max(1, max(q.degree() for q in polys)),
         seed=args.seed, max_retries=args.max_retries)
     # a is the first draw at which the witness exists and checks
     a, (witness,) = algdep._witness_translation([(polys, cert.basis_indices)], domain,
-                                                nvars, sampler, args.cap_expansion)
+                                                nvars, sampler, args.expansion_terms)
     result = {
         "a": _point(a, domain),
         "basis": [i + 1 for i in witness.basis],
@@ -239,7 +238,7 @@ def _cmd_depend(args) -> tuple[int, str]:
 def _cmd_rewrite(args) -> tuple[int, str]:
     c = ckt.parse_file(args.circuit)
     rewritten, a = algdep.rewrite_circuit(c, seed=args.seed,
-                                          term_cap=args.cap_expansion)
+                                          term_cap=args.expansion_terms)
     text = ckt.serialize(rewritten)
     if args.out:
         write_text(args.out, text)
@@ -272,11 +271,11 @@ def _cmd_measure(args) -> tuple[int, str]:
             for m in range(args.m + 1):
                 rep, elapsed_ms = _timed(measure.psp_dimension, p,
                                          measure.MeasureSpec.multilinear(nvars, r, m),
-                                         matrix_cap=args.cap_matrix)
+                                         matrix_cap=args.matrix_cells)
                 writer.writerow([r, m, rep.dimension, rep.rows, rep.cols]
                                 + [f"{elapsed_ms:.3f}"] * args.timings)
         return 0, buf.getvalue()
-    rep, elapsed_ms = _timed(measure.psp_dimension, p, spec, matrix_cap=args.cap_matrix)
+    rep, elapsed_ms = _timed(measure.psp_dimension, p, spec, matrix_cap=args.matrix_cells)
     result = {
         "dimension": rep.dimension,
         "matrix_shape": {"rows": rep.rows, "cols": rep.cols},
@@ -294,10 +293,10 @@ def _cmd_nw(args) -> tuple[int, str]:
     base = nw.NWParams(args.n, args.q, args.e)
     gamma = 1 if args.gamma is None else args.gamma
     if args.p is None:
-        poly = nw.hard_polynomial(nw.HardPolyParams(base, gamma), domain, args.cap_expansion)
+        poly = nw.hard_polynomial(nw.HardPolyParams(base, gamma), domain, args.expansion_terms)
         return 0, poly.to_text() + "\n"
     try:
-        alive = Fraction(args.p)
+        alive = parse_rational(args.p)
     except (ValueError, ZeroDivisionError):
         raise InvalidParams(f"bad --p value {args.p!r} (a rational in (0, 1])") from None
     params = nw.HardPolyParams(base, gamma=gamma, p=alive)
@@ -314,9 +313,9 @@ def _cmd_nw(args) -> tuple[int, str]:
 def _cmd_pit(args) -> tuple[int, str]:
     c = ckt.parse_file(args.circuit)
     report, elapsed_ms = _timed(pit.pit_test, c, mode=args.mode, seed=args.seed,
-                                point_cap=args.cap_points, rounds=args.rounds,
+                                point_cap=args.hitting_set_points, rounds=args.rounds,
                                 certify_rank=args.certify_rank,
-                                expansion_term_cap=args.cap_expansion)
+                                expansion_term_cap=args.expansion_terms)
     result = {
         "verdict": report.verdict,
         "witness": None if report.witness is None else _point(report.witness, c.domain),
@@ -346,9 +345,9 @@ def _cmd_pit(args) -> tuple[int, str]:
 def _cmd_bench(args) -> tuple[int, str]:
     domain = _field_from_flag(args.field)
     base = nw.NWParams(args.n, args.q, args.e)
-    poly = nw.hard_polynomial(nw.HardPolyParams(base, 1), domain, args.cap_expansion)
+    poly = nw.hard_polynomial(nw.HardPolyParams(base, 1), domain, args.expansion_terms)
     spec = measure.MeasureSpec.multilinear(poly.nvars, args.r, args.m)
-    rep = measure.psp_dimension(poly, spec, matrix_cap=args.cap_matrix)
+    rep = measure.psp_dimension(poly, spec, matrix_cap=args.matrix_cells)
     bound = measure.circuit_measure_bound(args.T, poly.nvars, args.k, args.n,
                                           args.r, args.m, args.s)
     result = {
@@ -376,24 +375,24 @@ def build_parser() -> _Parser:
     p = sub.add_parser("rank", help="algebraic-rank certificate")
     p.add_argument("--poly-file", required=True)
     p.add_argument("--mode", choices=["randomized", "symbolic"], default="randomized")
-    _add_common(p)
+    _add_common(p, "expansion_terms")
     p.set_defaults(fn=_cmd_rank)
 
     p = sub.add_parser("annihilate", help="minimal-degree annihilating polynomial")
     p.add_argument("--poly-file", required=True)
-    _add_common(p)
+    _add_common(p, "expansion_terms", "annihilator_degree")
     p.set_defaults(fn=_cmd_annihilate)
 
     p = sub.add_parser("depend", help="functional-dependence witness")
     p.add_argument("--poly-file", required=True)
     p.add_argument("--max-retries", type=int, default=10)
-    _add_common(p)
+    _add_common(p, "expansion_terms")
     p.set_defaults(fn=_cmd_depend)
 
     p = sub.add_parser("rewrite", help="rewrite gates over basis components")
     p.add_argument("--circuit", required=True)
     p.add_argument("--out", default=None, help="write the rewritten circuit here")
-    _add_common(p)
+    _add_common(p, "expansion_terms")
     p.set_defaults(fn=_cmd_rewrite)
 
     p = sub.add_parser("measure", help="projected shifted partials dimension")
@@ -403,7 +402,7 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int, required=True, help="shift degree")
     p.add_argument("--sweep", action="store_true",
                    help="CSV sweep over all r' <= r, m' <= m")
-    _add_common(p)
+    _add_common(p, "matrix_cells")
     p.set_defaults(fn=_cmd_measure)
 
     p = sub.add_parser("nw", help="design polynomial / restriction experiment")
@@ -414,7 +413,7 @@ def build_parser() -> _Parser:
     p.add_argument("--p", default=None, help="alive probability: run the experiment")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--field", default=None, help="rational (default) or prime:P")
-    _add_common(p)
+    _add_common(p, "expansion_terms")
     p.set_defaults(fn=_cmd_nw)
 
     p = sub.add_parser("pit", help="polynomial identity test")
@@ -423,7 +422,7 @@ def build_parser() -> _Parser:
                    default="hitting-set")
     p.add_argument("--rounds", type=int, default=20)
     p.add_argument("--certify-rank", action="store_true")
-    _add_common(p)
+    _add_common(p, "expansion_terms", "hitting_set_points")
     p.set_defaults(fn=_cmd_pit)
 
     p = sub.add_parser("bench", help="toy-scale experiments")
@@ -437,7 +436,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--field", default=None)
-    _add_common(p)
+    _add_common(p, "expansion_terms", "matrix_cells")
     p.set_defaults(fn=_cmd_bench)
 
     return parser
@@ -454,14 +453,14 @@ def run(argv) -> tuple[int, str]:
             except ValueError:
                 raise InvalidParams("bad RANKPIT_SEED value "
                                     f"{os.environ['RANKPIT_SEED']!r} (an integer)") from None
-        # (flag, least value); a flag the subcommand lacks, or that was not
-        # given and has no default, reads None
-        for flag, least in (("cap_expansion", 0), ("cap_matrix", 0), ("cap_points", 0),
-                            ("cap_annihilator", 1), ("rounds", 1), ("max_retries", 1),
-                            ("trials", 1)):
-            if (value := getattr(args, flag, None)) is not None and value < least:
-                raise InvalidParams(f"--{flag.replace('_', '-')} must be >= {least}, "
-                                    f"got {value}")
+        # attribute: (flag, least value); an attribute the subcommand lacks,
+        # or that was not given and has no default, reads None
+        least = {key: (flag, low) for key, (flag, _, low, _) in _CAPS.items()}
+        least |= {"rounds": ("--rounds", 1), "max_retries": ("--max-retries", 1),
+                  "trials": ("--trials", 1)}
+        for dest, (flag, low) in least.items():
+            if (value := getattr(args, dest, None)) is not None and value < low:
+                raise InvalidParams(f"{flag} must be >= {low}, got {value}")
         return args.fn(args)
     except RankpitError as exc:
         # the documented attributes (sizes, caps, gate, JSON path, ...) ride along

@@ -9,6 +9,7 @@ the rest of the package is generic over the two kinds.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,6 +24,26 @@ def json_int(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{value!r} is not an integer")
     return value
+
+
+def parse_rational(s: str) -> Fraction:
+    """Fraction(s), refused with InvalidParams if the numerator or denominator
+    Fraction builds for it, before reducing, would have more digits than
+    int() reads from a string (sys.get_int_max_str_digits(), or its default
+    where that is 0 for "no limit").  Only an exponent can ask for more:
+    Fraction("1e999999999") builds 10^999999999, so the sizes are counted
+    from the string first.  A malformed string raises Fraction's ValueError."""
+    if "e" in s or "E" in s:
+        significand, _, exponent = s.lower().rpartition("e")
+        power = int(exponent)
+        whole, _, frac = significand.partition(".")
+        significant = "".join(filter(str.isdecimal, whole + frac)).lstrip("0")
+        num = max(len(significant), 1) + max(power, 0)
+        den = sum(map(str.isdecimal, frac)) + max(-power, 0) + 1
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        if max(num, den) > limit:
+            raise InvalidParams(f"{s!r} needs more than {limit} digits as an exact rational")
+    return Fraction(s)
 
 
 def is_prime(n: int) -> bool:
@@ -97,7 +118,7 @@ class Rationals:
     def parse(self, s: str) -> Fraction:
         if not isinstance(s, str):  # Fraction(0.1) would read a binary float
             raise TypeError(f"coefficient {s!r} is not a string")
-        return Fraction(s)
+        return parse_rational(s)
 
     def scalars(self, count: int) -> list[Fraction]:
         """The first `count` distinct scalars: 0, 1, 2, ..."""
@@ -178,7 +199,7 @@ class PrimeField:
         except ValueError:
             pass  # int() is >10x faster than Fraction() on the common case
         try:
-            return self.coerce(Fraction(s))
+            return self.coerce(parse_rational(s))
         except ZeroDivisionError:
             raise InvalidParams(f"{s!r} is not defined in F_{self.p}") from None
 

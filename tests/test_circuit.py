@@ -561,8 +561,8 @@ def test_product_gate_is_the_one_mul_dag(dom):
 def test_product_transforms_keep_their_bytes():
     """sha256 of the all-product outputs: the one-"mul" DAG grafts to exactly
     the nodes the product spelled.  The slices' digests were taken before
-    product gates became DAGs; the rewrite's when it began to write each
-    dependent input as one call of its weighted truncation."""
+    product gates became DAGs; the rewrite's when its report's config came
+    to echo only the expansion cap, the one cap rewrite applies."""
     import sys
     sys.path.insert(0, str(Path(__file__).parent))
     from _corpus import rewrite_fixture
@@ -570,7 +570,7 @@ def test_product_transforms_keep_their_bytes():
     code, out = cli.run(["rewrite", "--circuit", str(DATA / "e1_circuit.json"),
                          "--json", "--seed", "0"])
     assert (code, _sha256(out)) == (
-        0, "1aa51aeec842362d5c2594de7741c4651e8b2a6e26a816f3f58c0e7f02e7f612")
+        0, "2e663719d1ed0d6b9952cb8afaf1201077e2bd378869e888b2c63d0ddc2aad19")
     e1 = parse((DATA / "e1_circuit.json").read_text())
     assert [_sha256(serialize(homogeneous_component_circuit(e1, ell)))
             for ell in range(4)] == [

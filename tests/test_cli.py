@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rankpit import cli
+from rankpit.domains import PrimeField, Rationals
 
 DATA = Path(__file__).parent / "data"
 
@@ -83,8 +84,7 @@ def test_randomized_rank_report_is_pinned(tmp_path, field, points, error_bound):
     path.write_text(json.dumps(dict(E1_POLYS, field=field)))
     code, out = cli.run(["rank", "--poly-file", str(path), "--json", "--seed", "1"])
     expected = {"command": "rank", "config": {
-        "caps": {"annihilator_degree": None, "expansion_terms": 10000000,
-                 "hitting_set_points": 2000000, "matrix_cells": 10000000},
+        "caps": {"expansion_terms": 10000000},
         "output": "json", "seed": 1, "timings": False}, "result": {
         "basis": [1, 2], "error_bound": error_bound, "evaluation_points": points,
         "method": "jacobian-randomized", "rank": 2, "security_bits": 30, "seed": 1}}
@@ -414,8 +414,7 @@ def test_bench_separation_report_is_pinned():
     code, out = cli.run(["bench", "separation", "--n", "2", "--q", "7", "--e", "2",
                          "--r", "2", "--m", "2", "--json"])
     expected = {"command": "bench", "config": {
-        "caps": {"annihilator_degree": None, "expansion_terms": 10000000,
-                 "hitting_set_points": 2000000, "matrix_cells": 10000000},
+        "caps": {"expansion_terms": 10000000, "matrix_cells": 10000000},
         "output": "json", "seed": 0, "timings": False}, "result": {
         "bound_inputs": {"T": 1, "k": 1, "m": 2, "r": 2, "s": 1},
         "circuit_bound": 140140, "note": "toy-scale comparison; no asymptotic claim",
@@ -509,26 +508,29 @@ def test_expansion_cap_honored(tmp_path):
     assert json.loads(out)["error"] == "ExpansionTooLarge"
 
 
+# (x1*x2 + 1, (x1*x2 + 1)^2) over Q
+PAIR_POLYS = [[{"coeff": "1", "mono": {"1": 1, "2": 1}}, {"coeff": "1", "mono": {}}],
+              [{"coeff": "1", "mono": {"1": 2, "2": 2}}, {"coeff": "2", "mono": {"1": 1, "2": 1}},
+               {"coeff": "1", "mono": {}}]]
+
+
 @pytest.mark.parametrize("command", [["rank", "--mode", "symbolic"], ["annihilate"],
-                                     ["depend"], ["pit", "--certify-rank"]],
+                                     ["depend"], ["pit", "--certify-rank"], ["rewrite"]],
                          ids=lambda argv: argv[0])
 def test_expansion_cap_honored_by_every_annihilator_search(tmp_path, command):
     """(x1*x2 + 1, (x1*x2 + 1)^2) has rank 1 below its 2 essential
     coordinates, so each command runs an annihilator search; under
-    --cap-expansion 1 its columns exceed the cap.  pit reads the pair as the
-    inner polynomials of one product gate."""
-    s = [{"coeff": "1", "mono": {"1": 1, "2": 1}}, {"coeff": "1", "mono": {}}]
-    square = [{"coeff": "1", "mono": {"1": 2, "2": 2}}, {"coeff": "2", "mono": {"1": 1, "2": 1}},
-              {"coeff": "1", "mono": {}}]
+    --cap-expansion 1 its columns exceed the cap.  pit and rewrite read the
+    pair as the inner polynomials of one product gate."""
     path = tmp_path / "pair.json"
     field = {"type": "rational"}
-    if command[0] == "pit":
+    if command[0] in ("pit", "rewrite"):
         path.write_text(json.dumps({
             "field": field, "nvars": 2, "declared": {"d": 4, "k": 2, "delta": 6},
-            "gates": [{"outer": "product", "inner": [s, square]}]}))
+            "gates": [{"outer": "product", "inner": PAIR_POLYS}]}))
         source = ["--circuit", str(path)]
     else:
-        path.write_text(json.dumps({"field": field, "nvars": 2, "polys": [s, square]}))
+        path.write_text(json.dumps({"field": field, "nvars": 2, "polys": PAIR_POLYS}))
         source = ["--poly-file", str(path)]
     code, out = cli.run(command + source + ["--json", "--cap-expansion", "1"])
     error = json.loads(out)
@@ -559,8 +561,7 @@ def test_independent_tuple_is_certified_before_the_term_cap(tmp_path):
     assert (error["error"], error["cap"]) == ("NoAnnihilatorWithinCap", 27)
 
 
-_CONFIG_TEXT = ('  config: {"caps": {"annihilator_degree": null, "expansion_terms": 10000000, '
-                '"hitting_set_points": 2000000, "matrix_cells": 10000000}, "output": "text", '
+_CONFIG_TEXT = ('  config: {"caps": {"expansion_terms": 10000000CAPS}, "output": "text", '
                 '"seed": SEED, "timings": false}\n')
 
 
@@ -575,7 +576,7 @@ _CONFIG_TEXT = ('  config: {"caps": {"annihilator_degree": null, "expansion_term
      "  security_bits: 30\n"
      "  error_bound: 51609517852490439776383554733416957/"
      "511115773510091276288000000000000000000000000000000000000000000\n"
-     "  seed: 1\n" + _CONFIG_TEXT.replace("SEED", "1")),
+     "  seed: 1\n" + _CONFIG_TEXT.replace("SEED", "1").replace("CAPS", "")),
     (["pit", "--circuit", str(DATA / "e1_circuit.json"), "--seed", "0"], 1,
      "[pit]\n"
      "  verdict: nonzero\n"
@@ -590,7 +591,8 @@ _CONFIG_TEXT = ('  config: {"caps": {"annihilator_degree": null, "expansion_term
      "  expansion_nonzero: None\n"
      "  consistent: None\n"
      "  timings: None\n"
-     "  seed: 0\n" + _CONFIG_TEXT.replace("SEED", "0")),
+     "  seed: 0\n" + _CONFIG_TEXT.replace("SEED", "0")
+     .replace("CAPS", ', "hitting_set_points": 2000000')),
     (["nw", "--n", "2", "--q", "3", "--e", "1", "--gamma", "2"], 0,
      "x1*x7 + x1*x8 + x2*x7 + x2*x8 + x3*x9 + x3*x10 + x4*x9 + x4*x10"
      " + x5*x11 + x5*x12 + x6*x11 + x6*x12\n"),
@@ -609,7 +611,7 @@ _CONFIG_TEXT = ('  config: {"caps": {"annihilator_degree": null, "expansion_term
      "  sigma: 0.009547032697824667\n"
      "  within_3_sigma: True\n"
      "  restrictions_with_dead_slot: 130\n"
-     "  seed: 4\n" + _CONFIG_TEXT.replace("SEED", "4")),
+     "  seed: 4\n" + _CONFIG_TEXT.replace("SEED", "4").replace("CAPS", "")),
     (["nw", "--n", "20", "--q", "23", "--e", "0", "--gamma", "3"], 0, "0\n"),
 ], ids=["rank", "pit", "nw-gamma", "nw-experiment", "nw-e0"])
 def test_text_output_is_pinned(e1_file, argv, code, text):
@@ -649,6 +651,43 @@ def test_fraction_coefficient_over_prime_field(tmp_path):
     code, out = cli.run(["rank", "--poly-file", str(path), "--json"])
     payload = json.loads(out)
     assert (code, payload["error"], payload["path"]) == (2, "CircuitSyntaxError", "$.polys[0]")
+
+
+def test_exact_rationals_read_as_fraction_reads_them():
+    for text in ("1e3", "2.5e-3", "1/3", "-7"):
+        value = Fraction(text)
+        assert Rationals().parse(text) == value
+        assert PrimeField(1000003).parse(text) == PrimeField(1000003).coerce(value)
+
+
+@pytest.mark.parametrize("field", ["rational", "prime:1000003"], ids=["Q", "F_1000003"])
+@pytest.mark.parametrize("coeff", ["1e999999999", "1e-999999999", "5e4300"])
+def test_a_huge_exponent_is_refused_before_its_power_is_built(tmp_path, field, coeff):
+    """Fraction("1e999999999") builds 10^999999999, for hours; a numerator
+    or denominator past int()'s digit limit (4300 by default) is refused
+    first, in a poly file, in a DAG constant and as nw --p."""
+    domain = ({"type": "rational"} if field == "rational"
+              else {"type": "prime", "p": "1000003"})
+    polys, dag = tmp_path / "polys.json", tmp_path / "dag.json"
+    polys.write_text(json.dumps({"field": domain, "nvars": 1,
+                                 "polys": [[{"coeff": coeff, "mono": {"1": 1}}]]}))
+    dag.write_text(json.dumps({
+        "field": domain, "nvars": 1, "declared": {"d": 1, "k": 1, "delta": 1},
+        "gates": [{"outer": {"dag": {"arity": 1, "root": 2, "nodes": [
+            {"op": "input", "index": 1}, {"op": "const", "value": coeff},
+            {"op": "mul", "args": [0, 1]}]}}, "inner": [[{"coeff": "1", "mono": {"1": 1}}]]}]}))
+    for argv, path in [(["rank", "--poly-file", str(polys)], "$.polys[0]"),
+                       (["pit", "--circuit", str(dag)], "$.gates[0].outer.nodes[1]"),
+                       (["nw", *NW_ARGS, "--field", field, "--p", coeff], None)]:
+        start = time.perf_counter()
+        code, out = cli.run(argv + ["--json"])
+        assert time.perf_counter() - start < 0.1
+        payload = json.loads(out)
+        if path is None:
+            assert (code, payload["error"]) == (2, "InvalidParams")
+        else:
+            assert (code, payload["error"], payload["path"]) == (2, "CircuitSyntaxError", path)
+        assert "digits as an exact rational" in payload["detail"]
 
 
 def test_unreadable_and_malformed_inputs_exit_2(tmp_path):
@@ -867,8 +906,7 @@ LATER_WITNESS = {"field": _FP, "nvars": 4, "declared": {"d": 2, "k": 2, "delta":
                      _terms((1, {2: 1, 4: 1}), (-1, {1: 2}))]}]}
 _PIT_JSON = (
     '{\n  "command": "pit",\n  "config": {\n    "caps": {\n'
-    '      "annihilator_degree": null,\n      "expansion_terms": 10000000,\n'
-    '      "hitting_set_points": 2000000,\n      "matrix_cells": 10000000\n'
+    '      "expansion_terms": 10000000,\n      "hitting_set_points": 2000000\n'
     '    },\n    "output": "json",\n    "seed": 0,\n    "timings": false\n  },\n'
     '  "result": {\n    "clamped": true,\n    "consistent": null,\n'
     '    "ell": ELL,\n    "ell_used": 4,\n    "expansion_nonzero": null,\n'
@@ -963,15 +1001,13 @@ _CHECKED_FLAGS = {"--cap-expansion", "--cap-matrix", "--cap-points", "--cap-anni
     ["annihilate", "--poly-file", "E1", "--cap-expansion", "-1"],
     ["measure", "--poly-file", "E1", "--r", "1", "--m", "1", "--cap-matrix", "-1"],
     ["pit", "--circuit", "ZERO", "--cap-points", "-1"],
-    ["rank", "--poly-file", "E1", "--cap-annihilator", "0"],
     ["annihilate", "--poly-file", "E1", "--cap-annihilator", "-2"],
     ["depend", "--poly-file", "E1", "--max-retries", "0"],
     ["nw", *NW_ARGS, "--p", "1/2", "--trials", "0"],
     ["nw", *NW_ARGS, "--trials", "0"],
 ], ids=["nw-field", "bench-field", "negative-cap-expansion",
-        "negative-cap-matrix", "negative-cap-points", "rank-zero-cap-annihilator",
-        "negative-cap-annihilator", "depend-zero-max-retries", "nw-zero-trials",
-        "nw-zero-trials-without-experiment"])
+        "negative-cap-matrix", "negative-cap-points", "negative-cap-annihilator",
+        "depend-zero-max-retries", "nw-zero-trials", "nw-zero-trials-without-experiment"])
 def test_bad_flag_values_are_invalid_params(e1_file, zero_circuit_file, argv):
     argv = [{"E1": e1_file, "ZERO": zero_circuit_file}.get(a, a) for a in argv]
     code, out = cli.run(argv + ["--json"])
@@ -981,6 +1017,48 @@ def test_bad_flag_values_are_invalid_params(e1_file, zero_circuit_file, argv):
     flag = next((a for a in argv if a in _CHECKED_FLAGS), None)
     if flag:
         assert flag in error["detail"]
+
+
+# each subcommand's run and the caps it applies; rank and depend run on the
+# pair, whose degree-2 annihilator search no --cap-annihilator bounds
+_CAP_TABLE = {
+    "rank": (["--poly-file", "PAIR", "--mode", "symbolic"], {"--cap-expansion"}),
+    "annihilate": (["--poly-file", "E1"], {"--cap-expansion", "--cap-annihilator"}),
+    "depend": (["--poly-file", "PAIR"], {"--cap-expansion"}),
+    "rewrite": (["--circuit", "C1"], {"--cap-expansion"}),
+    "measure": (["--poly-file", "E1", "--index", "2", "--r", "1", "--m", "1"], {"--cap-matrix"}),
+    "nw": ([*NW_ARGS, "--p", "1/2", "--trials", "20"], {"--cap-expansion"}),
+    "pit": (["--circuit", "C1"], {"--cap-expansion", "--cap-points"}),
+    "bench": (["separation", *NW_ARGS, "--r", "1", "--m", "1"],
+              {"--cap-expansion", "--cap-matrix"}),
+}
+_CAP_FLAGS = {"--cap-expansion", "--cap-matrix", "--cap-points", "--cap-annihilator"}
+
+
+@pytest.mark.parametrize("command", sorted(_CAP_TABLE))
+def test_each_subcommand_takes_and_echoes_only_the_caps_it_applies(e1_file, tmp_path,
+                                                                   capsys, command):
+    """The parser registers the table's caps for each subcommand; its report,
+    JSON and text, echoes exactly those, and each other cap flag is a usage
+    error: 21 (subcommand, cap) pairs in all."""
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"field": {"type": "rational"}, "nvars": 2, "polys": PAIR_POLYS}))
+    names = {"E1": e1_file, "PAIR": str(pair), "C1": str(DATA / "e1_circuit.json")}
+    rest, caps = _CAP_TABLE[command]
+    argv = [command] + [names.get(a, a) for a in rest]
+    subparsers = next(a for a in cli.build_parser()._actions if a.choices)
+    registered = {a.option_strings[0]: a.dest for a in subparsers.choices[command]._actions
+                  if a.option_strings and a.option_strings[0] in _CAP_FLAGS}
+    assert set(registered) == caps
+    code, out = cli.run(argv + ["--json"])
+    assert code in (0, 1) and set(json.loads(out)["config"]["caps"]) == set(registered.values())
+    code, out = cli.run(argv)
+    config = next(line for line in out.splitlines() if line.startswith("  config: "))
+    assert set(json.loads(config[len("  config: "):])["caps"]) == set(registered.values())
+    for flag in sorted(_CAP_FLAGS - caps):
+        assert cli.main(argv + [flag, "1", "--json"]) == 64
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    assert sum(len(_CAP_FLAGS - caps) for _, caps in _CAP_TABLE.values()) == 21
 
 
 # ----------------------------------------------------------------------
