@@ -8,6 +8,11 @@ json.dumps(report, indent=2, sort_keys=True), Fractions and floats as
 strings, written in one walk (`_report_json`).  Text output renders the same
 data for humans.  Exit codes: 0 success (or pit verdict "zero"), 1 pit verdict
 "nonzero", 2 computation error, 64 usage error.
+
+`run` hands argv after a subcommand's name to that subcommand's own parser,
+in one pass; an empty argv, an unknown name and top-level help go through
+the top-level parser and its usage, help and errors.  No parser accepts a
+prefix of a flag for the flag (`--cap` is not `--cap-expansion`).
 """
 
 from __future__ import annotations
@@ -34,6 +39,9 @@ ERROR_EXIT = 2
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # top level and every subcommand: no flag prefixes
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
@@ -114,6 +122,11 @@ _CAPS = {
     "hitting_set_points": ("--cap-points", pit.DEFAULT_POINT_CAP, 0, "hitting-set point cap"),
     "annihilator_degree": ("--cap-annihilator", None, 1, "degree cap (default t*d^(t-1))"),
 }
+
+# run()'s checks, attribute: (flag, least value); an attribute the subcommand
+# lacks, or that was not given and has no default, reads None
+_LEAST = {key: (flag, low) for key, (flag, _, low, _) in _CAPS.items()} | {
+    "rounds": ("--rounds", 1), "max_retries": ("--max-retries", 1), "trials": ("--trials", 1)}
 
 
 def _add_common(p: _Parser, *caps: str):
@@ -365,37 +378,40 @@ def _cmd_bench(args) -> tuple[int, str]:
 
 # ----------------------------------------------------------------------
 
-@functools.cache  # one parser per process; parse_args leaves it unchanged
+@functools.cache  # one parser tree per process; parse_args leaves it unchanged
 def build_parser() -> _Parser:
     parser = _Parser(prog="rankpit",
                      description="Exact rank certificates, dependence witnesses, "
                                  "measure computations, and hitting-set identity tests")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = commands = {}  # name: its parser, which run() hands argv[1:]
 
-    p = sub.add_parser("rank", help="algebraic-rank certificate")
+    p = commands["rank"] = sub.add_parser("rank", help="algebraic-rank certificate")
     p.add_argument("--poly-file", required=True)
     p.add_argument("--mode", choices=["randomized", "symbolic"], default="randomized")
     _add_common(p, "expansion_terms")
     p.set_defaults(fn=_cmd_rank)
 
-    p = sub.add_parser("annihilate", help="minimal-degree annihilating polynomial")
+    p = commands["annihilate"] = sub.add_parser("annihilate",
+                                                help="minimal-degree annihilating polynomial")
     p.add_argument("--poly-file", required=True)
     _add_common(p, "expansion_terms", "annihilator_degree")
     p.set_defaults(fn=_cmd_annihilate)
 
-    p = sub.add_parser("depend", help="functional-dependence witness")
+    p = commands["depend"] = sub.add_parser("depend", help="functional-dependence witness")
     p.add_argument("--poly-file", required=True)
     p.add_argument("--max-retries", type=int, default=10)
     _add_common(p, "expansion_terms")
     p.set_defaults(fn=_cmd_depend)
 
-    p = sub.add_parser("rewrite", help="rewrite gates over basis components")
+    p = commands["rewrite"] = sub.add_parser("rewrite", help="rewrite gates over basis components")
     p.add_argument("--circuit", required=True)
     p.add_argument("--out", default=None, help="write the rewritten circuit here")
     _add_common(p, "expansion_terms")
     p.set_defaults(fn=_cmd_rewrite)
 
-    p = sub.add_parser("measure", help="projected shifted partials dimension")
+    p = commands["measure"] = sub.add_parser("measure",
+                                                help="projected shifted partials dimension")
     p.add_argument("--poly-file", required=True)
     p.add_argument("--index", type=int, default=0, help="which polynomial in the file")
     p.add_argument("--r", type=int, required=True, help="derivative degree")
@@ -405,7 +421,7 @@ def build_parser() -> _Parser:
     _add_common(p, "matrix_cells")
     p.set_defaults(fn=_cmd_measure)
 
-    p = sub.add_parser("nw", help="design polynomial / restriction experiment")
+    p = commands["nw"] = sub.add_parser("nw", help="design polynomial / restriction experiment")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--e", type=int, required=True)
@@ -416,7 +432,7 @@ def build_parser() -> _Parser:
     _add_common(p, "expansion_terms")
     p.set_defaults(fn=_cmd_nw)
 
-    p = sub.add_parser("pit", help="polynomial identity test")
+    p = commands["pit"] = sub.add_parser("pit", help="polynomial identity test")
     p.add_argument("--circuit", required=True)
     p.add_argument("--mode", choices=["hitting-set", "oracle", "both"],
                    default="hitting-set")
@@ -425,7 +441,7 @@ def build_parser() -> _Parser:
     _add_common(p, "expansion_terms", "hitting_set_points")
     p.set_defaults(fn=_cmd_pit)
 
-    p = sub.add_parser("bench", help="toy-scale experiments")
+    p = commands["bench"] = sub.add_parser("bench", help="toy-scale experiments")
     p.add_argument("experiment", choices=["separation"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
@@ -445,7 +461,10 @@ def build_parser() -> _Parser:
 def run(argv) -> tuple[int, str]:
     """Parse and dispatch; returns (exit code, stdout payload)."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv and argv[0] in parser.commands:  # one pass: the subcommand's own parser
+        args = parser.commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    else:  # no subcommand, an unknown one or top-level help: the top-level errors
+        args = parser.parse_args(argv)
     try:
         if args.seed is None:
             try:
@@ -453,12 +472,7 @@ def run(argv) -> tuple[int, str]:
             except ValueError:
                 raise InvalidParams("bad RANKPIT_SEED value "
                                     f"{os.environ['RANKPIT_SEED']!r} (an integer)") from None
-        # attribute: (flag, least value); an attribute the subcommand lacks,
-        # or that was not given and has no default, reads None
-        least = {key: (flag, low) for key, (flag, _, low, _) in _CAPS.items()}
-        least |= {"rounds": ("--rounds", 1), "max_retries": ("--max-retries", 1),
-                  "trials": ("--trials", 1)}
-        for dest, (flag, low) in least.items():
+        for dest, (flag, low) in _LEAST.items():
             if (value := getattr(args, dest, None)) is not None and value < low:
                 raise InvalidParams(f"{flag} must be >= {low}, got {value}")
         return args.fn(args)

@@ -1147,3 +1147,182 @@ def test_report_writer_refuses_what_json_refuses(tree):
     with pytest.raises(ValueError) as theirs:
         _indented(huge)
     assert str(ours.value) == str(theirs.value)
+
+
+# ----------------------------------------------------------------------
+# dispatch: argv after a subcommand's name goes to that subcommand's parser,
+# in one pass; any other argv to the top-level parser
+
+def _flags(command):
+    """Each action of the subcommand's parser but help: (its flags, the action);
+    a positional has no flags."""
+    return [(a.option_strings, a) for a in cli.build_parser().commands[command]._actions
+            if a.dest != "help"]
+
+
+def _value(action, k=0):
+    """A value the action parses; k = 1 gives a second one where there is one."""
+    if action.choices:
+        return list(action.choices)[-1 - k % len(action.choices)]
+    return str(2 + k) if action.type is int else f"value{k}"
+
+
+def _positionals(command):
+    return [_value(a) for flags, a in _flags(command) if not flags]
+
+
+def _required(command):
+    """The subcommand's argv with only what it requires: every other flag
+    takes its default."""
+    argv = [command, *_positionals(command)]
+    for flags, a in _flags(command):
+        if flags and a.required:
+            argv += [flags[0], _value(a)]
+    return argv
+
+
+def _dispatch_argvs(command):
+    """The defaults, every flag, every flag in the --flag=value form, and
+    every flag given twice (the last one holds)."""
+    flags = [(f[0], a) for f, a in _flags(command) if f]
+    every = [command, *_positionals(command)]
+    joined, twice = list(every), list(every)
+    for flag, a in flags:
+        if a.nargs == 0:
+            every.append(flag)
+            joined.append(flag)
+            twice += [flag, flag]
+        else:
+            every += [flag, _value(a)]
+            joined.append(f"{flag}={_value(a)}")
+            twice += [flag, _value(a), flag, _value(a, 1)]
+    return {"defaults": _required(command), "every-flag": every,
+            "flag=value": joined, "repeated": twice}
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """vars() of each namespace that cli.run hands a subcommand, which then
+    returns (0, "") in place of its computation."""
+    seen = []
+
+    def spy(args):
+        seen.append(dict(vars(args)))
+        return 0, ""
+
+    monkeypatch.delenv("RANKPIT_SEED", raising=False)
+    for parser in cli.build_parser().commands.values():
+        monkeypatch.setitem(parser._defaults, "fn", spy)
+    return seen
+
+
+def test_the_dispatch_map_holds_every_subcommand_the_top_level_lists():
+    parser = cli.build_parser()
+    choices = next(a for a in parser._actions if a.choices).choices
+    assert list(parser.commands) == list(choices)
+    assert all(parser.commands[name] is choices[name] for name in choices)
+    usage = parser.format_usage()
+    assert "{" + ",".join(parser.commands) + "}" in usage
+
+
+@pytest.mark.parametrize("command", ["rank", "annihilate", "depend", "rewrite", "measure",
+                                     "nw", "pit", "bench"])
+def test_run_parses_as_the_two_level_parser_does(parsed, command):
+    """Every subcommand, over argvs that give each of its flags, none of
+    them, the --flag=value form and a repeated flag: the namespace `run`
+    parses is the top-level parser's, `run`'s seed default aside."""
+    argvs = _dispatch_argvs(command)
+    for name, argv in argvs.items():
+        assert cli.run(argv) == (0, ""), name
+        expected = vars(cli.build_parser().parse_args(argv))
+        if expected["seed"] is None:  # run() reads $RANKPIT_SEED, here unset: 0
+            expected["seed"] = 0
+        assert parsed[-1] == expected, name
+    assert len(parsed) == len(argvs)
+    # every flag is given a value other than its default, so a dropped one shows
+    every = vars(cli.build_parser().parse_args(argvs["every-flag"]))
+    defaults = vars(cli.build_parser().parse_args(argvs["defaults"]))
+    assert {a.dest for flags, a in _flags(command)
+            if flags and not a.required and every[a.dest] == defaults[a.dest]} == set()
+
+
+def _shortest_prefix(flag, flags):
+    """The shortest prefix of the flag that no other flag starts with, or
+    None where only the whole flag is unique."""
+    others = [f for f in flags if f != flag]
+    return next((flag[:n] for n in range(3, len(flag))
+                 if not any(f.startswith(flag[:n]) for f in others)), None)
+
+
+@pytest.mark.parametrize("command", ["rank", "annihilate", "depend", "rewrite", "measure",
+                                     "nw", "pit", "bench"])
+def test_no_prefix_of_a_flag_stands_for_it(parsed, capsys, command):
+    """For each flag of each subcommand, its shortest unique prefix is an
+    unrecognized argument (exit 64), and the whole flag parses."""
+    flags = [f for option_strings, _ in _flags(command) for f in option_strings] + ["-h", "--help"]
+    refused = 0
+    for option_strings, a in _flags(command):
+        for flag in option_strings:
+            value = [] if a.nargs == 0 else [_value(a, 1)]
+            assert cli.run(_required(command) + [flag, *value]) == (0, "")
+            assert parsed[-1][a.dest] == (True if a.nargs == 0 else (a.type or str)(value[0]))
+            prefix = _shortest_prefix(flag, flags)
+            if prefix is None:
+                continue
+            assert cli.main(_required(command) + [prefix, *value]) == 64
+            err = capsys.readouterr().err.splitlines()
+            assert err[0].startswith(f"usage: rankpit {command} ")
+            assert err[-1] == (f"rankpit {command}: error: unrecognized arguments: "
+                               + " ".join([prefix, *value]))
+            refused += 1
+    assert refused >= 5
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["rank", "--poly-file", "f.json", "--cap", "5"],
+     "rankpit rank: error: unrecognized arguments: --cap 5"),
+    (["rank", "--poly", "f.json"],
+     "rankpit rank: error: the following arguments are required: --poly-file"),
+    (["annihilate", "--poly-file", "f.json", "--cap-ann", "2"],
+     "rankpit annihilate: error: unrecognized arguments: --cap-ann 2"),
+    (["--he"], "rankpit: error: the following arguments are required: command"),
+], ids=["rank-cap", "rank-poly", "annihilate-cap-ann", "top-level-he"])
+def test_flag_prefixes_are_usage_errors(parsed, capsys, argv, error):
+    assert cli.main(argv) == 64
+    assert capsys.readouterr().err.splitlines()[-1] == error
+    assert parsed == []
+
+
+_TOP_USAGE = "usage: rankpit [-h] {rank,annihilate,depend,rewrite,measure,nw,pit,bench} ..."
+
+
+@pytest.mark.parametrize("argv, code, first, last", [
+    ([], 64, _TOP_USAGE, "rankpit: error: the following arguments are required: command"),
+    (["bogus"], 64, _TOP_USAGE, "rankpit: error: argument command: invalid choice: 'bogus'"),
+    (["-h"], 0, _TOP_USAGE, None),
+    (["rank", "-h"], 0, "usage: rankpit rank [-h] --poly-file POLY_FILE", None),
+    (["rank"], 64, "usage: rankpit rank [-h] --poly-file POLY_FILE",
+     "rankpit rank: error: the following arguments are required: --poly-file"),
+    (["rank", "--poly-file", "f.json", "--seed", "x"], 64,
+     "usage: rankpit rank [-h] --poly-file POLY_FILE",
+     "rankpit rank: error: argument --seed: invalid int value: 'x'"),
+    (["rank", "--poly-file", "f.json", "--bogus", "1"], 64,
+     "usage: rankpit rank [-h] --poly-file POLY_FILE",
+     "rankpit rank: error: unrecognized arguments: --bogus 1"),
+], ids=["empty", "unknown-subcommand", "top-level-help", "rank-help", "missing-poly-file",
+        "bad-seed", "unknown-flag"])
+def test_refusals_keep_their_parser_and_exit_code(parsed, capsys, monkeypatch,
+                                                  argv, code, first, last):
+    """Refusals and help: the exit code, the usage's first line (on stderr
+    for an error, on stdout for help) and the error line; an unrecognized
+    argument is the subcommand's error, with its usage."""
+    monkeypatch.setenv("COLUMNS", "200")  # one usage line
+    assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    lines = (err if code else out).splitlines()
+    assert lines[0].startswith(first)
+    if last is None:
+        assert err == ""
+    else:
+        assert len(lines) == 2 and lines[1].startswith(last)
+    assert parsed == []
